@@ -8,8 +8,9 @@ perfectly constant, so the label set never changes.
 
 import numpy as np
 
-from modaldyn import detect_crossings, projector_derivative, track
+from modaldyn import detect_crossings, track
 from modaldyn.hilbert import matrix_exponential
+from modaldyn.spectral import derivative_family
 
 # --- a crossing family with constant eigenprojections ---------------------
 
@@ -52,7 +53,7 @@ err = max(
 print(f"\nrotating family: tracked vs closed-form projectors at t={grid[k]:.2f}: "
       f"max error {err:.2e}")
 
-derivs = projector_derivative(traj, grid[k])
+derivs = derivative_family(traj.projectors, grid)[k]
 balance = np.abs(sum(derivs)).max()
 comm = np.abs(derivs[0] - (-1j) * (h @ traj.projectors_at(k)[0]
                                    - traj.projectors_at(k)[0] @ h)).max()

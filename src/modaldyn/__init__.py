@@ -18,8 +18,7 @@ from .hilbert import (EigenDecomposition, FactorSpace, check_density_operator,
                       hermitian_eig, matrix_exponential, partial_trace,
                       projector_from_vector, tensor_product)
 from .spectral import (CrossingEvent, CrossingReport, SpectralTrajectory,
-                       detect_crossings, fiduciary_refine, projector_derivative,
-                       track)
+                       detect_crossings, fiduciary_refine, track)
 from .algebra import (FauxBooleanAlgebra, PropertyState, composite_generating_set,
                       generate_faux_boolean, joint_distribution, joint_probability,
                       ultrafilter_state)
@@ -33,8 +32,7 @@ from .kinetics import (JumpDecomposition, RateMatrix, RateTrajectory,
 from .feller import (TransitionKernel, chapman_kolmogorov_residual,
                      feller_minimal, forward_ode_kernel, honesty_deficit)
 from .sampler import (EnsembleStats, JumpProcess, SamplePath, ensemble_marginals,
-                      low_probability_occupancy, sample_initial,
-                      sample_waiting_time, total_variation)
+                      low_probability_occupancy, sample_initial, total_variation)
 from .scenario import (BUILTINS, Scenario, Thresholds, builtin_scenarios,
                        load_scenario)
 from .pipeline import (JointFamily, PipelineResult, RunReport, compute_currents,

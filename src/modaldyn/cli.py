@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .errors import PoleEncountered, ScenarioValidationError
+from .errors import ModalDynError, PoleEncountered, ScenarioValidationError
 from .scenario import builtin_scenarios, load_scenario
 
 
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
     except PoleEncountered as exc:
         print(f"pole abort: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, ArithmeticError) as exc:
+    except (ModalDynError, ValueError, ArithmeticError) as exc:
         print(f"stage error: {exc}", file=sys.stderr)
         return 1
 

@@ -155,9 +155,11 @@ def write_report_json(path, report_dict: dict):
     _dump(path, report_dict)
 
 
-def write_manifest(path, scenario_dict: dict, master_seed: int, version: str):
+def write_manifest(path, scenario_dict: dict, master_seed: int):
+    from . import __version__
+
     _dump(path, {
         "scenario_hash": scenario_hash(scenario_dict),
         "master_seed": int(master_seed),
-        "tool_version": version,
+        "tool_version": __version__,
     })

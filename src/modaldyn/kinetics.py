@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .currents import CurrentMatrix
+from .spectral import _runs
 
 __all__ = [
     "JumpDecomposition",
@@ -81,7 +82,7 @@ def _with_diagonal(off: np.ndarray, pole_mask: np.ndarray) -> RateMatrix:
 
 
 def bell_rates(current: CurrentMatrix, p, zero_threshold: float | None = None,
-               pole_current: float | None = None, note9: bool = False,
+               pole_current: float | None = None,
                tol: Tolerances = DEFAULT) -> RateMatrix:
     """One-directional rate choice t_ji = max{0, j_ji / p_i}.
 
@@ -89,9 +90,7 @@ def bell_rates(current: CurrentMatrix, p, zero_threshold: float | None = None,
     there: entries whose current also vanishes get rate 0 (the continuous
     convention), entries with positive incoming current are flagged as
     poles.  A negative current out of a zero-probability state still gives
-    rate 0, which is the continuous limit of the max form.  ``note9``
-    selects the historical piecewise form (j/p for positive currents, zero
-    otherwise); with the conventions above the two coincide numerically.
+    rate 0, which is the continuous limit of the max form.
     """
     if zero_threshold is None:
         zero_threshold = tol.zero_probability
@@ -107,11 +106,7 @@ def bell_rates(current: CurrentMatrix, p, zero_threshold: float | None = None,
     off = np.zeros((d, d))
     pole = np.zeros((d, d), dtype=bool)
     pos = p > zero_threshold
-    if note9:
-        raw = np.where(j[:, pos] > 0.0, j[:, pos], 0.0) / p[pos]
-        off[:, pos] = raw
-    else:
-        off[:, pos] = np.maximum(0.0, j[:, pos] / p[pos])
+    off[:, pos] = np.maximum(0.0, j[:, pos] / p[pos])
     for i in np.nonzero(~pos)[0]:
         pole[:, i] = j[:, i] > pole_current
     np.fill_diagonal(pole, False)
@@ -246,24 +241,6 @@ class RateTrajectory:
         flagged = self.pole_mask.any(axis=(1, 2))
         return self.grid[inside & flagged]
 
-    def pole_free_windows(self) -> list[tuple[float, float]]:
-        """Maximal [s, t] windows whose nodes carry no pole flags."""
-        flagged = self.pole_mask.any(axis=(1, 2))
-        out = []
-        k = 0
-        n = len(self.grid)
-        while k < n:
-            if flagged[k]:
-                k += 1
-                continue
-            start = k
-            while k + 1 < n and not flagged[k + 1]:
-                k += 1
-            if k > start:
-                out.append((float(self.grid[start]), float(self.grid[k])))
-            k += 1
-        return out
-
 
 @dataclass(frozen=True)
 class SingularityEvent:
@@ -312,23 +289,15 @@ def classify_singularities(p_trajectory, grid, rate_matrices=None,
         any_pole = np.stack([rm.pole_mask.any(axis=0) for rm in rate_matrices])
     events = []
     for i in range(d):
-        mask = p[:, i] <= detect_tol
-        k = 0
-        while k < n:
-            if not mask[k]:
-                k += 1
-                continue
-            start = k
-            while k + 1 < n and mask[k + 1]:
-                k += 1
-            run = slice(start, k + 1)
+        for start, end in _runs(p[:, i] <= detect_tol):
+            run = slice(start, end + 1)
             seg = p[run, i]
             kind = "interval-zero" if seg.max() <= 10 * tol.zero_probability \
                 else "isolated-zero"
             arg = start + int(np.argmin(seg))
             divergent = None
             if exits is not None:
-                near = exits[max(0, start - 2):min(n, k + 3), i]
+                near = exits[max(0, start - 2):min(n, end + 3), i]
                 typical = float(np.median(exits[:, i])) if exits[:, i].max() > 0 else 0.0
                 divergent = bool(
                     any_pole[run, i].any()
@@ -336,7 +305,6 @@ def classify_singularities(p_trajectory, grid, rate_matrices=None,
                 )
             events.append(SingularityEvent(
                 time=float(grid[arg]), state=i, kind=kind, divergent=divergent,
-                t_start=float(grid[start]), t_end=float(grid[k]),
+                t_start=float(grid[start]), t_end=float(grid[end]),
             ))
-            k += 1
     return SingularityReport(events=tuple(events))

@@ -9,7 +9,7 @@ summing currents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .config import DEFAULT, Tolerances
 from .currents import (CurrentMatrix, continuity_residual,
                        generalized_schrodinger_current, minimal_flow_current,
                        static_schrodinger_current)
-from .errors import PoleInInterval, TruncationNotConverged
+from .errors import ModalDynError, PoleInInterval, TruncationNotConverged
 from .feller import (chapman_kolmogorov_residual, feller_minimal,
                      forward_ode_kernel, honesty_deficit)
 from .hilbert import evolve_on_grid, partial_trace
@@ -27,9 +27,7 @@ from .kinetics import (RateTrajectory, bell_rates, classify_singularities,
 from .sampler import (JumpProcess, ensemble_marginals, low_probability_occupancy,
                       total_variation)
 from .scenario import Scenario
-from .spectral import derivative_family, detect_crossings, track
-
-__version__ = "0.1.0"
+from .spectral import _runs, derivative_family, detect_crossings, track
 
 __all__ = ["JointFamily", "PipelineResult", "RunReport", "compute_currents",
            "compute_joint_family", "compute_rates", "pdot_target", "run"]
@@ -48,15 +46,6 @@ class JointFamily:
     projector_derivatives: np.ndarray
     probabilities: np.ndarray        # (n, D)
     pdot: np.ndarray                 # (n, D) finite differences
-
-
-def _finite_difference(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values)
-    h = grid[1] - grid[0]
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
-    return out
 
 
 def compute_joint_family(scenario: Scenario, tol: Tolerances = DEFAULT) -> JointFamily:
@@ -83,7 +72,7 @@ def compute_joint_family(scenario: Scenario, tol: Tolerances = DEFAULT) -> Joint
 
     amps = np.einsum("ndx,nx->nd", joint.conj(), psi)
     probabilities = np.clip(np.abs(amps) ** 2, 0.0, 1.0)
-    pdot = _finite_difference(probabilities, grid)
+    pdot = derivative_family(probabilities, grid)
     return JointFamily(
         scenario=scenario, grid=grid, psi=psi,
         factor_trajectories=tuple(trajectories), states=tuple(states),
@@ -141,7 +130,7 @@ def compute_rates(currents, probabilities, choice: str,
     out = []
     for cm, p in zip(currents, probabilities):
         if choice in ("bell", "bell_note9"):
-            out.append(bell_rates(cm, p, note9=(choice == "bell_note9"), tol=tol))
+            out.append(bell_rates(cm, p, tol=tol))
         elif choice == "general":
             out.append(general_rates(cm, p, free_choice=general_offset, tol=tol))
         else:
@@ -200,28 +189,9 @@ class RunReport:
         return not self.failures(thresholds)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario_name,
-            "current": self.current,
-            "rate_choice": self.rate_choice,
-            "continuity_residual": self.continuity_residual,
-            "master_residual": self.master_residual,
-            "master_rows_masked": self.master_rows_masked,
-            "crossings": self.crossings,
-            "singularities": self.singularities,
-            "pole_nodes": self.pole_nodes,
-            "kernel_window": list(self.kernel_window) if self.kernel_window else None,
-            "chapman_residual": self.chapman_residual,
-            "honesty_deficit_max": self.honesty_deficit_max,
-            "kernel_cross_check": self.kernel_cross_check,
-            "kernel_note": self.kernel_note,
-            "total_variation": self.total_variation,
-            "max_total_variation": self.max_total_variation,
-            "deterministic": self.deterministic,
-            "mean_jumps": self.mean_jumps,
-            "low_probability_occupancy": self.low_probability_occupancy,
-            "n_paths": self.n_paths,
-        }
+        out = asdict(self)
+        out["scenario"] = out.pop("scenario_name")
+        return out
 
 
 @dataclass
@@ -247,7 +217,7 @@ class _Stage:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, (ValueError, ArithmeticError)):
+        if isinstance(exc, (ValueError, ArithmeticError, ModalDynError)):
             raise type(exc)(f"[stage: {self.name}] {exc}") from exc
         return False
 
@@ -408,19 +378,8 @@ def _kernel_windows(grid, rate_traj, sing_report):
         lo = int(np.searchsorted(grid, ev.t_start)) - pad
         hi = int(np.searchsorted(grid, ev.t_end, side="right")) + pad
         bad[max(lo, 0):min(hi, n)] = True
-    out = []
-    k = 0
-    while k < n:
-        if bad[k]:
-            k += 1
-            continue
-        start = k
-        while k + 1 < n and not bad[k + 1]:
-            k += 1
-        if k > start:
-            out.append((float(grid[start]), float(grid[k])))
-        k += 1
-    return out
+    return [(float(grid[start]), float(grid[end]))
+            for start, end in _runs(~bad) if end > start]
 
 
 def _export(result: PipelineResult, out_dir):
@@ -433,8 +392,7 @@ def _export(result: PipelineResult, out_dir):
     sc = result.scenario
     family = result.family
     sc_dict = scenario_to_dict(sc)
-    mdio.write_manifest(out / "manifest.json", sc_dict,
-                        sc.ensemble.master_seed, __version__)
+    mdio.write_manifest(out / "manifest.json", sc_dict, sc.ensemble.master_seed)
     (out / "scenario.json").write_text(
         json.dumps(sc_dict, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     mdio.write_state_space_json(out / "state_space.json", family.states,

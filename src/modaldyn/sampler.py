@@ -37,7 +37,6 @@ __all__ = [
     "ensemble_marginals",
     "low_probability_occupancy",
     "sample_initial",
-    "sample_waiting_time",
     "total_variation",
 ]
 
@@ -85,48 +84,27 @@ class EnsembleStats:
         return self.counts / self.n_paths
 
 
+def _draw(weights: np.ndarray, rng):
+    """Inverse-CDF index draw proportional to nonnegative ``weights``.
+
+    Returns None, without consuming a uniform, when the weights sum to zero.
+    Dividing by the last cumulative sum makes it exactly 1, so a uniform in
+    [0, 1) never selects past the last positive weight.
+    """
+    cum = np.cumsum(weights)
+    if cum[-1] <= 0.0:
+        return None
+    cum /= cum[-1]
+    return int(np.searchsorted(cum, rng.random(), side="right"))
+
+
 def sample_initial(p0, rng, states=None):
     """Inverse-CDF draw from an initial distribution with fixed ordering."""
     p0 = np.asarray(p0, dtype=float).reshape(-1)
     if abs(p0.sum() - 1.0) > 1e-9 or p0.min() < -1e-12:
         raise ValueError("initial distribution must be nonnegative and sum to 1")
-    cum = np.cumsum(np.clip(p0, 0.0, None))
-    cum /= cum[-1]
-    k = int(np.searchsorted(cum, rng.random(), side="right"))
-    k = min(k, len(p0) - 1)
+    k = _draw(np.clip(p0, 0.0, None), rng)
     return states[k] if states is not None else k
-
-
-def sample_waiting_time(exit_rate, s: float, horizon: float, rng,
-                        quad_step: float = 1e-3):
-    """First-jump time from state-occupancy hazard, or None if none occurs.
-
-    Solves cumulative_hazard(tau) = -log(U) on a precomputed grid with
-    linear interpolation between nodes.
-    """
-    if horizon <= s:
-        raise ValueError("horizon must exceed the start time")
-    n = max(2, int(np.ceil((horizon - s) / quad_step)) + 1)
-    grid = np.linspace(s, horizon, n)
-    try:
-        vals = np.asarray(exit_rate(grid), dtype=float)
-        if vals.shape != grid.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([float(exit_rate(u)) for u in grid])
-    if vals.min() < 0:
-        raise ValueError(f"negative exit rate encountered (min {vals.min():.3e})")
-    haz = cumulative_trapezoid(vals, grid, initial=0.0)
-    target = -np.log1p(-rng.random())
-    if haz[-1] < target:
-        return None
-    idx = int(np.searchsorted(haz, target, side="left"))
-    idx = max(1, idx)
-    h0, h1 = haz[idx - 1], haz[idx]
-    if h1 <= h0:
-        return float(grid[idx])
-    frac = (target - h0) / (h1 - h0)
-    return float(grid[idx - 1] + frac * (grid[idx] - grid[idx - 1]))
 
 
 class JumpProcess:
@@ -190,15 +168,9 @@ class JumpProcess:
         return min(max(tau, np.nextafter(t_from, np.inf)), t_to)
 
     def _destination(self, state: int, tau: float, rng):
-        col = self.rates.matrix_batch(np.array([tau]))[0][:, state].copy()
+        col = np.clip(self.rates.matrix_batch(np.array([tau]))[0][:, state], 0.0, None)
         col[state] = 0.0
-        col = np.clip(col, 0.0, None)
-        s = col.sum()
-        if s <= 0.0:
-            return None
-        cum = np.cumsum(col) / s
-        k = int(np.searchsorted(cum, rng.random(), side="right"))
-        return min(k, len(col) - 1)
+        return _draw(col, rng)
 
     def _relay_destination(self, state: int, tau: float, rng):
         if self.currents is None:
@@ -206,12 +178,7 @@ class JumpProcess:
         k = int(np.argmin(np.abs(self.grid - tau)))
         w = np.clip(self.currents[k][:, state], 0.0, None)
         w[state] = 0.0
-        s = w.sum()
-        if s <= 0.0:
-            return None
-        cum = np.cumsum(w) / s
-        j = int(np.searchsorted(cum, rng.random(), side="right"))
-        return min(j, len(w) - 1)
+        return _draw(w, rng)
 
     def _next_pole(self, state: int, t: float):
         times = self._pole_times[state]
@@ -281,7 +248,7 @@ class JumpProcess:
         while self._pole_col[k, state]:
             if self.pole_policy == "abort":
                 raise PoleEncountered(
-                    f"path occupies state {state} with diverging exit rate at t={tau!r}"
+                    f"path occupies state {state} with diverging exit rate at t={float(tau)}"
                 )
             dest = self._relay_destination(state, tau, rng)
             if dest is None:

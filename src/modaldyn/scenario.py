@@ -112,6 +112,8 @@ class Scenario:
             raise ScenarioValidationError("time: grid_step must be positive")
         if not self.time.t1 > self.time.t0:
             raise ScenarioValidationError("time: need t1 > t0")
+        if len(self.grid()) < 3:
+            raise ScenarioValidationError("time: the grid needs at least 3 nodes")
         if self.ensemble.n_paths < 1:
             raise ScenarioValidationError("ensemble: n_paths must be >= 1")
         for q in self.ensemble.query_times:

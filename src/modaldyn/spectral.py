@@ -27,7 +27,6 @@ __all__ = [
     "SpectralTrajectory",
     "detect_crossings",
     "fiduciary_refine",
-    "projector_derivative",
     "derivative_family",
     "track",
 ]
@@ -66,12 +65,6 @@ class SpectralTrajectory:
     def projectors_at(self, k: int) -> np.ndarray:
         v = self.vectors[k]
         return np.einsum("ix,iy->ixy", v, v.conj())
-
-    def node_index(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.grid - t)))
-        if abs(self.grid[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t!r} is not a grid node")
-        return k
 
 
 @dataclass(frozen=True)
@@ -245,7 +238,7 @@ def track(states, grid, overlap_threshold: float | None = None,
             if o < overlap_threshold:
                 raise AmbiguousContinuation(
                     f"label {lab} overlap {o:.3f} < {overlap_threshold} at "
-                    f"t={grid[k]!r}; refine the grid"
+                    f"t={float(grid[k])}; refine the grid"
                 )
         vectors[k] = new_vecs
         weights[k] = dec.values[col_of_label]
@@ -261,57 +254,34 @@ def _three_point_weights(t0: float, ta: float, tb: float, tc: float):
     return wa, wb, wc
 
 
-def _derivative_at(projectors: np.ndarray, grid: np.ndarray, k: int) -> np.ndarray:
-    n = len(grid)
-    if n < 3:
-        if n < 2:
-            raise ValueError("need at least two nodes for a derivative")
-        h = grid[1] - grid[0]
-        return (projectors[1] - projectors[0]) / h
-    if k == 0:
-        ia, ib, ic = 0, 1, 2
-    elif k == n - 1:
-        ia, ib, ic = n - 3, n - 2, n - 1
-    else:
-        ia, ib, ic = k - 1, k, k + 1
-    wa, wb, wc = _three_point_weights(grid[k], grid[ia], grid[ib], grid[ic])
-    return wa * projectors[ia] + wb * projectors[ib] + wc * projectors[ic]
+def derivative_family(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Time derivatives of a family of grid values at every node.
 
-
-def projector_derivative(traj: SpectralTrajectory, t: float) -> list[np.ndarray]:
-    """Time derivatives of every tracked projector at a grid node.
-
-    Central differences in the interior, second-order one-sided at the
-    endpoints.  The family sums to zero because the tracked projectors
-    resolve the identity at every node.
-    """
-    k = traj.node_index(t)
-    proj = traj.projectors
-    return [ _derivative_at(proj[:, i], traj.grid, k) for i in range(traj.n_labels) ]
-
-
-def derivative_family(projectors: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Derivatives of a projector family at every node, vectorized.
-
-    ``projectors`` has shape ``(n, d, dim, dim)``; the scheme matches
-    :func:`projector_derivative`.
+    ``values`` has shape ``(n, ...)``, one entry per node.  Central
+    differences in the interior, second-order one-sided at the endpoints.
+    A family of tracked projectors differentiates to a family summing to
+    zero, because the projectors resolve the identity at every node.
     """
     grid = np.asarray(grid, dtype=float)
     n = len(grid)
-    out = np.empty_like(projectors)
-    if n < 2:
-        raise ValueError("need at least two nodes for derivatives")
-    if n == 2:
-        h = grid[1] - grid[0]
-        out[0] = out[1] = (projectors[1] - projectors[0]) / h
-        return out
+    if n < 3:
+        raise ValueError("need at least three nodes for derivatives")
+    out = np.empty_like(values)
     dt = np.diff(grid)
-    out[1:-1] = (projectors[2:] - projectors[:-2]) / (dt[1:] + dt[:-1])[:, None, None, None]
+    span = (dt[1:] + dt[:-1]).reshape((-1,) + (1,) * (values.ndim - 1))
+    out[1:-1] = (values[2:] - values[:-2]) / span
     wa, wb, wc = _three_point_weights(grid[0], grid[0], grid[1], grid[2])
-    out[0] = wa * projectors[0] + wb * projectors[1] + wc * projectors[2]
+    out[0] = wa * values[0] + wb * values[1] + wc * values[2]
     wa, wb, wc = _three_point_weights(grid[-1], grid[-3], grid[-2], grid[-1])
-    out[-1] = wa * projectors[-3] + wb * projectors[-2] + wc * projectors[-1]
+    out[-1] = wa * values[-3] + wb * values[-2] + wc * values[-1]
     return out
+
+
+def _runs(mask) -> list[tuple[int, int]]:
+    """Inclusive ``(start, end)`` index pairs of the runs of True in ``mask``."""
+    padded = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def detect_crossings(traj: SpectralTrajectory, gap_threshold: float) -> CrossingReport:
@@ -323,20 +293,11 @@ def detect_crossings(traj: SpectralTrajectory, gap_threshold: float) -> Crossing
     for i in range(d):
         for j in range(i + 1, d):
             gaps = np.abs(w[:, i] - w[:, j])
-            mask = gaps <= gap_threshold
-            k = 0
-            while k < len(mask):
-                if not mask[k]:
-                    k += 1
-                    continue
-                start = k
-                while k + 1 < len(mask) and mask[k + 1]:
-                    k += 1
-                seg = gaps[start:k + 1]
+            for start, end in _runs(gaps <= gap_threshold):
+                seg = gaps[start:end + 1]
                 arg = start + int(np.argmin(seg))
                 events.append(CrossingEvent(
-                    t_start=float(grid[start]), t_end=float(grid[k]),
+                    t_start=float(grid[start]), t_end=float(grid[end]),
                     labels=(i, j), min_gap=float(seg.min()), t_min=float(grid[arg]),
                 ))
-                k += 1
     return CrossingReport(events=tuple(events))

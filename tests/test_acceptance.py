@@ -8,6 +8,7 @@ import time
 from functools import lru_cache
 
 import numpy as np
+from scipy.integrate import trapezoid
 
 from modaldyn.currents import (generalized_schrodinger_current,
                                minimal_flow_current, static_schrodinger_current)
@@ -66,6 +67,14 @@ def test_criterion_01_born_marginal_reproduction():
                 f"{name} t={tq}: state deviation {diff.max():.4f}"
         assert rep.low_probability_occupancy <= 0.01, \
             f"{name}: zero-state occupancy {rep.low_probability_occupancy:.3e}"
+        # Mean jump count against its exact value, the integral of
+        # sum_i p_i * exit_i: 6 standard errors plus the 1/N count resolution.
+        jumps = np.array([p.jump_count for p in result.paths], dtype=float)
+        exits = np.clip(-np.einsum("nii->ni", result.rate_trajectory.matrices), 0.0, None)
+        predicted = trapezoid((result.family.probabilities * exits).sum(axis=1), grid)
+        se = jumps.std(ddof=1) / np.sqrt(len(jumps))
+        assert abs(jumps.mean() - predicted) <= 6 * se + 1 / len(jumps), \
+            f"{name}: mean jumps {jumps.mean():.4f} vs predicted {predicted:.4f}"
     txt = ", ".join(f"{k} TV={v:.4f} ({RUNTIMES[(k, None)]:.1f}s)"
                     for k, v in worst.items())
     _report(1, True, f"Born marginals at N=1e5: {txt}")

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from modaldyn.currents import CurrentMatrix
-from modaldyn.kinetics import (RateTrajectory, bell_rates, classify_singularities,
-                               general_rates, jump_decomposition, master_residual,
-                               pole_free_rows)
+from modaldyn.kinetics import (RateMatrix, RateTrajectory, SingularityReport,
+                               bell_rates, classify_singularities, general_rates,
+                               jump_decomposition, master_residual, pole_free_rows)
+from modaldyn.pipeline import _kernel_windows, run
+from modaldyn.scenario import BUILTINS
 
 
 def current_from_full(full):
@@ -57,15 +61,14 @@ class TestBellRates:
         # Flow into the zero-probability state is a plain finite rate.
         assert abs(rates.matrix[1, 0] - 0.3) < 1e-14
 
-    def test_note9_variant_agrees(self, rng):
-        for _ in range(5):
-            full = np.triu(rng.normal(size=(4, 4)), 1)
-            cm = CurrentMatrix(upper=full)
-            p = rng.dirichlet(np.ones(4))
-            a = bell_rates(cm, p)
-            b = bell_rates(cm, p, note9=True)
-            assert np.array_equal(a.matrix, b.matrix)
-            assert np.array_equal(a.pole_mask, b.pole_mask)
+    def test_note9_variant_agrees(self):
+        # "bell_note9" is a scenario-level alias of "bell".
+        sc = BUILTINS["easyexample"](t1=0.3)
+        a = run(sc, sample=False)
+        b = run(replace(sc, rate_choice="bell_note9"), sample=False)
+        assert b.report.rate_choice == "bell_note9"
+        assert np.array_equal(a.rate_trajectory.matrices, b.rate_trajectory.matrices)
+        assert np.array_equal(a.rate_trajectory.pole_mask, b.rate_trajectory.pole_mask)
 
     def test_one_directional_choice(self, rng):
         full = np.triu(rng.normal(size=(5, 5)), 1)
@@ -262,5 +265,11 @@ class TestRateTrajectory:
 
     def test_pole_free_windows(self):
         rt = self.make()
-        assert rt.pole_free_windows() == [(0.0, 1.0)]
+        assert _kernel_windows(rt.grid, rt, SingularityReport()) == [(0.0, 1.0)]
         assert rt.pole_node_times(0.0, 1.0).size == 0
+        # Flagged nodes split the window; a one-node run is no window.
+        pole = np.array([[False, True], [False, False]])
+        flagged = RateTrajectory(rt.grid, [RateMatrix(np.zeros((2, 2)), pole & (k in (1, 5)))
+                                           for k in range(11)])
+        g = rt.grid
+        assert _kernel_windows(g, flagged, SingularityReport()) == [(g[2], g[4]), (g[6], g[10])]

@@ -3,10 +3,10 @@ import pytest
 
 from modaldyn.currents import CurrentMatrix
 from modaldyn.errors import PoleEncountered
-from modaldyn.kinetics import RateTrajectory, bell_rates
+from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates
 from modaldyn.sampler import (JumpProcess, SamplePath, ensemble_marginals,
                               low_probability_occupancy, sample_initial,
-                              sample_waiting_time, total_variation)
+                              total_variation)
 
 
 def rate_trajectory_from(grid, full_of_t, p_of_t):
@@ -48,42 +48,46 @@ class TestSampleInitial:
             sample_initial(np.array([0.5, 0.4]), rng)
 
 
+def first_jump_times(rate_of_t, t1, step, n, seed):
+    """First-event times of ``n`` paths of a chain leaving state 0 at rate_of_t.
+
+    The chain has no way back, so the first event is the only one; paths
+    that do not jump by ``t1`` report ``t1``.
+    """
+    grid = np.arange(0.0, t1 + step / 2, step)
+    rms = [RateMatrix(np.array([[-r, 0.0], [r, 0.0]]), np.zeros((2, 2), dtype=bool))
+           for r in rate_of_t(grid)]
+    proc = JumpProcess(RateTrajectory(grid, rms), np.array([1.0, 0.0]),
+                       [(0,), (1,)], master_seed=seed)
+    return np.array([p.events[0][0] if p.events else t1 for p in proc.ensemble(n)])
+
+
 class TestSampleWaitingTime:
-    def test_zero_rate_never_jumps(self, rng):
-        out = [sample_waiting_time(lambda u: np.zeros_like(u), 0.0, 2.0, rng)
-               for _ in range(100)]
-        assert all(o is None for o in out)
+    """Waiting times drawn by the sampler's hazard inversion."""
 
     def test_constant_rate_exponential_law(self):
-        rng = np.random.default_rng(5150)
-        lam, horizon, n = 2.0, 1.5, 100_000
-        draws = [sample_waiting_time(lambda u: np.full_like(u, lam), 0.0, horizon,
-                                     rng, quad_step=5e-3) for _ in range(n)]
-        times = np.array([horizon if d is None else d for d in draws])
+        lam, horizon, n = 2.0, 1.5, 20_000
+        times = first_jump_times(lambda g: np.full_like(g, lam), horizon, 5e-3, n, 5150)
         for t in (0.2, 0.5, 1.0):
             surv = float((times > t).mean())
             expect = np.exp(-lam * t)
-            band = 3 * np.sqrt(expect * (1 - expect) / n)
+            band = 4 * np.sqrt(expect * (1 - expect) / n)
             assert abs(surv - expect) <= band
 
     def test_step_hazard(self):
-        rng = np.random.default_rng(99)
-        lam, t_on = 3.0, 0.5
-        rate = lambda u: np.where(np.asarray(u) < t_on, 0.0, lam)
-        draws = [sample_waiting_time(rate, 0.0, 4.0, rng, quad_step=1e-3)
-                 for _ in range(4000)]
-        finite = np.array([d for d in draws if d is not None])
+        lam, t_on, step, n = 3.0, 0.5, 1e-3, 4000
+        times = first_jump_times(lambda g: np.where(g < t_on, 0.0, lam), 4.0, step, n, 99)
         # Hazard is linearly interpolated between nodes: one step of slack.
-        assert finite.min() >= t_on - 1e-3
+        assert times.min() >= t_on - step
         # Beyond the step the law is exponential with rate lam.
-        shifted = finite - t_on
-        surv = float((shifted > 0.3).mean() * len(finite) / len(draws))
+        surv = float((times - t_on > 0.3).mean())
         expect = np.exp(-lam * 0.3)
-        assert abs(surv - expect) <= 3 * np.sqrt(expect * (1 - expect) / len(draws)) + 1e-3
+        assert abs(surv - expect) <= 3 * np.sqrt(expect * (1 - expect) / n) + 1e-3
 
-    def test_negative_rate_rejected(self, rng):
-        with pytest.raises(ValueError, match="negative"):
-            sample_waiting_time(lambda u: np.full_like(u, -1.0), 0.0, 1.0, rng)
+    def test_negative_rate_rejected(self):
+        # A negative hazard cannot reach the sampler: rates are checked on entry.
+        with pytest.raises(ValueError, match="nonnegative"):
+            RateMatrix(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros((2, 2), dtype=bool))
 
 
 class TestSamplePathStructure:

@@ -255,6 +255,39 @@ class TestCli:
         assert code == 4
         assert "pole abort" in capsys.readouterr().err
 
+    def test_short_grid_rejected(self, tmp_path, capsys):
+        doc = {
+            "hamiltonian": {"builder": "singlet", "params": {}},
+            "name": "two-nodes", "time": {"t0": 0.0, "t1": 0.001, "grid_step": 0.001},
+        }
+        with pytest.raises(ScenarioValidationError, match="at least 3 nodes"):
+            scenario_from_dict(doc)
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(path)]) == 2
+        assert "at least 3 nodes" in capsys.readouterr().err
+
+    def test_tracking_failure_exit_code(self, tmp_path, capsys):
+        # A fast random (3, 3) system on a coarse grid cannot be tracked:
+        # AmbiguousContinuation must end as a stage error, exit 1.
+        rng = np.random.default_rng([7, 0])
+        a = (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))) / np.sqrt(2)
+        psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        doc = {
+            "name": "untrackable", "factor_dims": [3, 3],
+            "hamiltonian": {"matrix": matrix_to_json(20.0 * (a + a.conj().T))},
+            "initial_state": [[z.real, z.imag] for z in psi / np.linalg.norm(psi)],
+            "time": {"t0": 0.0, "t1": 1.0, "grid_step": 0.1},
+            "ensemble": {"n_paths": 10, "master_seed": 1, "query_times": [0.5]},
+        }
+        path = tmp_path / "untrackable.json"
+        path.write_text(json.dumps(doc))
+        code = cli_main(["run", str(path), "--report-only"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "stage error: [stage: spectral tracking] label" in err
+        assert "t=0.1;" in err
+
     def test_stage_error_exit_code_names_stage(self, tmp_path, capsys):
         # General rates demand full support; bipartite pure scenarios
         # always carry zero-probability joint states.

@@ -3,8 +3,8 @@ import pytest
 
 from modaldyn.errors import AmbiguousContinuation
 from modaldyn.hilbert import matrix_exponential, projector_from_vector
-from modaldyn.spectral import (detect_crossings, derivative_family,
-                               fiduciary_refine, projector_derivative, track)
+from modaldyn.spectral import (_runs, detect_crossings, derivative_family,
+                               fiduciary_refine, track)
 
 from conftest import random_hermitian
 
@@ -116,7 +116,7 @@ class TestProjectorDerivative:
         grid = np.linspace(0, 1, 20)
         w = np.diag([0.7, 0.3]).astype(complex)
         traj = track([w] * 20, grid)
-        for d in projector_derivative(traj, grid[7]):
+        for d in derivative_family(traj.projectors, grid)[7]:
             assert np.abs(d).max() <= 1e-12
 
     def test_rotation_matches_commutator(self, rng):
@@ -126,7 +126,7 @@ class TestProjectorDerivative:
         grid = np.arange(0, 0.2 + 1e-9, step)
         traj = track(rotation_family(h, w0, grid), grid)
         k = 100
-        derivs = projector_derivative(traj, grid[k])
+        derivs = derivative_family(traj.projectors, grid)[k]
         for i, d in enumerate(derivs):
             p = traj.projectors_at(k)[i]
             expected = -1j * (h @ p - p @ h)
@@ -137,28 +137,49 @@ class TestProjectorDerivative:
         w0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         grid = np.arange(0, 0.1 + 1e-9, 1e-3)
         traj = track(rotation_family(h, w0, grid), grid)
-        for t in (grid[0], grid[50], grid[-1]):
-            total = sum(projector_derivative(traj, t))
-            assert np.abs(total).max() <= 1e-6
-
-    def test_derivative_family_matches_pointwise(self, rng):
-        h = random_hermitian(rng, 3)
-        w0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        grid = np.arange(0, 0.05 + 1e-9, 1e-3)
-        traj = track(rotation_family(h, w0, grid), grid)
         fam = derivative_family(traj.projectors, grid)
-        for k in (0, 25, len(grid) - 1):
-            point = projector_derivative(traj, grid[k])
-            for i in range(3):
-                assert np.abs(fam[k, i] - point[i]).max() <= 1e-12
+        for k in (0, 50, len(grid) - 1):
+            assert np.abs(fam[k].sum(axis=0)).max() <= 1e-6
+
+    def test_derivative_family_exact_on_quadratics(self, rng):
+        # On a uniform grid the stencil differentiates quadratics exactly,
+        # at interior nodes and at both endpoints, for any value shape.
+        grid = 0.3 + 1e-3 * np.arange(40)
+        for shape in ((), (3,), (2, 3, 3)):
+            t = grid.reshape((-1,) + (1,) * len(shape))
+            a, b, c = (rng.normal(size=shape) for _ in range(3))
+            exact = b + 2 * c * t
+            assert np.abs(derivative_family(a + b * t + c * t ** 2, grid)
+                          - exact).max() <= 1e-8
+
+    def test_too_few_nodes_rejected(self):
+        with pytest.raises(ValueError, match="three nodes"):
+            derivative_family(np.zeros((2, 4)), np.array([0.0, 1e-3]))
 
     def test_hermitian_estimates(self, rng):
         h = random_hermitian(rng, 3)
         w0 = np.diag([0.6, 0.3, 0.1]).astype(complex)
         grid = np.arange(0, 0.02 + 1e-9, 1e-3)
         traj = track(rotation_family(h, w0, grid), grid)
-        for d in projector_derivative(traj, grid[10]):
+        for d in derivative_family(traj.projectors, grid)[10]:
             assert np.abs(d - d.conj().T).max() <= 1e-8
+
+
+class TestRuns:
+    def test_empty_mask(self):
+        assert _runs(np.zeros(0, dtype=bool)) == []
+        assert _runs(np.zeros(5, dtype=bool)) == []
+
+    def test_all_true(self):
+        assert _runs(np.ones(5, dtype=bool)) == [(0, 4)]
+
+    def test_single_node_runs(self):
+        assert _runs(np.array([True, False, True, False, False, True, False])) \
+            == [(0, 0), (2, 2), (5, 5)]
+
+    def test_run_touching_last_node(self):
+        assert _runs(np.array([False, True, True, False, True, True, True])) \
+            == [(1, 2), (4, 6)]
 
 
 class TestDetectCrossings:
