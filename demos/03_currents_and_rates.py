@@ -26,7 +26,7 @@ for kind in ("minimal_flow", "static_schrodinger", "generalized_schrodinger"):
     cm = compute_currents(family, kind=kind)[node]
     target = pdot_target(family, kind)[node]
     res = continuity_residual(cm, target)
-    flow = cm.flow(3, 0)
+    flow = cm.full()[3, 0]
     print(f"{kind:24s} j[(1,1)<-(0,0)] = {flow:+.5f}   continuity residual {res:.1e}")
 print(f"exact flow for this family: sin(2t) = {np.sin(2 * t):+.5f}")
 

@@ -10,7 +10,9 @@ Three constructors are provided:
   term accounting for rotating projectors, either the paired form
   <psi| Pdot_j P_i - Pdot_i P_j |psi> or a least-norm-style alternative.
 
-Antisymmetry is structural: only the strict upper triangle is stored.
+Projectors enter as rank-1 directions, and every constructor broadcasts
+over leading node axes.  Antisymmetry is structural: only the strict upper
+triangle is stored.
 """
 
 from __future__ import annotations
@@ -33,13 +35,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CurrentMatrix:
-    """Net probability flows j_ji, stored as a strict upper triangle."""
+    """Net flows j_ji as a strict upper triangle ``(..., D, D)``; ``x[k]`` is node k."""
 
     upper: np.ndarray
 
     def __post_init__(self):
         u = np.asarray(self.upper, dtype=float)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
             raise ValueError("upper triangle storage must be square")
         if np.count_nonzero(np.tril(u)) != 0:
             raise ValueError("storage must be strictly upper triangular")
@@ -47,62 +49,77 @@ class CurrentMatrix:
 
     @property
     def size(self) -> int:
-        return self.upper.shape[0]
+        return self.upper.shape[-1]
+
+    def __len__(self) -> int:
+        return len(self.upper)
+
+    def __getitem__(self, k) -> CurrentMatrix:
+        return CurrentMatrix(upper=self.upper[k])
 
     def full(self) -> np.ndarray:
-        """Full antisymmetric matrix; entry [j, i] is the net flow i -> j."""
-        return self.upper - self.upper.T
+        """Full antisymmetric matrix; entry [..., j, i] is the net flow i -> j."""
+        return self.upper - np.swapaxes(self.upper, -1, -2)
 
-    def flow(self, j: int, i: int) -> float:
-        if j == i:
-            return 0.0
-        return float(self.upper[j, i]) if j < i else -float(self.upper[i, j])
+
+def _upper(f: np.ndarray) -> CurrentMatrix:
+    return CurrentMatrix(upper=np.triu(f, 1))
 
 
 def minimal_flow_current(pdot, size: int | None = None,
                          tol: Tolerances = DEFAULT) -> CurrentMatrix:
-    """Least-norm current (pdot_j - pdot_i) / D for a balanced pdot vector."""
-    pdot = np.asarray(pdot, dtype=float).reshape(-1)
-    d = len(pdot)
+    """Least-norm current (pdot_j - pdot_i) / D for balanced pdot vectors (..., D)."""
+    pdot = np.asarray(pdot, dtype=float)
+    d = pdot.shape[-1]
     if size is not None and size != d:
         raise ValueError(f"size {size} does not match pdot length {d}")
-    bal = abs(pdot.sum())
+    bal = np.abs(pdot.sum(axis=-1)).max()
     if bal > tol.pdot_balance:
         raise ValueError(f"pdot must sum to zero (got {bal:.3e})")
-    f = (pdot[:, None] - pdot[None, :]) / d
-    return CurrentMatrix(upper=np.triu(f, 1))
+    return _upper((pdot[..., :, None] - pdot[..., None, :]) / d)
 
 
-def _check_orthogonal_family(projectors, dim: int, tol: Tolerances) -> np.ndarray:
-    p = np.asarray(projectors, dtype=complex)
-    if p.ndim != 3 or p.shape[1] != dim or p.shape[2] != dim:
-        raise ValueError(f"projector stack has shape {p.shape}, expected (D, {dim}, {dim})")
-    gram = np.einsum("axy,byx->ab", p, p).real
-    off = gram - np.diag(np.diag(gram))
-    if np.abs(off).max() > tol.projector_orthogonality:
-        raise ValueError(
-            f"projectors are not mutually orthogonal (max overlap {np.abs(off).max():.3e})"
-        )
-    return p
-
-
-def static_schrodinger_current(psi, hamiltonian, projectors,
-                               tol: Tolerances = DEFAULT) -> CurrentMatrix:
-    """Textbook current for a time-independent orthogonal projector family."""
+def _projected(psi, hamiltonian, vectors, tol: Tolerances):
+    """Checked ``psi``, ``H`` and the rows ``a_a = v_a <v_a|psi>``, shape (..., D, dim)."""
     psi = check_ket(psi, tol)
     h = check_hermitian(hamiltonian, tol)
-    p = _check_orthogonal_family(projectors, psi.size, tol)
-    a = np.einsum("ixy,y->ix", p, psi)          # rows: P_i |psi>
-    g = a.conj() @ h @ a.T                      # g[a, b] = <psi| P_a H P_b |psi>
-    return CurrentMatrix(upper=np.triu(2.0 * g.imag, 1))
+    v = np.asarray(vectors, dtype=complex)
+    if v.ndim != psi.ndim + 1 or v.shape[-1] != psi.shape[-1]:
+        raise ValueError(f"vector stack has shape {v.shape}, "
+                         f"expected (..., D, {psi.shape[-1]})")
+    # |<v_a|v_b>|^2 equals tr(P_a P_b) for the rank-1 projectors.
+    overlap = np.abs(v.conj() @ np.swapaxes(v, -1, -2)) ** 2
+    off = overlap * ~np.eye(v.shape[-2], dtype=bool)
+    if off.max() > tol.projector_orthogonality:
+        raise ValueError(
+            f"projectors are not mutually orthogonal (max overlap {off.max():.3e})"
+        )
+    a = v * np.einsum("...ax,...x->...a", v.conj(), psi)[..., None]
+    return psi, h, a
 
 
-def generalized_schrodinger_current(psi, hamiltonian, projectors,
-                                    projector_derivatives,
+def _schrodinger(a, h) -> np.ndarray:
+    """2 Im <psi| P_a H P_b |psi>, the static part of the current."""
+    g = a.conj() @ h @ np.swapaxes(a, -1, -2)
+    return 2.0 * g.imag
+
+
+def static_schrodinger_current(psi, hamiltonian, vectors,
+                               tol: Tolerances = DEFAULT) -> CurrentMatrix:
+    """Textbook current for frozen projectors with orthonormal directions ``vectors``.
+
+    ``psi`` has shape ``(..., dim)`` and ``vectors`` ``(..., D, dim)``.
+    """
+    _psi, h, a = _projected(psi, hamiltonian, vectors, tol)
+    return _upper(_schrodinger(a, h))
+
+
+def generalized_schrodinger_current(psi, hamiltonian, vectors, rotation,
                                     extra_term: str = "paired",
                                     tol: Tolerances = DEFAULT) -> CurrentMatrix:
     """Schrodinger current extended to a rotating projector family.
 
+    ``rotation`` holds the rows ``b_a = Pdot_a |psi>``, shape ``(..., D, dim)``.
     ``extra_term`` selects how the rotation enters: "paired" adds the
     conjugate-pair term <psi| Pdot_j P_i - Pdot_i P_j |psi> (computed in
     the algebraically equal arrangement that keeps it exactly zero at
@@ -113,45 +130,34 @@ def generalized_schrodinger_current(psi, hamiltonian, projectors,
     """
     if extra_term not in ("paired", "minimal_flow_like"):
         raise ValueError(f"unknown extra_term {extra_term!r}")
-    psi = check_ket(psi, tol)
-    h = check_hermitian(hamiltonian, tol)
-    p = _check_orthogonal_family(projectors, psi.size, tol)
-    pdotfam = np.asarray(projector_derivatives, dtype=complex)
-    if pdotfam.shape != p.shape:
-        raise ValueError("projector and derivative stacks must have equal shape")
-    bal = np.abs(pdotfam.sum(axis=0)).max()
+    psi, h, a = _projected(psi, hamiltonian, vectors, tol)
+    b = np.asarray(rotation, dtype=complex)
+    if b.shape != a.shape:
+        raise ValueError("vector and rotation stacks must have equal shape")
+    bal = np.abs(b.sum(axis=-2)).max()
     if bal > tol.derivative_balance:
         raise ValueError(f"projector derivatives do not sum to zero (max {bal:.3e})")
 
-    a = np.einsum("ixy,y->ix", p, psi)
-    g = a.conj() @ h @ a.T
-    upper = np.triu(2.0 * g.imag, 1)
-
+    f = _schrodinger(a, h)
     if extra_term == "paired":
-        b = np.einsum("ixy,y->ix", pdotfam, psi)   # rows: Pdot_i |psi>
-        m = 2.0 * (b.conj() @ a.T).real            # m[a, b] = 2 Re <psi| Pdot_a P_b |psi>
-        extra = 0.5 * (m - m.T)
+        m = 2.0 * (b.conj() @ np.swapaxes(a, -1, -2)).real   # 2 Re <psi| Pdot_a P_b |psi>
+        mt = np.swapaxes(m, -1, -2)
         # Where a state's probability vanishes, P_i |psi> = 0 kills every
         # term with P_i adjacent to the state; picking that arrangement per
         # pair keeps the zero-current-at-zero-probability property exact
         # instead of leaving finite-difference remainders of order h^2.
-        occ = np.einsum("ix,ix->i", a.conj(), a).real
-        zero = occ <= tol.zero_probability
-        if zero.any():
-            cols = np.nonzero(zero)[0]
-            extra[:, cols] = m[:, cols]
-            extra[cols, :] = -m[:, cols].T
-        upper = upper + np.triu(extra, 1)
+        zero = np.einsum("...ax,...ax->...a", a.conj(), a).real <= tol.zero_probability
+        extra = np.where(zero[..., None, :], m, 0.5 * (m - mt))
+        extra = np.where(zero[..., :, None], -mt, extra)
     else:
-        dexp = np.einsum("x,ixy,y->i", psi.conj(), pdotfam, psi).real
-        d = p.shape[0]
-        upper = upper + np.triu((dexp[:, None] - dexp[None, :]) / d, 1)
-    return CurrentMatrix(upper=upper)
+        dexp = np.einsum("...x,...ax->...a", psi.conj(), b).real
+        extra = (dexp[..., :, None] - dexp[..., None, :]) / b.shape[-2]
+    return _upper(f + extra)
 
 
 def continuity_residual(current: CurrentMatrix, pdot) -> float:
-    """max_j |pdot_j - sum_i j_ji| for a candidate current."""
-    pdot = np.asarray(pdot, dtype=float).reshape(-1)
-    if pdot.size != current.size:
+    """max over nodes and j of |pdot_j - sum_i j_ji| for a candidate current."""
+    pdot = np.asarray(pdot, dtype=float)
+    if pdot.shape != current.upper.shape[:-1]:
         raise ValueError("pdot length does not match current size")
-    return float(np.abs(pdot - current.full().sum(axis=1)).max())
+    return float(np.abs(pdot - current.full().sum(axis=-1)).max())

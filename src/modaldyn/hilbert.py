@@ -91,13 +91,15 @@ def check_hermitian(a, tol: Tolerances = DEFAULT) -> np.ndarray:
 
 
 def check_ket(psi, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Validate and return ``psi`` as a normalized ket."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    """Validate and return ``psi`` as a normalized ket or a stack ``(..., dim)`` of them."""
+    psi = np.asarray(psi, dtype=complex)
+    psi = psi.reshape(-1) if psi.ndim < 2 else psi
     if psi.size < 1 or not np.all(np.isfinite(psi)):
         raise ValueError("ket amplitudes must be a finite, nonempty vector")
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > tol.unit_norm:
-        raise ValueError(f"ket is not normalized (norm {nrm!r})")
+    nrm = np.linalg.norm(psi, axis=-1)
+    worst = float(nrm.flat[np.argmax(np.abs(nrm - 1.0))])
+    if abs(worst - 1.0) > tol.unit_norm:
+        raise ValueError(f"ket is not normalized (norm {worst!r})")
     return psi
 
 

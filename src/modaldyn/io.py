@@ -83,32 +83,30 @@ def write_trajectory_csv(csv_path, projector_json_path, traj, factor_name: str):
     _dump(projector_json_path, projectors)
 
 
-def write_currents_csv(path, grid, current_matrices):
+def write_currents_csv(path, grid, currents):
+    """One row per node and pair i > j of the stacked ``CurrentMatrix``."""
+    j, i = np.triu_indices(currents.size, 1)
+    flows = currents.upper[:, j, i].tolist()
+    pairs = list(zip(i.tolist(), j.tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["time", "i", "j", "j_ji"])
-        for t, cm in zip(grid, current_matrices):
-            up = cm.upper
-            d = cm.size
-            for a in range(d):
-                for b in range(a + 1, d):
-                    w.writerow([repr(float(t)), b, a, repr(float(up[a, b]))])
+        for t, row in zip(np.asarray(grid, dtype=float).tolist(), flows):
+            w.writerows([repr(t), a, b, repr(x)] for (a, b), x in zip(pairs, row))
 
 
-def write_rates_csv(path, grid, rate_matrices):
+def write_rates_csv(path, grid, rates):
+    """One row per node and ordered pair i != j of the stacked ``RateMatrix``."""
+    i, j = np.nonzero(~np.eye(rates.size, dtype=bool))
+    values = rates.matrix[:, j, i].tolist()
+    flags = rates.pole_mask[:, j, i].astype(int).tolist()
+    pairs = list(zip(i.tolist(), j.tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["time", "i", "j", "rate", "pole_flag"])
-        for t, rm in zip(grid, rate_matrices):
-            d = rm.size
-            for i in range(d):
-                for j in range(d):
-                    if i == j:
-                        continue
-                    w.writerow([
-                        repr(float(t)), i, j, repr(float(rm.matrix[j, i])),
-                        int(rm.pole_mask[j, i]),
-                    ])
+        for t, vals, fl in zip(np.asarray(grid, dtype=float).tolist(), values, flags):
+            w.writerows([repr(t), a, b, repr(x), f]
+                        for (a, b), x, f in zip(pairs, vals, fl))
 
 
 def write_kernel_json(path, kernel, deficit):

@@ -38,6 +38,7 @@ class RateMatrix:
 
     ``matrix`` stores zero at flagged positions; with the convention
     ``inf * 0 = 0`` this is exactly how poles enter every balance below.
+    Both arrays have shape ``(..., D, D)``; ``x[k]`` is node ``k``'s record.
     """
 
     matrix: np.ndarray
@@ -46,19 +47,26 @@ class RateMatrix:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         mask = np.asarray(self.pole_mask, dtype=bool)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or mask.shape != m.shape:
+        if m.ndim < 2 or m.shape[-2] != m.shape[-1] or mask.shape != m.shape:
             raise ValueError("rate matrix and pole mask must be square and congruent")
-        off = m - np.diag(np.diag(m))
+        diag = np.eye(m.shape[-1], dtype=bool)
+        off = np.where(diag, 0.0, m)
         if off.min() < 0:
             raise ValueError(f"off-diagonal rates must be nonnegative (min {off.min():.3e})")
-        if np.diag(mask).any():
+        if (mask & diag).any():
             raise ValueError("diagonal entries cannot be poles")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "pole_mask", mask)
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
+
+    def __len__(self) -> int:
+        return len(self.matrix)
+
+    def __getitem__(self, k) -> RateMatrix:
+        return RateMatrix(matrix=self.matrix[k], pole_mask=self.pole_mask[k])
 
     @property
     def has_poles(self) -> bool:
@@ -66,19 +74,24 @@ class RateMatrix:
 
     def exit_rates(self) -> np.ndarray:
         """Total escape rate per state; +inf where the column holds a pole."""
-        out = -np.diag(self.matrix).copy()
-        out[self.pole_mask.any(axis=0)] = np.inf
+        out = -np.diagonal(self.matrix, axis1=-2, axis2=-1)
+        out[self.pole_mask.any(axis=-2)] = np.inf
         return out
-
-    def pole_columns(self) -> np.ndarray:
-        return self.pole_mask.any(axis=0)
 
 
 def _with_diagonal(off: np.ndarray, pole_mask: np.ndarray) -> RateMatrix:
-    t = off.copy()
-    np.fill_diagonal(t, 0.0)
-    np.fill_diagonal(t, -t.sum(axis=0))
+    d = off.shape[-1]
+    t = np.where(np.eye(d, dtype=bool), 0.0, off)
+    i = np.arange(d)
+    t[..., i, i] = -t.sum(axis=-2)
     return RateMatrix(matrix=t, pole_mask=pole_mask)
+
+
+def _node_probabilities(current: CurrentMatrix, p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if p.shape != current.upper.shape[:-1]:
+        raise ValueError("probability vector length does not match current size")
+    return p
 
 
 def bell_rates(current: CurrentMatrix, p, zero_threshold: float | None = None,
@@ -86,6 +99,7 @@ def bell_rates(current: CurrentMatrix, p, zero_threshold: float | None = None,
                tol: Tolerances = DEFAULT) -> RateMatrix:
     """One-directional rate choice t_ji = max{0, j_ji / p_i}.
 
+    ``p`` has shape ``(..., D)`` matching the current's node axes.
     Probabilities at or below ``zero_threshold`` count as exactly zero
     there: entries whose current also vanishes get rate 0 (the continuous
     convention), entries with positive incoming current are flagged as
@@ -96,20 +110,15 @@ def bell_rates(current: CurrentMatrix, p, zero_threshold: float | None = None,
         zero_threshold = tol.zero_probability
     if pole_current is None:
         pole_current = tol.pole_current
-    p = np.asarray(p, dtype=float).reshape(-1)
-    d = current.size
-    if p.size != d:
-        raise ValueError("probability vector length does not match current size")
-    if p.min() < -tol.probability_sum or abs(p.sum() - 1.0) > tol.probability_sum:
+    p = _node_probabilities(current, p)
+    if p.min() < -tol.probability_sum or \
+            np.abs(p.sum(axis=-1) - 1.0).max() > tol.probability_sum:
         raise ValueError("p must be a probability vector summing to 1")
     j = current.full()
-    off = np.zeros((d, d))
-    pole = np.zeros((d, d), dtype=bool)
-    pos = p > zero_threshold
-    off[:, pos] = np.maximum(0.0, j[:, pos] / p[pos])
-    for i in np.nonzero(~pos)[0]:
-        pole[:, i] = j[:, i] > pole_current
-    np.fill_diagonal(pole, False)
+    pos = (p > zero_threshold)[..., None, :]          # column i: p_i > 0
+    # Divide only where p_i counts as positive, so no inf or NaN is formed.
+    off = np.where(pos, np.maximum(0.0, j / np.where(pos, p[..., None, :], 1.0)), 0.0)
+    pole = ~pos & (j > pole_current) & ~np.eye(current.size, dtype=bool)
     return _with_diagonal(off, pole)
 
 
@@ -122,30 +131,27 @@ def general_rates(current: CurrentMatrix, p, free_choice=0.0,
     opposite rate is then fixed by the current identity.  All probabilities
     must be strictly positive.
     """
-    p = np.asarray(p, dtype=float).reshape(-1)
+    p = _node_probabilities(current, p)
     d = current.size
-    if p.size != d:
-        raise ValueError("probability vector length does not match current size")
     if p.min() <= tol.zero_probability:
         raise ValueError("division at p_j = 0: general rates need p > 0 everywhere")
     if callable(free_choice):
         c = np.array([[free_choice(a, b) for b in range(d)] for a in range(d)], dtype=float)
     else:
-        c = np.asarray(free_choice, dtype=float)
-        if c.ndim == 0:
-            c = np.full((d, d), float(c))
+        c = np.broadcast_to(np.asarray(free_choice, dtype=float), (d, d))
     if c.min() < 0:
         raise ValueError("free choice offsets must be nonnegative")
     j = current.full()
-    t = np.zeros((d, d))
-    for a in range(d):
-        for b in range(a + 1, d):
-            t[a, b] = max(0.0, j[a, b] / p[b]) + c[a, b]
-            t[b, a] = (t[a, b] * p[b] - j[a, b]) / p[a]
+    # Entry [a, b] of ``up`` is t_ab for a < b; ``down`` holds the opposite
+    # rate t_ba = (t_ab p_b - j_ab) / p_a at the same position.
+    up = np.maximum(0.0, j / p[..., None, :]) + c
+    down = (up * p[..., None, :] - j) / p[..., :, None]
+    t = np.where(np.triu(np.ones((d, d), dtype=bool), 1), up,
+                 np.swapaxes(down, -1, -2))
+    t = np.where(np.eye(d, dtype=bool), 0.0, t)
     if t.min() < -1e-12:
         raise ValueError("derived rates became negative; offsets inconsistent")
-    t[t < 0] = 0.0
-    return _with_diagonal(t, np.zeros((d, d), dtype=bool))
+    return _with_diagonal(np.maximum(t, 0.0), np.zeros(t.shape, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -178,20 +184,19 @@ def master_residual(rates: RateMatrix, p, pdot, rows=None) -> float:
     """max_j |pdot_j - sum_i (t_ji p_i - t_ij p_j)| with inf * 0 = 0.
 
     Pole positions carry probability zero by construction, so they drop out
-    of the balance; that is the stored-zero convention.  ``rows`` restricts
-    the maximum to a subset of states (see :func:`pole_free_rows`).
+    of the balance; that is the stored-zero convention.  ``p`` and ``pdot``
+    have shape ``(..., D)``, and the maximum runs over every node.  ``rows``
+    restricts it to a subset of states: a boolean mask shaped like ``p``
+    (see :func:`pole_free_rows`) or state indices.
     """
-    p = np.asarray(p, dtype=float).reshape(-1)
-    pdot = np.asarray(pdot, dtype=float).reshape(-1)
+    p = np.asarray(p, dtype=float)
+    pdot = np.asarray(pdot, dtype=float)
     t = rates.matrix
-    net = t @ p - t.sum(axis=0) * p
+    net = (t @ p[..., None])[..., 0] - t.sum(axis=-2) * p
     res = np.abs(pdot - net)
     if rows is not None:
         rows = np.asarray(rows)
-        if rows.dtype == bool:
-            res = res[rows]
-        else:
-            res = res[np.asarray(rows, dtype=int)]
+        res = res[rows] if rows.dtype == bool else res[..., rows.astype(int)]
         if res.size == 0:
             return 0.0
     return float(res.max())
@@ -204,23 +209,21 @@ def pole_free_rows(rates: RateMatrix) -> np.ndarray:
     representable) or when the state itself has diverging exit rates (its
     outflow is not representable).
     """
-    fed = rates.pole_mask.any(axis=1)
-    exits = rates.pole_mask.any(axis=0)
+    fed = rates.pole_mask.any(axis=-1)
+    exits = rates.pole_mask.any(axis=-2)
     return ~(fed | exits)
 
 
 class RateTrajectory:
     """Rates sampled on a time grid, with linear interpolation between nodes."""
 
-    def __init__(self, grid, rate_matrices):
+    def __init__(self, grid, rates: RateMatrix):
         self.grid = np.asarray(grid, dtype=float)
-        mats = [rm.matrix for rm in rate_matrices]
-        masks = [rm.pole_mask for rm in rate_matrices]
-        if len(mats) != len(self.grid) or len(self.grid) < 2:
+        if rates.matrix.ndim != 3 or len(rates) != len(self.grid) or len(self.grid) < 2:
             raise ValueError("need one rate matrix per node and at least two nodes")
-        self.matrices = np.stack(mats)          # (n, D, D)
-        self.pole_mask = np.stack(masks)        # (n, D, D)
-        self.size = self.matrices.shape[1]
+        self.matrices = rates.matrix            # (n, D, D)
+        self.pole_mask = rates.pole_mask        # (n, D, D)
+        self.size = rates.size
 
     def __call__(self, t: float) -> np.ndarray:
         return self.matrix_batch(np.array([t]))[0]
@@ -264,7 +267,7 @@ class SingularityReport:
         return tuple(e for e in self.events if e.state == i)
 
 
-def classify_singularities(p_trajectory, grid, rate_matrices=None,
+def classify_singularities(p_trajectory, grid, rates: RateMatrix | None = None,
                            detect_tol: float = 1e-4,
                            divergence_factor: float = 100.0,
                            tol: Tolerances = DEFAULT) -> SingularityReport:
@@ -275,18 +278,14 @@ def classify_singularities(p_trajectory, grid, rate_matrices=None,
     touch-zero), and an interval zero when it stays at numerical zero
     throughout.  When rates are supplied, each event is also flagged if the
     exit rate blows up approaching the zero, which makes the waiting-time
-    integral divergent there.
+    integral divergent there; ``rates`` is the stacked record of the grid.
     """
     p = np.asarray(p_trajectory, dtype=float)
     grid = np.asarray(grid, dtype=float)
     n, d = p.shape
     if len(grid) != n:
         raise ValueError("grid length does not match trajectory")
-    exits = None
-    any_pole = None
-    if rate_matrices is not None:
-        exits = np.stack([-np.diag(rm.matrix) for rm in rate_matrices])
-        any_pole = np.stack([rm.pole_mask.any(axis=0) for rm in rate_matrices])
+    exits = None if rates is None else -np.diagonal(rates.matrix, axis1=-2, axis2=-1)
     events = []
     for i in range(d):
         for start, end in _runs(p[:, i] <= detect_tol):
@@ -300,7 +299,7 @@ def classify_singularities(p_trajectory, grid, rate_matrices=None,
                 near = exits[max(0, start - 2):min(n, end + 3), i]
                 typical = float(np.median(exits[:, i])) if exits[:, i].max() > 0 else 0.0
                 divergent = bool(
-                    any_pole[run, i].any()
+                    rates.pole_mask[run, :, i].any()
                     or (typical > 0 and near.max() > divergence_factor * typical)
                 )
             events.append(SingularityEvent(

@@ -22,12 +22,12 @@ from .errors import ModalDynError, PoleInInterval, TruncationNotConverged
 from .feller import (chapman_kolmogorov_residual, feller_minimal,
                      forward_ode_kernel, honesty_deficit)
 from .hilbert import evolve_on_grid, partial_trace
-from .kinetics import (RateTrajectory, bell_rates, classify_singularities,
+from .kinetics import (RateMatrix, RateTrajectory, bell_rates, classify_singularities,
                        general_rates, master_residual, pole_free_rows)
 from .sampler import (JumpProcess, ensemble_marginals, low_probability_occupancy,
                       total_variation)
 from .scenario import Scenario
-from .spectral import _runs, derivative_family, detect_crossings, track
+from .spectral import _runs, _stencil, derivative_family, detect_crossings, track
 
 __all__ = ["JointFamily", "PipelineResult", "RunReport", "compute_currents",
            "compute_joint_family", "compute_rates", "pdot_target", "run"]
@@ -35,15 +35,15 @@ __all__ = ["JointFamily", "PipelineResult", "RunReport", "compute_currents",
 
 @dataclass(frozen=True)
 class JointFamily:
-    """Tracked joint-state data on the scenario grid."""
+    """Tracked joint-state data on the scenario grid; every joint projector is rank-1."""
 
     scenario: Scenario
     grid: np.ndarray                 # (n,)
     psi: np.ndarray                  # (n, dim)
     factor_trajectories: tuple      # per-factor SpectralTrajectory
     states: tuple                    # joint labels, flat order
-    projectors: np.ndarray           # (n, D, dim, dim)
-    projector_derivatives: np.ndarray
+    vectors: np.ndarray              # (n, D, dim) projector directions
+    rotation: np.ndarray             # (n, D, dim) Pdot_a psi at each node
     probabilities: np.ndarray        # (n, D)
     pdot: np.ndarray                 # (n, D) finite differences
 
@@ -67,46 +67,44 @@ def compute_joint_family(scenario: Scenario, tol: Tolerances = DEFAULT) -> Joint
         joint = np.einsum("nax,nby->nabxy", joint, traj.vectors)
         n, a, b, x, y = joint.shape
         joint = joint.reshape(n, a * b, x * y)
-    projectors = np.einsum("ndx,ndy->ndxy", joint, joint.conj())
-    pdotfam = derivative_family(projectors, grid)
-
     amps = np.einsum("ndx,nx->nd", joint.conj(), psi)
+
+    # Pdot_a psi_k = sum_j w_kj (P_a(i_kj) - P_a(k)) psi_k: the stencil of
+    # derivative_family applied to the projectors, without forming them.
+    idx, w = _stencil(grid)
+    near = joint[idx]                                           # (n, 2, D, dim)
+    near_amps = np.einsum("njdx,nx->njd", near.conj(), psi)
+    rotation = np.einsum("nj,njdx->ndx", w, near * near_amps[..., None]) \
+        - w.sum(axis=1)[:, None, None] * (joint * amps[..., None])
+
     probabilities = np.clip(np.abs(amps) ** 2, 0.0, 1.0)
     pdot = derivative_family(probabilities, grid)
     return JointFamily(
         scenario=scenario, grid=grid, psi=psi,
         factor_trajectories=tuple(trajectories), states=tuple(states),
-        projectors=projectors, projector_derivatives=pdotfam,
+        vectors=joint, rotation=rotation,
         probabilities=probabilities, pdot=pdot,
     )
 
 
 def compute_currents(family: JointFamily, kind: str | None = None,
                      extra_term: str | None = None,
-                     tol: Tolerances = DEFAULT) -> list[CurrentMatrix]:
+                     tol: Tolerances = DEFAULT) -> CurrentMatrix:
+    """The currents at every grid node, one stacked record."""
     kind = kind or family.scenario.current
     extra_term = extra_term or family.scenario.extra_term
     h = np.asarray(family.scenario.hamiltonian, dtype=complex)
-    out = []
-    for k in range(len(family.grid)):
-        if kind == "minimal_flow":
-            cm = minimal_flow_current(_balanced(family.pdot[k]), tol=tol)
-        elif kind == "static_schrodinger":
-            cm = static_schrodinger_current(family.psi[k], h,
-                                            family.projectors[k], tol=tol)
-        elif kind == "generalized_schrodinger":
-            cm = generalized_schrodinger_current(
-                family.psi[k], h, family.projectors[k],
-                family.projector_derivatives[k], extra_term=extra_term, tol=tol)
-        else:
-            raise ValueError(f"unknown current kind {kind!r}")
-        out.append(cm)
-    return out
-
-
-def _balanced(pdot: np.ndarray) -> np.ndarray:
-    # Finite differences of clipped probabilities can carry ~1e-13 imbalance.
-    return pdot - pdot.sum() / len(pdot)
+    if kind == "minimal_flow":
+        # Finite differences of clipped probabilities can carry ~1e-13 imbalance.
+        pdot = family.pdot
+        return minimal_flow_current(pdot - pdot.mean(axis=1, keepdims=True), tol=tol)
+    if kind == "static_schrodinger":
+        return static_schrodinger_current(family.psi, h, family.vectors, tol=tol)
+    if kind == "generalized_schrodinger":
+        return generalized_schrodinger_current(family.psi, h, family.vectors,
+                                               family.rotation,
+                                               extra_term=extra_term, tol=tol)
+    raise ValueError(f"unknown current kind {kind!r}")
 
 
 def pdot_target(family: JointFamily, kind: str) -> np.ndarray:
@@ -119,23 +117,21 @@ def pdot_target(family: JointFamily, kind: str) -> np.ndarray:
     if kind != "static_schrodinger":
         return family.pdot
     h = np.asarray(family.scenario.hamiltonian, dtype=complex)
-    a = np.einsum("ndxy,ny->ndx", family.projectors, family.psi)
+    v = family.vectors
+    a = v * np.einsum("ndx,nx->nd", v.conj(), family.psi)[..., None]
     hpsi = family.psi @ h.T
     vals = np.einsum("ndx,nx->nd", a.conj(), hpsi)
     return 2.0 * vals.imag
 
 
-def compute_rates(currents, probabilities, choice: str,
-                  general_offset: float = 0.0, tol: Tolerances = DEFAULT):
-    out = []
-    for cm, p in zip(currents, probabilities):
-        if choice in ("bell", "bell_note9"):
-            out.append(bell_rates(cm, p, tol=tol))
-        elif choice == "general":
-            out.append(general_rates(cm, p, free_choice=general_offset, tol=tol))
-        else:
-            raise ValueError(f"unknown rate choice {choice!r}")
-    return out
+def compute_rates(currents: CurrentMatrix, probabilities, choice: str,
+                  general_offset: float = 0.0, tol: Tolerances = DEFAULT) -> RateMatrix:
+    """The rates at every grid node, one stacked record."""
+    if choice in ("bell", "bell_note9"):
+        return bell_rates(currents, probabilities, tol=tol)
+    if choice == "general":
+        return general_rates(currents, probabilities, free_choice=general_offset, tol=tol)
+    raise ValueError(f"unknown rate choice {choice!r}")
 
 
 @dataclass
@@ -198,8 +194,8 @@ class RunReport:
 class PipelineResult:
     scenario: Scenario
     family: JointFamily
-    currents: list
-    rate_matrices: list
+    currents: CurrentMatrix
+    rate_matrices: RateMatrix
     rate_trajectory: RateTrajectory
     paths: list
     stats: object
@@ -248,8 +244,7 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
     with _Stage("currents"):
         currents = compute_currents(family, tol=tol)
         target = pdot_target(family, scenario.current)
-    cont_res = max(continuity_residual(cm, target[k])
-                   for k, cm in enumerate(currents))
+    cont_res = continuity_residual(currents, target)
 
     with _Stage("rates"):
         rate_matrices = compute_rates(currents, family.probabilities,
@@ -258,13 +253,9 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
     rate_traj = RateTrajectory(grid, rate_matrices)
     pole_nodes = int(rate_traj.pole_mask.any(axis=(1, 2)).sum())
 
-    masked = 0
-    master_res = 0.0
-    for k, rm in enumerate(rate_matrices):
-        rows = pole_free_rows(rm)
-        masked = max(masked, int((~rows).sum()))
-        master_res = max(master_res, master_residual(rm, family.probabilities[k],
-                                                     target[k], rows=rows))
+    rows = pole_free_rows(rate_matrices)
+    masked = int((~rows).sum(axis=1).max())
+    master_res = master_residual(rate_matrices, family.probabilities, target, rows=rows)
 
     crossings = []
     for fk, traj in enumerate(family.factor_trajectories):
@@ -321,7 +312,7 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
         with _Stage("sampling"):
             process = JumpProcess(rate_traj, family.probabilities[0],
                                   family.states,
-                                  currents=np.stack([c.full() for c in currents]),
+                                  currents=currents.full(),
                                   pole_policy=scenario.pole_policy,
                                   master_seed=scenario.ensemble.master_seed)
             paths = process.ensemble(scenario.ensemble.n_paths)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .errors import PoleEncountered
+from .errors import ModalDynError, PoleEncountered
 from .kinetics import RateTrajectory
 
 __all__ = [
@@ -233,7 +233,7 @@ class JumpProcess:
             if t_cur >= t_end:
                 break
             if len(events) > 64 * d * max(8, int(self._exit.max() * (t_end - grid[0]) + 1)):
-                raise RuntimeError("runaway path: too many events")
+                raise ModalDynError("runaway path: too many events")
         return SamplePath(seed=seed, initial=self.states[int(initial_flat)],
                           events=tuple(events))
 
@@ -259,7 +259,7 @@ class JumpProcess:
             arrival = True
             depth += 1
             if depth > 4 * d:
-                raise RuntimeError("relay cycle among zero-probability states")
+                raise ModalDynError("relay cycle among zero-probability states")
         return state, tau
 
     def ensemble(self, n_paths: int) -> list[SamplePath]:

@@ -246,35 +246,35 @@ def track(states, grid, overlap_threshold: float | None = None,
     return SpectralTrajectory(grid=grid, weights=weights, vectors=vectors)
 
 
-def _three_point_weights(t0: float, ta: float, tb: float, tc: float):
-    """Weights of the quadratic-interpolation derivative at ``t0``."""
-    wa = (2 * t0 - tb - tc) / ((ta - tb) * (ta - tc))
-    wb = (2 * t0 - ta - tc) / ((tb - ta) * (tb - tc))
-    wc = (2 * t0 - ta - tb) / ((tc - ta) * (tc - tb))
-    return wa, wb, wc
+def _stencil(grid) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbours ``idx (n, 2)`` and weights ``w (n, 2)`` of the derivative stencil.
 
-
-def derivative_family(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Time derivatives of a family of grid values at every node.
-
-    ``values`` has shape ``(n, ...)``, one entry per node.  Central
-    differences in the interior, second-order one-sided at the endpoints.
-    A family of tracked projectors differentiates to a family summing to
-    zero, because the projectors resolve the identity at every node.
+    Node ``k`` uses ``k-1, k+1`` inside, ``1, 2`` first and ``n-2, n-3``
+    last; ``w1 (v[i1] - v[k]) + w2 (v[i2] - v[k])`` is exact for quadratics.
     """
     grid = np.asarray(grid, dtype=float)
     n = len(grid)
     if n < 3:
         raise ValueError("need at least three nodes for derivatives")
-    out = np.empty_like(values)
-    dt = np.diff(grid)
-    span = (dt[1:] + dt[:-1]).reshape((-1,) + (1,) * (values.ndim - 1))
-    out[1:-1] = (values[2:] - values[:-2]) / span
-    wa, wb, wc = _three_point_weights(grid[0], grid[0], grid[1], grid[2])
-    out[0] = wa * values[0] + wb * values[1] + wc * values[2]
-    wa, wb, wc = _three_point_weights(grid[-1], grid[-3], grid[-2], grid[-1])
-    out[-1] = wa * values[-3] + wb * values[-2] + wc * values[-1]
-    return out
+    k = np.arange(n)
+    idx = np.stack([k - 1, k + 1], axis=1)
+    idx[0] = (1, 2)
+    idx[-1] = (n - 2, n - 3)
+    d1, d2 = (grid[idx] - grid[:, None]).T
+    w = np.stack([d2 / (d1 * (d2 - d1)), -d1 / (d2 * (d2 - d1))], axis=1)
+    return idx, w
+
+
+def derivative_family(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Time derivatives of a family of grid values at every node.
+
+    ``values`` has shape ``(n, ...)``, one entry per node; the stencil is
+    second order on any grid.  Tracked projectors differentiate to a family
+    summing to zero, because they resolve the identity at every node.
+    """
+    idx, w = _stencil(grid)
+    values = np.asarray(values)
+    return np.einsum("nj,nj...->n...", w, values[idx] - values[:, None])
 
 
 def _runs(mask) -> list[tuple[int, int]]:

@@ -83,14 +83,9 @@ def test_criterion_01_born_marginal_reproduction():
 def test_criterion_02_free_system_determinism():
     result = cached_run("albert-free", n_paths=10_000)
     fam = result.family
-    max_cross = 0.0
-    for rm in result.rate_matrices:
-        off = rm.matrix.copy()
-        np.fill_diagonal(off, 0.0)
-        for j, sj in enumerate(fam.states):
-            for i, si in enumerate(fam.states):
-                if si[0] != sj[0]:          # free factor label changes
-                    max_cross = max(max_cross, abs(off[j, i]))
+    # cross[j, i]: the free factor label changes from state i to state j.
+    cross = np.array([[si[0] != sj[0] for si in fam.states] for sj in fam.states])
+    max_cross = float(np.abs(result.rate_matrices.matrix[:, cross]).max())
     total_jumps = sum(p.jump_count for p in result.paths)
     ok = max_cross <= 1e-8 and total_jumps == 0 and len(result.paths) == 10_000
     _report(2, ok, f"free-factor rates max {max_cross:.2e}, "
@@ -170,12 +165,10 @@ def test_criterion_06_continuity_and_master_residuals():
             currents = compute_currents(fam, kind=kind)
             target = pdot_target(fam, kind)
             rates = compute_rates(currents, fam.probabilities, "bell")
-            for k, cm in enumerate(currents):
-                res = abs(target[k] - cm.full().sum(axis=1)).max()
-                worst_cont = max(worst_cont, res)
-                rows = pole_free_rows(rates[k])
-                worst_master = max(worst_master, master_residual(
-                    rates[k], fam.probabilities[k], target[k], rows=rows))
+            res = np.abs(target - currents.full().sum(axis=-1)).max()
+            worst_cont = max(worst_cont, res)
+            worst_master = max(worst_master, master_residual(
+                rates, fam.probabilities, target, rows=pole_free_rows(rates)))
     ok = worst_cont <= 1e-5 and worst_master <= 1e-5
     _report(6, ok, f"all constructors x scenarios: continuity {worst_cont:.2e}, "
                    f"master {worst_master:.2e}")
@@ -186,20 +179,20 @@ def test_criterion_07_current_structure():
     k = 400
     psi = fam.psi[k]
     h = np.asarray(fam.scenario.hamiltonian)
-    projs = fam.projectors[k]
-    derivs = fam.projector_derivatives[k]
+    vecs = fam.vectors[k]
+    rotation = fam.rotation[k]
 
     # Antisymmetry is structural and bitwise for every constructor.
     anti = True
     for cm in (minimal_flow_current(np.array([0.3, -0.1, -0.2, 0.0])),
-               static_schrodinger_current(psi, h, projs),
-               generalized_schrodinger_current(psi, h, projs, derivs)):
+               static_schrodinger_current(psi, h, vecs),
+               generalized_schrodinger_current(psi, h, vecs, rotation)):
         full = cm.full()
         anti = anti and np.array_equal(full, -full.T)
 
     # Frozen projectors reduce the generalized current to the static one.
-    gen0 = generalized_schrodinger_current(psi, h, projs, np.zeros_like(projs))
-    stat = static_schrodinger_current(psi, h, projs)
+    gen0 = generalized_schrodinger_current(psi, h, vecs, np.zeros_like(vecs))
+    stat = static_schrodinger_current(psi, h, vecs)
     reduction = np.abs(gen0.full() - stat.full()).max()
 
     # Rows and columns of zero-probability states vanish.
@@ -211,11 +204,10 @@ def test_criterion_07_current_structure():
         zero_states = np.nonzero(famz.probabilities.max(axis=0) <= 1e-12)[0]
         if zero_states.size == 0:
             continue
-        for k2 in range(0, len(famz.grid), 97):
-            full = currents[k2].full()
-            worst_zero = max(worst_zero,
-                             np.abs(full[zero_states, :]).max(),
-                             np.abs(full[:, zero_states]).max())
+        full = currents.full()[::97]
+        worst_zero = max(worst_zero,
+                         np.abs(full[:, zero_states, :]).max(),
+                         np.abs(full[:, :, zero_states]).max())
     ok = anti and reduction <= 1e-12 and worst_zero <= 1e-9
     _report(7, ok, f"antisymmetry exact, static reduction {reduction:.1e}, "
                    f"zero-probability rows {worst_zero:.1e}")

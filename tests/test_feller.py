@@ -19,13 +19,11 @@ def constant_rates(off):
 
 def crossing_rate_trajectory(theta=1.0, t0=0.0, t1=0.7, step=1e-3):
     grid = np.arange(t0, t1 + 1e-12, step)
-    rms = []
-    for t in grid:
-        x = theta * np.sin(2 * theta * t)
-        cm = CurrentMatrix(upper=np.triu(np.array([[0.0, -x], [x, 0.0]]), 1))
-        p = np.array([np.cos(theta * t) ** 2, np.sin(theta * t) ** 2])
-        rms.append(bell_rates(cm, p))
-    return RateTrajectory(grid, rms)
+    full = np.zeros((len(grid), 2, 2))
+    full[:, 1, 0] = theta * np.sin(2 * theta * grid)
+    full[:, 0, 1] = -full[:, 1, 0]
+    p = np.column_stack([np.cos(theta * grid) ** 2, np.sin(theta * grid) ** 2])
+    return RateTrajectory(grid, bell_rates(CurrentMatrix(upper=np.triu(full, 1)), p))
 
 
 class TestFellerMinimal:

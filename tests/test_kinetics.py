@@ -70,6 +70,30 @@ class TestBellRates:
         assert np.array_equal(a.rate_trajectory.matrices, b.rate_trajectory.matrices)
         assert np.array_equal(a.rate_trajectory.pole_mask, b.rate_trajectory.pole_mask)
 
+    def test_node_axis_matches_single_nodes(self, rng):
+        # Stacked records give node k's single-node results at index k.
+        full = np.triu(rng.normal(size=(6, 3, 3)), 1)
+        full[2, :, 1] = np.abs(full[2, :, 1])         # inflow at p_1 = 0: poles
+        p = rng.dirichlet(np.ones(3), size=6)
+        p[2] = [0.5, 0.0, 0.5]
+        stack = CurrentMatrix(upper=full)
+        rates = bell_rates(stack, p)
+        assert len(rates) == 6 and rates[2].has_poles
+        pdot = stack.full().sum(axis=-1)
+        for k in range(6):
+            node = bell_rates(stack[k], p[k])
+            assert np.array_equal(rates[k].matrix, node.matrix)
+            assert np.array_equal(rates[k].pole_mask, node.pole_mask)
+            assert np.array_equal(pole_free_rows(rates)[k], pole_free_rows(node))
+        worst = max(master_residual(rates[k], p[k], pdot[k], rows=pole_free_rows(rates[k]))
+                    for k in range(6))
+        assert master_residual(rates, p, pdot, rows=pole_free_rows(rates)) == worst
+        keep = [0, 1, 3, 4, 5]
+        general = general_rates(stack[keep], p[keep], 0.3)
+        for n, k in enumerate(keep):
+            assert np.abs(general[n].matrix
+                          - general_rates(stack[k], p[k], 0.3).matrix).max() <= 1e-15
+
     def test_one_directional_choice(self, rng):
         full = np.triu(rng.normal(size=(5, 5)), 1)
         rates = bell_rates(CurrentMatrix(upper=full), rng.dirichlet(np.ones(5)))
@@ -239,12 +263,11 @@ class TestClassifySingularities:
         theta = 1.0
         grid = np.arange(1.0, 2.0, 1e-3)
         p = np.column_stack([np.cos(theta * grid) ** 2, np.sin(theta * grid) ** 2])
-        rms = []
-        for t, pk in zip(grid, p):
-            x = theta * np.sin(2 * theta * t)
-            cm = current_from_full(np.array([[0.0, -x], [x, 0.0]]))
-            rms.append(bell_rates(cm, pk / pk.sum()))
-        report = classify_singularities(p, grid, rms)
+        full = np.zeros((len(grid), 2, 2))
+        full[:, 1, 0] = theta * np.sin(2 * theta * grid)
+        full[:, 0, 1] = -full[:, 1, 0]
+        rates = bell_rates(current_from_full(full), p / p.sum(axis=1, keepdims=True))
+        report = classify_singularities(p, grid, rates)
         ev = report.for_state(0)[0]
         assert ev.divergent is True
 
@@ -252,12 +275,11 @@ class TestClassifySingularities:
 class TestRateTrajectory:
     def make(self):
         grid = np.linspace(0, 1, 11)
-        rms = []
-        for t in grid:
-            full = np.array([[0.0, -t], [t, 0.0]])
-            rms.append(bell_rates(current_from_full(full),
-                                  np.array([0.5, 0.5])))
-        return RateTrajectory(grid, rms)
+        full = np.zeros((11, 2, 2))
+        full[:, 1, 0] = grid
+        full[:, 0, 1] = -grid
+        return RateTrajectory(grid, bell_rates(current_from_full(full),
+                                               np.full((11, 2), 0.5)))
 
     def test_linear_interpolation(self):
         rt = self.make()
@@ -268,8 +290,8 @@ class TestRateTrajectory:
         assert _kernel_windows(rt.grid, rt, SingularityReport()) == [(0.0, 1.0)]
         assert rt.pole_node_times(0.0, 1.0).size == 0
         # Flagged nodes split the window; a one-node run is no window.
-        pole = np.array([[False, True], [False, False]])
-        flagged = RateTrajectory(rt.grid, [RateMatrix(np.zeros((2, 2)), pole & (k in (1, 5)))
-                                           for k in range(11)])
+        pole = np.zeros((11, 2, 2), dtype=bool)
+        pole[[1, 5], 0, 1] = True
+        flagged = RateTrajectory(rt.grid, RateMatrix(np.zeros((11, 2, 2)), pole))
         g = rt.grid
         assert _kernel_windows(g, flagged, SingularityReport()) == [(g[2], g[4]), (g[6], g[10])]

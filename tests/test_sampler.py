@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modaldyn.currents import CurrentMatrix
-from modaldyn.errors import PoleEncountered
+from modaldyn.errors import ModalDynError, PoleEncountered
 from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates
 from modaldyn.sampler import (JumpProcess, SamplePath, ensemble_marginals,
                               low_probability_occupancy, sample_initial,
@@ -10,11 +10,9 @@ from modaldyn.sampler import (JumpProcess, SamplePath, ensemble_marginals,
 
 
 def rate_trajectory_from(grid, full_of_t, p_of_t):
-    rms = []
-    for t in grid:
-        cm = CurrentMatrix(upper=np.triu(full_of_t(t), 1))
-        rms.append(bell_rates(cm, p_of_t(t)))
-    return RateTrajectory(grid, rms)
+    full = np.stack([full_of_t(t) for t in grid])
+    p = np.stack([p_of_t(t) for t in grid])
+    return RateTrajectory(grid, bell_rates(CurrentMatrix(upper=np.triu(full, 1)), p))
 
 
 def zero_process(d=2, t1=1.0, seed=7, n_nodes=101):
@@ -55,9 +53,11 @@ def first_jump_times(rate_of_t, t1, step, n, seed):
     that do not jump by ``t1`` report ``t1``.
     """
     grid = np.arange(0.0, t1 + step / 2, step)
-    rms = [RateMatrix(np.array([[-r, 0.0], [r, 0.0]]), np.zeros((2, 2), dtype=bool))
-           for r in rate_of_t(grid)]
-    proc = JumpProcess(RateTrajectory(grid, rms), np.array([1.0, 0.0]),
+    m = np.zeros((len(grid), 2, 2))
+    m[:, 1, 0] = rate_of_t(grid)
+    m[:, 0, 0] = -m[:, 1, 0]
+    rates = RateMatrix(m, np.zeros(m.shape, dtype=bool))
+    proc = JumpProcess(RateTrajectory(grid, rates), np.array([1.0, 0.0]),
                        [(0,), (1,)], master_seed=seed)
     return np.array([p.events[0][0] if p.events else t1 for p in proc.ensemble(n)])
 
@@ -128,11 +128,11 @@ class TestPolePolicies:
             [0.0, 0.4, 0.0],
         ])
         p = np.array([0.7, 0.0, 0.3])
-        rms = [bell_rates(CurrentMatrix(upper=np.triu(full, 1)), p) for _ in grid]
-        rt = RateTrajectory(grid, rms)
-        currents = np.stack([full for _ in grid])
-        return JumpProcess(rt, p, [(0,), (1,), (2,)], currents=currents,
-                           pole_policy=policy, master_seed=31)
+        currents = np.broadcast_to(full, (len(grid), 3, 3))
+        rates = bell_rates(CurrentMatrix(upper=np.triu(currents, 1)),
+                           np.broadcast_to(p, (len(grid), 3)))
+        return JumpProcess(RateTrajectory(grid, rates), p, [(0,), (1,), (2,)],
+                           currents=currents, pole_policy=policy, master_seed=31)
 
     def test_relay_resamples_out_instantly(self):
         proc = self.make_relay_process("resample")
@@ -155,6 +155,25 @@ class TestPolePolicies:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
             self.make_relay_process("bogus")
+
+    def test_relay_cycle_is_named_error(self):
+        # Every column flagged and a cyclic current 0 -> 1 -> 2 -> 0: relays
+        # never reach a state with finite exit rate.
+        grid = np.linspace(0.0, 1.0, 11)
+        pole = np.zeros((len(grid), 3, 3), dtype=bool)
+        pole[:, 1, 0] = pole[:, 2, 1] = pole[:, 0, 2] = True
+        rates = RateMatrix(np.zeros(pole.shape), pole)
+        full = np.array([
+            [0.0, 0.0, 0.5],
+            [0.5, 0.0, 0.0],
+            [0.0, 0.5, 0.0],
+        ])
+        full = full - full.T
+        proc = JumpProcess(RateTrajectory(grid, rates), np.array([1.0, 0.0, 0.0]),
+                           [(0,), (1,), (2,)],
+                           currents=np.broadcast_to(full, (len(grid), 3, 3)))
+        with pytest.raises(ModalDynError, match="relay cycle"):
+            proc.path(0)
 
 
 class TestEnsembleMarginals:

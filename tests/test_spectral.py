@@ -142,15 +142,20 @@ class TestProjectorDerivative:
             assert np.abs(fam[k].sum(axis=0)).max() <= 1e-6
 
     def test_derivative_family_exact_on_quadratics(self, rng):
-        # On a uniform grid the stencil differentiates quadratics exactly,
-        # at interior nodes and at both endpoints, for any value shape.
-        grid = 0.3 + 1e-3 * np.arange(40)
-        for shape in ((), (3,), (2, 3, 3)):
-            t = grid.reshape((-1,) + (1,) * len(shape))
-            a, b, c = (rng.normal(size=shape) for _ in range(3))
-            exact = b + 2 * c * t
-            assert np.abs(derivative_family(a + b * t + c * t ** 2, grid)
-                          - exact).max() <= 1e-8
+        # On a uniform and on a jittered grid the stencil differentiates
+        # quadratics exactly, at interior nodes and at both endpoints, for
+        # any value shape; it maps a constant family to exactly zero.
+        uniform = 0.3 + 1e-3 * np.arange(40)
+        jittered = uniform + rng.uniform(-3e-4, 3e-4, size=40)
+        for grid in (uniform, jittered):
+            for shape in ((), (3,), (2, 3, 3)):
+                t = grid.reshape((-1,) + (1,) * len(shape))
+                a, b, c = (rng.normal(size=shape) for _ in range(3))
+                exact = b + 2 * c * t
+                assert np.abs(derivative_family(a + b * t + c * t ** 2, grid)
+                              - exact).max() <= 1e-8
+        constant = np.broadcast_to(rng.normal(size=(2, 3)), (40, 2, 3))
+        assert np.all(derivative_family(constant, uniform) == 0.0)
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError, match="three nodes"):
