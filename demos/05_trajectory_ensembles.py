@@ -40,18 +40,15 @@ fam = meas.family
 t_end = fam.grid[-1]
 final = ensemble_marginals(meas.paths, [t_end], fam.states)
 freqs = final.frequencies[0]
-system_jumps = sum(
-    1 for p in meas.paths
-    for (a, b) in zip([p.initial] + [d for _, d in p.events],
-                      [d for _, d in p.events])
-    if a[0] != b[0]
-)
-pointer_jumps = sum(
-    1 for p in meas.paths
-    for (a, b) in zip([p.initial] + [d for _, d in p.events],
-                      [d for _, d in p.events])
-    if a[1] != b[1]
-)
+# Each event leaves the previous event's destination, or, for a path's
+# first event, the path's initial state.
+paths = meas.paths
+started = paths.jump_counts > 0
+before = np.roll(paths.dest, 1)
+before[paths.offsets[:-1][started]] = paths.initial[started]
+labels = np.array(fam.states)
+changed = labels[before] != labels[paths.dest]      # (events, factors)
+system_jumps, pointer_jumps = changed.sum(axis=0)[:2]
 # Joint (system label, pointer label) mass; association = share sitting on
 # the modal pairing, 1.0 when the pointer determines the property exactly.
 pair_mass = {}

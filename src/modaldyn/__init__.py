@@ -31,8 +31,8 @@ from .kinetics import (JumpDecomposition, RateMatrix, RateTrajectory,
                        pole_free_rows)
 from .feller import (TransitionKernel, chapman_kolmogorov_residual,
                      feller_minimal, forward_ode_kernel, honesty_deficit)
-from .sampler import (EnsembleStats, JumpProcess, SamplePath, ensemble_marginals,
-                      low_probability_occupancy, sample_initial, total_variation)
+from .sampler import (EnsembleStats, JumpProcess, PathEnsemble, SamplePath,
+                      ensemble_marginals, low_probability_occupancy, total_variation)
 from .scenario import (BUILTINS, Scenario, Thresholds, builtin_scenarios,
                        load_scenario)
 from .pipeline import (JointFamily, PipelineResult, RunReport, compute_currents,

@@ -121,13 +121,14 @@ def write_kernel_json(path, kernel, deficit):
 
 
 def write_paths_jsonl(path, paths):
+    """One JSON line per path of a ``PathEnsemble``; events are ``[t, label]``."""
+    labels = [list(s) for s in paths.states]
+    events = [[t, labels[j]] for t, j in zip(paths.times.tolist(), paths.dest.tolist())]
+    bounds = paths.offsets.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for p in paths:
-            rec = {
-                "seed": p.seed,
-                "initial": list(p.initial),
-                "events": [[t, list(dest)] for t, dest in p.events],
-            }
+        for seed, first, lo, hi in zip(paths.seeds.tolist(), paths.initial.tolist(),
+                                       bounds, bounds[1:]):
+            rec = {"seed": seed, "initial": labels[first], "events": events[lo:hi]}
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 

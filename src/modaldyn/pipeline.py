@@ -24,10 +24,11 @@ from .feller import (chapman_kolmogorov_residual, feller_minimal,
 from .hilbert import evolve_on_grid, partial_trace
 from .kinetics import (RateMatrix, RateTrajectory, bell_rates, classify_singularities,
                        general_rates, master_residual, pole_free_rows)
-from .sampler import (JumpProcess, ensemble_marginals, low_probability_occupancy,
-                      total_variation)
+from .sampler import (JumpProcess, PathEnsemble, ensemble_marginals,
+                      low_probability_occupancy, total_variation)
 from .scenario import Scenario
-from .spectral import _runs, _stencil, derivative_family, detect_crossings, track
+from .spectral import (_nearest_node, _runs, _stencil, derivative_family,
+                       detect_crossings, track)
 
 __all__ = ["JointFamily", "PipelineResult", "RunReport", "compute_currents",
            "compute_joint_family", "compute_rates", "pdot_target", "run"]
@@ -197,7 +198,7 @@ class PipelineResult:
     currents: CurrentMatrix
     rate_matrices: RateMatrix
     rate_trajectory: RateTrajectory
-    paths: list
+    paths: PathEnsemble | None
     stats: object
     report: RunReport
     kernels: tuple | None = None
@@ -257,57 +258,51 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
     masked = int((~rows).sum(axis=1).max())
     master_res = master_residual(rate_matrices, family.probabilities, target, rows=rows)
 
-    crossings = []
-    for fk, traj in enumerate(family.factor_trajectories):
-        rep = detect_crossings(traj, scenario.thresholds.crossing_gap)
-        for ev in rep.events:
-            crossings.append({
-                "factor": fk, "t_start": ev.t_start, "t_end": ev.t_end,
-                "labels": list(ev.labels), "min_gap": ev.min_gap, "t_min": ev.t_min,
-            })
+    report = RunReport(
+        scenario_name=scenario.name, current=scenario.current,
+        rate_choice=scenario.rate_choice,
+        continuity_residual=float(cont_res), master_residual=float(master_res),
+        master_rows_masked=masked, pole_nodes=pole_nodes,
+    )
+    report.crossings = [
+        {"factor": fk, "t_start": ev.t_start, "t_end": ev.t_end,
+         "labels": list(ev.labels), "min_gap": ev.min_gap, "t_min": ev.t_min}
+        for fk, traj in enumerate(family.factor_trajectories)
+        for ev in detect_crossings(traj, scenario.thresholds.crossing_gap).events
+    ]
     sing_report = classify_singularities(family.probabilities, grid,
                                          rate_matrices, tol=tol)
-    singularities = [
+    report.singularities = [
         {"time": ev.time, "state": ev.state, "kind": ev.kind,
          "divergent": ev.divergent, "t_start": ev.t_start, "t_end": ev.t_end}
         for ev in sing_report.events
     ]
 
     kernels = None
-    kernel_window = None
-    chapman = None
-    honesty_max = None
-    cross_check = None
-    kernel_note = None
     windows = _kernel_windows(grid, rate_traj, sing_report)
     if windows:
         s, t = max(windows, key=lambda w: w[1] - w[0])
         if t - s >= 10 * scenario.time.grid_step:
-            kernel_window = (s, t)
+            report.kernel_window = (s, t)
             step = scenario.time.grid_step
             try:
                 series = feller_minimal(rate_traj, s, t, quad_step=step, tol=tol)
                 ode = forward_ode_kernel(rate_traj, s, t, ode_step=step, tol=tol)
                 kernels = (series, ode)
-                cross_check = float(np.abs(series.matrix - ode.matrix).max())
-                honesty_max = float(np.abs(honesty_deficit(series)).max())
+                report.kernel_cross_check = float(np.abs(series.matrix - ode.matrix).max())
+                report.honesty_deficit_max = float(np.abs(honesty_deficit(series)).max())
                 factory = lambda a, b: forward_ode_kernel(rate_traj, a, b,
                                                           ode_step=step, tol=tol)
-                chapman = chapman_kolmogorov_residual(factory, s, (t - s) / 2.0, t)
+                report.chapman_residual = chapman_kolmogorov_residual(
+                    factory, s, (t - s) / 2.0, t)
             except (PoleInInterval, TruncationNotConverged, ValueError) as exc:
-                kernel_note = f"kernel stage skipped: {exc}"
+                report.kernel_note = f"kernel stage skipped: {exc}"
         else:
-            kernel_note = "no pole-free window long enough for kernels"
+            report.kernel_note = "no pole-free window long enough for kernels"
     else:
-        kernel_note = "no pole-free window: kernels not constructed"
+        report.kernel_note = "no pole-free window: kernels not constructed"
 
-    paths = []
-    stats = None
-    tv = {}
-    max_tv = None
-    deterministic = None
-    mean_jumps = None
-    low_occ = None
+    paths = nodes = stats = None
     if sample:
         with _Stage("sampling"):
             process = JumpProcess(rate_traj, family.probabilities[0],
@@ -316,32 +311,18 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
                                   pole_policy=scenario.pole_policy,
                                   master_seed=scenario.ensemble.master_seed)
             paths = process.ensemble(scenario.ensemble.n_paths)
-        qtimes = np.array([grid[int(np.argmin(np.abs(grid - q)))]
-                           for q in scenario.ensemble.query_times])
-        if len(qtimes):
-            stats = ensemble_marginals(paths, qtimes, family.states)
-            for qi, q in enumerate(qtimes):
-                node = int(np.argmin(np.abs(grid - q)))
-                tv[repr(float(q))] = total_variation(stats.frequencies[qi],
-                                                     family.probabilities[node])
-            max_tv = max(tv.values())
-        deterministic = all(p.jump_count == 0 for p in paths)
-        mean_jumps = float(np.mean([p.jump_count for p in paths]))
-        low_occ = low_probability_occupancy(paths, grid, family.probabilities,
-                                            family.states)
-
-    report = RunReport(
-        scenario_name=scenario.name, current=scenario.current,
-        rate_choice=scenario.rate_choice,
-        continuity_residual=float(cont_res), master_residual=float(master_res),
-        master_rows_masked=masked, crossings=crossings,
-        singularities=singularities, pole_nodes=pole_nodes,
-        kernel_window=kernel_window, chapman_residual=chapman,
-        honesty_deficit_max=honesty_max, kernel_cross_check=cross_check,
-        kernel_note=kernel_note, total_variation=tv, max_total_variation=max_tv,
-        deterministic=deterministic, mean_jumps=mean_jumps,
-        low_probability_occupancy=low_occ, n_paths=len(paths),
-    )
+        nodes = _nearest_node(grid, np.asarray(scenario.ensemble.query_times, dtype=float))
+        if len(nodes):
+            stats = ensemble_marginals(paths, grid[nodes], family.states)
+            report.total_variation = {
+                repr(float(grid[node])): total_variation(freqs, family.probabilities[node])
+                for freqs, node in zip(stats.frequencies, nodes)}
+            report.max_total_variation = max(report.total_variation.values())
+        report.deterministic = not paths.jump_counts.any()
+        report.mean_jumps = float(paths.jump_counts.mean())
+        report.low_probability_occupancy = low_probability_occupancy(
+            paths, grid, family.probabilities, family.states)
+        report.n_paths = len(paths)
 
     result = PipelineResult(
         scenario=scenario, family=family, currents=currents,
@@ -349,7 +330,7 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
         paths=paths, stats=stats, report=report, kernels=kernels,
     )
     if out_dir is not None and not report_only:
-        _export(result, out_dir)
+        _export(result, out_dir, nodes)
     return result
 
 
@@ -373,7 +354,7 @@ def _kernel_windows(grid, rate_traj, sing_report):
             for start, end in _runs(~bad) if end > start]
 
 
-def _export(result: PipelineResult, out_dir):
+def _export(result: PipelineResult, out_dir, nodes):
     import json
     from pathlib import Path
     from .scenario import scenario_to_dict
@@ -400,10 +381,6 @@ def _export(result: PipelineResult, out_dir):
     if result.paths:
         mdio.write_paths_jsonl(out / "paths.jsonl", result.paths)
     if result.stats is not None:
-        grid = family.grid
-        born = np.empty_like(result.stats.frequencies)
-        for qi, q in enumerate(result.stats.times):
-            node = int(np.argmin(np.abs(grid - q)))
-            born[qi] = family.probabilities[node]
-        mdio.write_stats_csv(out / "stats.csv", result.stats, born)
+        mdio.write_stats_csv(out / "stats.csv", result.stats,
+                             family.probabilities[nodes])
     mdio.write_report_json(out / "report.json", result.report.to_dict())

@@ -22,21 +22,22 @@ documented conventions selected by ``pole_policy``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import ModalDynError, PoleEncountered
 from .kinetics import RateTrajectory
+from .spectral import _nearest_node
 
 __all__ = [
     "EnsembleStats",
     "JumpProcess",
+    "PathEnsemble",
     "SamplePath",
     "ensemble_marginals",
     "low_probability_occupancy",
-    "sample_initial",
     "total_variation",
 ]
 
@@ -49,25 +50,57 @@ class SamplePath:
 
     seed: int
     initial: JointIndex
-    events: tuple[tuple[float, JointIndex], ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        times = [t for t, _ in self.events]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("event times must be strictly increasing")
+    events: tuple[tuple[float, JointIndex], ...] = ()
 
     @property
     def jump_count(self) -> int:
         return len(self.events)
 
-    def state_at(self, t: float) -> JointIndex:
-        state = self.initial
-        for et, dest in self.events:
-            if et <= t:
-                state = dest
-            else:
-                break
-        return state
+
+@dataclass(frozen=True, eq=False)
+class PathEnsemble:
+    """Paths as flat arrays; path k's events are ``offsets[k]:offsets[k+1]``.
+
+    States are integer indices into ``states``.  ``len(x)`` is the path
+    count, and ``x[k]`` (also in iteration) is path k as a
+    :class:`SamplePath` with joint labels.
+    """
+
+    states: tuple                    # joint labels, flat order
+    seeds: np.ndarray                # (N,) path indices of the random streams
+    initial: np.ndarray              # (N,) states at the first node
+    offsets: np.ndarray              # (N+1,) int
+    times: np.ndarray                # (E,) event times
+    dest: np.ndarray                 # (E,) states entered
+
+    def __post_init__(self):
+        owner = np.repeat(np.arange(len(self)), self.jump_counts)
+        if np.any((np.diff(self.times) <= 0.0) & (owner[1:] == owner[:-1])):
+            raise ValueError("event times must be strictly increasing")
+
+    @property
+    def jump_counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def __len__(self) -> int:
+        return len(self.initial)
+
+    def __getitem__(self, k: int) -> SamplePath:
+        k = range(len(self))[k]
+        lo, hi = self.offsets[k], self.offsets[k + 1]
+        events = zip(self.times[lo:hi].tolist(), (self.states[j] for j in self.dest[lo:hi]))
+        return SamplePath(seed=int(self.seeds[k]), initial=self.states[self.initial[k]],
+                          events=tuple(events))
+
+    def _visits(self) -> np.ndarray:
+        """States each path occupies in turn; path k's start at ``offsets[k] + k``."""
+        return np.insert(self.dest, self.offsets[:-1], self.initial)
+
+    def states_at(self, t: float) -> np.ndarray:
+        """State of every path at time ``t``, after its events at or before t."""
+        passed = np.concatenate(([0], np.cumsum(self.times <= t)))
+        done = passed[self.offsets[1:]] - passed[self.offsets[:-1]]
+        return self._visits()[self.offsets[:-1] + np.arange(len(self)) + done]
 
 
 @dataclass(frozen=True)
@@ -84,27 +117,20 @@ class EnsembleStats:
         return self.counts / self.n_paths
 
 
-def _draw(weights: np.ndarray, rng):
-    """Inverse-CDF index draw proportional to nonnegative ``weights``.
+def _draw(column: np.ndarray, state: int, rng):
+    """Inverse-CDF draw out of ``state``, weighted by ``column``'s other positive entries.
 
-    Returns None, without consuming a uniform, when the weights sum to zero.
+    Returns None, without consuming a uniform, when no such weight exists.
     Dividing by the last cumulative sum makes it exactly 1, so a uniform in
     [0, 1) never selects past the last positive weight.
     """
+    weights = np.clip(column, 0.0, None)
+    weights[state] = 0.0
     cum = np.cumsum(weights)
     if cum[-1] <= 0.0:
         return None
     cum /= cum[-1]
     return int(np.searchsorted(cum, rng.random(), side="right"))
-
-
-def sample_initial(p0, rng, states=None):
-    """Inverse-CDF draw from an initial distribution with fixed ordering."""
-    p0 = np.asarray(p0, dtype=float).reshape(-1)
-    if abs(p0.sum() - 1.0) > 1e-9 or p0.min() < -1e-12:
-        raise ValueError("initial distribution must be nonnegative and sum to 1")
-    k = _draw(np.clip(p0, 0.0, None), rng)
-    return states[k] if states is not None else k
 
 
 class JumpProcess:
@@ -130,7 +156,7 @@ class JumpProcess:
             raise ValueError(f"unknown pole policy {pole_policy!r}")
         self.rates = rate_trajectory
         self.grid = rate_trajectory.grid
-        self.states = [tuple(s) for s in states]
+        self.states = tuple(tuple(s) for s in states)
         self.p0 = np.asarray(p0, dtype=float).reshape(-1)
         self.currents = None if currents is None else np.asarray(currents, dtype=float)
         self.pole_policy = pole_policy
@@ -138,6 +164,10 @@ class JumpProcess:
         d = rate_trajectory.size
         if len(self.states) != d or self.p0.size != d:
             raise ValueError("states/p0 size does not match the rate trajectory")
+        if abs(self.p0.sum() - 1.0) > 1e-9 or self.p0.min() < -1e-12:
+            raise ValueError("initial distribution must be nonnegative and sum to 1")
+        self._p0_cum = np.cumsum(np.clip(self.p0, 0.0, None))
+        self._p0_cum /= self._p0_cum[-1]
         mats = rate_trajectory.matrices
         self._exit = np.clip(-np.einsum("nii->ni", mats), 0.0, None)   # (n, D)
         self._cumhaz = cumulative_trapezoid(self._exit, self.grid, axis=0, initial=0.0)
@@ -146,13 +176,9 @@ class JumpProcess:
 
     # -- helpers ---------------------------------------------------------
 
-    def _cumhaz_at(self, state: int, t: float) -> float:
-        return float(np.interp(t, self.grid, self._cumhaz[:, state]))
-
     def _invert_hazard(self, state: int, t_from: float, t_to: float, target: float):
         """Jump time in (t_from, t_to] with given extra hazard, or None."""
-        base = self._cumhaz_at(state, t_from)
-        end = self._cumhaz_at(state, t_to)
+        base, end = np.interp([t_from, t_to], self.grid, self._cumhaz[:, state])
         if end - base < target:
             return None
         goal = base + target
@@ -168,17 +194,7 @@ class JumpProcess:
         return min(max(tau, np.nextafter(t_from, np.inf)), t_to)
 
     def _destination(self, state: int, tau: float, rng):
-        col = np.clip(self.rates.matrix_batch(np.array([tau]))[0][:, state], 0.0, None)
-        col[state] = 0.0
-        return _draw(col, rng)
-
-    def _relay_destination(self, state: int, tau: float, rng):
-        if self.currents is None:
-            return None
-        k = int(np.argmin(np.abs(self.grid - tau)))
-        w = np.clip(self.currents[k][:, state], 0.0, None)
-        w[state] = 0.0
-        return _draw(w, rng)
+        return _draw(self.rates.matrix_batch(np.array([tau]))[0][:, state], state, rng)
 
     def _next_pole(self, state: int, t: float):
         times = self._pole_times[state]
@@ -187,23 +203,18 @@ class JumpProcess:
 
     # -- sampling --------------------------------------------------------
 
-    def rng_for(self, path_index: int) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox([self.master_seed, int(path_index)]))
-
-    def path(self, path_index: int) -> SamplePath:
-        rng = self.rng_for(path_index)
-        flat = sample_initial(self.p0, rng)
-        return self.path_from(flat, rng, seed=path_index)
-
-    def path_from(self, initial_flat: int, rng, seed: int = -1) -> SamplePath:
+    def _sample(self, path_index: int):
+        """One path's initial state and ``(time, state)`` events, every draw
+        from its own Philox stream keyed by (master seed, path index)."""
+        rng = np.random.Generator(np.random.Philox([self.master_seed, int(path_index)]))
+        initial = int(np.searchsorted(self._p0_cum, rng.random(), side="right"))
         grid = self.grid
         t_end = float(grid[-1])
-        state = int(initial_flat)
         t_cur = float(grid[0])
-        events: list[tuple[float, JointIndex]] = []
+        events: list[tuple[float, int]] = []
         d = len(self.states)
         # A fresh arrival into an already-flagged column is relayed out at once.
-        state, t_cur = self._maybe_relay(state, t_cur, rng, events, arrival=False)
+        state, t_cur = self._maybe_relay(initial, t_cur, rng, events, arrival=False)
         while True:
             target = -np.log1p(-rng.random())
             pole_t = self._next_pole(state, t_cur)
@@ -228,14 +239,13 @@ class JumpProcess:
                 dest = self._destination(state, tau, rng)
                 if dest is None:
                     break
-            events.append((tau, self.states[dest]))
+            events.append((tau, dest))
             state, t_cur = self._maybe_relay(dest, tau, rng, events, arrival=True)
             if t_cur >= t_end:
                 break
             if len(events) > 64 * d * max(8, int(self._exit.max() * (t_end - grid[0]) + 1)):
                 raise ModalDynError("runaway path: too many events")
-        return SamplePath(seed=seed, initial=self.states[int(initial_flat)],
-                          events=tuple(events))
+        return initial, events
 
     def _last_node_before(self, pole_time: float) -> float:
         idx = int(np.searchsorted(self.grid, pole_time, side="left"))
@@ -244,17 +254,19 @@ class JumpProcess:
     def _maybe_relay(self, state: int, tau: float, rng, events, arrival: bool):
         d = len(self.states)
         depth = 0
-        k = int(np.argmin(np.abs(self.grid - tau)))
+        k = _nearest_node(self.grid, tau)
         while self._pole_col[k, state]:
             if self.pole_policy == "abort":
                 raise PoleEncountered(
                     f"path occupies state {state} with diverging exit rate at t={float(tau)}"
                 )
-            dest = self._relay_destination(state, tau, rng)
+            if self.currents is None:
+                break
+            dest = _draw(self.currents[_nearest_node(self.grid, tau)][:, state], state, rng)
             if dest is None:
                 break
             tau = float(np.nextafter(tau, np.inf)) if arrival or events else tau
-            events.append((tau, self.states[dest]))
+            events.append((tau, dest))
             state = dest
             arrival = True
             depth += 1
@@ -262,40 +274,42 @@ class JumpProcess:
                 raise ModalDynError("relay cycle among zero-probability states")
         return state, tau
 
-    def ensemble(self, n_paths: int) -> list[SamplePath]:
-        return [self.path(k) for k in range(int(n_paths))]
+    def _batch(self, path_indices) -> PathEnsemble:
+        sampled = [self._sample(k) for k in path_indices]
+        events = [ev for _, path_events in sampled for ev in path_events]
+        return PathEnsemble(
+            states=self.states, seeds=np.array(path_indices, dtype=int),
+            initial=np.array([first for first, _ in sampled], dtype=int),
+            offsets=np.cumsum([0] + [len(evs) for _, evs in sampled]),
+            times=np.array([t for t, _ in events], dtype=float),
+            dest=np.array([j for _, j in events], dtype=int))
+
+    def ensemble(self, n_paths: int) -> PathEnsemble:
+        return self._batch(range(int(n_paths)))
+
+    def path(self, path_index: int) -> SamplePath:
+        return self._batch([int(path_index)])[0]
 
 
-def ensemble_marginals(paths, query_times, states, factor: int | None = None
-                       ) -> EnsembleStats:
+def ensemble_marginals(paths: PathEnsemble, query_times, states,
+                       factor: int | None = None) -> EnsembleStats:
     """Empirical distribution of the ensemble at each query time.
 
-    With ``factor`` given, joint states are first marginalized onto that
-    factor's label.
+    Counts are over ``states`` in their order.  With ``factor`` given, joint
+    states are first marginalized onto that factor's label.
     """
     query_times = np.asarray(query_times, dtype=float)
-    states = [tuple(s) for s in states]
-    if factor is None:
-        labels = states
-        label_of = {s: k for k, s in enumerate(states)}
-        proj = lambda s: label_of[s]
-    else:
-        labels = sorted({s[factor] for s in states})
-        pos = {l: k for k, l in enumerate(labels)}
-        proj = lambda s: pos[s[factor]]
-    counts = np.zeros((len(query_times), len(labels)), dtype=int)
-    n = 0
-    for path in paths:
-        n += 1
-        ev_times = np.array([t for t, _ in path.events])
-        seq = [path.initial] + [dest for _, dest in path.events]
-        idx = np.searchsorted(ev_times, query_times, side="right")
-        for q, j in enumerate(idx):
-            counts[q, proj(seq[j])] += 1
-    if n == 0:
+    if len(paths) == 0:
         raise ValueError("need at least one path")
+    states = [tuple(s) for s in states]
+    labels = states if factor is None else sorted({s[factor] for s in states})
+    column = np.array([labels.index(s if factor is None else s[factor])
+                       for s in paths.states], dtype=int)
+    counts = np.zeros((len(query_times), len(labels)), dtype=int)
+    for q, t in enumerate(query_times):
+        counts[q] = np.bincount(column[paths.states_at(t)], minlength=len(labels))
     return EnsembleStats(times=query_times, labels=tuple(labels),
-                         counts=counts, n_paths=n)
+                         counts=counts, n_paths=len(paths))
 
 
 def total_variation(freqs, probs) -> float:
@@ -304,26 +318,27 @@ def total_variation(freqs, probs) -> float:
     return float(0.5 * np.abs(freqs - probs).sum())
 
 
-def low_probability_occupancy(paths, grid, p_trajectory, states,
+def low_probability_occupancy(paths: PathEnsemble, grid, p_trajectory, states,
                               threshold: float = 1e-6) -> float:
     """Fraction of total path-time spent in states of probability < threshold."""
     grid = np.asarray(grid, dtype=float)
-    p = np.asarray(p_trajectory, dtype=float)
-    low = (p < threshold).astype(float)
+    if len(paths) == 0:
+        raise ValueError("need at least one path")
+    low = (np.asarray(p_trajectory, dtype=float) < threshold).astype(float)
     cum_low = cumulative_trapezoid(low, grid, axis=0, initial=0.0)
     t0, t_end = float(grid[0]), float(grid[-1])
-    flat = {tuple(s): k for k, s in enumerate(states)}
-    total = 0.0
-    n = 0
-    for path in paths:
-        n += 1
-        marks = [t0] + [t for t, _ in path.events] + [t_end]
-        occupants = [path.initial] + [dest for _, dest in path.events]
-        for (a, b), s in zip(zip(marks, marks[1:]), occupants):
-            if b <= a:
-                continue
-            col = cum_low[:, flat[tuple(s)]]
-            total += np.interp(min(b, t_end), grid, col) - np.interp(max(a, t0), grid, col)
-    if n == 0:
-        raise ValueError("need at least one path")
-    return total / (n * (t_end - t0))
+    states = [tuple(s) for s in states]
+    column = np.array([states.index(s) for s in paths.states], dtype=int)
+    # Segment j of the visits runs from start[j] to stop[j].
+    start = np.insert(paths.times, paths.offsets[:-1], t0)
+    stop = np.insert(paths.times, paths.offsets[1:], t_end)
+    occupant = column[paths._visits()]
+    keep = stop > start
+    start, stop, occupant = start[keep], stop[keep], occupant[keep]
+    share = np.empty(len(start))
+    for c in np.unique(occupant):
+        on = occupant == c
+        share[on] = (np.interp(np.minimum(stop[on], t_end), grid, cum_low[:, c])
+                     - np.interp(np.maximum(start[on], t0), grid, cum_low[:, c]))
+    # Summed one segment at a time in path order, as a per-path loop adds them.
+    return np.cumsum(share)[-1] / (len(paths) * (t_end - t0))

@@ -284,6 +284,13 @@ def _runs(mask) -> list[tuple[int, int]]:
     return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
+def _nearest_node(grid, t):
+    """Index of the increasing ``grid``'s node nearest to each ``t``, as
+    ``argmin(abs(grid - t))`` gives it: a tie goes to the lower index."""
+    i = np.searchsorted(grid[1:-1], t) + 1
+    return i - (np.abs(grid[i - 1] - t) <= np.abs(grid[i] - t))
+
+
 def detect_crossings(traj: SpectralTrajectory, gap_threshold: float) -> CrossingReport:
     """Grid intervals on which two tracked weights come within ``gap_threshold``."""
     events = []

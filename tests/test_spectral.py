@@ -3,8 +3,8 @@ import pytest
 
 from modaldyn.errors import AmbiguousContinuation
 from modaldyn.hilbert import matrix_exponential, projector_from_vector
-from modaldyn.spectral import (_runs, detect_crossings, derivative_family,
-                               fiduciary_refine, track)
+from modaldyn.spectral import (_nearest_node, _runs, detect_crossings,
+                               derivative_family, fiduciary_refine, track)
 
 from conftest import random_hermitian
 
@@ -185,6 +185,27 @@ class TestRuns:
     def test_run_touching_last_node(self):
         assert _runs(np.array([False, True, True, False, True, True, True])) \
             == [(1, 2), (4, 6)]
+
+
+class TestNearestNode:
+    """The nearest-node lookup agrees with ``argmin(abs(grid - t))``."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    def test_matches_argmin(self, rng, jitter):
+        grid = np.linspace(0.0, 2.0, 201)
+        grid[1:-1] += jitter * 0.01 * rng.uniform(-1, 1, 199)
+        times = np.concatenate([
+            rng.uniform(-0.1, 2.1, 2000),          # random, some off the grid
+            grid,                                   # exact nodes
+            0.5 * (grid[:-1] + grid[1:]),           # midpoints: ties go low
+        ])
+        expect = [int(np.argmin(np.abs(grid - t))) for t in times]
+        assert _nearest_node(grid, times).tolist() == expect
+        assert [int(_nearest_node(grid, t)) for t in times] == expect
+
+    def test_exact_tie_takes_lower_index(self):
+        grid = np.array([0.0, 0.5, 1.0, 1.5])
+        assert _nearest_node(grid, np.array([0.25, 0.75, 1.25])).tolist() == [0, 1, 2]
 
 
 class TestDetectCrossings:
