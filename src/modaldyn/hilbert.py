@@ -65,12 +65,6 @@ class FactorSpace:
         """All joint labels in lexicographic order (left factor slowest)."""
         return list(itertools.product(*[range(d) for d in self.factor_dims]))
 
-    def flat_index(self, joint: tuple[int, ...]) -> int:
-        return int(np.ravel_multi_index(tuple(joint), self.factor_dims))
-
-    def joint_of(self, flat: int) -> tuple[int, ...]:
-        return tuple(int(k) for k in np.unravel_index(flat, self.factor_dims))
-
 
 def _as_square(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)

@@ -228,15 +228,20 @@ class RateTrajectory:
     def __call__(self, t: float) -> np.ndarray:
         return self.matrix_batch(np.array([t]))[0]
 
-    def matrix_batch(self, times) -> np.ndarray:
+    def matrix_batch(self, times, columns=None) -> np.ndarray:
+        """Interpolated matrices at ``times``, shape (m, D, D); with
+        ``columns`` given, only column ``columns[i]`` at ``times[i]``, (m, D)."""
         times = np.asarray(times, dtype=float)
         g = self.grid
         idx = np.clip(np.searchsorted(g, times, side="right"), 1, len(g) - 1)
         t0 = g[idx - 1]
         t1 = g[idx]
         w = np.clip((times - t0) / (t1 - t0), 0.0, 1.0)
-        return (1.0 - w)[:, None, None] * self.matrices[idx - 1] \
-            + w[:, None, None] * self.matrices[idx]
+        if columns is None:
+            return (1.0 - w)[:, None, None] * self.matrices[idx - 1] \
+                + w[:, None, None] * self.matrices[idx]
+        return (1.0 - w)[:, None] * self.matrices[idx - 1, :, columns] \
+            + w[:, None] * self.matrices[idx, :, columns]
 
     def pole_node_times(self, s: float, t: float) -> np.ndarray:
         """Grid nodes inside [s, t] carrying any pole flag."""
@@ -262,9 +267,6 @@ class SingularityReport:
     @property
     def empty(self) -> bool:
         return len(self.events) == 0
-
-    def for_state(self, i: int) -> tuple[SingularityEvent, ...]:
-        return tuple(e for e in self.events if e.state == i)
 
 
 def classify_singularities(p_trajectory, grid, rates: RateMatrix | None = None,

@@ -1,9 +1,10 @@
 """Monte Carlo realization of the property jump process.
 
 Paths alternate inverse-hazard waiting times with destination draws from
-the conditional jump distribution.  Each path owns an independent
+the conditional jump distribution.  All paths of a batch advance in
+lockstep, one event per round.  Each path owns an independent
 counter-based random stream derived from (master seed, path index), so
-ensembles are reproducible regardless of scheduling.
+ensembles are reproducible regardless of batching.
 
 Pole handling (probability zeros with diverging exit rates) follows two
 documented conventions selected by ``pole_policy``:
@@ -117,20 +118,168 @@ class EnsembleStats:
         return self.counts / self.n_paths
 
 
-def _draw(column: np.ndarray, state: int, rng):
-    """Inverse-CDF draw out of ``state``, weighted by ``column``'s other positive entries.
+# -- random streams ------------------------------------------------------
+#
+# Path i draws from Generator(Philox([master_seed, i])).random(), computed
+# here for many paths at once: numpy's SeedSequence key derivation, then
+# Philox4x64-10 blocks (Salmon et al., SC'11).
 
-    Returns None, without consuming a uniform, when no such weight exists.
+_MASK32 = 0xFFFFFFFF
+_HASH_A = (0x43B0D7E5, 0x931E8875)       # SeedSequence pool hash: init, multiplier
+_HASH_B = (0x8B51F9DD, 0x58F38DED)       # SeedSequence output hash
+_MIX = (0xCA01F9DD, 0x4973F715)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _words(n: int) -> list[int]:
+    """Little-endian uint32 words of ``n``, as SeedSequence splits an integer."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _mix(x, y):
+    r = x * _MIX[0] - y * _MIX[1]
+    return r ^ (r >> 16)
+
+
+def _seed_keys(entropy: list[np.ndarray]) -> np.ndarray:
+    """Philox keys (m, 2) of SeedSequence over rows of uint32 ``entropy`` words."""
+    const = _HASH_A[0]
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * _HASH_A[1]) & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0]))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    const = _HASH_B[0]
+    state = []
+    for word in pool:
+        word = word ^ const
+        const = (const * _HASH_B[1]) & _MASK32
+        word = word * const
+        state.append((word ^ (word >> 16)).astype(np.uint64))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+def _mulhilo(a: int, b: np.ndarray):
+    """High and low 64-bit words of ``a * b``, from 32-bit halves."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    lh, hl = a_lo * b_hi, a_hi * b_lo
+    mid = ((a_lo * b_lo) >> 32) + (lh & _MASK32) + (hl & _MASK32)
+    return a_hi * b_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), a * b
+
+
+def _philox(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of the blocks ``(counter, 0, 0, 0)`` under ``key``: (m, 4)."""
+    c0 = counter.astype(np.uint64)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    k0, k1 = key[:, 0], key[:, 1]
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=1)
+
+
+class _Streams:
+    """The random streams of a batch of paths, one per path index.
+
+    ``random(rows)`` gives the next uniform of each path at positions
+    ``rows``.  Draw k of path i is lane ``k % 4`` of Philox block
+    ``k // 4 + 1``, so it is a pure function of (master seed, i, k).
+    """
+
+    def __init__(self, master_seed: int, path_indices: np.ndarray):
+        if master_seed < 0 or np.any(path_indices < 0):
+            raise ValueError("seeds and path indices must be non-negative")
+        indices = path_indices.astype(np.uint64)
+        head = _words(master_seed)
+        self.key = np.empty((len(indices), 2), dtype=np.uint64)
+        wide = indices > _MASK32
+        for rows, width in ((~wide, 1), (wide, 2)):
+            if rows.any():
+                entropy = [np.full(rows.sum(), w, dtype=np.uint32) for w in head]
+                entropy += [(indices[rows] >> (32 * j) & _MASK32).astype(np.uint32)
+                            for j in range(width)]
+                self.key[rows] = _seed_keys(entropy)
+        self.drawn = np.zeros(len(indices), dtype=np.int64)
+        self.block = np.empty((len(indices), 4), dtype=np.uint64)
+
+    def random(self, rows: np.ndarray) -> np.ndarray:
+        lane = self.drawn[rows] % 4
+        fresh = rows[lane == 0]
+        if fresh.size:
+            self.block[fresh] = _philox(self.drawn[fresh] // 4 + 1, self.key[fresh])
+        self.drawn[rows] += 1
+        return (self.block[rows, lane] >> 11) * 2.0 ** -53
+
+
+def _draw(columns: np.ndarray, states: np.ndarray, rows: np.ndarray,
+          rng: _Streams) -> np.ndarray:
+    """Inverse-CDF draw per row out of ``states[i]``, weighted by the other
+    positive entries of ``columns[i]``.
+
+    Gives -1, without consuming a uniform, where no such weight exists.
     Dividing by the last cumulative sum makes it exactly 1, so a uniform in
     [0, 1) never selects past the last positive weight.
     """
-    weights = np.clip(column, 0.0, None)
-    weights[state] = 0.0
-    cum = np.cumsum(weights)
-    if cum[-1] <= 0.0:
-        return None
-    cum /= cum[-1]
-    return int(np.searchsorted(cum, rng.random(), side="right"))
+    weights = np.clip(columns, 0.0, None)
+    weights[np.arange(len(states)), states] = 0.0
+    cum = np.cumsum(weights, axis=1)
+    some = ~(cum[:, -1] <= 0.0)
+    dest = np.full(len(states), -1)
+    cum = cum[some] / cum[some, -1:]
+    # searchsorted(cum, u, side="right") of each row.
+    dest[some] = (cum <= rng.random(rows[some])[:, None]).sum(axis=1)
+    return dest
+
+
+class _Batch:
+    """Lockstep state of a batch of paths, indexed by position in the batch."""
+
+    def __init__(self, rng: _Streams, initial: np.ndarray, t0: float):
+        self.rng = rng
+        self.state = initial.copy()
+        self.t = np.full(len(initial), t0)
+        self.count = np.zeros(len(initial), dtype=int)
+        self.live = np.ones(len(initial), dtype=bool)
+        self.log: list[tuple] = []      # (positions, times, states) as events happen
+        self.error = None               # (position, exception) of the first failing path
+
+    def record(self, rows, times, dest):
+        self.log.append((rows, times, dest))
+        self.count[rows] += 1
+        self.state[rows] = dest
+        self.t[rows] = times
+
+    def fail(self, rows, error):
+        """Stop paths ``rows``; ``error(i)`` is the exception of ``rows[i]``.
+
+        The batch raises the error of its lowest failing position, as a
+        path-by-path loop would, so later paths no longer matter.
+        """
+        i = int(np.argmin(rows))
+        if self.error is None or rows[i] < self.error[0]:
+            self.error = (int(rows[i]), error(i))
+        self.live[rows] = False
+        self.live[self.error[0]:] = False
 
 
 class JumpProcess:
@@ -172,117 +321,138 @@ class JumpProcess:
         self._exit = np.clip(-np.einsum("nii->ni", mats), 0.0, None)   # (n, D)
         self._cumhaz = cumulative_trapezoid(self._exit, self.grid, axis=0, initial=0.0)
         self._pole_col = rate_trajectory.pole_mask.any(axis=1)          # (n, D)
-        self._pole_times = [self.grid[self._pole_col[:, i]] for i in range(d)]
+        # _pole_after[j, i]: first node >= j flagged in column i, n if none.
+        n = len(self.grid)
+        flagged = np.where(self._pole_col, np.arange(n)[:, None], n)
+        self._pole_after = np.vstack([np.minimum.accumulate(flagged[::-1])[::-1],
+                                      np.full((1, d), n)])
+        self._max_events = 64 * d * max(8, int(self._exit.max()
+                                               * (self.grid[-1] - self.grid[0]) + 1))
 
-    # -- helpers ---------------------------------------------------------
+    # -- lockstep steps ----------------------------------------------------
 
-    def _invert_hazard(self, state: int, t_from: float, t_to: float, target: float):
-        """Jump time in (t_from, t_to] with given extra hazard, or None."""
-        base, end = np.interp([t_from, t_to], self.grid, self._cumhaz[:, state])
-        if end - base < target:
-            return None
-        goal = base + target
-        h = self._cumhaz[:, state]
-        idx = int(np.searchsorted(h, goal, side="left"))
-        idx = min(max(idx, 1), len(h) - 1)
-        h0, h1 = h[idx - 1], h[idx]
-        if h1 <= h0:
-            tau = float(self.grid[idx])
-        else:
-            frac = (goal - h0) / (h1 - h0)
-            tau = float(self.grid[idx - 1] + frac * (self.grid[idx] - self.grid[idx - 1]))
-        return min(max(tau, np.nextafter(t_from, np.inf)), t_to)
+    def _invert_hazard(self, states, t_from, t_to, target) -> np.ndarray:
+        """Jump times in (t_from, t_to] at the given extra hazards; NaN where
+        the hazard left in the interval falls short."""
+        grid = self.grid
+        tau = np.full(len(states), np.nan)
+        for state in np.unique(states):
+            on = states == state
+            h = self._cumhaz[:, state]
+            base = np.interp(t_from[on], grid, h)
+            end = np.interp(t_to[on], grid, h)
+            goal = base + target[on]
+            idx = np.clip(np.searchsorted(h, goal, side="left"), 1, len(h) - 1)
+            h0, h1 = h[idx - 1], h[idx]
+            flat = h1 <= h0
+            frac = (goal - h0) / np.where(flat, 1.0, h1 - h0)
+            t = np.where(flat, grid[idx], grid[idx - 1] + frac * (grid[idx] - grid[idx - 1]))
+            t = np.minimum(np.maximum(t, np.nextafter(t_from[on], np.inf)), t_to[on])
+            tau[on] = np.where(end - base < target[on], np.nan, t)
+        return tau
 
-    def _destination(self, state: int, tau: float, rng):
-        return _draw(self.rates.matrix_batch(np.array([tau]))[0][:, state], state, rng)
+    def _maybe_relay(self, batch: _Batch, rows: np.ndarray, arrival: bool):
+        """Relay paths that sit in a flagged column straight out of it.
 
-    def _next_pole(self, state: int, t: float):
-        times = self._pole_times[state]
-        idx = int(np.searchsorted(times, t, side="right"))
-        return float(times[idx]) if idx < len(times) else None
+        The flag is read at the node nearest each path's arrival.  A relay
+        event is recorded one representable time after the event before it,
+        or at the start time when a path's initial state is relayed.
+        """
+        node = _nearest_node(self.grid, batch.t[rows])
+        depth = 0
+        while True:
+            flagged = self._pole_col[node, batch.state[rows]]
+            rows, node = rows[flagged], node[flagged]
+            if not rows.size:
+                return
+            state, tau = batch.state[rows], batch.t[rows]
+            if self.pole_policy == "abort":
+                batch.fail(rows, lambda i: PoleEncountered(
+                    f"path occupies state {state[i]} with diverging exit rate "
+                    f"at t={float(tau[i])}"))
+                return
+            if self.currents is None:
+                return
+            dest = _draw(self.currents[_nearest_node(self.grid, tau), :, state],
+                         state, rows, batch.rng)
+            out = dest >= 0
+            rows, node, dest, tau = rows[out], node[out], dest[out], tau[out]
+            if arrival or depth:
+                tau = np.nextafter(tau, np.inf)
+            batch.record(rows, tau, dest)
+            depth += 1
+            if depth > 4 * len(self.states) and rows.size:
+                batch.fail(rows, lambda i: ModalDynError(
+                    "relay cycle among zero-probability states"))
+                return
+
+    def _sample(self, batch: _Batch, rows: np.ndarray):
+        """Advance every path at ``rows`` by one waiting time and its jump."""
+        grid = self.grid
+        t_end = grid[-1]
+        target = -np.log1p(-batch.rng.random(rows))
+        state, t = batch.state[rows], batch.t[rows]
+        # The first flagged node of the state's column after t; the path
+        # must jump by the node before it.
+        pole = self._pole_after[np.searchsorted(grid, t, side="right"), state]
+        has_pole = pole < len(grid)
+        pole_t = grid[np.minimum(pole, len(grid) - 1)]
+        before = np.maximum(np.searchsorted(grid, pole_t, side="left") - 1, 0)
+        horizon = np.where(has_pole, grid[before], t_end)
+        tau = np.full(len(rows), np.nan)
+        open_ = horizon > t
+        tau[open_] = self._invert_hazard(state[open_], t[open_], horizon[open_],
+                                         target[open_])
+        jumps = ~np.isnan(tau)
+        stuck = ~jumps & has_pole
+        if self.pole_policy == "abort" and stuck.any():
+            s, p = state[stuck], pole_t[stuck]
+            batch.fail(rows[stuck], lambda i: PoleEncountered(
+                f"state {s[i]} meets a rate pole at t={float(p[i])!r}"))
+            stuck[:] = False
+        tau[stuck] = np.maximum(horizon[stuck], np.nextafter(t[stuck], np.inf))
+        moving = jumps | stuck
+        dest = np.full(len(rows), -1)
+        dest[moving] = _draw(self.rates.matrix_batch(tau[moving], columns=state[moving]),
+                             state[moving], rows[moving], batch.rng)
+        # No outgoing rate at the pre-pole node: cross the pole.
+        cross = stuck & (dest < 0)
+        batch.t[rows[cross]] = np.nextafter(pole_t[cross], np.inf)
+        batch.live[rows[(~jumps & ~has_pole) | (jumps & (dest < 0))]] = False
+        went = dest >= 0
+        rows = rows[went]
+        batch.record(rows, tau[went], dest[went])
+        self._maybe_relay(batch, rows, arrival=True)
+        rows = rows[batch.live[rows]]
+        ended = batch.t[rows] >= t_end
+        batch.live[rows[ended]] = False
+        runaway = rows[~ended][batch.count[rows[~ended]] > self._max_events]
+        if runaway.size:
+            batch.fail(runaway, lambda i: ModalDynError("runaway path: too many events"))
 
     # -- sampling --------------------------------------------------------
 
-    def _sample(self, path_index: int):
-        """One path's initial state and ``(time, state)`` events, every draw
-        from its own Philox stream keyed by (master seed, path index)."""
-        rng = np.random.Generator(np.random.Philox([self.master_seed, int(path_index)]))
-        initial = int(np.searchsorted(self._p0_cum, rng.random(), side="right"))
-        grid = self.grid
-        t_end = float(grid[-1])
-        t_cur = float(grid[0])
-        events: list[tuple[float, int]] = []
-        d = len(self.states)
-        # A fresh arrival into an already-flagged column is relayed out at once.
-        state, t_cur = self._maybe_relay(initial, t_cur, rng, events, arrival=False)
-        while True:
-            target = -np.log1p(-rng.random())
-            pole_t = self._next_pole(state, t_cur)
-            horizon = t_end if pole_t is None else self._last_node_before(pole_t)
-            tau = None
-            if horizon > t_cur:
-                tau = self._invert_hazard(state, t_cur, horizon, target)
-            if tau is None:
-                if pole_t is None:
-                    break
-                if self.pole_policy == "abort":
-                    raise PoleEncountered(
-                        f"state {state} meets a rate pole at t={pole_t!r}"
-                    )
-                tau = max(horizon, np.nextafter(t_cur, np.inf))
-                dest = self._destination(state, tau, rng)
-                if dest is None:
-                    # No outgoing rate at the pre-pole node; cross the pole.
-                    t_cur = np.nextafter(pole_t, np.inf)
-                    continue
-            else:
-                dest = self._destination(state, tau, rng)
-                if dest is None:
-                    break
-            events.append((tau, dest))
-            state, t_cur = self._maybe_relay(dest, tau, rng, events, arrival=True)
-            if t_cur >= t_end:
-                break
-            if len(events) > 64 * d * max(8, int(self._exit.max() * (t_end - grid[0]) + 1)):
-                raise ModalDynError("runaway path: too many events")
-        return initial, events
-
-    def _last_node_before(self, pole_time: float) -> float:
-        idx = int(np.searchsorted(self.grid, pole_time, side="left"))
-        return float(self.grid[max(idx - 1, 0)])
-
-    def _maybe_relay(self, state: int, tau: float, rng, events, arrival: bool):
-        d = len(self.states)
-        depth = 0
-        k = _nearest_node(self.grid, tau)
-        while self._pole_col[k, state]:
-            if self.pole_policy == "abort":
-                raise PoleEncountered(
-                    f"path occupies state {state} with diverging exit rate at t={float(tau)}"
-                )
-            if self.currents is None:
-                break
-            dest = _draw(self.currents[_nearest_node(self.grid, tau)][:, state], state, rng)
-            if dest is None:
-                break
-            tau = float(np.nextafter(tau, np.inf)) if arrival or events else tau
-            events.append((tau, dest))
-            state = dest
-            arrival = True
-            depth += 1
-            if depth > 4 * d:
-                raise ModalDynError("relay cycle among zero-probability states")
-        return state, tau
-
     def _batch(self, path_indices) -> PathEnsemble:
-        sampled = [self._sample(k) for k in path_indices]
-        events = [ev for _, path_events in sampled for ev in path_events]
+        """Sample the paths with these stream indices in lockstep, one event
+        per path per round; raises the error of the first failing path."""
+        seeds = np.array(path_indices, dtype=int)
+        rng = _Streams(self.master_seed, seeds)
+        everyone = np.arange(len(seeds))
+        initial = np.searchsorted(self._p0_cum, rng.random(everyone), side="right")
+        batch = _Batch(rng, initial, self.grid[0])
+        # A fresh arrival into an already-flagged column is relayed out at once.
+        self._maybe_relay(batch, everyone, arrival=False)
+        while (rows := np.flatnonzero(batch.live)).size:
+            self._sample(batch, rows)
+        if batch.error is not None:
+            raise batch.error[1]
+        owner = np.concatenate([rows for rows, _, _ in batch.log] + [np.zeros(0, int)])
+        order = np.argsort(owner, kind="stable")
         return PathEnsemble(
-            states=self.states, seeds=np.array(path_indices, dtype=int),
-            initial=np.array([first for first, _ in sampled], dtype=int),
-            offsets=np.cumsum([0] + [len(evs) for _, evs in sampled]),
-            times=np.array([t for t, _ in events], dtype=float),
-            dest=np.array([j for _, j in events], dtype=int))
+            states=self.states, seeds=seeds, initial=initial,
+            offsets=np.concatenate(([0], np.cumsum(batch.count))),
+            times=np.concatenate([t for _, t, _ in batch.log] + [np.zeros(0)])[order],
+            dest=np.concatenate([d for _, _, d in batch.log] + [np.zeros(0, int)])[order])
 
     def ensemble(self, n_paths: int) -> PathEnsemble:
         return self._batch(range(int(n_paths)))

@@ -116,6 +116,8 @@ class Scenario:
             raise ScenarioValidationError("time: the grid needs at least 3 nodes")
         if self.ensemble.n_paths < 1:
             raise ScenarioValidationError("ensemble: n_paths must be >= 1")
+        if self.ensemble.master_seed < 0:
+            raise ScenarioValidationError("ensemble: master_seed must be nonnegative")
         for q in self.ensemble.query_times:
             if not self.time.t0 <= q <= self.time.t1 + 1e-12:
                 raise ScenarioValidationError(

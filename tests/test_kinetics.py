@@ -248,7 +248,7 @@ class TestClassifySingularities:
         grid = np.arange(0.0, 2.0 + 1e-9, 1e-3)
         p = np.column_stack([np.cos(theta * grid) ** 2, np.sin(theta * grid) ** 2])
         report = classify_singularities(p, grid)
-        mine = report.for_state(0)
+        mine = [e for e in report.events if e.state == 0]
         assert len(mine) == 1
         assert mine[0].kind == "isolated-zero"
         assert abs(mine[0].time - np.pi / 2) <= 2e-3
@@ -257,7 +257,7 @@ class TestClassifySingularities:
         grid = np.linspace(0, 1, 200)
         p = np.column_stack([np.ones(200), np.zeros(200)])
         report = classify_singularities(p, grid)
-        assert report.for_state(1)[0].kind == "interval-zero"
+        assert [e for e in report.events if e.state == 1][0].kind == "interval-zero"
 
     def test_divergent_exit_flagged(self):
         theta = 1.0
@@ -268,7 +268,7 @@ class TestClassifySingularities:
         full[:, 0, 1] = -full[:, 1, 0]
         rates = bell_rates(current_from_full(full), p / p.sum(axis=1, keepdims=True))
         report = classify_singularities(p, grid, rates)
-        ev = report.for_state(0)[0]
+        ev = [e for e in report.events if e.state == 0][0]
         assert ev.divergent is True
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,13 @@ from scipy.integrate import cumulative_trapezoid
 from modaldyn.currents import CurrentMatrix
 from modaldyn.errors import ModalDynError, PoleEncountered
 from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates
-from modaldyn.sampler import (JumpProcess, PathEnsemble, ensemble_marginals,
-                              low_probability_occupancy, total_variation)
+from modaldyn.pipeline import run
+from modaldyn.sampler import (JumpProcess, PathEnsemble, _draw, _Streams,
+                              ensemble_marginals, low_probability_occupancy,
+                              total_variation)
+from modaldyn.scenario import BUILTINS, EnsembleSpec, Scenario, TimeSpec
+
+from conftest import random_hermitian, random_ket
 
 
 def rate_trajectory_from(grid, full_of_t, p_of_t):
@@ -197,8 +203,51 @@ class TestPolePolicies:
         proc = JumpProcess(RateTrajectory(grid, rates), np.array([1.0, 0.0, 0.0]),
                            [(0,), (1,), (2,)],
                            currents=np.broadcast_to(full, (len(grid), 3, 3)))
-        with pytest.raises(ModalDynError, match="relay cycle"):
+        with pytest.raises(ModalDynError,
+                           match="^relay cycle among zero-probability states$"):
             proc.path(0)
+
+    def test_initial_relay_chain(self):
+        # Columns 0 and 1 flagged throughout, current 0 -> 1 -> 2: a path
+        # starting in 0 relays at t0 itself, then on one representable step.
+        grid = np.linspace(0.0, 1.0, 11)
+        pole = np.zeros((len(grid), 3, 3), dtype=bool)
+        pole[:, 1, 0] = pole[:, 2, 1] = True
+        full = np.array([[0.0, -0.4, 0.0], [0.4, 0.0, -0.4], [0.0, 0.4, 0.0]])
+        proc = JumpProcess(RateTrajectory(grid, RateMatrix(np.zeros(pole.shape), pole)),
+                           np.array([1.0, 0.0, 0.0]), [(0,), (1,), (2,)],
+                           currents=np.broadcast_to(full, (len(grid), 3, 3)))
+        assert proc.path(0).events == ((0.0, (1,)), (np.nextafter(0.0, 1.0), (2,)))
+
+
+class TestDraw:
+    def test_matches_searchsorted(self):
+        # Each row against the scalar inverse-CDF draw, with every other
+        # uniform set to hit a cumulative weight exactly.
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, rows):
+                return self.u[rows]
+
+        pick = np.random.default_rng(3)
+        columns = np.round(pick.normal(size=(500, 5)), 1)
+        columns[:50] = -1.0                                   # no positive weight
+        states = pick.integers(0, 5, size=500)
+        u = pick.random(500)
+        cums = []
+        for k in range(500):
+            w = np.clip(columns[k], 0.0, None)
+            w[states[k]] = 0.0
+            cums.append(np.cumsum(w))
+            if k % 2 and cums[k][-1] > 0.0:
+                u[k] = (cums[k] / cums[k][-1])[pick.integers(0, 4)]
+        dest = _draw(columns.copy(), states, np.arange(500), Fixed(u))
+        for k, cum in enumerate(cums):
+            expect = -1 if cum[-1] <= 0.0 else \
+                np.searchsorted(cum / cum[-1], u[k], side="right")
+            assert dest[k] == expect, k
 
 
 class TestEnsembleMarginals:
@@ -345,3 +394,145 @@ def test_run_paths_read_interface():
     assert bool(paths)
     assert paths.jump_counts.sum() > 0
     assert sum(p.jump_count for p in paths) == paths.jump_counts.sum()
+
+
+class TestStreams:
+    """The batch streams against numpy's per-path generators, bit for bit."""
+
+    @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**70])
+    def test_draws_match_numpy_philox(self, master):
+        # Indices past 2**32 take two entropy words; nine draws cross two
+        # four-lane block boundaries.
+        indices = np.concatenate([np.arange(2001), 2**32 + np.arange(-3, 4), [2**40 + 5]])
+        streams = _Streams(master, indices)
+        rows = np.arange(len(indices))
+        draws = np.column_stack([streams.random(rows) for _ in range(9)])
+        for k, i in enumerate(indices):
+            expect = np.random.Generator(np.random.Philox([master, int(i)])).random(9)
+            assert np.array_equal(draws[k], expect), (master, i)
+
+    def test_paths_drawn_unevenly(self):
+        # Paths at different positions in their blocks in one call.
+        indices = np.arange(2**32 - 20, 2**32 + 20)
+        streams = _Streams(7, indices)
+        got = [[] for _ in indices]
+        pick = np.random.default_rng(0)
+        for _ in range(40):
+            rows = np.flatnonzero(pick.random(len(indices)) < 0.5)
+            for r, u in zip(rows, streams.random(rows)):
+                got[r].append(u)
+        for k, i in enumerate(indices):
+            expect = np.random.Generator(np.random.Philox([7, int(i)])).random(len(got[k]))
+            assert np.array_equal(got[k], expect)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            zero_process(seed=-1).ensemble(3)
+
+
+def generic_2222(n_paths):
+    rng = np.random.default_rng(2222)
+    return Scenario(name="generic-2x2x2x2", factor_dims=(2, 2, 2, 2),
+                    hamiltonian=random_hermitian(rng, 16), initial_state=random_ket(rng, 16),
+                    time=TimeSpec(0.0, 0.5, 1e-3),
+                    ensemble=EnsembleSpec(n_paths, 9, (0.25, 0.5))).validate()
+
+
+def digests(paths):
+    ints = {name: getattr(paths, name).astype("<i8") for name in ("initial", "offsets", "dest")}
+    return {**{name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in ints.items()},
+            "times": hashlib.sha256(paths.times.astype("<f8").tobytes()).hexdigest()}
+
+
+# SHA-256 of each ensemble array (integers as little-endian int64, times as
+# float64), recorded from the path-by-path sampler at commit f2be0bf, which
+# built one Generator(Philox([master_seed, i])) per path.  The lockstep
+# sampler must reproduce its ensembles byte for byte.
+GOLDEN = {
+    "easyexample-5000": {
+        "initial": "e7e2dcff542de95352682dc186432e98f0188084896773f1973276b0577d5305",
+        "offsets": "6d640e2d2df829a9b5e3e7ceded7bb9667925c52c6a4cceacf95f5204799a5b8",
+        "dest": "9c59f55a834626c883fbfc2d78b947350ea6bb8c249e0b424a41ed660237a870",
+        "times": "8a6c0599fd656063a47929a61667fd136b12955d9eeb59d3dee31a5362b1801a",
+    },
+    "relay-400": {
+        "initial": "abf5adca65ccc652888d91f8dc4cf7b74468a2bab64af9fc93e059bb0d6c225a",
+        "offsets": "00966a65010eb7e9bb84f1c6cb07b848a1ff9c5b4644ac643a727b5829aedc21",
+        "dest": "ef8d164f2f18c7777256f33ca04d7d7cc2c73fe937843b9f3daff31d4e136a7c",
+        "times": "a361ef125b57209735566addd4d1032e7ff1fbcd76e34781e3448f4293c66025",
+    },
+    "generic-2x2x2x2-200": {
+        "initial": "d2c569b6e49feb80d0b8ccbc2362cf98811be31b72c1e6e6f03169ab93caf361",
+        "offsets": "e9b1bfd3b6ab00227e8e4a085bc00b99da434fbb45740ad822d2db6791639313",
+        "dest": "769265dee54a6679bde2ed292678aa4c67a8d2de170ec467a9110017ec5f83d8",
+        "times": "edb87f778a68c2d34a95540ab5c149b90502347ad006c65149d994d05f3bc548",
+    },
+}
+
+
+class TestGoldenEnsembles:
+    """Lockstep ensembles and errors against the path-by-path sampler."""
+
+    def test_easyexample(self):
+        paths = run(BUILTINS["easyexample"](n_paths=5000), report_only=True).paths
+        assert digests(paths) == GOLDEN["easyexample-5000"]
+
+    def test_relays(self):
+        paths = make_relay_process("resample").ensemble(400)
+        assert digests(paths) == GOLDEN["relay-400"]
+
+    def test_generic_2222(self):
+        paths = run(generic_2222(200), report_only=True).paths
+        assert digests(paths) == GOLDEN["generic-2x2x2x2-200"]
+
+    def test_abort_relay_message(self):
+        with pytest.raises(PoleEncountered) as err:
+            make_relay_process("abort").ensemble(400)
+        assert str(err.value) == \
+            "path occupies state 1 with diverging exit rate at t=0.14859839460016358"
+
+    @staticmethod
+    def ping_pong(policy):
+        # Both columns flagged at t=0.5 with rate 1 between the states: a
+        # resampled path is forced back and forth one step before the pole.
+        grid = np.linspace(0.0, 1.0, 11)
+        m = np.zeros((11, 2, 2))
+        m[:, 1, 0] = m[:, 0, 1] = 1.0
+        m[:, 0, 0] = m[:, 1, 1] = -1.0
+        pole = np.zeros(m.shape, dtype=bool)
+        pole[5, 1, 0] = pole[5, 0, 1] = True
+        return JumpProcess(RateTrajectory(grid, RateMatrix(m, pole)), [0.5, 0.5],
+                           [(0,), (1,)], pole_policy=policy, master_seed=3)
+
+    def test_abort_pole_ahead_message(self):
+        with pytest.raises(PoleEncountered) as err:
+            self.ping_pong("abort").ensemble(5)
+        assert str(err.value) == "state 1 meets a rate pole at t=0.5"
+
+    def test_runaway_message(self):
+        with pytest.raises(ModalDynError) as err:
+            self.ping_pong("resample").ensemble(5)
+        assert type(err.value) is ModalDynError
+        assert str(err.value) == "runaway path: too many events"
+
+    def test_first_failing_path_raises(self):
+        # State 1 is flagged throughout and entered at rate 0.3 from state 0,
+        # which trades with state 2 at rate 2.  Path 1 is the first to fail,
+        # on its second jump (t=0.754); path 30 fails sooner, on its first.
+        grid = np.linspace(0.0, 1.0, 11)
+        m = np.zeros((11, 3, 3))
+        m[:, 2, 0] = m[:, 0, 2] = 2.0
+        m[:, 1, 0] = 0.3
+        m[:, 0, 0], m[:, 2, 2] = -2.3, -2.0
+        pole = np.zeros(m.shape, dtype=bool)
+        pole[:, 0, 1] = True
+        proc = JumpProcess(RateTrajectory(grid, RateMatrix(m, pole)), [0.5, 0.0, 0.5],
+                           [(0,), (1,), (2,)], pole_policy="abort", master_seed=19)
+        message = "path occupies state 1 with diverging exit rate at t={}"
+        with pytest.raises(PoleEncountered) as err:
+            proc.ensemble(40)
+        assert str(err.value) == message.format(0.753713506763679)
+        with pytest.raises(PoleEncountered) as err:
+            proc.path(30)
+        assert str(err.value) == message.format(0.06554368647528798)
+        assert proc.path(0).jump_count > 0

@@ -120,6 +120,11 @@ class TestSerialization:
         with pytest.raises(ScenarioValidationError, match="grid_step"):
             bad.validate()
 
+    def test_negative_master_seed_rejected(self):
+        # Rejected before any stage runs, not deep in the sampling stage.
+        with pytest.raises(ScenarioValidationError, match="master_seed"):
+            run(BUILTINS["easyexample"](), master_seed=-1)
+
 
 def small(sc, n=200):
     return replace(sc, ensemble=replace(sc.ensemble, n_paths=n))
@@ -254,6 +259,10 @@ class TestCli:
         code = cli_main(["run", str(path), "--report-only"])
         assert code == 4
         assert "pole abort" in capsys.readouterr().err
+
+    def test_negative_seed_exit_code(self, capsys):
+        assert cli_main(["run", "easyexample", "--seed", "-3"]) == 2
+        assert "validation error: ensemble: master_seed" in capsys.readouterr().err
 
     def test_short_grid_rejected(self, tmp_path, capsys):
         doc = {
