@@ -102,11 +102,12 @@ def feller_minimal(rates, s: float, t: float, n_max: int = 25,
 
     m = max(2, ceil((t - s) / quad_step))
     u = np.linspace(s, t, m + 1)
+    du = (t - s) / m                                 # u is uniform: Simpson takes dx
     tm = _rate_batch(rates, u)                       # (m+1, D, D)
     exit_rates = -np.einsum("mii->mi", tm)           # (m+1, D)
     if exit_rates.min() < -1e-12:
         raise ValueError("negative exit rate encountered")
-    lam = cumulative_simpson(np.clip(exit_rates, 0.0, None), x=u, axis=0, initial=0)
+    lam = cumulative_simpson(np.clip(exit_rates, 0.0, None), dx=du, axis=0, initial=0)
     if lam.max() > 600.0:
         raise ValueError("cumulative hazard too large for stable series evaluation")
 
@@ -123,7 +124,7 @@ def feller_minimal(rates, s: float, t: float, n_max: int = 25,
     for n in range(1, n_max + 1):
         g = np.einsum("mjk,mki->mji", toff, prev)
         integrand = grow[:, :, None] * g
-        acc = cumulative_simpson(integrand, x=u, axis=0, initial=0)
+        acc = cumulative_simpson(integrand, dx=du, axis=0, initial=0)
         prev = surv[:, :, None] * acc
         np.clip(prev, 0.0, None, out=prev)
         total += prev

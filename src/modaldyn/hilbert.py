@@ -66,12 +66,20 @@ class FactorSpace:
         return list(itertools.product(*[range(d) for d in self.factor_dims]))
 
 
-def _as_square(a) -> np.ndarray:
+def _as_square_stack(a) -> np.ndarray:
+    """``a`` as a complex ``(..., d, d)`` array with finite entries."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
+    return a
+
+
+def _as_square(a) -> np.ndarray:
+    a = _as_square_stack(a)
+    if a.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -137,22 +145,24 @@ def partial_trace(w, space: FactorSpace, keep: int) -> np.ndarray:
     Parameters
     ----------
     w : array
-        Operator on the full product space.
+        Operator on the full product space, or a stack ``(..., dim, dim)``
+        of them; the leading axes broadcast through to the result
+        ``(..., d_keep, d_keep)``.
     space : FactorSpace
         Factor dimensions; their product must equal ``w``'s dimension.
     keep : int
         Index of the factor to keep.
     """
-    w = _as_square(w)
+    w = _as_square_stack(w)
     dims = space.factor_dims
     n = len(dims)
-    if w.shape[0] != space.dim:
+    if w.shape[-1] != space.dim:
         raise ValueError(
-            f"dimension mismatch: operator dim {w.shape[0]}, factors give {space.dim}"
+            f"dimension mismatch: operator dim {w.shape[-1]}, factors give {space.dim}"
         )
     if not 0 <= keep < n:
         raise ValueError(f"keep index {keep} out of range for {n} factors")
-    wt = w.reshape(dims + dims)
+    wt = w.reshape(w.shape[:-2] + dims + dims)
     # Shared letters on traced row/column axes sum them out.
     row = []
     col = []
@@ -164,7 +174,7 @@ def partial_trace(w, space: FactorSpace, keep: int) -> np.ndarray:
             c = chr(ord("a") + i)
             row.append(c)
             col.append(c)
-    sub = f"{''.join(row)}{''.join(col)}->YZ"
+    sub = f"...{''.join(row)}{''.join(col)}->...YZ"
     return np.einsum(sub, wt)
 
 

@@ -55,11 +55,9 @@ def compute_joint_family(scenario: Scenario, tol: Tolerances = DEFAULT) -> Joint
     grid = scenario.grid()
     psi = evolve_on_grid(scenario.initial_state, scenario.hamiltonian, grid, tol)
 
-    trajectories = []
-    for k in range(space.n_factors):
-        reduced = [partial_trace(np.outer(psi[m], psi[m].conj()), space, k)
-                   for m in range(len(grid))]
-        trajectories.append(track(reduced, grid, tol=tol))
+    pure = psi[:, :, None] * psi[:, None, :].conj()             # (n, dim, dim)
+    trajectories = [track(partial_trace(pure, space, k), grid, tol=tol)
+                    for k in range(space.n_factors)]
 
     states = space.joint_indices()
     # Joint vectors: kron of the per-factor tracked directions, per node.
@@ -146,6 +144,7 @@ class RunReport:
     master_residual: float
     master_rows_masked: int
     crossings: list = field(default_factory=list)
+    tracking_margins: list = field(default_factory=list)
     singularities: list = field(default_factory=list)
     pole_nodes: int = 0
     kernel_window: tuple[float, float] | None = None
@@ -269,6 +268,10 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
          "labels": list(ev.labels), "min_gap": ev.min_gap, "t_min": ev.t_min}
         for fk, traj in enumerate(family.factor_trajectories)
         for ev in detect_crossings(traj, scenario.thresholds.crossing_gap).events
+    ]
+    report.tracking_margins = [
+        {"factor": fk, "min_overlap": traj.min_overlap, "min_gap": traj.min_gap}
+        for fk, traj in enumerate(family.factor_trajectories)
     ]
     sing_report = classify_singularities(family.probabilities, grid,
                                          rate_matrices, tol=tol)

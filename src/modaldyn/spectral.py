@@ -1,13 +1,33 @@
 """Continuous tracking of eigenprojection families through weight crossings.
 
-A time-indexed family of density operators is decomposed node by node and
-the one-dimensional eigendirections are threaded into continuous labeled
+A time-indexed family of density operators is decomposed and the
+one-dimensional eigendirections are threaded into continuous labeled
 trajectories.  Label assignment between consecutive nodes maximizes the
-total squared eigenvector overlap (solved exactly with the Hungarian
-method); near-degenerate clusters are continued as a whole and then split
-by maximal overlap with the previous node's directions.  Zero-weight
-directions are tracked like any other, so the label set never changes
-cardinality.
+total squared eigenvector overlap; near-degenerate clusters are continued
+as a whole and then split by maximal overlap with the previous node's
+directions.  Zero-weight directions are tracked like any other, so the
+label set never changes cardinality.
+
+:func:`track` decomposes the whole ``(n, d, d)`` stack with one stacked
+``eigh`` and forms the overlaps ``|<u_r(k-1)|u_c(k)>|^2`` of consecutive
+eigenbases as one array.  Two paths then assign labels:
+
+* **Fast path.**  A node whose spectrum and predecessor's spectrum have no
+  degenerate cluster, and whose overlap matrix has in every row an entry
+  above 1/2 with those entries forming a permutation, needs no assignment
+  solve.  The overlap matrix of two orthonormal bases is doubly
+  stochastic, so every other entry of such a row is below 1/2: any other
+  permutation takes a smaller entry in every row where it differs, and
+  that permutation is the unique optimum of the Hungarian objective.
+  Label maps compose along runs of such nodes (only where a column
+  actually moves), and phases follow from a cumulative product of the
+  unit overlaps, ``phi_k = phi_(k-1) conj(g_k) / |g_k|``.
+* **Fallback.**  Every other node (a degenerate cluster at it or its
+  predecessor, an overlap row without a dominant entry, or an overlap
+  below ``overlap_threshold``) takes the per-node step: the Hungarian
+  method on the overlap matrix, then polar alignment of clusters.  This
+  covers singlet-like fully degenerate families, exact crossings and
+  ambiguous continuations, which raise from this step.
 """
 
 from __future__ import annotations
@@ -57,6 +77,22 @@ class SpectralTrajectory:
     def projectors(self) -> np.ndarray:
         """Array of shape ``(n, d, dim, dim)`` with the tracked projectors."""
         return np.einsum("kix,kiy->kixy", self.vectors, self.vectors.conj())
+
+    @property
+    def min_overlap(self) -> float:
+        """Smallest squared overlap of a label's direction with its direction
+        one node earlier: how close tracking came to ``overlap_threshold``."""
+        v = self.vectors
+        if len(v) < 2:
+            return 1.0
+        return float((np.abs(np.einsum("kix,kix->ki", v[:-1].conj(), v[1:])) ** 2).min())
+
+    @property
+    def min_gap(self) -> float | None:
+        """Smallest gap between two weights at one node; ``None`` for one label."""
+        if self.n_labels < 2:
+            return None
+        return float(np.diff(np.sort(self.weights, axis=1), axis=1).min())
 
     def projectors_at(self, k: int) -> np.ndarray:
         v = self.vectors[k]
@@ -167,14 +203,58 @@ def _initial_frame(w0: np.ndarray, reference, tol: Tolerances):
     return dec.values.copy(), vectors
 
 
+def _check_stack(states: np.ndarray, tol: Tolerances) -> None:
+    """Finite, Hermitian entries at every node; the first bad node is named."""
+    finite = np.isfinite(states).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"state at node {int(np.argmin(finite))}: "
+                         "matrix entries must be finite")
+    dev = np.abs(states - states.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    bad = np.flatnonzero(dev > tol.hermiticity)
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"state at node {k} is not Hermitian "
+                         f"(max deviation {dev[k]:.3e})")
+
+
+def _continue(prev: np.ndarray, state: np.ndarray, tol: Tolerances):
+    """One per-node step from the labeled rows ``prev`` to ``state``'s eigenbasis.
+
+    Returns the weights and vectors in label order and the eigencolumn of
+    each label.
+    """
+    dec = hermitian_eig(state, tol)
+    dim = dec.dim
+    overlap = np.abs(prev.conj() @ dec.vectors) ** 2   # (label, new column)
+    _, col_of_label = linear_sum_assignment(-overlap)
+
+    new_vecs = np.empty_like(prev)
+    for cluster in dec.clusters:
+        cols = list(cluster)
+        labels = [l for l in range(dim) if col_of_label[l] in cluster]
+        if len(cols) == 1:
+            lab = labels[0]
+            v = dec.vectors[:, cols[0]]
+            z = np.vdot(prev[lab], v)
+            if abs(z) > 0:
+                v = v * (z.conjugate() / abs(z))
+            new_vecs[lab] = v
+        else:
+            aligned = _polar_align(dec.vectors[:, cols], prev[labels].T)
+            for j, lab in enumerate(labels):
+                new_vecs[lab] = aligned[:, j]
+    return dec.values[col_of_label], new_vecs, col_of_label
+
+
 def track(states, grid, overlap_threshold: float | None = None,
           reference=None, tol: Tolerances = DEFAULT) -> SpectralTrajectory:
     """Thread the eigendirections of a state family into labeled trajectories.
 
     Parameters
     ----------
-    states : sequence of arrays
-        Density operators, one per grid node.
+    states : array
+        Density operators, one per grid node: an ``(n, d, d)`` stack or a
+        sequence of ``(d, d)`` arrays.
     grid : array
         Strictly increasing times, same length as ``states``.
     overlap_threshold : float, optional
@@ -183,63 +263,98 @@ def track(states, grid, overlap_threshold: float | None = None,
 
     Raises
     ------
+    ValueError
+        If a node's state is not finite and Hermitian; the first such node
+        is named.
     AmbiguousContinuation
         If any label's continuation overlap falls below the threshold.
     """
     if overlap_threshold is None:
         overlap_threshold = tol.overlap_threshold
     grid = np.asarray(grid, dtype=float)
-    states = [np.asarray(s, dtype=complex) for s in states]
-    if grid.ndim != 1 or len(states) != len(grid) or len(grid) < 1:
+    try:
+        states = np.asarray(states, dtype=complex)
+    except ValueError as exc:
+        raise ValueError("all states must share one dimension") from exc
+    if grid.ndim != 1 or len(grid) < 1 or states.ndim < 1 or len(states) != len(grid):
         raise ValueError("states and grid must be nonempty and of equal length")
-    if len(grid) > 1 and np.any(np.diff(grid) <= 0):
+    if np.any(np.diff(grid) <= 0):
         raise ValueError("grid times must be strictly increasing")
-    dim = states[0].shape[0]
-    for s in states:
-        if s.shape != (dim, dim):
-            raise ValueError("all states must share one dimension")
+    if states.ndim != 3 or states.shape[1] != states.shape[2] or states.shape[1] < 1:
+        raise ValueError("all states must share one dimension")
+    _check_stack(states, tol)
 
-    n = len(grid)
+    n, dim = states.shape[:2]
+    vals, basis = np.linalg.eigh(states)
+    vals, basis = vals[:, ::-1], basis[:, :, ::-1]        # descending, as hermitian_eig
+    plain = (vals[:, :-1] - vals[:, 1:] > tol.degeneracy).all(axis=1)
+    # raw[k-1][r, c] = <column r at node k-1 | column c at node k>.
+    raw = basis[:-1].conj().swapaxes(1, 2) @ basis[1:]
+    overlap = np.abs(raw) ** 2
+    step = overlap.argmax(axis=2)                         # column at k of column r at k-1
+    best = np.take_along_axis(overlap, step[..., None], axis=2)[..., 0]
+    fast = np.zeros(n, dtype=bool)
+    fast[1:] = (plain[1:] & plain[:-1] & (best > 0.5).all(axis=1)
+                & (best >= overlap_threshold).all(axis=1)
+                & (np.sort(step, axis=1) == np.arange(dim)).all(axis=1))
+
     weights = np.empty((n, dim))
     vectors = np.empty((n, dim, dim), dtype=complex)
-
-    vals0, vecs0 = _initial_frame(check_hermitian(states[0], tol), reference, tol)
+    vals0, vecs0 = _initial_frame(states[0], reference, tol)
     weights[0] = vals0
     vectors[0] = vecs0.T               # row i is the vector of label i
+    col_of_label = np.arange(dim) if plain[0] else None
 
-    for k in range(1, n):
-        dec = hermitian_eig(states[k], tol)
+    anchor = 0
+    for k in [*(np.flatnonzero(~fast[1:]) + 1).tolist(), n]:
+        if k > anchor + 1:
+            _fast_run(weights, vectors, vals, basis, raw, step, anchor, k, col_of_label)
+        if k == n:
+            break
         prev = vectors[k - 1]
-        overlap = np.abs(prev.conj() @ dec.vectors) ** 2   # (label, new column)
-        _, col_of_label = linear_sum_assignment(-overlap)
-
-        new_vecs = np.empty_like(prev)
-        for cluster in dec.clusters:
-            cols = list(cluster)
-            labels = [l for l in range(dim) if col_of_label[l] in cluster]
-            if len(cols) == 1:
-                lab = labels[0]
-                v = dec.vectors[:, cols[0]]
-                z = np.vdot(prev[lab], v)
-                if abs(z) > 0:
-                    v = v * (z.conjugate() / abs(z))
-                new_vecs[lab] = v
-            else:
-                aligned = _polar_align(dec.vectors[:, cols], prev[labels].T)
-                for j, lab in enumerate(labels):
-                    new_vecs[lab] = aligned[:, j]
-
-        for lab in range(dim):
-            o = abs(np.vdot(prev[lab], new_vecs[lab])) ** 2
-            if o < overlap_threshold:
-                raise AmbiguousContinuation(
-                    f"label {lab} overlap {o:.3f} < {overlap_threshold} at "
-                    f"t={float(grid[k])}; refine the grid"
-                )
-        vectors[k] = new_vecs
-        weights[k] = dec.values[col_of_label]
+        weights[k], vectors[k], assigned = _continue(prev, states[k], tol)
+        o = np.abs(np.einsum("lx,lx->l", prev.conj(), vectors[k])) ** 2
+        low = np.flatnonzero(o < overlap_threshold)
+        if low.size:
+            lab = int(low[0])
+            raise AmbiguousContinuation(
+                f"label {lab} overlap {o[lab]:.3f} < {overlap_threshold} at "
+                f"t={float(grid[k])}; refine the grid"
+            )
+        col_of_label = assigned if plain[k] else None
+        anchor = k
 
     return SpectralTrajectory(grid=grid, weights=weights, vectors=vectors)
+
+
+def _fast_run(weights, vectors, vals, basis, raw, step, anchor: int, end: int,
+              col_of_label: np.ndarray) -> None:
+    """Fill nodes ``anchor+1 .. end-1``, all on the fast path, in place.
+
+    ``col_of_label`` maps each label to its eigencolumn at ``anchor``, where
+    the tracked vectors are unit multiples of those columns.  The maps
+    compose only at nodes whose step permutation moves a column; phases are
+    a cumulative product of the unit overlaps.
+    """
+    length = end - anchor - 1
+    steps = step[anchor:end - 1]                     # steps[i-1] leads to node anchor+i
+    cols = np.empty((length + 1, len(col_of_label)), dtype=int)  # [i, label] at anchor+i
+    cols[0] = col_of_label
+    last = 0
+    moved = (steps != np.arange(len(col_of_label))).any(axis=1)
+    for i in (np.flatnonzero(moved) + 1).tolist():
+        cols[last + 1:i] = cols[last]
+        cols[i] = steps[i - 1][cols[i - 1]]
+        last = i
+    cols[last + 1:] = cols[last]
+
+    g = raw[anchor:end - 1][np.arange(length)[:, None], cols[:-1], cols[1:]]
+    phase = np.einsum("xl,lx->l", basis[anchor][:, col_of_label].conj(), vectors[anchor])
+    phase = phase * np.cumprod(g.conj() / np.abs(g), axis=0)
+    phase /= np.abs(phase)
+    picked = np.take_along_axis(basis[anchor + 1:end], cols[1:, None, :], axis=2)
+    vectors[anchor + 1:end] = phase[:, :, None] * picked.swapaxes(1, 2)
+    weights[anchor + 1:end] = np.take_along_axis(vals[anchor + 1:end], cols[1:], axis=1)
 
 
 def _stencil(grid) -> tuple[np.ndarray, np.ndarray]:

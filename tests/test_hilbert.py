@@ -62,6 +62,35 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="mismatch"):
             partial_trace(random_density(rng, 4), FactorSpace((2, 3)), 0)
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2, 4), (2, 2, 2, 2)])
+    def test_stack_bit_identical_to_per_node(self, rng, dims):
+        # Pure states as the pipeline builds them, plus one leading axis more.
+        space = FactorSpace(dims)
+        psi = np.stack([random_ket(rng, space.dim) for _ in range(6)]).reshape(2, 3, -1)
+        pure = psi[..., :, None] * psi[..., None, :].conj()
+        for keep in range(len(dims)):
+            stacked = partial_trace(pure, space, keep)
+            assert stacked.shape == (2, 3, dims[keep], dims[keep])
+            for i in range(2):
+                for j in range(3):
+                    one = partial_trace(np.outer(psi[i, j], psi[i, j].conj()), space, keep)
+                    assert np.array_equal(stacked[i, j], one)
+
+    def test_stack_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            partial_trace(np.zeros((3, 4, 2)), FactorSpace((2, 2)), 0)
+
+    def test_track_names_non_hermitian_node(self, rng):
+        from modaldyn.spectral import track
+        states = np.stack([random_density(rng, 3) for _ in range(5)])
+        states[3, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="node 3 is not Hermitian"):
+            track(states, np.linspace(0.0, 1.0, 5))
+        states[3] = states[2]
+        states[1, 2, 2] = np.nan
+        with pytest.raises(ValueError, match="node 1: matrix entries must be finite"):
+            track(states, np.linspace(0.0, 1.0, 5))
+
 
 class TestHermitianEig:
     def test_diagonal_case(self):

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import linear_sum_assignment
+
+from modaldyn import spectral
+from modaldyn.config import DEFAULT
 from modaldyn.errors import AmbiguousContinuation
-from modaldyn.hilbert import matrix_exponential, projector_from_vector
+from modaldyn.hilbert import (FactorSpace, check_hermitian, evolve_on_grid,
+                              hermitian_eig, matrix_exponential, partial_trace,
+                              projector_from_vector)
 from modaldyn.spectral import (_nearest_node, _runs, detect_crossings,
                                derivative_family, fiduciary_refine, track)
 
-from conftest import random_hermitian
+from conftest import random_hermitian, random_ket
 
 
 def crossing_family(theta, grid):
@@ -22,6 +28,198 @@ def rotation_family(h, w0, grid):
         u = matrix_exponential(-1j * h * t)
         states.append(u @ w0 @ u.conj().T)
     return states
+
+
+def per_node_track(states, grid, overlap_threshold=0.5, tol=DEFAULT):
+    """Reference: one eigendecomposition and one Hungarian solve per node."""
+    grid = np.asarray(grid, dtype=float)
+    states = [np.asarray(s, dtype=complex) for s in states]
+    n, dim = len(grid), states[0].shape[0]
+    weights = np.empty((n, dim))
+    vectors = np.empty((n, dim, dim), dtype=complex)
+    vals0, vecs0 = spectral._initial_frame(check_hermitian(states[0], tol), None, tol)
+    weights[0] = vals0
+    vectors[0] = vecs0.T
+    for k in range(1, n):
+        dec = hermitian_eig(states[k], tol)
+        prev = vectors[k - 1]
+        overlap = np.abs(prev.conj() @ dec.vectors) ** 2
+        _, col_of_label = linear_sum_assignment(-overlap)
+        new_vecs = np.empty_like(prev)
+        for cluster in dec.clusters:
+            cols = list(cluster)
+            labels = [l for l in range(dim) if col_of_label[l] in cluster]
+            if len(cols) == 1:
+                lab = labels[0]
+                v = dec.vectors[:, cols[0]]
+                z = np.vdot(prev[lab], v)
+                if abs(z) > 0:
+                    v = v * (z.conjugate() / abs(z))
+                new_vecs[lab] = v
+            else:
+                aligned = spectral._polar_align(dec.vectors[:, cols], prev[labels].T)
+                for j, lab in enumerate(labels):
+                    new_vecs[lab] = aligned[:, j]
+        for lab in range(dim):
+            o = abs(np.vdot(prev[lab], new_vecs[lab])) ** 2
+            if o < overlap_threshold:
+                raise AmbiguousContinuation(
+                    f"label {lab} overlap {o:.3f} < {overlap_threshold} at "
+                    f"t={float(grid[k])}; refine the grid"
+                )
+        vectors[k] = new_vecs
+        weights[k] = dec.values[col_of_label]
+    return weights, vectors
+
+
+@pytest.fixture
+def fallback_nodes(monkeypatch):
+    """The node states ``track`` hands to its per-node step, in call order."""
+    nodes = []
+    step = spectral._continue
+
+    def counted(prev, state, tol):
+        nodes.append(state)
+        return step(prev, state, tol)
+
+    monkeypatch.setattr(spectral, "_continue", counted)
+    return nodes
+
+
+def assert_matches_per_node(states, grid, **kwargs):
+    states = np.asarray(states, dtype=complex)
+    try:
+        weights, vectors = per_node_track(states, grid, **kwargs)
+    except AmbiguousContinuation as err:
+        with pytest.raises(AmbiguousContinuation) as got:
+            track(states, grid, **kwargs)
+        assert str(got.value) == str(err)
+        return None
+    traj = track(states, grid, **kwargs)
+    assert np.abs(traj.weights - weights).max() <= 1e-14
+    assert np.abs(traj.vectors - vectors).max() <= 1e-12
+    return traj
+
+
+def node_indices(found, states):
+    """Nodes of the complex stack ``states`` whose views the fallback step saw."""
+    return [(s.ctypes.data - states.ctypes.data) // states.strides[0] for s in found]
+
+
+def degenerate_stretch_family(h, grid):
+    """Rotating weights (0.4 + s, 0.4 - s, 0.2) with s = 0 on [0.4, 0.6]."""
+    s = 0.25 * np.clip(np.abs(grid - 0.5) - 0.1, 0.0, None)
+    out = []
+    for t, st in zip(grid, s):
+        u = matrix_exponential(-1j * h * t)
+        out.append(u @ np.diag([0.4 + st, 0.4 - st, 0.2]) @ u.conj().T)
+    return out
+
+
+class TestBatchedTracking:
+    """The batched ``track`` against the per-node reference loop."""
+
+    def test_crossing_family(self, fallback_nodes):
+        # pi/4 and 3pi/4 are grid nodes: the weights meet exactly there, so
+        # those nodes and their successors take the per-node step; the
+        # swaps between other nodes compose on the fast path.
+        grid = np.linspace(0, np.pi, 2001)
+        states = np.asarray(crossing_family(1.0, grid), dtype=complex)
+        assert_matches_per_node(states, grid)
+        assert node_indices(fallback_nodes, states) == [500, 501, 1500, 1501]
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_rotation_family(self, rng, fallback_nodes, dim):
+        h = random_hermitian(rng, dim)
+        w0 = np.diag(np.linspace(0.4, 0.1, dim) / np.linspace(0.4, 0.1, dim).sum())
+        grid = np.arange(0, 1.0 + 1e-9, 1e-3)
+        assert_matches_per_node(rotation_family(h, w0.astype(complex), grid), grid)
+        assert fallback_nodes == []
+
+    def test_stationary_degenerate(self, fallback_nodes):
+        grid = np.linspace(0, 1, 30)
+        w = np.diag([0.5, 0.25, 0.25]).astype(complex)
+        traj = assert_matches_per_node([w] * 30, grid)
+        assert len(fallback_nodes) == 29
+        assert traj.min_gap == 0.0
+
+    def test_degenerate_stretch_mid_grid(self, rng, fallback_nodes):
+        h = random_hermitian(rng, 3)
+        grid = np.arange(0, 1.0 + 1e-9, 1e-3)
+        states = np.asarray(degenerate_stretch_family(h, grid))
+        assert_matches_per_node(states, grid)
+        # Per-node work covers the stretch (nodes 400-600) and the node
+        # after it, no more.
+        assert node_indices(fallback_nodes, states) == list(range(400, 602))
+
+    def test_random_pure_states(self, fallback_nodes):
+        # On (4, 2) the first factor's reduced state has rank 2, a zero
+        # cluster at every node, so the per-node step runs there throughout.
+        rng = np.random.default_rng(7)
+        draws = [(4, 2)] + [tuple(int(d) for d in rng.choice([2, 3, 4], size=n_factors))
+                            for n_factors in (2, 2, 3, 3)]
+        for dims in draws:
+            space = FactorSpace(dims)
+            grid = np.arange(0, 0.3 + 1e-9, 1e-3)
+            psi = evolve_on_grid(random_ket(rng, space.dim),
+                                 random_hermitian(rng, space.dim), grid)
+            pure = psi[:, :, None] * psi[:, None, :].conj()
+            for keep in range(len(dims)):
+                assert_matches_per_node(partial_trace(pure, space, keep), grid)
+        assert fallback_nodes
+
+    def test_coarse_grid_same_message(self):
+        # Stationary nodes ride the fast path; the Fourier jump at node 5
+        # leaves every overlap at 1/3 and raises as the per-node loop does.
+        f = np.exp(2j * np.pi / 3 * np.outer(np.arange(3), np.arange(3))) / np.sqrt(3)
+        w0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        states = [w0] * 5 + [f @ w0 @ f.conj().T] * 3
+        grid = np.arange(8.0)
+        with pytest.raises(AmbiguousContinuation) as ref:
+            per_node_track(states, grid)
+        with pytest.raises(AmbiguousContinuation) as got:
+            track(states, grid)
+        assert str(got.value) == str(ref.value)
+        assert "at t=5.0;" in str(got.value)
+
+    def test_threshold_above_half_same_message(self):
+        # A rotation with overlap 0.8 passes the 1/2 uniqueness test but not
+        # a 0.9 threshold: the first such node and lowest label are named.
+        c, s = np.sqrt(0.8), np.sqrt(0.2)
+        r = np.array([[c, -s], [s, c]], dtype=complex)
+        w0 = np.diag([0.7, 0.3]).astype(complex)
+        states = [w0] * 4 + [r @ w0 @ r.T] * 2
+        grid = np.linspace(0.0, 0.5, 6)
+        with pytest.raises(AmbiguousContinuation) as ref:
+            per_node_track(states, grid, overlap_threshold=0.9)
+        with pytest.raises(AmbiguousContinuation) as got:
+            track(states, grid, overlap_threshold=0.9)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).startswith("label 0 overlap 0.800 < 0.9 at t=0.4;")
+
+
+class TestTrackingMargins:
+    def test_uniform_rotation(self):
+        # Directions turn by omega*h per step: overlap cos^2(omega h).
+        omega, grid = 2.0, np.linspace(0.0, 1.0, 101)
+        states = []
+        for t in grid:
+            r = np.array([[np.cos(omega * t), -np.sin(omega * t)],
+                          [np.sin(omega * t), np.cos(omega * t)]])
+            states.append(r @ np.diag([0.7, 0.3]) @ r.T)
+        traj = track(states, grid)
+        assert abs(traj.min_overlap - np.cos(omega * 0.01) ** 2) <= 1e-12
+        assert abs(traj.min_gap - 0.4) <= 1e-12
+
+    def test_crossing_gap(self):
+        grid = np.linspace(0, np.pi, 1000)
+        traj = track(crossing_family(1.0, grid), grid)
+        assert traj.min_gap == pytest.approx(np.abs(np.cos(2 * grid)).min(), abs=1e-12)
+        assert abs(traj.min_overlap - 1.0) <= 1e-12
+
+    def test_single_node_and_label(self):
+        traj = track([np.eye(1, dtype=complex)], [0.0])
+        assert traj.min_overlap == 1.0 and traj.min_gap is None
 
 
 class TestTrack:
