@@ -7,9 +7,9 @@ perfectly constant, so the label set never changes.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
 from modaldyn import detect_crossings, track
-from modaldyn.hilbert import matrix_exponential
 from modaldyn.spectral import derivative_family
 
 # --- a crossing family with constant eigenprojections ---------------------
@@ -23,8 +23,7 @@ traj = track(states, grid)
 drift = np.abs(traj.projectors - traj.projectors[0]).max()
 print(f"max projector drift over [0, pi]: {drift:.2e}  (constant through crossings)")
 
-report = detect_crossings(traj, gap_threshold=0.01)
-for ev in report.events:
+for ev in detect_crossings(traj, gap_threshold=0.01):
     print(f"weights of labels {ev.labels} cross near t = {ev.t_min:.4f} "
           f"(min gap {ev.min_gap:.2e})")
 print(f"exact crossings sit at pi/4 = {np.pi/4:.4f} and 3pi/4 = {3*np.pi/4:.4f}")
@@ -39,14 +38,14 @@ w0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
 grid = np.arange(0.0, 1.0 + 1e-12, 1e-3)
 rotated = []
 for t in grid:
-    u = matrix_exponential(-1j * h * t)
+    u = expm(-1j * h * t)
     rotated.append(u @ w0 @ u.conj().T)
 traj = track(rotated, grid)
 
 k = 700
-u = matrix_exponential(-1j * h * grid[k])
+u = expm(-1j * h * grid[k])
 err = max(
-    np.abs(traj.projectors_at(k)[i] - u @ np.diag([float(j == i) for j in range(3)])
+    np.abs(traj.projectors[k, i] - u @ np.diag([float(j == i) for j in range(3)])
            @ u.conj().T).max()
     for i in range(3)
 )
@@ -55,7 +54,7 @@ print(f"\nrotating family: tracked vs closed-form projectors at t={grid[k]:.2f}:
 
 derivs = derivative_family(traj.projectors, grid)[k]
 balance = np.abs(sum(derivs)).max()
-comm = np.abs(derivs[0] - (-1j) * (h @ traj.projectors_at(k)[0]
-                                   - traj.projectors_at(k)[0] @ h)).max()
+comm = np.abs(derivs[0] - (-1j) * (h @ traj.projectors[k, 0]
+                                   - traj.projectors[k, 0] @ h)).max()
 print(f"derivative family sums to zero within {balance:.2e}; "
       f"matches -i[H, P] within {comm:.2e}")

@@ -8,10 +8,10 @@ matrix exponential.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
 from modaldyn import (chapman_kolmogorov_residual, feller_minimal,
-                      forward_ode_kernel, honesty_deficit, load_scenario,
-                      matrix_exponential)
+                      forward_ode_kernel, honesty_deficit, load_scenario)
 from modaldyn.pipeline import run
 
 # --- constant rates: the exactly solvable check ------------------------------
@@ -23,7 +23,7 @@ rates = lambda u: t_mat
 
 series = feller_minimal(rates, 0.0, 1.0, n_max=25, quad_step=1e-3)
 ode = forward_ode_kernel(rates, 0.0, 1.0, ode_step=1e-3)
-exact = matrix_exponential(t_mat).real
+exact = expm(t_mat).real
 
 print("constant 2-state rates over one time unit:")
 print(f"  series kernel ({series.n_terms} jump terms) vs exp(T): "

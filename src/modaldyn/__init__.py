@@ -9,26 +9,24 @@ series, and Monte Carlo path ensembles reproduce the quantum single-time
 probabilities.
 """
 
-from .config import DEFAULT, Tolerances, with_overrides
+from .config import DEFAULT, Tolerances
 from .errors import (AmbiguousContinuation, ModalDynError, PoleEncountered,
                      PoleInInterval, ScenarioValidationError,
                      TruncationNotConverged)
 from .hilbert import (EigenDecomposition, FactorSpace, check_density_operator,
-                      check_hermitian, check_ket, evolve_on_grid, evolve_state,
-                      hermitian_eig, matrix_exponential, partial_trace,
-                      projector_from_vector, tensor_product)
-from .spectral import (CrossingEvent, CrossingReport, SpectralTrajectory,
-                       detect_crossings, fiduciary_refine, track)
+                      check_hermitian, check_ket, evolve_on_grid, hermitian_eig,
+                      partial_trace, projector_from_vector, tensor_product)
+from .spectral import (CrossingEvent, SpectralTrajectory, detect_crossings,
+                       fiduciary_refine, track)
 from .algebra import (FauxBooleanAlgebra, PropertyState, composite_generating_set,
                       generate_faux_boolean, joint_distribution, joint_probability,
                       ultrafilter_state)
 from .currents import (CurrentMatrix, continuity_residual,
                        generalized_schrodinger_current, minimal_flow_current,
                        static_schrodinger_current)
-from .kinetics import (JumpDecomposition, RateMatrix, RateTrajectory,
-                       SingularityReport, bell_rates, classify_singularities,
-                       general_rates, jump_decomposition, master_residual,
-                       pole_free_rows)
+from .kinetics import (JumpDecomposition, RateMatrix, RateTrajectory, bell_rates,
+                       classify_singularities, general_rates, jump_decomposition,
+                       master_residual, pole_free_rows)
 from .feller import (TransitionKernel, chapman_kolmogorov_residual,
                      feller_minimal, forward_ode_kernel, honesty_deficit)
 from .sampler import (EnsembleStats, JumpProcess, PathEnsemble, SamplePath,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .hilbert import check_hermitian, check_ket, tensor_product_all
+from .hilbert import check_hermitian, check_ket, tensor_product
 
 __all__ = [
     "FauxBooleanAlgebra",
@@ -184,7 +184,7 @@ def composite_generating_set(factor_sets, tol: Tolerances = DEFAULT
     out = []
     ranges = [range(len(fs)) for fs in factor_sets]
     for joint in itertools.product(*ranges):
-        proj = tensor_product_all(factor_sets[k][joint[k]] for k in range(len(factor_sets)))
+        proj = tensor_product(*(fs[i] for fs, i in zip(factor_sets, joint)))
         out.append((tuple(joint), proj))
     return out
 

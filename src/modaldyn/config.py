@@ -6,7 +6,7 @@ the library, the pipeline and the tests share a single source of defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,3 @@ class Tolerances:
 
 
 DEFAULT = Tolerances()
-
-
-def with_overrides(**kwargs) -> Tolerances:
-    """Copy of the default record with selected fields replaced."""
-    return replace(DEFAULT, **kwargs)

@@ -66,13 +66,10 @@ def _upper(f: np.ndarray) -> CurrentMatrix:
     return CurrentMatrix(upper=np.triu(f, 1))
 
 
-def minimal_flow_current(pdot, size: int | None = None,
-                         tol: Tolerances = DEFAULT) -> CurrentMatrix:
+def minimal_flow_current(pdot, tol: Tolerances = DEFAULT) -> CurrentMatrix:
     """Least-norm current (pdot_j - pdot_i) / D for balanced pdot vectors (..., D)."""
     pdot = np.asarray(pdot, dtype=float)
     d = pdot.shape[-1]
-    if size is not None and size != d:
-        raise ValueError(f"size {size} does not match pdot length {d}")
     bal = np.abs(pdot.sum(axis=-1)).max()
     if bal > tol.pdot_balance:
         raise ValueError(f"pdot must sum to zero (got {bal:.3e})")

@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT, Tolerances
 
@@ -29,9 +28,7 @@ __all__ = [
     "check_hermitian",
     "check_ket",
     "evolve_on_grid",
-    "evolve_state",
     "hermitian_eig",
-    "matrix_exponential",
     "partial_trace",
     "projector_from_vector",
     "tensor_product",
@@ -123,18 +120,12 @@ def projector_from_vector(v) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two square operators, left factor slowest."""
-    return np.kron(_as_square(a), _as_square(b))
-
-
-def tensor_product_all(mats) -> np.ndarray:
-    """Fold :func:`tensor_product` over a sequence of operators."""
-    mats = list(mats)
-    if not mats:
+def tensor_product(*ops) -> np.ndarray:
+    """Kronecker product of one or more square operators, left factor slowest."""
+    if not ops:
         raise ValueError("need at least one factor")
-    out = _as_square(mats[0])
-    for m in mats[1:]:
+    out = _as_square(ops[0])
+    for m in ops[1:]:
         out = np.kron(out, _as_square(m))
     return out
 
@@ -213,9 +204,6 @@ class EigenDecomposition:
     def dim(self) -> int:
         return len(self.values)
 
-    def projector(self, k: int) -> np.ndarray:
-        return projector_from_vector(self.vectors[:, k])
-
 
 def hermitian_eig(a, tol: Tolerances = DEFAULT) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, descending and deterministic.
@@ -250,19 +238,6 @@ def hermitian_eig(a, tol: Tolerances = DEFAULT) -> EigenDecomposition:
             clusters.append(tuple(range(start, k)))
             start = k
     return EigenDecomposition(values=vals, vectors=vecs, clusters=tuple(clusters))
-
-
-def matrix_exponential(a) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring (scipy.linalg.expm)."""
-    return scipy.linalg.expm(_as_square(a))
-
-
-def evolve_state(psi0, hamiltonian, t: float, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Propagate ``psi0`` for time ``t`` under a constant Hermitian generator."""
-    h = check_hermitian(hamiltonian, tol)
-    psi0 = check_ket(psi0, tol)
-    vals, vecs = np.linalg.eigh(h)
-    return vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ psi0))
 
 
 def evolve_on_grid(psi0, hamiltonian, times, tol: Tolerances = DEFAULT) -> np.ndarray:

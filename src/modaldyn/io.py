@@ -74,8 +74,7 @@ def write_trajectory_csv(csv_path, projector_json_path, traj, factor_name: str):
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["time", "label", "weight", "projector_ref"])
-        for k, t in enumerate(traj.grid):
-            pk = traj.projectors_at(k)
+        for k, (t, pk) in enumerate(zip(traj.grid, traj.projectors)):
             for i in range(traj.n_labels):
                 ref = f"{factor_name}_t{k}_l{i}"
                 projectors[ref] = matrix_to_json(pk[i])

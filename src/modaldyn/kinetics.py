@@ -9,7 +9,7 @@ numbers, and downstream consumers decide how to handle them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "RateMatrix",
     "RateTrajectory",
     "SingularityEvent",
-    "SingularityReport",
     "bell_rates",
     "classify_singularities",
     "general_rates",
@@ -94,31 +93,26 @@ def _node_probabilities(current: CurrentMatrix, p) -> np.ndarray:
     return p
 
 
-def bell_rates(current: CurrentMatrix, p, zero_threshold: float | None = None,
-               pole_current: float | None = None,
-               tol: Tolerances = DEFAULT) -> RateMatrix:
+def bell_rates(current: CurrentMatrix, p, tol: Tolerances = DEFAULT) -> RateMatrix:
     """One-directional rate choice t_ji = max{0, j_ji / p_i}.
 
     ``p`` has shape ``(..., D)`` matching the current's node axes.
-    Probabilities at or below ``zero_threshold`` count as exactly zero
-    there: entries whose current also vanishes get rate 0 (the continuous
-    convention), entries with positive incoming current are flagged as
-    poles.  A negative current out of a zero-probability state still gives
-    rate 0, which is the continuous limit of the max form.
+    Probabilities at or below ``tol.zero_probability`` count as exactly
+    zero there: entries whose current is at most ``tol.pole_current`` get
+    rate 0 (the continuous convention), entries with a larger incoming
+    current are flagged as poles.  A negative current out of a
+    zero-probability state still gives rate 0, which is the continuous
+    limit of the max form.
     """
-    if zero_threshold is None:
-        zero_threshold = tol.zero_probability
-    if pole_current is None:
-        pole_current = tol.pole_current
     p = _node_probabilities(current, p)
     if p.min() < -tol.probability_sum or \
             np.abs(p.sum(axis=-1) - 1.0).max() > tol.probability_sum:
         raise ValueError("p must be a probability vector summing to 1")
     j = current.full()
-    pos = (p > zero_threshold)[..., None, :]          # column i: p_i > 0
+    pos = (p > tol.zero_probability)[..., None, :]    # column i: p_i > 0
     # Divide only where p_i counts as positive, so no inf or NaN is formed.
     off = np.where(pos, np.maximum(0.0, j / np.where(pos, p[..., None, :], 1.0)), 0.0)
-    pole = ~pos & (j > pole_current) & ~np.eye(current.size, dtype=bool)
+    pole = ~pos & (j > tol.pole_current) & ~np.eye(current.size, dtype=bool)
     return _with_diagonal(off, pole)
 
 
@@ -260,27 +254,18 @@ class SingularityEvent:
     t_end: float
 
 
-@dataclass(frozen=True)
-class SingularityReport:
-    events: tuple[SingularityEvent, ...] = field(default_factory=tuple)
-
-    @property
-    def empty(self) -> bool:
-        return len(self.events) == 0
-
-
 def classify_singularities(p_trajectory, grid, rates: RateMatrix | None = None,
-                           detect_tol: float = 1e-4,
-                           divergence_factor: float = 100.0,
-                           tol: Tolerances = DEFAULT) -> SingularityReport:
+                           tol: Tolerances = DEFAULT) -> tuple[SingularityEvent, ...]:
     """Locate and classify probability zeros along a trajectory.
 
-    A run of nodes with p_i below ``detect_tol`` is an isolated zero when
-    the probability genuinely lifts off within the run (an analytic
+    A run of nodes with p_i at or below 1e-4 is an isolated zero when the
+    probability genuinely lifts off within the run (an analytic
     touch-zero), and an interval zero when it stays at numerical zero
     throughout.  When rates are supplied, each event is also flagged if the
-    exit rate blows up approaching the zero, which makes the waiting-time
-    integral divergent there; ``rates`` is the stacked record of the grid.
+    exit rate blows up approaching the zero (a pole flag in the run, or an
+    exit rate near it above 100 times its median), which makes the
+    waiting-time integral divergent there; ``rates`` is the stacked record
+    of the grid.  Events are ordered by state, then time.
     """
     p = np.asarray(p_trajectory, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -290,7 +275,7 @@ def classify_singularities(p_trajectory, grid, rates: RateMatrix | None = None,
     exits = None if rates is None else -np.diagonal(rates.matrix, axis1=-2, axis2=-1)
     events = []
     for i in range(d):
-        for start, end in _runs(p[:, i] <= detect_tol):
+        for start, end in _runs(p[:, i] <= 1e-4):
             run = slice(start, end + 1)
             seg = p[run, i]
             kind = "interval-zero" if seg.max() <= 10 * tol.zero_probability \
@@ -302,10 +287,10 @@ def classify_singularities(p_trajectory, grid, rates: RateMatrix | None = None,
                 typical = float(np.median(exits[:, i])) if exits[:, i].max() > 0 else 0.0
                 divergent = bool(
                     rates.pole_mask[run, :, i].any()
-                    or (typical > 0 and near.max() > divergence_factor * typical)
+                    or (typical > 0 and near.max() > 100.0 * typical)
                 )
             events.append(SingularityEvent(
                 time=float(grid[arg]), state=i, kind=kind, divergent=divergent,
                 t_start=float(grid[start]), t_end=float(grid[end]),
             ))
-    return SingularityReport(events=tuple(events))
+    return tuple(events)

@@ -181,9 +181,6 @@ class RunReport:
                        f"> {thresholds.total_variation}")
         return out
 
-    def passed(self, thresholds) -> bool:
-        return not self.failures(thresholds)
-
     def to_dict(self) -> dict:
         out = asdict(self)
         out["scenario"] = out.pop("scenario_name")
@@ -267,22 +264,22 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
         {"factor": fk, "t_start": ev.t_start, "t_end": ev.t_end,
          "labels": list(ev.labels), "min_gap": ev.min_gap, "t_min": ev.t_min}
         for fk, traj in enumerate(family.factor_trajectories)
-        for ev in detect_crossings(traj, scenario.thresholds.crossing_gap).events
+        for ev in detect_crossings(traj, scenario.thresholds.crossing_gap)
     ]
     report.tracking_margins = [
         {"factor": fk, "min_overlap": traj.min_overlap, "min_gap": traj.min_gap}
         for fk, traj in enumerate(family.factor_trajectories)
     ]
-    sing_report = classify_singularities(family.probabilities, grid,
-                                         rate_matrices, tol=tol)
+    singularities = classify_singularities(family.probabilities, grid,
+                                           rate_matrices, tol=tol)
     report.singularities = [
         {"time": ev.time, "state": ev.state, "kind": ev.kind,
          "divergent": ev.divergent, "t_start": ev.t_start, "t_end": ev.t_end}
-        for ev in sing_report.events
+        for ev in singularities
     ]
 
     kernels = None
-    windows = _kernel_windows(grid, rate_traj, sing_report)
+    windows = _kernel_windows(grid, rate_traj, singularities)
     if windows:
         s, t = max(windows, key=lambda w: w[1] - w[0])
         if t - s >= 10 * scenario.time.grid_step:
@@ -337,7 +334,7 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
     return result
 
 
-def _kernel_windows(grid, rate_traj, sing_report):
+def _kernel_windows(grid, rate_traj, singularities):
     """Windows on which finite-time kernels exist.
 
     Kernels are constructed only between singularities: nodes carrying pole
@@ -347,7 +344,7 @@ def _kernel_windows(grid, rate_traj, sing_report):
     n = len(grid)
     bad = rate_traj.pole_mask.any(axis=(1, 2)).copy()
     pad = max(2, n // 200)
-    for ev in sing_report.events:
+    for ev in singularities:
         if not ev.divergent:
             continue
         lo = int(np.searchsorted(grid, ev.t_start)) - pad

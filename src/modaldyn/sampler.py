@@ -488,13 +488,12 @@ def total_variation(freqs, probs) -> float:
     return float(0.5 * np.abs(freqs - probs).sum())
 
 
-def low_probability_occupancy(paths: PathEnsemble, grid, p_trajectory, states,
-                              threshold: float = 1e-6) -> float:
-    """Fraction of total path-time spent in states of probability < threshold."""
+def low_probability_occupancy(paths: PathEnsemble, grid, p_trajectory, states) -> float:
+    """Fraction of total path-time spent in states of probability below 1e-6."""
     grid = np.asarray(grid, dtype=float)
     if len(paths) == 0:
         raise ValueError("need at least one path")
-    low = (np.asarray(p_trajectory, dtype=float) < threshold).astype(float)
+    low = (np.asarray(p_trajectory, dtype=float) < 1e-6).astype(float)
     cum_low = cumulative_trapezoid(low, grid, axis=0, initial=0.0)
     t0, t_end = float(grid[0]), float(grid[-1])
     states = [tuple(s) for s in states]

@@ -108,6 +108,8 @@ class Scenario:
         nrm = np.linalg.norm(psi)
         if abs(nrm - 1.0) > 1e-8:
             raise ScenarioValidationError(f"initial_state: norm {nrm!r} != 1")
+        if not np.isfinite([self.time.t0, self.time.t1, self.time.grid_step]).all():
+            raise ScenarioValidationError("time: t0, t1 and grid_step must be finite")
         if not self.time.grid_step > 0:
             raise ScenarioValidationError("time: grid_step must be positive")
         if not self.time.t1 > self.time.t0:
@@ -131,11 +133,13 @@ class Scenario:
             raise ScenarioValidationError(f"rate_choice: unknown kind {self.rate_choice!r}")
         if self.pole_policy not in POLE_POLICIES:
             raise ScenarioValidationError(f"pole_policy: unknown kind {self.pole_policy!r}")
-        if self.general_rate_offset < 0:
-            raise ScenarioValidationError("general_rate_offset: must be nonnegative")
+        if not 0 <= self.general_rate_offset < np.inf:
+            raise ScenarioValidationError("general_rate_offset: must be finite and "
+                                          "nonnegative")
         for name, val in asdict(self.thresholds).items():
-            if val <= 0:
-                raise ScenarioValidationError(f"thresholds: {name} must be positive")
+            if not 0 < val < np.inf:
+                raise ScenarioValidationError(f"thresholds: {name} must be positive "
+                                              "and finite")
         return self
 
 
@@ -305,6 +309,8 @@ def _apply_overrides(sc: Scenario, data: dict) -> Scenario:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    if not isinstance(data, dict):
+        raise ScenarioValidationError("malformed scenario: the top level must be an object")
     try:
         ham = data.get("hamiltonian")
         if isinstance(ham, dict) and "builder" in ham:
@@ -326,7 +332,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                           float(data["time"]["grid_step"])),
         )
         return _apply_overrides(base, data).validate()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioValidationError(f"malformed scenario: {exc}") from exc
 
 
@@ -337,11 +343,13 @@ def load_scenario(source: str) -> Scenario:
     try:
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise ScenarioValidationError(
             f"{source!r} is neither a builtin ({', '.join(builtin_scenarios())}) "
             f"nor a readable file"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioValidationError(f"{source} is not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError(
             f"parse error in {source}: line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -24,15 +24,17 @@ eigenbases as one array.  Two paths then assign labels:
   unit overlaps, ``phi_k = phi_(k-1) conj(g_k) / |g_k|``.
 * **Fallback.**  Every other node (a degenerate cluster at it or its
   predecessor, an overlap row without a dominant entry, or an overlap
-  below ``overlap_threshold``) takes the per-node step: the Hungarian
-  method on the overlap matrix, then polar alignment of clusters.  This
-  covers singlet-like fully degenerate families, exact crossings and
-  ambiguous continuations, which raise from this step.
+  below ``overlap_threshold``) takes the per-node step on the node's
+  eigenpairs from the same stacked ``eigh``: the Hungarian method on the
+  overlap matrix, then polar alignment of the clusters that the
+  ``tol.degeneracy`` gaps of the fast-path test delimit.  This covers
+  singlet-like fully degenerate families, exact crossings and ambiguous
+  continuations, which raise from this step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -43,7 +45,6 @@ from .hilbert import check_hermitian, hermitian_eig, projector_from_vector
 
 __all__ = [
     "CrossingEvent",
-    "CrossingReport",
     "SpectralTrajectory",
     "detect_crossings",
     "fiduciary_refine",
@@ -94,10 +95,6 @@ class SpectralTrajectory:
             return None
         return float(np.diff(np.sort(self.weights, axis=1), axis=1).min())
 
-    def projectors_at(self, k: int) -> np.ndarray:
-        v = self.vectors[k]
-        return np.einsum("ix,iy->ixy", v, v.conj())
-
 
 @dataclass(frozen=True)
 class CrossingEvent:
@@ -108,19 +105,9 @@ class CrossingEvent:
     t_min: float
 
 
-@dataclass(frozen=True)
-class CrossingReport:
-    events: tuple[CrossingEvent, ...] = field(default_factory=tuple)
-
-    @property
-    def empty(self) -> bool:
-        return len(self.events) == 0
-
-
-def _reference_operator(dim: int, reference) -> np.ndarray:
-    if reference is None:
-        return np.diag(np.arange(dim - 1, -1, -1, dtype=float)).astype(complex)
-    return check_hermitian(reference)
+def _reference_operator(dim: int) -> np.ndarray:
+    """The fixed splitting reference diag(dim-1, ..., 1, 0)."""
+    return np.diag(np.arange(dim - 1, -1, -1, dtype=float)).astype(complex)
 
 
 def _refine_block(block_vectors: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -155,16 +142,15 @@ def _polar_align(block_vectors: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return block_vectors @ (u @ vh)
 
 
-def fiduciary_refine(projectors, reference=None, tol: Tolerances = DEFAULT) -> list[np.ndarray]:
+def fiduciary_refine(projectors, tol: Tolerances = DEFAULT) -> list[np.ndarray]:
     """Split projectors into one-dimensional mutually orthogonal pieces.
 
     Each rank-r input is replaced by r rank-1 projectors that sum to it.
-    The splitting basis comes from a fixed reference operator restricted to
-    the subspace, so the refinement is deterministic.  Rank-1 inputs pass
-    through unchanged; rank-0 inputs contribute nothing.
+    The splitting basis comes from the fixed reference diag(d-1, ..., 1, 0)
+    restricted to the subspace, so the refinement is deterministic.  Rank-1
+    inputs pass through unchanged; rank-0 inputs contribute nothing.
     """
     out: list[np.ndarray] = []
-    ref = None
     for p in projectors:
         p = check_hermitian(p, tol)
         dev = np.abs(p @ p - p).max()
@@ -176,30 +162,24 @@ def fiduciary_refine(projectors, reference=None, tol: Tolerances = DEFAULT) -> l
         if rank == 1:
             out.append(p)
             continue
-        if ref is None or ref.shape[0] != p.shape[0]:
-            ref = _reference_operator(p.shape[0], reference)
         dec = hermitian_eig(p, tol)
         block = dec.vectors[:, :rank]
         if dec.values[:rank].min() < 1.0 - tol.idempotency:
             raise ValueError("projector eigenvalues are not within tolerance of 0/1")
-        refined = _refine_block(block, ref)
+        refined = _refine_block(block, _reference_operator(p.shape[0]))
         for k in range(rank):
             out.append(projector_from_vector(refined[:, k]))
     return out
 
 
-def _initial_frame(w0: np.ndarray, reference, tol: Tolerances):
+def _initial_frame(w0: np.ndarray, tol: Tolerances):
     dec = hermitian_eig(w0, tol)
-    dim = dec.dim
     vectors = dec.vectors.copy()
-    ref = None
+    ref = _reference_operator(dec.dim)
     for cluster in dec.clusters:
-        if len(cluster) < 2:
-            continue
-        if ref is None:
-            ref = _reference_operator(dim, reference)
-        cols = list(cluster)
-        vectors[:, cols] = _refine_block(vectors[:, cols], ref)
+        if len(cluster) > 1:
+            cols = list(cluster)
+            vectors[:, cols] = _refine_block(vectors[:, cols], ref)
     return dec.values.copy(), vectors
 
 
@@ -217,37 +197,39 @@ def _check_stack(states: np.ndarray, tol: Tolerances) -> None:
                          f"(max deviation {dev[k]:.3e})")
 
 
-def _continue(prev: np.ndarray, state: np.ndarray, tol: Tolerances):
-    """One per-node step from the labeled rows ``prev`` to ``state``'s eigenbasis.
+def _continue(prev: np.ndarray, vals: np.ndarray, basis: np.ndarray,
+              split: np.ndarray, k: int):
+    """One per-node step from the labeled rows ``prev`` to node ``k``'s eigenbasis.
 
-    Returns the weights and vectors in label order and the eigencolumn of
-    each label.
+    ``vals`` and ``basis`` are the descending eigenpairs of the whole stack,
+    and ``split[k, c]`` says that a cluster ends after column ``c`` at node
+    ``k``.  Returns the weights and vectors in label order and the
+    eigencolumn of each label.
     """
-    dec = hermitian_eig(state, tol)
-    dim = dec.dim
-    overlap = np.abs(prev.conj() @ dec.vectors) ** 2   # (label, new column)
+    values, vecs = vals[k], basis[k]
+    dim = len(values)
+    overlap = np.abs(prev.conj() @ vecs) ** 2          # (label, new column)
     _, col_of_label = linear_sum_assignment(-overlap)
 
     new_vecs = np.empty_like(prev)
-    for cluster in dec.clusters:
-        cols = list(cluster)
-        labels = [l for l in range(dim) if col_of_label[l] in cluster]
+    for cols in np.split(np.arange(dim), np.flatnonzero(split[k]) + 1):
+        labels = [l for l in range(dim) if col_of_label[l] in cols]
         if len(cols) == 1:
             lab = labels[0]
-            v = dec.vectors[:, cols[0]]
+            v = vecs[:, cols[0]]
             z = np.vdot(prev[lab], v)
             if abs(z) > 0:
                 v = v * (z.conjugate() / abs(z))
             new_vecs[lab] = v
         else:
-            aligned = _polar_align(dec.vectors[:, cols], prev[labels].T)
+            aligned = _polar_align(vecs[:, cols], prev[labels].T)
             for j, lab in enumerate(labels):
                 new_vecs[lab] = aligned[:, j]
-    return dec.values[col_of_label], new_vecs, col_of_label
+    return values[col_of_label], new_vecs, col_of_label
 
 
 def track(states, grid, overlap_threshold: float | None = None,
-          reference=None, tol: Tolerances = DEFAULT) -> SpectralTrajectory:
+          tol: Tolerances = DEFAULT) -> SpectralTrajectory:
     """Thread the eigendirections of a state family into labeled trajectories.
 
     Parameters
@@ -287,7 +269,8 @@ def track(states, grid, overlap_threshold: float | None = None,
     n, dim = states.shape[:2]
     vals, basis = np.linalg.eigh(states)
     vals, basis = vals[:, ::-1], basis[:, :, ::-1]        # descending, as hermitian_eig
-    plain = (vals[:, :-1] - vals[:, 1:] > tol.degeneracy).all(axis=1)
+    split = vals[:, :-1] - vals[:, 1:] > tol.degeneracy   # a cluster ends here
+    plain = split.all(axis=1)
     # raw[k-1][r, c] = <column r at node k-1 | column c at node k>.
     raw = basis[:-1].conj().swapaxes(1, 2) @ basis[1:]
     overlap = np.abs(raw) ** 2
@@ -300,7 +283,7 @@ def track(states, grid, overlap_threshold: float | None = None,
 
     weights = np.empty((n, dim))
     vectors = np.empty((n, dim, dim), dtype=complex)
-    vals0, vecs0 = _initial_frame(states[0], reference, tol)
+    vals0, vecs0 = _initial_frame(states[0], tol)
     weights[0] = vals0
     vectors[0] = vecs0.T               # row i is the vector of label i
     col_of_label = np.arange(dim) if plain[0] else None
@@ -312,7 +295,7 @@ def track(states, grid, overlap_threshold: float | None = None,
         if k == n:
             break
         prev = vectors[k - 1]
-        weights[k], vectors[k], assigned = _continue(prev, states[k], tol)
+        weights[k], vectors[k], assigned = _continue(prev, vals, basis, split, k)
         o = np.abs(np.einsum("lx,lx->l", prev.conj(), vectors[k])) ** 2
         low = np.flatnonzero(o < overlap_threshold)
         if low.size:
@@ -402,8 +385,12 @@ def _nearest_node(grid, t):
     return i - (np.abs(grid[i - 1] - t) <= np.abs(grid[i] - t))
 
 
-def detect_crossings(traj: SpectralTrajectory, gap_threshold: float) -> CrossingReport:
-    """Grid intervals on which two tracked weights come within ``gap_threshold``."""
+def detect_crossings(traj: SpectralTrajectory,
+                     gap_threshold: float) -> tuple[CrossingEvent, ...]:
+    """Grid intervals on which two tracked weights come within ``gap_threshold``.
+
+    One event per run of nodes and label pair, ordered by pair, then time.
+    """
     events = []
     w = traj.weights
     grid = traj.grid
@@ -418,4 +405,4 @@ def detect_crossings(traj: SpectralTrajectory, gap_threshold: float) -> Crossing
                     t_start=float(grid[start]), t_end=float(grid[end]),
                     labels=(i, j), min_gap=float(seg.min()), t_min=float(grid[arg]),
                 ))
-    return CrossingReport(events=tuple(events))
+    return tuple(events)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from modaldyn.hilbert import (FactorSpace, check_density_operator, evolve_on_grid,
-                              evolve_state, hermitian_eig, matrix_exponential,
-                              partial_trace, projector_from_vector, tensor_product)
+                              hermitian_eig, partial_trace, projector_from_vector,
+                              tensor_product)
 
 from conftest import I2, SINGLET, SX, random_density, random_hermitian, random_ket
 
@@ -28,6 +29,13 @@ class TestTensorProduct:
         left = tensor_product(tensor_product(a, b), c)
         right = tensor_product(a, tensor_product(b, c))
         assert np.allclose(left, right, atol=1e-12)
+        assert np.array_equal(tensor_product(a, b, c), left)
+
+    def test_one_or_no_factor(self, rng):
+        a = random_hermitian(rng, 3)
+        assert np.array_equal(tensor_product(a), a)
+        with pytest.raises(ValueError, match="at least one factor"):
+            tensor_product()
 
 
 class TestPartialTrace:
@@ -138,70 +146,52 @@ class TestHermitianEig:
         assert np.array_equal(d1.vectors, d2.vectors)
 
 
-class TestMatrixExponential:
-    def test_zero(self):
-        assert np.allclose(matrix_exponential(np.zeros((3, 3))), np.eye(3))
-
-    def test_pauli_rotation(self):
-        # Closed form: cos(pi/2) I - i sin(pi/2) sigma_x.
-        out = matrix_exponential(-1j * np.pi / 2 * SX)
-        assert np.allclose(out, -1j * SX, atol=1e-12)
-
-    def test_inverse_property(self, rng):
-        a = random_hermitian(rng, 4) * 1j
-        prod = matrix_exponential(a) @ matrix_exponential(-a)
-        assert np.abs(prod - np.eye(4)).max() <= 1e-9
-
-    def test_series_residual(self, rng):
-        a = 0.3 * random_hermitian(rng, 3)
-        series = np.eye(3, dtype=complex)
-        term = np.eye(3, dtype=complex)
-        for k in range(1, 30):
-            term = term @ a / k
-            series = series + term
-        assert np.abs(matrix_exponential(a) - series).max() <= 1e-9
+def evolve(psi, h, t):
+    """The state at the single time ``t``."""
+    return evolve_on_grid(psi, h, [t])[0]
 
 
 class TestEvolveState:
     def test_zero_hamiltonian(self, rng):
         psi = random_ket(rng, 4)
-        assert np.allclose(evolve_state(psi, np.zeros((4, 4)), 2.3), psi)
+        assert np.allclose(evolve(psi, np.zeros((4, 4)), 2.3), psi)
 
     def test_eigenstate_phase(self):
         h = np.diag([1.5, -0.5]).astype(complex)
         psi = np.array([1.0, 0.0], dtype=complex)
-        out = evolve_state(psi, h, 0.7)
+        out = evolve(psi, h, 0.7)
         assert np.allclose(out, np.exp(-1j * 1.5 * 0.7) * psi, atol=1e-12)
 
     def test_two_level_rotation_amplitudes(self):
         # Generator -w sigma_x sends |0> to cos(wt)|0> + i sin(wt)|1>.
         w = 1.3
-        psi = evolve_state(np.array([1.0, 0]), -w * SX, 0.4)
+        psi = evolve(np.array([1.0, 0]), -w * SX, 0.4)
         assert np.allclose(psi, [np.cos(w * 0.4), 1j * np.sin(w * 0.4)], atol=1e-12)
 
     def test_norm_preserved(self, rng):
         h = random_hermitian(rng, 5)
-        psi = evolve_state(random_ket(rng, 5), h, 3.1)
+        psi = evolve(random_ket(rng, 5), h, 3.1)
         assert abs(np.linalg.norm(psi) - 1) < 1e-10
 
     def test_composition(self, rng):
         h = random_hermitian(rng, 4)
         psi = random_ket(rng, 4)
-        one = evolve_state(evolve_state(psi, h, 0.4), h, 0.8)
-        two = evolve_state(psi, h, 1.2)
+        one = evolve(evolve(psi, h, 0.4), h, 0.8)
+        two = evolve(psi, h, 1.2)
         assert np.abs(one - two).max() <= 1e-9
 
     def test_non_hermitian_rejected(self, rng):
         with pytest.raises(ValueError, match="Hermitian"):
-            evolve_state(random_ket(rng, 2), np.array([[0, 1], [0, 0]]), 1.0)
+            evolve(random_ket(rng, 2), np.array([[0, 1], [0, 0]]), 1.0)
 
     def test_grid_evolution_matches_single_steps(self, rng):
+        # Each node of one grid call is exp(-iHt) psi, taken independently.
         h = random_hermitian(rng, 3)
         psi = random_ket(rng, 3)
         times = np.linspace(0, 2, 9)
         batch = evolve_on_grid(psi, h, times)
         for k, t in enumerate(times):
-            assert np.allclose(batch[k], evolve_state(psi, h, t), atol=1e-12)
+            assert np.allclose(batch[k], expm(-1j * h * t) @ psi, atol=1e-12)
 
 
 class TestFactorSpace:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from modaldyn.currents import CurrentMatrix
-from modaldyn.kinetics import (RateMatrix, RateTrajectory, SingularityReport,
-                               bell_rates, classify_singularities, general_rates,
+from modaldyn.kinetics import (RateMatrix, RateTrajectory, bell_rates,
+                               classify_singularities, general_rates,
                                jump_decomposition, master_residual, pole_free_rows)
 from modaldyn.pipeline import _kernel_windows, run
 from modaldyn.scenario import BUILTINS
@@ -241,14 +241,14 @@ class TestClassifySingularities:
     def test_bounded_probabilities_empty(self):
         grid = np.linspace(0, 1, 100)
         p = np.column_stack([np.full(100, 0.4), np.full(100, 0.6)])
-        assert classify_singularities(p, grid).empty
+        assert not classify_singularities(p, grid)
 
     def test_crossing_family_isolated_zeros(self):
         theta = 1.0
         grid = np.arange(0.0, 2.0 + 1e-9, 1e-3)
         p = np.column_stack([np.cos(theta * grid) ** 2, np.sin(theta * grid) ** 2])
-        report = classify_singularities(p, grid)
-        mine = [e for e in report.events if e.state == 0]
+        events = classify_singularities(p, grid)
+        mine = [e for e in events if e.state == 0]
         assert len(mine) == 1
         assert mine[0].kind == "isolated-zero"
         assert abs(mine[0].time - np.pi / 2) <= 2e-3
@@ -256,8 +256,8 @@ class TestClassifySingularities:
     def test_interval_zero(self):
         grid = np.linspace(0, 1, 200)
         p = np.column_stack([np.ones(200), np.zeros(200)])
-        report = classify_singularities(p, grid)
-        assert [e for e in report.events if e.state == 1][0].kind == "interval-zero"
+        events = classify_singularities(p, grid)
+        assert [e for e in events if e.state == 1][0].kind == "interval-zero"
 
     def test_divergent_exit_flagged(self):
         theta = 1.0
@@ -267,8 +267,8 @@ class TestClassifySingularities:
         full[:, 1, 0] = theta * np.sin(2 * theta * grid)
         full[:, 0, 1] = -full[:, 1, 0]
         rates = bell_rates(current_from_full(full), p / p.sum(axis=1, keepdims=True))
-        report = classify_singularities(p, grid, rates)
-        ev = [e for e in report.events if e.state == 0][0]
+        events = classify_singularities(p, grid, rates)
+        ev = [e for e in events if e.state == 0][0]
         assert ev.divergent is True
 
 
@@ -287,11 +287,11 @@ class TestRateTrajectory:
 
     def test_pole_free_windows(self):
         rt = self.make()
-        assert _kernel_windows(rt.grid, rt, SingularityReport()) == [(0.0, 1.0)]
+        assert _kernel_windows(rt.grid, rt, ()) == [(0.0, 1.0)]
         assert rt.pole_node_times(0.0, 1.0).size == 0
         # Flagged nodes split the window; a one-node run is no window.
         pole = np.zeros((11, 2, 2), dtype=bool)
         pole[[1, 5], 0, 1] = True
         flagged = RateTrajectory(rt.grid, RateMatrix(np.zeros((11, 2, 2)), pole))
         g = rt.grid
-        assert _kernel_windows(g, flagged, SingularityReport()) == [(g[2], g[4]), (g[6], g[10])]
+        assert _kernel_windows(g, flagged, ()) == [(g[2], g[4]), (g[6], g[10])]

@@ -276,6 +276,51 @@ class TestCli:
         assert cli_main(["validate", str(path)]) == 2
         assert "at least 3 nodes" in capsys.readouterr().err
 
+    def test_validate_directory(self, tmp_path, capsys):
+        assert cli_main(["validate", str(tmp_path)]) == 2
+        assert "nor a readable file" in capsys.readouterr().err
+
+    def test_validate_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        assert cli_main(["validate", str(path)]) == 2
+        assert "is not UTF-8 text (invalid continuation byte)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"easyexample"'])
+    def test_validate_top_level_not_object(self, tmp_path, capsys, text):
+        path = tmp_path / "list.json"
+        path.write_text(text)
+        assert cli_main(["validate", str(path)]) == 2
+        assert "top level must be an object" in capsys.readouterr().err
+
+    def test_validate_field_of_wrong_type(self, tmp_path, capsys):
+        doc = {"hamiltonian": {"builder": "easyexample", "params": {}}, "thresholds": []}
+        path = tmp_path / "thresholds.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(path)]) == 2
+        assert "validation error: malformed scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, message", [
+        ({"time": {"t0": -np.inf, "t1": 0.7, "grid_step": 1e-3}}, "time: t0, t1"),
+        ({"time": {"t0": 0.0, "t1": np.inf, "grid_step": 1e-3}}, "time: t0, t1"),
+        ({"time": {"t0": 0.0, "t1": 0.7, "grid_step": np.nan}}, "time: t0, t1"),
+        ({"thresholds": {"continuity": np.nan}}, "thresholds: continuity"),
+        ({"thresholds": {"master": np.inf}}, "thresholds: master"),
+        ({"general_rate_offset": np.nan}, "general_rate_offset"),
+        ({"general_rate_offset": np.inf}, "general_rate_offset"),
+        ({"ensemble": {"n_paths": 10, "master_seed": 1, "query_times": [np.nan]}},
+         "ensemble: query time nan"),
+    ], ids=["t0-inf", "t1-inf", "grid_step-nan", "continuity-nan", "master-inf",
+            "offset-nan", "offset-inf", "query-nan"])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, override, message):
+        # json writes these as the Infinity / NaN tokens that json.load accepts.
+        doc = {"hamiltonian": {"builder": "easyexample", "params": {}},
+               "name": "non-finite", **override}
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(path)]) == 2
+        assert f"validation error: {message}" in capsys.readouterr().err
+
     def test_tracking_failure_exit_code(self, tmp_path, capsys):
         # A fast random (3, 3) system on a coarse grid cannot be tracked:
         # AmbiguousContinuation must end as a stage error, exit 1.
