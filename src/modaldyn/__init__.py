@@ -13,9 +13,9 @@ from .config import DEFAULT, Tolerances
 from .errors import (AmbiguousContinuation, ModalDynError, PoleEncountered,
                      PoleInInterval, ScenarioValidationError,
                      TruncationNotConverged)
-from .hilbert import (EigenDecomposition, FactorSpace, check_density_operator,
-                      check_hermitian, check_ket, evolve_on_grid, hermitian_eig,
-                      partial_trace, projector_from_vector, tensor_product)
+from .hilbert import (EigenDecomposition, FactorSpace, check_hermitian, check_ket,
+                      evolve_on_grid, hermitian_eig, partial_trace,
+                      projector_from_vector, tensor_product)
 from .spectral import (CrossingEvent, SpectralTrajectory, detect_crossings,
                        fiduciary_refine, track)
 from .algebra import (FauxBooleanAlgebra, PropertyState, composite_generating_set,
@@ -36,4 +36,4 @@ from .scenario import (BUILTINS, Scenario, Thresholds, builtin_scenarios,
 from .pipeline import (JointFamily, PipelineResult, RunReport, compute_currents,
                        compute_joint_family, compute_rates, pdot_target, run)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

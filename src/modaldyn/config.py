@@ -15,10 +15,6 @@ class Tolerances:
 
     hermiticity: float = 1e-10        # max |A - A^dag| entry for Hermitian inputs
     unit_norm: float = 1e-10          # ket normalization slack
-    trace_one: float = 1e-10          # density operator trace slack
-    negative_eigenvalue: float = 1e-10  # how far below 0 a density eigenvalue may sit
-    eig_residual: float = 1e-9        # eigendecomposition reconstruction residual
-    orthonormality: float = 1e-10     # eigenvector Gram residual
     degeneracy: float = 1e-8          # eigenvalue gap below which a cluster is degenerate
     projector_orthogonality: float = 1e-8
     identity_sum: float = 1e-8        # |sum_i P_i - 1| for complete projector families
@@ -30,7 +26,6 @@ class Tolerances:
     zero_probability: float = 1e-12   # below this a probability counts as exactly zero
     pole_current: float = 1e-8        # |j| below this never raises a pole at p = 0
     containment: float = 1e-8         # subspace containment tests
-    kernel_column: float = 1e-9       # kernel column sums may exceed 1 by this much
     series_tail: float = 1e-10        # truncation check on the last jump-series term
 
 

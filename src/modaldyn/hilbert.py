@@ -8,8 +8,6 @@ Conventions
 * Eigenvalues are reported in descending order.  Exact ties are broken by
   lexicographic comparison of the phase-fixed eigenvector amplitudes, so
   repeated runs label degenerate directions identically.
-* Matrices serialize as JSON arrays of ``[re, im]`` pairs, row-major
-  (see :mod:`modaldyn.io`).
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from .config import DEFAULT, Tolerances
 __all__ = [
     "FactorSpace",
     "EigenDecomposition",
-    "check_density_operator",
     "check_hermitian",
     "check_ket",
     "evolve_on_grid",
@@ -100,18 +97,6 @@ def check_ket(psi, tol: Tolerances = DEFAULT) -> np.ndarray:
     if abs(worst - 1.0) > tol.unit_norm:
         raise ValueError(f"ket is not normalized (norm {worst!r})")
     return psi
-
-
-def check_density_operator(w, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Validate ``w`` as a density operator (Hermitian, positive, unit trace)."""
-    w = check_hermitian(w, tol)
-    tr = w.trace()
-    if abs(tr - 1.0) > tol.trace_one:
-        raise ValueError(f"density operator trace is {tr!r}, expected 1")
-    evals = np.linalg.eigvalsh(w)
-    if evals.min() < -tol.negative_eigenvalue:
-        raise ValueError(f"density operator has negative eigenvalue {evals.min():.3e}")
-    return w
 
 
 def projector_from_vector(v) -> np.ndarray:

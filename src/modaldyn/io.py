@@ -1,26 +1,27 @@
-"""Serialization: complex JSON arrays, CSV and JSONL exports.
+"""On-disk formats: the complex codec, JSON documents and CSV tables.
 
-Complex scalars serialize as ``[re, im]`` pairs; matrices as row-major
-nested lists of pairs.  Floats are written with ``repr`` so identical runs
-produce byte-identical files.
+This is the only module that knows a file format, and it keeps one copy of
+each.  Complex arrays of any rank serialize as nested lists whose innermost
+entries are ``[re, im]`` pairs.  JSON documents are written with indent 1,
+sorted keys and a trailing newline.  CSV tables share one dialect: commas,
+CRLF line ends and ``repr`` floats.  Identical runs produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "matrix_from_json",
-    "matrix_to_json",
-    "vector_from_json",
-    "vector_to_json",
-    "scenario_hash",
+    "complex_from_json",
+    "complex_to_json",
     "write_currents_csv",
+    "write_json",
     "write_kernel_json",
     "write_manifest",
     "write_paths_jsonl",
@@ -32,84 +33,85 @@ __all__ = [
 ]
 
 
-def matrix_to_json(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+def complex_to_json(a) -> list:
+    """Nested lists of ``[re, im]`` pairs, one level per axis of ``a``."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(p[0], p[1]) for p in row] for row in data])
+def complex_from_json(data) -> np.ndarray:
+    """Inverse of :func:`complex_to_json`; every entry must be a finite pair."""
+    try:
+        pairs = np.asarray(data)
+    except ValueError:
+        pairs = None                      # ragged nesting
+    if (pairs is None or pairs.dtype.kind not in "iuf" or pairs.shape[-1:] != (2,)
+            or not np.isfinite(pairs).all()):
+        raise ValueError("complex entries must be finite [re, im] pairs")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
-def vector_to_json(v) -> list:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in v]
-
-
-def vector_from_json(data) -> np.ndarray:
-    return np.array([complex(p[0], p[1]) for p in data])
-
-
-def scenario_hash(scenario_dict: dict) -> str:
-    canon = json.dumps(scenario_dict, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def _dump(path, obj):
+def write_json(path, obj):
+    """The one JSON document writer."""
     Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n",
                           encoding="utf-8")
 
 
+def _write_csv(path, header, times, blocks):
+    """Write one block of rows per time in the CSV dialect: commas, CRLF line
+    ends (as ``csv.writer`` writes them) and ``format(cell)``, the ``repr`` of
+    a float; no cell needs quoting.
+
+    Each block is a tuple of columns with one cell per row; the writer puts
+    the time, formatted once per block, in front of every row.
+    """
+    row = ",".join(["{}"] * len(header)) + "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(row.format(*header))
+        for t, columns in zip(np.asarray(times, dtype=float).tolist(), blocks):
+            fh.write("".join(map(row.format, repeat(repr(t)), *columns)))
+
+
 def write_state_space_json(path, states, probabilities):
-    rows = [
+    write_json(path, [
         {"joint_index": k, "factor_labels": list(s), "probability": float(p)}
         for k, (s, p) in enumerate(zip(states, probabilities))
-    ]
-    _dump(path, rows)
+    ])
 
 
 def write_trajectory_csv(csv_path, projector_json_path, traj, factor_name: str):
-    """Tracked weights as CSV rows referencing projectors in a side JSON file."""
-    projectors = {}
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "label", "weight", "projector_ref"])
-        for k, (t, pk) in enumerate(zip(traj.grid, traj.projectors)):
-            for i in range(traj.n_labels):
-                ref = f"{factor_name}_t{k}_l{i}"
-                projectors[ref] = matrix_to_json(pk[i])
-                w.writerow([repr(float(t)), i, repr(float(traj.weights[k, i])), ref])
-    _dump(projector_json_path, projectors)
+    """Tracked weights as CSV rows referencing directions in a side JSON file.
+
+    The side file maps each ``projector_ref`` to the label's unit direction
+    ``v`` as ``[re, im]`` pairs; its projector is ``|v><v|``.
+    """
+    labels = [str(i) for i in range(traj.n_labels)]
+    refs = [[f"{factor_name}_t{k}_l{i}" for i in labels] for k in range(len(traj.grid))]
+    _write_csv(csv_path, ["time", "label", "weight", "projector_ref"], traj.grid,
+               zip(repeat(labels), traj.weights.tolist(), refs))
+    write_json(projector_json_path, {
+        ref: v for node_refs, node in zip(refs, complex_to_json(traj.vectors))
+        for ref, v in zip(node_refs, node)})
 
 
 def write_currents_csv(path, grid, currents):
     """One row per node and pair i > j of the stacked ``CurrentMatrix``."""
     j, i = np.triu_indices(currents.size, 1)
-    flows = currents.upper[:, j, i].tolist()
-    pairs = list(zip(i.tolist(), j.tolist()))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "i", "j", "j_ji"])
-        for t, row in zip(np.asarray(grid, dtype=float).tolist(), flows):
-            w.writerows([repr(t), a, b, repr(x)] for (a, b), x in zip(pairs, row))
+    _write_csv(path, ["time", "i", "j", "j_ji"], grid, zip(
+        repeat(i.astype(str).tolist()), repeat(j.astype(str).tolist()),
+        currents.upper[:, j, i].tolist()))
 
 
 def write_rates_csv(path, grid, rates):
     """One row per node and ordered pair i != j of the stacked ``RateMatrix``."""
     i, j = np.nonzero(~np.eye(rates.size, dtype=bool))
-    values = rates.matrix[:, j, i].tolist()
-    flags = rates.pole_mask[:, j, i].astype(int).tolist()
-    pairs = list(zip(i.tolist(), j.tolist()))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "i", "j", "rate", "pole_flag"])
-        for t, vals, fl in zip(np.asarray(grid, dtype=float).tolist(), values, flags):
-            w.writerows([repr(t), a, b, repr(x), f]
-                        for (a, b), x, f in zip(pairs, vals, fl))
+    _write_csv(path, ["time", "i", "j", "rate", "pole_flag"], grid, zip(
+        repeat(i.astype(str).tolist()), repeat(j.astype(str).tolist()),
+        rates.matrix[:, j, i].tolist(), rates.pole_mask[:, j, i].astype(int).tolist()))
 
 
 def write_kernel_json(path, kernel, deficit):
-    _dump(path, {
+    write_json(path, {
         "s": float(kernel.s),
         "t": float(kernel.t),
         "matrix": [[float(x) for x in row] for row in kernel.matrix],
@@ -136,28 +138,23 @@ def write_stats_csv(path, stats, quantum_probs):
 
     ``quantum_probs`` maps (time index, label index) to the Born value.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "label", "frequency", "quantum_probability"])
-        freqs = stats.frequencies
-        for q, t in enumerate(stats.times):
-            for k, lab in enumerate(stats.labels):
-                lab_txt = "|".join(str(x) for x in lab) if isinstance(lab, tuple) else lab
-                w.writerow([
-                    repr(float(t)), lab_txt, repr(float(freqs[q, k])),
-                    repr(float(quantum_probs[q, k])),
-                ])
+    labels = ["|".join(map(str, lab)) if isinstance(lab, tuple) else str(lab)
+              for lab in stats.labels]
+    _write_csv(path, ["time", "label", "frequency", "quantum_probability"], stats.times,
+               zip(repeat(labels), np.asarray(stats.frequencies, dtype=float).tolist(),
+                   np.asarray(quantum_probs, dtype=float).tolist()))
 
 
 def write_report_json(path, report_dict: dict):
-    _dump(path, report_dict)
+    write_json(path, report_dict)
 
 
 def write_manifest(path, scenario_dict: dict, master_seed: int):
     from . import __version__
 
-    _dump(path, {
-        "scenario_hash": scenario_hash(scenario_dict),
+    canon = json.dumps(scenario_dict, sort_keys=True, separators=(",", ":"))
+    write_json(path, {
+        "scenario_hash": hashlib.sha256(canon.encode("utf-8")).hexdigest(),
         "master_seed": int(master_seed),
         "tool_version": __version__,
     })

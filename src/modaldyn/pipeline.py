@@ -355,7 +355,6 @@ def _kernel_windows(grid, rate_traj, singularities):
 
 
 def _export(result: PipelineResult, out_dir, nodes):
-    import json
     from pathlib import Path
     from .scenario import scenario_to_dict
 
@@ -365,8 +364,7 @@ def _export(result: PipelineResult, out_dir, nodes):
     family = result.family
     sc_dict = scenario_to_dict(sc)
     mdio.write_manifest(out / "manifest.json", sc_dict, sc.ensemble.master_seed)
-    (out / "scenario.json").write_text(
-        json.dumps(sc_dict, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    mdio.write_json(out / "scenario.json", sc_dict)
     mdio.write_state_space_json(out / "state_space.json", family.states,
                                 family.probabilities[0])
     for k, traj in enumerate(family.factor_trajectories):

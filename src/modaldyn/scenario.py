@@ -99,6 +99,8 @@ class Scenario:
             raise ScenarioValidationError(
                 f"hamiltonian: dimension {h.shape[0]} != product of factors {space.dim}"
             )
+        if not (np.isfinite(h).all() and np.isfinite(psi).all()):
+            raise ScenarioValidationError("hamiltonian, initial_state: entries must be finite")
         if np.abs(h - h.conj().T).max() > 1e-10:
             raise ScenarioValidationError("hamiltonian: not Hermitian")
         if psi.size != space.dim:
@@ -114,7 +116,11 @@ class Scenario:
             raise ScenarioValidationError("time: grid_step must be positive")
         if not self.time.t1 > self.time.t0:
             raise ScenarioValidationError("time: need t1 > t0")
-        if len(self.grid()) < 3:
+        try:
+            n_nodes = len(self.grid())
+        except (OverflowError, MemoryError) as exc:
+            raise ScenarioValidationError(f"time: the grid cannot be built ({exc})") from exc
+        if n_nodes < 3:
             raise ScenarioValidationError("time: the grid needs at least 3 nodes")
         if self.ensemble.n_paths < 1:
             raise ScenarioValidationError("ensemble: n_paths must be >= 1")
@@ -268,8 +274,8 @@ def scenario_to_dict(sc: Scenario) -> dict:
     return {
         "name": sc.name,
         "factor_dims": list(sc.factor_dims),
-        "hamiltonian": {"matrix": mdio.matrix_to_json(sc.hamiltonian)},
-        "initial_state": mdio.vector_to_json(sc.initial_state),
+        "hamiltonian": {"matrix": mdio.complex_to_json(sc.hamiltonian)},
+        "initial_state": mdio.complex_to_json(sc.initial_state),
         "time": {"t0": sc.time.t0, "t1": sc.time.t1, "grid_step": sc.time.grid_step},
         "current": sc.current,
         "extra_term": sc.extra_term,
@@ -308,6 +314,13 @@ def _apply_overrides(sc: Scenario, data: dict) -> Scenario:
     return sc
 
 
+def _complex_field(value, name: str) -> np.ndarray:
+    try:
+        return mdio.complex_from_json(value)
+    except ValueError as exc:
+        raise ScenarioValidationError(f"{name}: {exc}") from exc
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioValidationError("malformed scenario: the top level must be an object")
@@ -326,8 +339,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         base = Scenario(
             name=str(data["name"]),
             factor_dims=tuple(int(d) for d in data["factor_dims"]),
-            hamiltonian=mdio.matrix_from_json(data["hamiltonian"]["matrix"]),
-            initial_state=mdio.vector_from_json(data["initial_state"]),
+            hamiltonian=_complex_field(data["hamiltonian"]["matrix"], "hamiltonian"),
+            initial_state=_complex_field(data["initial_state"], "initial_state"),
             time=TimeSpec(float(data["time"]["t0"]), float(data["time"]["t1"]),
                           float(data["time"]["grid_step"])),
         )

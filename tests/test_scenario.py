@@ -6,7 +6,7 @@ import pytest
 
 from modaldyn.cli import main as cli_main
 from modaldyn.errors import ScenarioValidationError
-from modaldyn.io import matrix_from_json, matrix_to_json
+from modaldyn.io import complex_from_json, complex_to_json
 from modaldyn.pipeline import run
 from modaldyn.scenario import (BUILTINS, builtin_scenarios, load_scenario,
                                scenario_from_dict, scenario_to_dict)
@@ -72,9 +72,21 @@ class TestBuiltins:
 
 
 class TestSerialization:
-    def test_matrix_json_roundtrip(self, rng):
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 3, 4)],
+                             ids=["rank1", "rank2", "rank3"])
+    def test_complex_json_roundtrip(self, rng, shape):
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        back = complex_from_json(json.loads(json.dumps(complex_to_json(a))))
+        assert back.shape == a.shape
+        assert np.array_equal(back, a)
+
+    @pytest.mark.parametrize("data", [[[1], [0, 0]], [[1, 0, 0]], [[np.nan, 0]],
+                                      [[1, "0"]], [[1, None]], [], [1, 2, 3]],
+                             ids=["short-pair", "three-numbers", "nan", "string", "none",
+                                  "empty", "triple"])
+    def test_complex_json_rejects_malformed_entries(self, data):
+        with pytest.raises(ValueError, match=r"finite \[re, im\] pairs"):
+            complex_from_json(data)
 
     def test_scenario_roundtrip(self):
         sc = load_scenario("easyexample")
@@ -112,6 +124,9 @@ class TestSerialization:
         sc = load_scenario("singlet")
         bad = replace(sc, initial_state=sc.initial_state * 2.0)
         with pytest.raises(ScenarioValidationError, match="norm"):
+            bad.validate()
+        bad = replace(sc, hamiltonian=sc.hamiltonian * np.nan)
+        with pytest.raises(ScenarioValidationError, match="entries must be finite"):
             bad.validate()
         bad = replace(sc, current="bogus")
         with pytest.raises(ScenarioValidationError, match="current"):
@@ -181,6 +196,79 @@ class TestPipelineExports:
         result = run(sc, report_only=True)
         msgs = result.report.failures(sc.thresholds)
         assert any("variation" in m for m in msgs)
+
+
+def read_table(path):
+    """Header and rows of an exported CSV; every line must end in CRLF."""
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[-1] == b""
+    assert not any(b"\r" in line or b"\n" in line for line in lines)
+    header, *rows = [line.decode("utf-8").split(",") for line in lines[:-1]]
+    return header, [list(col) for col in zip(*rows)]
+
+
+class TestExportRoundTrip:
+    """Every exported number reads back exactly, in the documented row order."""
+
+    @pytest.fixture(scope="class")
+    def exported(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("easyexample")
+        return run(BUILTINS["easyexample"](t1=0.2, n_paths=50), out_dir=out), out
+
+    @staticmethod
+    def assert_floats(column, expected):
+        assert np.array_equal([float(x) for x in column],
+                              np.asarray(expected, dtype=float).reshape(-1))
+
+    def test_currents(self, exported):
+        result, out = exported
+        header, (t, i, j, flow) = read_table(out / "currents.csv")
+        assert header == ["time", "i", "j", "j_ji"]
+        lo, hi = np.triu_indices(result.currents.size, 1)
+        self.assert_floats(t, np.repeat(result.family.grid, len(lo)))
+        assert [int(x) for x in i] == hi.tolist() * len(result.family.grid)
+        assert [int(x) for x in j] == lo.tolist() * len(result.family.grid)
+        self.assert_floats(flow, result.currents.upper[:, lo, hi])
+
+    def test_rates(self, exported):
+        result, out = exported
+        header, (t, i, j, rate, flag) = read_table(out / "rates.csv")
+        assert header == ["time", "i", "j", "rate", "pole_flag"]
+        src, dst = np.nonzero(~np.eye(result.rate_matrices.size, dtype=bool))
+        self.assert_floats(t, np.repeat(result.family.grid, len(src)))
+        assert [int(x) for x in i] == src.tolist() * len(result.family.grid)
+        assert [int(x) for x in j] == dst.tolist() * len(result.family.grid)
+        self.assert_floats(rate, result.rate_matrices.matrix[:, dst, src])
+        assert [int(x) for x in flag] == (
+            result.rate_matrices.pole_mask[:, dst, src].reshape(-1).astype(int).tolist())
+
+    def test_stats(self, exported):
+        result, out = exported
+        header, (t, label, freq, born) = read_table(out / "stats.csv")
+        assert header == ["time", "label", "frequency", "quantum_probability"]
+        stats, grid = result.stats, result.family.grid
+        n_labels = len(stats.labels)
+        self.assert_floats(t, np.repeat(stats.times, n_labels))
+        assert label == ["|".join(map(str, s)) for s in stats.labels] * len(stats.times)
+        self.assert_floats(freq, stats.frequencies)
+        nodes = np.searchsorted(grid, stats.times)
+        self.assert_floats(born, result.family.probabilities[nodes])
+
+    def test_trajectory_and_directions(self, exported):
+        result, out = exported
+        traj = result.family.factor_trajectories[0]
+        header, (t, label, weight, ref) = read_table(out / "trajectory_factor0.csv")
+        assert header == ["time", "label", "weight", "projector_ref"]
+        self.assert_floats(t, np.repeat(traj.grid, traj.n_labels))
+        assert [int(x) for x in label] == list(range(traj.n_labels)) * len(traj.grid)
+        self.assert_floats(weight, traj.weights)
+        n, d = traj.weights.shape
+        assert ref == [f"f0_t{k}_l{i}" for k in range(n) for i in range(d)]
+        side = json.loads((out / "trajectory_factor0_projectors.json").read_text())
+        assert sorted(side) == sorted(ref)
+        v = np.array([complex_from_json(side[r]) for r in ref]).reshape(n, d, -1)
+        rebuilt = np.einsum("kix,kiy->kixy", v, v.conj())
+        assert np.abs(rebuilt - traj.projectors).max() <= 1e-15
 
 
 def write_quick_scenario(tmp_path, name="quick", builder="singlet", **params):
@@ -321,6 +409,38 @@ class TestCli:
         assert cli_main(["validate", str(path)]) == 2
         assert f"validation error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keys, entry", [
+        (("hamiltonian", "matrix", 0, 0), [1]),
+        (("initial_state", 3), [0]),
+        (("hamiltonian", "matrix", 1, 2), [0.0, 0.0, 1.0]),
+        (("hamiltonian", "matrix", 0, 0), [np.nan, 0.0]),
+    ], ids=["hamiltonian-short-pair", "state-short-pair", "three-numbers",
+            "hamiltonian-nan"])
+    def test_malformed_complex_entries_rejected(self, tmp_path, capsys, keys, entry):
+        doc = scenario_to_dict(load_scenario("easyexample"))
+        *parents, last = keys
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = entry
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(path)]) == 2
+        assert (f"validation error: {keys[0]}: complex entries must be finite "
+                "[re, im] pairs") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("time", [
+        {"t0": 0.0, "t1": 1e300, "grid_step": 1e-300},
+        {"t0": 0.0, "t1": 1e6, "grid_step": 1e-9},
+    ], ids=["node-count-overflows", "grid-too-large-to-allocate"])
+    def test_unbuildable_grid_rejected(self, tmp_path, capsys, time):
+        doc = {"hamiltonian": {"builder": "easyexample", "params": {}},
+               "name": "huge-grid", "time": time}
+        path = tmp_path / "huge_grid.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(path)]) == 2
+        assert "validation error: time: the grid cannot be built" in capsys.readouterr().err
+
     def test_tracking_failure_exit_code(self, tmp_path, capsys):
         # A fast random (3, 3) system on a coarse grid cannot be tracked:
         # AmbiguousContinuation must end as a stage error, exit 1.
@@ -329,8 +449,8 @@ class TestCli:
         psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         doc = {
             "name": "untrackable", "factor_dims": [3, 3],
-            "hamiltonian": {"matrix": matrix_to_json(20.0 * (a + a.conj().T))},
-            "initial_state": [[z.real, z.imag] for z in psi / np.linalg.norm(psi)],
+            "hamiltonian": {"matrix": complex_to_json(20.0 * (a + a.conj().T))},
+            "initial_state": complex_to_json(psi / np.linalg.norm(psi)),
             "time": {"t0": 0.0, "t1": 1.0, "grid_step": 0.1},
             "ensemble": {"n_paths": 10, "master_seed": 1, "query_times": [0.5]},
         }
