@@ -48,7 +48,7 @@ ode = forward_ode_kernel(rt, 0.1, 0.5, ode_step=1e-3)
 print(f"\ncrossing scenario on [0.1, 0.5]: series vs solver "
       f"{np.abs(series.matrix - ode.matrix).max():.2e}")
 
-factory = lambda a, b: forward_ode_kernel(rt, a, b, ode_step=1e-3)
-ck = chapman_kolmogorov_residual(factory, 0.1, 0.2, 0.5)
+ck = chapman_kolmogorov_residual(ode, forward_ode_kernel(rt, 0.1, 0.3, ode_step=1e-3),
+                                 forward_ode_kernel(rt, 0.3, 0.5, ode_step=1e-3))
 print(f"Chapman-Kolmogorov residual through the midpoint: {ck:.2e}")
 print(f"column sums: {np.round(ode.column_sums(), 9)} (honest on pole-free windows)")

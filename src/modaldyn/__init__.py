@@ -9,7 +9,6 @@ series, and Monte Carlo path ensembles reproduce the quantum single-time
 probabilities.
 """
 
-from .config import DEFAULT, Tolerances
 from .errors import (AmbiguousContinuation, ModalDynError, PoleEncountered,
                      PoleInInterval, ScenarioValidationError,
                      TruncationNotConverged)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
-from .hilbert import check_hermitian, check_ket, tensor_product
+from .config import DEFAULT
+from .hilbert import _check_projector, check_ket, tensor_product
 
 __all__ = [
     "FauxBooleanAlgebra",
@@ -53,14 +53,6 @@ def orthocomplement(p) -> np.ndarray:
     return np.eye(p.shape[0], dtype=complex) - p
 
 
-def _check_projector(p, tol: Tolerances) -> np.ndarray:
-    p = check_hermitian(p, tol)
-    dev = np.abs(p @ p - p).max()
-    if dev > tol.idempotency:
-        raise ValueError(f"not a projector (max |P^2 - P| = {dev:.3e})")
-    return p
-
-
 @dataclass(frozen=True)
 class FauxBooleanAlgebra:
     """Finite enumeration of a faux-Boolean property algebra."""
@@ -71,20 +63,20 @@ class FauxBooleanAlgebra:
     atoms: tuple[np.ndarray, ...]    # generators plus the perp block when nonzero
     elements: tuple[np.ndarray, ...]
 
-    def atom_index(self, p, tol: Tolerances = DEFAULT) -> int:
+    def atom_index(self, p) -> int:
         for k, a in enumerate(self.atoms):
-            if np.abs(a - p).max() <= tol.containment:
+            if np.abs(a - p).max() <= DEFAULT.containment:
                 return k
         raise ValueError("projector is not an atom of this algebra")
 
-    def contains(self, p, tol: Tolerances = DEFAULT) -> bool:
+    def contains(self, p) -> bool:
         """Membership in the full algebra.
 
         General elements decompose as a subset-sum of generators plus an
         arbitrary subspace of the orthocomplement block.
         """
         try:
-            p = _check_projector(p, tol)
+            p = _check_projector(p)
         except ValueError:
             return False
         if p.shape[0] != self.dim:
@@ -98,20 +90,19 @@ class FauxBooleanAlgebra:
                 recon = recon + g
         dev_sub = np.abs(perp_part @ perp_part - perp_part).max() if self.perp.any() else 0.0
         return (
-            np.abs(recon + perp_part - p).max() <= tol.containment
-            and dev_sub <= tol.idempotency
+            np.abs(recon + perp_part - p).max() <= DEFAULT.containment
+            and dev_sub <= DEFAULT.idempotency
         )
 
 
 def generate_faux_boolean(generators, total_dim: int,
-                          max_elements: int = MAX_ELEMENTS,
-                          tol: Tolerances = DEFAULT) -> FauxBooleanAlgebra:
+                          max_elements: int = MAX_ELEMENTS) -> FauxBooleanAlgebra:
     """Build the enumerated closure of mutually orthogonal projectors.
 
     Raises on non-orthogonal input, and when the closure would exceed the
     enumeration cap.
     """
-    gens = tuple(_check_projector(g, tol) for g in generators)
+    gens = tuple(_check_projector(g) for g in generators)
     if not gens:
         raise ValueError("need at least one generator")
     if any(g.shape[0] != total_dim for g in gens):
@@ -119,7 +110,7 @@ def generate_faux_boolean(generators, total_dim: int,
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             dev = np.abs(gens[i] @ gens[j]).max()
-            if dev > tol.projector_orthogonality:
+            if dev > DEFAULT.projector_orthogonality:
                 raise ValueError(
                     f"generators {i} and {j} are not orthogonal (max {dev:.3e})"
                 )
@@ -152,21 +143,19 @@ class PropertyState:
     atom: np.ndarray
     atom_index: int
 
-    def holds(self, p, tol: Tolerances = DEFAULT) -> int:
+    def holds(self, p) -> int:
         """1 when the atom's subspace is contained in ``p``, else 0."""
         p = np.asarray(p, dtype=complex)
-        return int(np.abs(p @ self.atom - self.atom).max() <= tol.containment)
+        return int(np.abs(p @ self.atom - self.atom).max() <= DEFAULT.containment)
 
 
-def ultrafilter_state(algebra: FauxBooleanAlgebra, atom,
-                      tol: Tolerances = DEFAULT) -> PropertyState:
+def ultrafilter_state(algebra: FauxBooleanAlgebra, atom) -> PropertyState:
     atom = np.asarray(atom, dtype=complex)
-    idx = algebra.atom_index(atom, tol)
+    idx = algebra.atom_index(atom)
     return PropertyState(algebra=algebra, atom=algebra.atoms[idx], atom_index=idx)
 
 
-def composite_generating_set(factor_sets, tol: Tolerances = DEFAULT
-                             ) -> list[tuple[JointIndex, np.ndarray]]:
+def composite_generating_set(factor_sets) -> list[tuple[JointIndex, np.ndarray]]:
     """Cartesian product of per-factor projector sets.
 
     Every combination is kept, including those of probability zero, so the
@@ -179,7 +168,7 @@ def composite_generating_set(factor_sets, tol: Tolerances = DEFAULT
     for fs in factor_sets:
         total = sum(np.asarray(p, dtype=complex) for p in fs)
         dev = np.abs(total - np.eye(total.shape[0])).max()
-        if dev > tol.identity_sum:
+        if dev > DEFAULT.identity_sum:
             raise ValueError(f"factor set does not resolve the identity (max {dev:.3e})")
     out = []
     ranges = [range(len(fs)) for fs in factor_sets]
@@ -189,26 +178,26 @@ def composite_generating_set(factor_sets, tol: Tolerances = DEFAULT
     return out
 
 
-def joint_probability(psi, joint_projector, tol: Tolerances = DEFAULT) -> float:
+def joint_probability(psi, joint_projector) -> float:
     """Born weight of a joint product projector in a pure state."""
-    psi = check_ket(psi, tol)
+    psi = check_ket(psi)
     p = np.asarray(joint_projector, dtype=complex)
     if p.shape != (psi.size, psi.size):
         raise ValueError(
             f"dimension mismatch: projector {p.shape}, state dim {psi.size}"
         )
     val = np.vdot(psi, p @ psi)
-    if abs(val.imag) > 1e-10:
+    if abs(val.imag) > DEFAULT.hermiticity:
         raise ValueError(f"projector expectation is not real ({val!r})")
     x = float(val.real)
-    if x < -1e-12 or x > 1 + 1e-12:
+    if x < -DEFAULT.probability_sum or x > 1 + DEFAULT.probability_sum:
         raise ValueError(f"probability {x!r} outside [0, 1] beyond tolerance")
     return min(1.0, max(0.0, x))
 
 
-def joint_distribution(psi, joint_set, tol: Tolerances = DEFAULT) -> np.ndarray:
+def joint_distribution(psi, joint_set) -> np.ndarray:
     """Born weights over a composite generating set; they must sum to 1."""
-    probs = np.array([joint_probability(psi, proj, tol) for _, proj in joint_set])
-    if abs(probs.sum() - 1.0) > 1e-10:
+    probs = np.array([joint_probability(psi, proj) for _, proj in joint_set])
+    if abs(probs.sum() - 1.0) > DEFAULT.probability_sum:
         raise ValueError(f"joint probabilities sum to {probs.sum()!r}, expected 1")
     return probs

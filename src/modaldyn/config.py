@@ -1,7 +1,7 @@
-"""Central numerical tolerance configuration.
+"""Numerical tolerances: fixed values in one frozen record.
 
-Every tolerance used across the package lives in one frozen record so that
-the library, the pipeline and the tests share a single source of defaults.
+Every module reads its thresholds from :data:`DEFAULT`; no function takes
+a per-call override.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ class Tolerances:
     projector_orthogonality: float = 1e-8
     identity_sum: float = 1e-8        # |sum_i P_i - 1| for complete projector families
     idempotency: float = 1e-8
-    overlap_threshold: float = 0.5    # minimum continuation overlap per tracked label
+    overlap_threshold: float = 0.5    # minimum continuation overlap per tracked label;
+                                      # at most 1/2, which spectral.track's fast path needs
     derivative_balance: float = 1e-6  # max |sum_i Pdot_i| entry
     pdot_balance: float = 1e-10       # |sum_j pdot_j| for balanced derivative vectors
     probability_sum: float = 1e-9     # |sum_i p_i - 1|

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .hilbert import check_hermitian, check_ket
 
 __all__ = [
@@ -66,20 +66,20 @@ def _upper(f: np.ndarray) -> CurrentMatrix:
     return CurrentMatrix(upper=np.triu(f, 1))
 
 
-def minimal_flow_current(pdot, tol: Tolerances = DEFAULT) -> CurrentMatrix:
+def minimal_flow_current(pdot) -> CurrentMatrix:
     """Least-norm current (pdot_j - pdot_i) / D for balanced pdot vectors (..., D)."""
     pdot = np.asarray(pdot, dtype=float)
     d = pdot.shape[-1]
     bal = np.abs(pdot.sum(axis=-1)).max()
-    if bal > tol.pdot_balance:
+    if bal > DEFAULT.pdot_balance:
         raise ValueError(f"pdot must sum to zero (got {bal:.3e})")
     return _upper((pdot[..., :, None] - pdot[..., None, :]) / d)
 
 
-def _projected(psi, hamiltonian, vectors, tol: Tolerances):
+def _projected(psi, hamiltonian, vectors):
     """Checked ``psi``, ``H`` and the rows ``a_a = v_a <v_a|psi>``, shape (..., D, dim)."""
-    psi = check_ket(psi, tol)
-    h = check_hermitian(hamiltonian, tol)
+    psi = check_ket(psi)
+    h = check_hermitian(hamiltonian)
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != psi.ndim + 1 or v.shape[-1] != psi.shape[-1]:
         raise ValueError(f"vector stack has shape {v.shape}, "
@@ -87,7 +87,7 @@ def _projected(psi, hamiltonian, vectors, tol: Tolerances):
     # |<v_a|v_b>|^2 equals tr(P_a P_b) for the rank-1 projectors.
     overlap = np.abs(v.conj() @ np.swapaxes(v, -1, -2)) ** 2
     off = overlap * ~np.eye(v.shape[-2], dtype=bool)
-    if off.max() > tol.projector_orthogonality:
+    if off.max() > DEFAULT.projector_orthogonality:
         raise ValueError(
             f"projectors are not mutually orthogonal (max overlap {off.max():.3e})"
         )
@@ -101,19 +101,17 @@ def _schrodinger(a, h) -> np.ndarray:
     return 2.0 * g.imag
 
 
-def static_schrodinger_current(psi, hamiltonian, vectors,
-                               tol: Tolerances = DEFAULT) -> CurrentMatrix:
+def static_schrodinger_current(psi, hamiltonian, vectors) -> CurrentMatrix:
     """Textbook current for frozen projectors with orthonormal directions ``vectors``.
 
     ``psi`` has shape ``(..., dim)`` and ``vectors`` ``(..., D, dim)``.
     """
-    _psi, h, a = _projected(psi, hamiltonian, vectors, tol)
+    _psi, h, a = _projected(psi, hamiltonian, vectors)
     return _upper(_schrodinger(a, h))
 
 
 def generalized_schrodinger_current(psi, hamiltonian, vectors, rotation,
-                                    extra_term: str = "paired",
-                                    tol: Tolerances = DEFAULT) -> CurrentMatrix:
+                                    extra_term: str = "paired") -> CurrentMatrix:
     """Schrodinger current extended to a rotating projector family.
 
     ``rotation`` holds the rows ``b_a = Pdot_a |psi>``, shape ``(..., D, dim)``.
@@ -127,12 +125,12 @@ def generalized_schrodinger_current(psi, hamiltonian, vectors, rotation,
     """
     if extra_term not in ("paired", "minimal_flow_like"):
         raise ValueError(f"unknown extra_term {extra_term!r}")
-    psi, h, a = _projected(psi, hamiltonian, vectors, tol)
+    psi, h, a = _projected(psi, hamiltonian, vectors)
     b = np.asarray(rotation, dtype=complex)
     if b.shape != a.shape:
         raise ValueError("vector and rotation stacks must have equal shape")
     bal = np.abs(b.sum(axis=-2)).max()
-    if bal > tol.derivative_balance:
+    if bal > DEFAULT.derivative_balance:
         raise ValueError(f"projector derivatives do not sum to zero (max {bal:.3e})")
 
     f = _schrodinger(a, h)
@@ -143,7 +141,7 @@ def generalized_schrodinger_current(psi, hamiltonian, vectors, rotation,
         # term with P_i adjacent to the state; picking that arrangement per
         # pair keeps the zero-current-at-zero-probability property exact
         # instead of leaving finite-difference remainders of order h^2.
-        zero = np.einsum("...ax,...ax->...a", a.conj(), a).real <= tol.zero_probability
+        zero = np.einsum("...ax,...ax->...a", a.conj(), a).real <= DEFAULT.zero_probability
         extra = np.where(zero[..., None, :], m, 0.5 * (m - mt))
         extra = np.where(zero[..., :, None], -mt, extra)
     else:

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import PoleInInterval, TruncationNotConverged
 from .kinetics import RateTrajectory
 
@@ -82,13 +82,13 @@ def _check_poles(rates, s: float, t: float):
 
 
 def feller_minimal(rates, s: float, t: float, n_max: int = 25,
-                   quad_step: float = 1e-3, check_convergence: bool = True,
-                   tol: Tolerances = DEFAULT) -> TransitionKernel:
+                   quad_step: float = 1e-3, check_convergence: bool = True
+                   ) -> TransitionKernel:
     """Truncated minimal-solution series kernel on [s, t].
 
     Integrals use composite Simpson quadrature at ``quad_step``.  Raises
     :class:`TruncationNotConverged` when the last retained term still has an
-    entry above ``tol.series_tail`` (pass ``check_convergence=False`` to
+    entry above the series-tail tolerance (pass ``check_convergence=False`` to
     inspect deliberately truncated kernels), and :class:`PoleInInterval`
     when the rate trajectory carries pole flags inside the window.
     """
@@ -130,17 +130,16 @@ def feller_minimal(rates, s: float, t: float, n_max: int = 25,
         total += prev
         n_used = n
         last_max = float(prev[-1].max())
-        if last_max <= tol.series_tail:
+        if last_max <= DEFAULT.series_tail:
             break
-    if check_convergence and last_max > tol.series_tail:
-        raise TruncationNotConverged(
-            f"series term {n_used} still has max entry {last_max:.3e} > {tol.series_tail}"
-        )
+    if check_convergence and last_max > DEFAULT.series_tail:
+        raise TruncationNotConverged(f"series term {n_used} still has max entry "
+                                     f"{last_max:.3e} > {DEFAULT.series_tail}")
     return TransitionKernel(s=s, t=t, matrix=total[-1], method="series", n_terms=n_used)
 
 
-def forward_ode_kernel(rates, s: float, t: float, ode_step: float = 1e-3,
-                       tol: Tolerances = DEFAULT) -> TransitionKernel:
+def forward_ode_kernel(rates, s: float, t: float, ode_step: float = 1e-3
+                       ) -> TransitionKernel:
     """Forward-equation kernel by classic fixed-step fourth-order stepping."""
     if t < s:
         raise ValueError("need s <= t")
@@ -165,14 +164,17 @@ def forward_ode_kernel(rates, s: float, t: float, ode_step: float = 1e-3,
     return TransitionKernel(s=s, t=t, matrix=p, method="ode")
 
 
-def chapman_kolmogorov_residual(kernel_factory, s: float, h: float, t: float) -> float:
-    """max-entry norm of p(t, s) - p(t, s+h) p(s+h, s)."""
-    if not (s <= s + h <= t):
-        raise ValueError("need s <= s + h <= t")
-    direct = kernel_factory(s, t).matrix
-    second = kernel_factory(s + h, t).matrix
-    first = kernel_factory(s, s + h).matrix
-    return float(np.abs(direct - second @ first).max())
+def chapman_kolmogorov_residual(direct: TransitionKernel, first: TransitionKernel,
+                                second: TransitionKernel) -> float:
+    """max-entry norm of p(t, s) - p(t, r) p(r, s).
+
+    ``direct`` is p(t, s), ``first`` p(r, s) and ``second`` p(t, r): the
+    windows must chain from ``direct.s`` through ``first.t`` to ``direct.t``.
+    """
+    if first.s != direct.s or first.t != second.s or second.t != direct.t:
+        raise ValueError(f"kernel windows do not chain: [{first.s}, {first.t}] then "
+                         f"[{second.s}, {second.t}] for [{direct.s}, {direct.t}]")
+    return float(np.abs(direct.matrix - second.matrix @ first.matrix).max())
 
 
 def honesty_deficit(kernel: TransitionKernel) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 
 __all__ = [
     "FactorSpace",
@@ -61,12 +61,17 @@ class FactorSpace:
 
 
 def _as_square_stack(a) -> np.ndarray:
-    """``a`` as a complex ``(..., d, d)`` array with finite entries."""
+    """``a`` as a complex ``(..., d, d)`` array with finite entries.
+
+    For a stack, the first node with a non-finite entry is named.
+    """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    finite = np.isfinite(a).all(axis=(-2, -1)).reshape(-1)
+    if not finite.all():
+        where = "" if a.ndim == 2 else f"state at node {int(np.argmin(finite))}: "
+        raise ValueError(f"{where}matrix entries must be finite")
     return a
 
 
@@ -77,26 +82,39 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def check_hermitian(a, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Validate and return ``a`` as a Hermitian matrix."""
-    a = _as_square(a)
-    dev = np.abs(a - a.conj().T).max()
-    if dev > tol.hermiticity:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+def check_hermitian(a) -> np.ndarray:
+    """Validate and return ``a`` as a Hermitian matrix or a stack ``(..., d, d)``
+    of them; for a stack, the first bad node (in flat order) is named."""
+    a = _as_square_stack(a)
+    dev = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(axis=(-2, -1)).reshape(-1)
+    bad = np.flatnonzero(dev > DEFAULT.hermiticity)
+    if bad.size:
+        k = int(bad[0])
+        what = "matrix" if a.ndim == 2 else f"state at node {k}"
+        raise ValueError(f"{what} is not Hermitian (max deviation {dev[k]:.3e})")
     return a
 
 
-def check_ket(psi, tol: Tolerances = DEFAULT) -> np.ndarray:
+def check_ket(psi) -> np.ndarray:
     """Validate and return ``psi`` as a normalized ket or a stack ``(..., dim)`` of them."""
     psi = np.asarray(psi, dtype=complex)
     psi = psi.reshape(-1) if psi.ndim < 2 else psi
     if psi.size < 1 or not np.all(np.isfinite(psi)):
-        raise ValueError("ket amplitudes must be a finite, nonempty vector")
+        raise ValueError("ket must have at least one entry, and entries must be finite")
     nrm = np.linalg.norm(psi, axis=-1)
     worst = float(nrm.flat[np.argmax(np.abs(nrm - 1.0))])
-    if abs(worst - 1.0) > tol.unit_norm:
+    if abs(worst - 1.0) > DEFAULT.unit_norm:
         raise ValueError(f"ket is not normalized (norm {worst!r})")
     return psi
+
+
+def _check_projector(p) -> np.ndarray:
+    """Validate and return ``p`` as a Hermitian idempotent matrix."""
+    p = check_hermitian(p)
+    dev = np.abs(p @ p - p).max()
+    if dev > DEFAULT.idempotency:
+        raise ValueError(f"projector is not idempotent (max |P^2 - P| = {dev:.3e})")
+    return p
 
 
 def projector_from_vector(v) -> np.ndarray:
@@ -190,14 +208,14 @@ class EigenDecomposition:
         return len(self.values)
 
 
-def hermitian_eig(a, tol: Tolerances = DEFAULT) -> EigenDecomposition:
+def hermitian_eig(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, descending and deterministic.
 
     Ties within 1e-12 are ordered by lexicographic comparison of the
     phase-fixed eigenvector amplitudes.  Clusters are flagged at the
-    ``tol.degeneracy`` gap.
+    degeneracy gap of :mod:`modaldyn.config`.
     """
-    a = check_hermitian(a, tol)
+    a = _as_square(check_hermitian(a))
     vals, vecs = np.linalg.eigh(a)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()
@@ -219,19 +237,19 @@ def hermitian_eig(a, tol: Tolerances = DEFAULT) -> EigenDecomposition:
     clusters = []
     start = 0
     for k in range(1, len(vals) + 1):
-        if k == len(vals) or vals[k - 1] - vals[k] > tol.degeneracy:
+        if k == len(vals) or vals[k - 1] - vals[k] > DEFAULT.degeneracy:
             clusters.append(tuple(range(start, k)))
             start = k
     return EigenDecomposition(values=vals, vectors=vecs, clusters=tuple(clusters))
 
 
-def evolve_on_grid(psi0, hamiltonian, times, tol: Tolerances = DEFAULT) -> np.ndarray:
+def evolve_on_grid(psi0, hamiltonian, times) -> np.ndarray:
     """States at each time of ``times``; one eigendecomposition, many phases.
 
     Returns an array of shape ``(len(times), dim)``.
     """
-    h = check_hermitian(hamiltonian, tol)
-    psi0 = check_ket(psi0, tol)
+    h = _as_square(check_hermitian(hamiltonian))
+    psi0 = check_ket(psi0)
     times = np.asarray(times, dtype=float)
     vals, vecs = np.linalg.eigh(h)
     coeff = vecs.conj().T @ psi0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .currents import CurrentMatrix
 from .spectral import _runs
 
@@ -71,12 +71,6 @@ class RateMatrix:
     def has_poles(self) -> bool:
         return bool(self.pole_mask.any())
 
-    def exit_rates(self) -> np.ndarray:
-        """Total escape rate per state; +inf where the column holds a pole."""
-        out = -np.diagonal(self.matrix, axis1=-2, axis2=-1)
-        out[self.pole_mask.any(axis=-2)] = np.inf
-        return out
-
 
 def _with_diagonal(off: np.ndarray, pole_mask: np.ndarray) -> RateMatrix:
     d = off.shape[-1]
@@ -93,31 +87,30 @@ def _node_probabilities(current: CurrentMatrix, p) -> np.ndarray:
     return p
 
 
-def bell_rates(current: CurrentMatrix, p, tol: Tolerances = DEFAULT) -> RateMatrix:
+def bell_rates(current: CurrentMatrix, p) -> RateMatrix:
     """One-directional rate choice t_ji = max{0, j_ji / p_i}.
 
     ``p`` has shape ``(..., D)`` matching the current's node axes.
-    Probabilities at or below ``tol.zero_probability`` count as exactly
-    zero there: entries whose current is at most ``tol.pole_current`` get
-    rate 0 (the continuous convention), entries with a larger incoming
-    current are flagged as poles.  A negative current out of a
-    zero-probability state still gives rate 0, which is the continuous
-    limit of the max form.
+    Probabilities at or below the zero-probability tolerance count as
+    exactly zero there: entries whose current is at most the pole-current
+    tolerance get rate 0 (the continuous convention), entries with a
+    larger incoming current are flagged as poles.  A negative current out
+    of a zero-probability state still gives rate 0, which is the
+    continuous limit of the max form.
     """
     p = _node_probabilities(current, p)
-    if p.min() < -tol.probability_sum or \
-            np.abs(p.sum(axis=-1) - 1.0).max() > tol.probability_sum:
+    if p.min() < -DEFAULT.probability_sum or \
+            np.abs(p.sum(axis=-1) - 1.0).max() > DEFAULT.probability_sum:
         raise ValueError("p must be a probability vector summing to 1")
     j = current.full()
-    pos = (p > tol.zero_probability)[..., None, :]    # column i: p_i > 0
+    pos = (p > DEFAULT.zero_probability)[..., None, :]    # column i: p_i > 0
     # Divide only where p_i counts as positive, so no inf or NaN is formed.
     off = np.where(pos, np.maximum(0.0, j / np.where(pos, p[..., None, :], 1.0)), 0.0)
-    pole = ~pos & (j > tol.pole_current) & ~np.eye(current.size, dtype=bool)
+    pole = ~pos & (j > DEFAULT.pole_current) & ~np.eye(current.size, dtype=bool)
     return _with_diagonal(off, pole)
 
 
-def general_rates(current: CurrentMatrix, p, free_choice=0.0,
-                  tol: Tolerances = DEFAULT) -> RateMatrix:
+def general_rates(current: CurrentMatrix, p, free_choice=0.0) -> RateMatrix:
     """General solution of j_ji = t_ji p_i - t_ij p_j with a free offset.
 
     For each pair j < i the rate t_ji is the one-directional choice plus a
@@ -127,7 +120,7 @@ def general_rates(current: CurrentMatrix, p, free_choice=0.0,
     """
     p = _node_probabilities(current, p)
     d = current.size
-    if p.min() <= tol.zero_probability:
+    if p.min() <= DEFAULT.zero_probability:
         raise ValueError("division at p_j = 0: general rates need p > 0 everywhere")
     if callable(free_choice):
         c = np.array([[free_choice(a, b) for b in range(d)] for a in range(d)], dtype=float)
@@ -254,8 +247,8 @@ class SingularityEvent:
     t_end: float
 
 
-def classify_singularities(p_trajectory, grid, rates: RateMatrix | None = None,
-                           tol: Tolerances = DEFAULT) -> tuple[SingularityEvent, ...]:
+def classify_singularities(p_trajectory, grid, rates: RateMatrix | None = None
+                           ) -> tuple[SingularityEvent, ...]:
     """Locate and classify probability zeros along a trajectory.
 
     A run of nodes with p_i at or below 1e-4 is an isolated zero when the
@@ -278,7 +271,7 @@ def classify_singularities(p_trajectory, grid, rates: RateMatrix | None = None,
         for start, end in _runs(p[:, i] <= 1e-4):
             run = slice(start, end + 1)
             seg = p[run, i]
-            kind = "interval-zero" if seg.max() <= 10 * tol.zero_probability \
+            kind = "interval-zero" if seg.max() <= 10 * DEFAULT.zero_probability \
                 else "isolated-zero"
             arg = start + int(np.argmin(seg))
             divergent = None

@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import io as mdio
-from .config import DEFAULT, Tolerances
 from .currents import (CurrentMatrix, continuity_residual,
                        generalized_schrodinger_current, minimal_flow_current,
                        static_schrodinger_current)
@@ -49,14 +48,14 @@ class JointFamily:
     pdot: np.ndarray                 # (n, D) finite differences
 
 
-def compute_joint_family(scenario: Scenario, tol: Tolerances = DEFAULT) -> JointFamily:
+def compute_joint_family(scenario: Scenario) -> JointFamily:
     scenario.validate()
     space = scenario.space
     grid = scenario.grid()
-    psi = evolve_on_grid(scenario.initial_state, scenario.hamiltonian, grid, tol)
+    psi = evolve_on_grid(scenario.initial_state, scenario.hamiltonian, grid)
 
     pure = psi[:, :, None] * psi[:, None, :].conj()             # (n, dim, dim)
-    trajectories = [track(partial_trace(pure, space, k), grid, tol=tol)
+    trajectories = [track(partial_trace(pure, space, k), grid)
                     for k in range(space.n_factors)]
 
     states = space.joint_indices()
@@ -87,8 +86,7 @@ def compute_joint_family(scenario: Scenario, tol: Tolerances = DEFAULT) -> Joint
 
 
 def compute_currents(family: JointFamily, kind: str | None = None,
-                     extra_term: str | None = None,
-                     tol: Tolerances = DEFAULT) -> CurrentMatrix:
+                     extra_term: str | None = None) -> CurrentMatrix:
     """The currents at every grid node, one stacked record."""
     kind = kind or family.scenario.current
     extra_term = extra_term or family.scenario.extra_term
@@ -96,13 +94,13 @@ def compute_currents(family: JointFamily, kind: str | None = None,
     if kind == "minimal_flow":
         # Finite differences of clipped probabilities can carry ~1e-13 imbalance.
         pdot = family.pdot
-        return minimal_flow_current(pdot - pdot.mean(axis=1, keepdims=True), tol=tol)
+        return minimal_flow_current(pdot - pdot.mean(axis=1, keepdims=True))
     if kind == "static_schrodinger":
-        return static_schrodinger_current(family.psi, h, family.vectors, tol=tol)
+        return static_schrodinger_current(family.psi, h, family.vectors)
     if kind == "generalized_schrodinger":
         return generalized_schrodinger_current(family.psi, h, family.vectors,
                                                family.rotation,
-                                               extra_term=extra_term, tol=tol)
+                                               extra_term=extra_term)
     raise ValueError(f"unknown current kind {kind!r}")
 
 
@@ -124,12 +122,12 @@ def pdot_target(family: JointFamily, kind: str) -> np.ndarray:
 
 
 def compute_rates(currents: CurrentMatrix, probabilities, choice: str,
-                  general_offset: float = 0.0, tol: Tolerances = DEFAULT) -> RateMatrix:
+                  general_offset: float = 0.0) -> RateMatrix:
     """The rates at every grid node, one stacked record."""
     if choice in ("bell", "bell_note9"):
-        return bell_rates(currents, probabilities, tol=tol)
+        return bell_rates(currents, probabilities)
     if choice == "general":
-        return general_rates(currents, probabilities, free_choice=general_offset, tol=tol)
+        return general_rates(currents, probabilities, free_choice=general_offset)
     raise ValueError(f"unknown rate choice {choice!r}")
 
 
@@ -194,7 +192,7 @@ class PipelineResult:
     currents: CurrentMatrix
     rate_matrices: RateMatrix
     rate_trajectory: RateTrajectory
-    paths: PathEnsemble | None
+    paths: PathEnsemble
     stats: object
     report: RunReport
     kernels: tuple | None = None
@@ -217,8 +215,7 @@ class _Stage:
 
 def run(scenario: Scenario, out_dir=None, report_only: bool = False,
         n_paths: int | None = None, master_seed: int | None = None,
-        current: str | None = None, sample: bool = True,
-        tol: Tolerances = DEFAULT) -> PipelineResult:
+        current: str | None = None) -> PipelineResult:
     """Execute the full pipeline for one scenario.
 
     ``n_paths``, ``master_seed`` and ``current`` override the scenario
@@ -236,17 +233,17 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
     scenario.validate()
 
     with _Stage("spectral tracking"):
-        family = compute_joint_family(scenario, tol)
+        family = compute_joint_family(scenario)
     grid = family.grid
     with _Stage("currents"):
-        currents = compute_currents(family, tol=tol)
+        currents = compute_currents(family)
         target = pdot_target(family, scenario.current)
     cont_res = continuity_residual(currents, target)
 
     with _Stage("rates"):
         rate_matrices = compute_rates(currents, family.probabilities,
                                       scenario.rate_choice,
-                                      scenario.general_rate_offset, tol)
+                                      scenario.general_rate_offset)
     rate_traj = RateTrajectory(grid, rate_matrices)
     pole_nodes = int(rate_traj.pole_mask.any(axis=(1, 2)).sum())
 
@@ -270,8 +267,7 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
         {"factor": fk, "min_overlap": traj.min_overlap, "min_gap": traj.min_gap}
         for fk, traj in enumerate(family.factor_trajectories)
     ]
-    singularities = classify_singularities(family.probabilities, grid,
-                                           rate_matrices, tol=tol)
+    singularities = classify_singularities(family.probabilities, grid, rate_matrices)
     report.singularities = [
         {"time": ev.time, "state": ev.state, "kind": ev.kind,
          "divergent": ev.divergent, "t_start": ev.t_start, "t_end": ev.t_end}
@@ -286,15 +282,15 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
             report.kernel_window = (s, t)
             step = scenario.time.grid_step
             try:
-                series = feller_minimal(rate_traj, s, t, quad_step=step, tol=tol)
-                ode = forward_ode_kernel(rate_traj, s, t, ode_step=step, tol=tol)
+                series = feller_minimal(rate_traj, s, t, quad_step=step)
+                ode = forward_ode_kernel(rate_traj, s, t, ode_step=step)
                 kernels = (series, ode)
                 report.kernel_cross_check = float(np.abs(series.matrix - ode.matrix).max())
                 report.honesty_deficit_max = float(np.abs(honesty_deficit(series)).max())
-                factory = lambda a, b: forward_ode_kernel(rate_traj, a, b,
-                                                          ode_step=step, tol=tol)
+                mid = s + (t - s) / 2.0
                 report.chapman_residual = chapman_kolmogorov_residual(
-                    factory, s, (t - s) / 2.0, t)
+                    ode, forward_ode_kernel(rate_traj, s, mid, ode_step=step),
+                    forward_ode_kernel(rate_traj, mid, t, ode_step=step))
             except (PoleInInterval, TruncationNotConverged, ValueError) as exc:
                 report.kernel_note = f"kernel stage skipped: {exc}"
         else:
@@ -302,27 +298,26 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
     else:
         report.kernel_note = "no pole-free window: kernels not constructed"
 
-    paths = nodes = stats = None
-    if sample:
-        with _Stage("sampling"):
-            process = JumpProcess(rate_traj, family.probabilities[0],
-                                  family.states,
-                                  currents=currents.full(),
-                                  pole_policy=scenario.pole_policy,
-                                  master_seed=scenario.ensemble.master_seed)
-            paths = process.ensemble(scenario.ensemble.n_paths)
-        nodes = _nearest_node(grid, np.asarray(scenario.ensemble.query_times, dtype=float))
-        if len(nodes):
-            stats = ensemble_marginals(paths, grid[nodes], family.states)
-            report.total_variation = {
-                repr(float(grid[node])): total_variation(freqs, family.probabilities[node])
-                for freqs, node in zip(stats.frequencies, nodes)}
-            report.max_total_variation = max(report.total_variation.values())
-        report.deterministic = not paths.jump_counts.any()
-        report.mean_jumps = float(paths.jump_counts.mean())
-        report.low_probability_occupancy = low_probability_occupancy(
-            paths, grid, family.probabilities, family.states)
-        report.n_paths = len(paths)
+    stats = None
+    with _Stage("sampling"):
+        process = JumpProcess(rate_traj, family.probabilities[0],
+                              family.states,
+                              currents=currents.full(),
+                              pole_policy=scenario.pole_policy,
+                              master_seed=scenario.ensemble.master_seed)
+        paths = process.ensemble(scenario.ensemble.n_paths)
+    nodes = _nearest_node(grid, np.asarray(scenario.ensemble.query_times, dtype=float))
+    if len(nodes):
+        stats = ensemble_marginals(paths, grid[nodes], family.states)
+        report.total_variation = {
+            repr(float(grid[node])): total_variation(freqs, family.probabilities[node])
+            for freqs, node in zip(stats.frequencies, nodes)}
+        report.max_total_variation = max(report.total_variation.values())
+    report.deterministic = not paths.jump_counts.any()
+    report.mean_jumps = float(paths.jump_counts.mean())
+    report.low_probability_occupancy = low_probability_occupancy(
+        paths, grid, family.probabilities, family.states)
+    report.n_paths = len(paths)
 
     result = PipelineResult(
         scenario=scenario, family=family, currents=currents,
@@ -376,8 +371,7 @@ def _export(result: PipelineResult, out_dir, nodes):
     if result.kernels is not None:
         series, _ode = result.kernels
         mdio.write_kernel_json(out / "kernel.json", series, honesty_deficit(series))
-    if result.paths:
-        mdio.write_paths_jsonl(out / "paths.jsonl", result.paths)
+    mdio.write_paths_jsonl(out / "paths.jsonl", result.paths)
     if result.stats is not None:
         mdio.write_stats_csv(out / "stats.csv", result.stats,
                              family.probabilities[nodes])

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from .config import DEFAULT
 from .errors import ModalDynError, PoleEncountered
 from .kinetics import RateTrajectory
 from .spectral import _nearest_node
@@ -313,7 +314,8 @@ class JumpProcess:
         d = rate_trajectory.size
         if len(self.states) != d or self.p0.size != d:
             raise ValueError("states/p0 size does not match the rate trajectory")
-        if abs(self.p0.sum() - 1.0) > 1e-9 or self.p0.min() < -1e-12:
+        if abs(self.p0.sum() - 1.0) > DEFAULT.probability_sum \
+                or self.p0.min() < -DEFAULT.zero_probability:
             raise ValueError("initial distribution must be nonnegative and sum to 1")
         self._p0_cum = np.cumsum(np.clip(self.p0, 0.0, None))
         self._p0_cum /= self._p0_cum[-1]

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import ScenarioValidationError
-from .hilbert import FactorSpace
+from .hilbert import FactorSpace, check_hermitian, check_ket
 from . import io as mdio
 
 __all__ = [
@@ -99,17 +99,16 @@ class Scenario:
             raise ScenarioValidationError(
                 f"hamiltonian: dimension {h.shape[0]} != product of factors {space.dim}"
             )
-        if not (np.isfinite(h).all() and np.isfinite(psi).all()):
-            raise ScenarioValidationError("hamiltonian, initial_state: entries must be finite")
-        if np.abs(h - h.conj().T).max() > 1e-10:
-            raise ScenarioValidationError("hamiltonian: not Hermitian")
         if psi.size != space.dim:
             raise ScenarioValidationError(
                 f"initial_state: length {psi.size} != product of factors {space.dim}"
             )
-        nrm = np.linalg.norm(psi)
-        if abs(nrm - 1.0) > 1e-8:
-            raise ScenarioValidationError(f"initial_state: norm {nrm!r} != 1")
+        for name, check, value in (("hamiltonian", check_hermitian, h),
+                                   ("initial_state", check_ket, psi)):
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ScenarioValidationError(f"{name}: {exc}") from exc
         if not np.isfinite([self.time.t0, self.time.t1, self.time.grid_step]).all():
             raise ScenarioValidationError("time: t0, t1 and grid_step must be finite")
         if not self.time.grid_step > 0:

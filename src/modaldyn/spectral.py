@@ -19,17 +19,21 @@ eigenbases as one array.  Two paths then assign labels:
   stochastic, so every other entry of such a row is below 1/2: any other
   permutation takes a smaller entry in every row where it differs, and
   that permutation is the unique optimum of the Hungarian objective.
-  Label maps compose along runs of such nodes (only where a column
+  Its overlaps, all above 1/2, also pass the overlap threshold, which is
+  1/2.  Label maps compose along runs of such nodes (only where a column
   actually moves), and phases follow from a cumulative product of the
   unit overlaps, ``phi_k = phi_(k-1) conj(g_k) / |g_k|``.
 * **Fallback.**  Every other node (a degenerate cluster at it or its
   predecessor, an overlap row without a dominant entry, or an overlap
-  below ``overlap_threshold``) takes the per-node step on the node's
+  below the overlap threshold) takes the per-node step on the node's
   eigenpairs from the same stacked ``eigh``: the Hungarian method on the
   overlap matrix, then polar alignment of the clusters that the
-  ``tol.degeneracy`` gaps of the fast-path test delimit.  This covers
+  degeneracy gaps of the fast-path test delimit.  This covers
   singlet-like fully degenerate families, exact crossings and ambiguous
   continuations, which raise from this step.
+
+The overlap threshold and the degeneracy gap are fixed values in
+:mod:`modaldyn.config`.
 """
 
 from __future__ import annotations
@@ -39,9 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import AmbiguousContinuation
-from .hilbert import check_hermitian, hermitian_eig, projector_from_vector
+from .hilbert import (_check_projector, _fix_phase, check_hermitian, hermitian_eig,
+                      projector_from_vector)
 
 __all__ = [
     "CrossingEvent",
@@ -82,7 +87,7 @@ class SpectralTrajectory:
     @property
     def min_overlap(self) -> float:
         """Smallest squared overlap of a label's direction with its direction
-        one node earlier: how close tracking came to ``overlap_threshold``."""
+        one node earlier: how close tracking came to the overlap threshold."""
         v = self.vectors
         if len(v) < 2:
             return 1.0
@@ -118,14 +123,9 @@ def _refine_block(block_vectors: np.ndarray, reference: np.ndarray) -> np.ndarra
     by descending restricted eigenvalue with lexicographic tie-breaking.
     """
     restricted = block_vectors.conj().T @ reference @ block_vectors
-    sub = hermitian_eig(restricted)
-    out = block_vectors @ sub.vectors
+    out = block_vectors @ hermitian_eig(restricted).vectors
     for k in range(out.shape[1]):
-        v = out[:, k]
-        j = int(np.argmax(np.abs(v)))
-        z = v[j]
-        if abs(z) > 0:
-            out[:, k] = v * (abs(z) / z)
+        out[:, k] = _fix_phase(out[:, k])
     return out
 
 
@@ -142,7 +142,7 @@ def _polar_align(block_vectors: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return block_vectors @ (u @ vh)
 
 
-def fiduciary_refine(projectors, tol: Tolerances = DEFAULT) -> list[np.ndarray]:
+def fiduciary_refine(projectors) -> list[np.ndarray]:
     """Split projectors into one-dimensional mutually orthogonal pieces.
 
     Each rank-r input is replaced by r rank-1 projectors that sum to it.
@@ -152,19 +152,16 @@ def fiduciary_refine(projectors, tol: Tolerances = DEFAULT) -> list[np.ndarray]:
     """
     out: list[np.ndarray] = []
     for p in projectors:
-        p = check_hermitian(p, tol)
-        dev = np.abs(p @ p - p).max()
-        if dev > tol.idempotency:
-            raise ValueError(f"input is not idempotent (max |P^2 - P| = {dev:.3e})")
+        p = _check_projector(p)
         rank = int(round(float(p.trace().real)))
         if rank == 0:
             continue
         if rank == 1:
             out.append(p)
             continue
-        dec = hermitian_eig(p, tol)
+        dec = hermitian_eig(p)
         block = dec.vectors[:, :rank]
-        if dec.values[:rank].min() < 1.0 - tol.idempotency:
+        if dec.values[:rank].min() < 1.0 - DEFAULT.idempotency:
             raise ValueError("projector eigenvalues are not within tolerance of 0/1")
         refined = _refine_block(block, _reference_operator(p.shape[0]))
         for k in range(rank):
@@ -172,29 +169,20 @@ def fiduciary_refine(projectors, tol: Tolerances = DEFAULT) -> list[np.ndarray]:
     return out
 
 
-def _initial_frame(w0: np.ndarray, tol: Tolerances):
-    dec = hermitian_eig(w0, tol)
-    vectors = dec.vectors.copy()
-    ref = _reference_operator(dec.dim)
-    for cluster in dec.clusters:
-        if len(cluster) > 1:
-            cols = list(cluster)
-            vectors[:, cols] = _refine_block(vectors[:, cols], ref)
-    return dec.values.copy(), vectors
+def _initial_frame(values: np.ndarray, vecs: np.ndarray, split: np.ndarray) -> np.ndarray:
+    """Node 0's eigenvectors as columns, from its descending eigenpairs.
 
-
-def _check_stack(states: np.ndarray, tol: Tolerances) -> None:
-    """Finite, Hermitian entries at every node; the first bad node is named."""
-    finite = np.isfinite(states).all(axis=(1, 2))
-    if not finite.all():
-        raise ValueError(f"state at node {int(np.argmin(finite))}: "
-                         "matrix entries must be finite")
-    dev = np.abs(states - states.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    bad = np.flatnonzero(dev > tol.hermiticity)
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(f"state at node {k} is not Hermitian "
-                         f"(max deviation {dev[k]:.3e})")
+    ``split[c]`` says that a cluster ends after column ``c``.  Singleton
+    columns are phase-fixed; clusters are split along the reference.
+    """
+    vecs = vecs.copy()
+    ref = _reference_operator(len(values))
+    for cols in np.split(np.arange(len(values)), np.flatnonzero(split) + 1):
+        if len(cols) == 1:
+            vecs[:, cols[0]] = _fix_phase(vecs[:, cols[0]])
+        else:
+            vecs[:, cols] = _refine_block(vecs[:, cols], ref)
+    return vecs
 
 
 def _continue(prev: np.ndarray, vals: np.ndarray, basis: np.ndarray,
@@ -228,8 +216,7 @@ def _continue(prev: np.ndarray, vals: np.ndarray, basis: np.ndarray,
     return values[col_of_label], new_vecs, col_of_label
 
 
-def track(states, grid, overlap_threshold: float | None = None,
-          tol: Tolerances = DEFAULT) -> SpectralTrajectory:
+def track(states, grid) -> SpectralTrajectory:
     """Thread the eigendirections of a state family into labeled trajectories.
 
     Parameters
@@ -239,9 +226,6 @@ def track(states, grid, overlap_threshold: float | None = None,
         sequence of ``(d, d)`` arrays.
     grid : array
         Strictly increasing times, same length as ``states``.
-    overlap_threshold : float, optional
-        Minimum per-label squared overlap between consecutive nodes.  Below
-        it the continuation is ambiguous and the grid needs refining.
 
     Raises
     ------
@@ -249,10 +233,9 @@ def track(states, grid, overlap_threshold: float | None = None,
         If a node's state is not finite and Hermitian; the first such node
         is named.
     AmbiguousContinuation
-        If any label's continuation overlap falls below the threshold.
+        If any label's squared overlap between consecutive nodes falls below
+        the overlap threshold; the grid then needs refining.
     """
-    if overlap_threshold is None:
-        overlap_threshold = tol.overlap_threshold
     grid = np.asarray(grid, dtype=float)
     try:
         states = np.asarray(states, dtype=complex)
@@ -264,12 +247,12 @@ def track(states, grid, overlap_threshold: float | None = None,
         raise ValueError("grid times must be strictly increasing")
     if states.ndim != 3 or states.shape[1] != states.shape[2] or states.shape[1] < 1:
         raise ValueError("all states must share one dimension")
-    _check_stack(states, tol)
+    check_hermitian(states)
 
     n, dim = states.shape[:2]
     vals, basis = np.linalg.eigh(states)
     vals, basis = vals[:, ::-1], basis[:, :, ::-1]        # descending, as hermitian_eig
-    split = vals[:, :-1] - vals[:, 1:] > tol.degeneracy   # a cluster ends here
+    split = vals[:, :-1] - vals[:, 1:] > DEFAULT.degeneracy  # a cluster ends here
     plain = split.all(axis=1)
     # raw[k-1][r, c] = <column r at node k-1 | column c at node k>.
     raw = basis[:-1].conj().swapaxes(1, 2) @ basis[1:]
@@ -278,14 +261,12 @@ def track(states, grid, overlap_threshold: float | None = None,
     best = np.take_along_axis(overlap, step[..., None], axis=2)[..., 0]
     fast = np.zeros(n, dtype=bool)
     fast[1:] = (plain[1:] & plain[:-1] & (best > 0.5).all(axis=1)
-                & (best >= overlap_threshold).all(axis=1)
                 & (np.sort(step, axis=1) == np.arange(dim)).all(axis=1))
 
     weights = np.empty((n, dim))
     vectors = np.empty((n, dim, dim), dtype=complex)
-    vals0, vecs0 = _initial_frame(states[0], tol)
-    weights[0] = vals0
-    vectors[0] = vecs0.T               # row i is the vector of label i
+    weights[0] = vals[0]
+    vectors[0] = _initial_frame(vals[0], basis[0], split[0]).T   # row i: label i
     col_of_label = np.arange(dim) if plain[0] else None
 
     anchor = 0
@@ -297,11 +278,11 @@ def track(states, grid, overlap_threshold: float | None = None,
         prev = vectors[k - 1]
         weights[k], vectors[k], assigned = _continue(prev, vals, basis, split, k)
         o = np.abs(np.einsum("lx,lx->l", prev.conj(), vectors[k])) ** 2
-        low = np.flatnonzero(o < overlap_threshold)
+        low = np.flatnonzero(o < DEFAULT.overlap_threshold)
         if low.size:
             lab = int(low[0])
             raise AmbiguousContinuation(
-                f"label {lab} overlap {o[lab]:.3f} < {overlap_threshold} at "
+                f"label {lab} overlap {o[lab]:.3f} < {DEFAULT.overlap_threshold} at "
                 f"t={float(grid[k])}; refine the grid"
             )
         col_of_label = assigned if plain[k] else None

@@ -100,6 +100,14 @@ class TestJointProbability:
         probs = joint_distribution(psi, joint)
         assert abs(probs.sum() - 1.0) <= 1e-10
 
+    def test_accepts_every_ket_check_ket_accepts(self):
+        # Norm 1 + 0.8e-10 passes check_ket; its Born weights sum to
+        # 1 + 1.6e-10 and must be accepted too.
+        psi = np.array([0.6, 0.0, 0.0, 0.8], dtype=complex) * (1 + 0.8e-10)
+        joint = composite_generating_set([[E0, E1], [E0, E1]])
+        assert joint_probability(psi, np.kron(E1, E1)) > 0.64
+        assert abs(joint_distribution(psi, joint).sum() - 1.0) <= 2e-10
+
     def test_marginal_matches_partial_trace(self, rng):
         psi = random_ket(rng, 4)
         joint = composite_generating_set([[E0, E1], [E0, E1]])

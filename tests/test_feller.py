@@ -124,24 +124,32 @@ class TestKolmogorovResiduals:
 class TestChapmanKolmogorov:
     def test_zero_offset(self):
         fn, _ = constant_rates(np.array([[0.0, 1.0], [2.0, 0.0]]))
-        factory = lambda a, b: forward_ode_kernel(fn, a, b, ode_step=1e-3)
-        assert chapman_kolmogorov_residual(factory, 0.2, 0.0, 0.6) <= 1e-9
+        kernel = lambda a, b: forward_ode_kernel(fn, a, b, ode_step=1e-3)
+        direct = kernel(0.2, 0.6)
+        assert chapman_kolmogorov_residual(direct, kernel(0.2, 0.2), direct) <= 1e-9
 
     def test_constant_rate_semigroup(self):
         fn, _ = constant_rates(np.array([[0.0, 1.0], [2.0, 0.0]]))
-        factory = lambda a, b: forward_ode_kernel(fn, a, b, ode_step=1e-3)
-        assert chapman_kolmogorov_residual(factory, 0.0, 0.4, 1.0) <= 1e-8
+        kernel = lambda a, b: forward_ode_kernel(fn, a, b, ode_step=1e-3)
+        assert chapman_kolmogorov_residual(
+            kernel(0.0, 1.0), kernel(0.0, 0.4), kernel(0.4, 1.0)) <= 1e-8
 
     def test_crossing_scenario_kernels(self):
         rt = crossing_rate_trajectory()
-        factory = lambda a, b: feller_minimal(rt, a, b, quad_step=1e-3)
-        assert chapman_kolmogorov_residual(factory, 0.1, 0.2, 0.5) <= 1e-5
+        kernel = lambda a, b: feller_minimal(rt, a, b, quad_step=1e-3)
+        assert chapman_kolmogorov_residual(
+            kernel(0.1, 0.5), kernel(0.1, 0.3), kernel(0.3, 0.5)) <= 1e-5
 
     def test_invalid_ordering(self):
+        # Kernels for [0.1, 0.6] whose windows break the chain at its start,
+        # in its middle and at its end.
         fn, _ = constant_rates(np.zeros((2, 2)))
-        factory = lambda a, b: forward_ode_kernel(fn, a, b)
-        with pytest.raises(ValueError):
-            chapman_kolmogorov_residual(factory, 0.5, -1.0, 0.6)
+        kernel = lambda a, b: forward_ode_kernel(fn, a, b)
+        direct = kernel(0.1, 0.6)
+        for first, second in (((0.0, 0.3), (0.3, 0.6)), ((0.1, 0.3), (0.4, 0.6)),
+                              ((0.1, 0.3), (0.3, 0.5))):
+            with pytest.raises(ValueError, match="do not chain"):
+                chapman_kolmogorov_residual(direct, kernel(*first), kernel(*second))
 
 
 class TestHonestyDeficit:

@@ -441,6 +441,24 @@ class TestCli:
         assert cli_main(["validate", str(path)]) == 2
         assert "validation error: time: the grid cannot be built" in capsys.readouterr().err
 
+    def test_validate_and_run_share_the_norm_check(self, tmp_path, capsys):
+        # Amplitudes typed to eight digits leave a norm error of 1.7e-9:
+        # validate and run must both reject the state, naming the field.
+        amp = [0.70710678, 0.0]
+        doc = {
+            "name": "eight-digits", "factor_dims": [2, 2],
+            "hamiltonian": {"matrix": complex_to_json(np.zeros((4, 4)))},
+            "initial_state": [amp, [0.0, 0.0], [0.0, 0.0], amp],
+            "time": {"t0": 0.0, "t1": 0.1, "grid_step": 0.01},
+            "ensemble": {"n_paths": 10, "master_seed": 1, "query_times": [0.05]},
+        }
+        path = tmp_path / "eight_digits.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["validate", str(path)], ["run", str(path), "--report-only"]):
+            assert cli_main(argv) == 2
+            assert "validation error: initial_state: ket is not normalized" \
+                in capsys.readouterr().err
+
     def test_tracking_failure_exit_code(self, tmp_path, capsys):
         # A fast random (3, 3) system on a coarse grid cannot be tracked:
         # AmbiguousContinuation must end as a stage error, exit 1.

