@@ -49,7 +49,7 @@ class JointFamily:
 
 
 def compute_joint_family(scenario: Scenario) -> JointFamily:
-    scenario.validate()
+    """The tracked joint family of a validated scenario (``run`` validates)."""
     space = scenario.space
     grid = scenario.grid()
     psi = evolve_on_grid(scenario.initial_state, scenario.hamiltonian, grid)
@@ -149,6 +149,7 @@ class RunReport:
     chapman_residual: float | None = None
     honesty_deficit_max: float | None = None
     kernel_cross_check: float | None = None
+    kernel_terms: int | None = None
     kernel_note: str | None = None
     total_variation: dict = field(default_factory=dict)
     max_total_variation: float | None = None
@@ -285,6 +286,7 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
                 series = feller_minimal(rate_traj, s, t, quad_step=step)
                 ode = forward_ode_kernel(rate_traj, s, t, ode_step=step)
                 kernels = (series, ode)
+                report.kernel_terms = series.n_terms
                 report.kernel_cross_check = float(np.abs(series.matrix - ode.matrix).max())
                 report.honesty_deficit_max = float(np.abs(honesty_deficit(series)).max())
                 mid = s + (t - s) / 2.0

@@ -1,12 +1,16 @@
+from math import ceil
+
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 from scipy.linalg import expm
 
+from modaldyn.config import DEFAULT
 from modaldyn.currents import CurrentMatrix
 from modaldyn.errors import PoleInInterval, TruncationNotConverged
-from modaldyn.feller import (chapman_kolmogorov_residual, feller_minimal,
-                             forward_ode_kernel, honesty_deficit)
-from modaldyn.kinetics import RateTrajectory, bell_rates
+from modaldyn.feller import (_cumulative_simpson, chapman_kolmogorov_residual,
+                             feller_minimal, forward_ode_kernel, honesty_deficit)
+from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates
 
 
 def constant_rates(off):
@@ -24,6 +28,101 @@ def crossing_rate_trajectory(theta=1.0, t0=0.0, t1=0.7, step=1e-3):
     full[:, 0, 1] = -full[:, 1, 0]
     p = np.column_stack([np.cos(theta * grid) ** 2, np.sin(theta * grid) ** 2])
     return RateTrajectory(grid, bell_rates(CurrentMatrix(upper=np.triu(full, 1)), p))
+
+
+def random_rate_trajectory(d=16, seed=3, step=1e-3):
+    """Smoothly varying random rates on [0, 1], exit rates up to about 3."""
+    rng = np.random.default_rng(seed)
+    grid = np.arange(0.0, 1.0 + 1e-12, step)
+    base = rng.uniform(0.0, 3.0 / d, size=(d, d))
+    phase = rng.uniform(0.0, 2 * np.pi, size=(d, d))
+    off = base * (1 + 0.5 * np.sin(4 * grid[:, None, None] + phase))
+    idx = np.arange(d)
+    off[:, idx, idx] = 0.0
+    off[:, idx, idx] = -off.sum(axis=1)
+    return RateTrajectory(grid, RateMatrix(off, np.zeros(off.shape, dtype=bool)))
+
+
+def reference_series(rates, s, t, n_max=25, quad_step=1e-3):
+    """The series as a per-term einsum with scipy's cumulative Simpson."""
+    m = max(2, ceil((t - s) / quad_step))
+    u = np.linspace(s, t, m + 1)
+    du = (t - s) / m
+    tm = rates.matrix_batch(u)
+    d = tm.shape[1]
+    lam = cumulative_simpson(np.clip(-np.einsum("mii->mi", tm), 0.0, None),
+                             dx=du, axis=0, initial=0)
+    surv = np.exp(-lam)
+    prev = np.einsum("mi,ij->mij", surv, np.eye(d))
+    total = prev.copy()
+    toff = tm.copy()
+    toff[:, np.arange(d), np.arange(d)] = 0.0
+    last_max, n_used = 0.0, 0
+    for n in range(1, n_max + 1):
+        g = np.einsum("mjk,mki->mji", toff, prev)
+        acc = cumulative_simpson(np.exp(lam)[:, :, None] * g, dx=du, axis=0, initial=0)
+        prev = np.clip(surv[:, :, None] * acc, 0.0, None)
+        total += prev
+        n_used, last_max = n, float(prev[-1].max())
+        if last_max <= DEFAULT.series_tail:
+            break
+    return total[-1], n_used, last_max
+
+
+def reference_rk4(rates, s, t, ode_step=1e-3):
+    """Classic RK4 on the forward equation, one step at a time."""
+    m = max(1, ceil((t - s) / ode_step))
+    h = (t - s) / m
+    a = rates.matrix_batch(s + 0.5 * h * np.arange(2 * m + 1))
+    p = np.eye(a.shape[1])
+    for k in range(m):
+        a0, am, a1 = a[2 * k], a[2 * k + 1], a[2 * k + 2]
+        k1 = a0 @ p
+        k2 = am @ (p + 0.5 * h * k1)
+        k3 = am @ (p + 0.5 * h * k2)
+        k4 = a1 @ (p + h * k3)
+        p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return p
+
+
+class TestArrayKernels:
+    @pytest.mark.parametrize("n", list(range(3, 13)) + [1001, 1002])
+    def test_simpson_matches_scipy(self, n):
+        y = np.random.default_rng(n).normal(size=(n, 3, 3))
+        ref = cumulative_simpson(y, dx=0.01, axis=0, initial=0)
+        out = _cumulative_simpson(y, 0.01)
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-15 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("rates, s, t", [
+        (crossing_rate_trajectory(), 0.0, 0.7),
+        (crossing_rate_trajectory(), 0.1, 0.45),
+        (random_rate_trajectory(), 0.0, 1.0),
+        (random_rate_trajectory(), 0.2, 0.7013),
+    ])
+    def test_rk4_matches_step_loop(self, rates, s, t):
+        ref = reference_rk4(rates, s, t)
+        assert np.abs(forward_ode_kernel(rates, s, t).matrix - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("rates, s, t", [
+        (crossing_rate_trajectory(), 0.1, 0.5),
+        (random_rate_trajectory(d=4), 0.0, 1.0),
+        (random_rate_trajectory(), 0.0, 1.0),
+        (random_rate_trajectory(), 0.3, 0.8011),
+    ])
+    def test_series_matches_einsum_reference(self, rates, s, t):
+        ref, n_used, _ = reference_series(rates, s, t)
+        k = feller_minimal(rates, s, t)
+        assert k.n_terms == n_used
+        assert np.abs(k.matrix - ref).max() <= 1e-13
+
+    def test_truncation_message_matches_reference(self):
+        rates = random_rate_trajectory()
+        _, n_used, last_max = reference_series(rates, 0.0, 1.0, n_max=6)
+        with pytest.raises(TruncationNotConverged) as info:
+            feller_minimal(rates, 0.0, 1.0, n_max=6)
+        assert str(info.value) == (f"series term {n_used} still has max entry "
+                                   f"{last_max:.3e} > {DEFAULT.series_tail}")
 
 
 class TestFellerMinimal:

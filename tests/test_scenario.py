@@ -8,7 +8,7 @@ from modaldyn.cli import main as cli_main
 from modaldyn.errors import ScenarioValidationError
 from modaldyn.io import complex_from_json, complex_to_json
 from modaldyn.pipeline import run
-from modaldyn.scenario import (BUILTINS, builtin_scenarios, load_scenario,
+from modaldyn.scenario import (BUILTINS, Scenario, builtin_scenarios, load_scenario,
                                scenario_from_dict, scenario_to_dict)
 
 
@@ -183,6 +183,27 @@ class TestPipelineExports:
         kern = json.loads((tmp_path / "kernel.json").read_text())
         assert set(kern) >= {"s", "t", "matrix", "n_max", "deficit"}
         assert len(kern["matrix"]) == 4
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["kernel_terms"] == kern["n_max"] >= 1
+
+    def test_kernel_terms_null_without_kernel(self):
+        result = run(small(BUILTINS["easyexample"](t1=0.005), n=10), report_only=True)
+        assert result.kernels is None
+        assert result.report.kernel_terms is None
+        assert result.report.to_dict()["kernel_terms"] is None
+
+    def test_run_validates_once(self, monkeypatch):
+        calls = []
+        validate = Scenario.validate
+
+        def counting(self):
+            calls.append(self.name)
+            return validate(self)
+
+        sc = load_scenario("easyexample")
+        monkeypatch.setattr(Scenario, "validate", counting)
+        run(sc, n_paths=10)
+        assert calls == ["easyexample"]
 
     def test_report_passes_thresholds(self):
         sc = small(load_scenario("easyexample"), n=20_000)
