@@ -15,8 +15,7 @@ from .errors import (AmbiguousContinuation, ModalDynError, PoleEncountered,
 from .hilbert import (EigenDecomposition, FactorSpace, check_hermitian, check_ket,
                       evolve_on_grid, hermitian_eig, partial_trace,
                       projector_from_vector, tensor_product)
-from .spectral import (CrossingEvent, SpectralTrajectory, detect_crossings,
-                       fiduciary_refine, track)
+from .spectral import CrossingEvent, SpectralTrajectory, detect_crossings, track
 from .algebra import (FauxBooleanAlgebra, PropertyState, composite_generating_set,
                       generate_faux_boolean, joint_distribution, joint_probability,
                       ultrafilter_state)

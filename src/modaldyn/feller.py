@@ -14,10 +14,14 @@ nonnegative, so truncated kernels increase monotonically toward the
 minimal solution; for a finite state space with bounded rates the column
 sums converge to one ("honest" kernels).
 
-Both constructions are whole-array operations on the uniform nodes of the
-window.  A series term is one batched matrix product at every node followed
-by a cumulative Simpson integral (scipy's equal-interval rule, implemented
-here once).  The fourth-order integration forms every step's matrix
+Both kernels take a :class:`RateTrajectory` and run on its own grid
+nodes: the window [s, t] must start and end on nodes, with equal intervals
+and no pole flag between, and no rate is ever re-interpolated.  A series
+term is one batched matrix product at every node followed by a cumulative
+Simpson integral (scipy's equal-interval rule, implemented here once), so
+the series needs at least two intervals.  The fourth-order integration
+steps over the grid intervals; its midpoint rates (A_k + A_(k+1))/2 are
+the trajectory's own linear interpolation.  It forms every step's matrix
 M_k = I + h/6 (A0 + 2 B2 + 2 B3 + B4) at once and multiplies the steps
 pairwise, in a fixed order, into p(t, s) = M_(m-1) ... M_0.
 """
@@ -25,8 +29,6 @@ pairwise, in a fixed order, into p(t, s) = M_(m-1) ... M_0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
-from typing import Callable
 
 import numpy as np
 
@@ -41,8 +43,6 @@ __all__ = [
     "forward_ode_kernel",
     "honesty_deficit",
 ]
-
-RatesLike = Callable[[float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -72,44 +72,46 @@ class TransitionKernel:
         return self.matrix.sum(axis=0)
 
 
-def _rate_batch(rates, times: np.ndarray) -> np.ndarray:
-    if isinstance(rates, RateTrajectory):
-        return rates.matrix_batch(times)
-    return np.stack([np.asarray(rates(float(u)), dtype=float) for u in times])
+def _window(rates: RateTrajectory, s: float, t: float) -> np.ndarray:
+    """The rate matrices at the grid nodes of [s, t], shape (m + 1, D, D).
 
-
-def _check_poles(rates, s: float, t: float):
-    if isinstance(rates, RateTrajectory):
-        hits = rates.pole_node_times(s, t)
-        if hits.size:
-            raise PoleInInterval(
-                f"rates have poles at nodes {hits[:4].tolist()} inside [{s}, {t}]"
-            )
-
-
-def feller_minimal(rates, s: float, t: float, n_max: int = 25,
-                   quad_step: float = 1e-3, check_convergence: bool = True
-                   ) -> TransitionKernel:
-    """Truncated minimal-solution series kernel on [s, t].
-
-    Integrals use composite Simpson quadrature at ``quad_step``.  Raises
-    :class:`TruncationNotConverged` when the last retained term still has an
-    entry above the series-tail tolerance (pass ``check_convergence=False`` to
-    inspect deliberately truncated kernels), and :class:`PoleInInterval`
-    when the rate trajectory carries pole flags inside the window.
+    Both ends must be grid nodes (within 1e-12) and the window's intervals
+    equal (within 1e-9 of ``(t - s) / m``); no node may carry a pole flag.
     """
     if t < s:
         raise ValueError("need s <= t")
-    _check_poles(rates, s, t)
-    probe = _rate_batch(rates, np.array([s]))[0]
-    d = probe.shape[0]
-    if t == s:
-        return TransitionKernel(s=s, t=t, matrix=np.eye(d), method="series", n_terms=0)
+    g = rates.grid
+    a, b = (int(np.abs(g - x).argmin()) for x in (s, t))
+    if abs(g[a] - s) > 1e-12 or abs(g[b] - t) > 1e-12:
+        raise ValueError(f"kernel window [{s}, {t}] does not start and end on grid nodes")
+    if b > a and np.abs(np.diff(g[a:b + 1]) - (t - s) / (b - a)).max() \
+            > 1e-9 * (t - s) / (b - a):
+        raise ValueError(f"grid intervals inside [{s}, {t}] are uneven")
+    hits = g[a:b + 1][rates.pole_mask[a:b + 1].any(axis=(1, 2))]
+    if hits.size:
+        raise PoleInInterval(f"rates have poles at nodes {hits[:4].tolist()} inside [{s}, {t}]")
+    return rates.matrices[a:b + 1]
 
-    m = max(2, ceil((t - s) / quad_step))
-    u = np.linspace(s, t, m + 1)
+
+def feller_minimal(rates: RateTrajectory, s: float, t: float, n_max: int = 25,
+                   check_convergence: bool = True) -> TransitionKernel:
+    """Truncated minimal-solution series kernel on [s, t].
+
+    Integrals use composite Simpson quadrature on the grid nodes of the
+    window, which needs at least two intervals.  Raises
+    :class:`TruncationNotConverged` when the last retained term still has an
+    entry above the series-tail tolerance (pass ``check_convergence=False`` to
+    inspect deliberately truncated kernels), and :class:`PoleInInterval`
+    when a node of the window carries a pole flag.
+    """
+    tm = _window(rates, s, t)                        # (m+1, D, D)
+    m, d = len(tm) - 1, rates.size
+    if m == 0:
+        return TransitionKernel(s=s, t=t, matrix=np.eye(d), method="series", n_terms=0)
+    if m < 2:
+        raise ValueError(f"series window [{s}, {t}] spans one grid interval; "
+                         "Simpson quadrature needs at least 3 nodes")
     du = (t - s) / m
-    tm = _rate_batch(rates, u)                       # (m+1, D, D)
     exit_rates = -np.einsum("mii->mi", tm)           # (m+1, D)
     if exit_rates.min() < -1e-12:
         raise ValueError("negative exit rate encountered")
@@ -143,22 +145,19 @@ def feller_minimal(rates, s: float, t: float, n_max: int = 25,
                             n_terms=n_used)
 
 
-def forward_ode_kernel(rates, s: float, t: float, ode_step: float = 1e-3
-                       ) -> TransitionKernel:
-    """Forward-equation kernel by classic fixed-step fourth-order stepping."""
-    if t < s:
-        raise ValueError("need s <= t")
-    _check_poles(rates, s, t)
-    probe = _rate_batch(rates, np.array([s]))[0]
-    d = probe.shape[0]
-    if t == s:
-        return TransitionKernel(s=s, t=t, matrix=np.eye(d), method="ode")
+def forward_ode_kernel(rates: RateTrajectory, s: float, t: float) -> TransitionKernel:
+    """Forward-equation kernel by classic fourth-order steps over the grid intervals."""
+    a = _window(rates, s, t)
+    m = len(a) - 1
+    if m == 0:
+        return TransitionKernel(s=s, t=t, matrix=np.eye(rates.size), method="ode")
 
-    m = max(1, ceil((t - s) / ode_step))
     h = (t - s) / m
-    ts = s + 0.5 * h * np.arange(2 * m + 1)
-    a = _rate_batch(rates, ts)                       # nodes and midpoints
-    a0, am, a1 = a[:-1:2], a[1::2], a[2::2]
+    # Between nodes the rates are linear, so an interval's midpoint value is
+    # the mean of its end nodes.
+    a0, a1 = a[:-1], a[1:]
+    am = a0 + a1
+    am *= 0.5
     # One RK4 step is p -> M_k p with k_i = B_i p: B2 = am (I + h/2 a0),
     # B3 = am (I + h/2 B2), B4 = a1 (I + h B3).  The stacks are updated in
     # place: at D = 64 each one holds 32 MiB.
@@ -177,7 +176,7 @@ def forward_ode_kernel(rates, s: float, t: float, ode_step: float = 1e-3
     steps += a0
     steps += b4
     steps *= h / 6.0
-    steps += np.eye(d)                               # M_k, one per step
+    steps += np.eye(rates.size)                      # M_k, one per step
     return TransitionKernel(s=s, t=t, matrix=_ordered_product(steps), method="ode")
 
 

@@ -212,29 +212,16 @@ class RateTrajectory:
         self.pole_mask = rates.pole_mask        # (n, D, D)
         self.size = rates.size
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.matrix_batch(np.array([t]))[0]
-
-    def matrix_batch(self, times, columns=None) -> np.ndarray:
-        """Interpolated matrices at ``times``, shape (m, D, D); with
-        ``columns`` given, only column ``columns[i]`` at ``times[i]``, (m, D)."""
+    def matrix_batch(self, times, columns) -> np.ndarray:
+        """Column ``columns[i]`` of the interpolated matrix at ``times[i]``, (m, D)."""
         times = np.asarray(times, dtype=float)
         g = self.grid
         idx = np.clip(np.searchsorted(g, times, side="right"), 1, len(g) - 1)
         t0 = g[idx - 1]
         t1 = g[idx]
         w = np.clip((times - t0) / (t1 - t0), 0.0, 1.0)
-        if columns is None:
-            return (1.0 - w)[:, None, None] * self.matrices[idx - 1] \
-                + w[:, None, None] * self.matrices[idx]
         return (1.0 - w)[:, None] * self.matrices[idx - 1, :, columns] \
             + w[:, None] * self.matrices[idx, :, columns]
-
-    def pole_node_times(self, s: float, t: float) -> np.ndarray:
-        """Grid nodes inside [s, t] carrying any pole flag."""
-        inside = (self.grid >= s - 1e-12) & (self.grid <= t + 1e-12)
-        flagged = self.pole_mask.any(axis=(1, 2))
-        return self.grid[inside & flagged]
 
 
 @dataclass(frozen=True)

@@ -276,23 +276,22 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
     ]
 
     kernels = None
-    windows = _kernel_windows(grid, rate_traj, singularities)
+    windows = _kernel_windows(rate_traj, singularities)
     if windows:
-        s, t = max(windows, key=lambda w: w[1] - w[0])
-        if t - s >= 10 * scenario.time.grid_step:
+        a, b = max(windows, key=lambda w: w[1] - w[0])
+        if b - a >= 10:
+            s, t, mid = (float(grid[k]) for k in (a, b, (a + b) // 2))
             report.kernel_window = (s, t)
-            step = scenario.time.grid_step
             try:
-                series = feller_minimal(rate_traj, s, t, quad_step=step)
-                ode = forward_ode_kernel(rate_traj, s, t, ode_step=step)
+                series = feller_minimal(rate_traj, s, t)
+                ode = forward_ode_kernel(rate_traj, s, t)
                 kernels = (series, ode)
                 report.kernel_terms = series.n_terms
                 report.kernel_cross_check = float(np.abs(series.matrix - ode.matrix).max())
                 report.honesty_deficit_max = float(np.abs(honesty_deficit(series)).max())
-                mid = s + (t - s) / 2.0
                 report.chapman_residual = chapman_kolmogorov_residual(
-                    ode, forward_ode_kernel(rate_traj, s, mid, ode_step=step),
-                    forward_ode_kernel(rate_traj, mid, t, ode_step=step))
+                    ode, forward_ode_kernel(rate_traj, s, mid),
+                    forward_ode_kernel(rate_traj, mid, t))
             except (PoleInInterval, TruncationNotConverged, ValueError) as exc:
                 report.kernel_note = f"kernel stage skipped: {exc}"
         else:
@@ -331,13 +330,14 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
     return result
 
 
-def _kernel_windows(grid, rate_traj, singularities):
-    """Windows on which finite-time kernels exist.
+def _kernel_windows(rate_traj, singularities):
+    """Windows on which finite-time kernels exist, as node-index pairs (a, b).
 
     Kernels are constructed only between singularities: nodes carrying pole
     flags and nodes inside a divergent probability-zero run are excluded,
     with a small pad so the window never starts on an exploding rate.
     """
+    grid = rate_traj.grid
     n = len(grid)
     bad = rate_traj.pole_mask.any(axis=(1, 2)).copy()
     pad = max(2, n // 200)
@@ -347,8 +347,7 @@ def _kernel_windows(grid, rate_traj, singularities):
         lo = int(np.searchsorted(grid, ev.t_start)) - pad
         hi = int(np.searchsorted(grid, ev.t_end, side="right")) + pad
         bad[max(lo, 0):min(hi, n)] = True
-    return [(float(grid[start]), float(grid[end]))
-            for start, end in _runs(~bad) if end > start]
+    return [(start, end) for start, end in _runs(~bad) if end > start]
 
 
 def _export(result: PipelineResult, out_dir, nodes):

@@ -45,14 +45,12 @@ from scipy.optimize import linear_sum_assignment
 
 from .config import DEFAULT
 from .errors import AmbiguousContinuation
-from .hilbert import (_check_projector, _fix_phase, check_hermitian, hermitian_eig,
-                      projector_from_vector)
+from .hilbert import _fix_phase, check_hermitian, hermitian_eig
 
 __all__ = [
     "CrossingEvent",
     "SpectralTrajectory",
     "detect_crossings",
-    "fiduciary_refine",
     "derivative_family",
     "track",
 ]
@@ -140,33 +138,6 @@ def _polar_align(block_vectors: np.ndarray, targets: np.ndarray) -> np.ndarray:
     overlap = block_vectors.conj().T @ targets
     u, _, vh = np.linalg.svd(overlap)
     return block_vectors @ (u @ vh)
-
-
-def fiduciary_refine(projectors) -> list[np.ndarray]:
-    """Split projectors into one-dimensional mutually orthogonal pieces.
-
-    Each rank-r input is replaced by r rank-1 projectors that sum to it.
-    The splitting basis comes from the fixed reference diag(d-1, ..., 1, 0)
-    restricted to the subspace, so the refinement is deterministic.  Rank-1
-    inputs pass through unchanged; rank-0 inputs contribute nothing.
-    """
-    out: list[np.ndarray] = []
-    for p in projectors:
-        p = _check_projector(p)
-        rank = int(round(float(p.trace().real)))
-        if rank == 0:
-            continue
-        if rank == 1:
-            out.append(p)
-            continue
-        dec = hermitian_eig(p)
-        block = dec.vectors[:, :rank]
-        if dec.values[:rank].min() < 1.0 - DEFAULT.idempotency:
-            raise ValueError("projector eigenvalues are not within tolerance of 0/1")
-        refined = _refine_block(block, _reference_operator(p.shape[0]))
-        for k in range(rank):
-            out.append(projector_from_vector(refined[:, k]))
-    return out
 
 
 def _initial_frame(values: np.ndarray, vecs: np.ndarray, split: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from modaldyn.kinetics import RateMatrix, RateTrajectory
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -23,6 +25,13 @@ def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     w = a @ a.conj().T
     return w / w.trace()
+
+
+def constant_trajectory(generator, step=1e-3, t1=1.0):
+    """Rates fixed at ``generator`` on a uniform grid of ``step`` over [0, t1]."""
+    grid = step * np.arange(round(t1 / step) + 1)
+    stack = np.repeat(np.asarray(generator, dtype=float)[None], len(grid), axis=0)
+    return RateTrajectory(grid, RateMatrix(stack, np.zeros(stack.shape, dtype=bool)))
 
 
 def least_norm_current_oracle(pdot):

@@ -20,7 +20,7 @@ from modaldyn.pipeline import (compute_currents, compute_joint_family,
 from modaldyn.scenario import BUILTINS, builtin_scenarios, load_scenario
 from modaldyn.spectral import detect_crossings, track
 
-from conftest import least_norm_current_oracle, random_hermitian
+from conftest import constant_trajectory, least_norm_current_oracle, random_hermitian
 
 FULL_ENSEMBLE = 100_000
 RUNTIMES = {}
@@ -100,20 +100,21 @@ CONSTANT_INSTANCES = {
 }
 
 
-def _constant_rate_fn(off):
+def _constant_rates(off):
+    """Rates fixed at the generator ``t`` of ``off`` on [0, 1] at step 1e-3, with ``t``."""
     t = off.copy()
     np.fill_diagonal(t, 0.0)
     np.fill_diagonal(t, -t.sum(axis=0))
-    return (lambda u: t), t
+    return constant_trajectory(t), t
 
 
 def test_criterion_03_feller_vs_exponential():
     worst_exp = worst_ode = 0.0
     for d, off in CONSTANT_INSTANCES.items():
-        fn, t = _constant_rate_fn(off)
-        series = feller_minimal(fn, 0.0, 1.0, n_max=25, quad_step=1e-3)
+        rates, t = _constant_rates(off)
+        series = feller_minimal(rates, 0.0, 1.0, n_max=25)
         exact = expm(t).real
-        ode = forward_ode_kernel(fn, 0.0, 1.0, ode_step=1e-3)
+        ode = forward_ode_kernel(rates, 0.0, 1.0)
         worst_exp = max(worst_exp, np.abs(series.matrix - exact).max())
         worst_ode = max(worst_ode, np.abs(series.matrix - ode.matrix).max())
     ok = worst_exp <= 1e-6 and worst_ode <= 1e-6
@@ -121,20 +122,22 @@ def test_criterion_03_feller_vs_exponential():
 
 
 def _kernel_residuals(rates, s, t, h):
-    here = forward_ode_kernel(rates, s, t, ode_step=h).matrix
-    fwd = (forward_ode_kernel(rates, s, t + h, ode_step=h).matrix
-           - forward_ode_kernel(rates, s, t - h, ode_step=h).matrix) / (2 * h)
-    bwd = (forward_ode_kernel(rates, s + h, t, ode_step=h).matrix
-           - forward_ode_kernel(rates, s - h, t, ode_step=h).matrix) / (2 * h)
-    fwd_res = np.abs(fwd - rates(t) @ here).max()
-    bwd_res = np.abs(bwd + here @ rates(s)).max()
+    """Kolmogorov residuals at grid nodes ``s`` and ``t`` of step ``h``."""
+    here = forward_ode_kernel(rates, s, t).matrix
+    fwd = (forward_ode_kernel(rates, s, t + h).matrix
+           - forward_ode_kernel(rates, s, t - h).matrix) / (2 * h)
+    bwd = (forward_ode_kernel(rates, s + h, t).matrix
+           - forward_ode_kernel(rates, s - h, t).matrix) / (2 * h)
+    rate_s, rate_t = (rates.matrices[np.abs(rates.grid - u).argmin()] for u in (s, t))
+    fwd_res = np.abs(fwd - rate_t @ here).max()
+    bwd_res = np.abs(bwd + here @ rate_s).max()
     return fwd_res, bwd_res
 
 
 def test_criterion_04_kolmogorov_equation_residuals():
     worst_f = worst_b = 0.0
-    fn, _ = _constant_rate_fn(CONSTANT_INSTANCES[3])
-    f, b = _kernel_residuals(fn, 0.1, 0.6, 1e-3)
+    rates, _ = _constant_rates(CONSTANT_INSTANCES[3])
+    f, b = _kernel_residuals(rates, 0.1, 0.6, 1e-3)
     worst_f, worst_b = max(worst_f, f), max(worst_b, b)
     for name in ("easyexample", "interacting-two-spin"):
         rt = cached_run(name).rate_trajectory

@@ -282,15 +282,14 @@ class TestRateTrajectory:
 
     def test_linear_interpolation(self):
         rt = self.make()
-        assert abs(rt(0.55)[1, 0] - 1.1) < 1e-12   # rate = 2 t between nodes
+        # rate = 2 t between nodes
+        assert abs(rt.matrix_batch([0.55], columns=[0])[0, 1] - 1.1) < 1e-12
 
     def test_pole_free_windows(self):
         rt = self.make()
-        assert _kernel_windows(rt.grid, rt, ()) == [(0.0, 1.0)]
-        assert rt.pole_node_times(0.0, 1.0).size == 0
+        assert _kernel_windows(rt, ()) == [(0, 10)]
         # Flagged nodes split the window; a one-node run is no window.
         pole = np.zeros((11, 2, 2), dtype=bool)
         pole[[1, 5], 0, 1] = True
         flagged = RateTrajectory(rt.grid, RateMatrix(np.zeros((11, 2, 2)), pole))
-        g = rt.grid
-        assert _kernel_windows(g, flagged, ()) == [(g[2], g[4]), (g[6], g[10])]
+        assert _kernel_windows(flagged, ()) == [(2, 4), (6, 10)]

@@ -7,6 +7,8 @@ from scipy.linalg import expm
 
 from modaldyn.feller import feller_minimal, forward_ode_kernel
 
+from conftest import constant_trajectory
+
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 
@@ -33,9 +35,9 @@ def constant_generators(draw):
 def test_constant_rate_kernels_match_expm(gen):
     # The criterion-03 bound: both kernels within 1e-6 of exp(T) on [0, 1].
     exact = expm(gen)
-    fn = lambda u: gen
-    series = feller_minimal(fn, 0.0, 1.0)
-    ode = forward_ode_kernel(fn, 0.0, 1.0)
+    rates = constant_trajectory(gen)
+    series = feller_minimal(rates, 0.0, 1.0)
+    ode = forward_ode_kernel(rates, 0.0, 1.0)
     assert -np.diag(gen).min() <= 3.0 + 1e-12
     assert np.abs(series.matrix - exact).max() <= 1e-6
     assert np.abs(ode.matrix - exact).max() <= 1e-6

@@ -7,6 +7,7 @@ import pytest
 from modaldyn.cli import main as cli_main
 from modaldyn.errors import ScenarioValidationError
 from modaldyn.io import complex_from_json, complex_to_json
+from modaldyn import pipeline
 from modaldyn.pipeline import run
 from modaldyn.scenario import (BUILTINS, Scenario, builtin_scenarios, load_scenario,
                                scenario_from_dict, scenario_to_dict)
@@ -204,6 +205,27 @@ class TestPipelineExports:
         monkeypatch.setattr(Scenario, "validate", counting)
         run(sc, n_paths=10)
         assert calls == ["easyexample"]
+
+    def test_chapman_midpoint_is_grid_node(self, monkeypatch):
+        # measured-possessed-property's kernel window spans an odd number of
+        # grid intervals, so the time halfway between its ends is no node.
+        windows = []
+        ode = pipeline.forward_ode_kernel
+
+        def recording(rates, s, t):
+            windows.append((s, t))
+            return ode(rates, s, t)
+
+        monkeypatch.setattr(pipeline, "forward_ode_kernel", recording)
+        result = run(load_scenario("measured-possessed-property"), n_paths=1)
+        grid = result.family.grid
+        (s, t), (s1, mid), (mid2, t2) = windows
+        assert (s, t) == result.report.kernel_window
+        assert (s1, mid2, t2) == (s, mid, t)
+        a, mid_node, b = (int(np.abs(grid - x).argmin()) for x in (s, mid, t))
+        assert (b - a) % 2 == 1
+        assert mid_node == (a + b) // 2 and grid[mid_node] == mid
+        assert result.report.chapman_residual is not None
 
     def test_report_passes_thresholds(self):
         sc = small(load_scenario("easyexample"), n=20_000)

@@ -9,7 +9,7 @@ from modaldyn.errors import AmbiguousContinuation
 from modaldyn.hilbert import (FactorSpace, evolve_on_grid,
                               hermitian_eig, partial_trace, projector_from_vector)
 from modaldyn.spectral import (_nearest_node, _runs, detect_crossings,
-                               derivative_family, fiduciary_refine, track)
+                               derivative_family, track)
 
 from conftest import random_hermitian, random_ket
 
@@ -424,17 +424,18 @@ class TestDetectCrossings:
             assert ev.min_gap >= 0
 
 
+def refined_projectors(block):
+    """Rank-1 projectors of the reference splitting of the block's span."""
+    dim = block.shape[0]
+    out = spectral._refine_block(block, spectral._reference_operator(dim))
+    return [projector_from_vector(out[:, k]) for k in range(out.shape[1])]
+
+
 class TestFiduciaryRefine:
-    def test_rank_one_unchanged(self, rng):
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        p = projector_from_vector(v)
-        out = fiduciary_refine([p])
-        assert len(out) == 1
-        assert np.abs(out[0] - p).max() <= 1e-12
+    """The reference splitting of degenerate blocks that ``track`` applies at node 0."""
 
     def test_identity_three_dim(self):
-        out = fiduciary_refine([np.eye(3, dtype=complex)])
+        out = refined_projectors(np.eye(3, dtype=complex))
         assert len(out) == 3
         total = sum(out)
         assert np.abs(total - np.eye(3)).max() <= 1e-8
@@ -446,18 +447,20 @@ class TestFiduciaryRefine:
         basis = np.linalg.qr(rng.normal(size=(5, 5))
                              + 1j * rng.normal(size=(5, 5)))[0][:, :3]
         p = basis @ basis.conj().T
-        out = fiduciary_refine([p])
+        out = refined_projectors(basis)
         assert len(out) == 3
         assert np.abs(sum(out) - p).max() <= 1e-8
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert np.abs(out[i] @ out[j]).max() <= 1e-8
 
     def test_deterministic(self, rng):
         basis = np.linalg.qr(rng.normal(size=(4, 4)))[0][:, :2].astype(complex)
-        p = basis @ basis.conj().T
-        a = fiduciary_refine([p])
-        b = fiduciary_refine([p.copy()])
+        a = refined_projectors(basis)
+        b = refined_projectors(basis.copy())
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
-
-    def test_non_idempotent_rejected(self):
-        with pytest.raises(ValueError, match="idempotent"):
-            fiduciary_refine([np.diag([0.5, 0.5]).astype(complex)])
+        # Another basis of the same plane splits it the same way.
+        turn = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        for x, y in zip(a, refined_projectors(basis @ turn)):
+            assert np.abs(x - y).max() <= 1e-10
