@@ -35,6 +35,7 @@ import numpy as np
 from .config import DEFAULT
 from .errors import PoleInInterval, TruncationNotConverged
 from .kinetics import RateTrajectory
+from .spectral import _nearest_node
 
 __all__ = [
     "TransitionKernel",
@@ -81,7 +82,7 @@ def _window(rates: RateTrajectory, s: float, t: float) -> np.ndarray:
     if t < s:
         raise ValueError("need s <= t")
     g = rates.grid
-    a, b = (int(np.abs(g - x).argmin()) for x in (s, t))
+    a, b = _nearest_node(g, np.array([s, t])).tolist()
     if abs(g[a] - s) > 1e-12 or abs(g[b] - t) > 1e-12:
         raise ValueError(f"kernel window [{s}, {t}] does not start and end on grid nodes")
     if b > a and np.abs(np.diff(g[a:b + 1]) - (t - s) / (b - a)).max() \

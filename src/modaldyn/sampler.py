@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .config import DEFAULT
 from .errors import ModalDynError, PoleEncountered
@@ -283,6 +282,17 @@ class _Batch:
         self.live[self.error[0]:] = False
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of ``y`` along axis 0 from ``x[0]`` to each node.
+
+    The expression is scipy's ``cumulative_trapezoid(y, x, axis=0,
+    initial=0)``, operation for operation, so the results agree bitwise.
+    """
+    d = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    res = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return np.concatenate((np.zeros((1,) + res.shape[1:], dtype=res.dtype), res))
+
+
 class JumpProcess:
     """Grid-sampled dynamics prepared for repeated path sampling.
 
@@ -321,7 +331,7 @@ class JumpProcess:
         self._p0_cum /= self._p0_cum[-1]
         mats = rate_trajectory.matrices
         self._exit = np.clip(-np.einsum("nii->ni", mats), 0.0, None)   # (n, D)
-        self._cumhaz = cumulative_trapezoid(self._exit, self.grid, axis=0, initial=0.0)
+        self._cumhaz = _cumulative_trapezoid(self._exit, self.grid)
         self._pole_col = rate_trajectory.pole_mask.any(axis=1)          # (n, D)
         # _pole_after[j, i]: first node >= j flagged in column i, n if none.
         n = len(self.grid)
@@ -496,7 +506,7 @@ def low_probability_occupancy(paths: PathEnsemble, grid, p_trajectory, states) -
     if len(paths) == 0:
         raise ValueError("need at least one path")
     low = (np.asarray(p_trajectory, dtype=float) < 1e-6).astype(float)
-    cum_low = cumulative_trapezoid(low, grid, axis=0, initial=0.0)
+    cum_low = _cumulative_trapezoid(low, grid)
     t0, t_end = float(grid[0]), float(grid[-1])
     states = [tuple(s) for s in states]
     column = np.array([states.index(s) for s in paths.states], dtype=int)

@@ -2,11 +2,13 @@
 
 A time-indexed family of density operators is decomposed and the
 one-dimensional eigendirections are threaded into continuous labeled
-trajectories.  Label assignment between consecutive nodes maximizes the
-total squared eigenvector overlap; near-degenerate clusters are continued
-as a whole and then split by maximal overlap with the previous node's
-directions.  Zero-weight directions are tracked like any other, so the
-label set never changes cardinality.
+trajectories.  Between consecutive nodes each label continues into the
+degenerate cluster (a single eigencolumn when the weight is simple) that
+holds the largest share of its squared overlap; inside a cluster the
+labels are split by maximal overlap with the previous node's directions.
+Only the cluster's projection enters that rule, never the arbitrary basis
+the eigensolver returns inside it.  Zero-weight directions are tracked
+like any other, so the label set never changes cardinality.
 
 :func:`track` decomposes the whole ``(n, d, d)`` stack with one stacked
 ``eigh`` and forms the overlaps ``|<u_r(k-1)|u_c(k)>|^2`` of consecutive
@@ -14,23 +16,24 @@ eigenbases as one array.  Two paths then assign labels:
 
 * **Fast path.**  A node whose spectrum and predecessor's spectrum have no
   degenerate cluster, and whose overlap matrix has in every row an entry
-  above 1/2 with those entries forming a permutation, needs no assignment
-  solve.  The overlap matrix of two orthonormal bases is doubly
-  stochastic, so every other entry of such a row is below 1/2: any other
-  permutation takes a smaller entry in every row where it differs, and
-  that permutation is the unique optimum of the Hungarian objective.
-  Its overlaps, all above 1/2, also pass the overlap threshold, which is
-  1/2.  Label maps compose along runs of such nodes (only where a column
-  actually moves), and phases follow from a cumulative product of the
-  unit overlaps, ``phi_k = phi_(k-1) conj(g_k) / |g_k|``.
+  above 1/2 with those entries forming a permutation, needs no per-node
+  step.  That permutation is what the largest-share rule gives, since
+  every cluster is one column, and its overlaps, all above 1/2, pass the
+  overlap threshold, which is 1/2.  Label maps compose along runs of such
+  nodes (only where a column actually moves), and phases follow from a
+  cumulative product of the unit overlaps,
+  ``phi_k = phi_(k-1) conj(g_k) / |g_k|``.
 * **Fallback.**  Every other node (a degenerate cluster at it or its
   predecessor, an overlap row without a dominant entry, or an overlap
   below the overlap threshold) takes the per-node step on the node's
-  eigenpairs from the same stacked ``eigh``: the Hungarian method on the
-  overlap matrix, then polar alignment of the clusters that the
-  degeneracy gaps of the fast-path test delimit.  This covers
-  singlet-like fully degenerate families, exact crossings and ambiguous
-  continuations, which raise from this step.
+  eigenpairs from the same stacked ``eigh``: the largest-share rule on the
+  clusters that the degeneracy gaps of the fast-path test delimit, then
+  polar alignment inside each cluster.  This covers singlet-like fully
+  degenerate families, exact crossings and ambiguous continuations, which
+  raise after this step.  A step passes the overlap check only when every
+  label keeps at least half its weight in the cluster it is given; short
+  of an exact tie at one half, that cluster is then the label's unique
+  largest share, which is the fast path's argument lifted to clusters.
 
 The overlap threshold and the degeneracy gap are fixed values in
 :mod:`modaldyn.config`.
@@ -41,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .config import DEFAULT
 from .errors import AmbiguousContinuation
@@ -162,17 +164,24 @@ def _continue(prev: np.ndarray, vals: np.ndarray, basis: np.ndarray,
 
     ``vals`` and ``basis`` are the descending eigenpairs of the whole stack,
     and ``split[k, c]`` says that a cluster ends after column ``c`` at node
-    ``k``.  Returns the weights and vectors in label order and the
+    ``k``.  A label's home is the cluster with the largest sum of its
+    squared overlaps, which no basis change inside a cluster alters; ordered
+    by ``(home, label)``, the labels take the columns in order.  A label
+    placed outside its home keeps at most half its weight, the overlap
+    threshold.  Returns the weights and vectors in label order and the
     eigencolumn of each label.
     """
     values, vecs = vals[k], basis[k]
     dim = len(values)
     overlap = np.abs(prev.conj() @ vecs) ** 2          # (label, new column)
-    _, col_of_label = linear_sum_assignment(-overlap)
+    starts = np.concatenate(([0], np.flatnonzero(split[k]) + 1))
+    home = np.add.reduceat(overlap, starts, axis=1).argmax(axis=1)
+    order = np.argsort(home, kind="stable")            # label of each column
+    col_of_label = np.argsort(order)
 
     new_vecs = np.empty_like(prev)
-    for cols in np.split(np.arange(dim), np.flatnonzero(split[k]) + 1):
-        labels = [l for l in range(dim) if col_of_label[l] in cols]
+    for cols in np.split(np.arange(dim), starts[1:]):
+        labels = order[cols]
         if len(cols) == 1:
             lab = labels[0]
             v = vecs[:, cols[0]]

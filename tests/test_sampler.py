@@ -9,8 +9,8 @@ from modaldyn.currents import CurrentMatrix
 from modaldyn.errors import ModalDynError, PoleEncountered
 from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates
 from modaldyn.pipeline import run
-from modaldyn.sampler import (JumpProcess, PathEnsemble, _draw, _Streams,
-                              ensemble_marginals, low_probability_occupancy,
+from modaldyn.sampler import (JumpProcess, PathEnsemble, _cumulative_trapezoid, _draw,
+                              _Streams, ensemble_marginals, low_probability_occupancy,
                               total_variation)
 from modaldyn.scenario import BUILTINS, EnsembleSpec, Scenario, TimeSpec
 
@@ -41,6 +41,19 @@ def ensemble_of(states, *paths):
                         offsets=np.cumsum([0] + [len(evs) for _, evs in paths]),
                         times=np.array([t for t, _ in events], dtype=float),
                         dest=np.array([flat[s] for _, s in events], dtype=int))
+
+
+class TestCumulativeTrapezoid:
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("trailing", [(), (3,), (2, 4)])
+    def test_bitwise_equal_to_scipy(self, rng, jitter, trailing):
+        grid = np.linspace(0.0, 1.3, 257)
+        grid[1:-1] += jitter * (grid[1] - grid[0]) * rng.uniform(-1, 1, size=255)
+        y = rng.normal(size=(257, *trailing))
+        ref = cumulative_trapezoid(y, grid, axis=0, initial=0)
+        got = _cumulative_trapezoid(y, grid)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
 
 
 class TestSampleInitial:

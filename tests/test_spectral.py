@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from modaldyn import spectral
+from modaldyn.config import DEFAULT
 from modaldyn.errors import AmbiguousContinuation
 from modaldyn.hilbert import (FactorSpace, evolve_on_grid,
                               hermitian_eig, partial_trace, projector_from_vector)
@@ -12,6 +14,8 @@ from modaldyn.spectral import (_nearest_node, _runs, detect_crossings,
                                derivative_family, track)
 
 from conftest import random_hermitian, random_ket
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
 def crossing_family(theta, grid):
@@ -27,6 +31,30 @@ def rotation_family(h, w0, grid):
         u = expm(-1j * h * t)
         states.append(u @ w0 @ u.conj().T)
     return states
+
+
+def hungarian_step(prev, vecs, clusters):
+    """Reference step: the Hungarian method on the overlaps picks each label's
+    column, then each cluster is polar-aligned to its labels."""
+    dim = len(prev)
+    overlap = np.abs(prev.conj() @ vecs) ** 2
+    _, col_of_label = linear_sum_assignment(-overlap)
+    new_vecs = np.empty_like(prev)
+    for cluster in clusters:
+        cols = list(cluster)
+        labels = [l for l in range(dim) if col_of_label[l] in cluster]
+        if len(cols) == 1:
+            lab = labels[0]
+            v = vecs[:, cols[0]]
+            z = np.vdot(prev[lab], v)
+            if abs(z) > 0:
+                v = v * (z.conjugate() / abs(z))
+            new_vecs[lab] = v
+        else:
+            aligned = spectral._polar_align(vecs[:, cols], prev[labels].T)
+            for j, lab in enumerate(labels):
+                new_vecs[lab] = aligned[:, j]
+    return new_vecs, col_of_label
 
 
 def per_node_track(states, grid):
@@ -48,23 +76,7 @@ def per_node_track(states, grid):
     for k in range(1, n):
         dec = hermitian_eig(states[k])
         prev = vectors[k - 1]
-        overlap = np.abs(prev.conj() @ dec.vectors) ** 2
-        _, col_of_label = linear_sum_assignment(-overlap)
-        new_vecs = np.empty_like(prev)
-        for cluster in dec.clusters:
-            cols = list(cluster)
-            labels = [l for l in range(dim) if col_of_label[l] in cluster]
-            if len(cols) == 1:
-                lab = labels[0]
-                v = dec.vectors[:, cols[0]]
-                z = np.vdot(prev[lab], v)
-                if abs(z) > 0:
-                    v = v * (z.conjugate() / abs(z))
-                new_vecs[lab] = v
-            else:
-                aligned = spectral._polar_align(dec.vectors[:, cols], prev[labels].T)
-                for j, lab in enumerate(labels):
-                    new_vecs[lab] = aligned[:, j]
+        new_vecs, col_of_label = hungarian_step(prev, dec.vectors, dec.clusters)
         for lab in range(dim):
             o = abs(np.vdot(prev[lab], new_vecs[lab])) ** 2
             if o < 0.5:
@@ -181,6 +193,81 @@ class TestBatchedTracking:
             track(states, grid)
         assert str(got.value) == str(ref.value)
         assert "at t=5.0;" in str(got.value)
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def clustered_nodes(draw):
+    """One per-node step's inputs: descending values in 1-3-column clusters,
+    a random unitary eigenbasis, the previous node's labeled rows (the
+    columns moved by exp(i eps H), then shuffled), and four copies of the
+    eigenbasis with each cluster's columns rotated by a random unitary."""
+    dim = draw(st.integers(3, 5))
+    sizes = []
+    while sum(sizes) < dim:
+        sizes.append(draw(st.integers(1, min(3, dim - sum(sizes)))))
+    eps = draw(st.floats(0.3, 1.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = np.repeat(np.sort(rng.uniform(0.0, 1.0, len(sizes)))[::-1], sizes)
+    basis = random_unitary(rng, dim)
+    w, v = np.linalg.eigh(random_hermitian(rng, dim))
+    prev = (basis @ (v * np.exp(1j * eps * w)) @ v.conj().T).T[rng.permutation(dim)]
+    starts = np.cumsum([0] + sizes[:-1])
+    rotated = []
+    for _ in range(4):
+        other = basis.copy()
+        for a, m in zip(starts, sizes):
+            other[:, a:a + m] = other[:, a:a + m] @ random_unitary(rng, m)
+        rotated.append(other)
+    return prev, values, basis, rotated
+
+
+def largest_share(prev, values, basis):
+    split = values[:-1] - values[1:] > DEFAULT.degeneracy
+    return spectral._continue(prev, values[None], basis[None], split[None], 0)[1]
+
+
+def hungarian(prev, values, basis):
+    split = values[:-1] - values[1:] > DEFAULT.degeneracy
+    return hungarian_step(prev, basis, np.split(np.arange(len(values)),
+                                                np.flatnonzero(split) + 1))[0]
+
+
+def accepted(step, prev, values, basis):
+    """The step's vectors if every label passes ``track``'s overlap check."""
+    new = step(prev, values, basis)
+    o = np.abs(np.einsum("lx,lx->l", prev.conj(), new)) ** 2
+    return None if (o < DEFAULT.overlap_threshold).any() else new
+
+
+class TestLargestShare:
+    """The per-node step on random clustered nodes, one step at a time."""
+
+    @PROPERTY
+    @given(clustered_nodes())
+    def test_accepts_every_step_hungarian_accepts(self, node):
+        prev, values, basis, _ = node
+        ref = accepted(hungarian, prev, values, basis)
+        if ref is not None:
+            got = accepted(largest_share, prev, values, basis)
+            assert got is not None and np.array_equal(got, ref)
+
+    @PROPERTY
+    @given(clustered_nodes())
+    def test_cluster_basis_does_not_change_outcome(self, node):
+        # Only a cluster's projection is defined; the eigensolver's basis
+        # inside it is arbitrary and must not decide acceptance.
+        prev, values, basis, rotated = node
+        got = accepted(largest_share, prev, values, basis)
+        for other in rotated:
+            alt = accepted(largest_share, prev, values, other)
+            assert (alt is None) == (got is None)
+            if got is not None:
+                assert np.abs(alt - got).max() <= 1e-12
 
 
 class TestTrackingMargins:
