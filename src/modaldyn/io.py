@@ -5,14 +5,21 @@ each.  Complex arrays of any rank serialize as nested lists whose innermost
 entries are ``[re, im]`` pairs.  JSON documents are written with indent 1,
 sorted keys and a trailing newline.  CSV tables share one dialect: commas,
 CRLF line ends and ``repr`` floats.  Identical runs produce byte-identical
-files.
+files, the same on every OS: nothing is written with newline translation.
+
+The large files are written from templates, so the only Python work per
+value is its ``repr``.  A CSV table lays out one block of rows, the fixed
+cells and separators included, once per file and fills in each node's time
+and values by slice assignment before one join.  A direction side file
+fills one template per ref, and each ``paths.jsonl`` line is one f-string
+over label strings encoded once.  Their bytes are those of ``csv.writer``
+and ``json.dumps`` for the same rows and objects.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -54,22 +61,37 @@ def complex_from_json(data) -> np.ndarray:
 def write_json(path, obj):
     """The one JSON document writer."""
     Path(path).write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n",
-                          encoding="utf-8")
+                          encoding="utf-8", newline="")
 
 
-def _write_csv(path, header, times, blocks):
+def _write_csv(path, header, times, columns, blocks):
     """Write one block of rows per time in the CSV dialect: commas, CRLF line
-    ends (as ``csv.writer`` writes them) and ``format(cell)``, the ``repr`` of
-    a float; no cell needs quoting.
+    ends (as ``csv.writer`` writes them) and the ``repr`` of every float; no
+    cell needs quoting.
 
-    Each block is a tuple of columns with one cell per row; the writer puts
-    the time, formatted once per block, in front of every row.
+    Each row starts with the time.  ``columns`` gives every later column
+    either as its cells, the same in every block, or as None for a column
+    that each block of ``blocks`` supplies, in order, as an iterable of cell
+    strings; at least one column is fixed.  A block's cells and separators
+    are laid out once in one list; per time, the time and the supplied cells
+    fill their slots by slice assignment, and the block is written with one
+    join.
     """
-    row = ",".join(["{}"] * len(header)) + "\r\n"
+    n = len(next(col for col in columns if col is not None))
+    width = 2 * len(header)
+    pieces = [","] * (width * n)
+    pieces[width - 1::width] = ["\r\n"] * n
+    for k, col in enumerate(columns, 1):
+        if col is not None:
+            pieces[2 * k::width] = col
+    slots = [2 * k for k, col in enumerate(columns, 1) if col is None]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(row.format(*header))
-        for t, columns in zip(np.asarray(times, dtype=float).tolist(), blocks):
-            fh.write("".join(map(row.format, repeat(repr(t)), *columns)))
+        fh.write(",".join(header) + "\r\n")
+        for t, block in zip(np.asarray(times, dtype=float).tolist(), blocks):
+            pieces[0::width] = [repr(t)] * n
+            for k, cells in zip(slots, block):
+                pieces[k::width] = cells
+            fh.write("".join(pieces))
 
 
 def write_state_space_json(path, states, probabilities):
@@ -83,31 +105,42 @@ def write_trajectory_csv(csv_path, projector_json_path, traj, factor_name: str):
     """Tracked weights as CSV rows referencing directions in a side JSON file.
 
     The side file maps each ``projector_ref`` to the label's unit direction
-    ``v`` as ``[re, im]`` pairs; its projector is ``|v><v|``.
+    ``v`` as ``[re, im]`` pairs; its projector is ``|v><v|``.  It holds the
+    bytes ``write_json`` would write for that mapping, of finite directions,
+    from one template per ref filled with the ``repr`` of each value.
     """
-    labels = [str(i) for i in range(traj.n_labels)]
-    refs = [[f"{factor_name}_t{k}_l{i}" for i in labels] for k in range(len(traj.grid))]
+    n, d = traj.weights.shape
+    labels = [str(i) for i in range(d)]
+    refs = [f"{factor_name}_t{k}_l{i}" for k in range(n) for i in labels]
     _write_csv(csv_path, ["time", "label", "weight", "projector_ref"], traj.grid,
-               zip(repeat(labels), traj.weights.tolist(), refs))
-    write_json(projector_json_path, {
-        ref: v for node_refs, node in zip(refs, complex_to_json(traj.vectors))
-        for ref, v in zip(node_refs, node)})
+               [labels, None, None],
+               ((map(repr, w.tolist()), refs[k * d:(k + 1) * d])
+                for k, w in enumerate(traj.weights)))
+    order = sorted(range(len(refs)), key=refs.__getitem__)
+    pairs = np.stack([traj.vectors.real, traj.vectors.imag], -1).reshape(n * d, -1)
+    entry = ' "{}": [\n' + ",\n".join(["  [\n   {},\n   {}\n  ]"] * traj.dim) + "\n ]"
+    body = ",\n".join(map(entry.format, map(refs.__getitem__, order),
+                          *pairs[order].T.tolist()))
+    Path(projector_json_path).write_text("{\n" + body + "\n}\n", encoding="utf-8",
+                                         newline="")
 
 
 def write_currents_csv(path, grid, currents):
     """One row per node and pair i > j of the stacked ``CurrentMatrix``."""
     j, i = np.triu_indices(currents.size, 1)
-    _write_csv(path, ["time", "i", "j", "j_ji"], grid, zip(
-        repeat(i.astype(str).tolist()), repeat(j.astype(str).tolist()),
-        currents.upper[:, j, i].tolist()))
+    _write_csv(path, ["time", "i", "j", "j_ji"], grid,
+               [i.astype(str).tolist(), j.astype(str).tolist(), None],
+               ((map(repr, row.tolist()),) for row in currents.upper[:, j, i]))
 
 
 def write_rates_csv(path, grid, rates):
     """One row per node and ordered pair i != j of the stacked ``RateMatrix``."""
     i, j = np.nonzero(~np.eye(rates.size, dtype=bool))
-    _write_csv(path, ["time", "i", "j", "rate", "pole_flag"], grid, zip(
-        repeat(i.astype(str).tolist()), repeat(j.astype(str).tolist()),
-        rates.matrix[:, j, i].tolist(), rates.pole_mask[:, j, i].astype(int).tolist()))
+    flag = ("0", "1").__getitem__
+    _write_csv(path, ["time", "i", "j", "rate", "pole_flag"], grid,
+               [i.astype(str).tolist(), j.astype(str).tolist(), None, None],
+               ((map(repr, r.tolist()), map(flag, f.tolist()))
+                for r, f in zip(rates.matrix[:, j, i], rates.pole_mask[:, j, i])))
 
 
 def write_kernel_json(path, kernel, deficit):
@@ -122,15 +155,19 @@ def write_kernel_json(path, kernel, deficit):
 
 
 def write_paths_jsonl(path, paths):
-    """One JSON line per path of a ``PathEnsemble``; events are ``[t, label]``."""
-    labels = [list(s) for s in paths.states]
-    events = [[t, labels[j]] for t, j in zip(paths.times.tolist(), paths.dest.tolist())]
+    """One JSON line per path of a ``PathEnsemble``; events are ``[t, label]``.
+
+    Each line holds the bytes of ``json.dumps(rec, separators=(",", ":"))``
+    for finite event times, built from label strings encoded once.
+    """
+    labels = [json.dumps(list(s), separators=(",", ":")) for s in paths.states]
+    events = [f"[{t!r},{labels[j]}]" for t, j in zip(paths.times.tolist(), paths.dest.tolist())]
     bounds = paths.offsets.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         for seed, first, lo, hi in zip(paths.seeds.tolist(), paths.initial.tolist(),
                                        bounds, bounds[1:]):
-            rec = {"seed": seed, "initial": labels[first], "events": events[lo:hi]}
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            fh.write(f'{{"seed":{seed},"initial":{labels[first]},'
+                     f'"events":[{",".join(events[lo:hi])}]}}\n')
 
 
 def write_stats_csv(path, stats, quantum_probs):
@@ -141,8 +178,10 @@ def write_stats_csv(path, stats, quantum_probs):
     labels = ["|".join(map(str, lab)) if isinstance(lab, tuple) else str(lab)
               for lab in stats.labels]
     _write_csv(path, ["time", "label", "frequency", "quantum_probability"], stats.times,
-               zip(repeat(labels), np.asarray(stats.frequencies, dtype=float).tolist(),
-                   np.asarray(quantum_probs, dtype=float).tolist()))
+               [labels, None, None],
+               ((map(repr, f.tolist()), map(repr, q.tolist())) for f, q in zip(
+                   np.asarray(stats.frequencies, dtype=float),
+                   np.asarray(quantum_probs, dtype=float))))
 
 
 def write_report_json(path, report_dict: dict):

@@ -1,16 +1,34 @@
+import _pyio
+import builtins
+import csv
+import hashlib
+import io
 import json
+import os
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modaldyn.cli import main as cli_main
 from modaldyn.errors import ScenarioValidationError
-from modaldyn.io import complex_from_json, complex_to_json
+from modaldyn.currents import CurrentMatrix
+from modaldyn.io import (complex_from_json, complex_to_json, write_currents_csv,
+                         write_paths_jsonl, write_rates_csv, write_stats_csv,
+                         write_trajectory_csv)
+from modaldyn.kinetics import RateMatrix
 from modaldyn import pipeline
 from modaldyn.pipeline import run
-from modaldyn.scenario import (BUILTINS, Scenario, builtin_scenarios, load_scenario,
-                               scenario_from_dict, scenario_to_dict)
+from modaldyn.sampler import EnsembleStats, PathEnsemble
+from modaldyn.scenario import (BUILTINS, EnsembleSpec, Scenario, TimeSpec, builtin_scenarios,
+                               load_scenario, scenario_from_dict, scenario_to_dict)
+from modaldyn.spectral import SpectralTrajectory
+
+from conftest import random_hermitian, random_ket
 
 
 class TestBuiltins:
@@ -312,6 +330,215 @@ class TestExportRoundTrip:
         v = np.array([complex_from_json(side[r]) for r in ref]).reshape(n, d, -1)
         rebuilt = np.einsum("kix,kiy->kixy", v, v.conj())
         assert np.abs(rebuilt - traj.projectors).max() <= 1e-15
+
+
+BYTES = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+# Floats whose repr is easy to get wrong: signed zero, the smallest subnormal,
+# the switches to exponent notation at 1e-4 and 1e16, and a float above 2**53
+# with a short repr.
+SPECIAL = (-0.0, 0.0, 5e-324, 1e-05, 1e16, 1e22)
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+# At 11 or more nodes the refs "t9" and "t10" sort one way as numbers and the
+# other way as strings.
+NODES = st.integers(11, 13)
+
+
+def float_arrays(shape, elements=FLOATS):
+    size = int(np.prod(shape))
+    return st.lists(elements, min_size=size, max_size=size).map(
+        lambda xs: np.array(xs, dtype=float).reshape(shape))
+
+
+def reference_csv(rows):
+    buf = io.StringIO(newline="")
+    csv.writer(buf, lineterminator="\r\n").writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def written(writer, *args, names=("out",)):
+    """The bytes of each file that ``writer(*paths, *args)`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in names]
+        writer(*paths, *args)
+        return [path.read_bytes() for path in paths]
+
+
+class TestByteContract:
+    """The templated writers write the bytes of independent references:
+    ``csv.writer`` for every table, ``json.dumps`` for side files and paths."""
+
+    @BYTES
+    @given(data=st.data())
+    def test_rates(self, data):
+        n, d = data.draw(NODES), data.draw(st.integers(2, 4))
+        grid = data.draw(float_arrays((n,)))
+        values = data.draw(float_arrays((n, d, d)))
+        poles = data.draw(float_arrays((n, d, d), st.sampled_from([0.0, np.inf])))
+        flags = data.draw(float_arrays((n, d, d), st.sampled_from([0.0, 1.0]))).astype(bool)
+        flags &= ~np.eye(d, dtype=bool)
+        matrix = np.where(flags, poles, np.where(values < 0, -values, values))
+        m, f = matrix.tolist(), flags.astype(int).tolist()
+        rows = [["time", "i", "j", "rate", "pole_flag"]] + [
+            [t, i, j, m[k][j][i], f[k][j][i]] for k, t in enumerate(grid.tolist())
+            for i in range(d) for j in range(d) if i != j]
+        assert written(write_rates_csv, grid, RateMatrix(matrix, flags)) == [reference_csv(rows)]
+
+    @BYTES
+    @given(data=st.data())
+    def test_currents(self, data):
+        n, d = data.draw(NODES), data.draw(st.integers(2, 4))
+        grid = data.draw(float_arrays((n,)))
+        upper = np.triu(data.draw(float_arrays((n, d, d))), 1)
+        u = upper.tolist()
+        rows = [["time", "i", "j", "j_ji"]] + [
+            [t, hi, lo, u[k][lo][hi]] for k, t in enumerate(grid.tolist())
+            for lo in range(d) for hi in range(lo + 1, d)]
+        assert written(write_currents_csv, grid, CurrentMatrix(upper)) == [reference_csv(rows)]
+
+    @BYTES
+    @given(data=st.data())
+    def test_trajectory_and_directions(self, data):
+        n, d, dim = data.draw(NODES), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        traj = SpectralTrajectory(
+            data.draw(float_arrays((n,))), data.draw(float_arrays((n, d))),
+            data.draw(float_arrays((n, d, dim, 2))).view(complex)[..., 0])
+        w = traj.weights.tolist()
+        rows = [["time", "label", "weight", "projector_ref"]] + [
+            [t, i, w[k][i], f"f2_t{k}_l{i}"] for k, t in enumerate(traj.grid.tolist())
+            for i in range(d)]
+        side = {f"f2_t{k}_l{i}": complex_to_json(traj.vectors[k, i])
+                for k in range(n) for i in range(d)}
+        assert written(write_trajectory_csv, traj, "f2", names=("t.csv", "t.json")) == [
+            reference_csv(rows),
+            (json.dumps(side, indent=1, sort_keys=True) + "\n").encode("utf-8")]
+
+    @BYTES
+    @given(data=st.data())
+    def test_stats(self, data):
+        n, n_labels = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        factors = data.draw(st.integers(3, 4))
+        labels = tuple(tuple(data.draw(st.lists(st.integers(0, 11), min_size=factors,
+                                                max_size=factors)))
+                       for _ in range(n_labels))
+        counts = data.draw(float_arrays((n, n_labels), st.integers(0, 10 ** 6))).astype(int)
+        stats = EnsembleStats(data.draw(float_arrays((n,))), labels, counts,
+                              data.draw(st.integers(1, 10 ** 6)))
+        born = data.draw(float_arrays((n, n_labels)))
+        f, q = stats.frequencies.tolist(), born.tolist()
+        rows = [["time", "label", "frequency", "quantum_probability"]] + [
+            [t, "|".join(map(str, lab)), f[k][i], q[k][i]]
+            for k, t in enumerate(stats.times.tolist()) for i, lab in enumerate(labels)]
+        assert written(write_stats_csv, stats, born) == [reference_csv(rows)]
+
+    @BYTES
+    @given(data=st.data())
+    def test_paths(self, data):
+        factors = data.draw(st.integers(3, 4))
+        states = tuple(data.draw(st.lists(
+            st.lists(st.integers(0, 11), min_size=factors, max_size=factors).map(tuple),
+            min_size=1, max_size=6, unique=True)))
+        state = st.integers(0, len(states) - 1)
+        # Bounded so that the ensemble's check of increasing times cannot overflow.
+        times = st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats(-1e300, 1e300)),
+                         max_size=4, unique=True).map(sorted)
+        events = data.draw(st.lists(times, min_size=1, max_size=6))
+        paths = PathEnsemble(
+            states=states,
+            seeds=np.array(data.draw(st.lists(st.integers(0, 2 ** 63 - 1), min_size=len(events),
+                                              max_size=len(events)))),
+            initial=np.array([data.draw(state) for _ in events]),
+            offsets=np.cumsum([0] + [len(e) for e in events]),
+            times=np.array([t for e in events for t in e], dtype=float),
+            dest=np.array([data.draw(state) for e in events for _ in e], dtype=int))
+        lines = [json.dumps({"seed": p.seed, "initial": p.initial, "events": p.events},
+                            separators=(",", ":")) + "\n" for p in paths]
+        assert written(write_paths_jsonl, paths) == ["".join(lines).encode("utf-8")]
+
+
+def generic_2222_short():
+    rng = np.random.default_rng(2222)
+    return Scenario(name="generic-2x2x2x2", factor_dims=(2, 2, 2, 2),
+                    hamiltonian=random_hermitian(rng, 16), initial_state=random_ket(rng, 16),
+                    time=TimeSpec(0.0, 0.2, 1e-3),
+                    ensemble=EnsembleSpec(50, 9, (0.1, 0.2))).validate()
+
+
+def digests(out):
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+
+
+# SHA-256 of every file of two run directories, recorded from the writers
+# that formatted row by row with ``str.format`` and ``json.dumps`` (commit
+# 00f2a67).  A change of format must bump ``tool_version`` instead of these.
+GOLDEN_RUN_DIRS = {
+    "easyexample": {
+        "currents.csv": "f0fa1d38213ffe71733edc7f9472e2a1ff8347023bf13e4108cb0aa9e250577a",
+        "kernel.json": "630e8f783eec368cb5ca1e3cfd677a26738e04d0773378c663fa46792361c047",
+        "manifest.json": "697001f19b098289eae3545488ba3f956f7038469f3859d3c43b415d58a4a1ef",
+        "paths.jsonl": "e8d38de91da06c88b252d04c28589262b8acc108e1041a0566b7e60e11122fc9",
+        "rates.csv": "559d89c790b0c398169e5de6f1982ab423e32651b8e30699852ee002db8234c0",
+        "report.json": "a21410aa25d3c686e262346cb96fd80f9e576792172c9aff16793b70dc8cbfc9",
+        "scenario.json": "b5207d02117d89a54074377d4c999e484d2f43771734c5c892410a7e1b8bf2a3",
+        "state_space.json": "d2c091fb2f085f08bb7cee0dacd9528fc6da52f84c7127a5f12fb90aa2d6ba6d",
+        "stats.csv": "5171153bf9d778e175fa831d2af5b1e2df8fdcbad91a7bfd28738f698c583fee",
+        "trajectory_factor0.csv":
+            "0e9e937a8febdaa3e55521b08f322ec4188816c111cf0d477cda1dfd69663345",
+        "trajectory_factor0_projectors.json":
+            "af3974ef97c25398dcd4ff35a6137567ea7793b0af6fdd109b6574b224360974",
+        "trajectory_factor1.csv":
+            "12828a04efb5e7a25c683f02826887bbe6687c07a59a2af9fd2662466f3e710c",
+        "trajectory_factor1_projectors.json":
+            "0a7fb817d2de73c27ca23b3a0fc88e61f443b761a76abe4fd718d913fe69dfc5",
+    },
+    "generic-2x2x2x2": {
+        "currents.csv": "c5d623e5d0f451922dd5687ed4df2d875ea792770e1ea563d1cd6204bc9de4f2",
+        "kernel.json": "85236eb85013aec8b0f9a7e696e33b1931fe68b942319875a98f03eb9ceb8051",
+        "manifest.json": "8cb67c8fdff01f95936113cc93b9c3acb48899ccfd67c2551efec44d5905e5ba",
+        "paths.jsonl": "531b26e0e2003b6ab25e24412995f3f71045f562c62db2ad58ad3a93f7cd6304",
+        "rates.csv": "5db7011eb97678f3b9a6bb93dd5da35978ff495767dbb9fddc937191ffbc0ff9",
+        "report.json": "622f1c93b45c26ed6d2e424825992ce25f147c78987c7705f18dc986e2aabc9b",
+        "scenario.json": "0d4fbb6e34aaa9723cc69c03d6fca57351a5d0bd54c5ea35aad02d4e334b320c",
+        "state_space.json": "63e6b3f6286029cb96c4fd91df6c34dba4d6d7de119c8a637600383b557c0e72",
+        "stats.csv": "6a40353212366a05267fe6589460bb040dd4b39a08b463c4fcb2bac48cf2d783",
+        "trajectory_factor0.csv":
+            "4dc4c603f46dd955fcdcdae7eff8ee54adfcec664092a83615269af884564a76",
+        "trajectory_factor0_projectors.json":
+            "4107f12520aee67f7e3f847860cee9f946ef17db77b28b0a40e23af73b33e12f",
+        "trajectory_factor1.csv":
+            "0c654dba04f61f0185df767f0bc7980622b13755a596eb981050da73a0695305",
+        "trajectory_factor1_projectors.json":
+            "f93d72bd0a655a7453e95dc392ddec3daf4d3d165fcb2255f41faf200e2e2357",
+        "trajectory_factor2.csv":
+            "4117e992769e04a89a060958234049ba329df8e652344528d08e866512f79839",
+        "trajectory_factor2_projectors.json":
+            "2e0ac89e808c3771108a0cc9a01e36b698897d1e2e1dd5ea68fcd6cdd0325feb",
+        "trajectory_factor3.csv":
+            "911331248b81d05ca2f928d09d888c7dda944ff2b414bb617450247662ae7c93",
+        "trajectory_factor3_projectors.json":
+            "581f2a140c9384f629eb6984e04577ec1f5304b0e8974a6656820f1448d3cca0",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", [
+    lambda: BUILTINS["easyexample"](t1=0.2, n_paths=50), generic_2222_short],
+    ids=list(GOLDEN_RUN_DIRS))
+def test_run_directory_digests(scenario, tmp_path):
+    sc = scenario()
+    run(sc, out_dir=tmp_path)
+    assert digests(tmp_path) == GOLDEN_RUN_DIRS[sc.name]
+
+
+def test_run_directory_bytes_do_not_depend_on_the_os(tmp_path, monkeypatch):
+    # Text mode writes "\n" as os.linesep, "\r\n" on Windows.  The pure-Python
+    # io module reads os.linesep when a file is opened, so with it every file
+    # is written as on Windows.
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    monkeypatch.setattr(builtins, "open", _pyio.open)
+    monkeypatch.setattr(io, "open", _pyio.open)
+    run(BUILTINS["easyexample"](t1=0.2, n_paths=50), out_dir=tmp_path)
+    monkeypatch.undo()
+    assert digests(tmp_path) == GOLDEN_RUN_DIRS["easyexample"]
 
 
 def write_quick_scenario(tmp_path, name="quick", builder="singlet", **params):
