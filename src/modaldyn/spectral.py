@@ -12,7 +12,7 @@ like any other, so the label set never changes cardinality.
 
 :func:`track` decomposes the whole ``(n, d, d)`` stack with one stacked
 ``eigh`` and forms the overlaps ``|<u_r(k-1)|u_c(k)>|^2`` of consecutive
-eigenbases as one array.  Two paths then assign labels:
+eigenbases as one array.  Each later node then takes one of three routes:
 
 * **Fast path.**  A node whose spectrum and predecessor's spectrum have no
   degenerate cluster, and whose overlap matrix has in every row an entry
@@ -23,17 +23,24 @@ eigenbases as one array.  Two paths then assign labels:
   nodes (only where a column actually moves), and phases follow from a
   cumulative product of the unit overlaps,
   ``phi_k = phi_(k-1) conj(g_k) / |g_k|``.
-* **Fallback.**  Every other node (a degenerate cluster at it or its
+* **Maximally mixed nodes.**  A node whose weights form one cluster (the
+  factor's reduced state is a multiple of the identity, as in the singlet)
+  keeps the previous node's vectors, with its weights in label order.
+  That is what the per-node step returns there: all labels share the one
+  home, and the polar factor of the unitary overlap is the overlap itself,
+  so the frame is unchanged and every overlap is 1.
+* **Per-node step.**  Every other node (a degenerate cluster at it or its
   predecessor, an overlap row without a dominant entry, or an overlap
   below the overlap threshold) takes the per-node step on the node's
   eigenpairs from the same stacked ``eigh``: the largest-share rule on the
   clusters that the degeneracy gaps of the fast-path test delimit, then
-  polar alignment inside each cluster.  This covers singlet-like fully
-  degenerate families, exact crossings and ambiguous continuations, which
-  raise after this step.  A step passes the overlap check only when every
-  label keeps at least half its weight in the cluster it is given; short
-  of an exact tie at one half, that cluster is then the label's unique
-  largest share, which is the fast path's argument lifted to clusters.
+  polar alignment inside each cluster.  This covers partly degenerate
+  nodes, the first node after a maximally mixed stretch, exact crossings
+  between some of the weights and ambiguous continuations, which raise
+  after this step.  A step passes the overlap check only when every label
+  keeps at least half its weight in the cluster it is given; short of an
+  exact tie at one half, that cluster is then the label's unique largest
+  share, which is the fast path's argument lifted to clusters.
 
 The overlap threshold and the degeneracy gap are fixed values in
 :mod:`modaldyn.config`.
@@ -199,6 +206,9 @@ def _continue(prev: np.ndarray, vals: np.ndarray, basis: np.ndarray,
 def track(states, grid) -> SpectralTrajectory:
     """Thread the eigendirections of a state family into labeled trajectories.
 
+    A maximally mixed node, whose weights form one degenerate cluster, keeps
+    the previous node's vectors: every direction is an eigendirection there.
+
     Parameters
     ----------
     states : array
@@ -256,15 +266,20 @@ def track(states, grid) -> SpectralTrajectory:
         if k == n:
             break
         prev = vectors[k - 1]
-        weights[k], vectors[k], assigned = _continue(prev, vals, basis, split, k)
-        o = np.abs(np.einsum("lx,lx->l", prev.conj(), vectors[k])) ** 2
-        low = np.flatnonzero(o < DEFAULT.overlap_threshold)
-        if low.size:
-            lab = int(low[0])
-            raise AmbiguousContinuation(
-                f"label {lab} overlap {o[lab]:.3f} < {DEFAULT.overlap_threshold} at "
-                f"t={float(grid[k])}; refine the grid"
-            )
+        if not split[k].any():
+            # One cluster spans the factor: the per-node step would return
+            # the previous frame (see the module docstring), with overlap 1.
+            weights[k], vectors[k], assigned = vals[k], prev, np.arange(dim)
+        else:
+            weights[k], vectors[k], assigned = _continue(prev, vals, basis, split, k)
+            o = np.abs(np.einsum("lx,lx->l", prev.conj(), vectors[k])) ** 2
+            low = np.flatnonzero(o < DEFAULT.overlap_threshold)
+            if low.size:
+                lab = int(low[0])
+                raise AmbiguousContinuation(
+                    f"label {lab} overlap {o[lab]:.3f} < {DEFAULT.overlap_threshold} at "
+                    f"t={float(grid[k])}; refine the grid"
+                )
         col_of_label = assigned if plain[k] else None
         anchor = k
 

@@ -13,7 +13,7 @@ from modaldyn.hilbert import (FactorSpace, evolve_on_grid,
 from modaldyn.spectral import (_nearest_node, _runs, detect_crossings,
                                derivative_family, track)
 
-from conftest import random_hermitian, random_ket
+from conftest import SINGLET, random_hermitian, random_ket
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -133,12 +133,13 @@ class TestBatchedTracking:
 
     def test_crossing_family(self, fallback_nodes):
         # pi/4 and 3pi/4 are grid nodes: the weights meet exactly there, so
-        # those nodes and their successors take the per-node step; the
-        # swaps between other nodes compose on the fast path.
+        # those nodes are maximally mixed 2x2 states that keep the previous
+        # frame, and their successors take the per-node step; the swaps
+        # between other nodes compose on the fast path.
         grid = np.linspace(0, np.pi, 2001)
         states = np.asarray(crossing_family(1.0, grid), dtype=complex)
         assert_matches_per_node(states, grid)
-        assert fallback_nodes == [500, 501, 1500, 1501]
+        assert fallback_nodes == [501, 1501]
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_rotation_family(self, rng, fallback_nodes, dim):
@@ -163,6 +164,44 @@ class TestBatchedTracking:
         # Per-node work covers the stretch (nodes 400-600) and the node
         # after it, no more.
         assert fallback_nodes == list(range(400, 602))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_maximally_mixed_keeps_frame(self, rng, fallback_nodes, dim):
+        # A fresh random unitary per node makes the eigh bases jump; every
+        # direction is an eigendirection, so the frame of node 0 is kept.
+        grid = np.linspace(0, 1, 40)
+        states = [u @ (np.eye(dim) / dim) @ u.conj().T
+                  for u in (random_unitary(rng, dim) for _ in grid)]
+        traj = assert_matches_per_node(states, grid)
+        assert fallback_nodes == []
+        assert all(np.array_equal(v, traj.vectors[0]) for v in traj.vectors)
+
+    def test_singlet_keeps_frame(self, fallback_nodes):
+        space = FactorSpace((2, 2))
+        grid = np.arange(0, 0.5 + 1e-9, 1e-3)
+        pure = np.repeat(np.outer(SINGLET, SINGLET.conj())[None], len(grid), axis=0)
+        for keep in (0, 1):
+            traj = assert_matches_per_node(partial_trace(pure, space, keep), grid)
+            assert all(np.array_equal(v, traj.vectors[0]) for v in traj.vectors)
+        assert fallback_nodes == []
+
+    def test_mixed_stretches_between_rotations(self, rng, fallback_nodes):
+        # Weights (0.5, 0.3, 0.2) on a rotating frame, replaced by I/3 in a
+        # random basis on three stretches.  The frame stands still over a
+        # stretch, so the node after it continues the node before it; only
+        # that node takes the per-node step.
+        grid = np.arange(0, 1.0 + 1e-9, 1e-3)
+        mixed = np.zeros(len(grid), dtype=bool)
+        mixed[200:300] = mixed[500] = mixed[700:850] = True
+        h = random_hermitian(rng, 3)
+        angle = 1e-3 * np.cumsum(~mixed)
+        w0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        states = []
+        for is_mixed, a in zip(mixed, angle):
+            u = random_unitary(rng, 3) if is_mixed else expm(-1j * h * a)
+            states.append(u @ (np.eye(3) / 3 if is_mixed else w0) @ u.conj().T)
+        assert_matches_per_node(states, grid)
+        assert fallback_nodes == [300, 501, 850]
 
     def test_random_pure_states(self, fallback_nodes):
         # On (4, 2) the first factor's reduced state has rank 2, a zero
