@@ -95,8 +95,7 @@ class FauxBooleanAlgebra:
         )
 
 
-def generate_faux_boolean(generators, total_dim: int,
-                          max_elements: int = MAX_ELEMENTS) -> FauxBooleanAlgebra:
+def generate_faux_boolean(generators, total_dim: int) -> FauxBooleanAlgebra:
     """Build the enumerated closure of mutually orthogonal projectors.
 
     Raises on non-orthogonal input, and when the closure would exceed the
@@ -118,9 +117,9 @@ def generate_faux_boolean(generators, total_dim: int,
     perp = np.eye(total_dim, dtype=complex) - span
     perp_rank = int(round(float(perp.trace().real)))
     atoms = gens + ((perp,) if perp_rank > 0 else ())
-    if 2 ** len(atoms) > max_elements:
+    if 2 ** len(atoms) > MAX_ELEMENTS:
         raise ValueError(
-            f"closure would have 2^{len(atoms)} elements, above the cap {max_elements}"
+            f"closure would have 2^{len(atoms)} elements, above the cap {MAX_ELEMENTS}"
         )
     elements = []
     for mask in itertools.product((0, 1), repeat=len(atoms)):

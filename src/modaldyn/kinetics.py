@@ -113,21 +113,18 @@ def bell_rates(current: CurrentMatrix, p) -> RateMatrix:
 def general_rates(current: CurrentMatrix, p, free_choice=0.0) -> RateMatrix:
     """General solution of j_ji = t_ji p_i - t_ij p_j with a free offset.
 
-    For each pair j < i the rate t_ji is the one-directional choice plus a
-    nonnegative offset c_ji (scalar, matrix, or callable of (j, i)); the
-    opposite rate is then fixed by the current identity.  All probabilities
-    must be strictly positive.
+    For each pair j < i the rate t_ji is the one-directional choice plus the
+    offset ``free_choice``, one finite nonnegative scalar; the opposite rate
+    is then fixed by the current identity.  All probabilities must be
+    strictly positive.
     """
     p = _node_probabilities(current, p)
     d = current.size
     if p.min() <= DEFAULT.zero_probability:
         raise ValueError("division at p_j = 0: general rates need p > 0 everywhere")
-    if callable(free_choice):
-        c = np.array([[free_choice(a, b) for b in range(d)] for a in range(d)], dtype=float)
-    else:
-        c = np.broadcast_to(np.asarray(free_choice, dtype=float), (d, d))
-    if c.min() < 0:
-        raise ValueError("free choice offsets must be nonnegative")
+    c = float(free_choice)
+    if not 0 <= c < np.inf:
+        raise ValueError(f"free choice offset must be finite and nonnegative, got {c}")
     j = current.full()
     # Entry [a, b] of ``up`` is t_ab for a < b; ``down`` holds the opposite
     # rate t_ba = (t_ab p_b - j_ab) / p_a at the same position.

@@ -17,7 +17,7 @@ from . import io as mdio
 from .currents import (CurrentMatrix, continuity_residual,
                        generalized_schrodinger_current, minimal_flow_current,
                        static_schrodinger_current)
-from .errors import ModalDynError, PoleInInterval, TruncationNotConverged
+from .errors import ModalDynError, TruncationNotConverged
 from .feller import (chapman_kolmogorov_residual, feller_minimal,
                      forward_ode_kernel, honesty_deficit)
 from .hilbert import evolve_on_grid, partial_trace
@@ -159,26 +159,16 @@ class RunReport:
     n_paths: int = 0
 
     def failures(self, thresholds) -> list[str]:
-        out = []
-        if self.continuity_residual > thresholds.continuity:
-            out.append(f"continuity residual {self.continuity_residual:.3e} "
-                       f"> {thresholds.continuity}")
-        if self.master_residual > thresholds.master:
-            out.append(f"master residual {self.master_residual:.3e} "
-                       f"> {thresholds.master}")
-        if self.chapman_residual is not None and \
-                self.chapman_residual > thresholds.chapman:
-            out.append(f"chapman residual {self.chapman_residual:.3e} "
-                       f"> {thresholds.chapman}")
-        if self.honesty_deficit_max is not None and \
-                abs(self.honesty_deficit_max) > thresholds.honesty:
-            out.append(f"honesty deficit {self.honesty_deficit_max:.3e} "
-                       f"> {thresholds.honesty}")
-        if self.max_total_variation is not None and \
-                self.max_total_variation > thresholds.total_variation:
-            out.append(f"total variation {self.max_total_variation:.3e} "
-                       f"> {thresholds.total_variation}")
-        return out
+        """One message per diagnostic above its bound in ``thresholds``."""
+        checks = (
+            ("continuity residual", self.continuity_residual, thresholds.continuity),
+            ("master residual", self.master_residual, thresholds.master),
+            ("chapman residual", self.chapman_residual, thresholds.chapman),
+            ("honesty deficit", self.honesty_deficit_max, thresholds.honesty),
+            ("total variation", self.max_total_variation, thresholds.total_variation),
+        )
+        return [f"{label} {value:.3e} > {bound}" for label, value, bound in checks
+                if value is not None and abs(value) > bound]
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -292,7 +282,7 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
                 report.chapman_residual = chapman_kolmogorov_residual(
                     ode, forward_ode_kernel(rate_traj, s, mid),
                     forward_ode_kernel(rate_traj, mid, t))
-            except (PoleInInterval, TruncationNotConverged, ValueError) as exc:
+            except (TruncationNotConverged, ValueError) as exc:
                 report.kernel_note = f"kernel stage skipped: {exc}"
         else:
             report.kernel_note = "no pole-free window long enough for kernels"

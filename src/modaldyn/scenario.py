@@ -3,15 +3,18 @@
 A scenario pins everything a run needs: the factored Hilbert space, the
 Hamiltonian, the initial pure state, the time window and grid, the current
 constructor, the rate choice, the ensemble size and seed, and the pole
-policy.  Scenario files are JSON; complex numbers are ``[re, im]`` pairs.
-A file may either embed the Hamiltonian and state or name a builtin
-builder with parameters and then override selected fields.
+policy.  A scenario file is a JSON object keyed by the fields of
+:class:`Scenario`, with complex numbers as ``[re, im]`` pairs; one reader per
+key turns a value into its field.  A file either embeds the system
+(``factor_dims``, ``hamiltonian.matrix``, ``initial_state``) or names a
+builtin builder, which fixes those keys, and overrides the other fields.
+A key that no reader knows, at any level, is rejected by name.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -31,10 +34,13 @@ __all__ = [
     "scenario_to_dict",
 ]
 
-CURRENT_KINDS = ("minimal_flow", "static_schrodinger", "generalized_schrodinger")
-EXTRA_TERMS = ("paired", "minimal_flow_like")
-RATE_CHOICES = ("bell", "bell_note9", "general")
-POLE_POLICIES = ("resample", "abort")
+# The allowed values of the four choice keys.
+CHOICES = {
+    "current": ("minimal_flow", "static_schrodinger", "generalized_schrodinger"),
+    "extra_term": ("paired", "minimal_flow_like"),
+    "rate_choice": ("bell", "bell_note9", "general"),
+    "pole_policy": ("resample", "abort"),
+}
 
 
 @dataclass(frozen=True)
@@ -116,11 +122,13 @@ class Scenario:
         if not self.time.t1 > self.time.t0:
             raise ScenarioValidationError("time: need t1 > t0")
         try:
-            n_nodes = len(self.grid())
+            grid = self.grid()
         except (OverflowError, MemoryError) as exc:
             raise ScenarioValidationError(f"time: the grid cannot be built ({exc})") from exc
-        if n_nodes < 3:
+        if len(grid) < 3:
             raise ScenarioValidationError("time: the grid needs at least 3 nodes")
+        if abs(grid[-1] - self.time.t1) > 1e-9 * self.time.grid_step:
+            raise ScenarioValidationError("time: grid_step must divide t1 - t0")
         if self.ensemble.n_paths < 1:
             raise ScenarioValidationError("ensemble: n_paths must be >= 1")
         if self.ensemble.master_seed < 0:
@@ -130,14 +138,9 @@ class Scenario:
                 raise ScenarioValidationError(
                     f"ensemble: query time {q} outside [{self.time.t0}, {self.time.t1}]"
                 )
-        if self.current not in CURRENT_KINDS:
-            raise ScenarioValidationError(f"current: unknown kind {self.current!r}")
-        if self.extra_term not in EXTRA_TERMS:
-            raise ScenarioValidationError(f"extra_term: unknown kind {self.extra_term!r}")
-        if self.rate_choice not in RATE_CHOICES:
-            raise ScenarioValidationError(f"rate_choice: unknown kind {self.rate_choice!r}")
-        if self.pole_policy not in POLE_POLICIES:
-            raise ScenarioValidationError(f"pole_policy: unknown kind {self.pole_policy!r}")
+        for key, allowed in CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise ScenarioValidationError(f"{key}: unknown kind {getattr(self, key)!r}")
         if not 0 <= self.general_rate_offset < np.inf:
             raise ScenarioValidationError("general_rate_offset: must be finite and "
                                           "nonnegative")
@@ -156,8 +159,7 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def build_easyexample(theta: float = 1.0, t1: float = 0.7,
-                      n_paths: int = 100_000, master_seed: int = 20_240_501,
-                      current: str = "generalized_schrodinger") -> Scenario:
+                      n_paths: int = 100_000, master_seed: int = 20_240_501) -> Scenario:
     """Two coupled qubits whose reduced weights sweep cos^2/sin^2.
 
     The coupling rotates |00> into |11>, so each factor's reduced state has
@@ -171,7 +173,7 @@ def build_easyexample(theta: float = 1.0, t1: float = 0.7,
     queries = tuple(round(f * t1 / 1e-3) * 1e-3 for f in (1 / 7, 2 / 7, 0.5, 5 / 7, 13 / 14))
     return Scenario(
         name="easyexample", factor_dims=(2, 2), hamiltonian=h, initial_state=psi,
-        time=TimeSpec(0.0, t1, 1e-3), current=current,
+        time=TimeSpec(0.0, t1, 1e-3),
         ensemble=EnsembleSpec(n_paths, master_seed, queries),
     )
 
@@ -270,80 +272,81 @@ def builtin_scenarios() -> list[str]:
 # -- (de)serialization -----------------------------------------------------
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    return {
-        "name": sc.name,
-        "factor_dims": list(sc.factor_dims),
-        "hamiltonian": {"matrix": mdio.complex_to_json(sc.hamiltonian)},
-        "initial_state": mdio.complex_to_json(sc.initial_state),
-        "time": {"t0": sc.time.t0, "t1": sc.time.t1, "grid_step": sc.time.grid_step},
-        "current": sc.current,
-        "extra_term": sc.extra_term,
-        "rate_choice": sc.rate_choice,
-        "general_rate_offset": sc.general_rate_offset,
-        "ensemble": {
-            "n_paths": sc.ensemble.n_paths,
-            "master_seed": sc.ensemble.master_seed,
-            "query_times": list(sc.ensemble.query_times),
-        },
-        "pole_policy": sc.pole_policy,
-        "thresholds": asdict(sc.thresholds),
-    }
+    """The JSON document of ``sc``: its fields, complex arrays as pairs."""
+    out = asdict(sc)
+    out["hamiltonian"] = {"matrix": mdio.complex_to_json(sc.hamiltonian)}
+    out["initial_state"] = mdio.complex_to_json(sc.initial_state)
+    return out
 
 
-def _apply_overrides(sc: Scenario, data: dict) -> Scenario:
-    if "name" in data:
-        sc = replace(sc, name=str(data["name"]))
-    if "time" in data:
-        t = data["time"]
-        sc = replace(sc, time=TimeSpec(float(t["t0"]), float(t["t1"]),
-                                       float(t["grid_step"])))
-    if "ensemble" in data:
-        e = data["ensemble"]
-        sc = replace(sc, ensemble=EnsembleSpec(
-            int(e["n_paths"]), int(e["master_seed"]),
-            tuple(float(q) for q in e["query_times"])))
-    for key in ("current", "extra_term", "rate_choice", "pole_policy"):
-        if key in data:
-            sc = replace(sc, **{key: str(data[key])})
-    if "general_rate_offset" in data:
-        sc = replace(sc, general_rate_offset=float(data["general_rate_offset"]))
-    if "thresholds" in data:
-        sc = replace(sc, thresholds=Thresholds(**{
-            k: float(v) for k, v in data["thresholds"].items()}))
-    return sc
+def _object(value, keys) -> dict:
+    """``value`` as a JSON object whose keys all come from ``keys``."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    for key in value:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r}")
+    return value
 
 
-def _complex_field(value, name: str) -> np.ndarray:
-    try:
-        return mdio.complex_from_json(value)
-    except ValueError as exc:
-        raise ScenarioValidationError(f"{name}: {exc}") from exc
+def _record(cls, convert, **special):
+    """Reader of a nested object whose keys are the fields of ``cls``."""
+    keys = {f.name for f in fields(cls)}
+    return lambda value: cls(**{
+        k: special.get(k, convert)(v) for k, v in _object(value, keys).items()})
+
+
+# One reader per top-level key: it turns the key's JSON value into the
+# Scenario field.  The flag marks the keys that a builder fixes.
+_READERS = {
+    "name": (str, False),
+    "factor_dims": (lambda v: tuple(int(d) for d in v), True),
+    "hamiltonian": (lambda v: mdio.complex_from_json(_object(v, ("matrix",))["matrix"]), True),
+    "initial_state": (mdio.complex_from_json, True),
+    "time": (_record(TimeSpec, float), False),
+    "ensemble": (_record(EnsembleSpec, int,
+                         query_times=lambda v: tuple(float(q) for q in v)), False),
+    "thresholds": (_record(Thresholds, float), False),
+    "general_rate_offset": (float, False),
+    **{key: (str, False) for key in CHOICES},
+}
+
+
+def _read(data: dict, builder: str | None) -> dict:
+    """The Scenario fields that ``data`` sets; ``builder`` fixes the flagged keys."""
+    out = {}
+    for key, value in data.items():
+        if key not in _READERS:
+            raise ScenarioValidationError(f"unknown key {key!r}")
+        read, fixed = _READERS[key]
+        if fixed and builder is not None:
+            raise ScenarioValidationError(f"{key}: fixed by builder {builder!r}")
+        try:
+            out[key] = read(value)
+        except ValueError as exc:
+            raise ScenarioValidationError(f"{key}: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise ScenarioValidationError(f"malformed scenario: {key}: {exc}") from exc
+    return out
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    """Read and validate a scenario document (see the module docstring)."""
     if not isinstance(data, dict):
         raise ScenarioValidationError("malformed scenario: the top level must be an object")
     try:
         ham = data.get("hamiltonian")
-        if isinstance(ham, dict) and "builder" in ham:
-            builder = BUILTINS.get(ham["builder"])
-            if builder is None:
-                raise ScenarioValidationError(f"unknown builder {ham['builder']!r}")
-            sc = builder(**ham.get("params", {}))
-            return _apply_overrides(sc, data).validate()
-        required = ("name", "factor_dims", "hamiltonian", "initial_state", "time")
-        for key in required:
-            if key not in data:
-                raise ScenarioValidationError(f"missing required field {key!r}")
-        base = Scenario(
-            name=str(data["name"]),
-            factor_dims=tuple(int(d) for d in data["factor_dims"]),
-            hamiltonian=_complex_field(data["hamiltonian"]["matrix"], "hamiltonian"),
-            initial_state=_complex_field(data["initial_state"], "initial_state"),
-            time=TimeSpec(float(data["time"]["t0"]), float(data["time"]["t1"]),
-                          float(data["time"]["grid_step"])),
-        )
-        return _apply_overrides(base, data).validate()
+        if not (isinstance(ham, dict) and "builder" in ham):
+            return Scenario(**_read(data, None)).validate()
+        name = ham["builder"]
+        if name not in BUILTINS:
+            raise ScenarioValidationError(f"unknown builder {name!r}")
+        for key in ham:
+            if key not in ("builder", "params"):
+                raise ScenarioValidationError(
+                    f"hamiltonian: unknown key {key!r} beside builder {name!r}")
+        overrides = _read({k: v for k, v in data.items() if k != "hamiltonian"}, name)
+        return replace(BUILTINS[name](**ham.get("params", {})), **overrides).validate()
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioValidationError(f"malformed scenario: {exc}") from exc
 

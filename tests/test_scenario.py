@@ -6,7 +6,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,9 @@ from modaldyn.kinetics import RateMatrix
 from modaldyn import pipeline
 from modaldyn.pipeline import run
 from modaldyn.sampler import EnsembleStats, PathEnsemble
-from modaldyn.scenario import (BUILTINS, EnsembleSpec, Scenario, TimeSpec, builtin_scenarios,
-                               load_scenario, scenario_from_dict, scenario_to_dict)
+from modaldyn.scenario import (BUILTINS, CHOICES, EnsembleSpec, Scenario, Thresholds, TimeSpec,
+                               builtin_scenarios, load_scenario, scenario_from_dict,
+                               scenario_to_dict)
 from modaldyn.spectral import SpectralTrajectory
 
 from conftest import random_hermitian, random_ket
@@ -90,6 +91,35 @@ class TestBuiltins:
         assert born_assoc >= 1.0 - 1e-6
 
 
+ROUNDTRIP = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def other_than(key, values):
+    """``values`` without the default of Scenario field or Thresholds field ``key``."""
+    default = {f.name: f.default for f in fields(Scenario) + fields(Thresholds)}[key]
+    return values.filter(lambda v: v != default)
+
+
+@st.composite
+def overridable_fields(draw):
+    """Every Scenario field a builder leaves to the document."""
+    t0 = draw(st.floats(-10.0, 10.0))
+    step = draw(st.floats(1e-3, 0.5))
+    t1 = t0 + step * draw(st.integers(2, 50))
+    return {
+        "name": draw(st.text()),
+        "time": TimeSpec(t0, t1, step),
+        "ensemble": EnsembleSpec(draw(st.integers(1, 10**6)), draw(st.integers(0, 2**63 - 1)),
+                                 tuple(draw(st.lists(st.floats(t0, t1), max_size=5)))),
+        "thresholds": Thresholds(**{f.name: draw(other_than(f.name, POSITIVE))
+                                    for f in fields(Thresholds)}),
+        "general_rate_offset": draw(other_than("general_rate_offset", st.floats(0.0, 1e6))),
+        **{key: draw(other_than(key, st.sampled_from(values)))
+           for key, values in CHOICES.items()},
+    }
+
+
 class TestSerialization:
     @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 3, 4)],
                              ids=["rank1", "rank2", "rank3"])
@@ -115,6 +145,37 @@ class TestSerialization:
         assert np.array_equal(back.initial_state, sc.initial_state)
         assert back.ensemble == sc.ensemble
         assert back.thresholds == sc.thresholds
+
+    @ROUNDTRIP
+    @given(data=st.data())
+    def test_every_field_roundtrips(self, data):
+        # An explicit document carries every field; a builder document every
+        # field but the three its builder fixes.  Values differ from the
+        # defaults, so a key the reader dropped would show.
+        over = data.draw(overridable_fields())
+        dims = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 2, 2)]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        dim = int(np.prod(dims))
+        explicit = Scenario(factor_dims=dims, hamiltonian=random_hermitian(rng, dim),
+                            initial_state=random_ket(rng, dim), **over).validate()
+        builder = data.draw(st.sampled_from(builtin_scenarios()))
+        from_builder = replace(BUILTINS[builder](), **over).validate()
+        builder_doc = scenario_to_dict(from_builder)
+        for key in ("factor_dims", "initial_state"):
+            del builder_doc[key]
+        builder_doc["hamiltonian"] = {"builder": builder, "params": {}}
+        for sc, doc in ((explicit, scenario_to_dict(explicit)), (from_builder, builder_doc)):
+            back = scenario_from_dict(json.loads(json.dumps(doc)))
+            for f in fields(Scenario):
+                a, b = getattr(sc, f.name), getattr(back, f.name)
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
+    @pytest.mark.parametrize("t1, step", [(0.3, 0.1), (0.7, 1e-3), (1.571, 1e-3)])
+    def test_grid_step_divides_window(self, t1, step):
+        # The last node may miss t1 by rounding alone.
+        sc = replace(load_scenario("singlet"), time=TimeSpec(0.0, t1, step),
+                     ensemble=EnsembleSpec(10, 1, (t1,)))
+        assert abs(sc.validate().grid()[-1] - t1) <= 1e-15
 
     def test_builder_reference_with_overrides(self, tmp_path):
         doc = {
@@ -633,6 +694,48 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli_main(["validate", str(path)]) == 2
         assert "at least 3 nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("explicit, override, message", [
+        (False, {"pole_polcy": "abort"}, "unknown key 'pole_polcy'"),
+        (False, {"initial_state": complex_to_json(np.eye(4)[3])},
+         "initial_state: fixed by builder 'easyexample'"),
+        (False, {"factor_dims": [4, 1]}, "factor_dims: fixed by builder 'easyexample'"),
+        (False, {"hamiltonian": {"builder": "easyexample",
+                                 "matrix": complex_to_json(np.eye(4))}},
+         "hamiltonian: unknown key 'matrix' beside builder 'easyexample'"),
+        (False, {"time": {"t0": 0.0, "t1": 0.7, "grid_step": 1e-3, "dt": 0.1}},
+         "time: unknown key 'dt'"),
+        (False, {"ensemble": {"n_paths": 10, "master_seed": 1, "query_times": [0.1],
+                              "seed": 5}}, "ensemble: unknown key 'seed'"),
+        (False, {"thresholds": {"continuity": 1e-4, "contnuity": 1e-3}},
+         "thresholds: unknown key 'contnuity'"),
+        (True, {"seed": 5}, "unknown key 'seed'"),
+        (True, {"hamiltonian": {"matrix": complex_to_json(np.eye(4)), "params": {}}},
+         "hamiltonian: unknown key 'params'"),
+    ], ids=["misspelt-key", "builder-state", "builder-dims", "builder-matrix", "time-key",
+            "ensemble-key", "thresholds-key", "explicit-key", "explicit-hamiltonian-key"])
+    def test_unread_keys_rejected(self, tmp_path, capsys, explicit, override, message):
+        # Every choice reproduces the same Born statistics, so only the loader
+        # can tell that a key was dropped.
+        base = (scenario_to_dict(load_scenario("easyexample")) if explicit
+                else {"hamiltonian": {"builder": "easyexample"}})
+        path = tmp_path / "unread.json"
+        path.write_text(json.dumps({**base, **override}))
+        assert cli_main(["validate", str(path)]) == 2
+        assert f"validation error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", [0.3, 0.2])
+    def test_grid_step_must_divide_window(self, tmp_path, capsys, step):
+        # Step 0.3 built [0, 0.3, 0.6], past t1 = 0.5; step 0.2 built
+        # [0, 0.2, 0.4] and reported the query time 0.5 at node 0.4.
+        doc = {"hamiltonian": {"builder": "singlet"},
+               "time": {"t0": 0.0, "t1": 0.5, "grid_step": step},
+               "ensemble": {"n_paths": 10, "master_seed": 1, "query_times": [0.5]}}
+        path = tmp_path / "step.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(path)]) == 2
+        assert "validation error: time: grid_step must divide t1 - t0" \
+            in capsys.readouterr().err
 
     def test_validate_directory(self, tmp_path, capsys):
         assert cli_main(["validate", str(tmp_path)]) == 2
