@@ -12,9 +12,8 @@ probabilities.
 from .errors import (AmbiguousContinuation, ModalDynError, PoleEncountered,
                      PoleInInterval, ScenarioValidationError,
                      TruncationNotConverged)
-from .hilbert import (EigenDecomposition, FactorSpace, check_hermitian, check_ket,
-                      evolve_on_grid, hermitian_eig, partial_trace,
-                      projector_from_vector, tensor_product)
+from .hilbert import (FactorSpace, check_hermitian, check_ket, evolve_on_grid,
+                      partial_trace, projector_from_vector, tensor_product)
 from .spectral import CrossingEvent, SpectralTrajectory, detect_crossings, track
 from .algebra import (FauxBooleanAlgebra, PropertyState, composite_generating_set,
                       generate_faux_boolean, joint_distribution, joint_probability,

@@ -5,9 +5,6 @@ Conventions
 * Operators and kets are plain numpy arrays with complex dtype.
 * Tensor products follow the ``numpy.kron`` convention: the index of the
   left factor varies slowest.
-* Eigenvalues are reported in descending order.  Exact ties are broken by
-  lexicographic comparison of the phase-fixed eigenvector amplitudes, so
-  repeated runs label degenerate directions identically.
 """
 
 from __future__ import annotations
@@ -21,11 +18,9 @@ from .config import DEFAULT
 
 __all__ = [
     "FactorSpace",
-    "EigenDecomposition",
     "check_hermitian",
     "check_ket",
     "evolve_on_grid",
-    "hermitian_eig",
     "partial_trace",
     "projector_from_vector",
     "tensor_product",
@@ -170,77 +165,6 @@ def partial_trace(w, space: FactorSpace, keep: int) -> np.ndarray:
             col.append(c)
     sub = f"...{''.join(row)}{''.join(col)}->...YZ"
     return np.einsum(sub, wt)
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the largest-magnitude amplitude is real positive."""
-    k = int(np.argmax(np.abs(v)))
-    z = v[k]
-    if abs(z) == 0.0:
-        return v
-    return v * (abs(z) / z)
-
-
-def _lex_key(v: np.ndarray):
-    out = []
-    for z in v:
-        out.append(round(float(z.real), 12))
-        out.append(round(float(z.imag), 12))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral resolution with a deterministic ordering.
-
-    ``values`` are descending; ``vectors`` holds the matching orthonormal
-    eigenvectors as columns.  ``clusters`` groups positions whose eigenvalues
-    sit within the degeneracy threshold of each other, for consumers that
-    must treat near-degenerate directions jointly.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    clusters: tuple[tuple[int, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
-
-def hermitian_eig(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, descending and deterministic.
-
-    Ties within 1e-12 are ordered by lexicographic comparison of the
-    phase-fixed eigenvector amplitudes.  Clusters are flagged at the
-    degeneracy gap of :mod:`modaldyn.config`.
-    """
-    a = _as_square(check_hermitian(a))
-    vals, vecs = np.linalg.eigh(a)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    for k in range(vecs.shape[1]):
-        vecs[:, k] = _fix_phase(vecs[:, k])
-    # Stable reorder of exact/near-exact ties by amplitude key.
-    order = list(range(len(vals)))
-    start = 0
-    while start < len(vals):
-        end = start + 1
-        while end < len(vals) and vals[start] - vals[end] <= 1e-12:
-            end += 1
-        if end - start > 1:
-            order[start:end] = sorted(order[start:end], key=lambda k: _lex_key(vecs[:, k]))
-        start = end
-    vals = vals[order]
-    vecs = vecs[:, order]
-
-    clusters = []
-    start = 0
-    for k in range(1, len(vals) + 1):
-        if k == len(vals) or vals[k - 1] - vals[k] > DEFAULT.degeneracy:
-            clusters.append(tuple(range(start, k)))
-            start = k
-    return EigenDecomposition(values=vals, vectors=vecs, clusters=tuple(clusters))
 
 
 def evolve_on_grid(psi0, hamiltonian, times) -> np.ndarray:

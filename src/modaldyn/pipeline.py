@@ -124,7 +124,7 @@ def pdot_target(family: JointFamily, kind: str) -> np.ndarray:
 def compute_rates(currents: CurrentMatrix, probabilities, choice: str,
                   general_offset: float = 0.0) -> RateMatrix:
     """The rates at every grid node, one stacked record."""
-    if choice in ("bell", "bell_note9"):
+    if choice == "bell":
         return bell_rates(currents, probabilities)
     if choice == "general":
         return general_rates(currents, probabilities, free_choice=general_offset)

@@ -304,13 +304,13 @@ class JumpProcess:
         Initial joint distribution at the first grid node.
     states : sequence of JointIndex
         Flat-order labels of the joint state space.
-    currents : array, optional
+    currents : array
         Full antisymmetric current matrices per node, used for relay
         destination draws out of zero-probability states.
     """
 
     def __init__(self, rate_trajectory: RateTrajectory, p0, states,
-                 currents=None, pole_policy: str = "resample",
+                 currents, pole_policy: str = "resample",
                  master_seed: int = 0):
         if pole_policy not in ("resample", "abort"):
             raise ValueError(f"unknown pole policy {pole_policy!r}")
@@ -318,7 +318,7 @@ class JumpProcess:
         self.grid = rate_trajectory.grid
         self.states = tuple(tuple(s) for s in states)
         self.p0 = np.asarray(p0, dtype=float).reshape(-1)
-        self.currents = None if currents is None else np.asarray(currents, dtype=float)
+        self.currents = np.asarray(currents, dtype=float)
         self.pole_policy = pole_policy
         self.master_seed = int(master_seed)
         d = rate_trajectory.size
@@ -382,8 +382,6 @@ class JumpProcess:
                 batch.fail(rows, lambda i: PoleEncountered(
                     f"path occupies state {state[i]} with diverging exit rate "
                     f"at t={float(tau[i])}"))
-                return
-            if self.currents is None:
                 return
             dest = _draw(self.currents[_nearest_node(self.grid, tau), :, state],
                          state, rows, batch.rng)

@@ -14,6 +14,7 @@ A key that no reader knows, at any level, is rejected by name.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -38,7 +39,7 @@ __all__ = [
 CHOICES = {
     "current": ("minimal_flow", "static_schrodinger", "generalized_schrodinger"),
     "extra_term": ("paired", "minimal_flow_like"),
-    "rate_choice": ("bell", "bell_note9", "general"),
+    "rate_choice": ("bell", "general"),
     "pole_policy": ("resample", "abort"),
 }
 
@@ -289,22 +290,38 @@ def _object(value, keys) -> dict:
     return value
 
 
+def _integer(value) -> int:
+    """``value`` as an int; floats, even integral ones, strings and booleans fail."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _record(cls, convert, **special):
-    """Reader of a nested object whose keys are the fields of ``cls``."""
+    """Reader of a nested object whose keys are the fields of ``cls``; a value
+    that does not convert is named by its key."""
     keys = {f.name for f in fields(cls)}
-    return lambda value: cls(**{
-        k: special.get(k, convert)(v) for k, v in _object(value, keys).items()})
+
+    def read(value):
+        out = {}
+        for k, v in _object(value, keys).items():
+            try:
+                out[k] = special.get(k, convert)(v)
+            except ValueError as exc:
+                raise ValueError(f"{k}: {exc}") from exc
+        return cls(**out)
+    return read
 
 
 # One reader per top-level key: it turns the key's JSON value into the
 # Scenario field.  The flag marks the keys that a builder fixes.
 _READERS = {
     "name": (str, False),
-    "factor_dims": (lambda v: tuple(int(d) for d in v), True),
+    "factor_dims": (lambda v: tuple(_integer(d) for d in v), True),
     "hamiltonian": (lambda v: mdio.complex_from_json(_object(v, ("matrix",))["matrix"]), True),
     "initial_state": (mdio.complex_from_json, True),
     "time": (_record(TimeSpec, float), False),
-    "ensemble": (_record(EnsembleSpec, int,
+    "ensemble": (_record(EnsembleSpec, _integer,
                          query_times=lambda v: tuple(float(q) for q in v)), False),
     "thresholds": (_record(Thresholds, float), False),
     "general_rate_offset": (float, False),

@@ -42,6 +42,13 @@ eigenbases as one array.  Each later node then takes one of three routes:
   exact tie at one half, that cluster is then the label's unique largest
   share, which is the fast path's argument lifted to clusters.
 
+Node 0 fixes the labels: they follow descending weight, each degenerate
+cluster is split along the reference ``diag(d-1, ..., 1, 0)`` restricted to
+it (by descending restricted eigenvalue), and every direction has its
+largest-magnitude amplitude real and positive.  Where the restricted
+eigenvalues are distinct, the split depends only on the cluster's
+projection, never on the basis the eigensolver returns inside it.
+
 The overlap threshold and the degeneracy gap are fixed values in
 :mod:`modaldyn.config`.
 """
@@ -54,7 +61,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import AmbiguousContinuation
-from .hilbert import _fix_phase, check_hermitian, hermitian_eig
+from .hilbert import check_hermitian
 
 __all__ = [
     "CrossingEvent",
@@ -117,23 +124,26 @@ class CrossingEvent:
     t_min: float
 
 
-def _reference_operator(dim: int) -> np.ndarray:
-    """The fixed splitting reference diag(dim-1, ..., 1, 0)."""
-    return np.diag(np.arange(dim - 1, -1, -1, dtype=float)).astype(complex)
+def _fix_phase(m: np.ndarray) -> np.ndarray:
+    """Rotate the global phase of each column of ``m``, in place, so that its
+    largest-magnitude amplitude is real positive."""
+    for k in range(m.shape[1]):
+        z = m[np.argmax(np.abs(m[:, k])), k]
+        if abs(z) != 0.0:
+            m[:, k] *= abs(z) / z
+    return m
 
 
-def _refine_block(block_vectors: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Split a degenerate block deterministically along a reference operator.
+def _refine_block(block_vectors: np.ndarray) -> np.ndarray:
+    """Split a cluster of node 0 deterministically along diag(dim-1, ..., 1, 0).
 
-    ``block_vectors`` has the block basis as columns; the returned columns
-    are the eigenvectors of the reference restricted to the block, ordered
-    by descending restricted eigenvalue with lexicographic tie-breaking.
+    ``block_vectors`` has the cluster's basis as columns; the returned
+    columns are the eigenvectors of the reference restricted to the cluster,
+    ordered by descending restricted eigenvalue, each phase-fixed.
     """
-    restricted = block_vectors.conj().T @ reference @ block_vectors
-    out = block_vectors @ hermitian_eig(restricted).vectors
-    for k in range(out.shape[1]):
-        out[:, k] = _fix_phase(out[:, k])
-    return out
+    ref = np.arange(len(block_vectors) - 1, -1, -1, dtype=float)
+    inner = np.linalg.eigh((block_vectors.conj().T * ref) @ block_vectors)[1][:, ::-1]
+    return _fix_phase(block_vectors @ _fix_phase(inner.copy()))
 
 
 def _polar_align(block_vectors: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -147,22 +157,6 @@ def _polar_align(block_vectors: np.ndarray, targets: np.ndarray) -> np.ndarray:
     overlap = block_vectors.conj().T @ targets
     u, _, vh = np.linalg.svd(overlap)
     return block_vectors @ (u @ vh)
-
-
-def _initial_frame(values: np.ndarray, vecs: np.ndarray, split: np.ndarray) -> np.ndarray:
-    """Node 0's eigenvectors as columns, from its descending eigenpairs.
-
-    ``split[c]`` says that a cluster ends after column ``c``.  Singleton
-    columns are phase-fixed; clusters are split along the reference.
-    """
-    vecs = vecs.copy()
-    ref = _reference_operator(len(values))
-    for cols in np.split(np.arange(len(values)), np.flatnonzero(split) + 1):
-        if len(cols) == 1:
-            vecs[:, cols[0]] = _fix_phase(vecs[:, cols[0]])
-        else:
-            vecs[:, cols] = _refine_block(vecs[:, cols], ref)
-    return vecs
 
 
 def _continue(prev: np.ndarray, vals: np.ndarray, basis: np.ndarray,
@@ -241,7 +235,7 @@ def track(states, grid) -> SpectralTrajectory:
 
     n, dim = states.shape[:2]
     vals, basis = np.linalg.eigh(states)
-    vals, basis = vals[:, ::-1], basis[:, :, ::-1]        # descending, as hermitian_eig
+    vals, basis = vals[:, ::-1], basis[:, :, ::-1]        # descending
     split = vals[:, :-1] - vals[:, 1:] > DEFAULT.degeneracy  # a cluster ends here
     plain = split.all(axis=1)
     # raw[k-1][r, c] = <column r at node k-1 | column c at node k>.
@@ -256,7 +250,11 @@ def track(states, grid) -> SpectralTrajectory:
     weights = np.empty((n, dim))
     vectors = np.empty((n, dim, dim), dtype=complex)
     weights[0] = vals[0]
-    vectors[0] = _initial_frame(vals[0], basis[0], split[0]).T   # row i: label i
+    frame = basis[0].copy()
+    for cols in np.split(np.arange(dim), np.flatnonzero(split[0]) + 1):
+        block = frame[:, cols]
+        frame[:, cols] = _fix_phase(block) if len(cols) == 1 else _refine_block(block)
+    vectors[0] = frame.T                                  # row i: label i
     col_of_label = np.arange(dim) if plain[0] else None
 
     anchor = 0

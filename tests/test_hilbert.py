@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from modaldyn.hilbert import (FactorSpace, evolve_on_grid, hermitian_eig, partial_trace,
-                              projector_from_vector, tensor_product)
+from modaldyn.hilbert import (FactorSpace, evolve_on_grid, partial_trace, projector_from_vector,
+                              tensor_product)
 
 from conftest import I2, SINGLET, SX, random_density, random_hermitian, random_ket
 
@@ -99,52 +99,6 @@ class TestPartialTrace:
         states[1, 2, 2] = np.nan
         with pytest.raises(ValueError, match="node 1: matrix entries must be finite"):
             track(states, np.linspace(0.0, 1.0, 5))
-
-
-class TestHermitianEig:
-    def test_diagonal_case(self):
-        dec = hermitian_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        assert np.allclose(dec.values, [3, 2, 1])
-        perm = np.abs(dec.vectors)
-        assert np.allclose(perm[:, 0], [1, 0, 0])
-        assert np.allclose(perm[:, 1], [0, 0, 1])
-        assert np.allclose(perm[:, 2], [0, 1, 0])
-
-    def test_crossing_family_weights(self):
-        # cos^2, sin^2 weights at theta*t = pi/3 give eigenvalues 3/4, 1/4.
-        t = np.pi / 3
-        w = np.cos(t) ** 2 * np.diag([1.0, 0]) + np.sin(t) ** 2 * np.diag([0, 1.0])
-        dec = hermitian_eig(w.astype(complex))
-        assert np.allclose(dec.values, [0.75, 0.25], atol=1e-12)
-
-    def test_reconstruction_and_orthonormality(self, rng):
-        for dim in (2, 3, 5, 8):
-            a = random_hermitian(rng, dim)
-            dec = hermitian_eig(a)
-            recon = (dec.vectors * dec.values) @ dec.vectors.conj().T
-            assert np.abs(recon - a).max() <= 1e-9
-            gram = dec.vectors.conj().T @ dec.vectors
-            assert np.abs(gram - np.eye(dim)).max() <= 1e-10
-
-    def test_descending_order(self, rng):
-        dec = hermitian_eig(random_hermitian(rng, 6))
-        assert np.all(np.diff(dec.values) <= 0)
-
-    def test_degenerate_cluster_flag(self):
-        dec = hermitian_eig(np.diag([0.5, 0.5, 0.1]).astype(complex))
-        assert dec.clusters[0] == (0, 1)
-        assert dec.clusters[1] == (2,)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_deterministic_rerun(self, rng):
-        a = random_hermitian(rng, 5)
-        d1 = hermitian_eig(a)
-        d2 = hermitian_eig(a.copy())
-        assert np.array_equal(d1.values, d2.values)
-        assert np.array_equal(d1.vectors, d2.vectors)
 
 
 def evolve(psi, h, t):

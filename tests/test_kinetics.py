@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -7,8 +5,7 @@ from modaldyn.currents import CurrentMatrix
 from modaldyn.kinetics import (RateMatrix, RateTrajectory, bell_rates,
                                classify_singularities, general_rates,
                                jump_decomposition, master_residual, pole_free_rows)
-from modaldyn.pipeline import _kernel_windows, run
-from modaldyn.scenario import BUILTINS
+from modaldyn.pipeline import _kernel_windows
 
 
 def current_from_full(full):
@@ -59,15 +56,6 @@ class TestBellRates:
         assert rates.matrix[0, 1] == 0.0
         # Flow into the zero-probability state is a plain finite rate.
         assert abs(rates.matrix[1, 0] - 0.3) < 1e-14
-
-    def test_note9_variant_agrees(self):
-        # "bell_note9" is a scenario-level alias of "bell".
-        sc = BUILTINS["easyexample"](t1=0.3)
-        a = run(sc, n_paths=1)
-        b = run(replace(sc, rate_choice="bell_note9"), n_paths=1)
-        assert b.report.rate_choice == "bell_note9"
-        assert np.array_equal(a.rate_trajectory.matrices, b.rate_trajectory.matrices)
-        assert np.array_equal(a.rate_trajectory.pole_mask, b.rate_trajectory.pole_mask)
 
     def test_node_axis_matches_single_nodes(self, rng):
         # Stacked records give node k's single-node results at index k.

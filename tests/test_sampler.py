@@ -29,7 +29,7 @@ def zero_process(d=2, t1=1.0, seed=7, n_nodes=101, p0=None):
                               lambda t: np.full(d, 1.0 / d))
     states = [(k,) for k in range(d)]
     p0 = np.full(d, 1.0 / d) if p0 is None else np.asarray(p0)
-    return JumpProcess(rt, p0, states, master_seed=seed)
+    return JumpProcess(rt, p0, states, np.zeros((n_nodes, d, d)), master_seed=seed)
 
 
 def ensemble_of(states, *paths):
@@ -90,7 +90,7 @@ def first_jump_times(rate_of_t, t1, step, n, seed):
     m[:, 0, 0] = -m[:, 1, 0]
     rates = RateMatrix(m, np.zeros(m.shape, dtype=bool))
     proc = JumpProcess(RateTrajectory(grid, rates), np.array([1.0, 0.0]),
-                       [(0,), (1,)], master_seed=seed)
+                       [(0,), (1,)], np.zeros(m.shape), master_seed=seed)
     return np.array([p.events[0][0] if p.events else t1 for p in proc.ensemble(n)])
 
 
@@ -199,6 +199,14 @@ class TestPolePolicies:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
             make_relay_process("bogus")
+
+    def test_currents_are_required(self):
+        # Without currents a relay would have no destination to draw, and a
+        # path would stay in a state whose exit rate diverges.
+        grid = np.linspace(0.0, 1.0, 11)
+        rates = RateMatrix(np.zeros((11, 2, 2)), np.zeros((11, 2, 2), dtype=bool))
+        with pytest.raises(TypeError, match="currents"):
+            JumpProcess(RateTrajectory(grid, rates), [0.5, 0.5], [(0,), (1,)])
 
     def test_relay_cycle_is_named_error(self):
         # Every column flagged and a cyclic current 0 -> 1 -> 2 -> 0: relays
@@ -517,7 +525,8 @@ class TestGoldenEnsembles:
         pole = np.zeros(m.shape, dtype=bool)
         pole[5, 1, 0] = pole[5, 0, 1] = True
         return JumpProcess(RateTrajectory(grid, RateMatrix(m, pole)), [0.5, 0.5],
-                           [(0,), (1,)], pole_policy=policy, master_seed=3)
+                           [(0,), (1,)], np.zeros(m.shape), pole_policy=policy,
+                           master_seed=3)
 
     def test_abort_pole_ahead_message(self):
         with pytest.raises(PoleEncountered) as err:
@@ -542,7 +551,8 @@ class TestGoldenEnsembles:
         pole = np.zeros(m.shape, dtype=bool)
         pole[:, 0, 1] = True
         proc = JumpProcess(RateTrajectory(grid, RateMatrix(m, pole)), [0.5, 0.0, 0.5],
-                           [(0,), (1,), (2,)], pole_policy="abort", master_seed=19)
+                           [(0,), (1,), (2,)], np.zeros(m.shape), pole_policy="abort",
+                           master_seed=19)
         message = "path occupies state 1 with diverging exit rate at t={}"
         with pytest.raises(PoleEncountered) as err:
             proc.ensemble(40)

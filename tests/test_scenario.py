@@ -712,8 +712,10 @@ class TestCli:
         (True, {"seed": 5}, "unknown key 'seed'"),
         (True, {"hamiltonian": {"matrix": complex_to_json(np.eye(4)), "params": {}}},
          "hamiltonian: unknown key 'params'"),
+        (False, {"rate_choice": "bell_note9"}, "rate_choice: unknown kind 'bell_note9'"),
     ], ids=["misspelt-key", "builder-state", "builder-dims", "builder-matrix", "time-key",
-            "ensemble-key", "thresholds-key", "explicit-key", "explicit-hamiltonian-key"])
+            "ensemble-key", "thresholds-key", "explicit-key", "explicit-hamiltonian-key",
+            "retired-rate-alias"])
     def test_unread_keys_rejected(self, tmp_path, capsys, explicit, override, message):
         # Every choice reproduces the same Born statistics, so only the loader
         # can tell that a key was dropped.
@@ -721,6 +723,30 @@ class TestCli:
                 else {"hamiltonian": {"builder": "easyexample"}})
         path = tmp_path / "unread.json"
         path.write_text(json.dumps({**base, **override}))
+        assert cli_main(["validate", str(path)]) == 2
+        assert f"validation error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("explicit, override, message", [
+        (False, {"n_paths": 10.9, "master_seed": 1}, "n_paths: expected an integer, got 10.9"),
+        (False, {"n_paths": 10, "master_seed": 1.5}, "master_seed: expected an integer, got 1.5"),
+        (False, {"n_paths": "12", "master_seed": 1}, "n_paths: expected an integer, got '12'"),
+        (False, {"n_paths": 12, "master_seed": True},
+         "master_seed: expected an integer, got True"),
+        (True, [2, 2.0], "factor_dims: expected an integer, got 2.0"),
+    ], ids=["fraction", "fractional-seed", "string", "boolean", "float-dimension"])
+    def test_integer_fields_take_integers(self, tmp_path, capsys, explicit, override, message):
+        # int() would read 10.9 as 10, "12" as 12 and true as 1.
+        if explicit:
+            doc = {**scenario_to_dict(load_scenario("easyexample")), "factor_dims": override}
+        else:
+            message = f"ensemble: {message}"
+            doc = {"hamiltonian": {"builder": "easyexample"},
+                   "ensemble": {**override, "query_times": [0.1]}}
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(doc)
+        assert str(err.value) == message
+        path = tmp_path / "integers.json"
+        path.write_text(json.dumps(doc))
         assert cli_main(["validate", str(path)]) == 2
         assert f"validation error: {message}" in capsys.readouterr().err
 

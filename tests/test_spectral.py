@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from modaldyn import spectral
 from modaldyn.config import DEFAULT
 from modaldyn.errors import AmbiguousContinuation
-from modaldyn.hilbert import (FactorSpace, evolve_on_grid,
-                              hermitian_eig, partial_trace, projector_from_vector)
+from modaldyn.hilbert import FactorSpace, evolve_on_grid, partial_trace, projector_from_vector
 from modaldyn.spectral import (_nearest_node, _runs, detect_crossings,
                                derivative_family, track)
 
@@ -57,6 +58,15 @@ def hungarian_step(prev, vecs, clusters):
     return new_vecs, col_of_label
 
 
+def descending_eig(state):
+    """Descending eigenpairs of ``state`` and its clusters by the degeneracy gap."""
+    vals, vecs = np.linalg.eigh(state)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    ends = [k + 1 for k in range(len(vals) - 1) if vals[k] - vals[k + 1] > DEFAULT.degeneracy]
+    bounds = [0, *ends, len(vals)]
+    return vals, vecs, [tuple(range(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def per_node_track(states, grid):
     """Reference: one eigendecomposition and one Hungarian solve per node."""
     grid = np.asarray(grid, dtype=float)
@@ -64,19 +74,20 @@ def per_node_track(states, grid):
     n, dim = len(grid), states[0].shape[0]
     weights = np.empty((n, dim))
     vectors = np.empty((n, dim, dim), dtype=complex)
-    dec = hermitian_eig(states[0])
-    vecs0 = dec.vectors.copy()
-    for cluster in dec.clusters:
-        if len(cluster) > 1:
-            cols = list(cluster)
-            vecs0[:, cols] = spectral._refine_block(
-                vecs0[:, cols], spectral._reference_operator(dim))
-    weights[0] = dec.values
+    vals, vecs0, clusters = descending_eig(states[0])
+    vecs0 = vecs0.copy()
+    for cluster in clusters:
+        cols = list(cluster)
+        if len(cols) == 1:
+            vecs0[:, cols] = spectral._fix_phase(vecs0[:, cols])
+        else:
+            vecs0[:, cols] = spectral._refine_block(vecs0[:, cols])
+    weights[0] = vals
     vectors[0] = vecs0.T
     for k in range(1, n):
-        dec = hermitian_eig(states[k])
+        vals, vecs, clusters = descending_eig(states[k])
         prev = vectors[k - 1]
-        new_vecs, col_of_label = hungarian_step(prev, dec.vectors, dec.clusters)
+        new_vecs, col_of_label = hungarian_step(prev, vecs, clusters)
         for lab in range(dim):
             o = abs(np.vdot(prev[lab], new_vecs[lab])) ** 2
             if o < 0.5:
@@ -85,7 +96,7 @@ def per_node_track(states, grid):
                     f"t={float(grid[k])}; refine the grid"
                 )
         vectors[k] = new_vecs
-        weights[k] = dec.values[col_of_label]
+        weights[k] = vals[col_of_label]
     return weights, vectors
 
 
@@ -552,8 +563,7 @@ class TestDetectCrossings:
 
 def refined_projectors(block):
     """Rank-1 projectors of the reference splitting of the block's span."""
-    dim = block.shape[0]
-    out = spectral._refine_block(block, spectral._reference_operator(dim))
+    out = spectral._refine_block(block)
     return [projector_from_vector(out[:, k]) for k in range(out.shape[1])]
 
 
@@ -590,3 +600,100 @@ class TestFiduciaryRefine:
         turn = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
         for x, y in zip(a, refined_projectors(basis @ turn)):
             assert np.abs(x - y).max() <= 1e-10
+
+
+class TestNodeZeroFrame:
+    """Node 0 of ``track``: descending weights, phase-fixed directions, and
+    degenerate clusters split along diag(d-1, ..., 1, 0)."""
+
+    def test_diagonal_case(self):
+        traj = track([np.diag([3.0, 1.0, 2.0]).astype(complex)], [0.0])
+        assert np.array_equal(traj.weights[0], [3, 2, 1])
+        assert np.array_equal(traj.vectors[0], [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+
+    def test_reconstruction_and_orthonormality(self, rng):
+        for dim in (2, 3, 5, 8):
+            a = random_hermitian(rng, dim)
+            traj = track([a], [0.0])
+            w, v = traj.weights[0], traj.vectors[0]          # row i: label i
+            assert np.abs((v.T * w) @ v.conj() - a).max() <= 1e-9
+            assert np.abs(v.conj() @ v.T - np.eye(dim)).max() <= 1e-10
+
+    def test_descending_order(self, rng):
+        traj = track([random_hermitian(rng, 6)], [0.0])
+        assert np.all(np.diff(traj.weights[0]) <= 0)
+
+    def test_degenerate_cluster_split(self, rng):
+        # The (0.5, 0.5) cluster splits into eigenvectors of diag(2, 1, 0)
+        # compressed to the cluster, by descending compressed eigenvalue.
+        u = random_unitary(rng, 3)
+        traj = track([u @ np.diag([0.5, 0.5, 0.1]) @ u.conj().T], [0.0])
+        assert np.abs(traj.weights[0] - [0.5, 0.5, 0.1]).max() <= 1e-12
+        p = u[:, :2] @ u[:, :2].conj().T
+        compressed = p @ np.diag([2.0, 1.0, 0.0]) @ p
+        mu = [np.vdot(v, compressed @ v).real for v in traj.vectors[0, :2]]
+        assert mu[0] > mu[1]
+        for v, m in zip(traj.vectors[0, :2], mu):
+            assert np.abs(compressed @ v - m * v).max() <= 1e-10
+
+    def test_deterministic_rerun(self, rng):
+        a = random_hermitian(rng, 5)
+        t1, t2 = track([a], [0.0]), track([a.copy()], [0.0])
+        assert np.array_equal(t1.weights, t2.weights)
+        assert np.array_equal(t1.vectors, t2.vectors)
+
+
+def drifting_family(weights, n=50):
+    """``U diag(weights) U^dag`` on ``n`` nodes of [0, 1], with ``U = exp(-iHt) U0``
+    for one random Hermitian ``H`` and one random unitary ``U0``."""
+    rng = np.random.default_rng(7)
+    dim = len(weights)
+    e, v = np.linalg.eigh(random_hermitian(rng, dim))
+    u0 = random_unitary(rng, dim)
+    grid = np.linspace(0.0, 1.0, n)
+    u = (v * np.exp(-1j * np.outer(grid, e))[:, None, :]) @ v.conj().T @ u0
+    return (u * np.asarray(weights)) @ u.conj().swapaxes(1, 2), grid
+
+
+def node0_fixtures():
+    space = FactorSpace((2, 2))
+    grid = np.arange(0, 0.5 + 1e-9, 1e-3)
+    pure = np.repeat(np.outer(SINGLET, SINGLET.conj())[None], len(grid), axis=0)
+    for keep in (0, 1):
+        yield f"singlet/{keep}", partial_trace(pure, space, keep), grid
+    for w in ([0.4, 0.4, 0.2], [0.3, 0.3, 0.2, 0.2], [0.25] * 4, [0.5, 0.5]):
+        yield f"drift{w}", *drifting_family(w)
+
+
+# SHA-256 of ``track(...).vectors`` and ``.weights`` on fixtures that are
+# degenerate at node 0, recorded while the node-0 split still went through a
+# general eigendecomposition with an exact-tie sort (commit ffe3dc6).
+NODE0_GOLDEN = {
+    "singlet/0": (
+        "1806810b1a8bc6051bf1b0fe9c9450c130bab3dcbf939c23370d3eaf996ba691",
+        "dc61d738ccbd6eed38b4a1007f26ada71fbdf5dc8ce7adc70f0abb1d7bad5da0"),
+    "singlet/1": (
+        "1806810b1a8bc6051bf1b0fe9c9450c130bab3dcbf939c23370d3eaf996ba691",
+        "dc61d738ccbd6eed38b4a1007f26ada71fbdf5dc8ce7adc70f0abb1d7bad5da0"),
+    "drift[0.4, 0.4, 0.2]": (
+        "1f7b4bf52284cb6a25362230e6592d8bf19a4c95635a4b069730f872a5a6bff2",
+        "2c7b3c36a1f7ff636875554734ff55b4b751da4de0ae9184bd2b0aec5eac727a"),
+    "drift[0.3, 0.3, 0.2, 0.2]": (
+        "fa34518b235bbe5772bab22c8505136270ab7495435079444a187e5bbc0ad1b5",
+        "82a3ecda1d610e67d6ecc6f055aff9f98e154494302f5752b79173842db8830a"),
+    "drift[0.25, 0.25, 0.25, 0.25]": (
+        "47e2ccec1625e516ba723fc148fb3ada513031809e3e6ba8a17bec30ea23f03d",
+        "21b3199f06262177f8bcc22669072457ed76690044c9b91f2dc4ab41fa509727"),
+    "drift[0.5, 0.5]": (
+        "24755b5cda9fb009cdca0a2bc6c881dc2b1821a9cba69eb3dbded99739637dfa",
+        "d065affc8cfccfea5cfe06afd301da17a8f5759b596bac017804816d76f55a23"),
+}
+
+
+def test_node0_splits_are_pinned():
+    got = {}
+    for name, states, grid in node0_fixtures():
+        traj = track(states, grid)
+        got[name] = (hashlib.sha256(traj.vectors.tobytes()).hexdigest(),
+                     hashlib.sha256(traj.weights.tobytes()).hexdigest())
+    assert got == NODE0_GOLDEN
