@@ -54,9 +54,12 @@ def compute_joint_family(scenario: Scenario) -> JointFamily:
     grid = scenario.grid()
     psi = evolve_on_grid(scenario.initial_state, scenario.hamiltonian, grid)
 
+    # Every (n, D, dim) or (n, dim, dim) temporary below is dropped at its
+    # last use, so that at most four such stacks are alive at once.
     pure = psi[:, :, None] * psi[:, None, :].conj()             # (n, dim, dim)
-    trajectories = [track(partial_trace(pure, space, k), grid)
-                    for k in range(space.n_factors)]
+    reduced = [partial_trace(pure, space, k) for k in range(space.n_factors)]
+    del pure
+    trajectories = [track(rho, grid) for rho in reduced]
 
     states = space.joint_indices()
     # Joint vectors: kron of the per-factor tracked directions, per node.
@@ -65,15 +68,28 @@ def compute_joint_family(scenario: Scenario) -> JointFamily:
         joint = np.einsum("nax,nby->nabxy", joint, traj.vectors)
         n, a, b, x, y = joint.shape
         joint = joint.reshape(n, a * b, x * y)
-    amps = np.einsum("ndx,nx->nd", joint.conj(), psi)
 
     # Pdot_a psi_k = sum_j w_kj (P_a(i_kj) - P_a(k)) psi_k: the stencil of
     # derivative_family applied to the projectors, without forming them.
     idx, w = _stencil(grid)
-    near = joint[idx]                                           # (n, 2, D, dim)
-    near_amps = np.einsum("njdx,nx->njd", near.conj(), psi)
-    rotation = np.einsum("nj,njdx->ndx", w, near * near_amps[..., None]) \
-        - w.sum(axis=1)[:, None, None] * (joint * amps[..., None])
+    bra = joint.conj()
+    amps = np.einsum("ndx,nx->nd", bra, psi)
+    near_amps = [np.einsum("ndx,nx->nd", bra[idx[:, j]], psi) for j in range(2)]
+    del bra
+    # The same products and sums as einsum over the slots; einsum's sum
+    # starts from +0.0, so "+= 0.0" turns exact -0.0 zeros into +0.0 as well.
+    rotation = joint[idx[:, 0]]
+    rotation *= near_amps[0][..., None]
+    rotation *= w[:, 0, None, None]
+    rotation += 0.0
+    term = joint[idx[:, 1]]
+    term *= near_amps[1][..., None]
+    term *= w[:, 1, None, None]
+    rotation += term
+    np.multiply(joint, amps[..., None], out=term)
+    term *= w.sum(axis=1)[:, None, None]
+    rotation -= term
+    del term
 
     probabilities = np.clip(np.abs(amps) ** 2, 0.0, 1.0)
     pdot = derivative_family(probabilities, grid)

@@ -297,6 +297,23 @@ def _integer(value) -> int:
     return operator.index(value)
 
 
+def _number(value) -> float:
+    """``value`` as a float; only JSON numbers pass, not strings or booleans."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError("number out of the float range") from exc
+
+
+def _string(value) -> str:
+    """``value`` as a str; numbers, booleans and null fail."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
 def _record(cls, convert, **special):
     """Reader of a nested object whose keys are the fields of ``cls``; a value
     that does not convert is named by its key."""
@@ -316,16 +333,16 @@ def _record(cls, convert, **special):
 # One reader per top-level key: it turns the key's JSON value into the
 # Scenario field.  The flag marks the keys that a builder fixes.
 _READERS = {
-    "name": (str, False),
+    "name": (_string, False),
     "factor_dims": (lambda v: tuple(_integer(d) for d in v), True),
     "hamiltonian": (lambda v: mdio.complex_from_json(_object(v, ("matrix",))["matrix"]), True),
     "initial_state": (mdio.complex_from_json, True),
-    "time": (_record(TimeSpec, float), False),
+    "time": (_record(TimeSpec, _number), False),
     "ensemble": (_record(EnsembleSpec, _integer,
-                         query_times=lambda v: tuple(float(q) for q in v)), False),
-    "thresholds": (_record(Thresholds, float), False),
-    "general_rate_offset": (float, False),
-    **{key: (str, False) for key in CHOICES},
+                         query_times=lambda v: tuple(_number(q) for q in v)), False),
+    "thresholds": (_record(Thresholds, _number), False),
+    "general_rate_offset": (_number, False),
+    **{key: (_string, False) for key in CHOICES},
 }
 
 

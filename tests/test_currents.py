@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -291,3 +293,48 @@ class TestDenseOracle:
         se = jumps.std(ddof=1) / np.sqrt(len(jumps))
         assert len(jumps) == 2000
         assert abs(jumps.mean() - predicted) <= 6 * se + 1 / len(jumps)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it allocated, in bytes."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestMemory:
+    """Peak allocations of the joint family and the paired current on a
+    (2, 2, 2, 2) system over 1001 nodes, in units of one (n, D, dim)
+    complex stack.  The joint family returns two such stacks (directions and
+    rotation) and holds at most two more while it builds them; the paired
+    current holds the projected rows, one conjugate and a few (n, D, D) float
+    tables.  The bounds follow from that design, not from a measurement."""
+
+    @staticmethod
+    def scenario(rng):
+        sc = Scenario(name="generic-2x2x2x2", factor_dims=(2, 2, 2, 2),
+                      hamiltonian=random_hermitian(rng, 16), initial_state=random_ket(rng, 16),
+                      time=TimeSpec(0.0, 1.0, 1e-3),
+                      ensemble=EnsembleSpec(10, 1, ())).validate()
+        assert len(sc.grid()) == 1001
+        return sc, 1001 * 16 * 16 * np.dtype(complex).itemsize
+
+    def test_joint_family_holds_at_most_four_stacks(self, rng):
+        sc, stack = self.scenario(rng)
+        _family, peak = traced_peak(compute_joint_family, sc)
+        assert peak <= 4.0 * stack, peak / stack
+
+    def test_paired_current_holds_at_most_three_and_three_quarter_stacks(self, rng):
+        sc, stack = self.scenario(rng)
+        family = compute_joint_family(sc)
+        _current, peak = traced_peak(compute_currents, family,
+                                     "generalized_schrodinger", "paired")
+        assert peak <= 3.75 * stack, peak / stack

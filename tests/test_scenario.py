@@ -602,6 +602,47 @@ def test_run_directory_bytes_do_not_depend_on_the_os(tmp_path, monkeypatch):
     assert digests(tmp_path) == GOLDEN_RUN_DIRS["easyexample"]
 
 
+# SHA-256 of the joint-family and current arrays, recorded before the joint
+# family and the currents were rewritten to drop each temporary stack early.
+# The run directories above never see ``rotation`` or ``pdot``, nor any
+# current but the scenario's own.
+GOLDEN_ARRAYS = {
+    "generic-2x2x2x2": {
+        "vectors": "bd8aed4b04e646ed4ebc2ab067837cd51706210968af353090487c870990a204",
+        "rotation": "ee1ff4e85857f6149fe7e0f841c1ef1a832fe55b2011dc98f9962042a1044096",
+        "probabilities": "63f30acf2e5b445ec1f12753635df9b3ea06d9d4cedd7c4e2927c304f4563110",
+        "pdot": "2cd98fa34444f6e9fc987327c41a9ef1cc8a7437007c1fdf44307a1c0da75bbd",
+        "paired": "3fb4a6d0147edce0abe760bef219ac8073a79f291d0f75abe30a3880ddcf3567",
+        "minimal_flow_like": "c08c1d3b2a1a399a38b3fe48c1ebd129c776c19483b8d1452cac30d467df838f",
+        "static_schrodinger": "a8df367b4c7c16e5654399d1434a08fd9843d043be0a4866db9c6fd98b9e475e",
+    },
+    "measured-possessed-property": {
+        "vectors": "ed56368c0eabbade48c89ea96f54e71742c59e268c94751a8b92d260cde79c49",
+        "rotation": "b3981dc7859154dace96ed1147b0618acedc7ac5c4b56fd5417d5b6a8b8bdbc5",
+        "probabilities": "b7d72e3c69a87ef9f5f506ff6f5c6db80d6767c08682b588814084d06b9fc3f2",
+        "pdot": "05517140ba5a408e90063cd4d6ed0d767742e0190693b2701537fb56793e259a",
+        "paired": "43c9821d1d372276af050a3c5db0448afa4974d9baac70aeb8770d9631e96f98",
+        "minimal_flow_like": "e3f1c9e9d8a73c91a452aaf7e322450e56c93918bbe686a5c7c8b72d9450af5e",
+        "static_schrodinger": "7ee97fb2c6c78cc9c8367bc3326d0a54e3fa8eb73471e38829606acae2a710b1",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", [generic_2222_short, BUILTINS["measured-possessed-property"]],
+                         ids=list(GOLDEN_ARRAYS))
+def test_joint_family_and_current_digests(scenario):
+    family = pipeline.compute_joint_family(scenario())
+    arrays = {name: getattr(family, name)
+              for name in ("vectors", "rotation", "probabilities", "pdot")}
+    for extra in ("paired", "minimal_flow_like"):
+        arrays[extra] = pipeline.compute_currents(
+            family, "generalized_schrodinger", extra).upper
+    arrays["static_schrodinger"] = pipeline.compute_currents(
+        family, "static_schrodinger").upper
+    got = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}
+    assert got == GOLDEN_ARRAYS[family.scenario.name]
+
+
 def write_quick_scenario(tmp_path, name="quick", builder="singlet", **params):
     """Scenario file with thresholds loose enough for tiny test ensembles."""
     doc = {
@@ -746,6 +787,50 @@ class TestCli:
             scenario_from_dict(doc)
         assert str(err.value) == message
         path = tmp_path / "integers.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(path)]) == 2
+        assert f"validation error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, error", [
+        (True, "expected a number, got True"), ("0.7", "expected a number, got '0.7'"),
+        (10 ** 400, "number out of the float range")], ids=["boolean", "string", "huge"])
+    @pytest.mark.parametrize("key, field", [
+        *(("time", f.name) for f in fields(TimeSpec)),
+        *(("thresholds", f.name) for f in fields(Thresholds)),
+        ("general_rate_offset", None), ("ensemble", "query_times")],
+        ids=lambda x: x)
+    def test_number_fields_take_numbers(self, tmp_path, capsys, key, field, value, error):
+        # float() would read true as 1.0 and "0.7" as 0.7, and raise a bare
+        # OverflowError on an integer past the float range.
+        doc = {"hamiltonian": {"builder": "easyexample"}}
+        message = f"{key}: {field}: {error}"
+        if key == "time":
+            doc["time"] = {"t0": 0.0, "t1": 0.7, "grid_step": 1e-3, field: value}
+        elif key == "thresholds":
+            doc["thresholds"] = {field: value}
+        elif key == "ensemble":
+            doc["ensemble"] = {"n_paths": 10, "master_seed": 1, "query_times": [0.1, value]}
+        else:
+            doc[key] = value
+            message = f"{key}: {error}"
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(doc)
+        assert str(err.value) == message
+        path = tmp_path / "numbers.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(path)]) == 2
+        assert f"validation error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [5, True], ids=["number", "boolean"])
+    @pytest.mark.parametrize("key", ["name", *CHOICES])
+    def test_string_fields_take_strings(self, tmp_path, capsys, key, value):
+        # str() would read 5 as '5' and true as 'True'.
+        doc = {"hamiltonian": {"builder": "easyexample"}, key: value}
+        message = f"{key}: expected a string, got {value!r}"
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(doc)
+        assert str(err.value) == message
+        path = tmp_path / "strings.json"
         path.write_text(json.dumps(doc))
         assert cli_main(["validate", str(path)]) == 2
         assert f"validation error: {message}" in capsys.readouterr().err
