@@ -19,11 +19,15 @@ nodes: the window [s, t] must start and end on nodes, with equal intervals
 and no pole flag between, and no rate is ever re-interpolated.  A series
 term is one batched matrix product at every node followed by a cumulative
 Simpson integral (scipy's equal-interval rule, implemented here once), so
-the series needs at least two intervals.  The fourth-order integration
-steps over the grid intervals; its midpoint rates (A_k + A_(k+1))/2 are
-the trajectory's own linear interpolation.  It forms every step's matrix
-M_k = I + h/6 (A0 + 2 B2 + 2 B3 + B4) at once and multiplies the steps
-pairwise, in a fixed order, into p(t, s) = M_(m-1) ... M_0.
+the series needs at least two intervals.  The terms' integrals are
+evaluated as blocked matrix products: blocks of 16 nodes share one local
+weight matrix, each block starts from the running sum of the blocks before
+it, and every weight is read off the one rule applied to a small identity.
+The fourth-order integration steps over the grid intervals; its midpoint
+rates (A_k + A_(k+1))/2 are the trajectory's own linear interpolation.  It
+forms every step's matrix M_k = I + h/6 (A0 + 2 B2 + 2 B3 + B4) at once and
+multiplies the steps pairwise, in a fixed order, into
+p(t, s) = M_(m-1) ... M_0.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import DEFAULT
 from .errors import PoleInInterval, TruncationNotConverged
@@ -127,12 +132,13 @@ def feller_minimal(rates: RateTrajectory, s: float, t: float, n_max: int = 25,
     idx = np.arange(d)
     weighted[:, idx, idx] = 0.0
     surv = np.exp(-lam[-1])[:, None]                 # (D, 1) at t
+    integrate = _blocked_simpson(m + 1, du)
     acc = np.broadcast_to(np.eye(d), tm.shape)
     total = np.eye(d)
     last_max = 0.0           # n_max = 0 is an explicitly requested truncation
     n_used = 0
     for n in range(1, n_max + 1):
-        acc = _cumulative_simpson(weighted @ acc, du)
+        acc = integrate(weighted @ acc)
         np.clip(acc, 0.0, None, out=acc)
         total += acc[-1]
         n_used = n
@@ -205,6 +211,49 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     sub[-1] = dx / 3 * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
     np.cumsum(sub, axis=0, out=sub)
     return out
+
+
+# Nodes per block of ``_blocked_simpson``; even, so every block starts a pair.
+_BLOCK = 16
+
+
+def _blocked_simpson(n: int, dx: float):
+    """``_cumulative_simpson`` on ``n`` nodes as blocked matrix products.
+
+    Returns ``integrate(y)`` for arrays of leading length ``n``.  The integral
+    is linear in ``y``, and inside a block of ``_BLOCK`` nodes it reads only
+    the block's nodes and the next one, so one matmul applies a shared local
+    weight matrix to every block's overlapping window; each block then adds
+    the running sum of the blocks before it.  The rows after the last full
+    block take their own weight rows, from two nodes before them so that a
+    lone last interval sees its three nodes.  Every weight is read off
+    ``_cumulative_simpson`` of a small identity, and no ``(n, n)`` operator
+    is formed.
+    """
+    nb = (n - 1) // _BLOCK                           # full blocks
+    head = nb * _BLOCK                               # first row after them
+    # Two spare nodes keep the rule's last-interval formula off the block rows.
+    w = _cumulative_simpson(np.eye(_BLOCK + 3), dx)
+    local, step = w[:_BLOCK, :_BLOCK + 1], w[_BLOCK, :_BLOCK + 1]
+    c = max(head - 2, 0)
+    wt = _cumulative_simpson(np.eye(n - c), dx)
+    tail = wt[head - c:] - wt[head - c]              # integrals from node ``head``
+
+    def integrate(y: np.ndarray) -> np.ndarray:
+        flat = y.reshape(n, -1)
+        out = np.empty_like(flat)
+        np.matmul(tail, flat[c:], out=out[head:])
+        if nb:
+            win = sliding_window_view(flat, _BLOCK + 1, axis=0)[::_BLOCK].swapaxes(1, 2)
+            blocks = out[:head].reshape(nb, _BLOCK, -1)
+            np.matmul(local, win, out=blocks)
+            start = step @ win                       # each block's increment
+            np.cumsum(start, axis=0, out=start)
+            blocks[1:] += start[:-1, None]
+            out[head:] += start[-1]
+        return out.reshape(y.shape)
+
+    return integrate
 
 
 def chapman_kolmogorov_residual(direct: TransitionKernel, first: TransitionKernel,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
@@ -6,8 +8,9 @@ from scipy.linalg import expm
 from modaldyn.config import DEFAULT
 from modaldyn.currents import CurrentMatrix
 from modaldyn.errors import PoleInInterval, TruncationNotConverged
-from modaldyn.feller import (_cumulative_simpson, chapman_kolmogorov_residual,
-                             feller_minimal, forward_ode_kernel, honesty_deficit)
+from modaldyn.feller import (_blocked_simpson, _cumulative_simpson,
+                             chapman_kolmogorov_residual, feller_minimal,
+                             forward_ode_kernel, honesty_deficit)
 from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates
 
 from conftest import constant_trajectory
@@ -102,6 +105,33 @@ class TestArrayKernels:
         out = _cumulative_simpson(y, 0.01)
         assert out.shape == ref.shape
         assert np.abs(out - ref).max() <= 1e-15 * max(1.0, np.abs(ref).max())
+
+    # Blocks of 16 nodes, so n in 3..80 covers no full block, one to four
+    # full blocks, and every tail length on both interval parities.
+    @pytest.mark.parametrize("n", list(range(3, 81)) + [501, 701, 1001, 1002, 1572])
+    def test_blocked_simpson_matches_rule(self, n):
+        integrate = _blocked_simpson(n, 0.01)
+        rng = np.random.default_rng(n)
+        for shape in [(n,), (n, 3, 3), (n, 16, 16)]:
+            y = rng.normal(size=shape)
+            ref = _cumulative_simpson(y, 0.01)
+            out = integrate(y)
+            assert out.shape == ref.shape
+            assert np.abs(out - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+    def test_blocked_simpson_forms_no_dense_operator(self):
+        # A dense (n, n) operator on 200 001 nodes would take 320 GB.
+        n = 200_001
+        tracemalloc.start()
+        try:
+            integrate = _blocked_simpson(n, 1e-5)
+            built_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built_peak < 2**20
+        y = np.random.default_rng(0).normal(size=(n, 2, 2))
+        ref = _cumulative_simpson(y, 1e-5)
+        assert np.abs(integrate(y) - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
     @pytest.mark.parametrize("rates, s, t", [
         (crossing_rate_trajectory(), 0.0, 0.7),
