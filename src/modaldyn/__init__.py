@@ -9,46 +9,28 @@ series, and Monte Carlo path ensembles reproduce the quantum single-time
 probabilities.
 """
 
-import importlib
+from .errors import (AmbiguousContinuation, ModalDynError, PoleEncountered,
+                     PoleInInterval, ScenarioValidationError,
+                     TruncationNotConverged)
+from .hilbert import (FactorSpace, check_hermitian, check_ket, evolve_on_grid,
+                      partial_trace, projector_from_vector, tensor_product)
+from .spectral import CrossingEvent, SpectralTrajectory, detect_crossings, track
+from .algebra import (FauxBooleanAlgebra, PropertyState, composite_generating_set,
+                      generate_faux_boolean, joint_distribution, joint_probability,
+                      ultrafilter_state)
+from .currents import (CurrentMatrix, continuity_residual,
+                       generalized_schrodinger_current, minimal_flow_current,
+                       static_schrodinger_current)
+from .kinetics import (JumpDecomposition, RateMatrix, RateTrajectory, bell_rates,
+                       classify_singularities, general_rates, jump_decomposition,
+                       master_residual, pole_free_rows)
+from .feller import (TransitionKernel, chapman_kolmogorov_residual,
+                     feller_minimal, forward_ode_kernel, honesty_deficit)
+from .sampler import (EnsembleStats, JumpProcess, PathEnsemble, SamplePath,
+                      ensemble_marginals, low_probability_occupancy, total_variation)
+from .scenario import (BUILTINS, Scenario, Thresholds, builtin_scenarios,
+                       load_scenario)
+from .pipeline import (JointFamily, PipelineResult, RunReport, compute_currents,
+                       compute_joint_family, compute_rates, pdot_target, run)
 
 __version__ = "0.2.0"
-
-# Public names by the submodule that defines them.  Each submodule is imported
-# on the first access to one of its names (PEP 562), so reading a scenario
-# never loads the pipeline, the sampler or the kernels.
-_EXPORTS = {
-    "errors": ("AmbiguousContinuation", "ModalDynError", "PoleEncountered",
-               "PoleInInterval", "ScenarioValidationError", "TruncationNotConverged"),
-    "hilbert": ("FactorSpace", "check_hermitian", "check_ket", "evolve_on_grid",
-                "partial_trace", "projector_from_vector", "tensor_product"),
-    "spectral": ("CrossingEvent", "SpectralTrajectory", "detect_crossings", "track"),
-    "algebra": ("FauxBooleanAlgebra", "PropertyState", "composite_generating_set",
-                "generate_faux_boolean", "joint_distribution", "joint_probability",
-                "ultrafilter_state"),
-    "currents": ("CurrentMatrix", "continuity_residual", "generalized_schrodinger_current",
-                 "minimal_flow_current", "static_schrodinger_current"),
-    "kinetics": ("JumpDecomposition", "RateMatrix", "RateTrajectory", "bell_rates",
-                 "classify_singularities", "general_rates", "jump_decomposition",
-                 "master_residual", "pole_free_rows"),
-    "feller": ("TransitionKernel", "chapman_kolmogorov_residual", "feller_minimal",
-               "forward_ode_kernel", "honesty_deficit"),
-    "sampler": ("EnsembleStats", "JumpProcess", "PathEnsemble", "SamplePath",
-                "ensemble_marginals", "low_probability_occupancy", "total_variation"),
-    "scenario": ("BUILTINS", "Scenario", "Thresholds", "builtin_scenarios", "load_scenario"),
-    "pipeline": ("JointFamily", "PipelineResult", "RunReport", "compute_currents",
-                 "compute_joint_family", "compute_rates", "pdot_target", "run"),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-__all__ = list(_HOME)
-
-
-def __getattr__(name):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

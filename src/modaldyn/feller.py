@@ -232,9 +232,8 @@ def _blocked_simpson(n: int, dx: float):
     """
     nb = (n - 1) // _BLOCK                           # full blocks
     head = nb * _BLOCK                               # first row after them
-    # Two spare nodes keep the rule's last-interval formula off the block rows.
-    w = _cumulative_simpson(np.eye(_BLOCK + 3), dx)
-    local, step = w[:_BLOCK, :_BLOCK + 1], w[_BLOCK, :_BLOCK + 1]
+    w = _cumulative_simpson(np.eye(_BLOCK + 1), dx)
+    local, step = w[:_BLOCK], w[_BLOCK]
     c = max(head - 2, 0)
     wt = _cumulative_simpson(np.eye(n - c), dx)
     tail = wt[head - c:] - wt[head - c]              # integrals from node ``head``

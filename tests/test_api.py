@@ -1,10 +1,8 @@
 """The public surface: tolerances are fixed values, never per-call options,
 and the runtime needs numpy alone."""
 
-import importlib
 import inspect
 import os
-import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,18 +13,16 @@ REMOVED = {"tol", "overlap_threshold", "sample"}
 
 
 def _public_callables():
-    """Functions, classes and methods of the package root and every submodule.
+    """Functions, classes and methods reachable from the package root.
 
-    Every submodule is imported here, since the root imports them only on
-    first use.  ``modaldyn.config`` is left out: its record's fields are the
-    fixed values themselves, not options of a call.
+    ``modaldyn.config`` is left out: its record's fields are the fixed
+    values themselves, not options of a call.
     """
-    modules = [modaldyn] + [importlib.import_module(f"modaldyn.{info.name}")
-                            for info in pkgutil.iter_modules(modaldyn.__path__)
-                            if info.name != "config"]
+    modules = [modaldyn] + [m for m in vars(modaldyn).values()
+                            if inspect.ismodule(m) and m.__name__.startswith("modaldyn.")
+                            and m.__name__ != "modaldyn.config"]
     for module in modules:
-        for name in dir(module):
-            obj = getattr(module, name)
+        for name, obj in vars(module).items():
             if name.startswith("_") or not getattr(obj, "__module__", "").startswith(
                     "modaldyn"):
                 continue
@@ -66,36 +62,10 @@ assert not any(name.split(".")[0] == "scipy" for name in sys.modules)
 """
 
 
-def _run_fresh(code):
-    """Run ``code`` in a fresh interpreter that imports this source tree."""
+def test_runs_without_scipy():
     src = str(Path(modaldyn.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-
-
-def test_runs_without_scipy():
-    _run_fresh(NO_SCIPY)
-
-
-LAZY_ROOT = """
-import sys
-
-import modaldyn
-from modaldyn import load_scenario
-loaded = [m for m in ("modaldyn.pipeline", "modaldyn.sampler", "modaldyn.feller")
-          if m in sys.modules]
-assert not loaded, loaded
-assert callable(modaldyn.run) and "modaldyn.pipeline" in sys.modules
-"""
-
-
-def test_root_imports_submodules_on_first_use():
-    _run_fresh(LAZY_ROOT)
-
-
-def test_root_lists_its_public_names():
-    assert set(modaldyn.__all__) <= set(dir(modaldyn))
-    assert all(getattr(modaldyn, name) is not None for name in modaldyn.__all__)
