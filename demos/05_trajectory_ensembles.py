@@ -19,7 +19,7 @@ N = 20_000   # enough for tight bands while keeping the demo quick
 
 result = run(load_scenario("easyexample"), report_only=True, n_paths=N)
 print("easyexample: empirical vs Born marginals on factor 0")
-stats = ensemble_marginals(result.paths, [0.2, 0.5], result.family.states, factor=0)
+stats = ensemble_marginals(result.paths, [0.2, 0.5], factor=0)
 for q, t in enumerate(stats.times):
     print(f"  t={t:.1f}: freq(label 0) = {stats.frequencies[q, 0]:.4f}, "
           f"cos^2(t) = {np.cos(t) ** 2:.4f}")
@@ -38,7 +38,7 @@ print(f"\nalbert-free: deterministic = {free.report.deterministic} "
 meas = run(load_scenario("measured-possessed-property"), report_only=True, n_paths=N)
 fam = meas.family
 t_end = fam.grid[-1]
-final = ensemble_marginals(meas.paths, [t_end], fam.states)
+final = ensemble_marginals(meas.paths, [t_end])
 freqs = final.frequencies[0]
 # Each event leaves the previous event's destination, or, for a path's
 # first event, the path's initial state.

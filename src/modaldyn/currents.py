@@ -43,6 +43,8 @@ class CurrentMatrix:
         u = np.asarray(self.upper, dtype=float)
         if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
             raise ValueError("upper triangle storage must be square")
+        if np.isnan(u).any():
+            raise ValueError("current matrix has NaN entries")
         if np.count_nonzero(np.tril(u)) != 0:
             raise ValueError("storage must be strictly upper triangular")
         object.__setattr__(self, "upper", u)
@@ -71,7 +73,7 @@ def minimal_flow_current(pdot) -> CurrentMatrix:
     pdot = np.asarray(pdot, dtype=float)
     d = pdot.shape[-1]
     bal = np.abs(pdot.sum(axis=-1)).max()
-    if bal > DEFAULT.pdot_balance:
+    if not bal <= DEFAULT.pdot_balance:
         raise ValueError(f"pdot must sum to zero (got {bal:.3e})")
     return _upper((pdot[..., :, None] - pdot[..., None, :]) / d)
 

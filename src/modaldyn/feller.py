@@ -65,7 +65,7 @@ class TransitionKernel:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("kernel matrix must be square")
-        if m.min() < -1e-8 or m.max() > 1 + 1e-8:
+        if not (m.min() >= -1e-8 and m.max() <= 1 + 1e-8):
             raise ValueError("kernel entries leave [0, 1] beyond tolerance")
         m = np.clip(m, 0.0, 1.0)
         object.__setattr__(self, "matrix", m)

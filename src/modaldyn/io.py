@@ -155,7 +155,8 @@ def write_kernel_json(path, kernel, deficit):
 
 
 def write_paths_jsonl(path, paths):
-    """One JSON line per path of a ``PathEnsemble``; events are ``[t, label]``.
+    """One JSON line per path of a ``PathEnsemble``: ``"seed"`` is the path's
+    position, and events are ``[t, label]``.
 
     Each line holds the bytes of ``json.dumps(rec, separators=(",", ":"))``
     for finite event times, built from label strings encoded once.
@@ -164,8 +165,8 @@ def write_paths_jsonl(path, paths):
     events = [f"[{t!r},{labels[j]}]" for t, j in zip(paths.times.tolist(), paths.dest.tolist())]
     bounds = paths.offsets.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for seed, first, lo, hi in zip(paths.seeds.tolist(), paths.initial.tolist(),
-                                       bounds, bounds[1:]):
+        for seed, (first, lo, hi) in enumerate(zip(paths.initial.tolist(),
+                                                   bounds, bounds[1:])):
             fh.write(f'{{"seed":{seed},"initial":{labels[first]},'
                      f'"events":[{",".join(events[lo:hi])}]}}\n')
 

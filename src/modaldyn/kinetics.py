@@ -48,6 +48,8 @@ class RateMatrix:
         mask = np.asarray(self.pole_mask, dtype=bool)
         if m.ndim < 2 or m.shape[-2] != m.shape[-1] or mask.shape != m.shape:
             raise ValueError("rate matrix and pole mask must be square and congruent")
+        if np.isnan(m).any():
+            raise ValueError("rate matrix has NaN entries")
         diag = np.eye(m.shape[-1], dtype=bool)
         off = np.where(diag, 0.0, m)
         if off.min() < 0:
@@ -84,6 +86,8 @@ def _node_probabilities(current: CurrentMatrix, p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != current.upper.shape[:-1]:
         raise ValueError("probability vector length does not match current size")
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
     return p
 
 
@@ -99,8 +103,8 @@ def bell_rates(current: CurrentMatrix, p) -> RateMatrix:
     continuous limit of the max form.
     """
     p = _node_probabilities(current, p)
-    if p.min() < -DEFAULT.probability_sum or \
-            np.abs(p.sum(axis=-1) - 1.0).max() > DEFAULT.probability_sum:
+    if not (p.min() >= -DEFAULT.probability_sum
+            and np.abs(p.sum(axis=-1) - 1.0).max() <= DEFAULT.probability_sum):
         raise ValueError("p must be a probability vector summing to 1")
     j = current.full()
     pos = (p > DEFAULT.zero_probability)[..., None, :]    # column i: p_i > 0
@@ -120,7 +124,7 @@ def general_rates(current: CurrentMatrix, p, free_choice=0.0) -> RateMatrix:
     """
     p = _node_probabilities(current, p)
     d = current.size
-    if p.min() <= DEFAULT.zero_probability:
+    if not p.min() > DEFAULT.zero_probability:
         raise ValueError("division at p_j = 0: general rates need p > 0 everywhere")
     c = float(free_choice)
     if not 0 <= c < np.inf:
@@ -133,7 +137,7 @@ def general_rates(current: CurrentMatrix, p, free_choice=0.0) -> RateMatrix:
     t = np.where(np.triu(np.ones((d, d), dtype=bool), 1), up,
                  np.swapaxes(down, -1, -2))
     t = np.where(np.eye(d, dtype=bool), 0.0, t)
-    if t.min() < -1e-12:
+    if not t.min() >= -1e-12:
         raise ValueError("derived rates became negative; offsets inconsistent")
     return _with_diagonal(np.maximum(t, 0.0), np.zeros(t.shape, dtype=bool))
 
@@ -171,7 +175,7 @@ def master_residual(rates: RateMatrix, p, pdot, rows=None) -> float:
     of the balance; that is the stored-zero convention.  ``p`` and ``pdot``
     have shape ``(..., D)``, and the maximum runs over every node.  ``rows``
     restricts it to a subset of states: a boolean mask shaped like ``p``
-    (see :func:`pole_free_rows`) or state indices.
+    (see :func:`pole_free_rows`); anything else raises ``ValueError``.
     """
     p = np.asarray(p, dtype=float)
     pdot = np.asarray(pdot, dtype=float)
@@ -180,10 +184,10 @@ def master_residual(rates: RateMatrix, p, pdot, rows=None) -> float:
     res = np.abs(pdot - net)
     if rows is not None:
         rows = np.asarray(rows)
-        res = res[rows] if rows.dtype == bool else res[..., rows.astype(int)]
-        if res.size == 0:
-            return 0.0
-    return float(res.max())
+        if rows.dtype != bool or rows.shape != p.shape:
+            raise ValueError(f"rows must be a boolean mask of shape {p.shape}")
+        res = res[rows]
+    return float(res.max(initial=0.0))
 
 
 def pole_free_rows(rates: RateMatrix) -> np.ndarray:

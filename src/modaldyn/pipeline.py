@@ -315,7 +315,7 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
         paths = process.ensemble(scenario.ensemble.n_paths)
     nodes = _nearest_node(grid, np.asarray(scenario.ensemble.query_times, dtype=float))
     if len(nodes):
-        stats = ensemble_marginals(paths, grid[nodes], family.states)
+        stats = ensemble_marginals(paths, grid[nodes])
         report.total_variation = {
             repr(float(grid[node])): total_variation(freqs, family.probabilities[node])
             for freqs, node in zip(stats.frequencies, nodes)}
@@ -323,7 +323,7 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
     report.deterministic = not paths.jump_counts.any()
     report.mean_jumps = float(paths.jump_counts.mean())
     report.low_probability_occupancy = low_probability_occupancy(
-        paths, grid, family.probabilities, family.states)
+        paths, grid, family.probabilities)
     report.n_paths = len(paths)
 
     result = PipelineResult(

@@ -2,9 +2,9 @@
 
 Paths alternate inverse-hazard waiting times with destination draws from
 the conditional jump distribution.  All paths of a batch advance in
-lockstep, one event per round.  Each path owns an independent
-counter-based random stream derived from (master seed, path index), so
-ensembles are reproducible regardless of batching.
+lockstep, one event per round.  Path k owns an independent
+counter-based random stream derived from (master seed, k), so the first k
+paths of every ensemble are the same.
 
 Pole handling (probability zeros with diverging exit rates) follows two
 documented conventions selected by ``pole_policy``:
@@ -47,7 +47,7 @@ JointIndex = tuple[int, ...]
 
 @dataclass(frozen=True)
 class SamplePath:
-    """One realization: a seed, an initial joint state and its jump events."""
+    """One realization: its position ``seed``, initial joint state and jump events."""
 
     seed: int
     initial: JointIndex
@@ -64,11 +64,10 @@ class PathEnsemble:
 
     States are integer indices into ``states``.  ``len(x)`` is the path
     count, and ``x[k]`` (also in iteration) is path k as a
-    :class:`SamplePath` with joint labels.
+    :class:`SamplePath` with joint labels and ``seed=k``.
     """
 
     states: tuple                    # joint labels, flat order
-    seeds: np.ndarray                # (N,) path indices of the random streams
     initial: np.ndarray              # (N,) states at the first node
     offsets: np.ndarray              # (N+1,) int
     times: np.ndarray                # (E,) event times
@@ -90,7 +89,7 @@ class PathEnsemble:
         k = range(len(self))[k]
         lo, hi = self.offsets[k], self.offsets[k + 1]
         events = zip(self.times[lo:hi].tolist(), (self.states[j] for j in self.dest[lo:hi]))
-        return SamplePath(seed=int(self.seeds[k]), initial=self.states[self.initial[k]],
+        return SamplePath(seed=k, initial=self.states[self.initial[k]],
                           events=tuple(events))
 
     def _visits(self) -> np.ndarray:
@@ -120,7 +119,7 @@ class EnsembleStats:
 
 # -- random streams ------------------------------------------------------
 #
-# Path i draws from Generator(Philox([master_seed, i])).random(), computed
+# Path k draws from Generator(Philox([master_seed, k])).random(), computed
 # here for many paths at once: numpy's SeedSequence key derivation, then
 # Philox4x64-10 blocks (Salmon et al., SC'11).
 
@@ -199,28 +198,21 @@ def _philox(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
 
 
 class _Streams:
-    """The random streams of a batch of paths, one per path index.
+    """The random streams of paths ``0 .. n-1``, one per path (n <= 2**32).
 
     ``random(rows)`` gives the next uniform of each path at positions
-    ``rows``.  Draw k of path i is lane ``k % 4`` of Philox block
-    ``k // 4 + 1``, so it is a pure function of (master seed, i, k).
+    ``rows``.  Draw j of path k is lane ``j % 4`` of Philox block
+    ``j // 4 + 1``, so it is a pure function of (master seed, k, j).
     """
 
-    def __init__(self, master_seed: int, path_indices: np.ndarray):
-        if master_seed < 0 or np.any(path_indices < 0):
-            raise ValueError("seeds and path indices must be non-negative")
-        indices = path_indices.astype(np.uint64)
-        head = _words(master_seed)
-        self.key = np.empty((len(indices), 2), dtype=np.uint64)
-        wide = indices > _MASK32
-        for rows, width in ((~wide, 1), (wide, 2)):
-            if rows.any():
-                entropy = [np.full(rows.sum(), w, dtype=np.uint32) for w in head]
-                entropy += [(indices[rows] >> (32 * j) & _MASK32).astype(np.uint32)
-                            for j in range(width)]
-                self.key[rows] = _seed_keys(entropy)
-        self.drawn = np.zeros(len(indices), dtype=np.int64)
-        self.block = np.empty((len(indices), 4), dtype=np.uint64)
+    def __init__(self, master_seed: int, n: int):
+        if master_seed < 0:
+            raise ValueError("master seed must be non-negative")
+        # SeedSequence entropy: the master seed's words, then k as one word.
+        entropy = [np.full(n, w, dtype=np.uint32) for w in _words(master_seed)]
+        self.key = _seed_keys(entropy + [np.arange(n, dtype=np.uint32)])
+        self.drawn = np.zeros(n, dtype=np.int64)
+        self.block = np.empty((n, 4), dtype=np.uint64)
 
     def random(self, rows: np.ndarray) -> np.ndarray:
         lane = self.drawn[rows] % 4
@@ -324,8 +316,8 @@ class JumpProcess:
         d = rate_trajectory.size
         if len(self.states) != d or self.p0.size != d:
             raise ValueError("states/p0 size does not match the rate trajectory")
-        if abs(self.p0.sum() - 1.0) > DEFAULT.probability_sum \
-                or self.p0.min() < -DEFAULT.zero_probability:
+        if not (abs(self.p0.sum() - 1.0) <= DEFAULT.probability_sum
+                and self.p0.min() >= -DEFAULT.zero_probability):
             raise ValueError("initial distribution must be nonnegative and sum to 1")
         self._p0_cum = np.cumsum(np.clip(self.p0, 0.0, None))
         self._p0_cum /= self._p0_cum[-1]
@@ -442,12 +434,15 @@ class JumpProcess:
 
     # -- sampling --------------------------------------------------------
 
-    def _batch(self, path_indices) -> PathEnsemble:
-        """Sample the paths with these stream indices in lockstep, one event
-        per path per round; raises the error of the first failing path."""
-        seeds = np.array(path_indices, dtype=int)
-        rng = _Streams(self.master_seed, seeds)
-        everyone = np.arange(len(seeds))
+    def ensemble(self, n_paths: int) -> PathEnsemble:
+        """Paths 0 .. n_paths-1 in lockstep, one event per path per round; path k
+        draws from stream k (at most 2**32 of them), so ``ensemble(k + 1)[k]``
+        is path k of every larger ensemble.  Raises the first failing path's error."""
+        n = int(n_paths)
+        if not 0 <= n <= 2 ** 32:
+            raise ValueError(f"path count must lie in [0, 2**32], got {n}")
+        rng = _Streams(self.master_seed, n)
+        everyone = np.arange(n)
         initial = np.searchsorted(self._p0_cum, rng.random(everyone), side="right")
         batch = _Batch(rng, initial, self.grid[0])
         # A fresh arrival into an already-flagged column is relayed out at once.
@@ -459,35 +454,31 @@ class JumpProcess:
         owner = np.concatenate([rows for rows, _, _ in batch.log] + [np.zeros(0, int)])
         order = np.argsort(owner, kind="stable")
         return PathEnsemble(
-            states=self.states, seeds=seeds, initial=initial,
+            states=self.states, initial=initial,
             offsets=np.concatenate(([0], np.cumsum(batch.count))),
             times=np.concatenate([t for _, t, _ in batch.log] + [np.zeros(0)])[order],
             dest=np.concatenate([d for _, _, d in batch.log] + [np.zeros(0, int)])[order])
 
-    def ensemble(self, n_paths: int) -> PathEnsemble:
-        return self._batch(range(int(n_paths)))
 
-    def path(self, path_index: int) -> SamplePath:
-        return self._batch([int(path_index)])[0]
-
-
-def ensemble_marginals(paths: PathEnsemble, query_times, states,
+def ensemble_marginals(paths: PathEnsemble, query_times,
                        factor: int | None = None) -> EnsembleStats:
     """Empirical distribution of the ensemble at each query time.
 
-    Counts are over ``states`` in their order.  With ``factor`` given, joint
-    states are first marginalized onto that factor's label.
+    Counts are over ``paths.states`` in their order.  With ``factor`` given,
+    joint states are first marginalized onto that factor's sorted labels.
     """
     query_times = np.asarray(query_times, dtype=float)
     if len(paths) == 0:
         raise ValueError("need at least one path")
-    states = [tuple(s) for s in states]
-    labels = states if factor is None else sorted({s[factor] for s in states})
-    column = np.array([labels.index(s if factor is None else s[factor])
-                       for s in paths.states], dtype=int)
+    if factor is None:
+        labels, column = paths.states, None
+    else:
+        labels = sorted({s[factor] for s in paths.states})
+        column = np.array([labels.index(s[factor]) for s in paths.states], dtype=int)
     counts = np.zeros((len(query_times), len(labels)), dtype=int)
     for q, t in enumerate(query_times):
-        counts[q] = np.bincount(column[paths.states_at(t)], minlength=len(labels))
+        at = paths.states_at(t)
+        counts[q] = np.bincount(at if column is None else column[at], minlength=len(labels))
     return EnsembleStats(times=query_times, labels=tuple(labels),
                          counts=counts, n_paths=len(paths))
 
@@ -498,20 +489,21 @@ def total_variation(freqs, probs) -> float:
     return float(0.5 * np.abs(freqs - probs).sum())
 
 
-def low_probability_occupancy(paths: PathEnsemble, grid, p_trajectory, states) -> float:
-    """Fraction of total path-time spent in states of probability below 1e-6."""
+def low_probability_occupancy(paths: PathEnsemble, grid, p_trajectory) -> float:
+    """Fraction of total path-time spent in states of probability below 1e-6;
+    column i of ``p_trajectory`` is the probability of ``paths.states[i]``."""
     grid = np.asarray(grid, dtype=float)
     if len(paths) == 0:
         raise ValueError("need at least one path")
     low = (np.asarray(p_trajectory, dtype=float) < 1e-6).astype(float)
+    if low.shape != (len(grid), len(paths.states)):
+        raise ValueError("p_trajectory needs one row per grid node and one column per state")
     cum_low = _cumulative_trapezoid(low, grid)
     t0, t_end = float(grid[0]), float(grid[-1])
-    states = [tuple(s) for s in states]
-    column = np.array([states.index(s) for s in paths.states], dtype=int)
     # Segment j of the visits runs from start[j] to stop[j].
     start = np.insert(paths.times, paths.offsets[:-1], t0)
     stop = np.insert(paths.times, paths.offsets[1:], t_end)
-    occupant = column[paths._visits()]
+    occupant = paths._visits()
     keep = stop > start
     start, stop, occupant = start[keep], stop[keep], occupant[keep]
     share = np.empty(len(start))

@@ -1,5 +1,5 @@
 """The public surface: tolerances are fixed values, never per-call options,
-and the runtime needs numpy alone."""
+NaN never passes an entry check, and the runtime needs numpy alone."""
 
 import inspect
 import os
@@ -7,7 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import modaldyn
+from modaldyn.currents import CurrentMatrix, minimal_flow_current
+from modaldyn.feller import TransitionKernel
+from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates, general_rates
+from modaldyn.sampler import JumpProcess
 
 REMOVED = {"tol", "overlap_threshold", "sample"}
 
@@ -38,6 +45,34 @@ def test_no_per_call_tolerance_or_test_only_switch():
     found = sorted(f"{where}({param})" for where, fn in _public_callables()
                    for param in inspect.signature(fn).parameters if param in REMOVED)
     assert found == []
+
+
+NAN = float("nan")
+ZERO_CURRENT = CurrentMatrix(upper=np.zeros((2, 2)))
+STILL = RateTrajectory([0.0, 1.0], RateMatrix(np.zeros((2, 2, 2)), np.zeros((2, 2, 2), bool)))
+
+# Each entry point with one NaN among otherwise valid inputs.
+NAN_INPUTS = {
+    "RateMatrix off-diagonal": lambda: RateMatrix(np.array([[0.0, NAN], [0.0, 0.0]]),
+                                                  np.zeros((2, 2), bool)),
+    "RateMatrix diagonal": lambda: RateMatrix(np.array([[NAN, 0.0], [0.0, 0.0]]),
+                                              np.zeros((2, 2), bool)),
+    "CurrentMatrix": lambda: CurrentMatrix(upper=np.array([[0.0, NAN], [0.0, 0.0]])),
+    "TransitionKernel": lambda: TransitionKernel(0.0, 1.0, np.array([[NAN, 0.0], [0.0, 1.0]]),
+                                                 "series"),
+    "bell_rates": lambda: bell_rates(ZERO_CURRENT, np.array([NAN, 1.0])),
+    "general_rates": lambda: general_rates(ZERO_CURRENT, np.array([0.5, NAN])),
+    "minimal_flow_current": lambda: minimal_flow_current(np.array([NAN, 0.0])),
+    "JumpProcess p0": lambda: JumpProcess(STILL, np.array([NAN, 1.0]), [(0,), (1,)],
+                                          np.zeros((2, 2, 2))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NAN_INPUTS))
+def test_nan_rejected(entry):
+    # Every bound is written so that a comparison with NaN fails it.
+    with pytest.raises(ValueError):
+        NAN_INPUTS[entry]()
 
 
 def test_tolerance_record_not_exported_from_root():

@@ -229,6 +229,10 @@ class TestMasterResidual:
         assert master_residual(rates, p, pdot, rows=rows) <= 1e-12
         # Unmasked, the relay flux is genuinely missing from the balance.
         assert master_residual(rates, p, pdot) > 0.1
+        # Rows are a boolean mask shaped like p, nothing else.
+        for bad in ([0], np.array([1, 0, 0]), np.array([[True, False, False]])):
+            with pytest.raises(ValueError, match="boolean mask"):
+                master_residual(rates, p, pdot, rows=bad)
 
 
 class TestClassifySingularities:

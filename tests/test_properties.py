@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from modaldyn.errors import ModalDynError
 from modaldyn.feller import feller_minimal, forward_ode_kernel
+from modaldyn.pipeline import run
+from modaldyn.scenario import CHOICES, EnsembleSpec, Scenario, TimeSpec
 
-from conftest import constant_trajectory
+from conftest import constant_trajectory, random_hermitian, random_ket
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -41,3 +44,41 @@ def test_constant_rate_kernels_match_expm(gen):
     assert -np.diag(gen).min() <= 3.0 + 1e-12
     assert np.abs(series.matrix - exact).max() <= 1e-6
     assert np.abs(ode.matrix - exact).max() <= 1e-6
+
+
+@st.composite
+def random_scenarios(draw):
+    """2-4 factors of dimension 2, 3 or 4 (total at most 16), a random H and
+    psi, and every scenario choice, on [0, 0.2] at step 1e-3 with 100 paths."""
+    n_factors = draw(st.integers(2, 4))
+    dims = []
+    for k in range(n_factors):
+        # Leave room for dimension 2 in each factor still to come.
+        room = 16 // (int(np.prod(dims)) * 2 ** (n_factors - k - 1))
+        dims.append(draw(st.sampled_from([d for d in (2, 3, 4) if d <= room])))
+    dim = int(np.prod(dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    choices = {key: draw(st.sampled_from(allowed)) for key, allowed in CHOICES.items()}
+    return Scenario(name="random", factor_dims=tuple(dims),
+                    hamiltonian=random_hermitian(rng, dim),
+                    initial_state=random_ket(rng, dim),
+                    time=TimeSpec(0.0, 0.2, 1e-3),
+                    ensemble=EnsembleSpec(100, draw(st.integers(0, 2 ** 32 - 1)), (0.1, 0.2)),
+                    **choices)
+
+
+@PROPERTY
+@given(random_scenarios())
+def test_random_systems_report_or_name_their_failure(scenario):
+    # A run ends in a report with finite diagnostics, a named ModalDynError,
+    # or a numeric error that names the stage it came from.
+    try:
+        report = run(scenario, report_only=True).report
+    except ModalDynError:
+        return
+    except (ValueError, ArithmeticError) as exc:
+        assert str(exc).startswith("[stage: "), repr(exc)
+        return
+    floats = [v for v in vars(report).values() if isinstance(v, float)]
+    floats += list(report.total_variation.values())
+    assert np.isfinite(floats).all(), report

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +11,9 @@ from modaldyn.currents import CurrentMatrix
 from modaldyn.errors import ModalDynError, PoleEncountered
 from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates
 from modaldyn.pipeline import run
-from modaldyn.sampler import (JumpProcess, PathEnsemble, _cumulative_trapezoid, _draw,
-                              _Streams, ensemble_marginals, low_probability_occupancy,
-                              total_variation)
+from modaldyn.sampler import (JumpProcess, PathEnsemble, _Batch, _cumulative_trapezoid,
+                              _draw, _seed_keys, _Streams, _words, ensemble_marginals,
+                              low_probability_occupancy, total_variation)
 from modaldyn.scenario import BUILTINS, EnsembleSpec, Scenario, TimeSpec
 
 from conftest import random_hermitian, random_ket
@@ -36,8 +38,7 @@ def ensemble_of(states, *paths):
     """A PathEnsemble of paths given as (initial label, ((time, label), ...))."""
     flat = {s: k for k, s in enumerate(states)}
     events = [ev for _, evs in paths for ev in evs]
-    return PathEnsemble(states=states, seeds=np.arange(len(paths)),
-                        initial=np.array([flat[s] for s, _ in paths]),
+    return PathEnsemble(states=states, initial=np.array([flat[s] for s, _ in paths]),
                         offsets=np.cumsum([0] + [len(evs) for _, evs in paths]),
                         times=np.array([t for t, _ in events], dtype=float),
                         dest=np.array([flat[s] for _, s in events], dtype=int))
@@ -124,15 +125,14 @@ class TestSampleWaitingTime:
 
 class TestSamplePathStructure:
     def test_zero_rates_no_events(self):
-        proc = zero_process()
-        for k in range(20):
-            assert proc.path(k).events == ()
+        for path in zero_process().ensemble(20):
+            assert path.events == ()
 
     def test_reproducible_ensembles(self):
         a = zero_process(seed=123).ensemble(50)
         b = zero_process(seed=123).ensemble(50)
         assert a.states == b.states
-        for name in ("seeds", "initial", "offsets", "times", "dest"):
+        for name in ("initial", "offsets", "times", "dest"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_seed_changes_ensemble(self):
@@ -226,7 +226,7 @@ class TestPolePolicies:
                            currents=np.broadcast_to(full, (len(grid), 3, 3)))
         with pytest.raises(ModalDynError,
                            match="^relay cycle among zero-probability states$"):
-            proc.path(0)
+            proc.ensemble(1)
 
     def test_initial_relay_chain(self):
         # Columns 0 and 1 flagged throughout, current 0 -> 1 -> 2: a path
@@ -238,7 +238,7 @@ class TestPolePolicies:
         proc = JumpProcess(RateTrajectory(grid, RateMatrix(np.zeros(pole.shape), pole)),
                            np.array([1.0, 0.0, 0.0]), [(0,), (1,), (2,)],
                            currents=np.broadcast_to(full, (len(grid), 3, 3)))
-        assert proc.path(0).events == ((0.0, (1,)), (np.nextafter(0.0, 1.0), (2,)))
+        assert proc.ensemble(1)[0].events == ((0.0, (1,)), (np.nextafter(0.0, 1.0), (2,)))
 
 
 class TestDraw:
@@ -274,14 +274,13 @@ class TestDraw:
 class TestEnsembleMarginals:
     def test_single_path_before_first_jump(self):
         paths = ensemble_of([(0,), (1,)], ((1,), ((0.6, (0,)),)))
-        stats = ensemble_marginals(paths, [0.2], [(0,), (1,)])
+        stats = ensemble_marginals(paths, [0.2])
         assert stats.frequencies[0].tolist() == [0.0, 1.0]
 
     def test_static_ensemble_keeps_initial_distribution(self):
         proc = zero_process(d=4, seed=5)
         paths = proc.ensemble(2000)
-        stats = ensemble_marginals(paths, [0.0, 0.5, 1.0],
-                                   [(k,) for k in range(4)])
+        stats = ensemble_marginals(paths, [0.0, 0.5, 1.0])
         for q in range(3):
             assert np.array_equal(stats.frequencies[q], stats.frequencies[0])
         assert np.abs(stats.frequencies[0] - 0.25).max() <= 0.04
@@ -289,14 +288,14 @@ class TestEnsembleMarginals:
     def test_factor_marginalization(self):
         states = [(0, 0), (0, 1), (1, 0), (1, 1)]
         paths = ensemble_of(states, *[(states[k % 4], ()) for k in range(8)])
-        stats = ensemble_marginals(paths, [0.1], states, factor=1)
+        stats = ensemble_marginals(paths, [0.1], factor=1)
         assert stats.labels == (0, 1)
         assert np.allclose(stats.frequencies[0], [0.5, 0.5])
 
     def test_counts_sum_to_paths(self):
         proc = zero_process(d=3)
         paths = proc.ensemble(77)
-        stats = ensemble_marginals(paths, [0.3, 0.9], [(k,) for k in range(3)])
+        stats = ensemble_marginals(paths, [0.3, 0.9])
         assert np.all(stats.counts.sum(axis=1) == 77)
 
 
@@ -340,23 +339,34 @@ def test_low_probability_occupancy():
     p_traj = np.column_stack([np.full(11, 0.0), np.full(11, 1.0)])
     states = [(0,), (1,)]
     paths = ensemble_of(states, ((1,), ((0.5, (0,)),)), ((1,), ()))
-    frac = low_probability_occupancy(paths, grid, p_traj, states)
+    frac = low_probability_occupancy(paths, grid, p_traj)
     assert abs(frac - 0.25) < 1e-12
+    with pytest.raises(ValueError, match="one column per state"):
+        low_probability_occupancy(paths, grid, p_traj[:, :1])
 
 
 class TestPathEnsemble:
-    """The columnar ensemble against per-path calls and per-path loops."""
+    """The columnar ensemble against smaller ensembles and per-path loops."""
 
     @pytest.fixture(scope="class")
     def relay(self):
         proc = make_relay_process("resample")
         return proc, proc.ensemble(400)
 
-    def test_paths_match_single_path_calls(self, relay):
+    def test_prefix_matches_smaller_ensemble(self, relay):
+        # Path k's stream index is its position, so the first 37 paths of
+        # 400 are the 37-path ensemble, field for field.
         proc, paths = relay
-        assert paths.jump_counts.sum() > 0
-        for k in range(len(paths)):
-            assert paths[k] == proc.path(k)
+        head = proc.ensemble(37)
+        end = head.offsets[-1]
+        assert end > 0
+        assert head.states == paths.states
+        assert np.array_equal(head.initial, paths.initial[:37])
+        assert np.array_equal(head.offsets, paths.offsets[:38])
+        assert np.array_equal(head.times, paths.times[:end])
+        assert np.array_equal(head.dest, paths.dest[:end])
+        assert list(head) == [paths[k] for k in range(37)]
+        assert [p.seed for p in head] == list(range(37))
 
     @pytest.mark.parametrize("factor", [None, 0, 1])
     def test_marginals_match_per_path_loop(self, relay, factor):
@@ -375,7 +385,7 @@ class TestPathEnsemble:
                         state = dest
                 key = state if factor is None else state[factor]
                 expect[q, labels.index(key)] += 1
-        stats = ensemble_marginals(paths, query, states, factor=factor)
+        stats = ensemble_marginals(paths, query, factor=factor)
         assert stats.labels == tuple(labels)
         assert np.array_equal(stats.counts, expect)
 
@@ -400,7 +410,7 @@ class TestPathEnsemble:
                               - np.interp(max(a, t0), grid, col))
         expect = total / (len(paths) * (t1 - t0))
         assert 0.0 < expect < 1.0
-        assert low_probability_occupancy(paths, grid, p, states) == expect
+        assert low_probability_occupancy(paths, grid, p) == expect
 
 
 def test_run_paths_read_interface():
@@ -422,29 +432,51 @@ class TestStreams:
 
     @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**70])
     def test_draws_match_numpy_philox(self, master):
-        # Indices past 2**32 take two entropy words; nine draws cross two
-        # four-lane block boundaries.
-        indices = np.concatenate([np.arange(2001), 2**32 + np.arange(-3, 4), [2**40 + 5]])
-        streams = _Streams(master, indices)
-        rows = np.arange(len(indices))
+        # Master seeds from 2**32 take several entropy words; nine draws
+        # cross two four-lane block boundaries.
+        streams = _Streams(master, 2001)
+        rows = np.arange(2001)
         draws = np.column_stack([streams.random(rows) for _ in range(9)])
-        for k, i in enumerate(indices):
-            expect = np.random.Generator(np.random.Philox([master, int(i)])).random(9)
-            assert np.array_equal(draws[k], expect), (master, i)
+        for k in rows:
+            expect = np.random.Generator(np.random.Philox([master, int(k)])).random(9)
+            assert np.array_equal(draws[k], expect), (master, k)
+
+    @pytest.mark.parametrize("master", [0, 2**32, 2**70])
+    def test_last_stream_indices_take_one_word(self, master):
+        # The keys of the highest positions an ensemble can hold, built as
+        # _Streams builds them: the master seed's words, then k as one word.
+        top = np.arange(2**32 - 3, 2**32, dtype=np.uint32)
+        entropy = [np.full(len(top), w, dtype=np.uint32) for w in _words(master)]
+        keys = _seed_keys(entropy + [top])
+        for k, key in zip(top.tolist(), keys):
+            expect = np.random.Philox([master, k]).state["state"]["key"]
+            assert key.tolist() == expect.tolist(), (master, k)
 
     def test_paths_drawn_unevenly(self):
         # Paths at different positions in their blocks in one call.
-        indices = np.arange(2**32 - 20, 2**32 + 20)
-        streams = _Streams(7, indices)
-        got = [[] for _ in indices]
+        streams = _Streams(7, 40)
+        got = [[] for _ in range(40)]
         pick = np.random.default_rng(0)
         for _ in range(40):
-            rows = np.flatnonzero(pick.random(len(indices)) < 0.5)
+            rows = np.flatnonzero(pick.random(40) < 0.5)
             for r, u in zip(rows, streams.random(rows)):
                 got[r].append(u)
-        for k, i in enumerate(indices):
-            expect = np.random.Generator(np.random.Philox([7, int(i)])).random(len(got[k]))
+        for k in range(40):
+            expect = np.random.Generator(np.random.Philox([7, k])).random(len(got[k]))
             assert np.array_equal(got[k], expect)
+
+    def test_too_many_paths_rejected_before_allocating(self):
+        # One path more than there are 32-bit stream indices would reuse a
+        # stream; the count is refused before any per-path array exists.
+        proc = zero_process()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="2\\*\\*32"):
+                proc.ensemble(2**32 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -542,7 +574,7 @@ class TestGoldenEnsembles:
     def test_first_failing_path_raises(self):
         # State 1 is flagged throughout and entered at rate 0.3 from state 0,
         # which trades with state 2 at rate 2.  Path 1 is the first to fail,
-        # on its second jump (t=0.754); path 30 fails sooner, on its first.
+        # on its second jump (t=0.754); path 0 does not fail.
         grid = np.linspace(0.0, 1.0, 11)
         m = np.zeros((11, 3, 3))
         m[:, 2, 0] = m[:, 0, 2] = 2.0
@@ -557,7 +589,18 @@ class TestGoldenEnsembles:
         with pytest.raises(PoleEncountered) as err:
             proc.ensemble(40)
         assert str(err.value) == message.format(0.753713506763679)
-        with pytest.raises(PoleEncountered) as err:
-            proc.path(30)
-        assert str(err.value) == message.format(0.06554368647528798)
-        assert proc.path(0).jump_count > 0
+        assert proc.ensemble(1)[0].jump_count > 0
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_fail_keeps_lowest_position(self, order):
+        # Paths fail in rounds, so a later position can fail first in time;
+        # whatever the order of the calls, the lowest failing position's
+        # error is kept and every path from it on stops.
+        calls = [np.array([9, 7]), np.array([4]), np.array([12, 5])]
+        batch = _Batch(_Streams(0, 16), np.zeros(16, dtype=int), 0.0)
+        for c in order:
+            rows = calls[c]
+            batch.fail(rows, lambda i, rows=rows: ModalDynError(f"path {rows[i]}"))
+        position, error = batch.error
+        assert position == 4 and str(error) == "path 4"
+        assert batch.live.tolist() == [True] * 4 + [False] * 12

@@ -69,7 +69,7 @@ class TestBuiltins:
         # At completion the pointer label determines the measured label.
         fam = result.family
         t_end = fam.grid[-1]
-        stats = ensemble_marginals(result.paths, [t_end], fam.states)
+        stats = ensemble_marginals(result.paths, [t_end])
         pair_mass = {}
         for k, s in enumerate(fam.states):
             key = (s[0], s[1])
@@ -505,14 +505,12 @@ class TestByteContract:
         events = data.draw(st.lists(times, min_size=1, max_size=6))
         paths = PathEnsemble(
             states=states,
-            seeds=np.array(data.draw(st.lists(st.integers(0, 2 ** 63 - 1), min_size=len(events),
-                                              max_size=len(events)))),
             initial=np.array([data.draw(state) for _ in events]),
             offsets=np.cumsum([0] + [len(e) for e in events]),
             times=np.array([t for e in events for t in e], dtype=float),
             dest=np.array([data.draw(state) for e in events for _ in e], dtype=int))
-        lines = [json.dumps({"seed": p.seed, "initial": p.initial, "events": p.events},
-                            separators=(",", ":")) + "\n" for p in paths]
+        lines = [json.dumps({"seed": k, "initial": p.initial, "events": p.events},
+                            separators=(",", ":")) + "\n" for k, p in enumerate(paths)]
         assert written(write_paths_jsonl, paths) == ["".join(lines).encode("utf-8")]
 
 
