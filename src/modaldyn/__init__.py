@@ -21,9 +21,8 @@ from .algebra import (FauxBooleanAlgebra, PropertyState, composite_generating_se
 from .currents import (CurrentMatrix, continuity_residual,
                        generalized_schrodinger_current, minimal_flow_current,
                        static_schrodinger_current)
-from .kinetics import (JumpDecomposition, RateMatrix, RateTrajectory, bell_rates,
-                       classify_singularities, general_rates, jump_decomposition,
-                       master_residual, pole_free_rows)
+from .kinetics import (RateMatrix, RateTrajectory, bell_rates, classify_singularities,
+                       general_rates, master_residual, pole_free_rows)
 from .feller import (TransitionKernel, chapman_kolmogorov_residual,
                      feller_minimal, forward_ode_kernel, honesty_deficit)
 from .sampler import (EnsembleStats, JumpProcess, PathEnsemble, SamplePath,

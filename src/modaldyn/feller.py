@@ -70,10 +70,6 @@ class TransitionKernel:
         m = np.clip(m, 0.0, 1.0)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
     def column_sums(self) -> np.ndarray:
         return self.matrix.sum(axis=0)
 

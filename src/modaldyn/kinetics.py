@@ -18,14 +18,12 @@ from .currents import CurrentMatrix
 from .spectral import _runs
 
 __all__ = [
-    "JumpDecomposition",
     "RateMatrix",
     "RateTrajectory",
     "SingularityEvent",
     "bell_rates",
     "classify_singularities",
     "general_rates",
-    "jump_decomposition",
     "master_residual",
     "pole_free_rows",
 ]
@@ -68,10 +66,6 @@ class RateMatrix:
 
     def __getitem__(self, k) -> RateMatrix:
         return RateMatrix(matrix=self.matrix[k], pole_mask=self.pole_mask[k])
-
-    @property
-    def has_poles(self) -> bool:
-        return bool(self.pole_mask.any())
 
 
 def _with_diagonal(off: np.ndarray, pole_mask: np.ndarray) -> RateMatrix:
@@ -142,32 +136,6 @@ def general_rates(current: CurrentMatrix, p, free_choice=0.0) -> RateMatrix:
     return _with_diagonal(np.maximum(t, 0.0), np.zeros(t.shape, dtype=bool))
 
 
-@dataclass(frozen=True)
-class JumpDecomposition:
-    """Exit rates and conditional jump distribution of a rate matrix."""
-
-    exit_rates: np.ndarray      # (D,)
-    jump_matrix: np.ndarray     # (D, D); column i is the destination law from i
-    defined: np.ndarray         # (D,) bool; False where the exit rate is zero
-
-    @property
-    def size(self) -> int:
-        return len(self.exit_rates)
-
-
-def jump_decomposition(rates: RateMatrix) -> JumpDecomposition:
-    if rates.has_poles:
-        raise ValueError("pole present: jump decomposition needs finite rates")
-    t = rates.matrix
-    exit_rates = -np.diag(t).copy()
-    d = rates.size
-    pi = np.full((d, d), np.nan)
-    defined = exit_rates > 0.0
-    off = t - np.diag(np.diag(t))
-    pi[:, defined] = off[:, defined] / exit_rates[defined]
-    return JumpDecomposition(exit_rates=exit_rates, jump_matrix=pi, defined=defined)
-
-
 def master_residual(rates: RateMatrix, p, pdot, rows=None) -> float:
     """max_j |pdot_j - sum_i (t_ji p_i - t_ij p_j)| with inf * 0 = 0.
 
@@ -209,6 +177,8 @@ class RateTrajectory:
         self.grid = np.asarray(grid, dtype=float)
         if rates.matrix.ndim != 3 or len(rates) != len(self.grid) or len(self.grid) < 2:
             raise ValueError("need one rate matrix per node and at least two nodes")
+        if not np.all(np.diff(self.grid) > 0):
+            raise ValueError("grid times must be strictly increasing")
         self.matrices = rates.matrix            # (n, D, D)
         self.pole_mask = rates.pole_mask        # (n, D, D)
         self.size = rates.size
@@ -230,30 +200,30 @@ class SingularityEvent:
     time: float
     state: int
     kind: str                 # "isolated-zero" or "interval-zero"
-    divergent: bool | None    # exit-rate integral diverges approaching the zero
+    divergent: bool           # exit-rate integral diverges approaching the zero
     t_start: float
     t_end: float
 
 
-def classify_singularities(p_trajectory, grid, rates: RateMatrix | None = None
+def classify_singularities(p_trajectory, grid, rates: RateMatrix
                            ) -> tuple[SingularityEvent, ...]:
     """Locate and classify probability zeros along a trajectory.
 
     A run of nodes with p_i at or below 1e-4 is an isolated zero when the
     probability genuinely lifts off within the run (an analytic
     touch-zero), and an interval zero when it stays at numerical zero
-    throughout.  When rates are supplied, each event is also flagged if the
-    exit rate blows up approaching the zero (a pole flag in the run, or an
-    exit rate near it above 100 times its median), which makes the
-    waiting-time integral divergent there; ``rates`` is the stacked record
-    of the grid.  Events are ordered by state, then time.
+    throughout.  Each event is flagged divergent if the exit rate blows up
+    approaching the zero (a pole flag in the run, or an exit rate near it
+    above 100 times its median), which makes the waiting-time integral
+    divergent there; ``rates`` is the stacked record of the grid.  Events
+    are ordered by state, then time.
     """
     p = np.asarray(p_trajectory, dtype=float)
     grid = np.asarray(grid, dtype=float)
     n, d = p.shape
-    if len(grid) != n:
-        raise ValueError("grid length does not match trajectory")
-    exits = None if rates is None else -np.diagonal(rates.matrix, axis1=-2, axis2=-1)
+    if len(grid) != n or rates.matrix.shape != (n, d, d):
+        raise ValueError("grid and rates do not match the trajectory")
+    exits = -np.diagonal(rates.matrix, axis1=-2, axis2=-1)
     events = []
     for i in range(d):
         for start, end in _runs(p[:, i] <= 1e-4):
@@ -262,14 +232,12 @@ def classify_singularities(p_trajectory, grid, rates: RateMatrix | None = None
             kind = "interval-zero" if seg.max() <= 10 * DEFAULT.zero_probability \
                 else "isolated-zero"
             arg = start + int(np.argmin(seg))
-            divergent = None
-            if exits is not None:
-                near = exits[max(0, start - 2):min(n, end + 3), i]
-                typical = float(np.median(exits[:, i])) if exits[:, i].max() > 0 else 0.0
-                divergent = bool(
-                    rates.pole_mask[run, :, i].any()
-                    or (typical > 0 and near.max() > 100.0 * typical)
-                )
+            near = exits[max(0, start - 2):min(n, end + 3), i]
+            typical = float(np.median(exits[:, i])) if exits[:, i].max() > 0 else 0.0
+            divergent = bool(
+                rates.pole_mask[run, :, i].any()
+                or (typical > 0 and near.max() > 100.0 * typical)
+            )
             events.append(SingularityEvent(
                 time=float(grid[arg]), state=i, kind=kind, divergent=divergent,
                 t_start=float(grid[start]), t_end=float(grid[end]),

@@ -264,22 +264,15 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
         continuity_residual=float(cont_res), master_residual=float(master_res),
         master_rows_masked=masked, pole_nodes=pole_nodes,
     )
-    report.crossings = [
-        {"factor": fk, "t_start": ev.t_start, "t_end": ev.t_end,
-         "labels": list(ev.labels), "min_gap": ev.min_gap, "t_min": ev.t_min}
-        for fk, traj in enumerate(family.factor_trajectories)
-        for ev in detect_crossings(traj, scenario.thresholds.crossing_gap)
-    ]
+    report.crossings = [{"factor": fk, **asdict(ev)}
+                        for fk, traj in enumerate(family.factor_trajectories)
+                        for ev in detect_crossings(traj, scenario.thresholds.crossing_gap)]
     report.tracking_margins = [
         {"factor": fk, "min_overlap": traj.min_overlap, "min_gap": traj.min_gap}
         for fk, traj in enumerate(family.factor_trajectories)
     ]
     singularities = classify_singularities(family.probabilities, grid, rate_matrices)
-    report.singularities = [
-        {"time": ev.time, "state": ev.state, "kind": ev.kind,
-         "divergent": ev.divergent, "t_start": ev.t_start, "t_end": ev.t_end}
-        for ev in singularities
-    ]
+    report.singularities = [asdict(ev) for ev in singularities]
 
     kernels = None
     windows = _kernel_windows(rate_traj, singularities)

@@ -399,8 +399,7 @@ class JumpProcess:
         pole = self._pole_after[np.searchsorted(grid, t, side="right"), state]
         has_pole = pole < len(grid)
         pole_t = grid[np.minimum(pole, len(grid) - 1)]
-        before = np.maximum(np.searchsorted(grid, pole_t, side="left") - 1, 0)
-        horizon = np.where(has_pole, grid[before], t_end)
+        horizon = np.where(has_pole, grid[np.maximum(pole - 1, 0)], t_end)
         tau = np.full(len(rows), np.nan)
         open_ = horizon > t
         tau[open_] = self._invert_hazard(state[open_], t[open_], horizon[open_],

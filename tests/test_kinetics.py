@@ -4,7 +4,7 @@ import pytest
 from modaldyn.currents import CurrentMatrix
 from modaldyn.kinetics import (RateMatrix, RateTrajectory, bell_rates,
                                classify_singularities, general_rates,
-                               jump_decomposition, master_residual, pole_free_rows)
+                               master_residual, pole_free_rows)
 from modaldyn.pipeline import _kernel_windows
 
 
@@ -28,7 +28,7 @@ class TestBellRates:
         expected = theta * np.sin(2 * theta * t) / np.cos(theta * t) ** 2
         assert abs(rates.matrix[1, 0] - expected) < 1e-12
         assert rates.matrix[0, 1] == 0.0
-        assert not rates.has_poles
+        assert not rates.pole_mask.any()
 
     def test_zero_current(self):
         cm = current_from_full(np.zeros((3, 3)))
@@ -38,7 +38,7 @@ class TestBellRates:
     def test_zero_probability_zero_current_is_regular(self):
         cm = current_from_full(np.zeros((2, 2)))
         rates = bell_rates(cm, np.array([1.0, 0.0]))
-        assert not rates.has_poles
+        assert not rates.pole_mask.any()
         assert np.all(rates.matrix == 0)
 
     def test_zero_probability_nonzero_current_is_pole(self):
@@ -52,7 +52,7 @@ class TestBellRates:
         # max{0, j/p} -> 0 as p -> 0+ when j < 0: continuous, not a pole.
         full = np.array([[0.0, -0.3], [0.3, 0.0]])
         rates = bell_rates(current_from_full(full), np.array([1.0, 0.0]))
-        assert not rates.has_poles
+        assert not rates.pole_mask.any()
         assert rates.matrix[0, 1] == 0.0
         # Flow into the zero-probability state is a plain finite rate.
         assert abs(rates.matrix[1, 0] - 0.3) < 1e-14
@@ -65,7 +65,7 @@ class TestBellRates:
         p[2] = [0.5, 0.0, 0.5]
         stack = CurrentMatrix(upper=full)
         rates = bell_rates(stack, p)
-        assert len(rates) == 6 and rates[2].has_poles
+        assert len(rates) == 6 and rates[2].pole_mask.any()
         pdot = stack.full().sum(axis=-1)
         for k in range(6):
             node = bell_rates(stack[k], p[k])
@@ -149,38 +149,6 @@ class TestGeneralRates:
             general_rates(cm, np.array([0.5, 0.5]), offset)
 
 
-class TestJumpDecomposition:
-    def test_two_state_forced(self):
-        full = np.array([[0.0, -1.0], [1.0, 0.0]])
-        rates = general_rates(current_from_full(full), np.array([0.5, 0.5]),
-                              free_choice=2.0)
-        dec = jump_decomposition(rates)
-        assert np.allclose(dec.jump_matrix[1, 0], 1.0)
-        assert np.allclose(dec.jump_matrix[0, 1], 1.0)
-
-    def test_zero_exit_rate_column_undefined(self):
-        cm = current_from_full(np.zeros((2, 2)))
-        rates = bell_rates(cm, np.array([0.4, 0.6]))
-        dec = jump_decomposition(rates)
-        assert not dec.defined.any()
-        assert np.isnan(dec.jump_matrix).all()
-        assert np.all(dec.exit_rates == 0)
-
-    def test_columns_sum_to_one(self, rng):
-        full = np.triu(rng.normal(size=(5, 5)) + 1.0, 1)
-        p = rng.dirichlet(np.ones(5)) + 0.01
-        rates = bell_rates(CurrentMatrix(upper=full), p / p.sum())
-        dec = jump_decomposition(rates)
-        sums = dec.jump_matrix[:, dec.defined].sum(axis=0)
-        assert np.abs(sums - 1.0).max() <= 1e-12
-
-    def test_pole_rejected(self):
-        full = np.array([[0.0, 0.3], [-0.3, 0.0]])
-        rates = bell_rates(current_from_full(full), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError, match="pole"):
-            jump_decomposition(rates)
-
-
 class TestMasterResidual:
     def test_bell_from_balanced_current(self, rng):
         full = np.triu(rng.normal(size=(4, 4)), 1)
@@ -222,7 +190,7 @@ class TestMasterResidual:
         ])
         p = np.array([0.6, 0.4, 0.0])
         rates = bell_rates(current_from_full(full), p)
-        assert rates.has_poles and rates.pole_mask[1, 2]
+        assert rates.pole_mask[1, 2]
         rows = pole_free_rows(rates)
         assert rows.tolist() == [True, False, False]
         pdot = current_from_full(full).full().sum(axis=1)
@@ -235,27 +203,40 @@ class TestMasterResidual:
                 master_residual(rates, p, pdot, rows=bad)
 
 
+def zero_rates(n, d):
+    return RateMatrix(np.zeros((n, d, d)), np.zeros((n, d, d), dtype=bool))
+
+
 class TestClassifySingularities:
     def test_bounded_probabilities_empty(self):
         grid = np.linspace(0, 1, 100)
         p = np.column_stack([np.full(100, 0.4), np.full(100, 0.6)])
-        assert not classify_singularities(p, grid)
+        assert not classify_singularities(p, grid, zero_rates(100, 2))
 
     def test_crossing_family_isolated_zeros(self):
         theta = 1.0
         grid = np.arange(0.0, 2.0 + 1e-9, 1e-3)
         p = np.column_stack([np.cos(theta * grid) ** 2, np.sin(theta * grid) ** 2])
-        events = classify_singularities(p, grid)
+        events = classify_singularities(p, grid, zero_rates(len(grid), 2))
         mine = [e for e in events if e.state == 0]
         assert len(mine) == 1
         assert mine[0].kind == "isolated-zero"
         assert abs(mine[0].time - np.pi / 2) <= 2e-3
+        # Zero rates have no exit rate to blow up.
+        assert mine[0].divergent is False
 
     def test_interval_zero(self):
         grid = np.linspace(0, 1, 200)
         p = np.column_stack([np.ones(200), np.zeros(200)])
-        events = classify_singularities(p, grid)
+        events = classify_singularities(p, grid, zero_rates(200, 2))
         assert [e for e in events if e.state == 1][0].kind == "interval-zero"
+
+    def test_rates_must_match_trajectory(self):
+        grid = np.linspace(0, 1, 50)
+        p = np.column_stack([np.ones(50), np.zeros(50)])
+        for rates in (zero_rates(49, 2), zero_rates(50, 3)):
+            with pytest.raises(ValueError, match="do not match"):
+                classify_singularities(p, grid, rates)
 
     def test_divergent_exit_flagged(self):
         theta = 1.0
@@ -283,6 +264,15 @@ class TestRateTrajectory:
         rt = self.make()
         # rate = 2 t between nodes
         assert abs(rt.matrix_batch([0.55], columns=[0])[0, 1] - 1.1) < 1e-12
+
+    def test_grid_must_increase(self):
+        # A repeated last node made matrix_batch divide 0 by 0 there.
+        rt = self.make()
+        for node in (1.0, 1.5, np.nan):          # repeated, decreasing, NaN
+            grid = rt.grid.copy()
+            grid[9] = node
+            with pytest.raises(ValueError, match="strictly increasing"):
+                RateTrajectory(grid, RateMatrix(rt.matrices, rt.pole_mask))
 
     def test_pole_free_windows(self):
         rt = self.make()

@@ -271,6 +271,45 @@ class TestDraw:
             assert dest[k] == expect, k
 
 
+def frequency_band(p, n, z=6.0):
+    """The Bernstein-widened CLT band of ``bench/checks.py``: an n-sample
+    frequency leaves it around p with probability at most 2 exp(-z^2/2)."""
+    p = np.asarray(p, dtype=float)
+    return (z * z / 3.0 + np.sqrt(z ** 4 / 9.0 + 4.0 * n * z * z * p * (1.0 - p))) / (2.0 * n)
+
+
+class TestJumpLaw:
+    """The sampler's jump law against the embedded jump chain of its rates:
+    a state with exit rate q = -T_ii jumps by t with probability
+    1 - exp(-q t), to j with probability T_ji / q."""
+
+    @staticmethod
+    def process(p0):
+        grid = np.linspace(0.0, 1.0, 101)
+        m = np.zeros((101, 4, 4))
+        m[:, 1:, 0] = (0.5, 1.5, 3.0)
+        m[:, 0, 0] = -5.0
+        rates = RateTrajectory(grid, RateMatrix(m, np.zeros(m.shape, dtype=bool)))
+        return JumpProcess(rates, p0, [(k,) for k in range(4)], np.zeros(m.shape),
+                           master_seed=0)
+
+    def test_jump_share_and_destinations(self):
+        n = 20_000
+        paths = self.process(np.eye(4)[0]).ensemble(n)
+        jumped = paths.jump_counts > 0
+        share = jumped.mean()
+        expect = 1.0 - np.exp(-5.0)
+        assert abs(share - expect) <= frequency_band(expect, n)
+        first = paths.dest[paths.offsets[:-1][jumped]]
+        law = np.array([0.1, 0.3, 0.6])
+        freq = np.bincount(first, minlength=4)[1:] / jumped.sum()
+        assert np.all(np.abs(freq - law) <= frequency_band(law, jumped.sum()))
+
+    def test_absorbing_state_never_jumps(self):
+        paths = self.process(np.eye(4)[1]).ensemble(2000)
+        assert np.all(paths.initial == 1) and len(paths.times) == 0
+
+
 class TestEnsembleMarginals:
     def test_single_path_before_first_jump(self):
         paths = ensemble_of([(0,), (1,)], ((1,), ((0.6, (0,)),)))
