@@ -10,6 +10,7 @@ summing currents.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -48,54 +49,96 @@ class JointFamily:
     pdot: np.ndarray                 # (n, D) finite differences
 
 
+# Bytes of one complex (..., D, dim) stack over a node block of the per-node
+# stages: small enough that a block's temporaries stay in cache.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _blockwise(stage, n: int, dim: int):
+    """``stage(nodes)`` over consecutive node slices covering ``0 .. n``.
+
+    A complex ``(D, dim)`` stack (D = dim) over one slice takes at most
+    ``_BLOCK_BYTES``; a slice holds at least one node.  ``stage`` returns a
+    tuple of arrays with the slice's nodes on axis 0; they are written into
+    outputs allocated once for the whole grid, or returned as they are when
+    one slice covers the grid.
+    """
+    step = max(1, _BLOCK_BYTES // (dim * dim * np.dtype(complex).itemsize))
+    if step >= n:
+        return stage(slice(0, n))
+    out = None
+    for lo in range(0, n, step):
+        nodes = slice(lo, min(lo + step, n))
+        parts = stage(nodes)
+        if out is None:
+            out = tuple(np.empty((n,) + p.shape[1:], dtype=p.dtype) for p in parts)
+        for whole, part in zip(out, parts):
+            whole[nodes] = part
+    return out
+
+
 def compute_joint_family(scenario: Scenario) -> JointFamily:
     """The tracked joint family of a validated scenario (``run`` validates)."""
     space = scenario.space
     grid = scenario.grid()
     psi = evolve_on_grid(scenario.initial_state, scenario.hamiltonian, grid)
+    n, dim = psi.shape
 
-    # Every (n, D, dim) or (n, dim, dim) temporary below is dropped at its
-    # last use, so that at most four such stacks are alive at once.
-    pure = psi[:, :, None] * psi[:, None, :].conj()             # (n, dim, dim)
-    reduced = [partial_trace(pure, space, k) for k in range(space.n_factors)]
-    del pure
+    # The per-node stages run over node blocks (see _blockwise), so no
+    # (n, dim, dim) temporary exists: only the returned directions and
+    # rotation are whole-grid stacks.  Tracking is sequential over the grid.
+    def reduce(nodes):
+        pure = psi[nodes, :, None] * psi[nodes, None, :].conj()
+        return tuple(partial_trace(pure, space, k) for k in range(space.n_factors))
+
+    reduced = _blockwise(reduce, n, dim)
     trajectories = [track(rho, grid) for rho in reduced]
+    del reduced
 
-    states = space.joint_indices()
     # Joint vectors: kron of the per-factor tracked directions, per node.
-    joint = trajectories[0].vectors                             # (n, d0, dim0)
-    for traj in trajectories[1:]:
-        joint = np.einsum("nax,nby->nabxy", joint, traj.vectors)
-        n, a, b, x, y = joint.shape
-        joint = joint.reshape(n, a * b, x * y)
+    def kron(nodes):
+        joint = trajectories[0].vectors[nodes]                  # (m, d0, dim0)
+        for traj in trajectories[1:]:
+            joint = np.einsum("nax,nby->nabxy", joint, traj.vectors[nodes])
+            m, a, b, x, y = joint.shape
+            joint = joint.reshape(m, a * b, x * y)
+        return (joint,)
+
+    (joint,) = _blockwise(kron, n, dim)
 
     # Pdot_a psi_k = sum_j w_kj (P_a(i_kj) - P_a(k)) psi_k: the stencil of
     # derivative_family applied to the projectors, without forming them.
+    # Neighbours are read from the finished ``joint``, so block edges need
+    # no special case.
     idx, w = _stencil(grid)
-    bra = joint.conj()
-    amps = np.einsum("ndx,nx->nd", bra, psi)
-    near_amps = [np.einsum("ndx,nx->nd", bra[idx[:, j]], psi) for j in range(2)]
-    del bra
-    # The same products and sums as einsum over the slots; einsum's sum
-    # starts from +0.0, so "+= 0.0" turns exact -0.0 zeros into +0.0 as well.
-    rotation = joint[idx[:, 0]]
-    rotation *= near_amps[0][..., None]
-    rotation *= w[:, 0, None, None]
-    rotation += 0.0
-    term = joint[idx[:, 1]]
-    term *= near_amps[1][..., None]
-    term *= w[:, 1, None, None]
-    rotation += term
-    np.multiply(joint, amps[..., None], out=term)
-    term *= w.sum(axis=1)[:, None, None]
-    rotation -= term
-    del term
 
+    def rotate(nodes):
+        here, near = joint[nodes], idx[nodes]
+        amps = np.einsum("ndx,nx->nd", here.conj(), psi[nodes])
+        near_amps = [np.einsum("ndx,nx->nd", joint[near[:, j]].conj(), psi[nodes])
+                     for j in range(2)]
+        wb = w[nodes]
+        # The same products and sums as einsum over the slots; einsum's sum
+        # starts from +0.0, so "+= 0.0" turns exact -0.0 zeros into +0.0 as well.
+        rotation = joint[near[:, 0]]
+        rotation *= near_amps[0][..., None]
+        rotation *= wb[:, 0, None, None]
+        rotation += 0.0
+        term = joint[near[:, 1]]
+        term *= near_amps[1][..., None]
+        term *= wb[:, 1, None, None]
+        rotation += term
+        np.multiply(here, amps[..., None], out=term)
+        term *= wb.sum(axis=1)[:, None, None]
+        rotation -= term
+        return amps, rotation
+
+    amps, rotation = _blockwise(rotate, n, dim)
     probabilities = np.clip(np.abs(amps) ** 2, 0.0, 1.0)
     pdot = derivative_family(probabilities, grid)
     return JointFamily(
         scenario=scenario, grid=grid, psi=psi,
-        factor_trajectories=tuple(trajectories), states=tuple(states),
+        factor_trajectories=tuple(trajectories), states=tuple(space.joint_indices()),
         vectors=joint, rotation=rotation,
         probabilities=probabilities, pdot=pdot,
     )
@@ -103,21 +146,29 @@ def compute_joint_family(scenario: Scenario) -> JointFamily:
 
 def compute_currents(family: JointFamily, kind: str | None = None,
                      extra_term: str | None = None) -> CurrentMatrix:
-    """The currents at every grid node, one stacked record."""
+    """The currents at every grid node, one stacked record, built over node
+    blocks (see ``_blockwise``)."""
     kind = kind or family.scenario.current
     extra_term = extra_term or family.scenario.extra_term
     h = np.asarray(family.scenario.hamiltonian, dtype=complex)
+    psi, vectors, rotation = family.psi, family.vectors, family.rotation
     if kind == "minimal_flow":
         # Finite differences of clipped probabilities can carry ~1e-13 imbalance.
-        pdot = family.pdot
-        return minimal_flow_current(pdot - pdot.mean(axis=1, keepdims=True))
-    if kind == "static_schrodinger":
-        return static_schrodinger_current(family.psi, h, family.vectors)
-    if kind == "generalized_schrodinger":
-        return generalized_schrodinger_current(family.psi, h, family.vectors,
-                                               family.rotation,
-                                               extra_term=extra_term)
-    raise ValueError(f"unknown current kind {kind!r}")
+        pdot = family.pdot - family.pdot.mean(axis=1, keepdims=True)
+
+        def current(nodes):
+            return minimal_flow_current(pdot[nodes])
+    elif kind == "static_schrodinger":
+        def current(nodes):
+            return static_schrodinger_current(psi[nodes], h, vectors[nodes])
+    elif kind == "generalized_schrodinger":
+        def current(nodes):
+            return generalized_schrodinger_current(psi[nodes], h, vectors[nodes],
+                                                   rotation[nodes], extra_term=extra_term)
+    else:
+        raise ValueError(f"unknown current kind {kind!r}")
+    (upper,) = _blockwise(lambda nodes: (current(nodes).upper,), *psi.shape)
+    return CurrentMatrix(upper=upper)
 
 
 def pdot_target(family: JointFamily, kind: str) -> np.ndarray:
@@ -139,12 +190,24 @@ def pdot_target(family: JointFamily, kind: str) -> np.ndarray:
 
 def compute_rates(currents: CurrentMatrix, probabilities, choice: str,
                   general_offset: float = 0.0) -> RateMatrix:
-    """The rates at every grid node, one stacked record."""
+    """The rates at every grid node, one stacked record, built over node
+    blocks (see ``_blockwise``) for ``(n, D, D)`` currents."""
     if choice == "bell":
-        return bell_rates(currents, probabilities)
-    if choice == "general":
-        return general_rates(currents, probabilities, free_choice=general_offset)
-    raise ValueError(f"unknown rate choice {choice!r}")
+        rates = bell_rates
+    elif choice == "general":
+        rates = partial(general_rates, free_choice=general_offset)
+    else:
+        raise ValueError(f"unknown rate choice {choice!r}")
+    p = np.asarray(probabilities, dtype=float)
+    if currents.upper.ndim != 3 or p.shape != currents.upper.shape[:-1]:
+        return rates(currents, p)          # the constructor rejects what does not fit
+
+    def block(nodes):
+        r = rates(currents[nodes], p[nodes])
+        return r.matrix, r.pole_mask
+
+    matrix, pole_mask = _blockwise(block, *p.shape)
+    return RateMatrix(matrix=matrix, pole_mask=pole_mask)
 
 
 @dataclass

@@ -24,6 +24,7 @@ documented conventions selected by ``pole_policy``:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,7 @@ class PathEnsemble:
         return SamplePath(seed=k, initial=self.states[self.initial[k]],
                           events=tuple(events))
 
+    @cached_property
     def _visits(self) -> np.ndarray:
         """States each path occupies in turn; path k's start at ``offsets[k] + k``."""
         return np.insert(self.dest, self.offsets[:-1], self.initial)
@@ -100,7 +102,7 @@ class PathEnsemble:
         """State of every path at time ``t``, after its events at or before t."""
         passed = np.concatenate(([0], np.cumsum(self.times <= t)))
         done = passed[self.offsets[1:]] - passed[self.offsets[:-1]]
-        return self._visits()[self.offsets[:-1] + np.arange(len(self)) + done]
+        return self._visits[self.offsets[:-1] + np.arange(len(self)) + done]
 
 
 @dataclass(frozen=True)
@@ -223,6 +225,11 @@ class _Streams:
         return (self.block[rows, lane] >> 11) * 2.0 ** -53
 
 
+# Rows per pass of a round's hazard inversion and destination draws: bounds
+# their temporaries, each about one state's share of a 20000-path round.
+_ROWS = 4096
+
+
 def _draw(columns: np.ndarray, states: np.ndarray, rows: np.ndarray,
           rng: _Streams) -> np.ndarray:
     """Inverse-CDF draw per row out of ``states[i]``, weighted by the other
@@ -322,38 +329,65 @@ class JumpProcess:
         self._p0_cum = np.cumsum(np.clip(self.p0, 0.0, None))
         self._p0_cum /= self._p0_cum[-1]
         mats = rate_trajectory.matrices
-        self._exit = np.clip(-np.einsum("nii->ni", mats), 0.0, None)   # (n, D)
-        self._cumhaz = _cumulative_trapezoid(self._exit, self.grid)
+        exit_rate = np.clip(-np.einsum("nii->ni", mats), 0.0, None)    # (n, D)
+        # Column i's cumulative hazard as the keys i + 1j*cumhaz, in one flat
+        # array: complex numbers sort by real part first and cumhaz does not
+        # decrease, so the keys are sorted and a search for i + 1j*goal stays
+        # in column i.  _cumhaz[i] is column i, a view of the keys.
+        n = len(self.grid)
+        cumhaz = _cumulative_trapezoid(exit_rate, self.grid)             # (n, D)
+        self._keys = (np.arange(d) + 1j * cumhaz).T.ravel()
+        self._cumhaz = self._keys.imag.reshape(d, n)
         self._pole_col = rate_trajectory.pole_mask.any(axis=1)          # (n, D)
         # _pole_after[j, i]: first node >= j flagged in column i, n if none.
-        n = len(self.grid)
         flagged = np.where(self._pole_col, np.arange(n)[:, None], n)
         self._pole_after = np.vstack([np.minimum.accumulate(flagged[::-1])[::-1],
                                       np.full((1, d), n)])
-        self._max_events = 64 * d * max(8, int(self._exit.max()
+        self._max_events = 64 * d * max(8, int(exit_rate.max()
                                                * (self.grid[-1] - self.grid[0]) + 1))
 
     # -- lockstep steps ----------------------------------------------------
 
     def _invert_hazard(self, states, t_from, t_to, target) -> np.ndarray:
         """Jump times in (t_from, t_to] at the given extra hazards; NaN where
-        the hazard left in the interval falls short."""
-        grid = self.grid
-        tau = np.full(len(states), np.nan)
-        for state in np.unique(states):
-            on = states == state
-            h = self._cumhaz[:, state]
-            base = np.interp(t_from[on], grid, h)
-            end = np.interp(t_to[on], grid, h)
-            goal = base + target[on]
-            idx = np.clip(np.searchsorted(h, goal, side="left"), 1, len(h) - 1)
-            h0, h1 = h[idx - 1], h[idx]
+        the hazard left in the interval falls short.
+
+        All rows in one pass, ``_ROWS`` at a time: the cumulative hazard of
+        each row's state is interpolated in ``np.interp``'s arithmetic, and
+        one search over ``_keys`` finds each goal as its column's
+        ``searchsorted(side="left")`` would.
+        """
+        grid, h, n = self.grid, self._cumhaz, len(self.grid)
+        tau = np.empty(len(states))
+        for lo in range(0, len(states), _ROWS):
+            part = slice(lo, lo + _ROWS)
+            state, t0, t1 = states[part], t_from[part], t_to[part]
+            base = self._cumhaz_at(state, t0)
+            goal = base + target[part]
+            idx = np.searchsorted(self._keys, state + 1j * goal, side="left") - state * n
+            np.clip(idx, 1, n - 1, out=idx)
+            h0, h1 = h[state, idx - 1], h[state, idx]
             flat = h1 <= h0
             frac = (goal - h0) / np.where(flat, 1.0, h1 - h0)
             t = np.where(flat, grid[idx], grid[idx - 1] + frac * (grid[idx] - grid[idx - 1]))
-            t = np.minimum(np.maximum(t, np.nextafter(t_from[on], np.inf)), t_to[on])
-            tau[on] = np.where(end - base < target[on], np.nan, t)
+            t = np.minimum(np.maximum(t, np.nextafter(t0, np.inf)), t1)
+            short = self._cumhaz_at(state, t1) - base < target[part]
+            tau[part] = np.where(short, np.nan, t)
         return tau
+
+    def _cumhaz_at(self, states, t) -> np.ndarray:
+        """``np.interp(t, grid, cumhaz of state)`` per row for t >= grid[0], in
+        the same arithmetic: the value at and past the last node is returned
+        as it is, and inside interval j it is ``slope_j * (t - grid[j]) + h[j]``."""
+        grid, h = self.grid, self._cumhaz
+        last = len(grid) - 1
+        j = np.searchsorted(grid, t, side="right") - 1
+        past = j >= last
+        j[past] = last - 1
+        h0, h1 = h[states, j], h[states, j + 1]
+        value = (h1 - h0) / (grid[j + 1] - grid[j]) * (t - grid[j]) + h0
+        value[past] = h1[past]
+        return value
 
     def _maybe_relay(self, batch: _Batch, rows: np.ndarray, arrival: bool):
         """Relay paths that sit in a flagged column straight out of it.
@@ -414,8 +448,11 @@ class JumpProcess:
         tau[stuck] = np.maximum(horizon[stuck], np.nextafter(t[stuck], np.inf))
         moving = jumps | stuck
         dest = np.full(len(rows), -1)
-        dest[moving] = _draw(self.rates.matrix_batch(tau[moving], columns=state[moving]),
-                             state[moving], rows[moving], batch.rng)
+        at = np.flatnonzero(moving)
+        for lo in range(0, len(at), _ROWS):
+            part = at[lo:lo + _ROWS]
+            dest[part] = _draw(self.rates.matrix_batch(tau[part], columns=state[part]),
+                               state[part], rows[part], batch.rng)
         # No outgoing rate at the pre-pole node: cross the pole.
         cross = stuck & (dest < 0)
         batch.t[rows[cross]] = np.nextafter(pole_t[cross], np.inf)
@@ -502,7 +539,7 @@ def low_probability_occupancy(paths: PathEnsemble, grid, p_trajectory) -> float:
     # Segment j of the visits runs from start[j] to stop[j].
     start = np.insert(paths.times, paths.offsets[:-1], t0)
     stop = np.insert(paths.times, paths.offsets[1:], t_end)
-    occupant = paths._visits()
+    occupant = paths._visits
     keep = stop > start
     start, stop, occupant = start[keep], stop[keep], occupant[keep]
     share = np.empty(len(start))

@@ -1,14 +1,16 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from modaldyn import pipeline
 from modaldyn.currents import (CurrentMatrix, continuity_residual,
                                generalized_schrodinger_current,
                                minimal_flow_current, static_schrodinger_current)
 from modaldyn.hilbert import projector_from_vector
-from modaldyn.pipeline import compute_currents, compute_joint_family, run
-from modaldyn.scenario import EnsembleSpec, Scenario, TimeSpec
+from modaldyn.pipeline import compute_currents, compute_joint_family, compute_rates, run
+from modaldyn.scenario import BUILTINS, EnsembleSpec, Scenario, TimeSpec
 from modaldyn.spectral import derivative_family
 from scipy.integrate import trapezoid
 
@@ -311,12 +313,16 @@ def traced_peak(fn, *args):
 
 
 class TestMemory:
-    """Peak allocations of the joint family and the paired current on a
-    (2, 2, 2, 2) system over 1001 nodes, in units of one (n, D, dim)
-    complex stack.  The joint family returns two such stacks (directions and
-    rotation) and holds at most two more while it builds them; the paired
-    current holds the projected rows, one conjugate and a few (n, D, D) float
-    tables.  The bounds follow from that design, not from a measurement."""
+    """Peak allocations of the per-node stages on a (2, 2, 2, 2) system over
+    1001 nodes, in units of one (n, D, dim) complex stack.  Each stage runs
+    over node blocks of at most 256 KiB (a sixteenth of a stack here) and
+    fills outputs allocated once for the grid.  The joint family returns two
+    stacks (directions and rotation) and holds little else: the tracked
+    per-factor trajectories and a few blocks.  The currents and the rates
+    return (n, D, D) float tables, half a stack each (the rates add a
+    boolean pole mask), and check them once more as a whole, which takes
+    one more such table.  The bounds follow from that design, not from a
+    measurement."""
 
     @staticmethod
     def scenario(rng):
@@ -327,14 +333,86 @@ class TestMemory:
         assert len(sc.grid()) == 1001
         return sc, 1001 * 16 * 16 * np.dtype(complex).itemsize
 
-    def test_joint_family_holds_at_most_four_stacks(self, rng):
+    def test_joint_family_holds_at_most_two_and_three_quarter_stacks(self, rng):
         sc, stack = self.scenario(rng)
         _family, peak = traced_peak(compute_joint_family, sc)
-        assert peak <= 4.0 * stack, peak / stack
+        assert peak <= 2.75 * stack, peak / stack
 
-    def test_paired_current_holds_at_most_three_and_three_quarter_stacks(self, rng):
+    def test_paired_current_holds_at_most_one_and_a_quarter_stacks(self, rng):
         sc, stack = self.scenario(rng)
         family = compute_joint_family(sc)
         _current, peak = traced_peak(compute_currents, family,
                                      "generalized_schrodinger", "paired")
-        assert peak <= 3.75 * stack, peak / stack
+        assert peak <= 1.25 * stack, peak / stack
+
+    def test_bell_rates_hold_at_most_one_and_a_quarter_stacks(self, rng):
+        sc, stack = self.scenario(rng)
+        family = compute_joint_family(sc)
+        current = compute_currents(family, "generalized_schrodinger", "paired")
+        _rates, peak = traced_peak(compute_rates, current, family.probabilities, "bell")
+        assert peak <= 1.25 * stack, peak / stack
+
+
+class TestNodeBlocks:
+    """The per-node stages give the same bytes whatever the node blocks: one
+    node per block puts a block edge between every two nodes and at both
+    ends of the stencil, seven nodes per block leaves a short last block."""
+
+    @staticmethod
+    def outputs(sc):
+        family = compute_joint_family(sc)
+        out = [family.vectors, family.rotation, family.probabilities, family.pdot]
+        for kind, extra_term in (("minimal_flow", None), ("static_schrodinger", None),
+                                 ("generalized_schrodinger", "paired"),
+                                 ("generalized_schrodinger", "minimal_flow_like")):
+            current = compute_currents(family, kind, extra_term)
+            out.append(current.upper)
+            for choice in ("bell", "general"):
+                try:
+                    rates = compute_rates(current, family.probabilities, choice, 0.5)
+                    out += [rates.matrix, rates.pole_mask]
+                except ValueError as exc:             # general rates at p = 0
+                    out.append(str(exc))
+        return out
+
+    @pytest.mark.parametrize("nodes_per_block", [1, 7])
+    @pytest.mark.parametrize("name", ["generic-2x2x2x2", "measured-possessed-property"])
+    def test_block_edges_change_no_bit(self, monkeypatch, nodes_per_block, name):
+        if name in BUILTINS:
+            sc = BUILTINS[name]().validate()
+        else:
+            rng = np.random.default_rng(2222)
+            sc = Scenario(name=name, factor_dims=(2, 2, 2, 2),
+                          hamiltonian=random_hermitian(rng, 16),
+                          initial_state=random_ket(rng, 16),
+                          time=TimeSpec(0.0, 0.2, 1e-3),
+                          ensemble=EnsembleSpec(10, 1, ())).validate()
+        dim = sc.space.dim
+        default = self.outputs(sc)
+        assert len(default[0]) > 7 and pipeline._BLOCK_BYTES < len(default[0]) * dim * dim * 16
+        monkeypatch.setattr(pipeline, "_BLOCK_BYTES", nodes_per_block * dim * dim * 16)
+        for got, want in zip(self.outputs(sc), default, strict=True):
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_non_orthogonal_direction_in_last_block_raises(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        sc = Scenario(name="generic-2x2x2x2", factor_dims=(2, 2, 2, 2),
+                      hamiltonian=random_hermitian(rng, 16), initial_state=random_ket(rng, 16),
+                      time=TimeSpec(0.0, 0.2, 1e-3),
+                      ensemble=EnsembleSpec(10, 1, ())).validate()
+        build = pipeline.compute_joint_family
+
+        def skewed(scenario):
+            family = build(scenario)
+            vectors = family.vectors.copy()
+            vectors[-1, 1] = vectors[-1, 0]           # last node, last block
+            return replace(family, vectors=vectors)
+
+        monkeypatch.setattr(pipeline, "compute_joint_family", skewed)
+        assert len(sc.grid()) * 16 * 16 * 16 > pipeline._BLOCK_BYTES   # several blocks
+        with pytest.raises(ValueError, match="projectors are not mutually orthogonal"):
+            run(sc, report_only=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from modaldyn import sampler
 from modaldyn.currents import CurrentMatrix
 from modaldyn.errors import ModalDynError, PoleEncountered
 from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates
@@ -121,6 +122,96 @@ class TestSampleWaitingTime:
         # A negative hazard cannot reach the sampler: rates are checked on entry.
         with pytest.raises(ValueError, match="nonnegative"):
             RateMatrix(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.zeros((2, 2), dtype=bool))
+
+
+def hazard_process(seed=3, n=60, d=5):
+    """A process on a jittered grid whose exit rates vanish on stretches:
+    column 0 from the start, column 1 up to the end, column 2 everywhere and
+    the others somewhere inside, so cumhaz has repeated values."""
+    rng = np.random.default_rng(seed)
+    grid = np.cumsum(rng.uniform(0.5, 1.5, n)) / n
+    off = rng.exponential(size=(n, d, d))
+    off[:8, :, 0] = 0.0
+    off[-9:, :, 1] = 0.0
+    off[:, :, 2] = 0.0
+    for col in range(3, d):
+        lo = rng.integers(1, n - 12)
+        off[lo:lo + rng.integers(3, 10), :, col] = 0.0
+    i = np.arange(d)
+    off[:, i, i] = 0.0
+    mats = off.copy()
+    mats[:, i, i] = -off.sum(axis=1)
+    rates = RateTrajectory(grid, RateMatrix(mats, np.zeros(mats.shape, dtype=bool)))
+    process = JumpProcess(rates, np.full(d, 1.0 / d), [(k,) for k in range(d)],
+                          currents=np.zeros((n, d, d)))
+    return process, _cumulative_trapezoid(off.sum(axis=1), grid)
+
+
+def invert_hazard_per_state(grid, cumhaz, states, t_from, t_to, target):
+    """The sampler's earlier hazard inversion: one pass per occupied state."""
+    tau = np.full(len(states), np.nan)
+    for state in np.unique(states):
+        on = states == state
+        h = cumhaz[:, state]
+        base = np.interp(t_from[on], grid, h)
+        end = np.interp(t_to[on], grid, h)
+        goal = base + target[on]
+        idx = np.clip(np.searchsorted(h, goal, side="left"), 1, len(h) - 1)
+        h0, h1 = h[idx - 1], h[idx]
+        flat = h1 <= h0
+        frac = (goal - h0) / np.where(flat, 1.0, h1 - h0)
+        t = np.where(flat, grid[idx], grid[idx - 1] + frac * (grid[idx] - grid[idx - 1]))
+        t = np.minimum(np.maximum(t, np.nextafter(t_from[on], np.inf)), t_to[on])
+        tau[on] = np.where(end - base < target[on], np.nan, t)
+    return tau
+
+
+class TestHazardInversion:
+    """The one-pass hazard inversion equals np.interp and each column's
+    searchsorted bit for bit, ties in flat stretches included."""
+
+    def test_interpolation_is_np_interp(self):
+        process, cumhaz = hazard_process()
+        grid = process.grid
+        rng = np.random.default_rng(8)
+        t = np.concatenate([grid, grid[-1:], grid[-1] + np.array([1e-9, 0.5, 3.0]),
+                            (grid[1:] + grid[:-1]) / 2, rng.uniform(grid[0], grid[-1], 500)])
+        for state in range(cumhaz.shape[1]):
+            got = process._cumhaz_at(np.full(len(t), state), t)
+            want = np.interp(t, grid, cumhaz[:, state])
+            assert got.tobytes() == want.tobytes(), state
+
+    def test_key_search_is_searchsorted_per_column(self):
+        process, cumhaz = hazard_process()
+        n, d = cumhaz.shape
+        rng = np.random.default_rng(9)
+        for state in range(d):
+            h = cumhaz[:, state]
+            goal = np.concatenate([h, np.unique(h)[1:] - 1e-9, [0.0, h[-1] + 1.0, 1e300],
+                                   rng.uniform(0.0, h[-1] + 0.1, 200)])
+            got = np.searchsorted(process._keys, state + 1j * goal, side="left") - state * n
+            assert np.array_equal(got, np.searchsorted(h, goal, side="left")), state
+
+    def test_matches_per_state_loop(self, monkeypatch):
+        process, cumhaz = hazard_process()
+        grid, d = process.grid, cumhaz.shape[1]
+        rng = np.random.default_rng(10)
+        m = 3000
+        states = rng.integers(0, d, m)
+        t_from = np.where(rng.random(m) < 0.3, grid[rng.integers(0, len(grid) - 1, m)],
+                          rng.uniform(grid[0], grid[-2], m))
+        t_to = np.where(rng.random(m) < 0.3, grid[-1], rng.uniform(t_from, grid[-1]))
+        t_to = np.maximum(t_to, np.nextafter(t_from, np.inf))
+        # Some targets land on table values: exact ties with the search.
+        base = np.array([np.interp(t, grid, cumhaz[:, s]) for s, t in zip(states, t_from)])
+        on_node = cumhaz[rng.integers(0, len(grid), m), states] - base
+        target = np.where((rng.random(m) < 0.3) & (on_node > 0), on_node, rng.exponential(size=m))
+        want = invert_hazard_per_state(grid, cumhaz, states, t_from, t_to, target)
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        for rows in (7, 4096):              # a short last pass, and a single one
+            monkeypatch.setattr(sampler, "_ROWS", rows)
+            got = process._invert_hazard(states, t_from, t_to, target)
+            assert got.tobytes() == want.tobytes(), rows
 
 
 class TestSamplePathStructure:
