@@ -87,11 +87,7 @@ def _projected(psi, hamiltonian, vectors):
         raise ValueError(f"vector stack has shape {v.shape}, "
                          f"expected (..., D, {psi.shape[-1]})")
     # |<v_a|v_b>|^2 equals tr(P_a P_b) for the rank-1 projectors.
-    overlap = np.abs(v.conj() @ np.swapaxes(v, -1, -2))
-    np.square(overlap, out=overlap)
-    overlap *= ~np.eye(v.shape[-2], dtype=bool)
-    worst = overlap.max()
-    del overlap
+    worst = (np.abs(v.conj() @ v.swapaxes(-1, -2)) ** 2 * ~np.eye(v.shape[-2], dtype=bool)).max()
     if worst > DEFAULT.projector_orthogonality:
         raise ValueError(
             f"projectors are not mutually orthogonal (max overlap {worst:.3e})"
@@ -147,16 +143,12 @@ def generalized_schrodinger_current(psi, hamiltonian, vectors, rotation,
         # pair keeps the zero-current-at-zero-probability property exact
         # instead of leaving finite-difference remainders of order h^2.
         zero = np.einsum("...ax,...ax->...a", a.conj(), a).real <= DEFAULT.zero_probability
-        extra = m - mt
-        extra *= 0.5
-        np.copyto(extra, m, where=zero[..., None, :])
-        np.copyto(extra, -mt, where=zero[..., :, None])
-        del m, mt
+        extra = np.where(zero[..., None, :], m, 0.5 * (m - mt))
+        extra = np.where(zero[..., :, None], -mt, extra)
     else:
         dexp = np.einsum("...x,...ax->...a", psi.conj(), b).real
         extra = (dexp[..., :, None] - dexp[..., None, :]) / b.shape[-2]
-    f += extra
-    return _upper(f)
+    return _upper(f + extra)
 
 
 def continuity_residual(current: CurrentMatrix, pdot) -> float:

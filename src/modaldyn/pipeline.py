@@ -60,12 +60,9 @@ def _blockwise(stage, n: int, dim: int):
     A complex ``(D, dim)`` stack (D = dim) over one slice takes at most
     ``_BLOCK_BYTES``; a slice holds at least one node.  ``stage`` returns a
     tuple of arrays with the slice's nodes on axis 0; they are written into
-    outputs allocated once for the whole grid, or returned as they are when
-    one slice covers the grid.
+    outputs allocated once for the whole grid.
     """
     step = max(1, _BLOCK_BYTES // (dim * dim * np.dtype(complex).itemsize))
-    if step >= n:
-        return stage(slice(0, n))
     out = None
     for lo in range(0, n, step):
         nodes = slice(lo, min(lo + step, n))
@@ -118,8 +115,9 @@ def compute_joint_family(scenario: Scenario) -> JointFamily:
         near_amps = [np.einsum("ndx,nx->nd", joint[near[:, j]].conj(), psi[nodes])
                      for j in range(2)]
         wb = w[nodes]
-        # The same products and sums as einsum over the slots; einsum's sum
-        # starts from +0.0, so "+= 0.0" turns exact -0.0 zeros into +0.0 as well.
+        # einsum over both slots' (m, 2, D, dim) products, done one slot at a
+        # time in one buffer: the stacked form raises peak resident memory.
+        # einsum's sum starts from +0.0, so "+= 0.0" turns -0.0 into +0.0.
         rotation = joint[near[:, 0]]
         rotation *= near_amps[0][..., None]
         rotation *= wb[:, 0, None, None]
@@ -190,8 +188,8 @@ def pdot_target(family: JointFamily, kind: str) -> np.ndarray:
 
 def compute_rates(currents: CurrentMatrix, probabilities, choice: str,
                   general_offset: float = 0.0) -> RateMatrix:
-    """The rates at every grid node, one stacked record, built over node
-    blocks (see ``_blockwise``) for ``(n, D, D)`` currents."""
+    """The rates at every grid node of an ``(n, D, D)`` current, one stacked
+    record, built over node blocks (see ``_blockwise``)."""
     if choice == "bell":
         rates = bell_rates
     elif choice == "general":
@@ -200,7 +198,8 @@ def compute_rates(currents: CurrentMatrix, probabilities, choice: str,
         raise ValueError(f"unknown rate choice {choice!r}")
     p = np.asarray(probabilities, dtype=float)
     if currents.upper.ndim != 3 or p.shape != currents.upper.shape[:-1]:
-        return rates(currents, p)          # the constructor rejects what does not fit
+        raise ValueError(f"expected an (n, D, D) current and (n, D) probabilities, "
+                         f"got {currents.upper.shape} and {p.shape}")
 
     def block(nodes):
         r = rates(currents[nodes], p[nodes])
@@ -247,7 +246,7 @@ class RunReport:
             ("total variation", self.max_total_variation, thresholds.total_variation),
         )
         return [f"{label} {value:.3e} > {bound}" for label, value, bound in checks
-                if value is not None and abs(value) > bound]
+                if value is not None and not abs(value) <= bound]
 
     def to_dict(self) -> dict:
         out = asdict(self)

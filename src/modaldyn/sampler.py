@@ -281,6 +281,20 @@ class _Batch:
         self.live[self.error[0]:] = False
 
 
+def _interp_rows(grid, table, rows, t) -> np.ndarray:
+    """``np.interp(t, grid, table[row])`` per row for t >= grid[0], in the same
+    arithmetic: the value at and past the last node is returned as it is, and
+    inside interval j it is ``slope_j * (t - grid[j]) + table[row, j]``."""
+    last = len(grid) - 1
+    j = np.searchsorted(grid, t, side="right") - 1
+    past = j >= last
+    j[past] = last - 1
+    h0, h1 = table[rows, j], table[rows, j + 1]
+    value = (h1 - h0) / (grid[j + 1] - grid[j]) * (t - grid[j]) + h0
+    value[past] = h1[past]
+    return value
+
+
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Trapezoid integrals of ``y`` along axis 0 from ``x[0]`` to each node.
 
@@ -353,8 +367,8 @@ class JumpProcess:
         the hazard left in the interval falls short.
 
         All rows in one pass, ``_ROWS`` at a time: the cumulative hazard of
-        each row's state is interpolated in ``np.interp``'s arithmetic, and
-        one search over ``_keys`` finds each goal as its column's
+        each row's state is interpolated by ``_interp_rows``, and one search
+        over ``_keys`` finds each goal as its column's
         ``searchsorted(side="left")`` would.
         """
         grid, h, n = self.grid, self._cumhaz, len(self.grid)
@@ -362,7 +376,7 @@ class JumpProcess:
         for lo in range(0, len(states), _ROWS):
             part = slice(lo, lo + _ROWS)
             state, t0, t1 = states[part], t_from[part], t_to[part]
-            base = self._cumhaz_at(state, t0)
+            base = _interp_rows(grid, h, state, t0)
             goal = base + target[part]
             idx = np.searchsorted(self._keys, state + 1j * goal, side="left") - state * n
             np.clip(idx, 1, n - 1, out=idx)
@@ -371,23 +385,9 @@ class JumpProcess:
             frac = (goal - h0) / np.where(flat, 1.0, h1 - h0)
             t = np.where(flat, grid[idx], grid[idx - 1] + frac * (grid[idx] - grid[idx - 1]))
             t = np.minimum(np.maximum(t, np.nextafter(t0, np.inf)), t1)
-            short = self._cumhaz_at(state, t1) - base < target[part]
+            short = _interp_rows(grid, h, state, t1) - base < target[part]
             tau[part] = np.where(short, np.nan, t)
         return tau
-
-    def _cumhaz_at(self, states, t) -> np.ndarray:
-        """``np.interp(t, grid, cumhaz of state)`` per row for t >= grid[0], in
-        the same arithmetic: the value at and past the last node is returned
-        as it is, and inside interval j it is ``slope_j * (t - grid[j]) + h[j]``."""
-        grid, h = self.grid, self._cumhaz
-        last = len(grid) - 1
-        j = np.searchsorted(grid, t, side="right") - 1
-        past = j >= last
-        j[past] = last - 1
-        h0, h1 = h[states, j], h[states, j + 1]
-        value = (h1 - h0) / (grid[j + 1] - grid[j]) * (t - grid[j]) + h0
-        value[past] = h1[past]
-        return value
 
     def _maybe_relay(self, batch: _Batch, rows: np.ndarray, arrival: bool):
         """Relay paths that sit in a flagged column straight out of it.
@@ -534,7 +534,7 @@ def low_probability_occupancy(paths: PathEnsemble, grid, p_trajectory) -> float:
     low = (np.asarray(p_trajectory, dtype=float) < 1e-6).astype(float)
     if low.shape != (len(grid), len(paths.states)):
         raise ValueError("p_trajectory needs one row per grid node and one column per state")
-    cum_low = _cumulative_trapezoid(low, grid)
+    cum_low = _cumulative_trapezoid(low, grid).T      # (D, n): row i is state i
     t0, t_end = float(grid[0]), float(grid[-1])
     # Segment j of the visits runs from start[j] to stop[j].
     start = np.insert(paths.times, paths.offsets[:-1], t0)
@@ -543,9 +543,9 @@ def low_probability_occupancy(paths: PathEnsemble, grid, p_trajectory) -> float:
     keep = stop > start
     start, stop, occupant = start[keep], stop[keep], occupant[keep]
     share = np.empty(len(start))
-    for c in np.unique(occupant):
-        on = occupant == c
-        share[on] = (np.interp(np.minimum(stop[on], t_end), grid, cum_low[:, c])
-                     - np.interp(np.maximum(start[on], t0), grid, cum_low[:, c]))
+    for lo in range(0, len(start), _ROWS):
+        part = slice(lo, lo + _ROWS)
+        c, a, b = occupant[part], np.maximum(start[part], t0), np.minimum(stop[part], t_end)
+        share[part] = _interp_rows(grid, cum_low, c, b) - _interp_rows(grid, cum_low, c, a)
     # Summed one segment at a time in path order, as a per-path loop adds them.
     return np.cumsum(share)[-1] / (len(paths) * (t_end - t0))

@@ -14,7 +14,9 @@ import modaldyn
 from modaldyn.currents import CurrentMatrix, minimal_flow_current
 from modaldyn.feller import TransitionKernel
 from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates, general_rates
+from modaldyn.pipeline import RunReport
 from modaldyn.sampler import JumpProcess
+from modaldyn.scenario import Thresholds
 
 REMOVED = {"tol", "overlap_threshold", "sample"}
 
@@ -73,6 +75,23 @@ def test_nan_rejected(entry):
     # Every bound is written so that a comparison with NaN fails it.
     with pytest.raises(ValueError):
         NAN_INPUTS[entry]()
+
+
+# Each diagnostic RunReport.failures checks: its label and its bound in Thresholds.
+CHECKED = {"continuity_residual": ("continuity residual", "continuity"),
+           "master_residual": ("master residual", "master"),
+           "chapman_residual": ("chapman residual", "chapman"),
+           "honesty_deficit_max": ("honesty deficit", "honesty"),
+           "max_total_variation": ("total variation", "total_variation")}
+
+
+@pytest.mark.parametrize("field", sorted(CHECKED))
+def test_nan_diagnostic_is_a_failure(field):
+    values = {"continuity_residual": 0.0, "master_residual": 0.0, field: NAN}
+    report = RunReport(scenario_name="s", current="generalized_schrodinger",
+                       rate_choice="bell", master_rows_masked=0, **values)
+    label, bound = CHECKED[field]
+    assert report.failures(Thresholds()) == [f"{label} nan > {getattr(Thresholds(), bound)}"]
 
 
 def test_tolerance_record_not_exported_from_root():

@@ -353,10 +353,27 @@ class TestMemory:
         assert peak <= 1.25 * stack, peak / stack
 
 
+class TestComputeRatesShapes:
+    """``compute_rates`` takes an (n, D, D) current and (n, D) probabilities."""
+
+    EXPECTED = r"\(n, D, D\) current and \(n, D\) probabilities"
+
+    def test_single_node_current_is_rejected(self):
+        current = CurrentMatrix(upper=np.triu(np.ones((3, 3)), 1))
+        with pytest.raises(ValueError, match=self.EXPECTED):
+            compute_rates(current, np.full(3, 1.0 / 3), "bell")
+
+    def test_mismatched_probabilities_are_rejected(self):
+        current = CurrentMatrix(upper=np.triu(np.ones((4, 3, 3)), 1))
+        with pytest.raises(ValueError, match=self.EXPECTED):
+            compute_rates(current, np.full((5, 3), 1.0 / 3), "bell")
+
+
 class TestNodeBlocks:
     """The per-node stages give the same bytes whatever the node blocks: one
     node per block puts a block edge between every two nodes and at both
-    ends of the stencil, seven nodes per block leaves a short last block."""
+    ends of the stencil, seven nodes per block leaves a short last block,
+    and one block holding the whole grid runs through the same loop."""
 
     @staticmethod
     def outputs(sc):
@@ -375,7 +392,7 @@ class TestNodeBlocks:
                     out.append(str(exc))
         return out
 
-    @pytest.mark.parametrize("nodes_per_block", [1, 7])
+    @pytest.mark.parametrize("nodes_per_block", [1, 7, "whole grid"])
     @pytest.mark.parametrize("name", ["generic-2x2x2x2", "measured-possessed-property"])
     def test_block_edges_change_no_bit(self, monkeypatch, nodes_per_block, name):
         if name in BUILTINS:
@@ -390,6 +407,8 @@ class TestNodeBlocks:
         dim = sc.space.dim
         default = self.outputs(sc)
         assert len(default[0]) > 7 and pipeline._BLOCK_BYTES < len(default[0]) * dim * dim * 16
+        if nodes_per_block == "whole grid":
+            nodes_per_block = len(default[0])
         monkeypatch.setattr(pipeline, "_BLOCK_BYTES", nodes_per_block * dim * dim * 16)
         for got, want in zip(self.outputs(sc), default, strict=True):
             if isinstance(want, str):

@@ -13,8 +13,9 @@ from modaldyn.errors import ModalDynError, PoleEncountered
 from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates
 from modaldyn.pipeline import run
 from modaldyn.sampler import (JumpProcess, PathEnsemble, _Batch, _cumulative_trapezoid,
-                              _draw, _seed_keys, _Streams, _words, ensemble_marginals,
-                              low_probability_occupancy, total_variation)
+                              _draw, _interp_rows, _seed_keys, _Streams, _words,
+                              ensemble_marginals, low_probability_occupancy,
+                              total_variation)
 from modaldyn.scenario import BUILTINS, EnsembleSpec, Scenario, TimeSpec
 
 from conftest import random_hermitian, random_ket
@@ -177,7 +178,7 @@ class TestHazardInversion:
         t = np.concatenate([grid, grid[-1:], grid[-1] + np.array([1e-9, 0.5, 3.0]),
                             (grid[1:] + grid[:-1]) / 2, rng.uniform(grid[0], grid[-1], 500)])
         for state in range(cumhaz.shape[1]):
-            got = process._cumhaz_at(np.full(len(t), state), t)
+            got = _interp_rows(grid, process._cumhaz, np.full(len(t), state), t)
             want = np.interp(t, grid, cumhaz[:, state])
             assert got.tobytes() == want.tobytes(), state
 
@@ -541,6 +542,16 @@ class TestPathEnsemble:
         expect = total / (len(paths) * (t1 - t0))
         assert 0.0 < expect < 1.0
         assert low_probability_occupancy(paths, grid, p) == expect
+
+    def test_occupancy_passes_change_no_bit(self, relay, monkeypatch):
+        proc, paths = relay
+        grid = proc.grid
+        # State i is below the threshold before time (i + 1) / 4.
+        p = np.where(grid[:, None] < np.array([0.25, 0.5, 0.75]), 0.0, 1.0 / 3)
+        whole = low_probability_occupancy(paths, grid, p)
+        assert len(paths.times) + len(paths) > 7 and 0.0 < whole < 1.0
+        monkeypatch.setattr(sampler, "_ROWS", 7)      # many passes, a short last one
+        assert low_probability_occupancy(paths, grid, p).tobytes() == whole.tobytes()
 
 
 def test_run_paths_read_interface():
