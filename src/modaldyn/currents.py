@@ -61,7 +61,11 @@ class CurrentMatrix:
 
     def full(self) -> np.ndarray:
         """Full antisymmetric matrix; entry [..., j, i] is the net flow i -> j."""
-        return self.upper - np.swapaxes(self.upper, -1, -2)
+        return _antisymmetric(self.upper)
+
+
+def _antisymmetric(upper: np.ndarray) -> np.ndarray:
+    return upper - np.swapaxes(upper, -1, -2)
 
 
 def _upper(f: np.ndarray) -> CurrentMatrix:

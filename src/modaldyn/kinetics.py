@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT
-from .currents import CurrentMatrix
+from .currents import CurrentMatrix, _antisymmetric
 from .spectral import _runs
 
 __all__ = [
@@ -68,21 +68,64 @@ class RateMatrix:
         return RateMatrix(matrix=self.matrix[k], pole_mask=self.pole_mask[k])
 
 
-def _with_diagonal(off: np.ndarray, pole_mask: np.ndarray) -> RateMatrix:
+def _with_diagonal(off: np.ndarray) -> np.ndarray:
+    """``off`` with its diagonal set so every column sums to zero."""
     d = off.shape[-1]
     t = np.where(np.eye(d, dtype=bool), 0.0, off)
     i = np.arange(d)
     t[..., i, i] = -t.sum(axis=-2)
-    return RateMatrix(matrix=t, pole_mask=pole_mask)
+    return t
 
 
-def _node_probabilities(current: CurrentMatrix, p) -> np.ndarray:
+def _bell(j: np.ndarray, p: np.ndarray):
+    """Rate matrix and pole mask of :func:`bell_rates` on a full current ``j``."""
+    pos = (p > DEFAULT.zero_probability)[..., None, :]    # column i: p_i > 0
+    # Divide only where p_i counts as positive, so no inf or NaN is formed.
+    off = np.where(pos, np.maximum(0.0, j / np.where(pos, p[..., None, :], 1.0)), 0.0)
+    pole = ~pos & (j > DEFAULT.pole_current) & ~np.eye(j.shape[-1], dtype=bool)
+    return _with_diagonal(off), pole
+
+
+def _general(j: np.ndarray, p: np.ndarray, free_choice: float):
+    """Rate matrix and pole mask of :func:`general_rates` on a full current ``j``."""
+    d = j.shape[-1]
+    # Entry [a, b] of ``up`` is t_ab for a < b; ``down`` holds the opposite
+    # rate t_ba = (t_ab p_b - j_ab) / p_a at the same position.
+    up = np.maximum(0.0, j / p[..., None, :]) + free_choice
+    down = (up * p[..., None, :] - j) / p[..., :, None]
+    t = np.where(np.triu(np.ones((d, d), dtype=bool), 1), up,
+                 np.swapaxes(down, -1, -2))
+    t = np.where(np.eye(d, dtype=bool), 0.0, t)
+    if not t.min() >= -1e-12:
+        raise ValueError("derived rates became negative; offsets inconsistent")
+    return _with_diagonal(np.maximum(t, 0.0)), np.zeros(t.shape, dtype=bool)
+
+
+def _rate_rule(choice: str, current: CurrentMatrix, p, free_choice=0.0):
+    """Rate choice ``choice`` ("bell" or "general") for ``current`` and ``p``.
+
+    Runs every check on ``p`` once, over all of it, and returns
+    ``rule(nodes)``: the rate matrix and pole mask at the nodes ``nodes``
+    selects (``...`` for all of them).
+    """
+    if choice not in ("bell", "general"):
+        raise ValueError(f"unknown rate choice {choice!r}")
     p = np.asarray(p, dtype=float)
     if p.shape != current.upper.shape[:-1]:
         raise ValueError("probability vector length does not match current size")
     if not np.isfinite(p).all():
         raise ValueError("probabilities must be finite")
-    return p
+    if choice == "bell":
+        if not (p.min() >= -DEFAULT.probability_sum
+                and np.abs(p.sum(axis=-1) - 1.0).max() <= DEFAULT.probability_sum):
+            raise ValueError("p must be a probability vector summing to 1")
+        return lambda nodes: _bell(_antisymmetric(current.upper[nodes]), p[nodes])
+    if not p.min() > DEFAULT.zero_probability:
+        raise ValueError("division at p_j = 0: general rates need p > 0 everywhere")
+    c = float(free_choice)
+    if not 0 <= c < np.inf:
+        raise ValueError(f"free choice offset must be finite and nonnegative, got {c}")
+    return lambda nodes: _general(_antisymmetric(current.upper[nodes]), p[nodes], c)
 
 
 def bell_rates(current: CurrentMatrix, p) -> RateMatrix:
@@ -96,16 +139,7 @@ def bell_rates(current: CurrentMatrix, p) -> RateMatrix:
     of a zero-probability state still gives rate 0, which is the
     continuous limit of the max form.
     """
-    p = _node_probabilities(current, p)
-    if not (p.min() >= -DEFAULT.probability_sum
-            and np.abs(p.sum(axis=-1) - 1.0).max() <= DEFAULT.probability_sum):
-        raise ValueError("p must be a probability vector summing to 1")
-    j = current.full()
-    pos = (p > DEFAULT.zero_probability)[..., None, :]    # column i: p_i > 0
-    # Divide only where p_i counts as positive, so no inf or NaN is formed.
-    off = np.where(pos, np.maximum(0.0, j / np.where(pos, p[..., None, :], 1.0)), 0.0)
-    pole = ~pos & (j > DEFAULT.pole_current) & ~np.eye(current.size, dtype=bool)
-    return _with_diagonal(off, pole)
+    return RateMatrix(*_rate_rule("bell", current, p)(...))
 
 
 def general_rates(current: CurrentMatrix, p, free_choice=0.0) -> RateMatrix:
@@ -116,24 +150,7 @@ def general_rates(current: CurrentMatrix, p, free_choice=0.0) -> RateMatrix:
     is then fixed by the current identity.  All probabilities must be
     strictly positive.
     """
-    p = _node_probabilities(current, p)
-    d = current.size
-    if not p.min() > DEFAULT.zero_probability:
-        raise ValueError("division at p_j = 0: general rates need p > 0 everywhere")
-    c = float(free_choice)
-    if not 0 <= c < np.inf:
-        raise ValueError(f"free choice offset must be finite and nonnegative, got {c}")
-    j = current.full()
-    # Entry [a, b] of ``up`` is t_ab for a < b; ``down`` holds the opposite
-    # rate t_ba = (t_ab p_b - j_ab) / p_a at the same position.
-    up = np.maximum(0.0, j / p[..., None, :]) + c
-    down = (up * p[..., None, :] - j) / p[..., :, None]
-    t = np.where(np.triu(np.ones((d, d), dtype=bool), 1), up,
-                 np.swapaxes(down, -1, -2))
-    t = np.where(np.eye(d, dtype=bool), 0.0, t)
-    if not t.min() >= -1e-12:
-        raise ValueError("derived rates became negative; offsets inconsistent")
-    return _with_diagonal(np.maximum(t, 0.0), np.zeros(t.shape, dtype=bool))
+    return RateMatrix(*_rate_rule("general", current, p, free_choice)(...))
 
 
 def master_residual(rates: RateMatrix, p, pdot, rows=None) -> float:
@@ -205,6 +222,15 @@ class SingularityEvent:
     t_end: float
 
 
+def _median(x: np.ndarray) -> np.ndarray:
+    """``np.median(x, axis=0)`` bit for bit: the middle entry of each sorted
+    column, or the mean of its two middle entries.  (np.median imports
+    numpy.ma on its first call.)"""
+    x = np.sort(x, axis=0)
+    m = len(x) // 2
+    return x[m] if len(x) % 2 else (x[m - 1] + x[m]) / 2
+
+
 def classify_singularities(p_trajectory, grid, rates: RateMatrix
                            ) -> tuple[SingularityEvent, ...]:
     """Locate and classify probability zeros along a trajectory.
@@ -224,6 +250,7 @@ def classify_singularities(p_trajectory, grid, rates: RateMatrix
     if len(grid) != n or rates.matrix.shape != (n, d, d):
         raise ValueError("grid and rates do not match the trajectory")
     exits = -np.diagonal(rates.matrix, axis1=-2, axis2=-1)
+    typical = np.where(exits.max(axis=0) > 0, _median(exits), 0.0)
     events = []
     for i in range(d):
         for start, end in _runs(p[:, i] <= 1e-4):
@@ -233,10 +260,9 @@ def classify_singularities(p_trajectory, grid, rates: RateMatrix
                 else "isolated-zero"
             arg = start + int(np.argmin(seg))
             near = exits[max(0, start - 2):min(n, end + 3), i]
-            typical = float(np.median(exits[:, i])) if exits[:, i].max() > 0 else 0.0
             divergent = bool(
                 rates.pole_mask[run, :, i].any()
-                or (typical > 0 and near.max() > 100.0 * typical)
+                or (typical[i] > 0 and near.max() > 100.0 * typical[i])
             )
             events.append(SingularityEvent(
                 time=float(grid[arg]), state=i, kind=kind, divergent=divergent,

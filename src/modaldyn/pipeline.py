@@ -10,7 +10,6 @@ summing currents.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -22,8 +21,8 @@ from .errors import ModalDynError, TruncationNotConverged
 from .feller import (chapman_kolmogorov_residual, feller_minimal,
                      forward_ode_kernel, honesty_deficit)
 from .hilbert import evolve_on_grid, partial_trace
-from .kinetics import (RateMatrix, RateTrajectory, bell_rates, classify_singularities,
-                       general_rates, master_residual, pole_free_rows)
+from .kinetics import (RateMatrix, RateTrajectory, _rate_rule, classify_singularities,
+                       master_residual, pole_free_rows)
 from .sampler import (JumpProcess, PathEnsemble, ensemble_marginals,
                       low_probability_occupancy, total_variation)
 from .scenario import Scenario
@@ -189,23 +188,13 @@ def pdot_target(family: JointFamily, kind: str) -> np.ndarray:
 def compute_rates(currents: CurrentMatrix, probabilities, choice: str,
                   general_offset: float = 0.0) -> RateMatrix:
     """The rates at every grid node of an ``(n, D, D)`` current, one stacked
-    record, built over node blocks (see ``_blockwise``)."""
-    if choice == "bell":
-        rates = bell_rates
-    elif choice == "general":
-        rates = partial(general_rates, free_choice=general_offset)
-    else:
-        raise ValueError(f"unknown rate choice {choice!r}")
+    record, built over node blocks (see ``_blockwise``).  The probabilities
+    are checked once, and the rates once, as the whole record."""
     p = np.asarray(probabilities, dtype=float)
     if currents.upper.ndim != 3 or p.shape != currents.upper.shape[:-1]:
         raise ValueError(f"expected an (n, D, D) current and (n, D) probabilities, "
                          f"got {currents.upper.shape} and {p.shape}")
-
-    def block(nodes):
-        r = rates(currents[nodes], p[nodes])
-        return r.matrix, r.pole_mask
-
-    matrix, pole_mask = _blockwise(block, *p.shape)
+    matrix, pole_mask = _blockwise(_rate_rule(choice, currents, p, general_offset), *p.shape)
     return RateMatrix(matrix=matrix, pole_mask=pole_mask)
 
 

@@ -177,12 +177,27 @@ def _seed_keys(entropy: list[np.ndarray]) -> np.ndarray:
 
 
 def _mulhilo(a: int, b: np.ndarray):
-    """High and low 64-bit words of ``a * b``, from 32-bit halves."""
+    """High and low 64-bit words of ``a * b``.
+
+    The high word is formed from 32-bit halves as in Hacker's Delight (2nd
+    ed., 8-2), where no sum overflows: t = a_hi b_lo + (a_lo b_lo >> 32),
+    w = a_lo b_hi + (t & M) and hi = a_hi b_hi + (t >> 32) + (w >> 32),
+    in place on the halves' arrays.
+    """
     a_lo, a_hi = a & _MASK32, a >> 32
     b_lo, b_hi = b & _MASK32, b >> 32
-    lh, hl = a_lo * b_hi, a_hi * b_lo
-    mid = ((a_lo * b_lo) >> 32) + (lh & _MASK32) + (hl & _MASK32)
-    return a_hi * b_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), a * b
+    t = a_lo * b_lo
+    t >>= 32
+    b_lo *= a_hi
+    t += b_lo
+    w = b_hi * a_lo
+    w += t & _MASK32
+    b_hi *= a_hi
+    t >>= 32
+    b_hi += t
+    w >>= 32
+    b_hi += w
+    return b_hi, a * b
 
 
 def _philox(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -281,16 +296,21 @@ class _Batch:
         self.live[self.error[0]:] = False
 
 
-def _interp_rows(grid, table, rows, t) -> np.ndarray:
+def _interp_rows(grid, table, rows, t, right=None) -> np.ndarray:
     """``np.interp(t, grid, table[row])`` per row for t >= grid[0], in the same
     arithmetic: the value at and past the last node is returned as it is, and
-    inside interval j it is ``slope_j * (t - grid[j]) + table[row, j]``."""
+    inside interval j it is ``slope_j * (t - grid[j]) + table[row, j]``.
+    ``right`` is ``searchsorted(grid, t, side="right")`` where the caller has
+    it already."""
     last = len(grid) - 1
-    j = np.searchsorted(grid, t, side="right") - 1
+    if right is None:
+        right = np.searchsorted(grid, t, side="right")
+    j = right - 1
     past = j >= last
     j[past] = last - 1
     h0, h1 = table[rows, j], table[rows, j + 1]
-    value = (h1 - h0) / (grid[j + 1] - grid[j]) * (t - grid[j]) + h0
+    g0 = grid[j]
+    value = (h1 - h0) / (grid[j + 1] - g0) * (t - g0) + h0
     value[past] = h1[past]
     return value
 
@@ -353,6 +373,7 @@ class JumpProcess:
         self._keys = (np.arange(d) + 1j * cumhaz).T.ravel()
         self._cumhaz = self._keys.imag.reshape(d, n)
         self._pole_col = rate_trajectory.pole_mask.any(axis=1)          # (n, D)
+        self._flagged = bool(self._pole_col.any())
         # _pole_after[j, i]: first node >= j flagged in column i, n if none.
         flagged = np.where(self._pole_col, np.arange(n)[:, None], n)
         self._pole_after = np.vstack([np.minimum.accumulate(flagged[::-1])[::-1],
@@ -362,30 +383,36 @@ class JumpProcess:
 
     # -- lockstep steps ----------------------------------------------------
 
-    def _invert_hazard(self, states, t_from, t_to, target) -> np.ndarray:
-        """Jump times in (t_from, t_to] at the given extra hazards; NaN where
-        the hazard left in the interval falls short.
+    def _invert_hazard(self, states, t_from, right, horizon, target) -> np.ndarray:
+        """Jump times in (t_from, grid[horizon]] at the given extra hazards;
+        NaN where the horizon node is not after t_from or the hazard left by
+        it falls short.
 
         All rows in one pass, ``_ROWS`` at a time: the cumulative hazard of
-        each row's state is interpolated by ``_interp_rows``, and one search
-        over ``_keys`` finds each goal as its column's
-        ``searchsorted(side="left")`` would.
+        each row's state is interpolated by ``_interp_rows`` at t_from, in
+        the interval ``right = searchsorted(grid, t_from, side="right")``
+        gives, and read off the table at the horizon node, where the
+        interpolation returns the node's own value.  One search over
+        ``_keys`` finds each goal as its column's ``searchsorted(side="left")``
+        would.
         """
         grid, h, n = self.grid, self._cumhaz, len(self.grid)
-        tau = np.empty(len(states))
-        for lo in range(0, len(states), _ROWS):
-            part = slice(lo, lo + _ROWS)
-            state, t0, t1 = states[part], t_from[part], t_to[part]
-            base = _interp_rows(grid, h, state, t0)
-            goal = base + target[part]
+        tau = np.full(len(states), np.nan)
+        at = np.flatnonzero(grid[horizon] > t_from)
+        for lo in range(0, len(at), _ROWS):
+            part = at[lo:lo + _ROWS]
+            state, t0, node, extra = states[part], t_from[part], horizon[part], target[part]
+            base = _interp_rows(grid, h, state, t0, right[part])
+            goal = base + extra
             idx = np.searchsorted(self._keys, state + 1j * goal, side="left") - state * n
             np.clip(idx, 1, n - 1, out=idx)
             h0, h1 = h[state, idx - 1], h[state, idx]
             flat = h1 <= h0
             frac = (goal - h0) / np.where(flat, 1.0, h1 - h0)
-            t = np.where(flat, grid[idx], grid[idx - 1] + frac * (grid[idx] - grid[idx - 1]))
-            t = np.minimum(np.maximum(t, np.nextafter(t0, np.inf)), t1)
-            short = _interp_rows(grid, h, state, t1) - base < target[part]
+            g0, g1 = grid[idx - 1], grid[idx]
+            t = np.where(flat, g1, g0 + frac * (g1 - g0))
+            t = np.minimum(np.maximum(t, np.nextafter(t0, np.inf)), grid[node])
+            short = h[state, node] - base < extra
             tau[part] = np.where(short, np.nan, t)
         return tau
 
@@ -394,8 +421,11 @@ class JumpProcess:
 
         The flag is read at the node nearest each path's arrival.  A relay
         event is recorded one representable time after the event before it,
-        or at the start time when a path's initial state is relayed.
+        or at the start time when a path's initial state is relayed.  A
+        process without any flag has nothing to relay.
         """
+        if not self._flagged:
+            return
         node = _nearest_node(self.grid, batch.t[rows])
         depth = 0
         while True:
@@ -424,28 +454,26 @@ class JumpProcess:
 
     def _sample(self, batch: _Batch, rows: np.ndarray):
         """Advance every path at ``rows`` by one waiting time and its jump."""
-        grid = self.grid
+        grid, n = self.grid, len(self.grid)
         t_end = grid[-1]
         target = -np.log1p(-batch.rng.random(rows))
         state, t = batch.state[rows], batch.t[rows]
         # The first flagged node of the state's column after t; the path
-        # must jump by the node before it.
-        pole = self._pole_after[np.searchsorted(grid, t, side="right"), state]
-        has_pole = pole < len(grid)
-        pole_t = grid[np.minimum(pole, len(grid) - 1)]
-        horizon = np.where(has_pole, grid[np.maximum(pole - 1, 0)], t_end)
-        tau = np.full(len(rows), np.nan)
-        open_ = horizon > t
-        tau[open_] = self._invert_hazard(state[open_], t[open_], horizon[open_],
-                                         target[open_])
+        # must jump by the node before it, its horizon node (the last node
+        # if there is no pole).
+        right = np.searchsorted(grid, t, side="right")
+        pole = self._pole_after[right, state]
+        has_pole = pole < n
+        horizon = np.where(has_pole, np.maximum(pole - 1, 0), n - 1)
+        tau = self._invert_hazard(state, t, right, horizon, target)
         jumps = ~np.isnan(tau)
         stuck = ~jumps & has_pole
         if self.pole_policy == "abort" and stuck.any():
-            s, p = state[stuck], pole_t[stuck]
+            s, p = state[stuck], grid[pole[stuck]]
             batch.fail(rows[stuck], lambda i: PoleEncountered(
                 f"state {s[i]} meets a rate pole at t={float(p[i])!r}"))
             stuck[:] = False
-        tau[stuck] = np.maximum(horizon[stuck], np.nextafter(t[stuck], np.inf))
+        tau[stuck] = np.maximum(grid[horizon[stuck]], np.nextafter(t[stuck], np.inf))
         moving = jumps | stuck
         dest = np.full(len(rows), -1)
         at = np.flatnonzero(moving)
@@ -455,7 +483,7 @@ class JumpProcess:
                                state[part], rows[part], batch.rng)
         # No outgoing rate at the pre-pole node: cross the pole.
         cross = stuck & (dest < 0)
-        batch.t[rows[cross]] = np.nextafter(pole_t[cross], np.inf)
+        batch.t[rows[cross]] = np.nextafter(grid[pole[cross]], np.inf)
         batch.live[rows[(~jumps & ~has_pole) | (jumps & (dest < 0))]] = False
         went = dest >= 0
         rows = rows[went]
@@ -536,11 +564,14 @@ def low_probability_occupancy(paths: PathEnsemble, grid, p_trajectory) -> float:
         raise ValueError("p_trajectory needs one row per grid node and one column per state")
     cum_low = _cumulative_trapezoid(low, grid).T      # (D, n): row i is state i
     t0, t_end = float(grid[0]), float(grid[-1])
-    # Segment j of the visits runs from start[j] to stop[j].
+    # Segment j of the visits runs from start[j] to stop[j].  A state that is
+    # never low has a zero row, so its segments would add exactly +0.0.
     start = np.insert(paths.times, paths.offsets[:-1], t0)
     stop = np.insert(paths.times, paths.offsets[1:], t_end)
     occupant = paths._visits
-    keep = stop > start
+    keep = (stop > start) & low.any(axis=0)[occupant]
+    if not keep.any():
+        return 0.0
     start, stop, occupant = start[keep], stop[keep], occupant[keep]
     share = np.empty(len(start))
     for lo in range(0, len(start), _ROWS):

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import modaldyn
 from modaldyn.currents import CurrentMatrix
-from modaldyn.kinetics import (RateMatrix, RateTrajectory, bell_rates,
+from modaldyn.kinetics import (RateMatrix, RateTrajectory, _median, bell_rates,
                                classify_singularities, general_rates,
                                master_residual, pole_free_rows)
 from modaldyn.pipeline import _kernel_windows
@@ -249,6 +255,36 @@ class TestClassifySingularities:
         events = classify_singularities(p, grid, rates)
         ev = [e for e in events if e.state == 0][0]
         assert ev.divergent is True
+
+
+NO_MASKED_ARRAYS = """
+import sys
+import numpy
+loaded = "numpy.ma" in sys.modules
+from modaldyn import load_scenario, run
+run(load_scenario("measured-possessed-property"), report_only=True)
+print(loaded, "numpy.ma" in sys.modules)
+"""
+
+
+class TestMedian:
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 1001, 1572])
+    def test_is_np_median(self, rng, n):
+        # Normal draws, and small integers for ties.
+        for x in (rng.normal(size=(n, 5)), rng.integers(0, 4, (n, 5)).astype(float)):
+            assert _median(x).tobytes() == np.median(x, axis=0).tobytes()
+
+    def test_singularities_load_no_masked_arrays(self):
+        # np.median imports numpy.ma on its first call; a report-only run of
+        # an eight-state builtin with zero runs needs no masked arrays.
+        src = str(Path(modaldyn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        loaded_by_numpy, loaded = done.stdout.split()
+        assert loaded == loaded_by_numpy, "the run imported numpy.ma"
 
 
 class TestRateTrajectory:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from modaldyn.errors import ModalDynError, PoleEncountered
 from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates
 from modaldyn.pipeline import run
 from modaldyn.sampler import (JumpProcess, PathEnsemble, _Batch, _cumulative_trapezoid,
-                              _draw, _interp_rows, _seed_keys, _Streams, _words,
+                              _draw, _interp_rows, _mulhilo, _seed_keys, _Streams, _words,
                               ensemble_marginals, low_probability_occupancy,
                               total_variation)
 from modaldyn.scenario import BUILTINS, EnsembleSpec, Scenario, TimeSpec
@@ -201,8 +202,13 @@ class TestHazardInversion:
         states = rng.integers(0, d, m)
         t_from = np.where(rng.random(m) < 0.3, grid[rng.integers(0, len(grid) - 1, m)],
                           rng.uniform(grid[0], grid[-2], m))
-        t_to = np.where(rng.random(m) < 0.3, grid[-1], rng.uniform(t_from, grid[-1]))
-        t_to = np.maximum(t_to, np.nextafter(t_from, np.inf))
+        # The round's horizon is a node: the last one, any after t_from, or
+        # the one at or before it, where no time is left.
+        right = np.searchsorted(grid, t_from, side="right")
+        horizon = np.where(rng.random(m) < 0.3, len(grid) - 1,
+                           rng.integers(right, len(grid)))
+        horizon = np.where(rng.random(m) < 0.1, right - 1, horizon)
+        t_to = grid[horizon]
         # Some targets land on table values: exact ties with the search.
         base = np.array([np.interp(t, grid, cumhaz[:, s]) for s, t in zip(states, t_from)])
         on_node = cumhaz[rng.integers(0, len(grid), m), states] - base
@@ -211,8 +217,52 @@ class TestHazardInversion:
         assert np.isnan(want).any() and not np.isnan(want).all()
         for rows in (7, 4096):              # a short last pass, and a single one
             monkeypatch.setattr(sampler, "_ROWS", rows)
-            got = process._invert_hazard(states, t_from, t_to, target)
+            got = process._invert_hazard(states, t_from, right, horizon, target)
             assert got.tobytes() == want.tobytes(), rows
+
+
+class TestRoundParts:
+    """Each shortcut of the lockstep round against the computation it replaces."""
+
+    @pytest.mark.parametrize("a", sampler._PHILOX_M)
+    def test_mulhilo_is_the_integer_product(self, a):
+        edges = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+        words = np.random.default_rng(12).integers(0, 2**64, size=2000, dtype=np.uint64)
+        b = np.concatenate([edges, words])
+        hi, lo = _mulhilo(a, b)
+        product = [a * x for x in b.tolist()]
+        assert hi.dtype == lo.dtype == np.uint64
+        assert hi.tolist() == [x >> 64 for x in product]
+        assert lo.tolist() == [x & (2**64 - 1) for x in product]
+
+    def test_interp_rows_with_interval_is_searched(self):
+        # At nodes, between them, at the last node and past it.
+        process, _ = hazard_process()
+        grid, h = process.grid, process._cumhaz
+        rng = np.random.default_rng(13)
+        t = np.concatenate([grid, (grid[1:] + grid[:-1]) / 2, grid[-1:],
+                            grid[-1] + np.array([1e-9, 0.5]), rng.uniform(grid[0], grid[-1], 300)])
+        rows = rng.integers(0, len(h), len(t))
+        right = np.searchsorted(grid, t, side="right")
+        assert _interp_rows(grid, h, rows, t, right).tobytes() == \
+            _interp_rows(grid, h, rows, t).tobytes()
+
+    def test_hazard_at_a_node_is_its_table_entry(self):
+        # The round reads the cumulative hazard at its horizon node off the
+        # table; every node of every column, the last one included.
+        process, _ = hazard_process()
+        grid, h = process.grid, process._cumhaz
+        d, n = h.shape
+        rows, node = np.repeat(np.arange(d), n), np.tile(np.arange(n), d)
+        assert h[rows, node].tobytes() == _interp_rows(grid, h, rows, grid[node]).tobytes()
+
+    def test_relay_pass_without_flags_changes_no_bit(self, monkeypatch):
+        process, _ = hazard_process()
+        assert not process._flagged
+        skipped = process.ensemble(500)
+        assert skipped.jump_counts.sum() > 500
+        monkeypatch.setattr(process, "_flagged", True)
+        assert digests(process.ensemble(500)) == digests(skipped)
 
 
 class TestSamplePathStructure:
@@ -520,13 +570,8 @@ class TestPathEnsemble:
         assert stats.labels == tuple(labels)
         assert np.array_equal(stats.counts, expect)
 
-    def test_occupancy_matches_per_path_loop(self, relay):
-        proc, paths = relay
-        grid = proc.grid
-        # Each state is below the threshold on a different stretch of the grid.
-        p = np.column_stack([np.where(grid < 0.3, 0.0, 0.5),
-                             np.where(grid > 0.6, 1e-9, 0.2),
-                             np.full(len(grid), 1e-7)])
+    @staticmethod
+    def occupancy_per_path(paths, grid, p):
         states = list(paths.states)
         cum = cumulative_trapezoid((p < 1e-6).astype(float), grid, axis=0, initial=0.0)
         t0, t1 = grid[0], grid[-1]
@@ -539,9 +584,37 @@ class TestPathEnsemble:
                     col = cum[:, states.index(s)]
                     total += (np.interp(min(b, t1), grid, col)
                               - np.interp(max(a, t0), grid, col))
-        expect = total / (len(paths) * (t1 - t0))
+        return total / (len(paths) * (t1 - t0))
+
+    def test_occupancy_matches_per_path_loop(self, relay):
+        proc, paths = relay
+        grid = proc.grid
+        # Each state is below the threshold on a different stretch of the grid.
+        p = np.column_stack([np.where(grid < 0.3, 0.0, 0.5),
+                             np.where(grid > 0.6, 1e-9, 0.2),
+                             np.full(len(grid), 1e-7)])
+        expect = self.occupancy_per_path(paths, grid, p)
         assert 0.0 < expect < 1.0
         assert low_probability_occupancy(paths, grid, p) == expect
+
+    def test_occupancy_skips_states_never_low(self, relay):
+        # Only state 0 is ever low; states 1 and 2 are occupied and never are.
+        proc, paths = relay
+        grid = proc.grid
+        p = np.column_stack([np.where(grid < 0.3, 0.0, 0.5), np.full(len(grid), 0.2),
+                             np.full(len(grid), 0.3)])
+        expect = self.occupancy_per_path(paths, grid, p)
+        assert 0.0 < expect < 1.0
+        assert low_probability_occupancy(paths, grid, p) == expect
+
+    def test_occupancy_without_an_occupied_low_state_is_zero(self):
+        # State 2 is always low and never occupied.
+        grid = np.linspace(0.0, 1.0, 11)
+        states = [(0,), (1,), (2,)]
+        p = np.column_stack([np.full(11, 0.5), np.full(11, 0.5), np.zeros(11)])
+        paths = ensemble_of(states, ((0,), ((0.4, (1,)), (0.45, (0,)))), ((1,), ()))
+        assert self.occupancy_per_path(paths, grid, p) == 0.0
+        assert low_probability_occupancy(paths, grid, p) == 0.0
 
     def test_occupancy_passes_change_no_bit(self, relay, monkeypatch):
         proc, paths = relay
@@ -643,7 +716,10 @@ def digests(paths):
 # built one Generator(Philox([master_seed, i])) per path.  The lockstep
 # sampler must reproduce its ensembles byte for byte.  The generic draw's
 # "times" digest was re-recorded once batched spectral tracking moved its
-# event times by at most 2.2e-15; its other digests are the originals.
+# event times by at most 2.2e-15; its other digests are the originals.  The
+# eight-state measured-possessed-property ensemble, whose grid runs over seven
+# node blocks, and its report (``to_dict()`` as sorted-key JSON) were
+# recorded from the lockstep sampler at commit 31d0a4e.
 GOLDEN = {
     "easyexample-5000": {
         "initial": "e7e2dcff542de95352682dc186432e98f0188084896773f1973276b0577d5305",
@@ -663,6 +739,13 @@ GOLDEN = {
         "dest": "769265dee54a6679bde2ed292678aa4c67a8d2de170ec467a9110017ec5f83d8",
         "times": "380f5b156d023bf959931a77e91f859613a458ee025ace692406c793525a4ce2",
     },
+    "measured-possessed-property-2000": {
+        "initial": "a6b7114625b09ae23b2f054abf8f6cfe125a44ee57648d196a14cbcd8856f6b9",
+        "offsets": "b0e1391b69666300fdf363308b4db81b25cbeb19a83256cd38602a715593a1a8",
+        "dest": "719969502a8eec651132aeef1184b700351800cdc7a2d7c500cdba773ede6d01",
+        "times": "31bc3c30d36567566479a15666a1e8865f5dc25eed0ae9b092d9a76fe12ac982",
+        "report": "9f79372c9a51f40c7927044988b31aa674ec1ad743253b9f703be1e3eb6e21e5",
+    },
 }
 
 
@@ -680,6 +763,13 @@ class TestGoldenEnsembles:
     def test_generic_2222(self):
         paths = run(generic_2222(200), report_only=True).paths
         assert digests(paths) == GOLDEN["generic-2x2x2x2-200"]
+
+    def test_measured_possessed_property(self):
+        result = run(BUILTINS["measured-possessed-property"](n_paths=2000), report_only=True)
+        assert len(result.paths.states) == 8
+        report = json.dumps(result.report.to_dict(), sort_keys=True).encode()
+        assert {**digests(result.paths), "report": hashlib.sha256(report).hexdigest()} == \
+            GOLDEN["measured-possessed-property-2000"]
 
     def test_abort_relay_message(self):
         with pytest.raises(PoleEncountered) as err:
