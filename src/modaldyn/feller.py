@@ -24,7 +24,7 @@ evaluated as blocked matrix products: blocks of 16 nodes share one local
 weight matrix, each block starts from the running sum of the blocks before
 it, and every weight is read off the one rule applied to a small identity.
 The fourth-order integration steps over the grid intervals; its midpoint
-rates (A_k + A_(k+1))/2 are the trajectory's own linear interpolation.  It
+rates (A_k + A_(k+1))/2 are the rates taken linear between nodes.  It
 forms every step's matrix M_k = I + h/6 (A0 + 2 B2 + 2 B3 + B4) at once and
 multiplies the steps pairwise, in a fixed order, into
 p(t, s) = M_(m-1) ... M_0.

@@ -188,7 +188,8 @@ def pole_free_rows(rates: RateMatrix) -> np.ndarray:
 
 
 class RateTrajectory:
-    """Rates sampled on a time grid, with linear interpolation between nodes."""
+    """Rates and pole flags on a strictly increasing time grid, one stacked
+    record per node; consumers take the rates as linear between nodes."""
 
     def __init__(self, grid, rates: RateMatrix):
         self.grid = np.asarray(grid, dtype=float)
@@ -199,17 +200,6 @@ class RateTrajectory:
         self.matrices = rates.matrix            # (n, D, D)
         self.pole_mask = rates.pole_mask        # (n, D, D)
         self.size = rates.size
-
-    def matrix_batch(self, times, columns) -> np.ndarray:
-        """Column ``columns[i]`` of the interpolated matrix at ``times[i]``, (m, D)."""
-        times = np.asarray(times, dtype=float)
-        g = self.grid
-        idx = np.clip(np.searchsorted(g, times, side="right"), 1, len(g) - 1)
-        t0 = g[idx - 1]
-        t1 = g[idx]
-        w = np.clip((times - t0) / (t1 - t0), 0.0, 1.0)
-        return (1.0 - w)[:, None] * self.matrices[idx - 1, :, columns] \
-            + w[:, None] * self.matrices[idx, :, columns]
 
 
 @dataclass(frozen=True)

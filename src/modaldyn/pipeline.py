@@ -353,7 +353,7 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
     with _Stage("sampling"):
         process = JumpProcess(rate_traj, family.probabilities[0],
                               family.states,
-                              currents=currents.full(),
+                              currents=currents,
                               pole_policy=scenario.pole_policy,
                               master_seed=scenario.ensemble.master_seed)
         paths = process.ensemble(scenario.ensemble.n_paths)

@@ -29,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT
+from .currents import CurrentMatrix
 from .errors import ModalDynError, PoleEncountered
 from .kinetics import RateTrajectory
 from .spectral import _nearest_node
@@ -232,11 +233,11 @@ class _Streams:
         self.block = np.empty((n, 4), dtype=np.uint64)
 
     def random(self, rows: np.ndarray) -> np.ndarray:
-        lane = self.drawn[rows] % 4
-        fresh = rows[lane == 0]
-        if fresh.size:
-            self.block[fresh] = _philox(self.drawn[fresh] // 4 + 1, self.key[fresh])
-        self.drawn[rows] += 1
+        drawn = self.drawn[rows]            # rows are distinct positions
+        self.drawn[rows] = drawn + 1
+        lane = drawn % 4
+        if (fresh := lane == 0).any():
+            self.block[rows[fresh]] = _philox(drawn[fresh] // 4 + 1, self.key[rows[fresh]])
         return (self.block[rows, lane] >> 11) * 2.0 ** -53
 
 
@@ -309,8 +310,10 @@ def _interp_rows(grid, table, rows, t, right=None) -> np.ndarray:
     past = j >= last
     j[past] = last - 1
     h0, h1 = table[rows, j], table[rows, j + 1]
-    g0 = grid[j]
-    value = (h1 - h0) / (grid[j + 1] - g0) * (t - g0) + h0
+    # A (rows, nodes, D) table interpolates each row's D entries: the per-row
+    # terms get a trailing axis, as (m, D) / (m,) pairs wrong axes if m == D.
+    g0, lift = grid[j], (-1,) + (1,) * (h0.ndim - 1)
+    value = (h1 - h0) / (grid[j + 1] - g0).reshape(lift) * (t - g0).reshape(lift) + h0
     value[past] = h1[past]
     return value
 
@@ -337,9 +340,9 @@ class JumpProcess:
         Initial joint distribution at the first grid node.
     states : sequence of JointIndex
         Flat-order labels of the joint state space.
-    currents : array
-        Full antisymmetric current matrices per node, used for relay
-        destination draws out of zero-probability states.
+    currents : CurrentMatrix
+        The currents at every node, ``upper`` of shape ``(n, D, D)``, used
+        for relay destination draws out of zero-probability states.
     """
 
     def __init__(self, rate_trajectory: RateTrajectory, p0, states,
@@ -347,28 +350,31 @@ class JumpProcess:
                  master_seed: int = 0):
         if pole_policy not in ("resample", "abort"):
             raise ValueError(f"unknown pole policy {pole_policy!r}")
-        self.rates = rate_trajectory
         self.grid = rate_trajectory.grid
         self.states = tuple(tuple(s) for s in states)
         self.p0 = np.asarray(p0, dtype=float).reshape(-1)
-        self.currents = np.asarray(currents, dtype=float)
+        self.currents = currents
         self.pole_policy = pole_policy
         self.master_seed = int(master_seed)
-        d = rate_trajectory.size
+        d, n = rate_trajectory.size, len(self.grid)
         if len(self.states) != d or self.p0.size != d:
             raise ValueError("states/p0 size does not match the rate trajectory")
+        if not isinstance(currents, CurrentMatrix):
+            raise TypeError(f"currents must be a CurrentMatrix, not {type(currents).__name__}")
+        if currents.upper.shape != (n, d, d):
+            raise ValueError(f"currents of shape {currents.upper.shape}, rates of {(n, d, d)}")
         if not (abs(self.p0.sum() - 1.0) <= DEFAULT.probability_sum
                 and self.p0.min() >= -DEFAULT.zero_probability):
             raise ValueError("initial distribution must be nonnegative and sum to 1")
         self._p0_cum = np.cumsum(np.clip(self.p0, 0.0, None))
         self._p0_cum /= self._p0_cum[-1]
         mats = rate_trajectory.matrices
+        self._cols = mats.transpose(2, 0, 1)        # [i, k]: column i at node k, a view
         exit_rate = np.clip(-np.einsum("nii->ni", mats), 0.0, None)    # (n, D)
         # Column i's cumulative hazard as the keys i + 1j*cumhaz, in one flat
         # array: complex numbers sort by real part first and cumhaz does not
         # decrease, so the keys are sorted and a search for i + 1j*goal stays
         # in column i.  _cumhaz[i] is column i, a view of the keys.
-        n = len(self.grid)
         cumhaz = _cumulative_trapezoid(exit_rate, self.grid)             # (n, D)
         self._keys = (np.arange(d) + 1j * cumhaz).T.ravel()
         self._cumhaz = self._keys.imag.reshape(d, n)
@@ -419,10 +425,10 @@ class JumpProcess:
     def _maybe_relay(self, batch: _Batch, rows: np.ndarray, arrival: bool):
         """Relay paths that sit in a flagged column straight out of it.
 
-        The flag is read at the node nearest each path's arrival.  A relay
-        event is recorded one representable time after the event before it,
-        or at the start time when a path's initial state is relayed.  A
-        process without any flag has nothing to relay.
+        The flag and the current column of the destination draw are read at
+        the node nearest each path's arrival.  A relay event is recorded one
+        representable time after the event before it, or at the start time
+        for a relayed initial state; a process without flags relays nothing.
         """
         if not self._flagged:
             return
@@ -439,8 +445,8 @@ class JumpProcess:
                     f"path occupies state {state[i]} with diverging exit rate "
                     f"at t={float(tau[i])}"))
                 return
-            dest = _draw(self.currents[_nearest_node(self.grid, tau), :, state],
-                         state, rows, batch.rng)
+            up = self.currents.upper        # full()[node, :, state], as full() forms it
+            dest = _draw(up[node, :, state] - up[node, state, :], state, rows, batch.rng)
             out = dest >= 0
             rows, node, dest, tau = rows[out], node[out], dest[out], tau[out]
             if arrival or depth:
@@ -455,7 +461,6 @@ class JumpProcess:
     def _sample(self, batch: _Batch, rows: np.ndarray):
         """Advance every path at ``rows`` by one waiting time and its jump."""
         grid, n = self.grid, len(self.grid)
-        t_end = grid[-1]
         target = -np.log1p(-batch.rng.random(rows))
         state, t = batch.state[rows], batch.t[rows]
         # The first flagged node of the state's column after t; the path
@@ -479,7 +484,7 @@ class JumpProcess:
         at = np.flatnonzero(moving)
         for lo in range(0, len(at), _ROWS):
             part = at[lo:lo + _ROWS]
-            dest[part] = _draw(self.rates.matrix_batch(tau[part], columns=state[part]),
+            dest[part] = _draw(_interp_rows(grid, self._cols, state[part], tau[part]),
                                state[part], rows[part], batch.rng)
         # No outgoing rate at the pre-pole node: cross the pole.
         cross = stuck & (dest < 0)
@@ -490,7 +495,7 @@ class JumpProcess:
         batch.record(rows, tau[went], dest[went])
         self._maybe_relay(batch, rows, arrival=True)
         rows = rows[batch.live[rows]]
-        ended = batch.t[rows] >= t_end
+        ended = batch.t[rows] >= grid[-1]
         batch.live[rows[ended]] = False
         runaway = rows[~ended][batch.count[rows[~ended]] > self._max_events]
         if runaway.size:
@@ -528,8 +533,9 @@ def ensemble_marginals(paths: PathEnsemble, query_times,
                        factor: int | None = None) -> EnsembleStats:
     """Empirical distribution of the ensemble at each query time.
 
-    Counts are over ``paths.states`` in their order.  With ``factor`` given,
-    joint states are first marginalized onto that factor's sorted labels.
+    Counts are over ``paths.states`` in their order.  With ``factor`` given
+    (an integer below the factor count), joint states are first marginalized
+    onto that factor's sorted labels.
     """
     query_times = np.asarray(query_times, dtype=float)
     if len(paths) == 0:
@@ -537,6 +543,9 @@ def ensemble_marginals(paths: PathEnsemble, query_times,
     if factor is None:
         labels, column = paths.states, None
     else:
+        n = len(paths.states[0])
+        if isinstance(factor, bool) or not hasattr(factor, "__index__") or factor not in range(n):
+            raise ValueError(f"factor must be an integer in range({n}), got {factor!r}")
         labels = sorted({s[factor] for s in paths.states})
         column = np.array([labels.index(s[factor]) for s in paths.states], dtype=int)
     counts = np.zeros((len(query_times), len(labels)), dtype=int)

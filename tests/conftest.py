@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modaldyn.kinetics import RateMatrix, RateTrajectory
+from modaldyn.scenario import EnsembleSpec, Scenario, TimeSpec
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -25,6 +26,18 @@ def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     w = a @ a.conj().T
     return w / w.trace()
+
+
+def relay_scenario(dims):
+    """A random system under the minimal-flow current whose every grid node
+    flags a column, so paths relay; ``data/relay-2x2.json`` holds the
+    (2, 2) one."""
+    rng = np.random.default_rng(0)
+    dim = int(np.prod(dims))
+    return Scenario(name="relay-{}x{}".format(*dims), factor_dims=dims,
+                    hamiltonian=random_hermitian(rng, dim), initial_state=random_ket(rng, dim),
+                    current="minimal_flow", time=TimeSpec(0.0, 0.2, 1e-3),
+                    ensemble=EnsembleSpec(2000, 0, (0.1, 0.2))).validate()
 
 
 def constant_trajectory(generator, step=1e-3, t1=1.0):

@@ -66,7 +66,7 @@ NAN_INPUTS = {
     "general_rates": lambda: general_rates(ZERO_CURRENT, np.array([0.5, NAN])),
     "minimal_flow_current": lambda: minimal_flow_current(np.array([NAN, 0.0])),
     "JumpProcess p0": lambda: JumpProcess(STILL, np.array([NAN, 1.0]), [(0,), (1,)],
-                                          np.zeros((2, 2, 2))),
+                                          CurrentMatrix(upper=np.zeros((2, 2, 2)))),
 }
 
 

@@ -12,6 +12,7 @@ from modaldyn.kinetics import (RateMatrix, RateTrajectory, _median, bell_rates,
                                classify_singularities, general_rates,
                                master_residual, pole_free_rows)
 from modaldyn.pipeline import _kernel_windows
+from modaldyn.sampler import _interp_rows
 
 
 def current_from_full(full):
@@ -297,12 +298,32 @@ class TestRateTrajectory:
                                                np.full((11, 2), 0.5)))
 
     def test_linear_interpolation(self):
-        rt = self.make()
-        # rate = 2 t between nodes
-        assert abs(rt.matrix_batch([0.55], columns=[0])[0, 1] - 1.1) < 1e-12
+        # The sampler takes a state's rate column at a time from the column
+        # view [i, k] = matrices[k, :, i], row by row: every entry is np.interp
+        # of that entry over the nodes, bit for bit, at nodes, between them
+        # and at the last node, in calls of as many rows as states and more.
+        rng = np.random.default_rng(5)
+        grid = np.cumsum(rng.uniform(0.5, 1.5, 11))
+        mats = rng.exponential(size=(11, 3, 3))
+        mats[:, [0, 1, 2], [0, 1, 2]] = 0.0
+        mats[:, [0, 1, 2], [0, 1, 2]] = -mats.sum(axis=1)
+        rt = RateTrajectory(grid, RateMatrix(mats, np.zeros(mats.shape, dtype=bool)))
+        cols = rt.matrices.transpose(2, 0, 1)
+        assert np.shares_memory(cols, rt.matrices)
+        t = np.concatenate([grid, (grid[1:] + grid[:-1]) / 2, grid[-1:],
+                            rng.uniform(grid[0], grid[-1], 40)])
+        for m in (3, 40):
+            for lo in range(0, len(t), m):
+                times = t[lo:lo + m]
+                state = rng.integers(0, 3, len(times))
+                got = _interp_rows(grid, cols, state, times)
+                assert got.shape == (len(times), 3)
+                want = [[np.interp(tk, grid, mats[:, j, i]) for j in range(3)]
+                        for tk, i in zip(times, state)]
+                assert got.tobytes() == np.array(want).tobytes()
 
     def test_grid_must_increase(self):
-        # A repeated last node made matrix_batch divide 0 by 0 there.
+        # A repeated node would make the linear rule divide 0 by 0 there.
         rt = self.make()
         for node in (1.0, 1.5, np.nan):          # repeated, decreasing, NaN
             grid = rt.grid.copy()

@@ -1,16 +1,22 @@
 """Property tests on random inputs, drawn reproducibly (``derandomize=True``)."""
 
+import os
+import tempfile
+from dataclasses import replace
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from modaldyn.errors import ModalDynError
+from modaldyn import cli
+from modaldyn import io as mdio
+from modaldyn.errors import ModalDynError, PoleEncountered, ScenarioValidationError
 from modaldyn.feller import feller_minimal, forward_ode_kernel
 from modaldyn.pipeline import run
-from modaldyn.scenario import CHOICES, EnsembleSpec, Scenario, TimeSpec
+from modaldyn.scenario import CHOICES, EnsembleSpec, Scenario, TimeSpec, scenario_to_dict
 
-from conftest import constant_trajectory, random_hermitian, random_ket
+from conftest import constant_trajectory, random_hermitian, random_ket, relay_scenario
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -67,18 +73,37 @@ def random_scenarios(draw):
                     **choices)
 
 
+# One system per exit code besides the draws: 0, 3 (total variation), 4
+# (a relay under the abort policy) and 1 (general rates at a zero probability).
 @PROPERTY
 @given(random_scenarios())
+@example(relay_scenario((2, 2)))
+@example(relay_scenario((4, 2)))
+@example(replace(relay_scenario((2, 2)), pole_policy="abort"))
+@example(replace(relay_scenario((2, 2)), rate_choice="general"))
 def test_random_systems_report_or_name_their_failure(scenario):
     # A run ends in a report with finite diagnostics, a named ModalDynError,
-    # or a numeric error that names the stage it came from.
+    # or a numeric error that names the stage it came from; the same scenario
+    # from a file then exits the command line with the code that outcome
+    # implies.  (tempfile, not tmp_path: hypothesis refuses function-scoped
+    # fixtures.)
     try:
         report = run(scenario, report_only=True).report
+    except ScenarioValidationError:
+        code = 2
+    except PoleEncountered:
+        code = 4
     except ModalDynError:
-        return
+        code = 1
     except (ValueError, ArithmeticError) as exc:
         assert str(exc).startswith("[stage: "), repr(exc)
-        return
-    floats = [v for v in vars(report).values() if isinstance(v, float)]
-    floats += list(report.total_variation.values())
-    assert np.isfinite(floats).all(), report
+        code = 1
+    else:
+        floats = [v for v in vars(report).values() if isinstance(v, float)]
+        floats += list(report.total_variation.values())
+        assert np.isfinite(floats).all(), report
+        code = 3 if report.failures(scenario.thresholds) else 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        mdio.write_json(path, scenario_to_dict(scenario))
+        assert cli.main(["run", path, "--report-only"]) == code

@@ -3,6 +3,7 @@ import itertools
 import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,15 +18,22 @@ from modaldyn.sampler import (JumpProcess, PathEnsemble, _Batch, _cumulative_tra
                               _draw, _interp_rows, _mulhilo, _seed_keys, _Streams, _words,
                               ensemble_marginals, low_probability_occupancy,
                               total_variation)
-from modaldyn.scenario import BUILTINS, EnsembleSpec, Scenario, TimeSpec
+from modaldyn.scenario import (BUILTINS, EnsembleSpec, Scenario, TimeSpec, load_scenario,
+                               scenario_to_dict)
+from modaldyn.spectral import _nearest_node
 
-from conftest import random_hermitian, random_ket
+from conftest import random_hermitian, random_ket, relay_scenario
+
+
+def stacked(full):
+    """The current record of full antisymmetric matrices ``full``."""
+    return CurrentMatrix(upper=np.triu(full, 1))
 
 
 def rate_trajectory_from(grid, full_of_t, p_of_t):
     full = np.stack([full_of_t(t) for t in grid])
     p = np.stack([p_of_t(t) for t in grid])
-    return RateTrajectory(grid, bell_rates(CurrentMatrix(upper=np.triu(full, 1)), p))
+    return RateTrajectory(grid, bell_rates(stacked(full), p))
 
 
 def zero_process(d=2, t1=1.0, seed=7, n_nodes=101, p0=None):
@@ -34,7 +42,7 @@ def zero_process(d=2, t1=1.0, seed=7, n_nodes=101, p0=None):
                               lambda t: np.full(d, 1.0 / d))
     states = [(k,) for k in range(d)]
     p0 = np.full(d, 1.0 / d) if p0 is None else np.asarray(p0)
-    return JumpProcess(rt, p0, states, np.zeros((n_nodes, d, d)), master_seed=seed)
+    return JumpProcess(rt, p0, states, stacked(np.zeros((n_nodes, d, d))), master_seed=seed)
 
 
 def ensemble_of(states, *paths):
@@ -94,7 +102,7 @@ def first_jump_times(rate_of_t, t1, step, n, seed):
     m[:, 0, 0] = -m[:, 1, 0]
     rates = RateMatrix(m, np.zeros(m.shape, dtype=bool))
     proc = JumpProcess(RateTrajectory(grid, rates), np.array([1.0, 0.0]),
-                       [(0,), (1,)], np.zeros(m.shape), master_seed=seed)
+                       [(0,), (1,)], stacked(np.zeros(m.shape)), master_seed=seed)
     return np.array([p.events[0][0] if p.events else t1 for p in proc.ensemble(n)])
 
 
@@ -145,7 +153,7 @@ def hazard_process(seed=3, n=60, d=5):
     mats[:, i, i] = -off.sum(axis=1)
     rates = RateTrajectory(grid, RateMatrix(mats, np.zeros(mats.shape, dtype=bool)))
     process = JumpProcess(rates, np.full(d, 1.0 / d), [(k,) for k in range(d)],
-                          currents=np.zeros((n, d, d)))
+                          currents=stacked(np.zeros((n, d, d))))
     return process, _cumulative_trapezoid(off.sum(axis=1), grid)
 
 
@@ -302,9 +310,10 @@ class TestSamplePathStructure:
         assert paths[-1].initial == (1,) and paths[-1].jump_count == 1
 
 
-def make_relay_process(policy):
+def make_relay_process(policy, currents=None):
     # State 1 has probability zero with balanced through-current
-    # 0 -> 1 -> 2: any arrival must relay out instantly.
+    # 0 -> 1 -> 2: any arrival must relay out instantly.  ``currents``
+    # replaces the record handed to the process.
     grid = np.linspace(0.0, 1.0, 201)
     full = np.array([
         [0.0, -0.4, 0.0],
@@ -312,11 +321,11 @@ def make_relay_process(policy):
         [0.0, 0.4, 0.0],
     ])
     p = np.array([0.7, 0.0, 0.3])
-    currents = np.broadcast_to(full, (len(grid), 3, 3))
-    rates = bell_rates(CurrentMatrix(upper=np.triu(currents, 1)),
-                       np.broadcast_to(p, (len(grid), 3)))
+    record = stacked(np.broadcast_to(full, (len(grid), 3, 3)))
+    rates = bell_rates(record, np.broadcast_to(p, (len(grid), 3)))
     return JumpProcess(RateTrajectory(grid, rates), p, [(0,), (1,), (2,)],
-                       currents=currents, pole_policy=policy, master_seed=31)
+                       currents=record if currents is None else currents,
+                       pole_policy=policy, master_seed=31)
 
 
 class TestPolePolicies:
@@ -350,6 +359,53 @@ class TestPolePolicies:
         with pytest.raises(TypeError, match="currents"):
             JumpProcess(RateTrajectory(grid, rates), [0.5, 0.5], [(0,), (1,)])
 
+    @pytest.mark.parametrize("currents, error, match", [
+        (np.zeros((201, 3, 3)), TypeError, "CurrentMatrix, not ndarray"),
+        (np.zeros(3), TypeError, "CurrentMatrix, not ndarray"),
+        (CurrentMatrix(upper=np.zeros((11, 3, 3))), ValueError, r"\(11, 3, 3\).*\(201, 3, 3\)"),
+        (CurrentMatrix(upper=np.zeros((201, 2, 2))), ValueError, r"\(201, 2, 2\).*\(201, 3, 3\)"),
+    ], ids=["plain-stack", "1-d-array", "11-nodes", "2-states"])
+    def test_current_record_is_checked(self, currents, error, match):
+        # A plain array, or a record of another node count or state count,
+        # is refused before any path draws from it.
+        with pytest.raises(error, match=match):
+            make_relay_process("resample", currents)
+
+    def test_relay_columns_are_the_full_current(self, monkeypatch):
+        # A relay out of state s at node k draws from full()[k, :, s], formed
+        # from the record by full()'s own subtraction: the same bits, signs of
+        # zeros included.  Every state is put at every node and halfway
+        # between; the draw is stubbed to relay nothing and keep its columns.
+        rng = np.random.default_rng(14)
+        upper = np.triu(rng.normal(size=(11, 4, 4)), 1)
+        upper[rng.random(upper.shape) < 0.3] = 0.0
+        upper[rng.random(upper.shape) < 0.3] *= -0.0          # -0.0 on and above the diagonal
+        records = [run(relay_scenario((2, 2)), n_paths=1, report_only=True).currents,
+                   CurrentMatrix(upper=upper)]
+        for record in records:
+            n, d, _ = record.upper.shape
+            grid = np.linspace(0.0, 1.0, n)
+            pole = np.zeros((n, d, d), dtype=bool)
+            pole[:, 0, 1:] = pole[:, 1, 0] = True               # every column flagged
+            proc = JumpProcess(RateTrajectory(grid, RateMatrix(np.zeros(pole.shape), pole)),
+                               np.full(d, 1.0 / d), [(k,) for k in range(d)], record)
+            times = np.concatenate([grid, (grid[1:] + grid[:-1]) / 2])
+            state = np.repeat(np.arange(d), len(times))
+            batch = _Batch(_Streams(0, len(state)), state, 0.0)
+            batch.t = np.tile(times, d)
+            seen = []
+            monkeypatch.setattr(sampler, "_draw", lambda columns, states, rows, rng:
+                                seen.append((columns, states, rows)) or np.full(len(rows), -1))
+            proc._maybe_relay(batch, np.arange(len(state)), arrival=True)
+            (columns, states, rows), = seen
+            assert len(rows) == len(state)
+            want = record.full()[_nearest_node(grid, batch.t[rows]), :, states]
+            assert np.array_equal(columns, want)
+            assert np.array_equal(np.signbit(columns), np.signbit(want))
+        # The synthetic record, checked last, has zeros of both signs.
+        zeros = want == 0.0
+        assert np.signbit(want[zeros]).any() and not np.signbit(want[zeros]).all()
+
     def test_relay_cycle_is_named_error(self):
         # Every column flagged and a cyclic current 0 -> 1 -> 2 -> 0: relays
         # never reach a state with finite exit rate.
@@ -365,7 +421,7 @@ class TestPolePolicies:
         full = full - full.T
         proc = JumpProcess(RateTrajectory(grid, rates), np.array([1.0, 0.0, 0.0]),
                            [(0,), (1,), (2,)],
-                           currents=np.broadcast_to(full, (len(grid), 3, 3)))
+                           currents=stacked(np.broadcast_to(full, (len(grid), 3, 3))))
         with pytest.raises(ModalDynError,
                            match="^relay cycle among zero-probability states$"):
             proc.ensemble(1)
@@ -379,7 +435,7 @@ class TestPolePolicies:
         full = np.array([[0.0, -0.4, 0.0], [0.4, 0.0, -0.4], [0.0, 0.4, 0.0]])
         proc = JumpProcess(RateTrajectory(grid, RateMatrix(np.zeros(pole.shape), pole)),
                            np.array([1.0, 0.0, 0.0]), [(0,), (1,), (2,)],
-                           currents=np.broadcast_to(full, (len(grid), 3, 3)))
+                           currents=stacked(np.broadcast_to(full, (len(grid), 3, 3))))
         assert proc.ensemble(1)[0].events == ((0.0, (1,)), (np.nextafter(0.0, 1.0), (2,)))
 
 
@@ -432,7 +488,7 @@ class TestJumpLaw:
         m[:, 1:, 0] = (0.5, 1.5, 3.0)
         m[:, 0, 0] = -5.0
         rates = RateTrajectory(grid, RateMatrix(m, np.zeros(m.shape, dtype=bool)))
-        return JumpProcess(rates, p0, [(k,) for k in range(4)], np.zeros(m.shape),
+        return JumpProcess(rates, p0, [(k,) for k in range(4)], stacked(np.zeros(m.shape)),
                            master_seed=0)
 
     def test_jump_share_and_destinations(self):
@@ -472,6 +528,16 @@ class TestEnsembleMarginals:
         stats = ensemble_marginals(paths, [0.1], factor=1)
         assert stats.labels == (0, 1)
         assert np.allclose(stats.frequencies[0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("factor", [2, -1, True, 1.0, "0"])
+    def test_factor_must_name_a_factor(self, factor):
+        # A two-factor ensemble has factors 0 and 1 only: no wrap-around, and
+        # no booleans, floats or strings that stand for an index.
+        states = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        paths = ensemble_of(states, ((0, 1), ()))
+        with pytest.raises(ValueError, match=r"integer in range\(2\)"):
+            ensemble_marginals(paths, [0.1], factor=factor)
+        assert ensemble_marginals(paths, [0.1], factor=np.int64(1)).labels == (0, 1)
 
     def test_counts_sum_to_paths(self):
         proc = zero_process(d=3)
@@ -705,6 +771,9 @@ def generic_2222(n_paths):
                     ensemble=EnsembleSpec(n_paths, 9, (0.25, 0.5))).validate()
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def digests(paths):
     ints = {name: getattr(paths, name).astype("<i8") for name in ("initial", "offsets", "dest")}
     return {**{name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in ints.items()},
@@ -719,7 +788,10 @@ def digests(paths):
 # event times by at most 2.2e-15; its other digests are the originals.  The
 # eight-state measured-possessed-property ensemble, whose grid runs over seven
 # node blocks, and its report (``to_dict()`` as sorted-key JSON) were
-# recorded from the lockstep sampler at commit 31d0a4e.
+# recorded from the lockstep sampler at commit 31d0a4e.  The two relaying
+# random systems were recorded at commit 2aee407, while relays still drew
+# from a full copy of the currents and destinations from
+# ``RateTrajectory.matrix_batch``.
 GOLDEN = {
     "easyexample-5000": {
         "initial": "e7e2dcff542de95352682dc186432e98f0188084896773f1973276b0577d5305",
@@ -746,6 +818,18 @@ GOLDEN = {
         "times": "31bc3c30d36567566479a15666a1e8865f5dc25eed0ae9b092d9a76fe12ac982",
         "report": "9f79372c9a51f40c7927044988b31aa674ec1ad743253b9f703be1e3eb6e21e5",
     },
+    "relay-2x2-2000": {
+        "initial": "9c84f5a95028483222d14d71b2faa62c595925407ff1089a10cfc4cd73003239",
+        "offsets": "2f08326be798ffa8919f2f4a7c2e602db5134fbae0853b8594693af9f45bcc20",
+        "dest": "c8d0e4890a6d2801ab9fe00dd7fff4e2cb102484d37882dccaf2e453dcf6db3f",
+        "times": "e81326311486e1300553ef23d0d1ef1561b48be3c52ee1188712390e4e6051ff",
+    },
+    "relay-4x2-2000": {
+        "initial": "e790138664968f292e58bf94093845f0ecc8308d6f1c84d3fdd9e4cc2657ee23",
+        "offsets": "6fe6e4a8d5efc435c043175ca52b7f5f005f9392453ab39691895ade4ded7251",
+        "dest": "4f7b883b8f2f391d5236bb47dee20f3115755bd86577998fbaed4b0ff7c5f17f",
+        "times": "98b9ff31dc2b49864c4c9088eca8da94cdb84034261fdc391f2e4266ae12ca0e",
+    },
 }
 
 
@@ -759,6 +843,22 @@ class TestGoldenEnsembles:
     def test_relays(self):
         paths = make_relay_process("resample").ensemble(400)
         assert digests(paths) == GOLDEN["relay-400"]
+
+    @pytest.mark.parametrize("dims, relays", [((2, 2), 48), ((4, 2), 101)], ids=["2x2", "4x2"])
+    def test_pipeline_relays(self, dims, relays):
+        # Currents and rates built by the pipeline, flagged at all 201 nodes;
+        # a relay follows the event before it by one representable step.
+        result = run(relay_scenario(dims), report_only=True)
+        paths = result.paths
+        owner = np.repeat(np.arange(len(paths)), paths.jump_counts)
+        step = paths.times[1:] == np.nextafter(paths.times[:-1], np.inf)
+        assert result.report.pole_nodes == 201
+        assert (step & (owner[1:] == owner[:-1])).sum() == relays
+        assert digests(paths) == GOLDEN["relay-{}x{}-2000".format(*dims)]
+
+    def test_relay_file_is_the_recipe(self):
+        loaded = scenario_to_dict(load_scenario(str(DATA / "relay-2x2.json")))
+        assert json.dumps(loaded) == json.dumps(scenario_to_dict(relay_scenario((2, 2))))
 
     def test_generic_2222(self):
         paths = run(generic_2222(200), report_only=True).paths
@@ -788,7 +888,7 @@ class TestGoldenEnsembles:
         pole = np.zeros(m.shape, dtype=bool)
         pole[5, 1, 0] = pole[5, 0, 1] = True
         return JumpProcess(RateTrajectory(grid, RateMatrix(m, pole)), [0.5, 0.5],
-                           [(0,), (1,)], np.zeros(m.shape), pole_policy=policy,
+                           [(0,), (1,)], stacked(np.zeros(m.shape)), pole_policy=policy,
                            master_seed=3)
 
     def test_abort_pole_ahead_message(self):
@@ -814,7 +914,7 @@ class TestGoldenEnsembles:
         pole = np.zeros(m.shape, dtype=bool)
         pole[:, 0, 1] = True
         proc = JumpProcess(RateTrajectory(grid, RateMatrix(m, pole)), [0.5, 0.0, 0.5],
-                           [(0,), (1,), (2,)], np.zeros(m.shape), pole_policy="abort",
+                           [(0,), (1,), (2,)], stacked(np.zeros(m.shape)), pole_policy="abort",
                            master_seed=19)
         message = "path occupies state 1 with diverging exit rate at t={}"
         with pytest.raises(PoleEncountered) as err:
