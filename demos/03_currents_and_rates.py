@@ -22,9 +22,12 @@ t = family.grid[node]
 print(f"scenario {scenario.name!r} at t = {t:.3f}")
 print(f"joint probabilities: {np.round(family.probabilities[node], 4)}")
 
+# Every current is checked against the one Born derivative of the grid.  Here
+# the tracked projectors barely move, so the static current passes too; where
+# they rotate (measured-possessed-property) its residual reaches 0.34.
+target = pdot_target(family)[node]
 for kind in ("minimal_flow", "static_schrodinger", "generalized_schrodinger"):
     cm = compute_currents(family, kind=kind)[node]
-    target = pdot_target(family, kind)[node]
     res = continuity_residual(cm, target)
     flow = cm.full()[3, 0]
     print(f"{kind:24s} j[(1,1)<-(0,0)] = {flow:+.5f}   continuity residual {res:.1e}")

@@ -45,7 +45,6 @@ class JointFamily:
     vectors: np.ndarray              # (n, D, dim) projector directions
     rotation: np.ndarray             # (n, D, dim) Pdot_a psi at each node
     probabilities: np.ndarray        # (n, D)
-    pdot: np.ndarray                 # (n, D) finite differences
 
 
 # Bytes of one complex (..., D, dim) stack over a node block of the per-node
@@ -131,13 +130,11 @@ def compute_joint_family(scenario: Scenario) -> JointFamily:
         return amps, rotation
 
     amps, rotation = _blockwise(rotate, n, dim)
-    probabilities = np.clip(np.abs(amps) ** 2, 0.0, 1.0)
-    pdot = derivative_family(probabilities, grid)
     return JointFamily(
         scenario=scenario, grid=grid, psi=psi,
         factor_trajectories=tuple(trajectories), states=tuple(space.joint_indices()),
         vectors=joint, rotation=rotation,
-        probabilities=probabilities, pdot=pdot,
+        probabilities=np.clip(np.abs(amps) ** 2, 0.0, 1.0),
     )
 
 
@@ -151,7 +148,8 @@ def compute_currents(family: JointFamily, kind: str | None = None,
     psi, vectors, rotation = family.psi, family.vectors, family.rotation
     if kind == "minimal_flow":
         # Finite differences of clipped probabilities can carry ~1e-13 imbalance.
-        pdot = family.pdot - family.pdot.mean(axis=1, keepdims=True)
+        pdot = pdot_target(family)
+        pdot -= pdot.mean(axis=1, keepdims=True)
 
         def current(nodes):
             return minimal_flow_current(pdot[nodes])
@@ -168,21 +166,11 @@ def compute_currents(family: JointFamily, kind: str | None = None,
     return CurrentMatrix(upper=upper)
 
 
-def pdot_target(family: JointFamily, kind: str) -> np.ndarray:
-    """The probability derivative each current constructor is built against.
-
-    The static constructor targets the commutator part alone (it cannot see
-    projector rotation); the other constructors target the full finite
-    difference.
-    """
-    if kind != "static_schrodinger":
-        return family.pdot
-    h = np.asarray(family.scenario.hamiltonian, dtype=complex)
-    v = family.vectors
-    a = v * np.einsum("ndx,nx->nd", v.conj(), family.psi)[..., None]
-    hpsi = family.psi @ h.T
-    vals = np.einsum("ndx,nx->nd", a.conj(), hpsi)
-    return 2.0 * vals.imag
+def pdot_target(family: JointFamily) -> np.ndarray:
+    """The Born derivative ``(n, D)``, the finite difference of the joint
+    probabilities on the grid: the one target every current is checked
+    against, whatever its kind."""
+    return derivative_family(family.probabilities, family.grid)
 
 
 def compute_rates(currents: CurrentMatrix, probabilities, choice: str,
@@ -295,7 +283,7 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
     grid = family.grid
     with _Stage("currents"):
         currents = compute_currents(family)
-        target = pdot_target(family, scenario.current)
+        target = pdot_target(family)
     cont_res = continuity_residual(currents, target)
 
     with _Stage("rates"):

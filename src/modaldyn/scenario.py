@@ -130,8 +130,8 @@ class Scenario:
             raise ScenarioValidationError("time: the grid needs at least 3 nodes")
         if abs(grid[-1] - self.time.t1) > 1e-9 * self.time.grid_step:
             raise ScenarioValidationError("time: grid_step must divide t1 - t0")
-        if self.ensemble.n_paths < 1:
-            raise ScenarioValidationError("ensemble: n_paths must be >= 1")
+        if not 1 <= self.ensemble.n_paths <= 2 ** 32:    # one stream per path
+            raise ScenarioValidationError("ensemble: n_paths must lie in [1, 2**32]")
         if self.ensemble.master_seed < 0:
             raise ScenarioValidationError("ensemble: master_seed must be nonnegative")
         for q in self.ensemble.query_times:

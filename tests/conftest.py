@@ -28,6 +28,17 @@ def random_density(rng, dim):
     return w / w.trace()
 
 
+def random_system(seed, dims, t1=0.2):
+    """A random system on factors ``dims``, H and psi drawn from ``default_rng(seed)``,
+    over t in [0, t1]."""
+    rng = np.random.default_rng(seed)
+    dim = int(np.prod(dims))
+    return Scenario(name="random-" + "x".join(map(str, dims)), factor_dims=dims,
+                    hamiltonian=random_hermitian(rng, dim), initial_state=random_ket(rng, dim),
+                    time=TimeSpec(0.0, t1, 1e-3),
+                    ensemble=EnsembleSpec(10, 0, (t1,))).validate()
+
+
 def relay_scenario(dims):
     """A random system under the minimal-flow current whose every grid node
     flags a column, so paths relay; ``data/relay-2x2.json`` holds the

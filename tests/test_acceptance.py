@@ -161,20 +161,36 @@ def test_criterion_05_chapman_kolmogorov():
 
 
 def test_criterion_06_continuity_and_master_residuals():
+    # Every current is held to the one Born derivative, pdot_target.  The
+    # minimal-flow and generalized currents solve the continuity equation for
+    # it, and Bell's rates reproduce them.  The static current cannot see the
+    # projectors rotate, so it is the negative control: it must fail where
+    # they do, on measured-possessed-property (0.339 at seed 1) and in the
+    # report of a run that uses it.
     worst_cont = worst_master = 0.0
     for name in builtin_scenarios():
         fam = cached_family(name)
-        for kind in ("minimal_flow", "static_schrodinger", "generalized_schrodinger"):
+        target = pdot_target(fam)
+        for kind in ("minimal_flow", "generalized_schrodinger"):
             currents = compute_currents(fam, kind=kind)
-            target = pdot_target(fam, kind)
             rates = compute_rates(currents, fam.probabilities, "bell")
             res = np.abs(target - currents.full().sum(axis=-1)).max()
             worst_cont = max(worst_cont, res)
             worst_master = max(worst_master, master_residual(
                 rates, fam.probabilities, target, rows=pole_free_rows(rates)))
-    ok = worst_cont <= 1e-5 and worst_master <= 1e-5
-    _report(6, ok, f"all constructors x scenarios: continuity {worst_cont:.2e}, "
-                   f"master {worst_master:.2e}")
+    fam = cached_family("measured-possessed-property")
+    static = compute_currents(fam, kind="static_schrodinger")
+    control = np.abs(pdot_target(fam) - static.full().sum(axis=-1)).max()
+    result = cached_run("measured-possessed-property", "static_schrodinger", 200)
+    report = result.report
+    named = [f for f in report.failures(result.scenario.thresholds)
+             if f.startswith("continuity residual")]
+    ok = (worst_cont <= 1e-5 and worst_master <= 1e-5 and control > 1e-5
+          and report.continuity_residual > 1e-5 and len(named) == 1)
+    _report(6, ok, f"minimal-flow and generalized x scenarios: continuity "
+                   f"{worst_cont:.2e}, master {worst_master:.2e}; static control "
+                   f"{control:.2e} on measured-possessed-property, run reports "
+                   f"{report.continuity_residual:.2e}")
 
 
 def test_criterion_07_current_structure():

@@ -5,8 +5,10 @@ from modaldyn.algebra import (composite_generating_set, generate_faux_boolean,
                               join, joint_distribution, joint_probability, meet,
                               orthocomplement, ultrafilter_state)
 from modaldyn.hilbert import FactorSpace, partial_trace, projector_from_vector
+from modaldyn.pipeline import compute_joint_family
+from modaldyn.scenario import BUILTINS
 
-from conftest import SINGLET, random_ket
+from conftest import SINGLET, random_ket, random_system
 
 E0 = projector_from_vector(np.array([1.0, 0.0]))
 E1 = projector_from_vector(np.array([0.0, 1.0]))
@@ -120,6 +122,26 @@ class TestJointProbability:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError, match="mismatch"):
             joint_probability(random_ket(rng, 4), E0)
+
+
+class TestPipelineBornWeights:
+    """The pipeline's joint Born weights against the algebra layer: product
+    projectors of each factor's tracked directions, their Born weights taken
+    one by one from the state."""
+
+    @pytest.mark.parametrize("system, seed", [(name, None) for name in BUILTINS] + [
+        ((2, 3), 23), ((3, 2, 2), 322), ((2, 2, 2, 2), 1), ((2, 2, 2, 2), 2)])
+    def test_joint_distribution_of_the_tracked_directions(self, system, seed):
+        sc = BUILTINS[system]().validate() if seed is None else random_system(seed, system)
+        family = compute_joint_family(sc)
+        n = len(family.grid)
+        for k in (0, n // 3, n // 2, n - 1):
+            joint = composite_generating_set(
+                [[projector_from_vector(v) for v in traj.vectors[k]]
+                 for traj in family.factor_trajectories])
+            assert tuple(label for label, _ in joint) == family.states
+            expect = joint_distribution(family.psi[k], joint)
+            assert np.abs(family.probabilities[k] - expect).max() <= 1e-12
 
 
 class TestUltrafilterState:

@@ -378,7 +378,8 @@ class TestNodeBlocks:
     @staticmethod
     def outputs(sc):
         family = compute_joint_family(sc)
-        out = [family.vectors, family.rotation, family.probabilities, family.pdot]
+        out = [family.vectors, family.rotation, family.probabilities,
+               pipeline.pdot_target(family)]
         for kind, extra_term in (("minimal_flow", None), ("static_schrodinger", None),
                                  ("generalized_schrodinger", "paired"),
                                  ("generalized_schrodinger", "minimal_flow_like")):

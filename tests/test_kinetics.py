@@ -11,8 +11,13 @@ from modaldyn.currents import CurrentMatrix
 from modaldyn.kinetics import (RateMatrix, RateTrajectory, _median, bell_rates,
                                classify_singularities, general_rates,
                                master_residual, pole_free_rows)
-from modaldyn.pipeline import _kernel_windows
+from modaldyn import pipeline
+from modaldyn.pipeline import (_kernel_windows, compute_currents, compute_joint_family,
+                               compute_rates, run)
 from modaldyn.sampler import _interp_rows
+from modaldyn.scenario import BUILTINS
+
+from conftest import random_system
 
 
 def current_from_full(full):
@@ -208,6 +213,83 @@ class TestMasterResidual:
         for bad in ([0], np.array([1, 0, 0]), np.array([[True, False, False]])):
             with pytest.raises(ValueError, match="boolean mask"):
                 master_residual(rates, p, pdot, rows=bad)
+
+
+def generic_2222(seed):
+    """A random (2, 2, 2, 2) system over t in [0, 0.5]; p > 0 at every node."""
+    return random_system(seed, (2, 2, 2, 2), t1=0.5)
+
+
+def intensity(rates, p):
+    """Expected jump rate under the Born weights, sum_(i != j) t_ij p_j, per node."""
+    off = np.where(np.eye(rates.size, dtype=bool), 0.0, rates.matrix)
+    return (off * p[..., None, :]).sum(axis=(-2, -1))
+
+
+class TestFluxMinimality:
+    """For a fixed current, Bell's rates have the least intensity any rates
+    reproducing it can have: sum_(i<j) |j_ij|, the total flux (Bell,
+    "Beables for quantum field theory", 1984).  The general solution adds
+    2c p_b to the pair (a < b), so its expected jump count is never lower."""
+
+    # The builtins run their own current.  Under the minimal-flow current a
+    # builtin routes up to 8e-10 through zero-probability states, below the
+    # pole tolerance, where Bell's rule sets the rate to 0 without a flag;
+    # the generic draws have p > 0 everywhere and take every current.
+    @pytest.mark.parametrize("system, kind", [(name, None) for name in BUILTINS] + [
+        (seed, kind) for seed in (1, 2)
+        for kind in ("minimal_flow", "static_schrodinger", "generalized_schrodinger")])
+    def test_bell_intensity_is_the_flux(self, system, kind):
+        sc = BUILTINS[system]() if system in BUILTINS else generic_2222(system)
+        family = compute_joint_family(sc.validate())
+        current = compute_currents(family, kind)
+        p = family.probabilities
+        rates = compute_rates(current, p, "bell")
+        flux = np.abs(current.upper).sum(axis=(-2, -1))
+        free = ~rates.pole_mask.any(axis=(-2, -1))
+        assert free.any()
+        gap = np.abs(intensity(rates, p) - flux)[free]
+        assert (gap <= 1e-12 * np.maximum(1.0, flux[free])).all()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("c", [0.1, 0.5, 2.0])
+    def test_general_adds_twice_the_offset_flow(self, seed, c):
+        family = compute_joint_family(generic_2222(seed))
+        current = compute_currents(family)
+        p = family.probabilities
+        bell = intensity(compute_rates(current, p, "bell"), p)
+        general = intensity(compute_rates(current, p, "general", c), p)
+        # p_b of the higher state b of every pair a < b: b times over.
+        extra = 2.0 * c * (p * np.arange(p.shape[-1])).sum(axis=-1)
+        flux = np.abs(current.upper).sum(axis=(-2, -1))
+        assert (np.abs(general - bell - extra) <= 1e-12 * np.maximum(1.0, flux + extra)).all()
+        assert (general >= bell).all()
+
+
+class TestRateLayerMutation:
+    """Rates scaled by 1.01 (one defect, in the rate layer alone) must fail
+    the master check of a run while its continuity check keeps every bit."""
+
+    @pytest.mark.parametrize("name", ["easyexample", "interacting-two-spin",
+                                      "measured-possessed-property"])
+    def test_scaled_bell_rates_fail_the_master_check(self, monkeypatch, name):
+        sc = BUILTINS[name](n_paths=200)
+        honest = run(sc, report_only=True).report
+        rule = pipeline._rate_rule
+
+        def scaled(*args):
+            honest_rule = rule(*args)
+
+            def at(nodes):
+                matrix, pole_mask = honest_rule(nodes)
+                return 1.01 * matrix, pole_mask
+            return at
+
+        monkeypatch.setattr(pipeline, "_rate_rule", scaled)
+        mutant = run(sc, report_only=True).report
+        assert honest.master_residual <= 1e-5 < mutant.master_residual
+        assert mutant.continuity_residual == honest.continuity_residual
+        assert any(f.startswith("master residual") for f in mutant.failures(sc.thresholds))
 
 
 def zero_rates(n, d):

@@ -220,6 +220,32 @@ class TestSerialization:
         with pytest.raises(ScenarioValidationError, match="master_seed"):
             run(BUILTINS["easyexample"](), master_seed=-1)
 
+    def test_path_count_beyond_the_streams_rejected(self, tmp_path, capsys, monkeypatch):
+        # The sampler has 2**32 streams, one per path.  A larger count is
+        # rejected at validation, before any stage runs, not after every grid
+        # stage in the sampling stage.  2**32 itself is valid (never sampled).
+        def no_stage(scenario):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(pipeline, "compute_joint_family", no_stage)
+        message = "ensemble: n_paths must lie in [1, 2**32]"
+        easy = load_scenario("easyexample")
+        assert replace(easy, ensemble=replace(easy.ensemble, n_paths=2**32)).validate()
+        doc = {"hamiltonian": {"builder": "easyexample"},
+               "ensemble": {"n_paths": 2**32 + 1, "master_seed": 1, "query_times": [0.1]}}
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(str(path))
+        assert str(err.value) == message
+        for argv in (["validate", str(path)], ["run", str(path), "--report-only"],
+                     ["run", "easyexample", "--report-only", "--paths", str(2**32 + 1)]):
+            assert cli_main(argv) == 2
+            assert f"validation error: {message}" in capsys.readouterr().err
+        with pytest.raises(ScenarioValidationError) as err:
+            run(easy, n_paths=2**32 + 1)
+        assert str(err.value) == message
+
 
 def small(sc, n=200):
     return replace(sc, ensemble=replace(sc.ensemble, n_paths=n))
@@ -635,7 +661,8 @@ GOLDEN_ARRAYS = {
 def test_joint_family_and_current_digests(scenario):
     family = pipeline.compute_joint_family(scenario())
     arrays = {name: getattr(family, name)
-              for name in ("vectors", "rotation", "probabilities", "pdot")}
+              for name in ("vectors", "rotation", "probabilities")}
+    arrays["pdot"] = pipeline.pdot_target(family)
     for extra in ("paired", "minimal_flow_like"):
         arrays[extra] = pipeline.compute_currents(
             family, "generalized_schrodinger", extra).upper
