@@ -10,9 +10,10 @@ Three constructors are provided:
   term accounting for rotating projectors, either the paired form
   <psi| Pdot_j P_i - Pdot_i P_j |psi> or a least-norm-style alternative.
 
-Projectors enter as rank-1 directions, and every constructor broadcasts
-over leading node axes.  Antisymmetry is structural: only the strict upper
-triangle is stored.
+Projectors enter as rank-1 directions per factor, whose kron gives the joint
+directions, and their motion as per-factor connections.  Every constructor
+broadcasts over leading node axes.  Antisymmetry is structural: only the
+strict upper triangle is stored.
 """
 
 from __future__ import annotations
@@ -82,77 +83,87 @@ def minimal_flow_current(pdot) -> CurrentMatrix:
     return _upper((pdot[..., :, None] - pdot[..., None, :]) / d)
 
 
-def _projected(psi, hamiltonian, vectors):
-    """Checked ``psi``, ``H`` and the rows ``a_a = v_a <v_a|psi>``, shape (..., D, dim)."""
+def joint_directions(factors) -> np.ndarray:
+    """The joint directions ``(..., D, dim)``, kron of ``(..., d_k, d_k)`` factors."""
+    joint = factors[0]
+    for f in factors[1:]:
+        joint = np.einsum("...ax,...by->...abxy", joint, f)
+        *lead, a, b, x, y = joint.shape
+        joint = joint.reshape(*lead, a * b, x * y)
+    return joint
+
+
+def _projected(psi, hamiltonian, factors):
+    """Checked ``H``, rows ``v_a <v_a|psi>`` and amplitudes ``<v_a|psi>`` of the joint ``v_a``."""
     psi = check_ket(psi)
     h = check_hermitian(hamiltonian)
-    v = np.asarray(vectors, dtype=complex)
-    if v.ndim != psi.ndim + 1 or v.shape[-1] != psi.shape[-1]:
-        raise ValueError(f"vector stack has shape {v.shape}, "
-                         f"expected (..., D, {psi.shape[-1]})")
-    # |<v_a|v_b>|^2 equals tr(P_a P_b) for the rank-1 projectors.
-    worst = (np.abs(v.conj() @ v.swapaxes(-1, -2)) ** 2 * ~np.eye(v.shape[-2], dtype=bool)).max()
+    factors = [np.asarray(f, dtype=complex) for f in factors]
+    if any(f.shape != psi.shape[:-1] + f.shape[-1:] * 2 for f in factors) \
+            or np.prod([f.shape[-1] for f in factors]) != psi.shape[-1]:
+        raise ValueError(f"factor directions of shapes {[f.shape for f in factors]} are not "
+                         f"square (..., d_k, d_k) stacks over a {psi.shape[-1]}-dim psi")
+    # |<u_a|u_b>|^2 equals tr(P_a P_b) for each factor's rank-1 projectors.
+    worst = max(np.abs(np.einsum("...ax,...bx->...ab", f.conj(), f)[
+        ..., ~np.eye(f.shape[-1], dtype=bool)]).max(initial=0.0) ** 2 for f in factors)
     if worst > DEFAULT.projector_orthogonality:
-        raise ValueError(
-            f"projectors are not mutually orthogonal (max overlap {worst:.3e})"
-        )
-    a = v * np.einsum("...ax,...x->...a", v.conj(), psi)[..., None]
-    return psi, h, a
+        raise ValueError(f"projectors are not mutually orthogonal (max overlap {worst:.3e})")
+    v = joint_directions(factors)
+    amps = np.einsum("...ax,...x->...a", v.conj(), psi)
+    return h, v * amps[..., None], amps
 
 
 def _schrodinger(a, h) -> np.ndarray:
     """2 Im <psi| P_a H P_b |psi>, the static part of the current."""
-    g = a.conj() @ h @ np.swapaxes(a, -1, -2)
-    return 2.0 * g.imag
+    return 2.0 * (a.conj() @ h @ np.swapaxes(a, -1, -2)).imag
 
 
-def static_schrodinger_current(psi, hamiltonian, vectors) -> CurrentMatrix:
-    """Textbook current for frozen projectors with orthonormal directions ``vectors``.
-
-    ``psi`` has shape ``(..., dim)`` and ``vectors`` ``(..., D, dim)``.
-    """
-    _psi, h, a = _projected(psi, hamiltonian, vectors)
+def static_schrodinger_current(psi, hamiltonian, factors) -> CurrentMatrix:
+    """Textbook current for frozen projectors along the kron of ``factors``,
+    one ``(..., d_k, d_k)`` stack of orthonormal direction rows per factor
+    (a single factor is any basis); ``psi`` has shape ``(..., dim)``."""
+    h, a, _amps = _projected(psi, hamiltonian, factors)
     return _upper(_schrodinger(a, h))
 
 
-def generalized_schrodinger_current(psi, hamiltonian, vectors, rotation,
+def generalized_schrodinger_current(psi, hamiltonian, factors, connections,
                                     extra_term: str = "paired") -> CurrentMatrix:
     """Schrodinger current extended to a rotating projector family.
 
-    ``rotation`` holds the rows ``b_a = Pdot_a |psi>``, shape ``(..., D, dim)``.
-    ``extra_term`` selects how the rotation enters: "paired" adds the
-    conjugate-pair term <psi| Pdot_j P_i - Pdot_i P_j |psi> (computed in
-    the algebraically equal arrangement that keeps it exactly zero at
-    zero-probability states); "minimal_flow_like" spreads the rotational
-    part of pdot the way the least-norm current would.  Both choices
-    restore continuity against the full time derivative of the Born
-    weights.
+    ``factors`` are as for :func:`static_schrodinger_current`; ``connections``
+    holds one anti-Hermitian ``(..., d_k, d_k)`` stack ``A_k[b, a] =
+    <u_b|d/dt u_a>`` per factor.  With ``c_a = <v_a|psi>`` and ``Gamma =
+    sum_k 1 (x) A_k (x) 1``, the rotation term ``-2 Re(conj(c_a) Gamma_ab c_b)``
+    lives on labels that differ in one factor.  "paired" adds it pair by
+    pair, giving ``2 Im <psi| P_a (H - i V^dag Vdot) P_b |psi>``, which
+    vanishes exactly at zero amplitudes; "minimal_flow_like" spreads its row
+    sums the way the least-norm current would.  Both restore continuity
+    against the full time derivative of the Born weights.
     """
     if extra_term not in ("paired", "minimal_flow_like"):
         raise ValueError(f"unknown extra_term {extra_term!r}")
-    psi, h, a = _projected(psi, hamiltonian, vectors)
-    b = np.asarray(rotation, dtype=complex)
-    if b.shape != a.shape:
-        raise ValueError("vector and rotation stacks must have equal shape")
-    bal = np.abs(b.sum(axis=-2)).max()
-    if bal > DEFAULT.derivative_balance:
-        raise ValueError(f"projector derivatives do not sum to zero (max {bal:.3e})")
+    h, a, amps = _projected(psi, hamiltonian, factors)
+    conns = [np.asarray(c, dtype=complex) for c in connections]
+    dims = [np.shape(f)[-1] for f in factors]
+    if [c.shape for c in conns] != [amps.shape[:-1] + (d, d) for d in dims]:
+        raise ValueError(f"connections of shapes {[c.shape for c in conns]} do not "
+                         "match the factor directions")
+    skew = max(np.abs(c + c.conj().swapaxes(-1, -2)).max() / max(1.0, np.abs(c).max())
+               for c in conns)
+    if not skew <= DEFAULT.hermiticity:
+        raise ValueError(f"connections are not anti-Hermitian (relative |A + A^dag| {skew:.3e})")
 
     f = _schrodinger(a, h)
-    if extra_term == "paired":
-        m = 2.0 * (b.conj() @ np.swapaxes(a, -1, -2)).real   # 2 Re <psi| Pdot_a P_b |psi>
-        mt = np.swapaxes(m, -1, -2)
-        # Where a state's probability vanishes, P_i |psi> = 0 kills every
-        # term with P_i adjacent to the state; picking that arrangement per
-        # pair keeps the zero-current-at-zero-probability property exact
-        # instead of leaving finite-difference remainders of order h^2.
-        zero = np.einsum("...ax,...ax->...a", a.conj(), a).real <= DEFAULT.zero_probability
-        extra = np.where(zero[..., None, :], m, 0.5 * (m - mt))
-        extra = np.where(zero[..., :, None], -mt, extra)
-    else:
-        dexp = np.einsum("...x,...ax->...a", psi.conj(), b).real
-        extra = (dexp[..., :, None] - dexp[..., None, :]) / b.shape[-2]
-    return _upper(f + extra)
+    rotation = f if extra_term == "paired" else np.zeros_like(f)
+    for k, conn in enumerate(conns):
+        c = amps.reshape(amps.shape[:-1] + (int(np.prod(dims[:k])), dims[k], -1))
+        # The table's (..., L, R, d_k, d_k) view on label pairs that agree
+        # outside factor k, with L and R labels before and after it.
+        pairs = np.einsum("...larlbr->...lrab", rotation.reshape(f.shape[:-2] + c.shape[-3:] * 2))
+        pairs -= 2.0 * np.einsum("...lar,...ab,...lbr->...lrab", c.conj(), conn, c).real
+    if extra_term == "minimal_flow_like":
+        dexp = rotation.sum(axis=-1)
+        f += (dexp[..., :, None] - dexp[..., None, :]) / amps.shape[-1]
+    return _upper(f)
 
 
 def continuity_residual(current: CurrentMatrix, pdot) -> float:

@@ -129,12 +129,15 @@ def feller_minimal(rates: RateTrajectory, s: float, t: float, n_max: int = 25,
     weighted[:, idx, idx] = 0.0
     surv = np.exp(-lam[-1])[:, None]                 # (D, 1) at t
     integrate = _blocked_simpson(m + 1, du)
-    acc = np.broadcast_to(np.eye(d), tm.shape)
+    # Two buffers serve every term: fresh (m+1, D, D) arrays per term fault
+    # their pages in again whenever the allocator has returned them.
+    acc = np.broadcast_to(np.eye(d), tm.shape).copy()
+    term = np.empty_like(acc)
     total = np.eye(d)
     last_max = 0.0           # n_max = 0 is an explicitly requested truncation
     n_used = 0
     for n in range(1, n_max + 1):
-        acc = integrate(weighted @ acc)
+        integrate(np.matmul(weighted, acc, out=term), out=acc)
         np.clip(acc, 0.0, None, out=acc)
         total += acc[-1]
         n_used = n
@@ -216,8 +219,9 @@ _BLOCK = 16
 def _blocked_simpson(n: int, dx: float):
     """``_cumulative_simpson`` on ``n`` nodes as blocked matrix products.
 
-    Returns ``integrate(y)`` for arrays of leading length ``n``.  The integral
-    is linear in ``y``, and inside a block of ``_BLOCK`` nodes it reads only
+    Returns ``integrate(y, out)`` for arrays of leading length ``n``, which
+    writes into ``out`` (``y``'s shape, not ``y`` itself).  The integral is
+    linear in ``y``, and inside a block of ``_BLOCK`` nodes it reads only
     the block's nodes and the next one, so one matmul applies a shared local
     weight matrix to every block's overlapping window; each block then adds
     the running sum of the blocks before it.  The rows after the last full
@@ -234,19 +238,18 @@ def _blocked_simpson(n: int, dx: float):
     wt = _cumulative_simpson(np.eye(n - c), dx)
     tail = wt[head - c:] - wt[head - c]              # integrals from node ``head``
 
-    def integrate(y: np.ndarray) -> np.ndarray:
-        flat = y.reshape(n, -1)
-        out = np.empty_like(flat)
-        np.matmul(tail, flat[c:], out=out[head:])
+    def integrate(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        flat, sums = y.reshape(n, -1), out.reshape(n, -1)
+        np.matmul(tail, flat[c:], out=sums[head:])
         if nb:
             win = sliding_window_view(flat, _BLOCK + 1, axis=0)[::_BLOCK].swapaxes(1, 2)
-            blocks = out[:head].reshape(nb, _BLOCK, -1)
+            blocks = sums[:head].reshape(nb, _BLOCK, -1)
             np.matmul(local, win, out=blocks)
             start = step @ win                       # each block's increment
             np.cumsum(start, axis=0, out=start)
             blocks[1:] += start[:-1, None]
-            out[head:] += start[-1]
-        return out.reshape(y.shape)
+            sums[head:] += start[-1]
+        return out
 
     return integrate
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import io as mdio
 from .currents import (CurrentMatrix, continuity_residual,
-                       generalized_schrodinger_current, minimal_flow_current,
-                       static_schrodinger_current)
+                       generalized_schrodinger_current, joint_directions,
+                       minimal_flow_current, static_schrodinger_current)
 from .errors import ModalDynError, TruncationNotConverged
 from .feller import (chapman_kolmogorov_residual, feller_minimal,
                      forward_ode_kernel, honesty_deficit)
@@ -26,7 +26,7 @@ from .kinetics import (RateMatrix, RateTrajectory, _rate_rule, classify_singular
 from .sampler import (JumpProcess, PathEnsemble, ensemble_marginals,
                       low_probability_occupancy, total_variation)
 from .scenario import Scenario
-from .spectral import (_nearest_node, _runs, _stencil, derivative_family,
+from .spectral import (_nearest_node, _runs, connections, derivative_family,
                        detect_crossings, track)
 
 __all__ = ["JointFamily", "PipelineResult", "RunReport", "compute_currents",
@@ -35,15 +35,15 @@ __all__ = ["JointFamily", "PipelineResult", "RunReport", "compute_currents",
 
 @dataclass(frozen=True)
 class JointFamily:
-    """Tracked joint-state data on the scenario grid; every joint projector is rank-1."""
+    """Tracked joint-state data on the scenario grid; each joint projector is
+    rank-1, the kron of one tracked direction per factor."""
 
     scenario: Scenario
     grid: np.ndarray                 # (n,)
     psi: np.ndarray                  # (n, dim)
     factor_trajectories: tuple      # per-factor SpectralTrajectory
     states: tuple                    # joint labels, flat order
-    vectors: np.ndarray              # (n, D, dim) projector directions
-    rotation: np.ndarray             # (n, D, dim) Pdot_a psi at each node
+    connections: tuple               # per factor (n, d_k, d_k), <u_b|d/dt u_a>
     probabilities: np.ndarray        # (n, D)
 
 
@@ -80,61 +80,35 @@ def compute_joint_family(scenario: Scenario) -> JointFamily:
     n, dim = psi.shape
 
     # The per-node stages run over node blocks (see _blockwise), so no
-    # (n, dim, dim) temporary exists: only the returned directions and
-    # rotation are whole-grid stacks.  Tracking is sequential over the grid.
+    # (n, dim, dim) temporary exists.  Tracking is sequential over the grid.
+    # rho_dot_k = -i Tr_not_k [H, |psi><psi|] = -i (X - X^dag) with
+    # X = Tr_not_k |H psi><psi|, contracted from the kets factor by factor.
+    h, dims = np.asarray(scenario.hamiltonian, dtype=complex), space.factor_dims
+
     def reduce(nodes):
-        pure = psi[nodes, :, None] * psi[nodes, None, :].conj()
-        return tuple(partial_trace(pure, space, k) for k in range(space.n_factors))
+        here = psi[nodes]
+        pure = here[:, :, None] * here.conj()[:, None, :]
+        moved = np.einsum("xy,my->mx", h, here)     # H psi; unlike @, the same bits per block
+        out = []
+        for k, d in enumerate(dims):
+            split = (len(here), int(np.prod(dims[:k])), d, -1)
+            x = np.einsum("mlyr,mlzr->myz", moved.reshape(split), here.conj().reshape(split))
+            out += [partial_trace(pure, space, k), -1j * (x - x.conj().swapaxes(1, 2))]
+        return tuple(out)
 
     reduced = _blockwise(reduce, n, dim)
-    trajectories = [track(rho, grid) for rho in reduced]
-    del reduced
+    trajectories = [track(rho, grid) for rho in reduced[::2]]
+    conns = tuple(connections(traj, rho_dot) for traj, rho_dot in zip(trajectories, reduced[1::2]))
 
-    # Joint vectors: kron of the per-factor tracked directions, per node.
-    def kron(nodes):
-        joint = trajectories[0].vectors[nodes]                  # (m, d0, dim0)
-        for traj in trajectories[1:]:
-            joint = np.einsum("nax,nby->nabxy", joint, traj.vectors[nodes])
-            m, a, b, x, y = joint.shape
-            joint = joint.reshape(m, a * b, x * y)
-        return (joint,)
+    def amplitudes(nodes):
+        joint = joint_directions([traj.vectors[nodes] for traj in trajectories])
+        return (np.einsum("ndx,nx->nd", joint.conj(), psi[nodes]),)
 
-    (joint,) = _blockwise(kron, n, dim)
-
-    # Pdot_a psi_k = sum_j w_kj (P_a(i_kj) - P_a(k)) psi_k: the stencil of
-    # derivative_family applied to the projectors, without forming them.
-    # Neighbours are read from the finished ``joint``, so block edges need
-    # no special case.
-    idx, w = _stencil(grid)
-
-    def rotate(nodes):
-        here, near = joint[nodes], idx[nodes]
-        amps = np.einsum("ndx,nx->nd", here.conj(), psi[nodes])
-        near_amps = [np.einsum("ndx,nx->nd", joint[near[:, j]].conj(), psi[nodes])
-                     for j in range(2)]
-        wb = w[nodes]
-        # einsum over both slots' (m, 2, D, dim) products, done one slot at a
-        # time in one buffer: the stacked form raises peak resident memory.
-        # einsum's sum starts from +0.0, so "+= 0.0" turns -0.0 into +0.0.
-        rotation = joint[near[:, 0]]
-        rotation *= near_amps[0][..., None]
-        rotation *= wb[:, 0, None, None]
-        rotation += 0.0
-        term = joint[near[:, 1]]
-        term *= near_amps[1][..., None]
-        term *= wb[:, 1, None, None]
-        rotation += term
-        np.multiply(here, amps[..., None], out=term)
-        term *= wb.sum(axis=1)[:, None, None]
-        rotation -= term
-        return amps, rotation
-
-    amps, rotation = _blockwise(rotate, n, dim)
+    (amps,) = _blockwise(amplitudes, n, dim)
     return JointFamily(
         scenario=scenario, grid=grid, psi=psi,
         factor_trajectories=tuple(trajectories), states=tuple(space.joint_indices()),
-        vectors=joint, rotation=rotation,
-        probabilities=np.clip(np.abs(amps) ** 2, 0.0, 1.0),
+        connections=conns, probabilities=np.clip(np.abs(amps) ** 2, 0.0, 1.0),
     )
 
 
@@ -145,7 +119,7 @@ def compute_currents(family: JointFamily, kind: str | None = None,
     kind = kind or family.scenario.current
     extra_term = extra_term or family.scenario.extra_term
     h = np.asarray(family.scenario.hamiltonian, dtype=complex)
-    psi, vectors, rotation = family.psi, family.vectors, family.rotation
+    psi, vectors = family.psi, [traj.vectors for traj in family.factor_trajectories]
     if kind == "minimal_flow":
         # Finite differences of clipped probabilities can carry ~1e-13 imbalance.
         pdot = pdot_target(family)
@@ -155,11 +129,12 @@ def compute_currents(family: JointFamily, kind: str | None = None,
             return minimal_flow_current(pdot[nodes])
     elif kind == "static_schrodinger":
         def current(nodes):
-            return static_schrodinger_current(psi[nodes], h, vectors[nodes])
+            return static_schrodinger_current(psi[nodes], h, [v[nodes] for v in vectors])
     elif kind == "generalized_schrodinger":
         def current(nodes):
-            return generalized_schrodinger_current(psi[nodes], h, vectors[nodes],
-                                                   rotation[nodes], extra_term=extra_term)
+            return generalized_schrodinger_current(
+                psi[nodes], h, [v[nodes] for v in vectors],
+                [c[nodes] for c in family.connections], extra_term=extra_term)
     else:
         raise ValueError(f"unknown current kind {kind!r}")
     (upper,) = _blockwise(lambda nodes: (current(nodes).upper,), *psi.shape)

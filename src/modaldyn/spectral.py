@@ -66,6 +66,7 @@ from .hilbert import check_hermitian
 __all__ = [
     "CrossingEvent",
     "SpectralTrajectory",
+    "connections",
     "detect_crossings",
     "derivative_family",
     "track",
@@ -314,11 +315,31 @@ def _fast_run(weights, vectors, vals, basis, raw, step, anchor: int, end: int,
     weights[anchor + 1:end] = np.take_along_axis(vals[anchor + 1:end], cols[1:], axis=1)
 
 
-def _stencil(grid) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbours ``idx (n, 2)`` and weights ``w (n, 2)`` of the derivative stencil.
+def connections(traj: SpectralTrajectory, rho_dot) -> np.ndarray:
+    """The connection ``A[n, b, a] = <u_b|d/dt u_a>`` of a tracked family,
+    from the exact derivative ``rho_dot (n, d, d)`` of its states.
+
+    First-order perturbation theory gives ``<u_b|rho_dot|u_a> / (w_a - w_b)``
+    off the diagonal.  The diagonal is zero, and so is every pair whose
+    weights lie within the degeneracy gap, where the tracker aligns each
+    direction with its predecessor.  The result is exactly anti-Hermitian.
+    """
+    v = traj.vectors
+    rho_dot = np.asarray(rho_dot, dtype=complex)
+    if rho_dot.shape != v.shape:
+        raise ValueError(f"rho_dot has shape {rho_dot.shape}, expected {v.shape}")
+    m = v.conj() @ rho_dot @ v.swapaxes(1, 2)
+    gap = traj.weights[:, None, :] - traj.weights[:, :, None]     # w_a - w_b
+    a = np.divide(m, gap, out=np.zeros_like(m), where=np.abs(gap) > DEFAULT.degeneracy)
+    return 0.5 * (a - a.conj().swapaxes(1, 2))
+
+
+def derivative_family(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Time derivatives of a family of grid values ``(n, ...)`` at every node.
 
     Node ``k`` uses ``k-1, k+1`` inside, ``1, 2`` first and ``n-2, n-3``
-    last; ``w1 (v[i1] - v[k]) + w2 (v[i2] - v[k])`` is exact for quadratics.
+    last; ``w1 (v[i1] - v[k]) + w2 (v[i2] - v[k])`` is exact for quadratics,
+    so the stencil is second order on any grid.
     """
     grid = np.asarray(grid, dtype=float)
     n = len(grid)
@@ -330,17 +351,6 @@ def _stencil(grid) -> tuple[np.ndarray, np.ndarray]:
     idx[-1] = (n - 2, n - 3)
     d1, d2 = (grid[idx] - grid[:, None]).T
     w = np.stack([d2 / (d1 * (d2 - d1)), -d1 / (d2 * (d2 - d1))], axis=1)
-    return idx, w
-
-
-def derivative_family(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Time derivatives of a family of grid values at every node.
-
-    ``values`` has shape ``(n, ...)``, one entry per node; the stencil is
-    second order on any grid.  Tracked projectors differentiate to a family
-    summing to zero, because they resolve the identity at every node.
-    """
-    idx, w = _stencil(grid)
     values = np.asarray(values)
     return np.einsum("nj,nj...->n...", w, values[idx] - values[:, None])
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,39 @@ def relay_scenario(dims):
                     hamiltonian=random_hermitian(rng, dim), initial_state=random_ket(rng, dim),
                     current="minimal_flow", time=TimeSpec(0.0, 0.2, 1e-3),
                     ensemble=EnsembleSpec(2000, 0, (0.1, 0.2))).validate()
+
+
+def mixed_scenario():
+    """A random (2, 4) system whose psi has Schmidt rank 2, so the 4-dim
+    factor carries a pair of zero weights at every node;
+    ``data/mixed-2x4.json`` holds it."""
+    sc = random_system(24, (2, 4), t1=0.5)
+    return replace(sc, name="mixed-2x4",
+                   ensemble=EnsembleSpec(2000, 24, (0.25, 0.5))).validate()
+
+
+def joined_system(seed, dims1, dims2):
+    """Two random systems joined without interaction, and the two parts.
+
+    The parts are ``random_system(seed, dims1)`` and ``random_system(seed +
+    1, dims2)``; the whole runs on factors ``dims1 + dims2`` with H = H1 (x) 1
+    + 1 (x) H2 and psi = psi1 (x) psi2, so its labels are the pairs of the
+    parts' labels, the first part's slowest.
+    """
+    one, two = random_system(seed, dims1), random_system(seed + 1, dims2)
+    d1, d2 = one.space.dim, two.space.dim
+    whole = replace(one, name="joined", factor_dims=dims1 + dims2,
+                    hamiltonian=np.kron(one.hamiltonian, np.eye(d2))
+                    + np.kron(np.eye(d1), two.hamiltonian),
+                    initial_state=np.kron(one.initial_state, two.initial_state))
+    return whole.validate(), one, two
+
+
+def five_point(values, step):
+    """Central 5-point derivative (fourth order) of uniform-grid values at
+    nodes 2 .. n-3."""
+    v = np.asarray(values)
+    return (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * step)
 
 
 def constant_trajectory(generator, step=1e-3, t1=1.0):

@@ -198,19 +198,19 @@ def test_criterion_07_current_structure():
     k = 400
     psi = fam.psi[k]
     h = np.asarray(fam.scenario.hamiltonian)
-    vecs = fam.vectors[k]
-    rotation = fam.rotation[k]
+    vecs = [traj.vectors[k] for traj in fam.factor_trajectories]
+    conns = [c[k] for c in fam.connections]
 
     # Antisymmetry is structural and bitwise for every constructor.
     anti = True
     for cm in (minimal_flow_current(np.array([0.3, -0.1, -0.2, 0.0])),
                static_schrodinger_current(psi, h, vecs),
-               generalized_schrodinger_current(psi, h, vecs, rotation)):
+               generalized_schrodinger_current(psi, h, vecs, conns)):
         full = cm.full()
         anti = anti and np.array_equal(full, -full.T)
 
     # Frozen projectors reduce the generalized current to the static one.
-    gen0 = generalized_schrodinger_current(psi, h, vecs, np.zeros_like(vecs))
+    gen0 = generalized_schrodinger_current(psi, h, vecs, [np.zeros_like(c) for c in conns])
     stat = static_schrodinger_current(psi, h, vecs)
     reduction = np.abs(gen0.full() - stat.full()).max()
 

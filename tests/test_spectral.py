@@ -1,4 +1,6 @@
 import hashlib
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from modaldyn import spectral
 from modaldyn.config import DEFAULT
 from modaldyn.errors import AmbiguousContinuation
 from modaldyn.hilbert import FactorSpace, evolve_on_grid, partial_trace, projector_from_vector
-from modaldyn.spectral import (_nearest_node, _runs, detect_crossings,
+from modaldyn.pipeline import compute_joint_family
+from modaldyn.scenario import BUILTINS, TimeSpec
+from modaldyn.spectral import (_nearest_node, _runs, connections, detect_crossings,
                                derivative_family, track)
 
-from conftest import SINGLET, random_hermitian, random_ket
+from conftest import SINGLET, five_point, random_hermitian, random_ket, random_system
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -488,6 +492,98 @@ class TestProjectorDerivative:
         traj = track(rotation_family(h, w0, grid), grid)
         for d in derivative_family(traj.projectors, grid)[10]:
             assert np.abs(d - d.conj().T).max() <= 1e-8
+
+
+def stencil_miss(traj, conn, step):
+    """Per node from node 2 to n-3, the largest gap between the connection
+    and U^dag times the 5-point stencil of the tracked U, over label pairs
+    whose weights stay apart by more than the degeneracy gap.
+    The diagonal and pairs inside a cluster are gauge: the tracker's
+    discrete alignment moves them at O(step^2), where the connection reads 0.
+    """
+    v = traj.vectors
+    stencil = v[2:-2].conj() @ five_point(v, step).swapaxes(1, 2)
+    w = traj.weights
+    apart = (np.abs(w[:, :, None] - w[:, None, :]) > DEFAULT.degeneracy).all(axis=0)
+    return np.abs(stencil - conn[2:-2])[:, apart].max(axis=1)
+
+
+def miss_ratio(coarse, fine):
+    """The coarse grid's largest miss over the fine grid's at the same times:
+    coarse node j is fine node 2j."""
+    return coarse.max() / fine[2::2][: len(coarse)].max()
+
+
+def avoided_crossing(step, gap=1e-3, t0=0.2, half=0.02):
+    """rho = (1 + r.sigma) / 2 on [t0 - half, t0 + half] with r = (gap cos 3t,
+    gap sin 3t, t - t0): the two weights pass within ``gap`` at t0."""
+    grid = t0 + step * np.arange(-round(half / step), round(half / step) + 1)
+    sigma = np.stack([np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                      np.diag([1.0, -1.0])]).astype(complex)
+    r = np.stack([gap * np.cos(3 * grid), gap * np.sin(3 * grid), grid - t0], axis=1)
+    dr = np.stack([-3 * gap * np.sin(3 * grid), 3 * gap * np.cos(3 * grid),
+                   np.ones_like(grid)], axis=1)
+    rho = 0.5 * (np.eye(2) + np.einsum("ni,ixy->nxy", r, sigma))
+    return grid, rho, 0.5 * np.einsum("ni,ixy->nxy", dr, sigma)
+
+
+class TestConnections:
+    """``connections`` against U^dag dU/dt of the tracked U by a 5-point
+    stencil at steps h and h/2: on times both grids share, the miss must
+    fall by a factor in [12, 20], the stencil's 16 within its own
+    higher-order terms."""
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2, 2), (2, 4)])
+    def test_random_systems_match_stencil(self, dims):
+        misses = []
+        for step in (0.01, 0.005):
+            sc = random_system(0, dims)
+            family = compute_joint_family(replace(sc, time=TimeSpec(0.0, 0.4, step)))
+            misses.append([stencil_miss(traj, conn, step) for traj, conn
+                           in zip(family.factor_trajectories, family.connections)])
+        for coarse, fine in zip(*misses):
+            assert 12 <= miss_ratio(coarse, fine) <= 20
+
+    def test_avoided_crossing_matches_stencil(self):
+        misses = []
+        for step in (1e-4, 5e-5):
+            grid, rho, rho_dot = avoided_crossing(step)
+            traj = track(rho, grid)
+            assert abs(traj.min_gap - 1e-3) <= 1e-9
+            misses.append(stencil_miss(traj, connections(traj, rho_dot), step))
+        assert 12 <= miss_ratio(*misses) <= 20
+
+    def test_zero_where_weights_degenerate(self):
+        # At crossing_family's crossing node, in the singlet (every node
+        # maximally mixed) and on the zero-weight pair of a (2, 4) system.
+        cases = []
+        grid = np.linspace(0.0, np.pi / 2, 201)
+        rho = np.asarray(crossing_family(1.0, grid), dtype=complex)
+        rho_dot = -np.sin(2 * grid)[:, None, None] * np.diag([1.0, -1.0])
+        traj = track(rho, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cases.append((traj, connections(traj, rho_dot), [(100, 0, 1)]))
+            singlet = compute_joint_family(BUILTINS["singlet"]().validate())
+            mixed = compute_joint_family(random_system(0, (2, 4)))
+        n = len(singlet.grid)
+        for traj, conn in zip(singlet.factor_trajectories, singlet.connections):
+            cases.append((traj, conn, [(k, 0, 1) for k in range(n)]))
+        traj, conn = mixed.factor_trajectories[1], mixed.connections[1]
+        cases.append((traj, conn, [(k, 2, 3) for k in range(len(mixed.grid))]))
+        for traj, conn, pairs in cases:
+            for k, a, b in pairs:
+                assert abs(traj.weights[k, a] - traj.weights[k, b]) <= DEFAULT.degeneracy
+                assert conn[k, a, b] == 0 and conn[k, b, a] == 0
+            assert not np.einsum("nii->ni", conn).any()
+            skew = np.abs(conn + conn.conj().swapaxes(1, 2)).max()
+            assert skew <= 1e-14 * max(1.0, np.abs(conn).max())
+
+    def test_shape_mismatch_rejected(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        traj = track(np.asarray(crossing_family(1.0, grid), dtype=complex), grid)
+        with pytest.raises(ValueError, match="rho_dot has shape"):
+            connections(traj, np.zeros((5, 3, 3)))
 
 
 class TestRuns:
