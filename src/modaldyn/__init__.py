@@ -9,9 +9,8 @@ series, and Monte Carlo path ensembles reproduce the quantum single-time
 probabilities.
 """
 
-from .errors import (AmbiguousContinuation, ModalDynError, PoleEncountered,
-                     PoleInInterval, ScenarioValidationError,
-                     TruncationNotConverged)
+from .errors import (AmbiguousContinuation, ModalDynError, PoleInInterval,
+                     ScenarioValidationError, TruncationNotConverged)
 from .hilbert import (FactorSpace, check_hermitian, check_ket, evolve_on_grid,
                       partial_trace, projector_from_vector, tensor_product)
 from .spectral import CrossingEvent, SpectralTrajectory, detect_crossings, track
@@ -32,4 +31,4 @@ from .scenario import (BUILTINS, Scenario, Thresholds, builtin_scenarios,
 from .pipeline import (JointFamily, PipelineResult, RunReport, compute_currents,
                        compute_joint_family, compute_rates, pdot_target, run)
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -1,9 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical-diagnostic
-failure, 4 pole abort, 1 other stage errors.  The output directory may
-also be set through the MODALDYN_OUT environment variable; the --out
-flag wins.
+failure, 1 other stage errors.  The output directory may also be set
+through the MODALDYN_OUT environment variable; the --out flag wins.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .errors import ModalDynError, PoleEncountered, ScenarioValidationError
+from .errors import ModalDynError, ScenarioValidationError
 from .scenario import builtin_scenarios, load_scenario
 
 
@@ -65,9 +64,6 @@ def main(argv=None) -> int:
     except ScenarioValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except PoleEncountered as exc:
-        print(f"pole abort: {exc}", file=sys.stderr)
-        return 4
     except (ModalDynError, ValueError, ArithmeticError) as exc:
         print(f"stage error: {exc}", file=sys.stderr)
         return 1
@@ -87,6 +83,8 @@ def main(argv=None) -> int:
         print(f"max total variation {report.max_total_variation:.4f} "
               f"({report.n_paths} paths)")
     print(f"deterministic       {report.deterministic}")
+    print(f"max jumps           {report.max_jumps} (forced {report.forced_jumps}, "
+          f"pole crossings {report.pole_crossings}, relays {report.relays})")
     print(f"crossings/poles     {len(report.crossings)} / {report.pole_nodes}")
 
     failures = report.failures(result.scenario.thresholds)

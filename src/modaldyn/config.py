@@ -27,6 +27,9 @@ class Tolerances:
     pole_current: float = 1e-8        # |j| below this never raises a pole at p = 0
     containment: float = 1e-8         # subspace containment tests
     series_tail: float = 1e-10        # truncation check on the last jump-series term
+    crossing_gap: float = 1e-2        # weight gap below which a run reports a crossing
+    rk4_limit: float = 2.785          # h * exit rate past which one RK4 step grows a
+                                      # state's own mass: |1 + z + ... + z^4/24| > 1, z = -h*rate
 
 
 DEFAULT = Tolerances()

@@ -20,9 +20,5 @@ class TruncationNotConverged(ModalDynError):
     """The jump-count series still carries weight at the truncation order."""
 
 
-class PoleEncountered(ModalDynError):
-    """A sample path hit a rate pole under the abort policy."""
-
-
 class ScenarioValidationError(ModalDynError):
     """A scenario file or record violates one of its invariants."""

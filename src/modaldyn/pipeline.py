@@ -17,6 +17,7 @@ from . import io as mdio
 from .currents import (CurrentMatrix, continuity_residual,
                        generalized_schrodinger_current, joint_directions,
                        minimal_flow_current, static_schrodinger_current)
+from .config import DEFAULT
 from .errors import ModalDynError, TruncationNotConverged
 from .feller import (chapman_kolmogorov_residual, feller_minimal,
                      forward_ode_kernel, honesty_deficit)
@@ -185,6 +186,10 @@ class RunReport:
     max_total_variation: float | None = None
     deterministic: bool | None = None
     mean_jumps: float | None = None
+    max_jumps: int | None = None
+    forced_jumps: int | None = None
+    pole_crossings: int | None = None
+    relays: int | None = None
     low_probability_occupancy: float | None = None
     n_paths: int = 0
 
@@ -268,9 +273,11 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
     rate_traj = RateTrajectory(grid, rate_matrices)
     pole_nodes = int(rate_traj.pole_mask.any(axis=(1, 2)).sum())
 
+    # Master holds the rates to the current's own divergence: the rate layer alone.
     rows = pole_free_rows(rate_matrices)
     masked = int((~rows).sum(axis=1).max())
-    master_res = master_residual(rate_matrices, family.probabilities, target, rows=rows)
+    master_res = master_residual(rate_matrices, family.probabilities,
+                                 currents.full().sum(axis=-1), rows=rows)
 
     report = RunReport(
         scenario_name=scenario.name, current=scenario.current,
@@ -280,7 +287,7 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
     )
     report.crossings = [{"factor": fk, **asdict(ev)}
                         for fk, traj in enumerate(family.factor_trajectories)
-                        for ev in detect_crossings(traj, scenario.thresholds.crossing_gap)]
+                        for ev in detect_crossings(traj, DEFAULT.crossing_gap)]
     report.tracking_margins = [
         {"factor": fk, "min_overlap": traj.min_overlap, "min_gap": traj.min_gap}
         for fk, traj in enumerate(family.factor_trajectories)
@@ -314,11 +321,8 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
 
     stats = None
     with _Stage("sampling"):
-        process = JumpProcess(rate_traj, family.probabilities[0],
-                              family.states,
-                              currents=currents,
-                              pole_policy=scenario.pole_policy,
-                              master_seed=scenario.ensemble.master_seed)
+        process = JumpProcess(rate_traj, family.probabilities[0], family.states,
+                              currents=currents, master_seed=scenario.ensemble.master_seed)
         paths = process.ensemble(scenario.ensemble.n_paths)
     nodes = _nearest_node(grid, np.asarray(scenario.ensemble.query_times, dtype=float))
     if len(nodes):
@@ -329,6 +333,9 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
         report.max_total_variation = max(report.total_variation.values())
     report.deterministic = not paths.jump_counts.any()
     report.mean_jumps = float(paths.jump_counts.mean())
+    report.max_jumps = int(paths.jump_counts.max())
+    report.forced_jumps, report.pole_crossings, report.relays = (
+        paths.forced_jumps, paths.pole_crossings, paths.relays)
     report.low_probability_occupancy = low_probability_occupancy(
         paths, grid, family.probabilities)
     report.n_paths = len(paths)
@@ -348,11 +355,13 @@ def _kernel_windows(rate_traj, singularities):
 
     Kernels are constructed only between singularities: nodes carrying pole
     flags and nodes inside a divergent probability-zero run are excluded,
-    with a small pad so the window never starts on an exploding rate.
+    with a small pad so the window never starts on an exploding rate, and
+    nodes where one RK4 step would grow a state's own mass (``rk4_limit``).
     """
     grid = rate_traj.grid
     n = len(grid)
-    bad = rate_traj.pole_mask.any(axis=(1, 2)).copy()
+    h_exit = np.diff(grid).max() * -np.einsum("nii->ni", rate_traj.matrices).min(axis=1)
+    bad = rate_traj.pole_mask.any(axis=(1, 2)) | (h_exit > DEFAULT.rk4_limit)
     pad = max(2, n // 200)
     for ev in singularities:
         if not ev.divergent:

@@ -6,19 +6,18 @@ lockstep, one event per round.  Path k owns an independent
 counter-based random stream derived from (master seed, k), so the first k
 paths of every ensemble are the same.
 
-Pole handling (probability zeros with diverging exit rates) follows two
-documented conventions selected by ``pole_policy``:
-
-* ``"resample"`` (default): a path occupying a state whose exit rate
-  diverges at an upcoming grid node is forced to jump at the last node
-  before the pole, drawing the destination there.  A path that lands in a
-  state whose exit rate is already flagged (an interval of zero
-  probability) leaves again instantly, with the destination drawn
-  proportionally to the positive outgoing currents, which is the limit of
-  the jump distribution as the probability goes to zero.  The relay event
-  is recorded at the next representable time, keeping event times strictly
-  increasing and the sojourn in the zero state at measure zero.
-* ``"abort"``: any such situation raises :class:`PoleEncountered`.
+At probability zeros exit rates can diverge (poles), and there the process
+follows conventions of its own (Bacciagaluppi and Dickson, Found. Phys. 29
+(1999) 1165).  A path occupying a state whose exit rate diverges at an
+upcoming grid node is forced to jump at the last node before the pole,
+drawing the destination there; with no outgoing rate at that node it
+crosses the pole instead.  A path that lands in a state whose exit rate is
+already flagged (an interval of zero probability) leaves again instantly,
+with the destination drawn proportionally to the positive outgoing
+currents, which is the limit of the jump distribution as the probability
+goes to zero.  The relay event is recorded at the next representable time,
+keeping event times strictly increasing and the sojourn in the zero state
+at measure zero.  The ensemble counts forced jumps, crossings and relays.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .currents import CurrentMatrix
-from .errors import ModalDynError, PoleEncountered
+from .errors import ModalDynError
 from .kinetics import RateTrajectory
 from .spectral import _nearest_node
 
@@ -74,6 +73,9 @@ class PathEnsemble:
     offsets: np.ndarray              # (N+1,) int
     times: np.ndarray                # (E,) event times
     dest: np.ndarray                 # (E,) states entered
+    forced_jumps: int = 0            # jumps forced at the node before a pole
+    pole_crossings: int = 0          # poles crossed without a jump
+    relays: int = 0                  # instant exits from zero-probability states
 
     def __post_init__(self):
         owner = np.repeat(np.arange(len(self)), self.jump_counts)
@@ -276,6 +278,7 @@ class _Batch:
         self.count = np.zeros(len(initial), dtype=int)
         self.live = np.ones(len(initial), dtype=bool)
         self.log: list[tuple] = []      # (positions, times, states) as events happen
+        self.forced = self.crossed = self.relays = 0
         self.error = None               # (position, exception) of the first failing path
 
     def record(self, rows, times, dest):
@@ -346,15 +349,11 @@ class JumpProcess:
     """
 
     def __init__(self, rate_trajectory: RateTrajectory, p0, states,
-                 currents, pole_policy: str = "resample",
-                 master_seed: int = 0):
-        if pole_policy not in ("resample", "abort"):
-            raise ValueError(f"unknown pole policy {pole_policy!r}")
+                 currents, master_seed: int = 0):
         self.grid = rate_trajectory.grid
         self.states = tuple(tuple(s) for s in states)
         self.p0 = np.asarray(p0, dtype=float).reshape(-1)
         self.currents = currents
-        self.pole_policy = pole_policy
         self.master_seed = int(master_seed)
         d, n = rate_trajectory.size, len(self.grid)
         if len(self.states) != d or self.p0.size != d:
@@ -440,11 +439,6 @@ class JumpProcess:
             if not rows.size:
                 return
             state, tau = batch.state[rows], batch.t[rows]
-            if self.pole_policy == "abort":
-                batch.fail(rows, lambda i: PoleEncountered(
-                    f"path occupies state {state[i]} with diverging exit rate "
-                    f"at t={float(tau[i])}"))
-                return
             up = self.currents.upper        # full()[node, :, state], as full() forms it
             dest = _draw(up[node, :, state] - up[node, state, :], state, rows, batch.rng)
             out = dest >= 0
@@ -452,6 +446,7 @@ class JumpProcess:
             if arrival or depth:
                 tau = np.nextafter(tau, np.inf)
             batch.record(rows, tau, dest)
+            batch.relays += rows.size
             depth += 1
             if depth > 4 * len(self.states) and rows.size:
                 batch.fail(rows, lambda i: ModalDynError(
@@ -473,11 +468,6 @@ class JumpProcess:
         tau = self._invert_hazard(state, t, right, horizon, target)
         jumps = ~np.isnan(tau)
         stuck = ~jumps & has_pole
-        if self.pole_policy == "abort" and stuck.any():
-            s, p = state[stuck], grid[pole[stuck]]
-            batch.fail(rows[stuck], lambda i: PoleEncountered(
-                f"state {s[i]} meets a rate pole at t={float(p[i])!r}"))
-            stuck[:] = False
         tau[stuck] = np.maximum(grid[horizon[stuck]], np.nextafter(t[stuck], np.inf))
         moving = jumps | stuck
         dest = np.full(len(rows), -1)
@@ -488,6 +478,8 @@ class JumpProcess:
                                state[part], rows[part], batch.rng)
         # No outgoing rate at the pre-pole node: cross the pole.
         cross = stuck & (dest < 0)
+        batch.forced += np.count_nonzero(stuck) - np.count_nonzero(cross)
+        batch.crossed += np.count_nonzero(cross)
         batch.t[rows[cross]] = np.nextafter(grid[pole[cross]], np.inf)
         batch.live[rows[(~jumps & ~has_pole) | (jumps & (dest < 0))]] = False
         went = dest >= 0
@@ -526,7 +518,8 @@ class JumpProcess:
             states=self.states, initial=initial,
             offsets=np.concatenate(([0], np.cumsum(batch.count))),
             times=np.concatenate([t for _, t, _ in batch.log] + [np.zeros(0)])[order],
-            dest=np.concatenate([d for _, _, d in batch.log] + [np.zeros(0, int)])[order])
+            dest=np.concatenate([d for _, _, d in batch.log] + [np.zeros(0, int)])[order],
+            forced_jumps=int(batch.forced), pole_crossings=int(batch.crossed), relays=batch.relays)
 
 
 def ensemble_marginals(paths: PathEnsemble, query_times,

@@ -2,8 +2,8 @@
 
 A scenario pins everything a run needs: the factored Hilbert space, the
 Hamiltonian, the initial pure state, the time window and grid, the current
-constructor, the rate choice, the ensemble size and seed, and the pole
-policy.  A scenario file is a JSON object keyed by the fields of
+constructor, the rate choice, the ensemble size and seed, and the
+residual bounds.  A scenario file is a JSON object keyed by the fields of
 :class:`Scenario`, with complex numbers as ``[re, im]`` pairs; one reader per
 key turns a value into its field.  A file either embeds the system
 (``factor_dims``, ``hamiltonian.matrix``, ``initial_state``) or names a
@@ -35,12 +35,11 @@ __all__ = [
     "scenario_to_dict",
 ]
 
-# The allowed values of the four choice keys.
+# The allowed values of the three choice keys.
 CHOICES = {
     "current": ("minimal_flow", "static_schrodinger", "generalized_schrodinger"),
     "extra_term": ("paired", "minimal_flow_like"),
     "rate_choice": ("bell", "general"),
-    "pole_policy": ("resample", "abort"),
 }
 
 
@@ -67,7 +66,6 @@ class Thresholds:
     chapman: float = 1e-5
     honesty: float = 1e-6
     total_variation: float = 0.01
-    crossing_gap: float = 1e-2     # reporting threshold for weight crossings
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,6 @@ class Scenario:
     rate_choice: str = "bell"
     general_rate_offset: float = 0.0
     ensemble: EnsembleSpec = EnsembleSpec(10_000, 0, ())
-    pole_policy: str = "resample"
     thresholds: Thresholds = Thresholds()
 
     @property

@@ -5,7 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the summary lines.
 """
 
 import time
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.integrate import trapezoid
@@ -20,7 +20,8 @@ from modaldyn.pipeline import (compute_currents, compute_joint_family,
 from modaldyn.scenario import BUILTINS, builtin_scenarios, load_scenario
 from modaldyn.spectral import detect_crossings, track
 
-from conftest import constant_trajectory, least_norm_current_oracle, random_hermitian
+from conftest import (constant_trajectory, least_norm_current_oracle, random_hermitian,
+                      random_system)
 
 FULL_ENSEMBLE = 100_000
 RUNTIMES = {}
@@ -163,7 +164,8 @@ def test_criterion_05_chapman_kolmogorov():
 def test_criterion_06_continuity_and_master_residuals():
     # Every current is held to the one Born derivative, pdot_target.  The
     # minimal-flow and generalized currents solve the continuity equation for
-    # it, and Bell's rates reproduce them.  The static current cannot see the
+    # it, and Bell's rates reproduce each current's own divergence, as the
+    # run's master check measures it.  The static current cannot see the
     # projectors rotate, so it is the negative control: it must fail where
     # they do, on measured-possessed-property (0.339 at seed 1) and in the
     # report of a run that uses it.
@@ -174,10 +176,10 @@ def test_criterion_06_continuity_and_master_residuals():
         for kind in ("minimal_flow", "generalized_schrodinger"):
             currents = compute_currents(fam, kind=kind)
             rates = compute_rates(currents, fam.probabilities, "bell")
-            res = np.abs(target - currents.full().sum(axis=-1)).max()
-            worst_cont = max(worst_cont, res)
+            divergence = currents.full().sum(axis=-1)
+            worst_cont = max(worst_cont, np.abs(target - divergence).max())
             worst_master = max(worst_master, master_residual(
-                rates, fam.probabilities, target, rows=pole_free_rows(rates)))
+                rates, fam.probabilities, divergence, rows=pole_free_rows(rates)))
     fam = cached_family("measured-possessed-property")
     static = compute_currents(fam, kind="static_schrodinger")
     control = np.abs(pdot_target(fam) - static.full().sum(axis=-1)).max()
@@ -214,6 +216,22 @@ def test_criterion_07_current_structure():
     stat = static_schrodinger_current(psi, h, vecs)
     reduction = np.abs(gen0.full() - stat.full()).max()
 
+    # With two factors a pure state's rotation term vanishes (Schmidt form).
+    # On three factors the generalized current less the static one is the
+    # rotation term -2 Re(conj(c_a) Gamma_ab c_b), with c_a = <v_a|psi> and
+    # Gamma = sum_k 1 (x) A_k (x) 1 formed densely here.
+    fam3 = compute_joint_family(random_system(7, (2, 2, 2)))
+    psi3, h3 = fam3.psi[100], np.asarray(fam3.scenario.hamiltonian)
+    vecs3 = [traj.vectors[100] for traj in fam3.factor_trajectories]
+    conns3 = [c[100] for c in fam3.connections]
+    amps = reduce(np.kron, vecs3).conj() @ psi3
+    eye = [np.eye(len(v)) for v in vecs3]
+    gamma = sum(reduce(np.kron, eye[:k] + [c] + eye[k + 1:]) for k, c in enumerate(conns3))
+    rotation = -2.0 * (amps.conj()[:, None] * gamma * amps[None, :]).real
+    extra = (generalized_schrodinger_current(psi3, h3, vecs3, conns3).full()
+             - static_schrodinger_current(psi3, h3, vecs3).full())
+    rotation_miss = np.abs(extra - rotation).max()
+
     # Rows and columns of zero-probability states vanish.
     worst_zero = 0.0
     for name in ("singlet", "albert-free", "interacting-two-spin",
@@ -227,9 +245,11 @@ def test_criterion_07_current_structure():
         worst_zero = max(worst_zero,
                          np.abs(full[:, zero_states, :]).max(),
                          np.abs(full[:, :, zero_states]).max())
-    ok = anti and reduction <= 1e-12 and worst_zero <= 1e-9
+    ok = (anti and reduction <= 1e-12 and worst_zero <= 1e-9
+          and rotation_miss <= 1e-12 * np.abs(rotation).max())
     _report(7, ok, f"antisymmetry exact, static reduction {reduction:.1e}, "
-                   f"zero-probability rows {worst_zero:.1e}")
+                   f"(2,2,2) rotation term {np.abs(rotation).max():.1e} matched to "
+                   f"{rotation_miss:.1e}, zero-probability rows {worst_zero:.1e}")
 
 
 def test_criterion_08_minimal_flow_optimality():

@@ -5,6 +5,7 @@ import inspect
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from modaldyn.pipeline import RunReport
 from modaldyn.sampler import JumpProcess
 from modaldyn.scenario import Thresholds
 
-REMOVED = {"tol", "overlap_threshold", "sample"}
+REMOVED = {"tol", "overlap_threshold", "sample", "pole_policy"}
 
 
 def _public_callables():
@@ -92,6 +93,11 @@ def test_nan_diagnostic_is_a_failure(field):
                        rate_choice="bell", master_rows_masked=0, **values)
     label, bound = CHECKED[field]
     assert report.failures(Thresholds()) == [f"{label} nan > {getattr(Thresholds(), bound)}"]
+
+
+def test_thresholds_are_the_checked_bounds():
+    # A bound that no check reads is not a threshold.
+    assert sorted(f.name for f in fields(Thresholds)) == sorted(b for _, b in CHECKED.values())
 
 
 def test_tolerance_record_not_exported_from_root():

@@ -421,3 +421,27 @@ class TestRateTrajectory:
         pole[[1, 5], 0, 1] = True
         flagged = RateTrajectory(rt.grid, RateMatrix(np.zeros((11, 2, 2)), pole))
         assert _kernel_windows(flagged, ()) == [(2, 4), (6, 10)]
+
+    def test_stiff_nodes_end_windows(self):
+        # Classic RK4 is stable on the negative real axis down to -2.785, so a
+        # node where h times the largest exit rate passes it is excluded like
+        # a flagged node; 2.7 / h stays in.
+        grid = np.linspace(0.0, 1.0, 11)
+        m = np.zeros((11, 2, 2))
+        m[:, 1, 0] = 1.0
+        m[3, 1, 0], m[7, 1, 0] = 27.0, 28.0
+        m[:, 0, 0] = -m[:, 1, 0]
+        rt = RateTrajectory(grid, RateMatrix(m, np.zeros(m.shape, dtype=bool)))
+        assert _kernel_windows(rt, ()) == [(0, 6), (8, 10)]
+
+    def test_static_current_window_builds_both_kernels(self):
+        # The static current on measured-possessed-property reaches an exit
+        # rate of 1.31e4 at its last node (h times it about 13), where RK4
+        # left [0, 1]; the window now ends one node before it.
+        result = run(BUILTINS["measured-possessed-property"](n_paths=50), report_only=True,
+                     current="static_schrodinger")
+        report, grid = result.report, result.family.grid
+        assert report.kernel_window == (0.0, float(grid[-2]))
+        assert report.kernel_note is None and report.kernel_terms == 2
+        assert abs(report.honesty_deficit_max) <= 1e-13
+        assert report.kernel_cross_check <= 1e-6

@@ -11,7 +11,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from modaldyn import sampler
 from modaldyn.currents import CurrentMatrix
-from modaldyn.errors import ModalDynError, PoleEncountered
+from modaldyn.errors import ModalDynError
 from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates
 from modaldyn.pipeline import run
 from modaldyn.sampler import (JumpProcess, PathEnsemble, _Batch, _cumulative_trapezoid,
@@ -310,7 +310,7 @@ class TestSamplePathStructure:
         assert paths[-1].initial == (1,) and paths[-1].jump_count == 1
 
 
-def make_relay_process(policy, currents=None):
+def make_relay_process(currents=None):
     # State 1 has probability zero with balanced through-current
     # 0 -> 1 -> 2: any arrival must relay out instantly.  ``currents``
     # replaces the record handed to the process.
@@ -325,12 +325,12 @@ def make_relay_process(policy, currents=None):
     rates = bell_rates(record, np.broadcast_to(p, (len(grid), 3)))
     return JumpProcess(RateTrajectory(grid, rates), p, [(0,), (1,), (2,)],
                        currents=record if currents is None else currents,
-                       pole_policy=policy, master_seed=31)
+                       master_seed=31)
 
 
 class TestPolePolicies:
     def test_relay_resamples_out_instantly(self):
-        proc = make_relay_process("resample")
+        proc = make_relay_process()
         paths = proc.ensemble(400)
         visited = [ev for p in paths for ev in p.events]
         assert any(dest == (1,) for _, dest in visited)
@@ -342,14 +342,25 @@ class TestPolePolicies:
                     assert dest_next == (2,)        # along the positive current
                     assert t_next == np.nextafter(t, np.inf)
 
-    def test_abort_policy_raises(self):
-        proc = make_relay_process("abort")
-        with pytest.raises(PoleEncountered):
-            proc.ensemble(400)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
-            make_relay_process("bogus")
+    def test_single_pole_node_counts(self):
+        # Columns 0 and 2 are flagged at t=0.5 only.  States 0 and 1 trade at
+        # rate 1, so a path in state 0 between t=0.4 and the pole is forced
+        # to jump to 1; state 2 has no rates and crosses the pole.
+        grid = np.linspace(0.0, 1.0, 11)
+        m = np.zeros((11, 3, 3))
+        m[:, 1, 0] = m[:, 0, 1] = 1.0
+        m[:, 0, 0] = m[:, 1, 1] = -1.0
+        pole = np.zeros(m.shape, dtype=bool)
+        pole[5, 1, 0] = pole[5, 0, 2] = True
+        proc = JumpProcess(RateTrajectory(grid, RateMatrix(m, pole)), [0.4, 0.4, 0.2],
+                           [(0,), (1,), (2,)], stacked(np.zeros(m.shape)), master_seed=7)
+        paths = proc.ensemble(400)
+        forced = sum(1 for p in paths for (t, dest) in p.events
+                     if dest == (1,) and 0.4 <= t < 0.5)
+        assert paths.forced_jumps == forced > 0
+        assert paths.pole_crossings == np.count_nonzero(paths.initial == 2)
+        assert paths.relays == 0
+        assert paths.jump_counts.max() < 10
 
     def test_currents_are_required(self):
         # Without currents a relay would have no destination to draw, and a
@@ -369,7 +380,7 @@ class TestPolePolicies:
         # A plain array, or a record of another node count or state count,
         # is refused before any path draws from it.
         with pytest.raises(error, match=match):
-            make_relay_process("resample", currents)
+            make_relay_process(currents)
 
     def test_relay_columns_are_the_full_current(self, monkeypatch):
         # A relay out of state s at node k draws from full()[k, :, s], formed
@@ -597,7 +608,7 @@ class TestPathEnsemble:
 
     @pytest.fixture(scope="class")
     def relay(self):
-        proc = make_relay_process("resample")
+        proc = make_relay_process()
         return proc, proc.ensemble(400)
 
     def test_prefix_matches_smaller_ensemble(self, relay):
@@ -796,6 +807,9 @@ def digests(paths):
 # the generalized current took exact factor connections in place of the
 # 3-point stencil rotation (its largest change 2.35e-6 on
 # measured-possessed-property); their "initial" digests are unchanged.
+# measured-possessed-property's report was re-recorded once more when it
+# gained the sampler's counters and its master residual was measured against
+# the current's divergence; every path digest kept its bits.
 GOLDEN = {
     "easyexample-5000": {
         "initial": "e7e2dcff542de95352682dc186432e98f0188084896773f1973276b0577d5305",
@@ -820,7 +834,7 @@ GOLDEN = {
         "offsets": "b0e1391b69666300fdf363308b4db81b25cbeb19a83256cd38602a715593a1a8",
         "dest": "719969502a8eec651132aeef1184b700351800cdc7a2d7c500cdba773ede6d01",
         "times": "c48addc6354dfa01066ce1f74060ec1f4fdc2da53828620ff232d18de11022e2",
-        "report": "390daf9e6169c02567e54d23714a9f89a96d080a9682f90fefefeba3bcd60299",
+        "report": "98c2116baa99b95d08d8e6267da4cf0f6d68cb018376e9718cbdb4635adee102",
     },
     "relay-2x2-2000": {
         "initial": "9c84f5a95028483222d14d71b2faa62c595925407ff1089a10cfc4cd73003239",
@@ -845,7 +859,7 @@ class TestGoldenEnsembles:
         assert digests(paths) == GOLDEN["easyexample-5000"]
 
     def test_relays(self):
-        paths = make_relay_process("resample").ensemble(400)
+        paths = make_relay_process().ensemble(400)
         assert digests(paths) == GOLDEN["relay-400"]
 
     @pytest.mark.parametrize("dims, relays", [((2, 2), 48), ((4, 2), 101)], ids=["2x2", "4x2"])
@@ -857,7 +871,8 @@ class TestGoldenEnsembles:
         owner = np.repeat(np.arange(len(paths)), paths.jump_counts)
         step = paths.times[1:] == np.nextafter(paths.times[:-1], np.inf)
         assert result.report.pole_nodes == 201
-        assert (step & (owner[1:] == owner[:-1])).sum() == relays
+        assert result.report.relays == (step & (owner[1:] == owner[:-1])).sum() == relays
+        assert result.report.forced_jumps == result.report.pole_crossings == 0
         assert digests(paths) == GOLDEN["relay-{}x{}-2000".format(*dims)]
 
     def test_relay_file_is_the_recipe(self):
@@ -879,14 +894,8 @@ class TestGoldenEnsembles:
         assert {**digests(result.paths), "report": hashlib.sha256(report).hexdigest()} == \
             GOLDEN["measured-possessed-property-2000"]
 
-    def test_abort_relay_message(self):
-        with pytest.raises(PoleEncountered) as err:
-            make_relay_process("abort").ensemble(400)
-        assert str(err.value) == \
-            "path occupies state 1 with diverging exit rate at t=0.14859839460016358"
-
     @staticmethod
-    def ping_pong(policy):
+    def ping_pong():
         # Both columns flagged at t=0.5 with rate 1 between the states: a
         # resampled path is forced back and forth one step before the pole.
         grid = np.linspace(0.0, 1.0, 11)
@@ -896,39 +905,39 @@ class TestGoldenEnsembles:
         pole = np.zeros(m.shape, dtype=bool)
         pole[5, 1, 0] = pole[5, 0, 1] = True
         return JumpProcess(RateTrajectory(grid, RateMatrix(m, pole)), [0.5, 0.5],
-                           [(0,), (1,)], stacked(np.zeros(m.shape)), pole_policy=policy,
-                           master_seed=3)
-
-    def test_abort_pole_ahead_message(self):
-        with pytest.raises(PoleEncountered) as err:
-            self.ping_pong("abort").ensemble(5)
-        assert str(err.value) == "state 1 meets a rate pole at t=0.5"
+                           [(0,), (1,)], stacked(np.zeros(m.shape)), master_seed=3)
 
     def test_runaway_message(self):
         with pytest.raises(ModalDynError) as err:
-            self.ping_pong("resample").ensemble(5)
+            self.ping_pong().ensemble(5)
         assert type(err.value) is ModalDynError
         assert str(err.value) == "runaway path: too many events"
 
     def test_first_failing_path_raises(self):
-        # State 1 is flagged throughout and entered at rate 0.3 from state 0,
-        # which trades with state 2 at rate 2.  Path 1 is the first to fail,
-        # on its second jump (t=0.754); path 0 does not fail.
+        # States 0 and 1 ping-pong before a pole until the path runs away,
+        # states 2 -> 3 -> 4 -> 2 relay in a cycle and state 5 is inert.
+        # Path 0 starts in 5, path 1 in 1 and path 2 in 2: path 2's relay
+        # cycle fails at the start, path 1 runs away thousands of rounds
+        # later, and the ensemble raises path 1's error.
         grid = np.linspace(0.0, 1.0, 11)
-        m = np.zeros((11, 3, 3))
-        m[:, 2, 0] = m[:, 0, 2] = 2.0
-        m[:, 1, 0] = 0.3
-        m[:, 0, 0], m[:, 2, 2] = -2.3, -2.0
+        m = np.zeros((11, 6, 6))
+        m[:, 1, 0] = m[:, 0, 1] = 1.0
+        m[:, 0, 0] = m[:, 1, 1] = -1.0
         pole = np.zeros(m.shape, dtype=bool)
-        pole[:, 0, 1] = True
-        proc = JumpProcess(RateTrajectory(grid, RateMatrix(m, pole)), [0.5, 0.0, 0.5],
-                           [(0,), (1,), (2,)], stacked(np.zeros(m.shape)), pole_policy="abort",
-                           master_seed=19)
-        message = "path occupies state 1 with diverging exit rate at t={}"
-        with pytest.raises(PoleEncountered) as err:
-            proc.ensemble(40)
-        assert str(err.value) == message.format(0.753713506763679)
-        assert proc.ensemble(1)[0].jump_count > 0
+        pole[5, 1, 0] = pole[5, 0, 1] = True
+        pole[:, 3, 2] = pole[:, 4, 3] = pole[:, 2, 4] = True
+        cycle = np.zeros((6, 6))
+        cycle[3, 2] = cycle[4, 3] = cycle[2, 4] = 0.5
+        proc = JumpProcess(RateTrajectory(grid, RateMatrix(m, pole)),
+                           [0.25, 0.25, 0.2, 0.0, 0.0, 0.3], [(k,) for k in range(6)],
+                           stacked(np.broadcast_to(cycle - cycle.T, m.shape)), master_seed=5)
+        initial = np.searchsorted(proc._p0_cum, _Streams(5, 3).random(np.arange(3)),
+                                  side="right")
+        assert initial.tolist() == [5, 1, 2]
+        assert proc.ensemble(1)[0].events == ()
+        for n in (2, 3):
+            with pytest.raises(ModalDynError, match="^runaway path: too many events$"):
+                proc.ensemble(n)
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
     def test_fail_keeps_lowest_position(self, order):

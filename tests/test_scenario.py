@@ -562,15 +562,20 @@ def digests(out):
 # generic-2x2x2x2's currents, rates, kernel, paths and report were re-recorded
 # when the generalized current took exact factor connections in place of the
 # 3-point stencil rotation; the currents moved by the stencil's h^2 error.
+# Both directories' scenario.json, manifest.json and report.json were
+# re-recorded for schema 0.3.0: the scenario drops pole_policy and
+# thresholds.crossing_gap, the manifest takes the new hash and version, and
+# the report gains the sampler's counters and a master residual measured
+# against the current's divergence (rounding, was the continuity value).
 GOLDEN_RUN_DIRS = {
     "easyexample": {
         "currents.csv": "f0fa1d38213ffe71733edc7f9472e2a1ff8347023bf13e4108cb0aa9e250577a",
         "kernel.json": "15dc2523d107758d4a58f734894819e657467979802f462ca4226f47d04399a4",
-        "manifest.json": "697001f19b098289eae3545488ba3f956f7038469f3859d3c43b415d58a4a1ef",
+        "manifest.json": "0850c71861ba1384b94047200eb7f541687a80360eb851de0c237102bdf30389",
         "paths.jsonl": "e8d38de91da06c88b252d04c28589262b8acc108e1041a0566b7e60e11122fc9",
         "rates.csv": "559d89c790b0c398169e5de6f1982ab423e32651b8e30699852ee002db8234c0",
-        "report.json": "a21410aa25d3c686e262346cb96fd80f9e576792172c9aff16793b70dc8cbfc9",
-        "scenario.json": "b5207d02117d89a54074377d4c999e484d2f43771734c5c892410a7e1b8bf2a3",
+        "report.json": "ec79d95084420536e2c50dc2f039b8eb4b3ccb6cfc273dd2e86d2a4babfaf96a",
+        "scenario.json": "a6d8ce486a0469ab4d32d6a2cb76917c880d0433d6f96f9de8661546a3855ff4",
         "state_space.json": "d2c091fb2f085f08bb7cee0dacd9528fc6da52f84c7127a5f12fb90aa2d6ba6d",
         "stats.csv": "5171153bf9d778e175fa831d2af5b1e2df8fdcbad91a7bfd28738f698c583fee",
         "trajectory_factor0.csv":
@@ -585,11 +590,11 @@ GOLDEN_RUN_DIRS = {
     "generic-2x2x2x2": {
         "currents.csv": "25f16c0f24f5cf02519f390be364990834f32249085c20f0efca541057979172",
         "kernel.json": "8c88a0d6283236d6b96e126185e99477d0c39dec7ce2ca996886347098a9d584",
-        "manifest.json": "8cb67c8fdff01f95936113cc93b9c3acb48899ccfd67c2551efec44d5905e5ba",
+        "manifest.json": "f8653e7cafa59cf255f027d23231c524bea2bebc1b26bddf85baf01b5c99b833",
         "paths.jsonl": "6946d4badaf7cdb498598855321d89f2a102140b3abdb5729b4ca1730866259f",
         "rates.csv": "e489256007e17af380d7a0b8ec92d8d929af4c7eb716c7fba1d71b33bd1900e2",
-        "report.json": "4d7904fd01000e765f93803a1d6c15e5b2a1b4359eb10ce5202b8b3dcea014fa",
-        "scenario.json": "0d4fbb6e34aaa9723cc69c03d6fca57351a5d0bd54c5ea35aad02d4e334b320c",
+        "report.json": "5b3f4f1c1854199a8aab32724d0b572b41f264ca8bfe51aa04bf508139940de2",
+        "scenario.json": "494bbd811f3b6e3f5dadd9e9cf7b1740995f2fc308b7b75b75911fe4626cd91e",
         "state_space.json": "63e6b3f6286029cb96c4fd91df6c34dba4d6d7de119c8a637600383b557c0e72",
         "stats.csv": "6a40353212366a05267fe6589460bb040dd4b39a08b463c4fcb2bac48cf2d783",
         "trajectory_factor0.csv":
@@ -680,8 +685,7 @@ def write_quick_scenario(tmp_path, name="quick", builder="singlet", **params):
         "name": name,
         "ensemble": {"n_paths": 200, "master_seed": 9, "query_times": [0.1, 0.3]},
         "thresholds": {"continuity": 1e-5, "master": 1e-5, "chapman": 1e-5,
-                       "honesty": 1e-6, "total_variation": 0.5,
-                       "crossing_gap": 1e-2},
+                       "honesty": 1e-6, "total_variation": 0.5},
     }
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
@@ -708,6 +712,7 @@ class TestCli:
         assert code == 0, captured.err
         assert (tmp_path / "out" / "report.json").exists()
         assert "deterministic" in captured.out
+        assert "max jumps           0 (forced 0, pole crossings 0, relays 0)" in captured.out
 
     def test_run_report_only_writes_nothing(self, tmp_path, capsys):
         path = write_quick_scenario(tmp_path)
@@ -735,21 +740,6 @@ class TestCli:
         assert code == 3
         assert "FAIL" in capsys.readouterr().err
 
-    def test_pole_abort_exit_code(self, tmp_path, capsys):
-        # The least-norm current drives paths through zero-probability
-        # relay states; the abort policy must reject that with exit 4.
-        doc = {
-            "hamiltonian": {"builder": "easyexample", "params": {}},
-            "name": "abort-pole", "current": "minimal_flow",
-            "pole_policy": "abort",
-            "ensemble": {"n_paths": 500, "master_seed": 3, "query_times": [0.2]},
-        }
-        path = tmp_path / "abort.json"
-        path.write_text(json.dumps(doc))
-        code = cli_main(["run", str(path), "--report-only"])
-        assert code == 4
-        assert "pole abort" in capsys.readouterr().err
-
     def test_negative_seed_exit_code(self, capsys):
         assert cli_main(["run", "easyexample", "--seed", "-3"]) == 2
         assert "validation error: ensemble: master_seed" in capsys.readouterr().err
@@ -767,7 +757,7 @@ class TestCli:
         assert "at least 3 nodes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("explicit, override, message", [
-        (False, {"pole_polcy": "abort"}, "unknown key 'pole_polcy'"),
+        (False, {"extra_trem": "paired"}, "unknown key 'extra_trem'"),
         (False, {"initial_state": complex_to_json(np.eye(4)[3])},
          "initial_state: fixed by builder 'easyexample'"),
         (False, {"factor_dims": [4, 1]}, "factor_dims: fixed by builder 'easyexample'"),
@@ -784,9 +774,11 @@ class TestCli:
         (True, {"hamiltonian": {"matrix": complex_to_json(np.eye(4)), "params": {}}},
          "hamiltonian: unknown key 'params'"),
         (False, {"rate_choice": "bell_note9"}, "rate_choice: unknown kind 'bell_note9'"),
+        (False, {"pole_policy": "resample"}, "unknown key 'pole_policy'"),
+        (False, {"thresholds": {"crossing_gap": 1e-2}}, "thresholds: unknown key 'crossing_gap'"),
     ], ids=["misspelt-key", "builder-state", "builder-dims", "builder-matrix", "time-key",
             "ensemble-key", "thresholds-key", "explicit-key", "explicit-hamiltonian-key",
-            "retired-rate-alias"])
+            "retired-rate-alias", "removed-pole-policy", "removed-crossing-gap"])
     def test_unread_keys_rejected(self, tmp_path, capsys, explicit, override, message):
         # Every choice reproduces the same Born statistics, so only the loader
         # can tell that a key was dropped.
