@@ -10,7 +10,7 @@ lands in proportion to the off-diagonal entries of that column.
 
 import numpy as np
 
-from modaldyn import bell_rates, continuity_residual, load_scenario
+from modaldyn import CurrentMatrix, bell_rates, continuity_residual, load_scenario
 from modaldyn.currents import minimal_flow_current
 from modaldyn.kinetics import general_rates
 from modaldyn.pipeline import compute_currents, compute_joint_family, pdot_target
@@ -27,15 +27,15 @@ print(f"joint probabilities: {np.round(family.probabilities[node], 4)}")
 # they rotate (measured-possessed-property) its residual reaches 0.34.
 target = pdot_target(family)[node]
 for kind in ("minimal_flow", "static_schrodinger", "generalized_schrodinger"):
-    cm = compute_currents(family, kind=kind)[node]
+    cm = CurrentMatrix(compute_currents(family, kind=kind).matrix[node])
     res = continuity_residual(cm, target)
-    flow = cm.full()[3, 0]
+    flow = cm.matrix[3, 0]
     print(f"{kind:24s} j[(1,1)<-(0,0)] = {flow:+.5f}   continuity residual {res:.1e}")
 print(f"exact flow for this family: sin(2t) = {np.sin(2 * t):+.5f}")
 
 # --- rates: one-directional choice ------------------------------------------
 
-cm = compute_currents(family, kind="generalized_schrodinger")[node]
+cm = CurrentMatrix(compute_currents(family, kind="generalized_schrodinger").matrix[node])
 p = family.probabilities[node]
 rates = bell_rates(cm, p)
 print(f"\none-directional rates at t = {t:.3f}:")
@@ -59,6 +59,6 @@ for c in (0.0, 0.5, 2.0):
     recon = loose.matrix * p2[None, :] - (loose.matrix * p2[None, :]).T
     print(f"offset c = {c}: rates t10 = {loose.matrix[1, 0]:.4f}, "
           f"t01 = {loose.matrix[0, 1]:.4f}; current reconstructed within "
-          f"{np.abs(recon - cm2.full()).max():.1e}")
+          f"{np.abs(recon - cm2.matrix).max():.1e}")
 print("different rate choices, identical single-time statistics: the")
 print("dynamics is underdetermined by the quantum state alone.")

@@ -12,8 +12,9 @@ Three constructors are provided:
 
 Projectors enter as rank-1 directions per factor, whose kron gives the joint
 directions, and their motion as per-factor connections.  Every constructor
-broadcasts over leading node axes.  Antisymmetry is structural: only the
-strict upper triangle is stored.
+broadcasts over leading node axes and returns the full antisymmetric
+matrix, built from its strict upper triangle as ``u - u^T``; consumers read
+that one array in place.
 """
 
 from __future__ import annotations
@@ -36,41 +37,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CurrentMatrix:
-    """Net flows j_ji as a strict upper triangle ``(..., D, D)``; ``x[k]`` is node k."""
+    """Antisymmetric net flows ``(..., D, D)``; entry [..., j, i] is the net flow i -> j."""
 
-    upper: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.upper, dtype=float)
-        if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
-            raise ValueError("upper triangle storage must be square")
-        if np.isnan(u).any():
+        m = np.asarray(self.matrix, dtype=float)
+        if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+            raise ValueError("current matrix must be square")
+        if np.isnan(m).any():
             raise ValueError("current matrix has NaN entries")
-        if np.count_nonzero(np.tril(u)) != 0:
-            raise ValueError("storage must be strictly upper triangular")
-        object.__setattr__(self, "upper", u)
+        if not np.array_equal(m, -np.swapaxes(m, -1, -2)):
+            raise ValueError("current matrix must be exactly antisymmetric")
+        object.__setattr__(self, "matrix", m)
 
     @property
     def size(self) -> int:
-        return self.upper.shape[-1]
-
-    def __len__(self) -> int:
-        return len(self.upper)
-
-    def __getitem__(self, k) -> CurrentMatrix:
-        return CurrentMatrix(upper=self.upper[k])
-
-    def full(self) -> np.ndarray:
-        """Full antisymmetric matrix; entry [..., j, i] is the net flow i -> j."""
-        return _antisymmetric(self.upper)
+        return self.matrix.shape[-1]
 
 
-def _antisymmetric(upper: np.ndarray) -> np.ndarray:
-    return upper - np.swapaxes(upper, -1, -2)
-
-
-def _upper(f: np.ndarray) -> CurrentMatrix:
-    return CurrentMatrix(upper=np.triu(f, 1))
+def _from_upper(f: np.ndarray) -> CurrentMatrix:
+    """The current whose strict upper triangle is that of ``f``."""
+    u = np.triu(f, 1)
+    return CurrentMatrix(u - np.swapaxes(u, -1, -2))
 
 
 def minimal_flow_current(pdot) -> CurrentMatrix:
@@ -80,7 +69,7 @@ def minimal_flow_current(pdot) -> CurrentMatrix:
     bal = np.abs(pdot.sum(axis=-1)).max()
     if not bal <= DEFAULT.pdot_balance:
         raise ValueError(f"pdot must sum to zero (got {bal:.3e})")
-    return _upper((pdot[..., :, None] - pdot[..., None, :]) / d)
+    return _from_upper((pdot[..., :, None] - pdot[..., None, :]) / d)
 
 
 def joint_directions(factors) -> np.ndarray:
@@ -122,7 +111,7 @@ def static_schrodinger_current(psi, hamiltonian, factors) -> CurrentMatrix:
     one ``(..., d_k, d_k)`` stack of orthonormal direction rows per factor
     (a single factor is any basis); ``psi`` has shape ``(..., dim)``."""
     h, a, _amps = _projected(psi, hamiltonian, factors)
-    return _upper(_schrodinger(a, h))
+    return _from_upper(_schrodinger(a, h))
 
 
 def generalized_schrodinger_current(psi, hamiltonian, factors, connections,
@@ -163,12 +152,12 @@ def generalized_schrodinger_current(psi, hamiltonian, factors, connections,
     if extra_term == "minimal_flow_like":
         dexp = rotation.sum(axis=-1)
         f += (dexp[..., :, None] - dexp[..., None, :]) / amps.shape[-1]
-    return _upper(f)
+    return _from_upper(f)
 
 
 def continuity_residual(current: CurrentMatrix, pdot) -> float:
     """max over nodes and j of |pdot_j - sum_i j_ji| for a candidate current."""
     pdot = np.asarray(pdot, dtype=float)
-    if pdot.shape != current.upper.shape[:-1]:
+    if pdot.shape != current.matrix.shape[:-1]:
         raise ValueError("pdot length does not match current size")
-    return float(np.abs(pdot - current.full().sum(axis=-1)).max())
+    return float(np.abs(pdot - current.matrix.sum(axis=-1)).max())

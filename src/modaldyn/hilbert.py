@@ -46,10 +46,6 @@ class FactorSpace:
             out *= d
         return out
 
-    @property
-    def n_factors(self) -> int:
-        return len(self.factor_dims)
-
     def joint_indices(self) -> list[tuple[int, ...]]:
         """All joint labels in lexicographic order (left factor slowest)."""
         return list(itertools.product(*[range(d) for d in self.factor_dims]))

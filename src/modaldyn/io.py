@@ -130,7 +130,7 @@ def write_currents_csv(path, grid, currents):
     j, i = np.triu_indices(currents.size, 1)
     _write_csv(path, ["time", "i", "j", "j_ji"], grid,
                [i.astype(str).tolist(), j.astype(str).tolist(), None],
-               ((map(repr, row.tolist()),) for row in currents.upper[:, j, i]))
+               ((map(repr, row.tolist()),) for row in currents.matrix[:, j, i]))
 
 
 def write_rates_csv(path, grid, rates):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT
-from .currents import CurrentMatrix, _antisymmetric
+from .currents import CurrentMatrix
 from .spectral import _runs
 
 __all__ = [
@@ -111,7 +111,7 @@ def _rate_rule(choice: str, current: CurrentMatrix, p, free_choice=0.0):
     if choice not in ("bell", "general"):
         raise ValueError(f"unknown rate choice {choice!r}")
     p = np.asarray(p, dtype=float)
-    if p.shape != current.upper.shape[:-1]:
+    if p.shape != current.matrix.shape[:-1]:
         raise ValueError("probability vector length does not match current size")
     if not np.isfinite(p).all():
         raise ValueError("probabilities must be finite")
@@ -119,13 +119,13 @@ def _rate_rule(choice: str, current: CurrentMatrix, p, free_choice=0.0):
         if not (p.min() >= -DEFAULT.probability_sum
                 and np.abs(p.sum(axis=-1) - 1.0).max() <= DEFAULT.probability_sum):
             raise ValueError("p must be a probability vector summing to 1")
-        return lambda nodes: _bell(_antisymmetric(current.upper[nodes]), p[nodes])
+        return lambda nodes: _bell(current.matrix[nodes], p[nodes])
     if not p.min() > DEFAULT.zero_probability:
         raise ValueError("division at p_j = 0: general rates need p > 0 everywhere")
     c = float(free_choice)
     if not 0 <= c < np.inf:
         raise ValueError(f"free choice offset must be finite and nonnegative, got {c}")
-    return lambda nodes: _general(_antisymmetric(current.upper[nodes]), p[nodes], c)
+    return lambda nodes: _general(current.matrix[nodes], p[nodes], c)
 
 
 def bell_rates(current: CurrentMatrix, p) -> RateMatrix:

@@ -138,8 +138,8 @@ def compute_currents(family: JointFamily, kind: str | None = None,
                 [c[nodes] for c in family.connections], extra_term=extra_term)
     else:
         raise ValueError(f"unknown current kind {kind!r}")
-    (upper,) = _blockwise(lambda nodes: (current(nodes).upper,), *psi.shape)
-    return CurrentMatrix(upper=upper)
+    (matrix,) = _blockwise(lambda nodes: (current(nodes).matrix,), *psi.shape)
+    return CurrentMatrix(matrix)
 
 
 def pdot_target(family: JointFamily) -> np.ndarray:
@@ -155,9 +155,9 @@ def compute_rates(currents: CurrentMatrix, probabilities, choice: str,
     record, built over node blocks (see ``_blockwise``).  The probabilities
     are checked once, and the rates once, as the whole record."""
     p = np.asarray(probabilities, dtype=float)
-    if currents.upper.ndim != 3 or p.shape != currents.upper.shape[:-1]:
+    if currents.matrix.ndim != 3 or p.shape != currents.matrix.shape[:-1]:
         raise ValueError(f"expected an (n, D, D) current and (n, D) probabilities, "
-                         f"got {currents.upper.shape} and {p.shape}")
+                         f"got {currents.matrix.shape} and {p.shape}")
     matrix, pole_mask = _blockwise(_rate_rule(choice, currents, p, general_offset), *p.shape)
     return RateMatrix(matrix=matrix, pole_mask=pole_mask)
 
@@ -277,7 +277,7 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
     rows = pole_free_rows(rate_matrices)
     masked = int((~rows).sum(axis=1).max())
     master_res = master_residual(rate_matrices, family.probabilities,
-                                 currents.full().sum(axis=-1), rows=rows)
+                                 currents.matrix.sum(axis=-1), rows=rows)
 
     report = RunReport(
         scenario_name=scenario.name, current=scenario.current,

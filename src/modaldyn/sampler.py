@@ -344,7 +344,7 @@ class JumpProcess:
     states : sequence of JointIndex
         Flat-order labels of the joint state space.
     currents : CurrentMatrix
-        The currents at every node, ``upper`` of shape ``(n, D, D)``, used
+        The currents at every node, ``matrix`` of shape ``(n, D, D)``, used
         for relay destination draws out of zero-probability states.
     """
 
@@ -360,8 +360,8 @@ class JumpProcess:
             raise ValueError("states/p0 size does not match the rate trajectory")
         if not isinstance(currents, CurrentMatrix):
             raise TypeError(f"currents must be a CurrentMatrix, not {type(currents).__name__}")
-        if currents.upper.shape != (n, d, d):
-            raise ValueError(f"currents of shape {currents.upper.shape}, rates of {(n, d, d)}")
+        if currents.matrix.shape != (n, d, d):
+            raise ValueError(f"currents of shape {currents.matrix.shape}, rates of {(n, d, d)}")
         if not (abs(self.p0.sum() - 1.0) <= DEFAULT.probability_sum
                 and self.p0.min() >= -DEFAULT.zero_probability):
             raise ValueError("initial distribution must be nonnegative and sum to 1")
@@ -439,8 +439,7 @@ class JumpProcess:
             if not rows.size:
                 return
             state, tau = batch.state[rows], batch.t[rows]
-            up = self.currents.upper        # full()[node, :, state], as full() forms it
-            dest = _draw(up[node, :, state] - up[node, state, :], state, rows, batch.rng)
+            dest = _draw(self.currents.matrix[node, :, state], state, rows, batch.rng)
             out = dest >= 0
             rows, node, dest, tau = rows[out], node[out], dest[out], tau[out]
             if arrival or depth:

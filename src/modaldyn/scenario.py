@@ -378,7 +378,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                     f"hamiltonian: unknown key {key!r} beside builder {name!r}")
         overrides = _read({k: v for k, v in data.items() if k != "hamiltonian"}, name)
         return replace(BUILTINS[name](**ham.get("params", {})), **overrides).validate()
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ScenarioValidationError(f"malformed scenario: {exc}") from exc
 
 

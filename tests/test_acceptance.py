@@ -176,13 +176,13 @@ def test_criterion_06_continuity_and_master_residuals():
         for kind in ("minimal_flow", "generalized_schrodinger"):
             currents = compute_currents(fam, kind=kind)
             rates = compute_rates(currents, fam.probabilities, "bell")
-            divergence = currents.full().sum(axis=-1)
+            divergence = currents.matrix.sum(axis=-1)
             worst_cont = max(worst_cont, np.abs(target - divergence).max())
             worst_master = max(worst_master, master_residual(
                 rates, fam.probabilities, divergence, rows=pole_free_rows(rates)))
     fam = cached_family("measured-possessed-property")
     static = compute_currents(fam, kind="static_schrodinger")
-    control = np.abs(pdot_target(fam) - static.full().sum(axis=-1)).max()
+    control = np.abs(pdot_target(fam) - static.matrix.sum(axis=-1)).max()
     result = cached_run("measured-possessed-property", "static_schrodinger", 200)
     report = result.report
     named = [f for f in report.failures(result.scenario.thresholds)
@@ -203,18 +203,18 @@ def test_criterion_07_current_structure():
     vecs = [traj.vectors[k] for traj in fam.factor_trajectories]
     conns = [c[k] for c in fam.connections]
 
-    # Antisymmetry is structural and bitwise for every constructor.
+    # Every constructor stores an exactly antisymmetric matrix, bit for bit.
     anti = True
     for cm in (minimal_flow_current(np.array([0.3, -0.1, -0.2, 0.0])),
                static_schrodinger_current(psi, h, vecs),
                generalized_schrodinger_current(psi, h, vecs, conns)):
-        full = cm.full()
+        full = cm.matrix
         anti = anti and np.array_equal(full, -full.T)
 
     # Frozen projectors reduce the generalized current to the static one.
     gen0 = generalized_schrodinger_current(psi, h, vecs, [np.zeros_like(c) for c in conns])
     stat = static_schrodinger_current(psi, h, vecs)
-    reduction = np.abs(gen0.full() - stat.full()).max()
+    reduction = np.abs(gen0.matrix - stat.matrix).max()
 
     # With two factors a pure state's rotation term vanishes (Schmidt form).
     # On three factors the generalized current less the static one is the
@@ -228,8 +228,8 @@ def test_criterion_07_current_structure():
     eye = [np.eye(len(v)) for v in vecs3]
     gamma = sum(reduce(np.kron, eye[:k] + [c] + eye[k + 1:]) for k, c in enumerate(conns3))
     rotation = -2.0 * (amps.conj()[:, None] * gamma * amps[None, :]).real
-    extra = (generalized_schrodinger_current(psi3, h3, vecs3, conns3).full()
-             - static_schrodinger_current(psi3, h3, vecs3).full())
+    extra = (generalized_schrodinger_current(psi3, h3, vecs3, conns3).matrix
+             - static_schrodinger_current(psi3, h3, vecs3).matrix)
     rotation_miss = np.abs(extra - rotation).max()
 
     # Rows and columns of zero-probability states vanish.
@@ -241,7 +241,7 @@ def test_criterion_07_current_structure():
         zero_states = np.nonzero(famz.probabilities.max(axis=0) <= 1e-12)[0]
         if zero_states.size == 0:
             continue
-        full = currents.full()[::97]
+        full = currents.matrix[::97]
         worst_zero = max(worst_zero,
                          np.abs(full[:, zero_states, :]).max(),
                          np.abs(full[:, :, zero_states]).max())
@@ -259,7 +259,7 @@ def test_criterion_08_minimal_flow_optimality():
         for _ in range(20):
             pdot = rng.normal(size=d)
             pdot -= pdot.mean()
-            mine = minimal_flow_current(pdot).full()
+            mine = minimal_flow_current(pdot).matrix
             oracle = least_norm_current_oracle(pdot)
             worst = max(worst, np.abs(mine - oracle).max())
     ok = worst <= 1e-8

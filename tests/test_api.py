@@ -19,7 +19,7 @@ from modaldyn.pipeline import RunReport
 from modaldyn.sampler import JumpProcess
 from modaldyn.scenario import Thresholds
 
-REMOVED = {"tol", "overlap_threshold", "sample", "pole_policy"}
+REMOVED = {"tol", "overlap_threshold", "sample", "pole_policy", "upper"}
 
 
 def _public_callables():
@@ -51,7 +51,7 @@ def test_no_per_call_tolerance_or_test_only_switch():
 
 
 NAN = float("nan")
-ZERO_CURRENT = CurrentMatrix(upper=np.zeros((2, 2)))
+ZERO_CURRENT = CurrentMatrix(np.zeros((2, 2)))
 STILL = RateTrajectory([0.0, 1.0], RateMatrix(np.zeros((2, 2, 2)), np.zeros((2, 2, 2), bool)))
 
 # Each entry point with one NaN among otherwise valid inputs.
@@ -60,14 +60,14 @@ NAN_INPUTS = {
                                                   np.zeros((2, 2), bool)),
     "RateMatrix diagonal": lambda: RateMatrix(np.array([[NAN, 0.0], [0.0, 0.0]]),
                                               np.zeros((2, 2), bool)),
-    "CurrentMatrix": lambda: CurrentMatrix(upper=np.array([[0.0, NAN], [0.0, 0.0]])),
+    "CurrentMatrix": lambda: CurrentMatrix(np.array([[0.0, NAN], [-NAN, 0.0]])),
     "TransitionKernel": lambda: TransitionKernel(0.0, 1.0, np.array([[NAN, 0.0], [0.0, 1.0]]),
                                                  "series"),
     "bell_rates": lambda: bell_rates(ZERO_CURRENT, np.array([NAN, 1.0])),
     "general_rates": lambda: general_rates(ZERO_CURRENT, np.array([0.5, NAN])),
     "minimal_flow_current": lambda: minimal_flow_current(np.array([NAN, 0.0])),
     "JumpProcess p0": lambda: JumpProcess(STILL, np.array([NAN, 1.0]), [(0,), (1,)],
-                                          CurrentMatrix(upper=np.zeros((2, 2, 2)))),
+                                          CurrentMatrix(np.zeros((2, 2, 2)))),
 }
 
 

@@ -35,40 +35,49 @@ def dense(vectors):
 
 
 class TestCurrentMatrix:
-    def test_structural_antisymmetry(self, rng):
-        u = np.triu(rng.normal(size=(4, 4)), 1)
-        full = CurrentMatrix(upper=u).full()
-        assert np.array_equal(full, -full.T)
-        assert np.all(np.diag(full) == 0)
+    def test_constructors_are_exactly_antisymmetric(self, rng):
+        psi, h, vecs = random_ket(rng, 4), random_hermitian(rng, 4), orthonormal_vectors(rng, 4)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for cm in (minimal_flow_current(balanced_pdot(rng, 4)),
+                   static_schrodinger_current(psi, h, [vecs]),
+                   generalized_schrodinger_current(psi, h, [vecs], [a - a.conj().T])):
+            assert np.array_equal(cm.matrix, -cm.matrix.T)
+            assert np.all(np.diag(cm.matrix) == 0)
 
     def test_flow_accessor(self):
-        # Entry [..., j, i] of full() is the flow i -> j, per node of a stack.
+        # Entry [..., j, i] of the matrix is the flow i -> j, per node of a stack.
         up = np.triu(np.arange(9.0).reshape(3, 3), 1)
-        stack = CurrentMatrix(upper=np.stack([up, 2 * up]))
-        assert len(stack) == 2
-        cm = stack[0]
-        assert cm.full()[0, 1] == 1.0
-        assert cm.full()[1, 0] == -1.0
-        assert cm.full()[2, 2] == 0.0
-        assert np.array_equal(stack.full()[..., 1, 0], [-1.0, -2.0])
-        assert np.array_equal(stack[1].upper, 2 * up)
+        stack = CurrentMatrix(np.stack([up - up.T, 2 * (up - up.T)]))
+        assert stack.size == 3
+        assert stack.matrix[0, 0, 1] == 1.0
+        assert stack.matrix[0, 1, 0] == -1.0
+        assert stack.matrix[0, 2, 2] == 0.0
+        assert np.array_equal(stack.matrix[..., 1, 0], [-1.0, -2.0])
 
-    def test_rejects_lower_triangle(self):
-        with pytest.raises(ValueError, match="upper"):
-            CurrentMatrix(upper=np.ones((2, 2)))
+    def test_rejects_inexact_antisymmetry(self, rng):
+        up = np.triu(rng.normal(size=(2, 3, 3)), 1)
+        nudged = up - np.swapaxes(up, 1, 2)
+        nudged[1, 2, 0] = np.nextafter(nudged[1, 2, 0], np.inf)    # one ulp off at node 1
+        diagonal = np.diag([0.0, 1e-300, 0.0])
+        # The strict upper triangle alone, the old storage, is not a current.
+        for bad in (up, nudged, diagonal, np.ones((2, 2))):
+            with pytest.raises(ValueError, match="exactly antisymmetric"):
+                CurrentMatrix(bad)
+        with pytest.raises(ValueError, match="square"):
+            CurrentMatrix(np.zeros((2, 3)))
 
 
 class TestMinimalFlow:
     def test_zero_pdot(self):
         cm = minimal_flow_current(np.zeros(3))
-        assert np.all(cm.full() == 0)
+        assert np.all(cm.matrix == 0)
 
     def test_two_state_crossing_family(self):
         # pdot = (-x, x) with x = theta sin(2 theta t) gives j_21 = x.
         theta, t = 1.3, 0.4
         x = theta * np.sin(2 * theta * t)
         cm = minimal_flow_current(np.array([-x, x]))
-        assert abs(cm.full()[1, 0] - x) < 1e-14
+        assert abs(cm.matrix[1, 0] - x) < 1e-14
 
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError, match="sum to zero"):
@@ -78,7 +87,7 @@ class TestMinimalFlow:
         for d in (2, 3, 4):
             pdot = balanced_pdot(rng, d)
             cm = minimal_flow_current(pdot)
-            assert np.abs(cm.full() - least_norm_current_oracle(pdot)).max() <= 1e-8
+            assert np.abs(cm.matrix - least_norm_current_oracle(pdot)).max() <= 1e-8
 
     def test_continuity_exact(self, rng):
         pdot = balanced_pdot(rng, 5)
@@ -90,7 +99,7 @@ class TestStaticSchrodinger:
         psi = random_ket(rng, 3)
         h = np.diag([1.0, 2.0, 3.0]).astype(complex)
         cm = static_schrodinger_current(psi, h, [np.eye(3)])
-        assert np.abs(cm.full()).max() <= 1e-14
+        assert np.abs(cm.matrix).max() <= 1e-14
 
     def test_matches_elementwise_summation_oracle(self, rng):
         dim = 4
@@ -104,7 +113,7 @@ class TestStaticSchrodinger:
                     continue
                 braket = np.vdot(psi, vecs[a]) * np.vdot(vecs[a], h @ vecs[b]) \
                     * np.vdot(vecs[b], psi)
-                assert abs(cm.full()[a, b] - 2 * braket.imag) <= 1e-10
+                assert abs(cm.matrix[a, b] - 2 * braket.imag) <= 1e-10
 
     def test_continuity_against_commutator_pdot(self, rng):
         dim = 4
@@ -159,7 +168,7 @@ class TestGeneralizedSchrodinger:
         vecs = orthonormal_vectors(rng, dim)
         gen = generalized_schrodinger_current(psi, h, [vecs], [np.zeros_like(vecs)])
         stat = static_schrodinger_current(psi, h, [vecs])
-        assert np.abs(gen.full() - stat.full()).max() <= 1e-12
+        assert np.abs(gen.matrix - stat.matrix).max() <= 1e-12
 
     def test_paired_term_matches_conjugate_sum(self, rng):
         dim = 4
@@ -167,7 +176,7 @@ class TestGeneralizedSchrodinger:
         h, vecs, conn, projs, derivs = analytic_rotation_setup(rng, dim)
         gen = generalized_schrodinger_current(psi, h, [vecs], [conn])
         stat = static_schrodinger_current(psi, h, [vecs])
-        extra = gen.full() - stat.full()
+        extra = gen.matrix - stat.matrix
         for a in range(dim):
             for b in range(dim):
                 if a == b:
@@ -206,7 +215,7 @@ class TestGeneralizedSchrodinger:
         dim = 4
         h, vecs, conn, projs, derivs = analytic_rotation_setup(rng, dim)
         psi = 0.6 * vecs[0] + 0.8j * vecs[1]
-        gen = generalized_schrodinger_current(psi, h, [vecs], [conn]).full()
+        gen = generalized_schrodinger_current(psi, h, [vecs], [conn]).matrix
         assert np.abs(gen[2, :]).max() <= 1e-9
         assert np.abs(gen[:, 2]).max() <= 1e-9
         assert np.abs(gen[3, :]).max() <= 1e-9
@@ -216,7 +225,7 @@ class TestGeneralizedSchrodinger:
         # labels 2 and 3 are exactly zero, and so are their rows.
         h, _vecs, conn, _projs, _derivs = analytic_rotation_setup(rng, 4)
         psi = np.array([0.6, 0.8j, 0.0, 0.0])
-        gen = generalized_schrodinger_current(psi, h, [np.eye(4)], [conn]).full()
+        gen = generalized_schrodinger_current(psi, h, [np.eye(4)], [conn]).matrix
         assert not gen[2:].any() and not gen[:, 2:].any()
 
     def test_non_anti_hermitian_connections_rejected(self, rng):
@@ -244,13 +253,13 @@ class TestGeneralizedSchrodinger:
 
 class TestContinuityResidual:
     def test_zero_current(self):
-        cm = CurrentMatrix(upper=np.zeros((3, 3)))
+        cm = CurrentMatrix(np.zeros((3, 3)))
         pdot = np.array([0.2, -0.5, 0.3])
         assert continuity_residual(cm, pdot) == 0.5
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            continuity_residual(CurrentMatrix(upper=np.zeros((2, 2))), np.zeros(3))
+            continuity_residual(CurrentMatrix(np.zeros((2, 2))), np.zeros(3))
 
 
 def generic_two_by_three(rng):
@@ -306,7 +315,7 @@ class TestDenseOracle:
         cases = [("minimal_flow", "paired"), ("static_schrodinger", "paired")] + \
             [("generalized_schrodinger", e) for e in ("paired", "minimal_flow_like")]
         for kind, extra_term in cases:
-            got = compute_currents(fam, kind=kind, extra_term=extra_term).full()
+            got = compute_currents(fam, kind=kind, extra_term=extra_term).matrix
             for k in self.NODES:
                 psi = fam.psi[k]
                 v, pd = self.dense_node(fam, k)
@@ -359,7 +368,7 @@ class TestExactCurrent:
         family = compute_joint_family(sc)
         for extra_term in ("paired", "minimal_flow_like"):
             current = compute_currents(family, "generalized_schrodinger", extra_term)
-            divergence = current.full().sum(axis=-1)[1:-1]
+            divergence = current.matrix.sum(axis=-1)[1:-1]
             assert np.abs(divergence - born).max() <= 1e-6, extra_term
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2, 2), (2, 2, 2, 2)])
@@ -367,8 +376,8 @@ class TestExactCurrent:
         # With two factors a pure state's rotation term vanishes on every
         # pair (Schmidt form), so only three or more factors can show it.
         family = compute_joint_family(random_system(2, dims))
-        extra = (compute_currents(family, "generalized_schrodinger", "paired").upper
-                 - compute_currents(family, "static_schrodinger").upper)
+        extra = (compute_currents(family, "generalized_schrodinger", "paired").matrix
+                 - compute_currents(family, "static_schrodinger").matrix)
         apart = labels_apart(family.states)
         assert not extra[:, apart >= 2].any()
         if len(dims) > 2:
@@ -400,7 +409,7 @@ class TestIndependentParts:
         for kind, extra_term in (("static_schrodinger", None),
                                  ("generalized_schrodinger", "paired"),
                                  ("generalized_schrodinger", "minimal_flow_like")):
-            full = compute_currents(whole, kind, extra_term).full()
+            full = compute_currents(whole, kind, extra_term).matrix
             assert np.abs(full[:, both]).max() <= 1e-13, (kind, extra_term)
 
     def test_bell_rates_are_kron_sums(self, runs):
@@ -416,6 +425,34 @@ class TestIndependentParts:
         miss = np.abs(rates[0] - predicted)[pairs]
         assert (pairs & ~np.eye(len(whole.states), dtype=bool)).any()
         assert (miss <= 1e-10 * np.maximum(1.0, np.abs(predicted[pairs]))).all(), miss.max()
+
+
+class TestIndependentPaths:
+    """Paths of the joined system: an event changes both parts when the labels
+    of both parts differ before and after it.  The Schrodinger-type currents
+    carry nothing between such labels (``TestIndependentParts``), so no event
+    may change both parts; the minimal-flow current couples the parts, and at
+    least a tenth of its events must.  Bounds fixed before the first run."""
+
+    @pytest.mark.parametrize("current", ["static_schrodinger", "generalized_schrodinger",
+                                         "minimal_flow"])
+    @pytest.mark.parametrize("dims2", [(2, 2), (2, 2, 2)], ids=["2x2+2x2", "2x2+2x2x2"])
+    def test_events_changing_both_parts(self, dims2, current):
+        whole, one, _two = joined_system(3, (2, 2), dims2)
+        paths = run(whole, report_only=True, n_paths=2000, current=current).paths
+        labels = np.array(paths.states)
+        moved = paths.jump_counts > 0
+        before = np.concatenate(([0], paths.dest[:-1]))
+        before[paths.offsets[:-1][moved]] = paths.initial[moved]
+        split = len(one.factor_dims)
+        differ = labels[before] != labels[paths.dest]
+        both = differ[:, :split].any(axis=1) & differ[:, split:].any(axis=1)
+        assert len(both) > 0
+        if current == "minimal_flow":
+            assert both.sum() >= 0.1 * len(both), (both.sum(), len(both))
+            assert paths.relays > 0        # relays draw from the stored current
+        else:
+            assert not both.any(), (both.sum(), len(both))
 
 
 def traced_peak(fn, *args):
@@ -480,12 +517,12 @@ class TestComputeRatesShapes:
     EXPECTED = r"\(n, D, D\) current and \(n, D\) probabilities"
 
     def test_single_node_current_is_rejected(self):
-        current = CurrentMatrix(upper=np.triu(np.ones((3, 3)), 1))
+        current = CurrentMatrix(np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1))
         with pytest.raises(ValueError, match=self.EXPECTED):
             compute_rates(current, np.full(3, 1.0 / 3), "bell")
 
     def test_mismatched_probabilities_are_rejected(self):
-        current = CurrentMatrix(upper=np.triu(np.ones((4, 3, 3)), 1))
+        current = CurrentMatrix(np.zeros((4, 3, 3)))
         with pytest.raises(ValueError, match=self.EXPECTED):
             compute_rates(current, np.full((5, 3), 1.0 / 3), "bell")
 
@@ -504,7 +541,7 @@ class TestNodeBlocks:
                                  ("generalized_schrodinger", "paired"),
                                  ("generalized_schrodinger", "minimal_flow_like")):
             current = compute_currents(family, kind, extra_term)
-            out.append(current.upper)
+            out.append(current.matrix)
             for choice in ("bell", "general"):
                 try:
                     rates = compute_rates(current, family.probabilities, choice, 0.5)

@@ -31,7 +31,7 @@ def crossing_rate_trajectory(theta=1.0, t0=0.0, t1=0.7, step=1e-3):
     full[:, 1, 0] = theta * np.sin(2 * theta * grid)
     full[:, 0, 1] = -full[:, 1, 0]
     p = np.column_stack([np.cos(theta * grid) ** 2, np.sin(theta * grid) ** 2])
-    return RateTrajectory(grid, bell_rates(CurrentMatrix(upper=np.triu(full, 1)), p))
+    return RateTrajectory(grid, bell_rates(CurrentMatrix(full), p))
 
 
 def random_rate_trajectory(d=16, seed=3, step=1e-3):

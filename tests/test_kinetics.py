@@ -21,7 +21,9 @@ from conftest import random_system
 
 
 def current_from_full(full):
-    return CurrentMatrix(upper=np.triu(full, 1))
+    """The current whose strict upper triangle is that of ``full``."""
+    u = np.triu(full, 1)
+    return CurrentMatrix(u - np.swapaxes(u, -1, -2))
 
 
 def crossing_current(theta, t):
@@ -75,12 +77,12 @@ class TestBellRates:
         full[2, :, 1] = np.abs(full[2, :, 1])         # inflow at p_1 = 0: poles
         p = rng.dirichlet(np.ones(3), size=6)
         p[2] = [0.5, 0.0, 0.5]
-        stack = CurrentMatrix(upper=full)
+        stack = current_from_full(full)
         rates = bell_rates(stack, p)
         assert len(rates) == 6 and rates[2].pole_mask.any()
-        pdot = stack.full().sum(axis=-1)
+        pdot = stack.matrix.sum(axis=-1)
         for k in range(6):
-            node = bell_rates(stack[k], p[k])
+            node = bell_rates(current_from_full(full[k]), p[k])
             assert np.array_equal(rates[k].matrix, node.matrix)
             assert np.array_equal(rates[k].pole_mask, node.pole_mask)
             assert np.array_equal(pole_free_rows(rates)[k], pole_free_rows(node))
@@ -88,37 +90,37 @@ class TestBellRates:
                     for k in range(6))
         assert master_residual(rates, p, pdot, rows=pole_free_rows(rates)) == worst
         keep = [0, 1, 3, 4, 5]
-        general = general_rates(stack[keep], p[keep], 0.3)
+        general = general_rates(current_from_full(full[keep]), p[keep], 0.3)
         for n, k in enumerate(keep):
             assert np.abs(general[n].matrix
-                          - general_rates(stack[k], p[k], 0.3).matrix).max() <= 1e-15
+                          - general_rates(current_from_full(full[k]), p[k], 0.3).matrix).max() <= 1e-15
 
     def test_one_directional_choice(self, rng):
         full = np.triu(rng.normal(size=(5, 5)), 1)
-        rates = bell_rates(CurrentMatrix(upper=full), rng.dirichlet(np.ones(5)))
+        rates = bell_rates(current_from_full(full), rng.dirichlet(np.ones(5)))
         off = rates.matrix.copy()
         np.fill_diagonal(off, 0.0)
         assert np.all((off * off.T) == 0)    # at most one direction per pair
 
     def test_column_sums_zero(self, rng):
         full = np.triu(rng.normal(size=(4, 4)), 1)
-        rates = bell_rates(CurrentMatrix(upper=full), rng.dirichlet(np.ones(4)))
+        rates = bell_rates(current_from_full(full), rng.dirichlet(np.ones(4)))
         assert np.abs(rates.matrix.sum(axis=0)).max() <= 1e-15
 
     def test_round_trip_reconstructs_current(self, rng):
         full = np.triu(rng.normal(size=(4, 4)), 1)
-        cm = CurrentMatrix(upper=full)
+        cm = current_from_full(full)
         p = rng.dirichlet(np.ones(4)) + 0.05
         p /= p.sum()
         t = bell_rates(cm, p).matrix
         recon = t * p[None, :] - (t * p[None, :]).T
-        assert np.abs(recon - cm.full()).max() <= 1e-10
+        assert np.abs(recon - cm.matrix).max() <= 1e-10
 
 
 class TestGeneralRates:
     def test_zero_offset_reduces_to_bell(self, rng):
         full = np.triu(rng.normal(size=(4, 4)), 1)
-        cm = CurrentMatrix(upper=full)
+        cm = current_from_full(full)
         p = rng.dirichlet(np.ones(4)) + 0.05
         p /= p.sum()
         a = general_rates(cm, p, 0.0)
@@ -127,12 +129,12 @@ class TestGeneralRates:
 
     def test_reconstruction_identity(self, rng):
         full = np.triu(rng.normal(size=(3, 3)), 1)
-        cm = CurrentMatrix(upper=full)
+        cm = current_from_full(full)
         p = np.array([0.5, 0.3, 0.2])
         for c in (0.0, 0.7):
             t = general_rates(cm, p, c).matrix
             recon = t * p[None, :] - (t * p[None, :]).T
-            assert np.abs(recon - cm.full()).max() <= 1e-10
+            assert np.abs(recon - cm.matrix).max() <= 1e-10
 
     def test_uniform_offset_closed_form(self):
         d = 4
@@ -164,10 +166,10 @@ class TestGeneralRates:
 class TestMasterResidual:
     def test_bell_from_balanced_current(self, rng):
         full = np.triu(rng.normal(size=(4, 4)), 1)
-        cm = CurrentMatrix(upper=full)
+        cm = current_from_full(full)
         p = rng.dirichlet(np.ones(4)) + 0.05
         p /= p.sum()
-        pdot = cm.full().sum(axis=1)
+        pdot = cm.matrix.sum(axis=1)
         rates = bell_rates(cm, p)
         assert master_residual(rates, p, pdot) <= 1e-9
 
@@ -205,7 +207,7 @@ class TestMasterResidual:
         assert rates.pole_mask[1, 2]
         rows = pole_free_rows(rates)
         assert rows.tolist() == [True, False, False]
-        pdot = current_from_full(full).full().sum(axis=1)
+        pdot = current_from_full(full).matrix.sum(axis=1)
         assert master_residual(rates, p, pdot, rows=rows) <= 1e-12
         # Unmasked, the relay flux is genuinely missing from the balance.
         assert master_residual(rates, p, pdot) > 0.1
@@ -245,7 +247,7 @@ class TestFluxMinimality:
         current = compute_currents(family, kind)
         p = family.probabilities
         rates = compute_rates(current, p, "bell")
-        flux = np.abs(current.upper).sum(axis=(-2, -1))
+        flux = np.abs(current.matrix).sum(axis=(-2, -1)) / 2
         free = ~rates.pole_mask.any(axis=(-2, -1))
         assert free.any()
         gap = np.abs(intensity(rates, p) - flux)[free]
@@ -261,7 +263,7 @@ class TestFluxMinimality:
         general = intensity(compute_rates(current, p, "general", c), p)
         # p_b of the higher state b of every pair a < b: b times over.
         extra = 2.0 * c * (p * np.arange(p.shape[-1])).sum(axis=-1)
-        flux = np.abs(current.upper).sum(axis=(-2, -1))
+        flux = np.abs(current.matrix).sum(axis=(-2, -1)) / 2
         assert (np.abs(general - bell - extra) <= 1e-12 * np.maximum(1.0, flux + extra)).all()
         assert (general >= bell).all()
 

@@ -26,8 +26,9 @@ from conftest import mixed_scenario, random_hermitian, random_ket, relay_scenari
 
 
 def stacked(full):
-    """The current record of full antisymmetric matrices ``full``."""
-    return CurrentMatrix(upper=np.triu(full, 1))
+    """The current record whose strict upper triangles are those of ``full``."""
+    u = np.triu(full, 1)
+    return CurrentMatrix(u - np.swapaxes(u, -1, -2))
 
 
 def rate_trajectory_from(grid, full_of_t, p_of_t):
@@ -373,8 +374,8 @@ class TestPolePolicies:
     @pytest.mark.parametrize("currents, error, match", [
         (np.zeros((201, 3, 3)), TypeError, "CurrentMatrix, not ndarray"),
         (np.zeros(3), TypeError, "CurrentMatrix, not ndarray"),
-        (CurrentMatrix(upper=np.zeros((11, 3, 3))), ValueError, r"\(11, 3, 3\).*\(201, 3, 3\)"),
-        (CurrentMatrix(upper=np.zeros((201, 2, 2))), ValueError, r"\(201, 2, 2\).*\(201, 3, 3\)"),
+        (CurrentMatrix(np.zeros((11, 3, 3))), ValueError, r"\(11, 3, 3\).*\(201, 3, 3\)"),
+        (CurrentMatrix(np.zeros((201, 2, 2))), ValueError, r"\(201, 2, 2\).*\(201, 3, 3\)"),
     ], ids=["plain-stack", "1-d-array", "11-nodes", "2-states"])
     def test_current_record_is_checked(self, currents, error, match):
         # A plain array, or a record of another node count or state count,
@@ -383,18 +384,17 @@ class TestPolePolicies:
             make_relay_process(currents)
 
     def test_relay_columns_are_the_full_current(self, monkeypatch):
-        # A relay out of state s at node k draws from full()[k, :, s], formed
-        # from the record by full()'s own subtraction: the same bits, signs of
-        # zeros included.  Every state is put at every node and halfway
+        # A relay out of state s at node k draws the stored column
+        # matrix[k, :, s] itself: the same bits, signs of zeros included.  Every state is put at every node and halfway
         # between; the draw is stubbed to relay nothing and keep its columns.
         rng = np.random.default_rng(14)
         upper = np.triu(rng.normal(size=(11, 4, 4)), 1)
         upper[rng.random(upper.shape) < 0.3] = 0.0
         upper[rng.random(upper.shape) < 0.3] *= -0.0          # -0.0 on and above the diagonal
         records = [run(relay_scenario((2, 2)), n_paths=1, report_only=True).currents,
-                   CurrentMatrix(upper=upper)]
+                   CurrentMatrix(upper - np.swapaxes(upper, 1, 2))]
         for record in records:
-            n, d, _ = record.upper.shape
+            n, d, _ = record.matrix.shape
             grid = np.linspace(0.0, 1.0, n)
             pole = np.zeros((n, d, d), dtype=bool)
             pole[:, 0, 1:] = pole[:, 1, 0] = True               # every column flagged
@@ -410,7 +410,7 @@ class TestPolePolicies:
             proc._maybe_relay(batch, np.arange(len(state)), arrival=True)
             (columns, states, rows), = seen
             assert len(rows) == len(state)
-            want = record.full()[_nearest_node(grid, batch.t[rows]), :, states]
+            want = record.matrix[_nearest_node(grid, batch.t[rows]), :, states]
             assert np.array_equal(columns, want)
             assert np.array_equal(np.signbit(columns), np.signbit(want))
         # The synthetic record, checked last, has zeros of both signs.

@@ -376,7 +376,7 @@ class TestExportRoundTrip:
         self.assert_floats(t, np.repeat(result.family.grid, len(lo)))
         assert [int(x) for x in i] == hi.tolist() * len(result.family.grid)
         assert [int(x) for x in j] == lo.tolist() * len(result.family.grid)
-        self.assert_floats(flow, result.currents.upper[:, lo, hi])
+        self.assert_floats(flow, result.currents.matrix[:, lo, hi])
 
     def test_rates(self, exported):
         result, out = exported
@@ -480,7 +480,7 @@ class TestByteContract:
         rows = [["time", "i", "j", "j_ji"]] + [
             [t, hi, lo, u[k][lo][hi]] for k, t in enumerate(grid.tolist())
             for lo in range(d) for hi in range(lo + 1, d)]
-        assert written(write_currents_csv, grid, CurrentMatrix(upper)) == [reference_csv(rows)]
+        assert written(write_currents_csv, grid, CurrentMatrix(upper - np.swapaxes(upper, 1, 2))) == [reference_csv(rows)]
 
     @BYTES
     @given(data=st.data())
@@ -670,10 +670,10 @@ def test_joint_family_and_current_digests(scenario):
               "probabilities": family.probabilities}
     arrays["pdot"] = pipeline.pdot_target(family)
     for extra in ("paired", "minimal_flow_like"):
-        arrays[extra] = pipeline.compute_currents(
-            family, "generalized_schrodinger", extra).upper
-    arrays["static_schrodinger"] = pipeline.compute_currents(
-        family, "static_schrodinger").upper
+        arrays[extra] = np.triu(pipeline.compute_currents(
+            family, "generalized_schrodinger", extra).matrix, 1)
+    arrays["static_schrodinger"] = np.triu(pipeline.compute_currents(
+        family, "static_schrodinger").matrix, 1)
     got = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}
     assert got == GOLDEN_ARRAYS[family.scenario.name]
 
@@ -755,6 +755,23 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli_main(["validate", str(path)]) == 2
         assert "at least 3 nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["validate"], ["run", "--report-only"]],
+                             ids=["validate", "run"])
+    @pytest.mark.parametrize("builder, params, message", [
+        ("measured-possessed-property", {"coupling": 0.0}, "float division by zero"),
+        ("measured-possessed-property", {"coupling": 1e-310},
+         "cannot convert float infinity to integer"),
+        ("easyexample", {"t1": 1e308}, "cannot convert float infinity to integer"),
+    ], ids=["zero-coupling", "tiny-coupling", "huge-t1"])
+    def test_builder_arithmetic_errors_are_malformed(self, tmp_path, capsys, command,
+                                                     builder, params, message):
+        # A builder's own arithmetic on its parameters (t1 = pi / (2 coupling),
+        # the grid rounding of t1) fails before any stage runs: exit 2.
+        path = tmp_path / "builder.json"
+        path.write_text(json.dumps({"hamiltonian": {"builder": builder, "params": params}}))
+        assert cli_main([command[0], str(path), *command[1:]]) == 2
+        assert f"validation error: malformed scenario: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("explicit, override, message", [
         (False, {"extra_trem": "paired"}, "unknown key 'extra_trem'"),
