@@ -11,10 +11,11 @@ Three constructors are provided:
   <psi| Pdot_j P_i - Pdot_i P_j |psi> or a least-norm-style alternative.
 
 Projectors enter as rank-1 directions per factor, whose kron gives the joint
-directions, and their motion as per-factor connections.  Every constructor
-broadcasts over leading node axes and returns the full antisymmetric
-matrix, built from its strict upper triangle as ``u - u^T``; consumers read
-that one array in place.
+directions, and their motion as per-factor connections.  The three kinds
+share one rule: it checks its inputs once over all nodes, then builds the
+antisymmetric matrix ``u - u^T`` (``u`` its strict upper triangle) at any
+nodes, broadcasting over leading node axes.  ``CurrentMatrix`` checks that
+record once; consumers read it in place.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ __all__ = [
 ]
 
 
+def _pieces(x: np.ndarray):
+    """``x (..., a, b)`` as node slices ``(m, a, b)`` of at most 256 KiB (one
+    node at least), so a check run slice by slice forms no copy of ``x``."""
+    flat = x.reshape((-1,) + x.shape[-2:])
+    step = max(1, 2 ** 18 // max(1, x.itemsize * x.shape[-2] * x.shape[-1]))
+    return (flat[lo:lo + step] for lo in range(0, len(flat), step))
+
+
 @dataclass(frozen=True)
 class CurrentMatrix:
     """Antisymmetric net flows ``(..., D, D)``; entry [..., j, i] is the net flow i -> j."""
@@ -47,7 +56,7 @@ class CurrentMatrix:
             raise ValueError("current matrix must be square")
         if np.isnan(m).any():
             raise ValueError("current matrix has NaN entries")
-        if not np.array_equal(m, -np.swapaxes(m, -1, -2)):
+        if not all(np.array_equal(s, -s.swapaxes(1, 2)) for s in _pieces(m)):
             raise ValueError("current matrix must be exactly antisymmetric")
         object.__setattr__(self, "matrix", m)
 
@@ -56,20 +65,10 @@ class CurrentMatrix:
         return self.matrix.shape[-1]
 
 
-def _from_upper(f: np.ndarray) -> CurrentMatrix:
-    """The current whose strict upper triangle is that of ``f``."""
+def _from_upper(f: np.ndarray) -> np.ndarray:
+    """The antisymmetric array whose strict upper triangle is that of ``f``."""
     u = np.triu(f, 1)
-    return CurrentMatrix(u - np.swapaxes(u, -1, -2))
-
-
-def minimal_flow_current(pdot) -> CurrentMatrix:
-    """Least-norm current (pdot_j - pdot_i) / D for balanced pdot vectors (..., D)."""
-    pdot = np.asarray(pdot, dtype=float)
-    d = pdot.shape[-1]
-    bal = np.abs(pdot.sum(axis=-1)).max()
-    if not bal <= DEFAULT.pdot_balance:
-        raise ValueError(f"pdot must sum to zero (got {bal:.3e})")
-    return _from_upper((pdot[..., :, None] - pdot[..., None, :]) / d)
+    return u - np.swapaxes(u, -1, -2)
 
 
 def joint_directions(factors) -> np.ndarray:
@@ -82,36 +81,77 @@ def joint_directions(factors) -> np.ndarray:
     return joint
 
 
-def _projected(psi, hamiltonian, factors):
-    """Checked ``H``, rows ``v_a <v_a|psi>`` and amplitudes ``<v_a|psi>`` of the joint ``v_a``."""
-    psi = check_ket(psi)
-    h = check_hermitian(hamiltonian)
+def _current_rule(kind: str, psi=None, hamiltonian=None, factors=(), connections=(),
+                  pdot=None, extra_term: str = "paired"):
+    """``rule(nodes)``, the current array of kind ``kind`` at the nodes ``nodes``
+    selects (``...`` for all), once every check on the inputs that kind reads
+    has run over all nodes."""
+    if kind == "minimal_flow":
+        pdot = np.asarray(pdot, dtype=float)
+        bal, d = np.abs(pdot.sum(axis=-1)).max(), pdot.shape[-1]
+        if not bal <= DEFAULT.pdot_balance:
+            raise ValueError(f"pdot must sum to zero (got {bal:.3e})")
+        return lambda nodes: _from_upper(
+            (pdot[nodes][..., :, None] - pdot[nodes][..., None, :]) / d)
+    if kind == "static_schrodinger":
+        extra_term = None              # frozen projectors: no connections, no rotation term
+    elif kind != "generalized_schrodinger":
+        raise ValueError(f"unknown current kind {kind!r}")
+    elif extra_term not in ("paired", "minimal_flow_like"):
+        raise ValueError(f"unknown extra_term {extra_term!r}")
+    psi, h = check_ket(psi), check_hermitian(hamiltonian)
     factors = [np.asarray(f, dtype=complex) for f in factors]
-    if any(f.shape != psi.shape[:-1] + f.shape[-1:] * 2 for f in factors) \
-            or np.prod([f.shape[-1] for f in factors]) != psi.shape[-1]:
+    dims = [f.shape[-1] for f in factors]
+    if any(f.shape != psi.shape[:-1] + (d, d) for f, d in zip(factors, dims)) \
+            or np.prod(dims) != psi.shape[-1]:
         raise ValueError(f"factor directions of shapes {[f.shape for f in factors]} are not "
                          f"square (..., d_k, d_k) stacks over a {psi.shape[-1]}-dim psi")
     # |<u_a|u_b>|^2 equals tr(P_a P_b) for each factor's rank-1 projectors.
-    worst = max(np.abs(np.einsum("...ax,...bx->...ab", f.conj(), f)[
-        ..., ~np.eye(f.shape[-1], dtype=bool)]).max(initial=0.0) ** 2 for f in factors)
+    worst = max((np.abs(np.einsum("max,mbx->mab", s.conj(), s)[
+        :, ~np.eye(s.shape[-1], dtype=bool)]).max(initial=0.0) ** 2
+        for f in factors for s in _pieces(f)), default=0.0)
     if worst > DEFAULT.projector_orthogonality:
         raise ValueError(f"projectors are not mutually orthogonal (max overlap {worst:.3e})")
-    v = joint_directions(factors)
-    amps = np.einsum("...ax,...x->...a", v.conj(), psi)
-    return h, v * amps[..., None], amps
+    conns = [np.asarray(c, dtype=complex) for c in connections] if extra_term else []
+    if extra_term and [c.shape for c in conns] != [psi.shape[:-1] + (d, d) for d in dims]:
+        raise ValueError(f"connections of shapes {[c.shape for c in conns]} do not "
+                         "match the factor directions")
+    skew = max((np.abs(s + s.conj().swapaxes(1, 2)).max() / max(1.0, np.abs(s).max())
+                for c in conns for s in _pieces(c)), default=0.0)
+    if not skew <= DEFAULT.hermiticity:
+        raise ValueError(f"connections are not anti-Hermitian (relative |A + A^dag| {skew:.3e})")
+
+    def rule(nodes):
+        v = joint_directions([f[nodes] for f in factors])
+        amps = np.einsum("...ax,...x->...a", v.conj(), psi[nodes])
+        a = v * amps[..., None]
+        # 2 Im <psi| P_a H P_b |psi>, the static part of the current.
+        f = 2.0 * (a.conj() @ h @ np.swapaxes(a, -1, -2)).imag
+        rotation = np.zeros_like(f) if extra_term == "minimal_flow_like" else f
+        for k, conn in enumerate(conns):
+            c = amps.reshape(amps.shape[:-1] + (int(np.prod(dims[:k])), dims[k], -1))
+            # The table's (..., L, R, d_k, d_k) view on label pairs that agree
+            # outside factor k, with L and R labels before and after it.
+            pairs = np.einsum("...larlbr->...lrab",
+                              rotation.reshape(f.shape[:-2] + c.shape[-3:] * 2))
+            pairs -= 2.0 * np.einsum("...lar,...ab,...lbr->...lrab", c.conj(), conn[nodes], c).real
+        if extra_term == "minimal_flow_like":
+            dexp = rotation.sum(axis=-1)
+            f += (dexp[..., :, None] - dexp[..., None, :]) / amps.shape[-1]
+        return _from_upper(f)
+    return rule
 
 
-def _schrodinger(a, h) -> np.ndarray:
-    """2 Im <psi| P_a H P_b |psi>, the static part of the current."""
-    return 2.0 * (a.conj() @ h @ np.swapaxes(a, -1, -2)).imag
+def minimal_flow_current(pdot) -> CurrentMatrix:
+    """Least-norm current (pdot_j - pdot_i) / D for balanced pdot vectors (..., D)."""
+    return CurrentMatrix(_current_rule("minimal_flow", pdot=pdot)(...))
 
 
 def static_schrodinger_current(psi, hamiltonian, factors) -> CurrentMatrix:
     """Textbook current for frozen projectors along the kron of ``factors``,
     one ``(..., d_k, d_k)`` stack of orthonormal direction rows per factor
     (a single factor is any basis); ``psi`` has shape ``(..., dim)``."""
-    h, a, _amps = _projected(psi, hamiltonian, factors)
-    return _from_upper(_schrodinger(a, h))
+    return CurrentMatrix(_current_rule("static_schrodinger", psi, hamiltonian, factors)(...))
 
 
 def generalized_schrodinger_current(psi, hamiltonian, factors, connections,
@@ -128,31 +168,8 @@ def generalized_schrodinger_current(psi, hamiltonian, factors, connections,
     sums the way the least-norm current would.  Both restore continuity
     against the full time derivative of the Born weights.
     """
-    if extra_term not in ("paired", "minimal_flow_like"):
-        raise ValueError(f"unknown extra_term {extra_term!r}")
-    h, a, amps = _projected(psi, hamiltonian, factors)
-    conns = [np.asarray(c, dtype=complex) for c in connections]
-    dims = [np.shape(f)[-1] for f in factors]
-    if [c.shape for c in conns] != [amps.shape[:-1] + (d, d) for d in dims]:
-        raise ValueError(f"connections of shapes {[c.shape for c in conns]} do not "
-                         "match the factor directions")
-    skew = max(np.abs(c + c.conj().swapaxes(-1, -2)).max() / max(1.0, np.abs(c).max())
-               for c in conns)
-    if not skew <= DEFAULT.hermiticity:
-        raise ValueError(f"connections are not anti-Hermitian (relative |A + A^dag| {skew:.3e})")
-
-    f = _schrodinger(a, h)
-    rotation = f if extra_term == "paired" else np.zeros_like(f)
-    for k, conn in enumerate(conns):
-        c = amps.reshape(amps.shape[:-1] + (int(np.prod(dims[:k])), dims[k], -1))
-        # The table's (..., L, R, d_k, d_k) view on label pairs that agree
-        # outside factor k, with L and R labels before and after it.
-        pairs = np.einsum("...larlbr->...lrab", rotation.reshape(f.shape[:-2] + c.shape[-3:] * 2))
-        pairs -= 2.0 * np.einsum("...lar,...ab,...lbr->...lrab", c.conj(), conn, c).real
-    if extra_term == "minimal_flow_like":
-        dexp = rotation.sum(axis=-1)
-        f += (dexp[..., :, None] - dexp[..., None, :]) / amps.shape[-1]
-    return _from_upper(f)
+    return CurrentMatrix(_current_rule("generalized_schrodinger", psi, hamiltonian, factors,
+                                       connections, extra_term=extra_term)(...))
 
 
 def continuity_residual(current: CurrentMatrix, pdot) -> float:

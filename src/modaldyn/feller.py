@@ -84,7 +84,7 @@ def _window(rates: RateTrajectory, s: float, t: float) -> np.ndarray:
         raise ValueError("need s <= t")
     g = rates.grid
     a, b = _nearest_node(g, np.array([s, t])).tolist()
-    if abs(g[a] - s) > 1e-12 or abs(g[b] - t) > 1e-12:
+    if not (abs(g[a] - s) <= 1e-12 and abs(g[b] - t) <= 1e-12):
         raise ValueError(f"kernel window [{s}, {t}] does not start and end on grid nodes")
     if b > a and np.abs(np.diff(g[a:b + 1]) - (t - s) / (b - a)).max() \
             > 1e-9 * (t - s) / (b - a):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .currents import CurrentMatrix
-from .spectral import _runs
+from .spectral import _increasing, _runs
 
 __all__ = [
     "RateMatrix",
@@ -48,11 +48,11 @@ class RateMatrix:
             raise ValueError("rate matrix and pole mask must be square and congruent")
         if np.isnan(m).any():
             raise ValueError("rate matrix has NaN entries")
-        diag = np.eye(m.shape[-1], dtype=bool)
-        off = np.where(diag, 0.0, m)
-        if off.min() < 0:
+        d, lead = m.shape[-1], m.shape[:-2]       # views, so no check copies the record
+        off = m.reshape(lead + (d * d,))[..., 1:].reshape(lead + (d - 1, d + 1))[..., :-1]
+        if off.min(initial=0.0) < 0:
             raise ValueError(f"off-diagonal rates must be nonnegative (min {off.min():.3e})")
-        if (mask & diag).any():
+        if np.diagonal(mask, axis1=-2, axis2=-1).any():
             raise ValueError("diagonal entries cannot be poles")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "pole_mask", mask)
@@ -195,8 +195,7 @@ class RateTrajectory:
         self.grid = np.asarray(grid, dtype=float)
         if rates.matrix.ndim != 3 or len(rates) != len(self.grid) or len(self.grid) < 2:
             raise ValueError("need one rate matrix per node and at least two nodes")
-        if not np.all(np.diff(self.grid) > 0):
-            raise ValueError("grid times must be strictly increasing")
+        _increasing(self.grid)
         self.matrices = rates.matrix            # (n, D, D)
         self.pole_mask = rates.pole_mask        # (n, D, D)
         self.size = rates.size

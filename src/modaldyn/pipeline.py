@@ -14,9 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import io as mdio
-from .currents import (CurrentMatrix, continuity_residual,
-                       generalized_schrodinger_current, joint_directions,
-                       minimal_flow_current, static_schrodinger_current)
+from .currents import CurrentMatrix, _current_rule, continuity_residual, joint_directions
 from .config import DEFAULT
 from .errors import ModalDynError, TruncationNotConverged
 from .feller import (chapman_kolmogorov_residual, feller_minimal,
@@ -116,29 +114,15 @@ def compute_joint_family(scenario: Scenario) -> JointFamily:
 def compute_currents(family: JointFamily, kind: str | None = None,
                      extra_term: str | None = None) -> CurrentMatrix:
     """The currents at every grid node, one stacked record, built over node
-    blocks (see ``_blockwise``)."""
+    blocks (see ``_blockwise``); the inputs and the record are checked once."""
     kind = kind or family.scenario.current
-    extra_term = extra_term or family.scenario.extra_term
-    h = np.asarray(family.scenario.hamiltonian, dtype=complex)
-    psi, vectors = family.psi, [traj.vectors for traj in family.factor_trajectories]
-    if kind == "minimal_flow":
-        # Finite differences of clipped probabilities can carry ~1e-13 imbalance.
-        pdot = pdot_target(family)
+    pdot = pdot_target(family) if kind == "minimal_flow" else None
+    if pdot is not None:     # differences of clipped probabilities carry ~1e-13 imbalance
         pdot -= pdot.mean(axis=1, keepdims=True)
-
-        def current(nodes):
-            return minimal_flow_current(pdot[nodes])
-    elif kind == "static_schrodinger":
-        def current(nodes):
-            return static_schrodinger_current(psi[nodes], h, [v[nodes] for v in vectors])
-    elif kind == "generalized_schrodinger":
-        def current(nodes):
-            return generalized_schrodinger_current(
-                psi[nodes], h, [v[nodes] for v in vectors],
-                [c[nodes] for c in family.connections], extra_term=extra_term)
-    else:
-        raise ValueError(f"unknown current kind {kind!r}")
-    (matrix,) = _blockwise(lambda nodes: (current(nodes).matrix,), *psi.shape)
+    rule = _current_rule(kind, family.psi, family.scenario.hamiltonian,
+                         [traj.vectors for traj in family.factor_trajectories],
+                         family.connections, pdot, extra_term or family.scenario.extra_term)
+    (matrix,) = _blockwise(lambda nodes: (rule(nodes),), *family.psi.shape)
     return CurrentMatrix(matrix)
 
 
@@ -158,8 +142,7 @@ def compute_rates(currents: CurrentMatrix, probabilities, choice: str,
     if currents.matrix.ndim != 3 or p.shape != currents.matrix.shape[:-1]:
         raise ValueError(f"expected an (n, D, D) current and (n, D) probabilities, "
                          f"got {currents.matrix.shape} and {p.shape}")
-    matrix, pole_mask = _blockwise(_rate_rule(choice, currents, p, general_offset), *p.shape)
-    return RateMatrix(matrix=matrix, pole_mask=pole_mask)
+    return RateMatrix(*_blockwise(_rate_rule(choice, currents, p, general_offset), *p.shape))
 
 
 @dataclass

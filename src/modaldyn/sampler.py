@@ -31,7 +31,7 @@ from .config import DEFAULT
 from .currents import CurrentMatrix
 from .errors import ModalDynError
 from .kinetics import RateTrajectory
-from .spectral import _nearest_node
+from .spectral import _increasing, _nearest_node
 
 __all__ = [
     "EnsembleStats",
@@ -532,6 +532,8 @@ def ensemble_marginals(paths: PathEnsemble, query_times,
     query_times = np.asarray(query_times, dtype=float)
     if len(paths) == 0:
         raise ValueError("need at least one path")
+    if not np.isfinite(query_times).all():
+        raise ValueError("query times must be finite")
     if factor is None:
         labels, column = paths.states, None
     else:
@@ -563,6 +565,7 @@ def low_probability_occupancy(paths: PathEnsemble, grid, p_trajectory) -> float:
     low = (np.asarray(p_trajectory, dtype=float) < 1e-6).astype(float)
     if low.shape != (len(grid), len(paths.states)):
         raise ValueError("p_trajectory needs one row per grid node and one column per state")
+    _increasing(grid)
     cum_low = _cumulative_trapezoid(low, grid).T      # (D, n): row i is state i
     t0, t_end = float(grid[0]), float(grid[-1])
     # Segment j of the visits runs from start[j] to stop[j].  A state that is

@@ -228,8 +228,7 @@ def track(states, grid) -> SpectralTrajectory:
         raise ValueError("all states must share one dimension") from exc
     if grid.ndim != 1 or len(grid) < 1 or states.ndim < 1 or len(states) != len(grid):
         raise ValueError("states and grid must be nonempty and of equal length")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid times must be strictly increasing")
+    _increasing(grid)
     if states.ndim != 3 or states.shape[1] != states.shape[2] or states.shape[1] < 1:
         raise ValueError("all states must share one dimension")
     check_hermitian(states)
@@ -345,6 +344,7 @@ def derivative_family(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     n = len(grid)
     if n < 3:
         raise ValueError("need at least three nodes for derivatives")
+    _increasing(grid)
     k = np.arange(n)
     idx = np.stack([k - 1, k + 1], axis=1)
     idx[0] = (1, 2)
@@ -353,6 +353,13 @@ def derivative_family(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     w = np.stack([d2 / (d1 * (d2 - d1)), -d1 / (d2 * (d2 - d1))], axis=1)
     values = np.asarray(values)
     return np.einsum("nj,nj...->n...", w, values[idx] - values[:, None])
+
+
+def _increasing(grid: np.ndarray) -> None:
+    """Raise ``ValueError`` unless the times of ``grid`` strictly increase;
+    written so that a NaN node fails it."""
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError("grid times must be strictly increasing")
 
 
 def _runs(mask) -> list[tuple[int, int]]:

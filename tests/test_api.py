@@ -13,11 +13,13 @@ import pytest
 
 import modaldyn
 from modaldyn.currents import CurrentMatrix, minimal_flow_current
-from modaldyn.feller import TransitionKernel
+from modaldyn.feller import TransitionKernel, feller_minimal, forward_ode_kernel
 from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates, general_rates
 from modaldyn.pipeline import RunReport
-from modaldyn.sampler import JumpProcess
+from modaldyn.sampler import (JumpProcess, PathEnsemble, ensemble_marginals,
+                              low_probability_occupancy)
 from modaldyn.scenario import Thresholds
+from modaldyn.spectral import derivative_family, track
 
 REMOVED = {"tol", "overlap_threshold", "sample", "pole_policy", "upper"}
 
@@ -53,6 +55,9 @@ def test_no_per_call_tolerance_or_test_only_switch():
 NAN = float("nan")
 ZERO_CURRENT = CurrentMatrix(np.zeros((2, 2)))
 STILL = RateTrajectory([0.0, 1.0], RateMatrix(np.zeros((2, 2, 2)), np.zeros((2, 2, 2), bool)))
+ONE_PATH = PathEnsemble(states=((0,), (1,)), initial=np.array([0]), offsets=np.array([0, 1]),
+                        times=np.array([0.5]), dest=np.array([1]))
+MIXED = np.stack([np.eye(2) / 2] * 2)
 
 # Each entry point with one NaN among otherwise valid inputs.
 NAN_INPUTS = {
@@ -68,6 +73,13 @@ NAN_INPUTS = {
     "minimal_flow_current": lambda: minimal_flow_current(np.array([NAN, 0.0])),
     "JumpProcess p0": lambda: JumpProcess(STILL, np.array([NAN, 1.0]), [(0,), (1,)],
                                           CurrentMatrix(np.zeros((2, 2, 2)))),
+    "feller_minimal s": lambda: feller_minimal(STILL, NAN, 1.0),
+    "forward_ode_kernel s": lambda: forward_ode_kernel(STILL, NAN, 1.0),
+    "track grid": lambda: track(MIXED, [0.0, NAN]),
+    "derivative_family grid": lambda: derivative_family(np.zeros(3), [0.0, NAN, 1.0]),
+    "ensemble_marginals time": lambda: ensemble_marginals(ONE_PATH, [NAN]),
+    "low_probability_occupancy grid": lambda: low_probability_occupancy(
+        ONE_PATH, [0.0, NAN, 1.0], np.zeros((3, 2))),
 }
 
 
@@ -76,6 +88,27 @@ def test_nan_rejected(entry):
     # Every bound is written so that a comparison with NaN fails it.
     with pytest.raises(ValueError):
         NAN_INPUTS[entry]()
+
+
+# Grid and time faults, NaN or not, each with the check that names it.
+NAMED_FAULTS = {
+    "kernel window": (r"\[0\.0, nan\] does not start and end on grid nodes",
+                      lambda: feller_minimal(STILL, 0.0, NAN)),
+    "ODE kernel window": (r"\[0\.0, nan\] does not start and end on grid nodes",
+                          lambda: forward_ode_kernel(STILL, 0.0, NAN)),
+    "repeated derivative node": ("strictly increasing",
+                                 lambda: derivative_family(np.zeros(3), [0.0, 1.0, 1.0])),
+    "NaN track node": ("strictly increasing", lambda: track(MIXED, [NAN, 1.0])),
+    "infinite query time": ("query times must be finite",
+                            lambda: ensemble_marginals(ONE_PATH, [np.inf])),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NAMED_FAULTS))
+def test_grid_and_time_faults_are_named(entry):
+    message, call = NAMED_FAULTS[entry]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # Each diagnostic RunReport.failures checks: its label and its bound in Thresholds.

@@ -34,6 +34,31 @@ def crossing_current(theta, t):
     return current_from_full(full), p
 
 
+class TestRateMatrix:
+    """The record checks read the off-diagonal entries and the diagonal in
+    place; each position is seen at the last node of a stack."""
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_every_negative_off_diagonal_entry_is_rejected(self, d):
+        for j, i in zip(*np.nonzero(~np.eye(d, dtype=bool))):
+            m = np.ones((3, d, d))
+            m[-1, j, i] = -0.5
+            with pytest.raises(ValueError, match=r"nonnegative \(min -5\.000e-01\)"):
+                RateMatrix(m, np.zeros(m.shape, bool))
+
+    def test_negative_diagonal_and_one_state_pass(self):
+        m = np.ones((3, 4, 4)) - 5.0 * np.eye(4)
+        assert RateMatrix(m, np.zeros(m.shape, bool)).size == 4
+        assert RateMatrix(-np.ones((3, 1, 1)), np.zeros((3, 1, 1), bool)).size == 1
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_diagonal_pole_is_rejected(self, k):
+        mask = np.zeros((3, 4, 4), bool)
+        mask[-1, k, k] = True
+        with pytest.raises(ValueError, match="diagonal entries cannot be poles"):
+            RateMatrix(np.zeros((3, 4, 4)), mask)
+
+
 class TestBellRates:
     def test_crossing_family_values(self):
         theta, t = 1.0, 0.4
