@@ -10,9 +10,8 @@ lands in proportion to the off-diagonal entries of that column.
 
 import numpy as np
 
-from modaldyn import CurrentMatrix, bell_rates, continuity_residual, load_scenario
-from modaldyn.currents import minimal_flow_current
-from modaldyn.kinetics import general_rates
+from modaldyn import (CurrentMatrix, continuity_residual, current_matrix, load_scenario,
+                      rate_matrix)
 from modaldyn.pipeline import compute_currents, compute_joint_family, pdot_target
 
 scenario = load_scenario("easyexample")
@@ -37,7 +36,7 @@ print(f"exact flow for this family: sin(2t) = {np.sin(2 * t):+.5f}")
 
 cm = CurrentMatrix(compute_currents(family, kind="generalized_schrodinger").matrix[node])
 p = family.probabilities[node]
-rates = bell_rates(cm, p)
+rates = rate_matrix("bell", cm, p)
 print(f"\none-directional rates at t = {t:.3f}:")
 print(f"  t[(1,1)<-(0,0)] = {rates.matrix[3, 0]:.5f} "
       f"(= j / p = {np.sin(2 * t) / np.cos(t) ** 2:.5f})")
@@ -53,9 +52,9 @@ print(f"  exit rate of (0,0): {exit_rate:.5f}; destination law {np.round(law, 3)
 # state spaces with full support; here, the two occupied states alone.
 
 p2 = np.array([np.cos(t) ** 2, np.sin(t) ** 2])
-cm2 = minimal_flow_current(np.array([-np.sin(2 * t), np.sin(2 * t)]) / 1.0)
+cm2 = current_matrix("minimal_flow", pdot=np.array([-np.sin(2 * t), np.sin(2 * t)]) / 1.0)
 for c in (0.0, 0.5, 2.0):
-    loose = general_rates(cm2, p2, free_choice=c)
+    loose = rate_matrix("general", cm2, p2, free_choice=c)
     recon = loose.matrix * p2[None, :] - (loose.matrix * p2[None, :]).T
     print(f"offset c = {c}: rates t10 = {loose.matrix[1, 0]:.4f}, "
           f"t01 = {loose.matrix[0, 1]:.4f}; current reconstructed within "

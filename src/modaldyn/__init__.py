@@ -17,11 +17,9 @@ from .spectral import CrossingEvent, SpectralTrajectory, detect_crossings, track
 from .algebra import (FauxBooleanAlgebra, PropertyState, composite_generating_set,
                       generate_faux_boolean, joint_distribution, joint_probability,
                       ultrafilter_state)
-from .currents import (CurrentMatrix, continuity_residual,
-                       generalized_schrodinger_current, minimal_flow_current,
-                       static_schrodinger_current)
-from .kinetics import (RateMatrix, RateTrajectory, bell_rates, classify_singularities,
-                       general_rates, master_residual, pole_free_rows)
+from .currents import CurrentMatrix, continuity_residual, current_matrix
+from .kinetics import (RateMatrix, RateTrajectory, classify_singularities, master_residual,
+                       pole_free_rows, rate_matrix)
 from .feller import (TransitionKernel, chapman_kolmogorov_residual,
                      feller_minimal, forward_ode_kernel, honesty_deficit)
 from .sampler import (EnsembleStats, JumpProcess, PathEnsemble, SamplePath,

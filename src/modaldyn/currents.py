@@ -1,13 +1,14 @@
 """Antisymmetric probability currents satisfying a continuity equation.
 
-Three constructors are provided:
+One constructor, :func:`current_matrix`, builds each kind the scenario
+keys name (``scenario.CHOICES["current"]``):
 
-* ``minimal_flow_current``: j_ji = (pdot_j - pdot_i) / D, the least-norm
-  solution of the continuity system.
-* ``static_schrodinger_current``: j_ji = 2 Im <psi| P_j H P_i |psi> for a
+* "minimal_flow": j_ji = (pdot_j - pdot_i) / D, the least-norm solution of
+  the continuity system.
+* "static_schrodinger": j_ji = 2 Im <psi| P_j H P_i |psi> for a
   time-independent projector family.
-* ``generalized_schrodinger_current``: the same with an extra antisymmetric
-  term accounting for rotating projectors, either the paired form
+* "generalized_schrodinger": the same with an extra antisymmetric term
+  accounting for rotating projectors, either the paired form
   <psi| Pdot_j P_i - Pdot_i P_j |psi> or a least-norm-style alternative.
 
 Projectors enter as rank-1 directions per factor, whose kron gives the joint
@@ -30,9 +31,7 @@ from .hilbert import check_hermitian, check_ket
 __all__ = [
     "CurrentMatrix",
     "continuity_residual",
-    "generalized_schrodinger_current",
-    "minimal_flow_current",
-    "static_schrodinger_current",
+    "current_matrix",
 ]
 
 
@@ -86,6 +85,10 @@ def _current_rule(kind: str, psi=None, hamiltonian=None, factors=(), connections
     """``rule(nodes)``, the current array of kind ``kind`` at the nodes ``nodes``
     selects (``...`` for all), once every check on the inputs that kind reads
     has run over all nodes."""
+    if kind not in ("minimal_flow", "static_schrodinger", "generalized_schrodinger"):
+        raise ValueError(f"unknown current kind {kind!r}")
+    if extra_term not in ("paired", "minimal_flow_like"):
+        raise ValueError(f"unknown extra_term {extra_term!r}")
     if kind == "minimal_flow":
         pdot = np.asarray(pdot, dtype=float)
         bal, d = np.abs(pdot.sum(axis=-1)).max(), pdot.shape[-1]
@@ -95,10 +98,6 @@ def _current_rule(kind: str, psi=None, hamiltonian=None, factors=(), connections
             (pdot[nodes][..., :, None] - pdot[nodes][..., None, :]) / d)
     if kind == "static_schrodinger":
         extra_term = None              # frozen projectors: no connections, no rotation term
-    elif kind != "generalized_schrodinger":
-        raise ValueError(f"unknown current kind {kind!r}")
-    elif extra_term not in ("paired", "minimal_flow_like"):
-        raise ValueError(f"unknown extra_term {extra_term!r}")
     psi, h = check_ket(psi), check_hermitian(hamiltonian)
     factors = [np.asarray(f, dtype=complex) for f in factors]
     dims = [f.shape[-1] for f in factors]
@@ -142,34 +141,29 @@ def _current_rule(kind: str, psi=None, hamiltonian=None, factors=(), connections
     return rule
 
 
-def minimal_flow_current(pdot) -> CurrentMatrix:
-    """Least-norm current (pdot_j - pdot_i) / D for balanced pdot vectors (..., D)."""
-    return CurrentMatrix(_current_rule("minimal_flow", pdot=pdot)(...))
+def current_matrix(kind: str, psi=None, hamiltonian=None, factors=(), connections=(),
+                   pdot=None, extra_term: str = "paired") -> CurrentMatrix:
+    """The current of kind ``kind``, one stacked record over the leading axes.
 
+    * "minimal_flow" reads only ``pdot``, balanced vectors ``(..., D)``.
+    * "static_schrodinger" reads ``psi (..., dim)``, ``hamiltonian`` and
+      ``factors``, one ``(..., d_k, d_k)`` stack of orthonormal direction
+      rows per factor (a single factor is any basis), whose kron gives the
+      frozen projectors.
+    * "generalized_schrodinger" reads the same plus ``connections``, one
+      anti-Hermitian ``(..., d_k, d_k)`` stack ``A_k[b, a] = <u_b|d/dt u_a>``
+      per factor.  With ``c_a = <v_a|psi>`` and ``Gamma = sum_k 1 (x) A_k (x)
+      1``, the rotation term ``-2 Re(conj(c_a) Gamma_ab c_b)`` lives on labels
+      that differ in one factor.  ``extra_term`` "paired" adds it pair by
+      pair, giving ``2 Im <psi| P_a (H - i V^dag Vdot) P_b |psi>``, which
+      vanishes exactly at zero amplitudes; "minimal_flow_like" spreads its
+      row sums the way the least-norm current would.  Both restore
+      continuity against the full time derivative of the Born weights.
 
-def static_schrodinger_current(psi, hamiltonian, factors) -> CurrentMatrix:
-    """Textbook current for frozen projectors along the kron of ``factors``,
-    one ``(..., d_k, d_k)`` stack of orthonormal direction rows per factor
-    (a single factor is any basis); ``psi`` has shape ``(..., dim)``."""
-    return CurrentMatrix(_current_rule("static_schrodinger", psi, hamiltonian, factors)(...))
-
-
-def generalized_schrodinger_current(psi, hamiltonian, factors, connections,
-                                    extra_term: str = "paired") -> CurrentMatrix:
-    """Schrodinger current extended to a rotating projector family.
-
-    ``factors`` are as for :func:`static_schrodinger_current`; ``connections``
-    holds one anti-Hermitian ``(..., d_k, d_k)`` stack ``A_k[b, a] =
-    <u_b|d/dt u_a>`` per factor.  With ``c_a = <v_a|psi>`` and ``Gamma =
-    sum_k 1 (x) A_k (x) 1``, the rotation term ``-2 Re(conj(c_a) Gamma_ab c_b)``
-    lives on labels that differ in one factor.  "paired" adds it pair by
-    pair, giving ``2 Im <psi| P_a (H - i V^dag Vdot) P_b |psi>``, which
-    vanishes exactly at zero amplitudes; "minimal_flow_like" spreads its row
-    sums the way the least-norm current would.  Both restore continuity
-    against the full time derivative of the Born weights.
+    ``kind`` and ``extra_term`` are checked whatever the kind.
     """
-    return CurrentMatrix(_current_rule("generalized_schrodinger", psi, hamiltonian, factors,
-                                       connections, extra_term=extra_term)(...))
+    return CurrentMatrix(_current_rule(kind, psi, hamiltonian, factors, connections,
+                                       pdot, extra_term)(...))
 
 
 def continuity_residual(current: CurrentMatrix, pdot) -> float:

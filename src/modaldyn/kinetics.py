@@ -1,5 +1,7 @@
 """Infinitesimal parameters (jump rates) built from currents and probabilities.
 
+One constructor, :func:`rate_matrix`, builds each rate solution the
+scenario key ``rate_choice`` names (``scenario.CHOICES["rate_choice"]``).
 The off-diagonal entry ``t[j, i]`` is the instantaneous rate of transitions
 from state ``i`` to state ``j``; diagonals are set so every column sums to
 zero.  Where a probability vanishes under a nonzero incoming current the
@@ -21,11 +23,10 @@ __all__ = [
     "RateMatrix",
     "RateTrajectory",
     "SingularityEvent",
-    "bell_rates",
     "classify_singularities",
-    "general_rates",
     "master_residual",
     "pole_free_rows",
+    "rate_matrix",
 ]
 
 
@@ -78,7 +79,7 @@ def _with_diagonal(off: np.ndarray) -> np.ndarray:
 
 
 def _bell(j: np.ndarray, p: np.ndarray):
-    """Rate matrix and pole mask of :func:`bell_rates` on a full current ``j``."""
+    """Rate matrix and pole mask of the "bell" choice on a full current ``j``."""
     pos = (p > DEFAULT.zero_probability)[..., None, :]    # column i: p_i > 0
     # Divide only where p_i counts as positive, so no inf or NaN is formed.
     off = np.where(pos, np.maximum(0.0, j / np.where(pos, p[..., None, :], 1.0)), 0.0)
@@ -87,7 +88,7 @@ def _bell(j: np.ndarray, p: np.ndarray):
 
 
 def _general(j: np.ndarray, p: np.ndarray, free_choice: float):
-    """Rate matrix and pole mask of :func:`general_rates` on a full current ``j``."""
+    """Rate matrix and pole mask of the "general" choice on a full current ``j``."""
     d = j.shape[-1]
     # Entry [a, b] of ``up`` is t_ab for a < b; ``down`` holds the opposite
     # rate t_ba = (t_ab p_b - j_ab) / p_a at the same position.
@@ -110,6 +111,9 @@ def _rate_rule(choice: str, current: CurrentMatrix, p, free_choice=0.0):
     """
     if choice not in ("bell", "general"):
         raise ValueError(f"unknown rate choice {choice!r}")
+    c = float(free_choice)
+    if not 0 <= c < np.inf:
+        raise ValueError(f"free choice offset must be finite and nonnegative, got {c}")
     p = np.asarray(p, dtype=float)
     if p.shape != current.matrix.shape[:-1]:
         raise ValueError("probability vector length does not match current size")
@@ -122,35 +126,28 @@ def _rate_rule(choice: str, current: CurrentMatrix, p, free_choice=0.0):
         return lambda nodes: _bell(current.matrix[nodes], p[nodes])
     if not p.min() > DEFAULT.zero_probability:
         raise ValueError("division at p_j = 0: general rates need p > 0 everywhere")
-    c = float(free_choice)
-    if not 0 <= c < np.inf:
-        raise ValueError(f"free choice offset must be finite and nonnegative, got {c}")
     return lambda nodes: _general(current.matrix[nodes], p[nodes], c)
 
 
-def bell_rates(current: CurrentMatrix, p) -> RateMatrix:
-    """One-directional rate choice t_ji = max{0, j_ji / p_i}.
+def rate_matrix(choice: str, current: CurrentMatrix, p, free_choice=0.0) -> RateMatrix:
+    """The rates of choice ``choice`` for ``current`` and ``p (..., D)``, one
+    stacked record over the current's node axes.
 
-    ``p`` has shape ``(..., D)`` matching the current's node axes.
-    Probabilities at or below the zero-probability tolerance count as
-    exactly zero there: entries whose current is at most the pole-current
-    tolerance get rate 0 (the continuous convention), entries with a
-    larger incoming current are flagged as poles.  A negative current out
-    of a zero-probability state still gives rate 0, which is the
-    continuous limit of the max form.
+    * "bell", the one-directional choice t_ji = max{0, j_ji / p_i}.
+      Probabilities at or below the zero-probability tolerance count as
+      exactly zero there: entries whose current is at most the pole-current
+      tolerance get rate 0 (the continuous convention), entries with a
+      larger incoming current are flagged as poles.  A negative current out
+      of a zero-probability state still gives rate 0, which is the
+      continuous limit of the max form.
+    * "general", the general solution of j_ji = t_ji p_i - t_ij p_j: for
+      each pair j < i the rate t_ji is the one-directional choice plus the
+      offset ``free_choice``, and the opposite rate is then fixed by the
+      current identity.  All probabilities must be strictly positive.
+
+    ``free_choice`` must be one finite nonnegative scalar, whatever the choice.
     """
-    return RateMatrix(*_rate_rule("bell", current, p)(...))
-
-
-def general_rates(current: CurrentMatrix, p, free_choice=0.0) -> RateMatrix:
-    """General solution of j_ji = t_ji p_i - t_ij p_j with a free offset.
-
-    For each pair j < i the rate t_ji is the one-directional choice plus the
-    offset ``free_choice``, one finite nonnegative scalar; the opposite rate
-    is then fixed by the current identity.  All probabilities must be
-    strictly positive.
-    """
-    return RateMatrix(*_rate_rule("general", current, p, free_choice)(...))
+    return RateMatrix(*_rate_rule(choice, current, p, free_choice)(...))
 
 
 def master_residual(rates: RateMatrix, p, pdot, rows=None) -> float:

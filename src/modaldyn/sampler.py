@@ -78,8 +78,10 @@ class PathEnsemble:
     relays: int = 0                  # instant exits from zero-probability states
 
     def __post_init__(self):
+        if not np.isfinite(self.times).all():
+            raise ValueError("event times must be finite")
         owner = np.repeat(np.arange(len(self)), self.jump_counts)
-        if np.any((np.diff(self.times) <= 0.0) & (owner[1:] == owner[:-1])):
+        if np.any(~(np.diff(self.times) > 0.0) & (owner[1:] == owner[:-1])):
             raise ValueError("event times must be strictly increasing")
 
     @property

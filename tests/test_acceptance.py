@@ -11,8 +11,7 @@ import numpy as np
 from scipy.integrate import trapezoid
 from scipy.linalg import expm
 
-from modaldyn.currents import (generalized_schrodinger_current,
-                               minimal_flow_current, static_schrodinger_current)
+from modaldyn.currents import current_matrix
 from modaldyn.feller import feller_minimal, forward_ode_kernel
 from modaldyn.kinetics import master_residual, pole_free_rows
 from modaldyn.pipeline import (compute_currents, compute_joint_family,
@@ -205,15 +204,16 @@ def test_criterion_07_current_structure():
 
     # Every constructor stores an exactly antisymmetric matrix, bit for bit.
     anti = True
-    for cm in (minimal_flow_current(np.array([0.3, -0.1, -0.2, 0.0])),
-               static_schrodinger_current(psi, h, vecs),
-               generalized_schrodinger_current(psi, h, vecs, conns)):
+    for cm in (current_matrix("minimal_flow", pdot=np.array([0.3, -0.1, -0.2, 0.0])),
+               current_matrix("static_schrodinger", psi, h, vecs),
+               current_matrix("generalized_schrodinger", psi, h, vecs, conns)):
         full = cm.matrix
         anti = anti and np.array_equal(full, -full.T)
 
     # Frozen projectors reduce the generalized current to the static one.
-    gen0 = generalized_schrodinger_current(psi, h, vecs, [np.zeros_like(c) for c in conns])
-    stat = static_schrodinger_current(psi, h, vecs)
+    gen0 = current_matrix("generalized_schrodinger", psi, h, vecs,
+                          [np.zeros_like(c) for c in conns])
+    stat = current_matrix("static_schrodinger", psi, h, vecs)
     reduction = np.abs(gen0.matrix - stat.matrix).max()
 
     # With two factors a pure state's rotation term vanishes (Schmidt form).
@@ -228,8 +228,8 @@ def test_criterion_07_current_structure():
     eye = [np.eye(len(v)) for v in vecs3]
     gamma = sum(reduce(np.kron, eye[:k] + [c] + eye[k + 1:]) for k, c in enumerate(conns3))
     rotation = -2.0 * (amps.conj()[:, None] * gamma * amps[None, :]).real
-    extra = (generalized_schrodinger_current(psi3, h3, vecs3, conns3).matrix
-             - static_schrodinger_current(psi3, h3, vecs3).matrix)
+    extra = (current_matrix("generalized_schrodinger", psi3, h3, vecs3, conns3).matrix
+             - current_matrix("static_schrodinger", psi3, h3, vecs3).matrix)
     rotation_miss = np.abs(extra - rotation).max()
 
     # Rows and columns of zero-probability states vanish.
@@ -259,7 +259,7 @@ def test_criterion_08_minimal_flow_optimality():
         for _ in range(20):
             pdot = rng.normal(size=d)
             pdot -= pdot.mean()
-            mine = minimal_flow_current(pdot).matrix
+            mine = current_matrix("minimal_flow", pdot=pdot).matrix
             oracle = least_norm_current_oracle(pdot)
             worst = max(worst, np.abs(mine - oracle).max())
     ok = worst <= 1e-8

@@ -1,6 +1,9 @@
 """The public surface: tolerances are fixed values, never per-call options,
-NaN never passes an entry check, and the runtime needs numpy alone."""
+NaN never passes an entry check, every root name has a caller outside the
+tests, and the runtime needs numpy alone."""
 
+import ast
+import functools
 import inspect
 import os
 import subprocess
@@ -12,13 +15,13 @@ import numpy as np
 import pytest
 
 import modaldyn
-from modaldyn.currents import CurrentMatrix, minimal_flow_current
+from modaldyn.currents import CurrentMatrix, current_matrix
 from modaldyn.feller import TransitionKernel, feller_minimal, forward_ode_kernel
-from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates, general_rates
-from modaldyn.pipeline import RunReport
+from modaldyn.kinetics import RateMatrix, RateTrajectory, rate_matrix
+from modaldyn.pipeline import RunReport, compute_currents, compute_joint_family, compute_rates
 from modaldyn.sampler import (JumpProcess, PathEnsemble, ensemble_marginals,
                               low_probability_occupancy)
-from modaldyn.scenario import Thresholds
+from modaldyn.scenario import Thresholds, load_scenario
 from modaldyn.spectral import derivative_family, track
 
 REMOVED = {"tol", "overlap_threshold", "sample", "pole_policy", "upper"}
@@ -58,6 +61,18 @@ STILL = RateTrajectory([0.0, 1.0], RateMatrix(np.zeros((2, 2, 2)), np.zeros((2, 
 ONE_PATH = PathEnsemble(states=((0,), (1,)), initial=np.array([0]), offsets=np.array([0, 1]),
                         times=np.array([0.5]), dest=np.array([1]))
 MIXED = np.stack([np.eye(2) / 2] * 2)
+STILL_CURRENT = CurrentMatrix(np.zeros((2, 2, 2)))
+HALVES = np.full((2, 2), 0.5)
+
+
+def one_event(t):
+    return PathEnsemble(states=((0,), (1,)), initial=[0], offsets=[0, 1], times=[t], dest=[1])
+
+
+@functools.cache
+def easyexample():
+    return compute_joint_family(load_scenario("easyexample"))
+
 
 # Each entry point with one NaN among otherwise valid inputs.
 NAN_INPUTS = {
@@ -68,9 +83,9 @@ NAN_INPUTS = {
     "CurrentMatrix": lambda: CurrentMatrix(np.array([[0.0, NAN], [-NAN, 0.0]])),
     "TransitionKernel": lambda: TransitionKernel(0.0, 1.0, np.array([[NAN, 0.0], [0.0, 1.0]]),
                                                  "series"),
-    "bell_rates": lambda: bell_rates(ZERO_CURRENT, np.array([NAN, 1.0])),
-    "general_rates": lambda: general_rates(ZERO_CURRENT, np.array([0.5, NAN])),
-    "minimal_flow_current": lambda: minimal_flow_current(np.array([NAN, 0.0])),
+    "bell_rates": lambda: rate_matrix("bell", ZERO_CURRENT, np.array([NAN, 1.0])),
+    "general_rates": lambda: rate_matrix("general", ZERO_CURRENT, np.array([0.5, NAN])),
+    "minimal_flow_current": lambda: current_matrix("minimal_flow", pdot=np.array([NAN, 0.0])),
     "JumpProcess p0": lambda: JumpProcess(STILL, np.array([NAN, 1.0]), [(0,), (1,)],
                                           CurrentMatrix(np.zeros((2, 2, 2)))),
     "feller_minimal s": lambda: feller_minimal(STILL, NAN, 1.0),
@@ -80,6 +95,9 @@ NAN_INPUTS = {
     "ensemble_marginals time": lambda: ensemble_marginals(ONE_PATH, [NAN]),
     "low_probability_occupancy grid": lambda: low_probability_occupancy(
         ONE_PATH, [0.0, NAN, 1.0], np.zeros((3, 2))),
+    "PathEnsemble one event": lambda: one_event(NAN),
+    "PathEnsemble second event": lambda: PathEnsemble(
+        states=((0,), (1,)), initial=[0], offsets=[0, 2], times=[0.5, NAN], dest=[1, 0]),
 }
 
 
@@ -90,7 +108,9 @@ def test_nan_rejected(entry):
         NAN_INPUTS[entry]()
 
 
-# Grid and time faults, NaN or not, each with the check that names it.
+# Grid, time and choice faults, NaN or not, each with the check that names it.
+UNKNOWN_EXTRA = "unknown extra_term 'bogus'"
+BAD_OFFSET = "free choice offset must be finite and nonnegative"
 NAMED_FAULTS = {
     "kernel window": (r"\[0\.0, nan\] does not start and end on grid nodes",
                       lambda: feller_minimal(STILL, 0.0, NAN)),
@@ -101,6 +121,20 @@ NAMED_FAULTS = {
     "NaN track node": ("strictly increasing", lambda: track(MIXED, [NAN, 1.0])),
     "infinite query time": ("query times must be finite",
                             lambda: ensemble_marginals(ONE_PATH, [np.inf])),
+    "infinite event time": ("event times must be finite", lambda: one_event(np.inf)),
+    "negative infinite event time": ("event times must be finite",
+                                     lambda: one_event(-np.inf)),
+    # A choice argument is checked whatever the kind it comes with.
+    "static current, unknown extra term": (UNKNOWN_EXTRA, lambda: compute_currents(
+        easyexample(), "static_schrodinger", "bogus")),
+    "minimal-flow current, unknown extra term": (UNKNOWN_EXTRA, lambda: compute_currents(
+        easyexample(), "minimal_flow", "bogus")),
+    "bell rates, NaN offset": (BAD_OFFSET, lambda: compute_rates(
+        STILL_CURRENT, HALVES, "bell", NAN)),
+    "bell rates, negative offset": (BAD_OFFSET, lambda: compute_rates(
+        STILL_CURRENT, HALVES, "bell", -1.0)),
+    "bell rates, infinite offset": (BAD_OFFSET, lambda: compute_rates(
+        STILL_CURRENT, HALVES, "bell", np.inf)),
 }
 
 
@@ -136,6 +170,31 @@ def test_thresholds_are_the_checked_bounds():
 def test_tolerance_record_not_exported_from_root():
     assert not hasattr(modaldyn, "Tolerances")
     assert not hasattr(modaldyn, "DEFAULT")
+
+
+def test_every_root_name_has_a_caller_outside_the_tests():
+    """No public name survives only because a test imports it.
+
+    A static stand-in for the line trace of ROADMAP item 9: every name the
+    package root imports must occur, as a name, an attribute or an import,
+    in another module of the package or in a demo script.
+    """
+    package = Path(modaldyn.__file__).resolve().parent
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    root = ast.parse((package / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in ast.walk(root)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
+    for path in [*package.glob("*.py"), *demos.glob("*.py")]:
+        if path != package / "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+    assert sorted(exported - used) == []
 
 
 NO_SCIPY = """

@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from modaldyn import pipeline
-from modaldyn.currents import (CurrentMatrix, continuity_residual,
-                               generalized_schrodinger_current,
-                               minimal_flow_current, static_schrodinger_current)
+from modaldyn.currents import CurrentMatrix, continuity_residual, current_matrix
 from modaldyn.hilbert import projector_from_vector
 from modaldyn.pipeline import compute_currents, compute_joint_family, compute_rates, run
 from modaldyn.scenario import BUILTINS, EnsembleSpec, Scenario, TimeSpec
@@ -38,9 +36,9 @@ class TestCurrentMatrix:
     def test_constructors_are_exactly_antisymmetric(self, rng):
         psi, h, vecs = random_ket(rng, 4), random_hermitian(rng, 4), orthonormal_vectors(rng, 4)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        for cm in (minimal_flow_current(balanced_pdot(rng, 4)),
-                   static_schrodinger_current(psi, h, [vecs]),
-                   generalized_schrodinger_current(psi, h, [vecs], [a - a.conj().T])):
+        for cm in (current_matrix("minimal_flow", pdot=balanced_pdot(rng, 4)),
+                   current_matrix("static_schrodinger", psi, h, [vecs]),
+                   current_matrix("generalized_schrodinger", psi, h, [vecs], [a - a.conj().T])):
             assert np.array_equal(cm.matrix, -cm.matrix.T)
             assert np.all(np.diag(cm.matrix) == 0)
 
@@ -78,36 +76,36 @@ class TestCurrentMatrix:
 
 class TestMinimalFlow:
     def test_zero_pdot(self):
-        cm = minimal_flow_current(np.zeros(3))
+        cm = current_matrix("minimal_flow", pdot=np.zeros(3))
         assert np.all(cm.matrix == 0)
 
     def test_two_state_crossing_family(self):
         # pdot = (-x, x) with x = theta sin(2 theta t) gives j_21 = x.
         theta, t = 1.3, 0.4
         x = theta * np.sin(2 * theta * t)
-        cm = minimal_flow_current(np.array([-x, x]))
+        cm = current_matrix("minimal_flow", pdot=np.array([-x, x]))
         assert abs(cm.matrix[1, 0] - x) < 1e-14
 
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError, match="sum to zero"):
-            minimal_flow_current(np.array([0.5, 0.0]))
+            current_matrix("minimal_flow", pdot=np.array([0.5, 0.0]))
 
     def test_matches_least_norm_oracle(self, rng):
         for d in (2, 3, 4):
             pdot = balanced_pdot(rng, d)
-            cm = minimal_flow_current(pdot)
+            cm = current_matrix("minimal_flow", pdot=pdot)
             assert np.abs(cm.matrix - least_norm_current_oracle(pdot)).max() <= 1e-8
 
     def test_continuity_exact(self, rng):
         pdot = balanced_pdot(rng, 5)
-        assert continuity_residual(minimal_flow_current(pdot), pdot) <= 1e-12
+        assert continuity_residual(current_matrix("minimal_flow", pdot=pdot), pdot) <= 1e-12
 
 
 class TestStaticSchrodinger:
     def test_diagonal_hamiltonian_gives_zero(self, rng):
         psi = random_ket(rng, 3)
         h = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        cm = static_schrodinger_current(psi, h, [np.eye(3)])
+        cm = current_matrix("static_schrodinger", psi, h, [np.eye(3)])
         assert np.abs(cm.matrix).max() <= 1e-14
 
     def test_matches_elementwise_summation_oracle(self, rng):
@@ -115,7 +113,7 @@ class TestStaticSchrodinger:
         psi = random_ket(rng, dim)
         h = random_hermitian(rng, dim)
         vecs = orthonormal_vectors(rng, dim)
-        cm = static_schrodinger_current(psi, h, [vecs])
+        cm = current_matrix("static_schrodinger", psi, h, [vecs])
         for a in range(dim):
             for b in range(dim):
                 if a == b:
@@ -129,7 +127,7 @@ class TestStaticSchrodinger:
         psi = random_ket(rng, dim)
         h = random_hermitian(rng, dim)
         vecs = orthonormal_vectors(rng, dim)
-        cm = static_schrodinger_current(psi, h, [vecs])
+        cm = current_matrix("static_schrodinger", psi, h, [vecs])
         pdot = np.array([2 * np.vdot(psi, p @ h @ psi).imag for p in dense(vecs)])
         assert continuity_residual(cm, pdot) <= 1e-10
 
@@ -137,19 +135,19 @@ class TestStaticSchrodinger:
         psi = random_ket(rng, 2)
         tilted = np.array([[1.0, 0.0], [1.0, 1.0]]) / np.array([[1.0], [np.sqrt(2)]])
         with pytest.raises(ValueError, match="orthogonal"):
-            static_schrodinger_current(psi, random_hermitian(rng, 2), [tilted])
+            current_matrix("static_schrodinger", psi, random_hermitian(rng, 2), [tilted])
 
     def test_non_orthogonal_factor_rejected(self, rng):
         # Each factor's basis is checked, here the second of a (2, 2) system.
         tilted = np.array([[1.0, 0.0], [1.0, 1.0]]) / np.array([[1.0], [np.sqrt(2)]])
         with pytest.raises(ValueError, match="orthogonal"):
-            static_schrodinger_current(random_ket(rng, 4), random_hermitian(rng, 4),
-                                       [np.eye(2), tilted])
+            current_matrix("static_schrodinger", random_ket(rng, 4), random_hermitian(rng, 4),
+                           [np.eye(2), tilted])
 
     def test_factors_must_cover_psi(self, rng):
         with pytest.raises(ValueError, match="square"):
-            static_schrodinger_current(random_ket(rng, 4), random_hermitian(rng, 4),
-                                       [np.eye(2), np.eye(3)])
+            current_matrix("static_schrodinger", random_ket(rng, 4), random_hermitian(rng, 4),
+                           [np.eye(2), np.eye(3)])
 
 
 def analytic_rotation_setup(rng, dim):
@@ -175,16 +173,16 @@ class TestGeneralizedSchrodinger:
         psi = random_ket(rng, dim)
         h = random_hermitian(rng, dim)
         vecs = orthonormal_vectors(rng, dim)
-        gen = generalized_schrodinger_current(psi, h, [vecs], [np.zeros_like(vecs)])
-        stat = static_schrodinger_current(psi, h, [vecs])
+        gen = current_matrix("generalized_schrodinger", psi, h, [vecs], [np.zeros_like(vecs)])
+        stat = current_matrix("static_schrodinger", psi, h, [vecs])
         assert np.abs(gen.matrix - stat.matrix).max() <= 1e-12
 
     def test_paired_term_matches_conjugate_sum(self, rng):
         dim = 4
         psi = random_ket(rng, dim)
         h, vecs, conn, projs, derivs = analytic_rotation_setup(rng, dim)
-        gen = generalized_schrodinger_current(psi, h, [vecs], [conn])
-        stat = static_schrodinger_current(psi, h, [vecs])
+        gen = current_matrix("generalized_schrodinger", psi, h, [vecs], [conn])
+        stat = current_matrix("static_schrodinger", psi, h, [vecs])
         extra = gen.matrix - stat.matrix
         for a in range(dim):
             for b in range(dim):
@@ -198,7 +196,7 @@ class TestGeneralizedSchrodinger:
         dim = 4
         psi = random_ket(rng, dim)
         h, vecs, conn, projs, derivs = analytic_rotation_setup(rng, dim)
-        gen = generalized_schrodinger_current(psi, h, [vecs], [conn])
+        gen = current_matrix("generalized_schrodinger", psi, h, [vecs], [conn])
         pdot = np.array([
             2 * np.vdot(psi, projs[i] @ h @ psi).imag
             + np.vdot(psi, derivs[i] @ psi).real
@@ -210,8 +208,8 @@ class TestGeneralizedSchrodinger:
         dim = 4
         psi = random_ket(rng, dim)
         h, vecs, conn, projs, derivs = analytic_rotation_setup(rng, dim)
-        gen = generalized_schrodinger_current(psi, h, [vecs], [conn],
-                                              extra_term="minimal_flow_like")
+        gen = current_matrix("generalized_schrodinger", psi, h, [vecs], [conn],
+                             extra_term="minimal_flow_like")
         pdot = np.array([
             2 * np.vdot(psi, projs[i] @ h @ psi).imag
             + np.vdot(psi, derivs[i] @ psi).real
@@ -224,7 +222,7 @@ class TestGeneralizedSchrodinger:
         dim = 4
         h, vecs, conn, projs, derivs = analytic_rotation_setup(rng, dim)
         psi = 0.6 * vecs[0] + 0.8j * vecs[1]
-        gen = generalized_schrodinger_current(psi, h, [vecs], [conn]).matrix
+        gen = current_matrix("generalized_schrodinger", psi, h, [vecs], [conn]).matrix
         assert np.abs(gen[2, :]).max() <= 1e-9
         assert np.abs(gen[:, 2]).max() <= 1e-9
         assert np.abs(gen[3, :]).max() <= 1e-9
@@ -234,7 +232,7 @@ class TestGeneralizedSchrodinger:
         # labels 2 and 3 are exactly zero, and so are their rows.
         h, _vecs, conn, _projs, _derivs = analytic_rotation_setup(rng, 4)
         psi = np.array([0.6, 0.8j, 0.0, 0.0])
-        gen = generalized_schrodinger_current(psi, h, [np.eye(4)], [conn]).matrix
+        gen = current_matrix("generalized_schrodinger", psi, h, [np.eye(4)], [conn]).matrix
         assert not gen[2:].any() and not gen[:, 2:].any()
 
     def test_non_anti_hermitian_connections_rejected(self, rng):
@@ -243,21 +241,21 @@ class TestGeneralizedSchrodinger:
         h = random_hermitian(rng, dim)
         vecs = orthonormal_vectors(rng, dim)
         with pytest.raises(ValueError, match="anti-Hermitian"):
-            generalized_schrodinger_current(psi, h, [vecs], [random_hermitian(rng, dim)])
+            current_matrix("generalized_schrodinger", psi, h, [vecs], [random_hermitian(rng, dim)])
 
     def test_connection_shapes_must_match_factors(self, rng):
         psi = random_ket(rng, 4)
         with pytest.raises(ValueError, match="connections of shapes"):
-            generalized_schrodinger_current(psi, random_hermitian(rng, 4),
-                                            [np.eye(2), np.eye(2)], [np.zeros((2, 2))])
+            current_matrix("generalized_schrodinger", psi, random_hermitian(rng, 4),
+                           [np.eye(2), np.eye(2)], [np.zeros((2, 2))])
 
     def test_unknown_extra_term(self, rng):
         dim = 2
         psi = random_ket(rng, dim)
         vecs = orthonormal_vectors(rng, dim)
         with pytest.raises(ValueError, match="extra_term"):
-            generalized_schrodinger_current(psi, np.zeros((2, 2)), [vecs],
-                                            [np.zeros_like(vecs)], extra_term="bogus")
+            current_matrix("generalized_schrodinger", psi, np.zeros((2, 2)), [vecs],
+                           [np.zeros_like(vecs)], extra_term="bogus")
 
 
 class TestContinuityResidual:
@@ -644,8 +642,8 @@ class TestInputChecksSeeEveryNode:
     @staticmethod
     def assert_same_error(family, message):
         with pytest.raises(ValueError, match=message) as public:
-            generalized_schrodinger_current(
-                family.psi, family.scenario.hamiltonian,
+            current_matrix(
+                "generalized_schrodinger", family.psi, family.scenario.hamiltonian,
                 [traj.vectors for traj in family.factor_trajectories], family.connections)
         with pytest.raises(ValueError, match=message) as blocked:
             compute_currents(family, "generalized_schrodinger", "paired")

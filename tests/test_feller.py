@@ -11,7 +11,7 @@ from modaldyn.errors import PoleInInterval, TruncationNotConverged
 from modaldyn.feller import (_blocked_simpson, _cumulative_simpson,
                              chapman_kolmogorov_residual, feller_minimal,
                              forward_ode_kernel, honesty_deficit)
-from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates
+from modaldyn.kinetics import RateMatrix, RateTrajectory, rate_matrix
 
 from conftest import constant_trajectory
 
@@ -31,7 +31,7 @@ def crossing_rate_trajectory(theta=1.0, t0=0.0, t1=0.7, step=1e-3):
     full[:, 1, 0] = theta * np.sin(2 * theta * grid)
     full[:, 0, 1] = -full[:, 1, 0]
     p = np.column_stack([np.cos(theta * grid) ** 2, np.sin(theta * grid) ** 2])
-    return RateTrajectory(grid, bell_rates(CurrentMatrix(full), p))
+    return RateTrajectory(grid, rate_matrix("bell", CurrentMatrix(full), p))
 
 
 def random_rate_trajectory(d=16, seed=3, step=1e-3):

@@ -8,9 +8,8 @@ import pytest
 
 import modaldyn
 from modaldyn.currents import CurrentMatrix
-from modaldyn.kinetics import (RateMatrix, RateTrajectory, _median, bell_rates,
-                               classify_singularities, general_rates,
-                               master_residual, pole_free_rows)
+from modaldyn.kinetics import (RateMatrix, RateTrajectory, _median, classify_singularities,
+                               master_residual, pole_free_rows, rate_matrix)
 from modaldyn import pipeline
 from modaldyn.pipeline import (_kernel_windows, compute_currents, compute_joint_family,
                                compute_rates, run)
@@ -63,7 +62,7 @@ class TestBellRates:
     def test_crossing_family_values(self):
         theta, t = 1.0, 0.4
         cm, p = crossing_current(theta, t)
-        rates = bell_rates(cm, p)
+        rates = rate_matrix("bell", cm, p)
         expected = theta * np.sin(2 * theta * t) / np.cos(theta * t) ** 2
         assert abs(rates.matrix[1, 0] - expected) < 1e-12
         assert rates.matrix[0, 1] == 0.0
@@ -71,26 +70,26 @@ class TestBellRates:
 
     def test_zero_current(self):
         cm = current_from_full(np.zeros((3, 3)))
-        rates = bell_rates(cm, np.array([0.2, 0.3, 0.5]))
+        rates = rate_matrix("bell", cm, np.array([0.2, 0.3, 0.5]))
         assert np.all(rates.matrix == 0)
 
     def test_zero_probability_zero_current_is_regular(self):
         cm = current_from_full(np.zeros((2, 2)))
-        rates = bell_rates(cm, np.array([1.0, 0.0]))
+        rates = rate_matrix("bell", cm, np.array([1.0, 0.0]))
         assert not rates.pole_mask.any()
         assert np.all(rates.matrix == 0)
 
     def test_zero_probability_nonzero_current_is_pole(self):
         # Positive flow out of the zero-probability state 1 cannot be finite.
         full = np.array([[0.0, 0.3], [-0.3, 0.0]])
-        rates = bell_rates(current_from_full(full), np.array([1.0, 0.0]))
+        rates = rate_matrix("bell", current_from_full(full), np.array([1.0, 0.0]))
         assert rates.pole_mask[0, 1]
         assert rates.matrix[0, 1] == 0.0
 
     def test_negative_current_at_zero_probability_is_zero(self):
         # max{0, j/p} -> 0 as p -> 0+ when j < 0: continuous, not a pole.
         full = np.array([[0.0, -0.3], [0.3, 0.0]])
-        rates = bell_rates(current_from_full(full), np.array([1.0, 0.0]))
+        rates = rate_matrix("bell", current_from_full(full), np.array([1.0, 0.0]))
         assert not rates.pole_mask.any()
         assert rates.matrix[0, 1] == 0.0
         # Flow into the zero-probability state is a plain finite rate.
@@ -103,11 +102,11 @@ class TestBellRates:
         p = rng.dirichlet(np.ones(3), size=6)
         p[2] = [0.5, 0.0, 0.5]
         stack = current_from_full(full)
-        rates = bell_rates(stack, p)
+        rates = rate_matrix("bell", stack, p)
         assert len(rates) == 6 and rates[2].pole_mask.any()
         pdot = stack.matrix.sum(axis=-1)
         for k in range(6):
-            node = bell_rates(current_from_full(full[k]), p[k])
+            node = rate_matrix("bell", current_from_full(full[k]), p[k])
             assert np.array_equal(rates[k].matrix, node.matrix)
             assert np.array_equal(rates[k].pole_mask, node.pole_mask)
             assert np.array_equal(pole_free_rows(rates)[k], pole_free_rows(node))
@@ -115,21 +114,21 @@ class TestBellRates:
                     for k in range(6))
         assert master_residual(rates, p, pdot, rows=pole_free_rows(rates)) == worst
         keep = [0, 1, 3, 4, 5]
-        general = general_rates(current_from_full(full[keep]), p[keep], 0.3)
+        general = rate_matrix("general", current_from_full(full[keep]), p[keep], 0.3)
         for n, k in enumerate(keep):
-            assert np.abs(general[n].matrix
-                          - general_rates(current_from_full(full[k]), p[k], 0.3).matrix).max() <= 1e-15
+            assert np.abs(general[n].matrix - rate_matrix(
+                "general", current_from_full(full[k]), p[k], 0.3).matrix).max() <= 1e-15
 
     def test_one_directional_choice(self, rng):
         full = np.triu(rng.normal(size=(5, 5)), 1)
-        rates = bell_rates(current_from_full(full), rng.dirichlet(np.ones(5)))
+        rates = rate_matrix("bell", current_from_full(full), rng.dirichlet(np.ones(5)))
         off = rates.matrix.copy()
         np.fill_diagonal(off, 0.0)
         assert np.all((off * off.T) == 0)    # at most one direction per pair
 
     def test_column_sums_zero(self, rng):
         full = np.triu(rng.normal(size=(4, 4)), 1)
-        rates = bell_rates(current_from_full(full), rng.dirichlet(np.ones(4)))
+        rates = rate_matrix("bell", current_from_full(full), rng.dirichlet(np.ones(4)))
         assert np.abs(rates.matrix.sum(axis=0)).max() <= 1e-15
 
     def test_round_trip_reconstructs_current(self, rng):
@@ -137,7 +136,7 @@ class TestBellRates:
         cm = current_from_full(full)
         p = rng.dirichlet(np.ones(4)) + 0.05
         p /= p.sum()
-        t = bell_rates(cm, p).matrix
+        t = rate_matrix("bell", cm, p).matrix
         recon = t * p[None, :] - (t * p[None, :]).T
         assert np.abs(recon - cm.matrix).max() <= 1e-10
 
@@ -148,8 +147,8 @@ class TestGeneralRates:
         cm = current_from_full(full)
         p = rng.dirichlet(np.ones(4)) + 0.05
         p /= p.sum()
-        a = general_rates(cm, p, 0.0)
-        b = bell_rates(cm, p)
+        a = rate_matrix("general", cm, p, 0.0)
+        b = rate_matrix("bell", cm, p)
         assert np.abs(a.matrix - b.matrix).max() <= 1e-12
 
     def test_reconstruction_identity(self, rng):
@@ -157,7 +156,7 @@ class TestGeneralRates:
         cm = current_from_full(full)
         p = np.array([0.5, 0.3, 0.2])
         for c in (0.0, 0.7):
-            t = general_rates(cm, p, c).matrix
+            t = rate_matrix("general", cm, p, c).matrix
             recon = t * p[None, :] - (t * p[None, :]).T
             assert np.abs(recon - cm.matrix).max() <= 1e-10
 
@@ -165,7 +164,7 @@ class TestGeneralRates:
         d = 4
         cm = current_from_full(np.zeros((d, d)))
         p = np.full(d, 1.0 / d)
-        rates = general_rates(cm, p, 1.0)
+        rates = rate_matrix("general", cm, p, 1.0)
         off = rates.matrix - np.diag(np.diag(rates.matrix))
         assert np.allclose(off + np.eye(d), np.ones((d, d)))
         assert np.allclose(np.diag(rates.matrix), -(d - 1))
@@ -173,19 +172,19 @@ class TestGeneralRates:
     def test_zero_probability_rejected(self):
         cm = current_from_full(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="p_j = 0"):
-            general_rates(cm, np.array([1.0, 0.0]), 0.0)
+            rate_matrix("general", cm, np.array([1.0, 0.0]), 0.0)
 
     def test_negative_offset_rejected(self):
         cm = current_from_full(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="nonnegative"):
-            general_rates(cm, np.array([0.5, 0.5]), -1.0)
+            rate_matrix("general", cm, np.array([0.5, 0.5]), -1.0)
 
     @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
     def test_non_finite_offset_rejected(self, offset):
         # A NaN offset used to give an all-NaN rate matrix, inf one of +-inf rates.
         cm = current_from_full(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            general_rates(cm, np.array([0.5, 0.5]), offset)
+            rate_matrix("general", cm, np.array([0.5, 0.5]), offset)
 
 
 class TestMasterResidual:
@@ -195,12 +194,12 @@ class TestMasterResidual:
         p = rng.dirichlet(np.ones(4)) + 0.05
         p /= p.sum()
         pdot = cm.matrix.sum(axis=1)
-        rates = bell_rates(cm, p)
+        rates = rate_matrix("bell", cm, p)
         assert master_residual(rates, p, pdot) <= 1e-9
 
     def test_zero_rates(self):
         cm = current_from_full(np.zeros((3, 3)))
-        rates = bell_rates(cm, np.array([0.2, 0.5, 0.3]))
+        rates = rate_matrix("bell", cm, np.array([0.2, 0.5, 0.3]))
         pdot = np.array([0.1, -0.4, 0.3])
         assert master_residual(rates, np.array([0.2, 0.5, 0.3]), pdot) == 0.4
 
@@ -210,7 +209,7 @@ class TestMasterResidual:
         worst = 0.0
         for t in grid:
             cm, p = crossing_current(theta, t)
-            rates = bell_rates(cm, p)
+            rates = rate_matrix("bell", cm, p)
             h = 1e-3
             pdot = np.array([
                 (np.cos(theta * (t + h)) ** 2 - np.cos(theta * (t - h)) ** 2),
@@ -228,7 +227,7 @@ class TestMasterResidual:
             [0.1, -0.3, 0.0],
         ])
         p = np.array([0.6, 0.4, 0.0])
-        rates = bell_rates(current_from_full(full), p)
+        rates = rate_matrix("bell", current_from_full(full), p)
         assert rates.pole_mask[1, 2]
         rows = pole_free_rows(rates)
         assert rows.tolist() == [True, False, False]
@@ -361,7 +360,7 @@ class TestClassifySingularities:
         full = np.zeros((len(grid), 2, 2))
         full[:, 1, 0] = theta * np.sin(2 * theta * grid)
         full[:, 0, 1] = -full[:, 1, 0]
-        rates = bell_rates(current_from_full(full), p / p.sum(axis=1, keepdims=True))
+        rates = rate_matrix("bell", current_from_full(full), p / p.sum(axis=1, keepdims=True))
         events = classify_singularities(p, grid, rates)
         ev = [e for e in events if e.state == 0][0]
         assert ev.divergent is True
@@ -403,8 +402,8 @@ class TestRateTrajectory:
         full = np.zeros((11, 2, 2))
         full[:, 1, 0] = grid
         full[:, 0, 1] = -grid
-        return RateTrajectory(grid, bell_rates(current_from_full(full),
-                                               np.full((11, 2), 0.5)))
+        return RateTrajectory(grid, rate_matrix("bell", current_from_full(full),
+                                                np.full((11, 2), 0.5)))
 
     def test_linear_interpolation(self):
         # The sampler takes a state's rate column at a time from the column

@@ -12,7 +12,7 @@ from scipy.integrate import cumulative_trapezoid
 from modaldyn import sampler
 from modaldyn.currents import CurrentMatrix
 from modaldyn.errors import ModalDynError
-from modaldyn.kinetics import RateMatrix, RateTrajectory, bell_rates
+from modaldyn.kinetics import RateMatrix, RateTrajectory, rate_matrix
 from modaldyn.pipeline import run
 from modaldyn.sampler import (JumpProcess, PathEnsemble, _Batch, _cumulative_trapezoid,
                               _draw, _interp_rows, _mulhilo, _seed_keys, _Streams, _words,
@@ -34,7 +34,7 @@ def stacked(full):
 def rate_trajectory_from(grid, full_of_t, p_of_t):
     full = np.stack([full_of_t(t) for t in grid])
     p = np.stack([p_of_t(t) for t in grid])
-    return RateTrajectory(grid, bell_rates(stacked(full), p))
+    return RateTrajectory(grid, rate_matrix("bell", stacked(full), p))
 
 
 def zero_process(d=2, t1=1.0, seed=7, n_nodes=101, p0=None):
@@ -323,7 +323,7 @@ def make_relay_process(currents=None):
     ])
     p = np.array([0.7, 0.0, 0.3])
     record = stacked(np.broadcast_to(full, (len(grid), 3, 3)))
-    rates = bell_rates(record, np.broadcast_to(p, (len(grid), 3)))
+    rates = rate_matrix("bell", record, np.broadcast_to(p, (len(grid), 3)))
     return JumpProcess(RateTrajectory(grid, rates), p, [(0,), (1,), (2,)],
                        currents=record if currents is None else currents,
                        master_seed=31)
