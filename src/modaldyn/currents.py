@@ -91,6 +91,9 @@ def _current_rule(kind: str, psi=None, hamiltonian=None, factors=(), connections
         raise ValueError(f"unknown extra_term {extra_term!r}")
     if kind == "minimal_flow":
         pdot = np.asarray(pdot, dtype=float)
+        if pdot.ndim < 1 or pdot.shape[-1] < 1:
+            raise ValueError(f"pdot must be vectors of shape (..., D) with D >= 1 "
+                             f"(got shape {pdot.shape})")
         bal, d = np.abs(pdot.sum(axis=-1)).max(), pdot.shape[-1]
         if not bal <= DEFAULT.pdot_balance:
             raise ValueError(f"pdot must sum to zero (got {bal:.3e})")

@@ -23,11 +23,14 @@ the series needs at least two intervals.  The terms' integrals are
 evaluated as blocked matrix products: blocks of 16 nodes share one local
 weight matrix, each block starts from the running sum of the blocks before
 it, and every weight is read off the one rule applied to a small identity.
+A term runs over chunks of 64 nodes, so the series holds two window-sized
+stacks, the weighted rates and the running term, and one chunk beside them.
 The fourth-order integration steps over the grid intervals; its midpoint
 rates (A_k + A_(k+1))/2 are the rates taken linear between nodes.  It
-forms every step's matrix M_k = I + h/6 (A0 + 2 B2 + 2 B3 + B4) at once and
-multiplies the steps pairwise, in a fixed order, into
-p(t, s) = M_(m-1) ... M_0.
+forms the step matrices M_k = I + h/6 (A0 + 2 B2 + 2 B3 + B4) for 64
+intervals at a time and multiplies them pairwise, in a fixed order, into
+p(t, s) = M_(m-1) ... M_0; chunk products join the same pairwise tree.
+Chunks only regroup the same matrix products, so no bit depends on them.
 """
 
 from __future__ import annotations
@@ -114,31 +117,30 @@ def feller_minimal(rates: RateTrajectory, s: float, t: float, n_max: int = 25,
         raise ValueError(f"series window [{s}, {t}] spans one grid interval; "
                          "Simpson quadrature needs at least 3 nodes")
     du = (t - s) / m
-    exit_rates = -np.einsum("mii->mi", tm)           # (m+1, D)
-    if exit_rates.min() < -1e-12:
+    diagonal = np.einsum("mii->mi", tm)              # minus the exit rates, a view
+    if diagonal.max() > 1e-12:
         raise ValueError("negative exit rate encountered")
-    lam = _cumulative_simpson(np.clip(exit_rates, 0.0, None), du)
+    lam = _cumulative_simpson(np.clip(-diagonal, 0.0, None), du)
     if lam.max() > 600.0:
         raise ValueError("cumulative hazard too large for stable series evaluation")
 
     # With p^(n) = exp(-lam_j) a^(n), each term is a^(n) = int w a^(n-1) du
     # with the weighted off-diagonal rates w_jk = t_jk exp(lam_j - lam_k)
-    # and a^(0) = I; only the last node of the sum is kept.
-    weighted = tm * np.exp(lam[:, :, None] - lam[:, None, :])
+    # and a^(0) = I; only the last node of the sum is kept.  ``weighted``
+    # and ``acc`` are the only window-sized stacks.
+    weighted = lam[:, :, None] - lam[:, None, :]
+    np.exp(weighted, out=weighted)
+    weighted *= tm
     idx = np.arange(d)
     weighted[:, idx, idx] = 0.0
     surv = np.exp(-lam[-1])[:, None]                 # (D, 1) at t
-    integrate = _blocked_simpson(m + 1, du)
-    # Two buffers serve every term: fresh (m+1, D, D) arrays per term fault
-    # their pages in again whenever the allocator has returned them.
+    advance = _series_term(weighted, du)
     acc = np.broadcast_to(np.eye(d), tm.shape).copy()
-    term = np.empty_like(acc)
     total = np.eye(d)
     last_max = 0.0           # n_max = 0 is an explicitly requested truncation
     n_used = 0
     for n in range(1, n_max + 1):
-        integrate(np.matmul(weighted, acc, out=term), out=acc)
-        np.clip(acc, 0.0, None, out=acc)
+        advance(acc)
         total += acc[-1]
         n_used = n
         last_max = float((surv * acc[-1]).max())
@@ -159,14 +161,20 @@ def forward_ode_kernel(rates: RateTrajectory, s: float, t: float) -> TransitionK
         return TransitionKernel(s=s, t=t, matrix=np.eye(rates.size), method="ode")
 
     h = (t - s) / m
+    products = np.stack([_ordered_product(_rk4_steps(a[lo:lo + _CHUNK + 1], h))
+                         for lo in range(0, m, _CHUNK)])
+    return TransitionKernel(s=s, t=t, matrix=_ordered_product(products), method="ode")
+
+
+def _rk4_steps(a: np.ndarray, h: float) -> np.ndarray:
+    """The RK4 step matrices M_k over the intervals of the nodes ``a (L + 1, D, D)``."""
     # Between nodes the rates are linear, so an interval's midpoint value is
     # the mean of its end nodes.
     a0, a1 = a[:-1], a[1:]
     am = a0 + a1
     am *= 0.5
     # One RK4 step is p -> M_k p with k_i = B_i p: B2 = am (I + h/2 a0),
-    # B3 = am (I + h/2 B2), B4 = a1 (I + h B3).  The stacks are updated in
-    # place: at D = 64 each one holds 32 MiB.
+    # B3 = am (I + h/2 B2), B4 = a1 (I + h B3), each updated in place.
     b2 = am @ a0
     b2 *= 0.5 * h
     b2 += am
@@ -182,8 +190,8 @@ def forward_ode_kernel(rates: RateTrajectory, s: float, t: float) -> TransitionK
     steps += a0
     steps += b4
     steps *= h / 6.0
-    steps += np.eye(rates.size)                      # M_k, one per step
-    return TransitionKernel(s=s, t=t, matrix=_ordered_product(steps), method="ode")
+    steps += np.eye(a.shape[-1])
+    return steps
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -212,46 +220,70 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-# Nodes per block of ``_blocked_simpson``; even, so every block starts a pair.
+# Nodes per block of the series term's integral; even, so every block
+# starts a pair.
 _BLOCK = 16
+# Intervals per chunk of either kernel: whole blocks of the series term, and
+# a power of two, so that a chunk of RK4 steps (aligned at a multiple of
+# ``_CHUNK``) is one subtree of ``_ordered_product``'s pairwise tree.
+_CHUNK = 64
 
 
-def _blocked_simpson(n: int, dx: float):
-    """``_cumulative_simpson`` on ``n`` nodes as blocked matrix products.
+def _series_term(weighted: np.ndarray, dx: float):
+    """``advance(acc)``: one series term in place, ``acc`` becoming the
+    integral of ``weighted @ acc`` over the nodes of the ``(n, D, D)`` stacks.
 
-    Returns ``integrate(y, out)`` for arrays of leading length ``n``, which
-    writes into ``out`` (``y``'s shape, not ``y`` itself).  The integral is
-    linear in ``y``, and inside a block of ``_BLOCK`` nodes it reads only
-    the block's nodes and the next one, so one matmul applies a shared local
-    weight matrix to every block's overlapping window; each block then adds
-    the running sum of the blocks before it.  The rows after the last full
-    block take their own weight rows, from two nodes before them so that a
-    lone last interval sees its three nodes.  Every weight is read off
-    ``_cumulative_simpson`` of a small identity, and no ``(n, n)`` operator
-    is formed.
+    The integral is ``_cumulative_simpson`` ``dx`` apart, clipped at zero.
+    It is linear in its integrand, and inside a block of ``_BLOCK`` nodes it
+    reads only the block's nodes and the next one, so one matmul applies a
+    shared local weight matrix to every block's overlapping window; each
+    block then adds the running sum of the blocks before it.  The blocks go
+    through in chunks of ``_CHUNK`` nodes, each chunk's integrand in one
+    chunk-sized buffer, and the running sum is carried from chunk to chunk:
+    the carry joins a chunk's first block increment before ``np.cumsum``
+    adds the rest, so the sums are added in the order of one cumsum over
+    all blocks.  The rows after the last full block take their own weight
+    rows, from two nodes before them so that a lone last interval sees its
+    three nodes; their integrand is formed first, before the chunks
+    overwrite those nodes.  Every weight is read off ``_cumulative_simpson``
+    of a small identity, and no ``(n, n)`` operator is formed.
     """
-    nb = (n - 1) // _BLOCK                           # full blocks
-    head = nb * _BLOCK                               # first row after them
+    n = len(weighted)
+    head = (n - 1) // _BLOCK * _BLOCK                # first row after the full blocks
     w = _cumulative_simpson(np.eye(_BLOCK + 1), dx)
     local, step = w[:_BLOCK], w[_BLOCK]
     c = max(head - 2, 0)
     wt = _cumulative_simpson(np.eye(n - c), dx)
     tail = wt[head - c:] - wt[head - c]              # integrals from node ``head``
+    chunk = np.empty((_CHUNK + 1,) + weighted.shape[1:])
+    # Block k of a chunk integrates the chunk's nodes 16 k .. 16 k + 16.
+    windows = sliding_window_view(chunk.reshape(_CHUNK + 1, -1), _BLOCK + 1,
+                                  axis=0)[::_BLOCK].swapaxes(1, 2)
 
-    def integrate(y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        flat, sums = y.reshape(n, -1), out.reshape(n, -1)
-        np.matmul(tail, flat[c:], out=sums[head:])
-        if nb:
-            win = sliding_window_view(flat, _BLOCK + 1, axis=0)[::_BLOCK].swapaxes(1, 2)
-            blocks = sums[:head].reshape(nb, _BLOCK, -1)
+    def advance(acc: np.ndarray) -> None:
+        sums = acc.reshape(n, -1)
+        tail_term = np.matmul(weighted[c:], acc[c:]).reshape(n - c, -1)
+        carry = None
+        for lo in range(0, head, _CHUNK):
+            hi = min(lo + _CHUNK, head)
+            np.matmul(weighted[lo:hi + 1], acc[lo:hi + 1], out=chunk[:hi + 1 - lo])
+            win = windows[:(hi - lo) // _BLOCK]
+            blocks = sums[lo:hi].reshape(len(win), _BLOCK, -1)
             np.matmul(local, win, out=blocks)
             start = step @ win                       # each block's increment
+            if carry is not None:
+                start[0] += carry
+                blocks[0] += carry
             np.cumsum(start, axis=0, out=start)
             blocks[1:] += start[:-1, None]
-            sums[head:] += start[-1]
-        return out
+            np.maximum(blocks, 0.0, out=blocks)
+            carry = start[-1]
+        np.matmul(tail, tail_term, out=sums[head:])
+        if carry is not None:
+            sums[head:] += carry
+        np.maximum(sums[head:], 0.0, out=sums[head:])
 
-    return integrate
+    return advance
 
 
 def chapman_kolmogorov_residual(direct: TransitionKernel, first: TransitionKernel,

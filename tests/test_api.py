@@ -111,6 +111,7 @@ def test_nan_rejected(entry):
 # Grid, time and choice faults, NaN or not, each with the check that names it.
 UNKNOWN_EXTRA = "unknown extra_term 'bogus'"
 BAD_OFFSET = "free choice offset must be finite and nonnegative"
+BAD_PDOT = r"pdot must be vectors of shape \(\.\.\., D\) with D >= 1"
 NAMED_FAULTS = {
     "kernel window": (r"\[0\.0, nan\] does not start and end on grid nodes",
                       lambda: feller_minimal(STILL, 0.0, NAN)),
@@ -135,6 +136,12 @@ NAMED_FAULTS = {
         STILL_CURRENT, HALVES, "bell", -1.0)),
     "bell rates, infinite offset": (BAD_OFFSET, lambda: compute_rates(
         STILL_CURRENT, HALVES, "bell", np.inf)),
+    # The minimal-flow current reads pdot alone, so it names a pdot it cannot read.
+    "minimal-flow current, no pdot": (BAD_PDOT, lambda: current_matrix("minimal_flow")),
+    "minimal-flow current, scalar pdot": (BAD_PDOT, lambda: current_matrix(
+        "minimal_flow", pdot=1.0)),
+    "minimal-flow current, zero-width pdot": (BAD_PDOT, lambda: current_matrix(
+        "minimal_flow", pdot=np.zeros((3, 0)))),
 }
 
 

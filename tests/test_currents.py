@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 from dataclasses import replace
 from functools import reduce
 
@@ -14,7 +13,7 @@ from modaldyn.scenario import BUILTINS, EnsembleSpec, Scenario, TimeSpec
 from scipy.integrate import trapezoid
 
 from conftest import (five_point, joined_system, least_norm_current_oracle, random_hermitian,
-                      random_ket, random_system)
+                      random_ket, random_system, traced_peak)
 
 
 def balanced_pdot(rng, d):
@@ -460,21 +459,6 @@ class TestIndependentPaths:
             assert paths.relays > 0        # relays draw from the stored current
         else:
             assert not both.any(), (both.sum(), len(both))
-
-
-def traced_peak(fn, *args):
-    """``fn(*args)`` and the peak of the memory it allocated, in bytes."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 @pytest.mark.parametrize("size", [((2, 2, 2, 2), 1.0, 1001), ((2,) * 6, 0.2, 201)],

@@ -1,19 +1,23 @@
-import tracemalloc
+import functools
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import cumulative_simpson
 from scipy.linalg import expm
 
+from modaldyn import feller
 from modaldyn.config import DEFAULT
 from modaldyn.currents import CurrentMatrix
 from modaldyn.errors import PoleInInterval, TruncationNotConverged
-from modaldyn.feller import (_blocked_simpson, _cumulative_simpson,
-                             chapman_kolmogorov_residual, feller_minimal,
+from modaldyn.feller import (TransitionKernel, _cumulative_simpson, _ordered_product,
+                             _series_term, chapman_kolmogorov_residual, feller_minimal,
                              forward_ode_kernel, honesty_deficit)
 from modaldyn.kinetics import RateMatrix, RateTrajectory, rate_matrix
+from modaldyn.pipeline import compute_currents, compute_joint_family, compute_rates
+from modaldyn.scenario import BUILTINS
 
-from conftest import constant_trajectory
+from conftest import constant_trajectory, random_system, traced_peak
 
 
 def constant_rates(off, step=1e-3, t1=2.0):
@@ -106,33 +110,30 @@ class TestArrayKernels:
         assert out.shape == ref.shape
         assert np.abs(out - ref).max() <= 1e-15 * max(1.0, np.abs(ref).max())
 
-    # Blocks of 16 nodes, so n in 3..80 covers no full block, one to four
-    # full blocks, and every tail length on both interval parities.
+    # Blocks of 16 nodes in chunks of 64, so n in 3..80 covers no full
+    # block, one to four full blocks, and every tail length on both interval
+    # parities; the longer windows end in a partial chunk.
     @pytest.mark.parametrize("n", list(range(3, 81)) + [501, 701, 1001, 1002, 1572])
     def test_blocked_simpson_matches_rule(self, n):
-        integrate = _blocked_simpson(n, 0.01)
         rng = np.random.default_rng(n)
-        for shape in [(n,), (n, 3, 3), (n, 16, 16)]:
-            y = rng.normal(size=shape)
-            ref = _cumulative_simpson(y, 0.01)
-            out = np.full_like(y, np.nan)
-            assert integrate(y, out) is out
-            assert np.abs(out - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+        for d in (1, 3, 16):
+            weighted = rng.normal(size=(n, d, d))
+            acc = rng.normal(size=(n, d, d))
+            ref = np.clip(_cumulative_simpson(weighted @ acc, 0.01), 0.0, None)
+            _series_term(weighted, 0.01)(acc)
+            assert np.abs(acc - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
     def test_blocked_simpson_forms_no_dense_operator(self):
-        # A dense (n, n) operator on 200 001 nodes would take 320 GB.
+        # A dense (n, n) operator on 200 001 nodes would take 320 GB; the
+        # term holds one chunk of 65 nodes and the tail's 18.
         n = 200_001
-        tracemalloc.start()
-        try:
-            integrate = _blocked_simpson(n, 1e-5)
-            built_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert built_peak < 2**20
-        y = np.random.default_rng(0).normal(size=(n, 2, 2))
-        ref = _cumulative_simpson(y, 1e-5)
-        out = integrate(y, np.empty_like(y))
-        assert np.abs(out - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+        rng = np.random.default_rng(0)
+        weighted = rng.normal(size=(n, 2, 2))
+        acc = rng.normal(size=(n, 2, 2))
+        ref = np.clip(_cumulative_simpson(weighted @ acc, 1e-5), 0.0, None)
+        _, peak = traced_peak(lambda: _series_term(weighted, 1e-5)(acc))
+        assert peak < 2**20
+        assert np.abs(acc - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
     @pytest.mark.parametrize("rates, s, t", [
         (crossing_rate_trajectory(), 0.0, 0.7),
@@ -163,6 +164,147 @@ class TestArrayKernels:
             feller_minimal(rates, 0.0, 1.0, n_max=6)
         assert str(info.value) == (f"series term {n_used} still has max entry "
                                    f"{last_max:.3e} > {DEFAULT.series_tail}")
+
+
+def whole_stack_simpson(n, dx):
+    """The series term's blocked Simpson integral over whole-window stacks.
+
+    ``integrate(y, out)`` writes the integral of ``y (n, ...)`` into ``out``:
+    one matmul applies the local weights to every block of 16 nodes, one
+    cumsum runs over all the blocks' increments, and the tail rows take
+    their own weights from two nodes before them.
+    """
+    nb = (n - 1) // 16
+    head = nb * 16
+    w = _cumulative_simpson(np.eye(17), dx)
+    local, step = w[:16], w[16]
+    c = max(head - 2, 0)
+    wt = _cumulative_simpson(np.eye(n - c), dx)
+    tail = wt[head - c:] - wt[head - c]
+
+    def integrate(y, out):
+        flat, sums = y.reshape(n, -1), out.reshape(n, -1)
+        np.matmul(tail, flat[c:], out=sums[head:])
+        if nb:
+            win = sliding_window_view(flat, 17, axis=0)[::16].swapaxes(1, 2)
+            blocks = sums[:head].reshape(nb, 16, -1)
+            np.matmul(local, win, out=blocks)
+            start = step @ win
+            np.cumsum(start, axis=0, out=start)
+            blocks[1:] += start[:-1, None]
+            sums[head:] += start[-1]
+        return out
+
+    return integrate
+
+
+def whole_stack_series(rates, s, t, n_max=25):
+    """The series kernel with every term formed over the whole window at once."""
+    tm = window(rates, s, t)
+    m, d = len(tm) - 1, tm.shape[1]
+    du = (t - s) / m
+    lam = _cumulative_simpson(np.clip(-np.einsum("mii->mi", tm), 0.0, None), du)
+    weighted = tm * np.exp(lam[:, :, None] - lam[:, None, :])
+    weighted[:, np.arange(d), np.arange(d)] = 0.0
+    surv = np.exp(-lam[-1])[:, None]
+    integrate = whole_stack_simpson(m + 1, du)
+    acc = np.broadcast_to(np.eye(d), tm.shape).copy()
+    term = np.empty_like(acc)
+    total = np.eye(d)
+    n_used = 0
+    for n in range(1, n_max + 1):
+        integrate(np.matmul(weighted, acc, out=term), out=acc)
+        np.clip(acc, 0.0, None, out=acc)
+        total += acc[-1]
+        n_used = n
+        if (surv * acc[-1]).max() <= DEFAULT.series_tail:
+            break
+    return TransitionKernel(s=s, t=t, matrix=surv * total, method="series", n_terms=n_used)
+
+
+def whole_stack_rk4(rates, s, t):
+    """The RK4 kernel with every step matrix formed at once and one pairwise product."""
+    a = window(rates, s, t)
+    h = (t - s) / (len(a) - 1)
+    a0, a1 = a[:-1], a[1:]
+    am = 0.5 * (a0 + a1)
+    b2 = am + 0.5 * h * (am @ a0)
+    b3 = am + 0.5 * h * (am @ b2)
+    b4 = a1 + h * (a1 @ b3)
+    steps = h / 6.0 * (2.0 * (b2 + b3) + a0 + b4) + np.eye(a.shape[-1])
+    return TransitionKernel(s=s, t=t, matrix=_ordered_product(steps), method="ode")
+
+
+@functools.cache
+def pipeline_rates(name):
+    """The rates of a builtin, or of the seeded (2, 2, 2, 2) draw over [0, 1]."""
+    sc = (random_system(2222, (2, 2, 2, 2), t1=1.0) if name == "generic-2x2x2x2"
+          else BUILTINS[name]().validate())
+    family = compute_joint_family(sc)
+    current = compute_currents(family)
+    return RateTrajectory(family.grid, compute_rates(
+        current, family.probabilities, sc.rate_choice, sc.general_rate_offset))
+
+
+class TestChunkedKernels:
+    """Both kernels run over chunks of 64 intervals, and the chunks change no
+    bit: windows shorter than one chunk, on either side of one and two chunk
+    edges, and a long window that ends in a partial chunk, each equal to the
+    kernel formed on whole-window stacks.  The series blocks of 16 nodes make
+    15, 16 and 17 intervals a block edge of their own."""
+
+    @pytest.mark.parametrize("m", [2, 15, 16, 17, 63, 64, 65, 127, 128, 129, 1000])
+    @pytest.mark.parametrize("name", ["generic-2x2x2x2", "measured-possessed-property"])
+    def test_equal_to_whole_stacks(self, name, m):
+        rates = pipeline_rates(name)
+        a = len(rates.grid) - 1 - m if name == "generic-2x2x2x2" else 7
+        s, t = float(rates.grid[a]), float(rates.grid[a + m])
+        series = feller_minimal(rates, s, t, check_convergence=False)
+        ref = whole_stack_series(rates, s, t)
+        assert series.n_terms == ref.n_terms
+        assert np.array_equal(series.matrix, ref.matrix)
+        assert np.array_equal(forward_ode_kernel(rates, s, t).matrix,
+                              whole_stack_rk4(rates, s, t).matrix)
+
+
+@pytest.mark.parametrize("d, step", [(16, 1e-3), (64, 5e-3)], ids=["dim16", "dim64"])
+class TestKernelMemory:
+    """Peak allocations of the kernels, in units of one (m + 1, D, D) float
+    table, on random rates at dim 16 over 1001 nodes and at dim 64 over 201.
+    The series holds two tables, the weighted rates and the running term,
+    and the window's cumulative hazards, one (m + 1, D) vector.  A term
+    forms its integrand over one chunk of 65 nodes at a time; the tail's
+    integrand (at most 18 nodes), the chunk's block increments and the
+    weights take less than a second chunk.  The ODE kernel forms the
+    step matrices of one chunk of 64 intervals: the midpoint rates and
+    three stage stacks, four chunks of step stacks, of which the pairwise
+    product keeps one and its halves; the chunk products are one matrix per
+    chunk, stacked once, and the kernel adds two matrices.  Both kernels
+    add a vector to every row of a stack in place (a block's running sum,
+    the identity to every step), and numpy broadcasts that through its
+    ufunc buffer of ``np.getbufsize()`` values.  The bounds follow from
+    that design, not from a measurement."""
+
+    @staticmethod
+    def units(d, step):
+        rates = random_rate_trajectory(d=d, step=step)
+        n, node = len(rates.grid), d * d * np.dtype(float).itemsize
+        buffer = np.getbufsize() * np.dtype(float).itemsize
+        return rates, n * node, node, buffer
+
+    def test_series_holds_two_tables_beside_a_chunk(self, d, step):
+        rates, table, node, buffer = self.units(d, step)
+        hazards = table // d
+        chunk = (feller._CHUNK + 1) * node
+        kernel, peak = traced_peak(feller_minimal, rates, 0.0, 1.0, 25, False)
+        assert kernel.n_terms >= 2
+        assert peak <= 2 * table + hazards + 2 * chunk + buffer, peak / table
+
+    def test_ode_holds_one_chunk_of_steps(self, d, step):
+        rates, table, node, buffer = self.units(d, step)
+        n_chunks = -(-(len(rates.grid) - 1) // feller._CHUNK)
+        _kernel, peak = traced_peak(forward_ode_kernel, rates, 0.0, 1.0)
+        assert peak <= (4 * feller._CHUNK + 2 * n_chunks + 2) * node + buffer, peak / table
 
 
 class TestWindow:
