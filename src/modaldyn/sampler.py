@@ -1,10 +1,12 @@
 """Monte Carlo realization of the property jump process.
 
 Paths alternate inverse-hazard waiting times with destination draws from
-the conditional jump distribution.  All paths of a batch advance in
-lockstep, one event per round.  Path k owns an independent
-counter-based random stream derived from (master seed, k), so the first k
-paths of every ensemble are the same.
+the conditional jump distribution, all in lockstep, one event per round.
+Rounds, the initial draw and the seed keys run over slices of ``_ROWS``
+paths: only the per-path state (about 100 bytes a path) spans the ensemble
+(``TestSamplerMemory``).  Path k owns a counter-based random stream derived
+from (master seed, k), so the first k paths of every ensemble are the
+same, and so is the ensemble at any slice size (``TestChunkedRounds``).
 
 At probability zeros exit rates can diverge (poles), and there the process
 follows conventions of its own (Bacciagaluppi and Dickson, Found. Phys. 29
@@ -78,9 +80,26 @@ class PathEnsemble:
     relays: int = 0                  # instant exits from zero-probability states
 
     def __post_init__(self):
+        offsets, e = np.asarray(self.offsets), len(self.times)
+        if len(offsets) != len(self) + 1:
+            raise ValueError(f"offsets must have one entry per path and one more, "
+                             f"got {len(offsets)} for {len(self)} paths")
+        if offsets[0] != 0 or offsets[-1] != e:
+            raise ValueError(f"offsets must run from 0 to the event count {e}, "
+                             f"got {offsets[0]} to {offsets[-1]}")
+        counts = np.diff(offsets)
+        if (counts < 0).any():
+            raise ValueError("offsets must not decrease")
+        if len(self.dest) != e:
+            raise ValueError(f"dest must have one state per event time, got {len(self.dest)} "
+                             f"for {e} events")
+        for name in ("initial", "dest"):
+            index = np.asarray(getattr(self, name))
+            if index.size and not (index.min() >= 0 and index.max() < len(self.states)):
+                raise ValueError(f"{name} must index states in range({len(self.states)})")
         if not np.isfinite(self.times).all():
             raise ValueError("event times must be finite")
-        owner = np.repeat(np.arange(len(self)), self.jump_counts)
+        owner = np.repeat(np.arange(len(self)), counts)
         if np.any(~(np.diff(self.times) > 0.0) & (owner[1:] == owner[:-1])):
             raise ValueError("event times must be strictly increasing")
 
@@ -136,6 +155,9 @@ _HASH_B = (0x8B51F9DD, 0x58F38DED)       # SeedSequence output hash
 _MIX = (0xCA01F9DD, 0x4973F715)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+# Paths per slice of the rounds, the seed keys and the occupancy segments.
+_ROWS = 4096
 
 
 def _words(n: int) -> list[int]:
@@ -230,9 +252,12 @@ class _Streams:
     def __init__(self, master_seed: int, n: int):
         if master_seed < 0:
             raise ValueError("master seed must be non-negative")
-        # SeedSequence entropy: the master seed's words, then k as one word.
-        entropy = [np.full(n, w, dtype=np.uint32) for w in _words(master_seed)]
-        self.key = _seed_keys(entropy + [np.arange(n, dtype=np.uint32)])
+        self.key = np.empty((n, 2), dtype=np.uint64)
+        for lo in range(0, n, _ROWS):
+            # SeedSequence entropy: the master seed's words, then k as one word.
+            k = np.arange(lo, min(lo + _ROWS, n), dtype=np.uint32)
+            entropy = [np.full(len(k), w, dtype=np.uint32) for w in _words(master_seed)]
+            self.key[lo:lo + _ROWS] = _seed_keys(entropy + [k])
         self.drawn = np.zeros(n, dtype=np.int64)
         self.block = np.empty((n, 4), dtype=np.uint64)
 
@@ -243,11 +268,6 @@ class _Streams:
         if (fresh := lane == 0).any():
             self.block[rows[fresh]] = _philox(drawn[fresh] // 4 + 1, self.key[rows[fresh]])
         return (self.block[rows, lane] >> 11) * 2.0 ** -53
-
-
-# Rows per pass of a round's hazard inversion and destination draws: bounds
-# their temporaries, each about one state's share of a 20000-path round.
-_ROWS = 4096
 
 
 def _draw(columns: np.ndarray, states: np.ndarray, rows: np.ndarray,
@@ -275,6 +295,7 @@ class _Batch:
 
     def __init__(self, rng: _Streams, initial: np.ndarray, t0: float):
         self.rng = rng
+        self.initial = initial
         self.state = initial.copy()
         self.t = np.full(len(initial), t0)
         self.count = np.zeros(len(initial), dtype=int)
@@ -395,32 +416,28 @@ class JumpProcess:
         NaN where the horizon node is not after t_from or the hazard left by
         it falls short.
 
-        All rows in one pass, ``_ROWS`` at a time: the cumulative hazard of
-        each row's state is interpolated by ``_interp_rows`` at t_from, in
-        the interval ``right = searchsorted(grid, t_from, side="right")``
-        gives, and read off the table at the horizon node, where the
-        interpolation returns the node's own value.  One search over
-        ``_keys`` finds each goal as its column's ``searchsorted(side="left")``
-        would.
+        The cumulative hazard of each row's state is interpolated by
+        ``_interp_rows`` at t_from in the interval ``right`` gives, and read
+        off the table at the horizon node, where the interpolation returns
+        the node's own value.  One search over ``_keys`` finds each goal as
+        its column's ``searchsorted(side="left")`` would.
         """
         grid, h, n = self.grid, self._cumhaz, len(self.grid)
         tau = np.full(len(states), np.nan)
         at = np.flatnonzero(grid[horizon] > t_from)
-        for lo in range(0, len(at), _ROWS):
-            part = at[lo:lo + _ROWS]
-            state, t0, node, extra = states[part], t_from[part], horizon[part], target[part]
-            base = _interp_rows(grid, h, state, t0, right[part])
-            goal = base + extra
-            idx = np.searchsorted(self._keys, state + 1j * goal, side="left") - state * n
-            np.clip(idx, 1, n - 1, out=idx)
-            h0, h1 = h[state, idx - 1], h[state, idx]
-            flat = h1 <= h0
-            frac = (goal - h0) / np.where(flat, 1.0, h1 - h0)
-            g0, g1 = grid[idx - 1], grid[idx]
-            t = np.where(flat, g1, g0 + frac * (g1 - g0))
-            t = np.minimum(np.maximum(t, np.nextafter(t0, np.inf)), grid[node])
-            short = h[state, node] - base < extra
-            tau[part] = np.where(short, np.nan, t)
+        state, t0, node, extra = states[at], t_from[at], horizon[at], target[at]
+        base = _interp_rows(grid, h, state, t0, right[at])
+        goal = base + extra
+        idx = np.searchsorted(self._keys, state + 1j * goal, side="left") - state * n
+        np.clip(idx, 1, n - 1, out=idx)
+        h0, h1 = h[state, idx - 1], h[state, idx]
+        flat = h1 <= h0
+        frac = (goal - h0) / np.where(flat, 1.0, h1 - h0)
+        g0, g1 = grid[idx - 1], grid[idx]
+        t = np.where(flat, g1, g0 + frac * (g1 - g0))
+        t = np.minimum(np.maximum(t, np.nextafter(t0, np.inf)), grid[node])
+        short = h[state, node] - base < extra
+        tau[at] = np.where(short, np.nan, t)
         return tau
 
     def _maybe_relay(self, batch: _Batch, rows: np.ndarray, arrival: bool):
@@ -472,11 +489,8 @@ class JumpProcess:
         tau[stuck] = np.maximum(grid[horizon[stuck]], np.nextafter(t[stuck], np.inf))
         moving = jumps | stuck
         dest = np.full(len(rows), -1)
-        at = np.flatnonzero(moving)
-        for lo in range(0, len(at), _ROWS):
-            part = at[lo:lo + _ROWS]
-            dest[part] = _draw(_interp_rows(grid, self._cols, state[part], tau[part]),
-                               state[part], rows[part], batch.rng)
+        dest[moving] = _draw(_interp_rows(grid, self._cols, state[moving], tau[moving]),
+                             state[moving], rows[moving], batch.rng)
         # No outgoing rate at the pre-pole node: cross the pole.
         cross = stuck & (dest < 0)
         batch.forced += np.count_nonzero(stuck) - np.count_nonzero(cross)
@@ -494,6 +508,12 @@ class JumpProcess:
         if runaway.size:
             batch.fail(runaway, lambda i: ModalDynError("runaway path: too many events"))
 
+    def _start(self, batch: _Batch, rows: np.ndarray):
+        """Round 0: initial states at ``rows``, relayed out of flagged columns."""
+        batch.initial[rows] = batch.state[rows] = np.searchsorted(
+            self._p0_cum, batch.rng.random(rows), side="right")
+        self._maybe_relay(batch, rows, arrival=False)
+
     # -- sampling --------------------------------------------------------
 
     def ensemble(self, n_paths: int) -> PathEnsemble:
@@ -503,20 +523,18 @@ class JumpProcess:
         n = int(n_paths)
         if not 0 <= n <= 2 ** 32:
             raise ValueError(f"path count must lie in [0, 2**32], got {n}")
-        rng = _Streams(self.master_seed, n)
-        everyone = np.arange(n)
-        initial = np.searchsorted(self._p0_cum, rng.random(everyone), side="right")
-        batch = _Batch(rng, initial, self.grid[0])
-        # A fresh arrival into an already-flagged column is relayed out at once.
-        self._maybe_relay(batch, everyone, arrival=False)
-        while (rows := np.flatnonzero(batch.live)).size:
-            self._sample(batch, rows)
+        batch = _Batch(_Streams(self.master_seed, n), np.zeros(n, dtype=int), self.grid[0])
+        rows, step = np.arange(n), self._start
+        while rows.size:
+            for lo in range(0, len(rows), _ROWS):
+                step(batch, rows[lo:lo + _ROWS])
+            rows, step = np.flatnonzero(batch.live), self._sample
         if batch.error is not None:
             raise batch.error[1]
         owner = np.concatenate([rows for rows, _, _ in batch.log] + [np.zeros(0, int)])
         order = np.argsort(owner, kind="stable")
         return PathEnsemble(
-            states=self.states, initial=initial,
+            states=self.states, initial=batch.initial,
             offsets=np.concatenate(([0], np.cumsum(batch.count))),
             times=np.concatenate([t for _, t, _ in batch.log] + [np.zeros(0)])[order],
             dest=np.concatenate([d for _, _, d in batch.log] + [np.zeros(0, int)])[order],

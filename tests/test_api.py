@@ -69,6 +69,12 @@ def one_event(t):
     return PathEnsemble(states=((0,), (1,)), initial=[0], offsets=[0, 1], times=[t], dest=[1])
 
 
+def two_states(initial, offsets, dest, times=(0.2, 0.5)):
+    """A PathEnsemble over two states with the given columns."""
+    return PathEnsemble(states=((0,), (1,)), initial=np.array(initial),
+                        offsets=np.array(offsets), times=np.array(times), dest=np.array(dest))
+
+
 @functools.cache
 def easyexample():
     return compute_joint_family(load_scenario("easyexample"))
@@ -125,6 +131,25 @@ NAMED_FAULTS = {
     "infinite event time": ("event times must be finite", lambda: one_event(np.inf)),
     "negative infinite event time": ("event times must be finite",
                                      lambda: one_event(-np.inf)),
+    # Every PathEnsemble column is checked against the others before it is read.
+    "short offsets": (r"offsets must have one entry per path and one more, got 2 for 2",
+                      lambda: two_states([0, 1], [0, 2], [1, 0])),
+    "long offsets": (r"offsets must have one entry per path and one more, got 3 for 1",
+                     lambda: two_states([0], [0, 1, 2], [1, 0])),
+    "offsets past the events": ("offsets must run from 0 to the event count 2, got 0 to 3",
+                                lambda: two_states([0, 1], [0, 1, 3], [1, 0])),
+    "offsets not from 0": ("offsets must run from 0 to the event count 2, got 1 to 2",
+                           lambda: two_states([0], [1, 2], [1, 0])),
+    "decreasing offsets": ("offsets must not decrease",
+                           lambda: two_states([0, 1, 0], [0, 2, 1, 2], [1, 0])),
+    "short dest": ("dest must have one state per event time, got 1 for 2 events",
+                   lambda: two_states([0], [0, 2], [1])),
+    "dest out of range": (r"dest must index states in range\(2\)",
+                          lambda: two_states([0], [0, 2], [1, 2])),
+    "negative dest": (r"dest must index states in range\(2\)",
+                      lambda: two_states([0], [0, 2], [-1, 0])),
+    "initial out of range": (r"initial must index states in range\(2\)",
+                             lambda: two_states([2], [0, 2], [1, 0])),
     # A choice argument is checked whatever the kind it comes with.
     "static current, unknown extra term": (UNKNOWN_EXTRA, lambda: compute_currents(
         easyexample(), "static_schrodinger", "bogus")),

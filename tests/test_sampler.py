@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from modaldyn import sampler
+from modaldyn import pipeline, sampler
 from modaldyn.currents import CurrentMatrix
 from modaldyn.errors import ModalDynError
 from modaldyn.kinetics import RateMatrix, RateTrajectory, rate_matrix
@@ -22,7 +22,7 @@ from modaldyn.scenario import (BUILTINS, EnsembleSpec, Scenario, TimeSpec, load_
                                scenario_to_dict)
 from modaldyn.spectral import _nearest_node
 
-from conftest import mixed_scenario, random_hermitian, random_ket, relay_scenario
+from conftest import mixed_scenario, random_hermitian, random_ket, relay_scenario, traced_peak
 
 
 def stacked(full):
@@ -203,7 +203,7 @@ class TestHazardInversion:
             got = np.searchsorted(process._keys, state + 1j * goal, side="left") - state * n
             assert np.array_equal(got, np.searchsorted(h, goal, side="left")), state
 
-    def test_matches_per_state_loop(self, monkeypatch):
+    def test_matches_per_state_loop(self):
         process, cumhaz = hazard_process()
         grid, d = process.grid, cumhaz.shape[1]
         rng = np.random.default_rng(10)
@@ -224,10 +224,8 @@ class TestHazardInversion:
         target = np.where((rng.random(m) < 0.3) & (on_node > 0), on_node, rng.exponential(size=m))
         want = invert_hazard_per_state(grid, cumhaz, states, t_from, t_to, target)
         assert np.isnan(want).any() and not np.isnan(want).all()
-        for rows in (7, 4096):              # a short last pass, and a single one
-            monkeypatch.setattr(sampler, "_ROWS", rows)
-            got = process._invert_hazard(states, t_from, right, horizon, target)
-            assert got.tobytes() == want.tobytes(), rows
+        got = process._invert_hazard(states, t_from, right, horizon, target)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRoundParts:
@@ -913,12 +911,10 @@ class TestGoldenEnsembles:
         assert type(err.value) is ModalDynError
         assert str(err.value) == "runaway path: too many events"
 
-    def test_first_failing_path_raises(self):
+    @staticmethod
+    def two_failures():
         # States 0 and 1 ping-pong before a pole until the path runs away,
         # states 2 -> 3 -> 4 -> 2 relay in a cycle and state 5 is inert.
-        # Path 0 starts in 5, path 1 in 1 and path 2 in 2: path 2's relay
-        # cycle fails at the start, path 1 runs away thousands of rounds
-        # later, and the ensemble raises path 1's error.
         grid = np.linspace(0.0, 1.0, 11)
         m = np.zeros((11, 6, 6))
         m[:, 1, 0] = m[:, 0, 1] = 1.0
@@ -928,9 +924,15 @@ class TestGoldenEnsembles:
         pole[:, 3, 2] = pole[:, 4, 3] = pole[:, 2, 4] = True
         cycle = np.zeros((6, 6))
         cycle[3, 2] = cycle[4, 3] = cycle[2, 4] = 0.5
-        proc = JumpProcess(RateTrajectory(grid, RateMatrix(m, pole)),
+        return JumpProcess(RateTrajectory(grid, RateMatrix(m, pole)),
                            [0.25, 0.25, 0.2, 0.0, 0.0, 0.3], [(k,) for k in range(6)],
                            stacked(np.broadcast_to(cycle - cycle.T, m.shape)), master_seed=5)
+
+    def test_first_failing_path_raises(self):
+        # Path 0 starts in 5, path 1 in 1 and path 2 in 2: path 2's relay
+        # cycle fails at the start, path 1 runs away thousands of rounds
+        # later, and the ensemble raises path 1's error.
+        proc = self.two_failures()
         initial = np.searchsorted(proc._p0_cum, _Streams(5, 3).random(np.arange(3)),
                                   side="right")
         assert initial.tolist() == [5, 1, 2]
@@ -952,3 +954,88 @@ class TestGoldenEnsembles:
         position, error = batch.error
         assert position == 4 and str(error) == "path 4"
         assert batch.live.tolist() == [True] * 4 + [False] * 12
+
+
+def pipeline_process(scenario):
+    """The JumpProcess that ``run`` builds for ``scenario``, and its ensemble."""
+    made = []
+
+    class Kept(JumpProcess):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "JumpProcess", Kept)
+        paths = run(scenario, report_only=True).paths
+    return made[0], paths
+
+
+class TestChunkedRounds:
+    """Every round, the initial draw and the seed keys run over slices of
+    ``_ROWS`` paths; any slice size gives the default slices' ensemble, bit
+    for bit, because a path's draws depend on (master seed, position, draw
+    index) alone, its events are logged in order and the lowest failing
+    position's error is kept."""
+
+    FIELDS = ("initial", "offsets", "times", "dest", "forced_jumps", "pole_crossings", "relays")
+
+    @pytest.fixture(scope="class", params=["relay-400", "relay-4x2-2000", "easyexample-5000"])
+    def system(self, request):
+        if request.param == "relay-400":
+            proc = make_relay_process()
+            return proc, proc.ensemble(400)
+        if request.param == "relay-4x2-2000":
+            proc, paths = pipeline_process(relay_scenario((4, 2)))
+            assert paths.relays == 101
+            return proc, paths
+        return pipeline_process(BUILTINS["easyexample"](n_paths=5000))
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_slices_change_no_bit(self, system, rows, monkeypatch):
+        proc, whole = system
+        assert len(whole.times) > 100
+        monkeypatch.setattr(sampler, "_ROWS", rows)
+        sliced = proc.ensemble(len(whole))
+        for name in self.FIELDS:
+            want, got = getattr(whole, name), getattr(sliced, name)
+            assert type(got) is type(want) and np.asarray(got).tobytes() == \
+                np.asarray(want).tobytes(), name
+
+    def test_first_failing_path_raises_across_slices(self, monkeypatch):
+        # One path per slice: path 2's relay cycle fails in round 0, and
+        # path 1 runs away thousands of rounds later; path 1's error wins.
+        monkeypatch.setattr(sampler, "_ROWS", 1)
+        proc = TestGoldenEnsembles.two_failures()
+        assert proc.ensemble(1)[0].events == ()
+        with pytest.raises(ModalDynError, match="^runaway path: too many events$"):
+            proc.ensemble(3)
+
+
+class TestSamplerMemory:
+    """Peak allocation of ``ensemble(20000)`` on easyexample (D = 4), bounded
+    from the sampler's design.  While the rounds run, each path holds 97
+    bytes: its stream (Philox key 16, draw counter 8, block 32), its batch
+    entries (initial and current state, time and event count at 8 each,
+    live flag 1) and its entry in the round's live positions (8); each event
+    logged so far holds 24 (position, time, state).  One slice of at most
+    ``_ROWS`` paths is in flight, and its temporaries take at most 48
+    values of 8 bytes per row: the round's dozen per-row vectors, the
+    Philox state of a fresh block (about 20) and the destination draw's
+    four (rows, D) tables.  Once the rounds end, assembling the columns
+    holds 122 bytes per path (the 89 of stream and batch, the offsets and
+    their cumulative sum 16, and the column checks' jump counts, path
+    indices and mask 17) and 84 per event (the log 24, owners and sort
+    order 16, sorted times and states 16, one unsorted concatenation 8, and
+    the order check's owners, differences and masks 20).  The bound is the
+    larger of the two phases; the bounds follow from that design, not from
+    a measurement."""
+
+    def test_rounds_hold_one_slice_beside_the_paths(self):
+        proc, _ = pipeline_process(BUILTINS["easyexample"](n_paths=100))
+        n = 20000
+        paths, peak = traced_peak(proc.ensemble, n)
+        e = len(paths.times)
+        rounds = 97 * n + 24 * e + 48 * 8 * sampler._ROWS
+        assembly = 122 * n + 84 * e
+        assert peak <= max(rounds, assembly), (peak, rounds, assembly)
