@@ -23,7 +23,7 @@ traj = track(states, grid)
 drift = np.abs(traj.projectors - traj.projectors[0]).max()
 print(f"max projector drift over [0, pi]: {drift:.2e}  (constant through crossings)")
 
-for ev in detect_crossings(traj, gap_threshold=0.01):
+for ev in detect_crossings(traj):
     print(f"weights of labels {ev.labels} cross near t = {ev.t_min:.4f} "
           f"(min gap {ev.min_gap:.2e})")
 print(f"exact crossings sit at pi/4 = {np.pi/4:.4f} and 3pi/4 = {3*np.pi/4:.4f}")

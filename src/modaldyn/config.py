@@ -1,7 +1,8 @@
 """Numerical tolerances: fixed values in one frozen record.
 
 Every module reads its thresholds from :data:`DEFAULT`; no function takes
-a per-call override.
+a per-call override (``spectral.detect_crossings`` reads ``crossing_gap``,
+the gap the pipeline's crossing report uses).
 """
 
 from __future__ import annotations

@@ -12,11 +12,13 @@ keys name (``scenario.CHOICES["current"]``):
   <psi| Pdot_j P_i - Pdot_i P_j |psi> or a least-norm-style alternative.
 
 Projectors enter as rank-1 directions per factor, whose kron gives the joint
-directions, and their motion as per-factor connections.  The three kinds
-share one rule: it checks its inputs once over all nodes, then builds the
-antisymmetric matrix ``u - u^T`` (``u`` its strict upper triangle) at any
-nodes, broadcasting over leading node axes.  ``CurrentMatrix`` checks that
-record once; consumers read it in place.
+directions, and their motion as per-factor connections.  The constructor
+checks its inputs once over all nodes, then fills the antisymmetric matrix
+``u - u^T`` (``u`` its strict upper triangle) over node blocks, the leading
+node axes flattened and shaped back.  ``CurrentMatrix`` checks that record
+once; consumers read it in place.  The block rule (``_BLOCK_BYTES``,
+``_blockwise``) lives here, the lowest module that builds a record by
+blocks; the rates and the pipeline's joint family use it too.
 """
 
 from __future__ import annotations
@@ -35,11 +37,36 @@ __all__ = [
 ]
 
 
+# Bytes of one complex (..., D, dim) stack over a node block of the per-node
+# stages: small enough that a block's temporaries stay in cache.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _blockwise(stage, n: int, dim: int):
+    """``stage(nodes)`` over consecutive node slices covering ``0 .. n``.
+
+    A complex ``(D, dim)`` stack (D = dim) over one slice takes at most
+    ``_BLOCK_BYTES``; a slice holds at least one node.  ``stage`` returns a
+    tuple of arrays with the slice's nodes on axis 0; they are written into
+    outputs allocated once for the whole grid.
+    """
+    step = max(1, _BLOCK_BYTES // (dim * dim * np.dtype(complex).itemsize))
+    out = None
+    for lo in range(0, n, step):
+        nodes = slice(lo, min(lo + step, n))
+        parts = stage(nodes)
+        if out is None:
+            out = tuple(np.empty((n,) + p.shape[1:], dtype=p.dtype) for p in parts)
+        for whole, part in zip(out, parts):
+            whole[nodes] = part
+    return out
+
+
 def _pieces(x: np.ndarray):
-    """``x (..., a, b)`` as node slices ``(m, a, b)`` of at most 256 KiB (one
-    node at least), so a check run slice by slice forms no copy of ``x``."""
+    """``x (..., a, b)`` as node slices ``(m, a, b)`` of at most ``_BLOCK_BYTES``
+    (one node at least), so a check run slice by slice forms no copy of ``x``."""
     flat = x.reshape((-1,) + x.shape[-2:])
-    step = max(1, 2 ** 18 // max(1, x.itemsize * x.shape[-2] * x.shape[-1]))
+    step = max(1, _BLOCK_BYTES // max(1, x.itemsize * x.shape[-2] * x.shape[-1]))
     return (flat[lo:lo + step] for lo in range(0, len(flat), step))
 
 
@@ -80,11 +107,30 @@ def joint_directions(factors) -> np.ndarray:
     return joint
 
 
-def _current_rule(kind: str, psi=None, hamiltonian=None, factors=(), connections=(),
-                  pdot=None, extra_term: str = "paired"):
-    """``rule(nodes)``, the current array of kind ``kind`` at the nodes ``nodes``
-    selects (``...`` for all), once every check on the inputs that kind reads
-    has run over all nodes."""
+def current_matrix(kind: str, psi=None, hamiltonian=None, factors=(), connections=(),
+                   pdot=None, extra_term: str = "paired") -> CurrentMatrix:
+    """The current of kind ``kind``, one stacked record over the leading axes.
+
+    * "minimal_flow" reads only ``pdot``, balanced vectors ``(..., D)``.
+    * "static_schrodinger" reads ``psi (..., dim)``, ``hamiltonian (dim, dim)``
+      and ``factors``, one ``(..., d_k, d_k)`` stack of orthonormal direction
+      rows per factor (a single factor is any basis), whose kron gives the
+      frozen projectors.
+    * "generalized_schrodinger" reads the same plus ``connections``, one
+      anti-Hermitian ``(..., d_k, d_k)`` stack ``A_k[b, a] = <u_b|d/dt u_a>``
+      per factor.  With ``c_a = <v_a|psi>`` and ``Gamma = sum_k 1 (x) A_k (x)
+      1``, the rotation term ``-2 Re(conj(c_a) Gamma_ab c_b)`` lives on labels
+      that differ in one factor.  ``extra_term`` "paired" adds it pair by
+      pair, giving ``2 Im <psi| P_a (H - i V^dag Vdot) P_b |psi>``, which
+      vanishes exactly at zero amplitudes; "minimal_flow_like" spreads its
+      row sums the way the least-norm current would.  Both restore
+      continuity against the full time derivative of the Born weights.
+
+    ``kind`` and ``extra_term`` are checked whatever the kind.  Every check
+    on the inputs that kind reads runs once over all nodes; the record is
+    then filled over node blocks (see ``_blockwise``) of the inputs with
+    their leading axes flattened, so no temporary spans the whole stack.
+    """
     if kind not in ("minimal_flow", "static_schrodinger", "generalized_schrodinger"):
         raise ValueError(f"unknown current kind {kind!r}")
     if extra_term not in ("paired", "minimal_flow_like"):
@@ -97,8 +143,10 @@ def _current_rule(kind: str, psi=None, hamiltonian=None, factors=(), connections
         bal, d = np.abs(pdot.sum(axis=-1)).max(), pdot.shape[-1]
         if not bal <= DEFAULT.pdot_balance:
             raise ValueError(f"pdot must sum to zero (got {bal:.3e})")
-        return lambda nodes: _from_upper(
-            (pdot[nodes][..., :, None] - pdot[nodes][..., None, :]) / d)
+        lead, pdot = pdot.shape[:-1], pdot.reshape(-1, d)
+        (matrix,) = _blockwise(lambda nodes: (_from_upper(
+            (pdot[nodes][:, :, None] - pdot[nodes][:, None, :]) / d),), len(pdot), d)
+        return CurrentMatrix(matrix.reshape(lead + (d, d)))
     if kind == "static_schrodinger":
         extra_term = None              # frozen projectors: no connections, no rotation term
     psi, h = check_ket(psi), check_hermitian(hamiltonian)
@@ -122,8 +170,11 @@ def _current_rule(kind: str, psi=None, hamiltonian=None, factors=(), connections
                 for c in conns for s in _pieces(c)), default=0.0)
     if not skew <= DEFAULT.hermiticity:
         raise ValueError(f"connections are not anti-Hermitian (relative |A + A^dag| {skew:.3e})")
+    lead, dim = psi.shape[:-1], psi.shape[-1]
+    psi = psi.reshape(-1, dim)
+    factors, conns = ([x.reshape((-1,) + x.shape[-2:]) for x in xs] for xs in (factors, conns))
 
-    def rule(nodes):
+    def block(nodes):
         v = joint_directions([f[nodes] for f in factors])
         amps = np.einsum("...ax,...x->...a", v.conj(), psi[nodes])
         a = v * amps[..., None]
@@ -140,33 +191,10 @@ def _current_rule(kind: str, psi=None, hamiltonian=None, factors=(), connections
         if extra_term == "minimal_flow_like":
             dexp = rotation.sum(axis=-1)
             f += (dexp[..., :, None] - dexp[..., None, :]) / amps.shape[-1]
-        return _from_upper(f)
-    return rule
+        return (_from_upper(f),)
 
-
-def current_matrix(kind: str, psi=None, hamiltonian=None, factors=(), connections=(),
-                   pdot=None, extra_term: str = "paired") -> CurrentMatrix:
-    """The current of kind ``kind``, one stacked record over the leading axes.
-
-    * "minimal_flow" reads only ``pdot``, balanced vectors ``(..., D)``.
-    * "static_schrodinger" reads ``psi (..., dim)``, ``hamiltonian`` and
-      ``factors``, one ``(..., d_k, d_k)`` stack of orthonormal direction
-      rows per factor (a single factor is any basis), whose kron gives the
-      frozen projectors.
-    * "generalized_schrodinger" reads the same plus ``connections``, one
-      anti-Hermitian ``(..., d_k, d_k)`` stack ``A_k[b, a] = <u_b|d/dt u_a>``
-      per factor.  With ``c_a = <v_a|psi>`` and ``Gamma = sum_k 1 (x) A_k (x)
-      1``, the rotation term ``-2 Re(conj(c_a) Gamma_ab c_b)`` lives on labels
-      that differ in one factor.  ``extra_term`` "paired" adds it pair by
-      pair, giving ``2 Im <psi| P_a (H - i V^dag Vdot) P_b |psi>``, which
-      vanishes exactly at zero amplitudes; "minimal_flow_like" spreads its
-      row sums the way the least-norm current would.  Both restore
-      continuity against the full time derivative of the Born weights.
-
-    ``kind`` and ``extra_term`` are checked whatever the kind.
-    """
-    return CurrentMatrix(_current_rule(kind, psi, hamiltonian, factors, connections,
-                                       pdot, extra_term)(...))
+    (matrix,) = _blockwise(block, len(psi), dim)
+    return CurrentMatrix(matrix.reshape(lead + (dim, dim)))
 
 
 def continuity_residual(current: CurrentMatrix, pdot) -> float:

@@ -147,20 +147,11 @@ def partial_trace(w, space: FactorSpace, keep: int) -> np.ndarray:
         )
     if not 0 <= keep < n:
         raise ValueError(f"keep index {keep} out of range for {n} factors")
-    wt = w.reshape(w.shape[:-2] + dims + dims)
-    # Shared letters on traced row/column axes sum them out.
-    row = []
-    col = []
-    for i in range(n):
-        if i == keep:
-            row.append("Y")
-            col.append("Z")
-        else:
-            c = chr(ord("a") + i)
-            row.append(c)
-            col.append(c)
-    sub = f"...{''.join(row)}{''.join(col)}->...YZ"
-    return np.einsum(sub, wt)
+    # Split each side into (L, d_keep, R), the factors before, at and after
+    # ``keep``; shared L and R letters sum the traced factors out.
+    left, d = int(np.prod(dims[:keep])), dims[keep]
+    split = (left, d, space.dim // (left * d))
+    return np.einsum("...lyrlzr->...yz", w.reshape(w.shape[:-2] + split * 2))
 
 
 def evolve_on_grid(psi0, hamiltonian, times) -> np.ndarray:

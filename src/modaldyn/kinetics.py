@@ -4,9 +4,11 @@ One constructor, :func:`rate_matrix`, builds each rate solution the
 scenario key ``rate_choice`` names (``scenario.CHOICES["rate_choice"]``).
 The off-diagonal entry ``t[j, i]`` is the instantaneous rate of transitions
 from state ``i`` to state ``j``; diagonals are set so every column sums to
-zero.  Where a probability vanishes under a nonzero incoming current the
-rate diverges; such entries are stored as explicit pole flags rather than
-numbers, and downstream consumers decide how to handle them.
+zero.  Like the currents, it checks its inputs once and fills the record
+over node blocks (``currents._blockwise``).  Where a probability vanishes
+under a nonzero incoming current the rate diverges; such entries are stored
+as explicit pole flags rather than numbers, and downstream consumers decide
+how to handle them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT
-from .currents import CurrentMatrix
+from .currents import CurrentMatrix, _blockwise
 from .spectral import _increasing, _runs
 
 __all__ = [
@@ -102,33 +104,6 @@ def _general(j: np.ndarray, p: np.ndarray, free_choice: float):
     return _with_diagonal(np.maximum(t, 0.0)), np.zeros(t.shape, dtype=bool)
 
 
-def _rate_rule(choice: str, current: CurrentMatrix, p, free_choice=0.0):
-    """Rate choice ``choice`` ("bell" or "general") for ``current`` and ``p``.
-
-    Runs every check on ``p`` once, over all of it, and returns
-    ``rule(nodes)``: the rate matrix and pole mask at the nodes ``nodes``
-    selects (``...`` for all of them).
-    """
-    if choice not in ("bell", "general"):
-        raise ValueError(f"unknown rate choice {choice!r}")
-    c = float(free_choice)
-    if not 0 <= c < np.inf:
-        raise ValueError(f"free choice offset must be finite and nonnegative, got {c}")
-    p = np.asarray(p, dtype=float)
-    if p.shape != current.matrix.shape[:-1]:
-        raise ValueError("probability vector length does not match current size")
-    if not np.isfinite(p).all():
-        raise ValueError("probabilities must be finite")
-    if choice == "bell":
-        if not (p.min() >= -DEFAULT.probability_sum
-                and np.abs(p.sum(axis=-1) - 1.0).max() <= DEFAULT.probability_sum):
-            raise ValueError("p must be a probability vector summing to 1")
-        return lambda nodes: _bell(current.matrix[nodes], p[nodes])
-    if not p.min() > DEFAULT.zero_probability:
-        raise ValueError("division at p_j = 0: general rates need p > 0 everywhere")
-    return lambda nodes: _general(current.matrix[nodes], p[nodes], c)
-
-
 def rate_matrix(choice: str, current: CurrentMatrix, p, free_choice=0.0) -> RateMatrix:
     """The rates of choice ``choice`` for ``current`` and ``p (..., D)``, one
     stacked record over the current's node axes.
@@ -147,7 +122,27 @@ def rate_matrix(choice: str, current: CurrentMatrix, p, free_choice=0.0) -> Rate
 
     ``free_choice`` must be one finite nonnegative scalar, whatever the choice.
     """
-    return RateMatrix(*_rate_rule(choice, current, p, free_choice)(...))
+    if choice not in ("bell", "general"):
+        raise ValueError(f"unknown rate choice {choice!r}")
+    c = float(free_choice)
+    if not 0 <= c < np.inf:
+        raise ValueError(f"free choice offset must be finite and nonnegative, got {c}")
+    p = np.asarray(p, dtype=float)
+    if p.shape != current.matrix.shape[:-1]:
+        raise ValueError("probability vector length does not match current size")
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if choice == "bell":
+        if not (p.min() >= -DEFAULT.probability_sum
+                and np.abs(p.sum(axis=-1) - 1.0).max() <= DEFAULT.probability_sum):
+            raise ValueError("p must be a probability vector summing to 1")
+    elif not p.min() > DEFAULT.zero_probability:
+        raise ValueError("division at p_j = 0: general rates need p > 0 everywhere")
+    shape, d = current.matrix.shape, current.size
+    j, p = current.matrix.reshape(-1, d, d), p.reshape(-1, d)
+    rule = _bell if choice == "bell" else lambda j, p: _general(j, p, c)
+    matrix, pole_mask = _blockwise(lambda nodes: rule(j[nodes], p[nodes]), len(p), d)
+    return RateMatrix(matrix.reshape(shape), pole_mask.reshape(shape))
 
 
 def master_residual(rates: RateMatrix, p, pdot, rows=None) -> float:

@@ -14,14 +14,15 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import io as mdio
-from .currents import CurrentMatrix, _current_rule, continuity_residual, joint_directions
+from .currents import (CurrentMatrix, _blockwise, continuity_residual, current_matrix,
+                       joint_directions)
 from .config import DEFAULT
 from .errors import ModalDynError, TruncationNotConverged
 from .feller import (chapman_kolmogorov_residual, feller_minimal,
                      forward_ode_kernel, honesty_deficit)
 from .hilbert import evolve_on_grid, partial_trace
-from .kinetics import (RateMatrix, RateTrajectory, _rate_rule, classify_singularities,
-                       master_residual, pole_free_rows)
+from .kinetics import (RateMatrix, RateTrajectory, classify_singularities, master_residual,
+                       pole_free_rows, rate_matrix)
 from .sampler import (JumpProcess, PathEnsemble, ensemble_marginals,
                       low_probability_occupancy, total_variation)
 from .scenario import Scenario
@@ -44,31 +45,6 @@ class JointFamily:
     states: tuple                    # joint labels, flat order
     connections: tuple               # per factor (n, d_k, d_k), <u_b|d/dt u_a>
     probabilities: np.ndarray        # (n, D)
-
-
-# Bytes of one complex (..., D, dim) stack over a node block of the per-node
-# stages: small enough that a block's temporaries stay in cache.
-_BLOCK_BYTES = 256 * 1024
-
-
-def _blockwise(stage, n: int, dim: int):
-    """``stage(nodes)`` over consecutive node slices covering ``0 .. n``.
-
-    A complex ``(D, dim)`` stack (D = dim) over one slice takes at most
-    ``_BLOCK_BYTES``; a slice holds at least one node.  ``stage`` returns a
-    tuple of arrays with the slice's nodes on axis 0; they are written into
-    outputs allocated once for the whole grid.
-    """
-    step = max(1, _BLOCK_BYTES // (dim * dim * np.dtype(complex).itemsize))
-    out = None
-    for lo in range(0, n, step):
-        nodes = slice(lo, min(lo + step, n))
-        parts = stage(nodes)
-        if out is None:
-            out = tuple(np.empty((n,) + p.shape[1:], dtype=p.dtype) for p in parts)
-        for whole, part in zip(out, parts):
-            whole[nodes] = part
-    return out
 
 
 def compute_joint_family(scenario: Scenario) -> JointFamily:
@@ -113,17 +89,15 @@ def compute_joint_family(scenario: Scenario) -> JointFamily:
 
 def compute_currents(family: JointFamily, kind: str | None = None,
                      extra_term: str | None = None) -> CurrentMatrix:
-    """The currents at every grid node, one stacked record, built over node
-    blocks (see ``_blockwise``); the inputs and the record are checked once."""
+    """The currents at every grid node, one stacked record (``current_matrix``
+    on the family's arrays, the scenario's kind and extra term by default)."""
     kind = kind or family.scenario.current
     pdot = pdot_target(family) if kind == "minimal_flow" else None
     if pdot is not None:     # differences of clipped probabilities carry ~1e-13 imbalance
         pdot -= pdot.mean(axis=1, keepdims=True)
-    rule = _current_rule(kind, family.psi, family.scenario.hamiltonian,
-                         [traj.vectors for traj in family.factor_trajectories],
-                         family.connections, pdot, extra_term or family.scenario.extra_term)
-    (matrix,) = _blockwise(lambda nodes: (rule(nodes),), *family.psi.shape)
-    return CurrentMatrix(matrix)
+    return current_matrix(kind, family.psi, family.scenario.hamiltonian,
+                          [traj.vectors for traj in family.factor_trajectories],
+                          family.connections, pdot, extra_term or family.scenario.extra_term)
 
 
 def pdot_target(family: JointFamily) -> np.ndarray:
@@ -136,13 +110,12 @@ def pdot_target(family: JointFamily) -> np.ndarray:
 def compute_rates(currents: CurrentMatrix, probabilities, choice: str,
                   general_offset: float = 0.0) -> RateMatrix:
     """The rates at every grid node of an ``(n, D, D)`` current, one stacked
-    record, built over node blocks (see ``_blockwise``).  The probabilities
-    are checked once, and the rates once, as the whole record."""
+    record (``rate_matrix`` of choice ``choice``)."""
     p = np.asarray(probabilities, dtype=float)
     if currents.matrix.ndim != 3 or p.shape != currents.matrix.shape[:-1]:
         raise ValueError(f"expected an (n, D, D) current and (n, D) probabilities, "
                          f"got {currents.matrix.shape} and {p.shape}")
-    return RateMatrix(*_blockwise(_rate_rule(choice, currents, p, general_offset), *p.shape))
+    return rate_matrix(choice, currents, p, general_offset)
 
 
 @dataclass
@@ -270,7 +243,7 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
     )
     report.crossings = [{"factor": fk, **asdict(ev)}
                         for fk, traj in enumerate(family.factor_trajectories)
-                        for ev in detect_crossings(traj, DEFAULT.crossing_gap)]
+                        for ev in detect_crossings(traj)]
     report.tracking_margins = [
         {"factor": fk, "min_overlap": traj.min_overlap, "min_gap": traj.min_gap}
         for fk, traj in enumerate(family.factor_trajectories)

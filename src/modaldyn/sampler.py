@@ -80,7 +80,9 @@ class PathEnsemble:
     relays: int = 0                  # instant exits from zero-probability states
 
     def __post_init__(self):
-        offsets, e = np.asarray(self.offsets), len(self.times)
+        for name in ("initial", "offsets", "times", "dest"):     # array-likes, once
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        offsets, e = self.offsets, len(self.times)
         if len(offsets) != len(self) + 1:
             raise ValueError(f"offsets must have one entry per path and one more, "
                              f"got {len(offsets)} for {len(self)} paths")
@@ -94,7 +96,7 @@ class PathEnsemble:
             raise ValueError(f"dest must have one state per event time, got {len(self.dest)} "
                              f"for {e} events")
         for name in ("initial", "dest"):
-            index = np.asarray(getattr(self, name))
+            index = getattr(self, name)
             if index.size and not (index.min() >= 0 and index.max() < len(self.states)):
                 raise ValueError(f"{name} must index states in range({len(self.states)})")
         if not np.isfinite(self.times).all():

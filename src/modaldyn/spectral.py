@@ -376,9 +376,9 @@ def _nearest_node(grid, t):
     return i - (np.abs(grid[i - 1] - t) <= np.abs(grid[i] - t))
 
 
-def detect_crossings(traj: SpectralTrajectory,
-                     gap_threshold: float) -> tuple[CrossingEvent, ...]:
-    """Grid intervals on which two tracked weights come within ``gap_threshold``.
+def detect_crossings(traj: SpectralTrajectory) -> tuple[CrossingEvent, ...]:
+    """Grid intervals on which two tracked weights come within the crossing
+    gap (``DEFAULT.crossing_gap``).
 
     One event per run of nodes and label pair, ordered by pair, then time.
     """
@@ -389,7 +389,7 @@ def detect_crossings(traj: SpectralTrajectory,
     for i in range(d):
         for j in range(i + 1, d):
             gaps = np.abs(w[:, i] - w[:, j])
-            for start, end in _runs(gaps <= gap_threshold):
+            for start, end in _runs(gaps <= DEFAULT.crossing_gap):
                 seg = gaps[start:end + 1]
                 arg = start + int(np.argmin(seg))
                 events.append(CrossingEvent(

@@ -287,7 +287,7 @@ def test_criterion_09_spectral_tracking():
                                       - u @ base @ u.conj().T).max())
 
     fam = compute_joint_family(BUILTINS["easyexample"](t1=3.141))
-    events = detect_crossings(fam.factor_trajectories[0], 0.01)
+    events = detect_crossings(fam.factor_trajectories[0])
     mins = sorted(ev.t_min for ev in events)
     loc = max(abs(mins[0] - np.pi / 4), abs(mins[1] - 3 * np.pi / 4))
     ok = worst <= 1e-6 and len(mins) == 2 and loc <= step

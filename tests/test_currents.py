@@ -5,8 +5,9 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from modaldyn import pipeline
+from modaldyn import currents, pipeline
 from modaldyn.currents import CurrentMatrix, continuity_residual, current_matrix
+from modaldyn.kinetics import rate_matrix
 from modaldyn.hilbert import projector_from_vector
 from modaldyn.pipeline import compute_currents, compute_joint_family, compute_rates, run
 from modaldyn.scenario import BUILTINS, EnsembleSpec, Scenario, TimeSpec
@@ -540,10 +541,11 @@ class TestComputeRatesShapes:
 
 
 class TestNodeBlocks:
-    """The per-node stages give the same bytes whatever the node blocks: one
-    node per block puts a block edge between every two nodes and at both
-    ends of the stencil, seven nodes per block leaves a short last block,
-    and one block holding the whole grid runs through the same loop."""
+    """The per-node stages, the public current and rate constructors among
+    them, give the same bytes whatever the node blocks: one node per block
+    puts a block edge between every two nodes and at both ends of the
+    stencil, seven nodes per block leaves a short last block, and one block
+    holding the whole grid runs through the same loop."""
 
     @staticmethod
     def outputs(sc):
@@ -576,10 +578,10 @@ class TestNodeBlocks:
                           ensemble=EnsembleSpec(10, 1, ())).validate()
         dim = sc.space.dim
         default = self.outputs(sc)
-        assert len(default[0]) > 7 and pipeline._BLOCK_BYTES < len(default[0]) * dim * dim * 16
+        assert len(default[0]) > 7 and currents._BLOCK_BYTES < len(default[0]) * dim * dim * 16
         if nodes_per_block == "whole grid":
             nodes_per_block = len(default[0])
-        monkeypatch.setattr(pipeline, "_BLOCK_BYTES", nodes_per_block * dim * dim * 16)
+        monkeypatch.setattr(currents, "_BLOCK_BYTES", nodes_per_block * dim * dim * 16)
         for got, want in zip(self.outputs(sc), default, strict=True):
             if isinstance(want, str):
                 assert got == want
@@ -603,9 +605,50 @@ class TestNodeBlocks:
             return replace(family, factor_trajectories=(replace(first, vectors=vectors), *rest))
 
         monkeypatch.setattr(pipeline, "compute_joint_family", skewed)
-        assert len(sc.grid()) * 16 * 16 * 16 > pipeline._BLOCK_BYTES   # several blocks
+        assert len(sc.grid()) * 16 * 16 * 16 > currents._BLOCK_BYTES   # several blocks
         with pytest.raises(ValueError, match="projectors are not mutually orthogonal"):
             run(sc, report_only=True)
+
+
+class TestStackShapes:
+    """The constructors flatten leading node axes into node blocks and shape
+    the record back: one node without a leading axis, and a stack with two
+    leading axes across a block edge, give the matching slices of the
+    ``(n, ...)`` record bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        rng = np.random.default_rng(2222)
+        sc = Scenario(name="generic-2x2x2x2", factor_dims=(2, 2, 2, 2),
+                      hamiltonian=random_hermitian(rng, 16), initial_state=random_ket(rng, 16),
+                      time=TimeSpec(0.0, 0.2, 1e-3), ensemble=EnsembleSpec(10, 1, ())).validate()
+        assert len(sc.grid()) * 16 * 16 * 16 > 2 * currents._BLOCK_BYTES   # several blocks
+        return compute_joint_family(sc)
+
+    @pytest.mark.parametrize("kind, extra_term", [
+        ("minimal_flow", "paired"), ("static_schrodinger", "paired"),
+        ("generalized_schrodinger", "paired"), ("generalized_schrodinger", "minimal_flow_like")])
+    def test_slices_of_the_stacked_record(self, family, kind, extra_term):
+        pdot = pipeline.pdot_target(family)
+        pdot -= pdot.mean(axis=1, keepdims=True)
+        vectors = [traj.vectors for traj in family.factor_trajectories]
+        edge = currents._BLOCK_BYTES // (16 * 16 * 16)          # the first block edge
+        shapes = {"one node": lambda x: x[5],
+                  "two axes": lambda x: x[edge - 6:edge + 6].reshape((3, 4) + x.shape[1:])}
+        records = {}
+        for name, pick in [("whole", lambda x: x), *shapes.items()]:
+            current = current_matrix(kind, pick(family.psi), family.scenario.hamiltonian,
+                                     [pick(v) for v in vectors],
+                                     [pick(c) for c in family.connections], pick(pdot),
+                                     extra_term)
+            p = pick(family.probabilities)
+            rates = [rate_matrix(choice, current, p, 0.5) for choice in ("bell", "general")]
+            records[name] = [current.matrix] + [a for r in rates for a in (r.matrix, r.pole_mask)]
+        for name, pick in shapes.items():
+            for got, whole in zip(records[name], records["whole"], strict=True):
+                want = pick(whole)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestInputChecksSeeEveryNode:
@@ -620,7 +663,7 @@ class TestInputChecksSeeEveryNode:
                       hamiltonian=random_hermitian(rng, 16), initial_state=random_ket(rng, 16),
                       time=TimeSpec(0.0, 0.2, 1e-3),
                       ensemble=EnsembleSpec(10, 1, ())).validate()
-        assert len(sc.grid()) * 16 * 16 * 16 > pipeline._BLOCK_BYTES   # several blocks
+        assert len(sc.grid()) * 16 * 16 * 16 > currents._BLOCK_BYTES   # several blocks
         return compute_joint_family(sc)
 
     @staticmethod

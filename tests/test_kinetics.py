@@ -10,7 +10,7 @@ import modaldyn
 from modaldyn.currents import CurrentMatrix
 from modaldyn.kinetics import (RateMatrix, RateTrajectory, _median, classify_singularities,
                                master_residual, pole_free_rows, rate_matrix)
-from modaldyn import pipeline
+from modaldyn import kinetics, pipeline
 from modaldyn.pipeline import (_kernel_windows, compute_currents, compute_joint_family,
                                compute_rates, run)
 from modaldyn.sampler import _interp_rows
@@ -301,17 +301,13 @@ class TestRateLayerMutation:
     def test_scaled_bell_rates_fail_the_master_check(self, monkeypatch, name):
         sc = BUILTINS[name](n_paths=200)
         honest = run(sc, report_only=True).report
-        rule = pipeline._rate_rule
+        bell = kinetics._bell
 
-        def scaled(*args):
-            honest_rule = rule(*args)
+        def scaled(j, p):
+            matrix, pole_mask = bell(j, p)        # the diagonal is already set
+            return 1.01 * matrix, pole_mask
 
-            def at(nodes):
-                matrix, pole_mask = honest_rule(nodes)
-                return 1.01 * matrix, pole_mask
-            return at
-
-        monkeypatch.setattr(pipeline, "_rate_rule", scaled)
+        monkeypatch.setattr(kinetics, "_bell", scaled)
         mutant = run(sc, report_only=True).report
         assert honest.master_residual <= 1e-5 < mutant.master_residual
         assert mutant.continuity_residual == honest.continuity_residual

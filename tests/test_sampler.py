@@ -14,9 +14,9 @@ from modaldyn.currents import CurrentMatrix
 from modaldyn.errors import ModalDynError
 from modaldyn.kinetics import RateMatrix, RateTrajectory, rate_matrix
 from modaldyn.pipeline import run
-from modaldyn.sampler import (JumpProcess, PathEnsemble, _Batch, _cumulative_trapezoid,
-                              _draw, _interp_rows, _mulhilo, _seed_keys, _Streams, _words,
-                              ensemble_marginals, low_probability_occupancy,
+from modaldyn.sampler import (JumpProcess, PathEnsemble, SamplePath, _Batch,
+                              _cumulative_trapezoid, _draw, _interp_rows, _mulhilo, _seed_keys,
+                              _Streams, _words, ensemble_marginals, low_probability_occupancy,
                               total_variation)
 from modaldyn.scenario import (BUILTINS, EnsembleSpec, Scenario, TimeSpec, load_scenario,
                                scenario_to_dict)
@@ -690,6 +690,16 @@ class TestPathEnsemble:
         paths = ensemble_of(states, ((0,), ((0.4, (1,)), (0.45, (0,)))), ((1,), ()))
         assert self.occupancy_per_path(paths, grid, p) == 0.0
         assert low_probability_occupancy(paths, grid, p) == 0.0
+
+    def test_list_columns_read_like_array_columns(self):
+        states = ((0,), (1,))
+        lists = PathEnsemble(states=states, initial=[0], offsets=[0, 1], times=[0.5], dest=[1])
+        arrays = PathEnsemble(states=states, initial=np.array([0]), offsets=np.array([0, 1]),
+                              times=np.array([0.5]), dest=np.array([1]))
+        assert lists[0] == arrays[0] == SamplePath(seed=0, initial=(0,), events=((0.5, (1,)),))
+        for t in (0.3, 0.5, 0.7):
+            assert np.array_equal(lists.states_at(t), arrays.states_at(t))
+        assert np.array_equal(lists.jump_counts, arrays.jump_counts)
 
     def test_occupancy_passes_change_no_bit(self, relay, monkeypatch):
         proc, paths = relay

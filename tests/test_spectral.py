@@ -362,7 +362,7 @@ class TestTrack:
         grid = np.linspace(0, 1, 50)
         traj = track([w] * 50, grid)
         assert np.abs(traj.projectors - traj.projectors[0]).max() <= 1e-12
-        assert not detect_crossings(traj, 1e-3)
+        assert not detect_crossings(traj)
 
     def test_rotation_family_matches_closed_form(self, rng):
         h = random_hermitian(rng, 3)
@@ -629,7 +629,7 @@ class TestDetectCrossings:
         step = 1e-3
         grid = np.arange(0, np.pi + 1e-9, step)
         traj = track(crossing_family(1.0, grid), grid)
-        events = detect_crossings(traj, 0.01)
+        events = detect_crossings(traj)
         assert len(events) == 2
         mins = sorted(ev.t_min for ev in events)
         assert abs(mins[0] - np.pi / 4) <= step
@@ -639,13 +639,13 @@ class TestDetectCrossings:
         grid = np.linspace(0, 1, 30)
         w = np.diag([0.8, 0.2]).astype(complex)
         traj = track([w] * 30, grid)
-        assert not detect_crossings(traj, 0.1)
+        assert not detect_crossings(traj)
 
-    def test_infinite_threshold_reports_everything(self):
+    def test_weights_within_the_gap_report_everything(self):
         grid = np.linspace(0, 1, 30)
-        w = np.diag([0.8, 0.2]).astype(complex)
+        w = np.diag([0.504, 0.496]).astype(complex)
         traj = track([w] * 30, grid)
-        events = detect_crossings(traj, np.inf)
+        events = detect_crossings(traj)
         assert len(events) == 1
         ev = events[0]
         assert ev.t_start == grid[0] and ev.t_end == grid[-1]
@@ -653,7 +653,9 @@ class TestDetectCrossings:
     def test_gap_nonnegative(self):
         grid = np.linspace(0, np.pi, 500)
         traj = track(crossing_family(1.0, grid), grid)
-        for ev in detect_crossings(traj, 0.05):
+        events = detect_crossings(traj)
+        assert len(events) == 2
+        for ev in events:
             assert ev.min_gap >= 0
 
 
