@@ -8,6 +8,18 @@ paths: only the per-path state (about 100 bytes a path) spans the ensemble
 from (master seed, k), so the first k paths of every ensemble are the
 same, and so is the ensemble at any slice size (``TestChunkedRounds``).
 
+Two rules skip work the hazard table already decides, so no bit moves, and
+no option selects them (``TestDecidedRounds``).  A column with no rate at
+any node and no pole flag is absorbing: a path that starts there or lands
+there ends at once, after the runaway check has seen its event, where a
+further round would find its hazard short (or, at a zero draw, no
+destination).  A flagged column is never absorbing.  And a draw larger
+than all the hazard its column has left after the path's grid interval
+starts, ``h[-1] - h[right - 1]``, skips the inversion: the hazard
+interpolated at the path's time is at least ``h[right - 1]``, the one at
+its horizon node at most ``h[-1]``, and rounded subtraction is monotone,
+so the hazard left by the horizon falls short of the draw as well.
+
 At probability zeros exit rates can diverge (poles), and there the process
 follows conventions of its own (Bacciagaluppi and Dickson, Found. Phys. 29
 (1999) 1165).  A path occupying a state whose exit rate diverges at an
@@ -65,7 +77,8 @@ class SamplePath:
 class PathEnsemble:
     """Paths as flat arrays; path k's events are ``offsets[k]:offsets[k+1]``.
 
-    States are integer indices into ``states``.  ``len(x)`` is the path
+    ``initial``, ``offsets`` and ``dest`` are integer columns, stored as
+    int64; states are indices into ``states``.  ``len(x)`` is the path
     count, and ``x[k]`` (also in iteration) is path k as a
     :class:`SamplePath` with joint labels and ``seed=k``.
     """
@@ -80,8 +93,13 @@ class PathEnsemble:
     relays: int = 0                  # instant exits from zero-probability states
 
     def __post_init__(self):
-        for name in ("initial", "offsets", "times", "dest"):     # array-likes, once
-            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        # Array-likes, once; the index columns as int64, an empty list too.
+        for name in ("initial", "offsets", "dest"):
+            index = np.asarray(getattr(self, name))
+            if index.dtype == bool or (index.size and index.dtype.kind not in "iu"):
+                raise ValueError(f"{name} must be an integer column, got {index.dtype}")
+            object.__setattr__(self, name, index.astype(np.int64, copy=False))
+        object.__setattr__(self, "times", np.asarray(self.times))
         offsets, e = self.offsets, len(self.times)
         if len(offsets) != len(self) + 1:
             raise ValueError(f"offsets must have one entry per path and one more, "
@@ -404,6 +422,10 @@ class JumpProcess:
         self._cumhaz = self._keys.imag.reshape(d, n)
         self._pole_col = rate_trajectory.pole_mask.any(axis=1)          # (n, D)
         self._flagged = bool(self._pole_col.any())
+        # Absorbing columns: every rate zero at every node, and no flag.  A
+        # path there would find its hazard short, or (at a zero draw) no
+        # destination, in its next round, so it ends on arrival instead.
+        self._absorbing = ~mats.any(axis=(0, 1)) & ~self._pole_col.any(axis=0)
         # _pole_after[j, i]: first node >= j flagged in column i, n if none.
         flagged = np.where(self._pole_col, np.arange(n)[:, None], n)
         self._pole_after = np.vstack([np.minimum.accumulate(flagged[::-1])[::-1],
@@ -422,11 +444,20 @@ class JumpProcess:
         ``_interp_rows`` at t_from in the interval ``right`` gives, and read
         off the table at the horizon node, where the interpolation returns
         the node's own value.  One search over ``_keys`` finds each goal as
-        its column's ``searchsorted(side="left")`` would.
+        its column's ``searchsorted(side="left")`` would.  Rows whose target
+        exceeds all the hazard their column has left after interval
+        ``right`` starts are short without either step.
         """
         grid, h, n = self.grid, self._cumhaz, len(self.grid)
         tau = np.full(len(states), np.nan)
-        at = np.flatnonzero(grid[horizon] > t_from)
+        # The interpolated base is at least h[state, right - 1] (a
+        # nonnegative slope times a nonnegative width added to it, or the
+        # last entry past the end), and h[state, node] <= h[state, -1]: the
+        # table does not decrease.  Rounded subtraction is monotone, so
+        # h[state, node] - base <= h[state, -1] - h[state, right - 1]
+        # < target, and the row is short.  A NaN bound decides nothing.
+        decided = target > h[states, -1] - h[states, right - 1]
+        at = np.flatnonzero((grid[horizon] > t_from) & ~decided)
         state, t0, node, extra = states[at], t_from[at], horizon[at], target[at]
         base = _interp_rows(grid, h, state, t0, right[at])
         goal = base + extra
@@ -505,16 +536,19 @@ class JumpProcess:
         self._maybe_relay(batch, rows, arrival=True)
         rows = rows[batch.live[rows]]
         ended = batch.t[rows] >= grid[-1]
-        batch.live[rows[ended]] = False
         runaway = rows[~ended][batch.count[rows[~ended]] > self._max_events]
         if runaway.size:
             batch.fail(runaway, lambda i: ModalDynError("runaway path: too many events"))
+        # Arrivals in absorbing columns end after the runaway check has seen them.
+        batch.live[rows[ended | self._absorbing[batch.state[rows]]]] = False
 
     def _start(self, batch: _Batch, rows: np.ndarray):
-        """Round 0: initial states at ``rows``, relayed out of flagged columns."""
+        """Round 0: initial states at ``rows``, relayed out of flagged columns;
+        paths that then sit in an absorbing column end."""
         batch.initial[rows] = batch.state[rows] = np.searchsorted(
             self._p0_cum, batch.rng.random(rows), side="right")
         self._maybe_relay(batch, rows, arrival=False)
+        batch.live[rows[self._absorbing[batch.state[rows]]]] = False
 
     # -- sampling --------------------------------------------------------
 

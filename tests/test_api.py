@@ -150,6 +150,17 @@ NAMED_FAULTS = {
                       lambda: two_states([0], [0, 2], [-1, 0])),
     "initial out of range": (r"initial must index states in range\(2\)",
                              lambda: two_states([2], [0, 2], [1, 0])),
+    # Index columns hold integers: a fraction or a flag indexes no state.
+    "fractional dest": ("dest must be an integer column, got float64",
+                        lambda: two_states([0], [0, 2], [1, 0.5])),
+    "float initial": ("initial must be an integer column, got float64",
+                      lambda: two_states([0.0], [0, 2], [1, 0])),
+    "float offsets": ("offsets must be an integer column, got float64",
+                      lambda: two_states([0], [0.0, 2.0], [1, 0])),
+    "bool initial": ("initial must be an integer column, got bool",
+                     lambda: two_states([True], [0, 2], [1, 0])),
+    "bool dest": ("dest must be an integer column, got bool",
+                  lambda: two_states([0], [0, 2], [True, False])),
     # A choice argument is checked whatever the kind it comes with.
     "static current, unknown extra term": (UNKNOWN_EXTRA, lambda: compute_currents(
         easyexample(), "static_schrodinger", "bogus")),

@@ -701,6 +701,21 @@ class TestPathEnsemble:
             assert np.array_equal(lists.states_at(t), arrays.states_at(t))
         assert np.array_equal(lists.jump_counts, arrays.jump_counts)
 
+    @pytest.mark.parametrize("column", [[], [1], np.array([1], dtype=np.int32),
+                                        np.array([1], dtype=np.uint8)],
+                             ids=["empty-list", "list", "int32", "uint8"])
+    def test_index_columns_are_int64(self, column):
+        # An empty event list is an integer column too, so the states it
+        # gives index like any other.
+        states = ((0,), (1,))
+        times = [0.5] * len(column)
+        paths = PathEnsemble(states=states, initial=[1 - len(column)],
+                             offsets=[0, len(column)], times=times, dest=column)
+        for name in ("initial", "offsets", "dest"):
+            assert getattr(paths, name).dtype == np.int64, name
+        assert paths.states_at(0.7).dtype == np.int64
+        assert ensemble_marginals(paths, [0.7]).counts.tolist() == [[0, 1]]
+
     def test_occupancy_passes_change_no_bit(self, relay, monkeypatch):
         proc, paths = relay
         grid = proc.grid
@@ -1020,6 +1035,80 @@ class TestChunkedRounds:
         assert proc.ensemble(1)[0].events == ()
         with pytest.raises(ModalDynError, match="^runaway path: too many events$"):
             proc.ensemble(3)
+
+
+class TestDecidedRounds:
+    """Work whose outcome the hazard table already decides is skipped: paths
+    in an absorbing column (no rate at any node, no flag) end on arrival,
+    and a draw past all the hazard left in its column skips the inversion.
+    The skipped work had one outcome, so the ensembles keep every bit."""
+
+    def test_singlet_runs_no_round(self, monkeypatch):
+        # Every singlet column is absorbing: round 0 ends every path.
+        proc, _ = pipeline_process(BUILTINS["singlet"](n_paths=10))
+        rounds, sample = [], proc._sample
+        monkeypatch.setattr(proc, "_sample",
+                            lambda batch, rows: rounds.append(len(rows)) or sample(batch, rows))
+        paths = proc.ensemble(20000)
+        assert len(paths.times) == 0
+        assert rounds == []
+
+    def test_albert_free_searches_no_hazard(self, monkeypatch):
+        # albert-free's hazards are rounding-sized: every draw exceeds them.
+        proc, _ = pipeline_process(BUILTINS["albert-free"](n_paths=10))
+        searched, interp = [], sampler._interp_rows
+
+        def spy(grid, table, rows, t, right=None):
+            if table is proc._cumhaz:
+                searched.append(len(rows))
+            return interp(grid, table, rows, t, right)
+
+        monkeypatch.setattr(sampler, "_interp_rows", spy)
+        paths = proc.ensemble(20000)
+        assert len(paths.times) == 0
+        assert searched and sum(searched) == 0
+
+    @staticmethod
+    def flagged_zero_column(out_of_3=0.0):
+        # States 0 and 1 trade at rate 1 and column 0 is flagged at t=0.5;
+        # column 2 has no rate at any node but is flagged there too, and
+        # column 3 has neither, unless a rate ``out_of_3`` to state 2 sits
+        # beside its zero diagonal.
+        grid = np.linspace(0.0, 1.0, 11)
+        m = np.zeros((11, 4, 4))
+        m[:, 1, 0] = m[:, 0, 1] = 1.0
+        m[:, 0, 0] = m[:, 1, 1] = -1.0
+        m[:, 2, 3] = out_of_3
+        pole = np.zeros(m.shape, dtype=bool)
+        pole[5, 1, 0] = pole[5, 0, 2] = True
+        return JumpProcess(RateTrajectory(grid, RateMatrix(m, pole)), [0.3, 0.3, 0.2, 0.2],
+                           [(k,) for k in range(4)], stacked(np.zeros(m.shape)), master_seed=11)
+
+    def test_flagged_zero_column_still_crosses(self):
+        # A path in column 2 reaches the node before the pole with no rate
+        # out and crosses it; column 0's paths are forced there.  Skipping
+        # decided rounds must not move the counts.
+        paths = self.flagged_zero_column().ensemble(400)
+        forced = sum(1 for p in paths for (t, dest) in p.events
+                     if dest == (1,) and 0.4 <= t < 0.5)
+        assert (paths.forced_jumps, paths.pole_crossings) == (152, 87)
+        assert paths.forced_jumps == forced > 0
+        assert paths.pole_crossings == np.count_nonzero(paths.initial == 2) > 0
+        assert paths.jump_counts[paths.initial == 3].max(initial=0) == 0
+
+    def test_absorbing_mask(self):
+        # A flag keeps column 2 out; a rate out of column 3 beside a zero
+        # diagonal keeps it out too, as a zero draw would follow that rate.
+        assert self.flagged_zero_column()._absorbing.tolist() == [False, False, False, True]
+        assert not self.flagged_zero_column(0.5)._absorbing.any()
+
+    def test_runaway_check_sees_absorbing_arrivals(self):
+        # easyexample's jumpers land in its absorbing column; with no event
+        # allowed, each such arrival is a runaway before its path ends.
+        proc, _ = pipeline_process(BUILTINS["easyexample"](n_paths=10))
+        proc._max_events = 0
+        with pytest.raises(ModalDynError, match="^runaway path: too many events$"):
+            proc.ensemble(2000)
 
 
 class TestSamplerMemory:
