@@ -3,15 +3,15 @@
 Currents are antisymmetric solutions of the continuity equation
 pdot_j = sum_i j_ji.  Infinitely many solutions exist; this demo compares
 the least-norm choice with the Schrodinger-type choices on one node of the
-crossing scenario, then converts a current into one-directional rates.
-A state's exit rate is minus the diagonal entry of its column, and a jump
+crossing scenario, then converts a current into one-directional rates
+and into the family of rates that adds a symmetric flux to them.  A
+state's exit rate is minus the diagonal entry of its column, and a jump
 lands in proportion to the off-diagonal entries of that column.
 """
 
 import numpy as np
 
-from modaldyn import (CurrentMatrix, continuity_residual, current_matrix, load_scenario,
-                      rate_matrix)
+from modaldyn import CurrentMatrix, continuity_residual, load_scenario, rate_matrix
 from modaldyn.pipeline import compute_currents, compute_joint_family, pdot_target
 
 scenario = load_scenario("easyexample")
@@ -48,16 +48,22 @@ law = np.where(np.arange(len(p)) == 0, 0.0, rates.matrix[:, 0]) / exit_rate
 print(f"  exit rate of (0,0): {exit_rate:.5f}; destination law {np.round(law, 3)}")
 
 # --- the general solution family ---------------------------------------------
-# The offset construction divides by every probability, so it lives on
-# state spaces with full support; here, the two occupied states alone.
+# Any rates that reproduce the current add a symmetric flux s_ji = s_ij on
+# top of Bell's: t_ji = (max{0, j_ji} + s_ji) / p_i.  The family here takes
+# s_ji = c p_i p_j, so t_ji = bell_ji + c p_j: nothing is divided, and it runs
+# on the full four-state space, zero-probability states included.  Each
+# member reproduces the same current, so the same Born law, while its
+# intensity (the expected jump rate under the Born weights) grows by
+# c (1 - sum_i p_i^2).
 
-p2 = np.array([np.cos(t) ** 2, np.sin(t) ** 2])
-cm2 = current_matrix("minimal_flow", pdot=np.array([-np.sin(2 * t), np.sin(2 * t)]) / 1.0)
 for c in (0.0, 0.5, 2.0):
-    loose = rate_matrix("general", cm2, p2, free_choice=c)
-    recon = loose.matrix * p2[None, :] - (loose.matrix * p2[None, :]).T
-    print(f"offset c = {c}: rates t10 = {loose.matrix[1, 0]:.4f}, "
-          f"t01 = {loose.matrix[0, 1]:.4f}; current reconstructed within "
-          f"{np.abs(recon - cm2.matrix).max():.1e}")
+    loose = rate_matrix("general", cm, p, free_choice=c)
+    flow = loose.matrix * p[None, :]
+    recon = flow - flow.T
+    intensity = (np.where(np.eye(len(p), dtype=bool), 0.0, loose.matrix) * p[None, :]).sum()
+    print(f"offset c = {c}: current reconstructed within "
+          f"{np.abs(recon - cm.matrix).max():.1e}; intensity {intensity:.4f} "
+          f"(Bell + c (1 - sum p^2) = "
+          f"{np.abs(cm.matrix).sum() / 2 + c * (1 - (p * p).sum()):.4f})")
 print("different rate choices, identical single-time statistics: the")
 print("dynamics is underdetermined by the quantum state alone.")

@@ -64,9 +64,6 @@ class RateMatrix:
     def size(self) -> int:
         return self.matrix.shape[-1]
 
-    def __len__(self) -> int:
-        return len(self.matrix)
-
     def __getitem__(self, k) -> RateMatrix:
         return RateMatrix(matrix=self.matrix[k], pole_mask=self.pole_mask[k])
 
@@ -80,47 +77,37 @@ def _with_diagonal(off: np.ndarray) -> np.ndarray:
     return t
 
 
-def _bell(j: np.ndarray, p: np.ndarray):
-    """Rate matrix and pole mask of the "bell" choice on a full current ``j``."""
+def _rates(j: np.ndarray, p: np.ndarray, c: float):
+    """Rate matrix and pole mask of the family member ``c`` on a full current ``j``."""
     pos = (p > DEFAULT.zero_probability)[..., None, :]    # column i: p_i > 0
     # Divide only where p_i counts as positive, so no inf or NaN is formed.
     off = np.where(pos, np.maximum(0.0, j / np.where(pos, p[..., None, :], 1.0)), 0.0)
     pole = ~pos & (j > DEFAULT.pole_current) & ~np.eye(j.shape[-1], dtype=bool)
+    # The symmetric flux c p_i p_j each way between i and j, as the rate c p_j.
+    off += c * np.clip(p, 0.0, None)[..., :, None]
+    off[pole] = 0.0
     return _with_diagonal(off), pole
-
-
-def _general(j: np.ndarray, p: np.ndarray, free_choice: float):
-    """Rate matrix and pole mask of the "general" choice on a full current ``j``."""
-    d = j.shape[-1]
-    # Entry [a, b] of ``up`` is t_ab for a < b; ``down`` holds the opposite
-    # rate t_ba = (t_ab p_b - j_ab) / p_a at the same position.
-    up = np.maximum(0.0, j / p[..., None, :]) + free_choice
-    down = (up * p[..., None, :] - j) / p[..., :, None]
-    t = np.where(np.triu(np.ones((d, d), dtype=bool), 1), up,
-                 np.swapaxes(down, -1, -2))
-    t = np.where(np.eye(d, dtype=bool), 0.0, t)
-    if not t.min() >= -1e-12:
-        raise ValueError("derived rates became negative; offsets inconsistent")
-    return _with_diagonal(np.maximum(t, 0.0)), np.zeros(t.shape, dtype=bool)
 
 
 def rate_matrix(choice: str, current: CurrentMatrix, p, free_choice=0.0) -> RateMatrix:
     """The rates of choice ``choice`` for ``current`` and ``p (..., D)``, one
     stacked record over the current's node axes.
 
-    * "bell", the one-directional choice t_ji = max{0, j_ji / p_i}.
-      Probabilities at or below the zero-probability tolerance count as
-      exactly zero there: entries whose current is at most the pole-current
-      tolerance get rate 0 (the continuous convention), entries with a
-      larger incoming current are flagged as poles.  A negative current out
-      of a zero-probability state still gives rate 0, which is the
-      continuous limit of the max form.
-    * "general", the general solution of j_ji = t_ji p_i - t_ij p_j: for
-      each pair j < i the rate t_ji is the one-directional choice plus the
-      offset ``free_choice``, and the opposite rate is then fixed by the
-      current identity.  All probabilities must be strictly positive.
+    Every rate solution of j_ji = t_ji p_i - t_ij p_j is
+    t_ji = (max{0, j_ji} + s_ji) / p_i for a symmetric, nonnegative flux s.
+    One rule takes s_ji = c p_i p_j, so t_ji = max{0, j_ji / p_i} + c p_j,
+    which divides by nothing new and does not depend on the label order.
+    "bell" is its member c = 0, the one-directional choice, and "general"
+    the member c = ``free_choice``.
 
-    ``free_choice`` must be one finite nonnegative scalar, whatever the choice.
+    Probabilities at or below the zero-probability tolerance count as exactly
+    zero in the division: entries whose current is at most the pole-current
+    tolerance get Bell's rate 0 (the continuous convention), entries with a
+    larger incoming current are flagged as poles and store 0.  A negative
+    current out of a zero-probability state still gives Bell's rate 0, which
+    is the continuous limit of the max form.  ``p`` must be finite and sum to
+    1, and ``free_choice`` must be one finite nonnegative scalar, whatever the
+    choice.
     """
     if choice not in ("bell", "general"):
         raise ValueError(f"unknown rate choice {choice!r}")
@@ -132,16 +119,13 @@ def rate_matrix(choice: str, current: CurrentMatrix, p, free_choice=0.0) -> Rate
         raise ValueError("probability vector length does not match current size")
     if not np.isfinite(p).all():
         raise ValueError("probabilities must be finite")
-    if choice == "bell":
-        if not (p.min() >= -DEFAULT.probability_sum
-                and np.abs(p.sum(axis=-1) - 1.0).max() <= DEFAULT.probability_sum):
-            raise ValueError("p must be a probability vector summing to 1")
-    elif not p.min() > DEFAULT.zero_probability:
-        raise ValueError("division at p_j = 0: general rates need p > 0 everywhere")
+    if not (p.min() >= -DEFAULT.probability_sum
+            and np.abs(p.sum(axis=-1) - 1.0).max() <= DEFAULT.probability_sum):
+        raise ValueError("p must be a probability vector summing to 1")
+    c = c if choice == "general" else 0.0
     shape, d = current.matrix.shape, current.size
     j, p = current.matrix.reshape(-1, d, d), p.reshape(-1, d)
-    rule = _bell if choice == "bell" else lambda j, p: _general(j, p, c)
-    matrix, pole_mask = _blockwise(lambda nodes: rule(j[nodes], p[nodes]), len(p), d)
+    matrix, pole_mask = _blockwise(lambda nodes: _rates(j[nodes], p[nodes], c), len(p), d)
     return RateMatrix(matrix.reshape(shape), pole_mask.reshape(shape))
 
 
@@ -185,7 +169,8 @@ class RateTrajectory:
 
     def __init__(self, grid, rates: RateMatrix):
         self.grid = np.asarray(grid, dtype=float)
-        if rates.matrix.ndim != 3 or len(rates) != len(self.grid) or len(self.grid) < 2:
+        if (rates.matrix.ndim != 3 or rates.matrix.shape[0] != len(self.grid)
+                or len(self.grid) < 2):
             raise ValueError("need one rate matrix per node and at least two nodes")
         _increasing(self.grid)
         self.matrices = rates.matrix            # (n, D, D)

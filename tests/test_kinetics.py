@@ -1,6 +1,8 @@
+import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +105,7 @@ class TestBellRates:
         p[2] = [0.5, 0.0, 0.5]
         stack = current_from_full(full)
         rates = rate_matrix("bell", stack, p)
-        assert len(rates) == 6 and rates[2].pole_mask.any()
+        assert rates.matrix.shape[0] == 6 and rates[2].pole_mask.any()
         pdot = stack.matrix.sum(axis=-1)
         for k in range(6):
             node = rate_matrix("bell", current_from_full(full[k]), p[k])
@@ -113,11 +115,11 @@ class TestBellRates:
         worst = max(master_residual(rates[k], p[k], pdot[k], rows=pole_free_rows(rates[k]))
                     for k in range(6))
         assert master_residual(rates, p, pdot, rows=pole_free_rows(rates)) == worst
-        keep = [0, 1, 3, 4, 5]
-        general = rate_matrix("general", current_from_full(full[keep]), p[keep], 0.3)
-        for n, k in enumerate(keep):
-            assert np.abs(general[n].matrix - rate_matrix(
-                "general", current_from_full(full[k]), p[k], 0.3).matrix).max() <= 1e-15
+        general = rate_matrix("general", stack, p, 0.3)
+        for k in range(6):
+            node = rate_matrix("general", current_from_full(full[k]), p[k], 0.3)
+            assert np.array_equal(general[k].matrix, node.matrix)
+            assert np.array_equal(general[k].pole_mask, node.pole_mask)
 
     def test_one_directional_choice(self, rng):
         full = np.triu(rng.normal(size=(5, 5)), 1)
@@ -142,14 +144,18 @@ class TestBellRates:
 
 
 class TestGeneralRates:
+    """The family t_ji = max{0, j_ji / p_i} + c p_j: Bell's rates plus the
+    symmetric flux c p_i p_j each way between every two states."""
+
     def test_zero_offset_reduces_to_bell(self, rng):
         full = np.triu(rng.normal(size=(4, 4)), 1)
         cm = current_from_full(full)
-        p = rng.dirichlet(np.ones(4)) + 0.05
+        p = rng.dirichlet(np.ones(4))
+        p[2] = 0.0
         p /= p.sum()
         a = rate_matrix("general", cm, p, 0.0)
         b = rate_matrix("bell", cm, p)
-        assert np.abs(a.matrix - b.matrix).max() <= 1e-12
+        assert np.array_equal(a.matrix, b.matrix) and np.array_equal(a.pole_mask, b.pole_mask)
 
     def test_reconstruction_identity(self, rng):
         full = np.triu(rng.normal(size=(3, 3)), 1)
@@ -166,13 +172,59 @@ class TestGeneralRates:
         p = np.full(d, 1.0 / d)
         rates = rate_matrix("general", cm, p, 1.0)
         off = rates.matrix - np.diag(np.diag(rates.matrix))
-        assert np.allclose(off + np.eye(d), np.ones((d, d)))
-        assert np.allclose(np.diag(rates.matrix), -(d - 1))
+        assert np.allclose(off + np.eye(d) / d, np.full((d, d), 1.0 / d))
+        assert np.allclose(np.diag(rates.matrix), -(d - 1) / d)
 
-    def test_zero_probability_rejected(self):
+    def test_zero_probability_gives_finite_rates(self):
+        # Nothing is divided by p, so a zero probability gives finite rates,
+        # and the only poles are Bell's: inflow at a zero probability.
+        cases = [
+            (np.zeros((2, 2)), [1.0, 0.0]),
+            (np.array([[0.0, 0.3], [-0.3, 0.0]]), [1.0, 0.0]),      # a pole at [0, 1]
+            (np.array([[0.0, -0.3], [0.3, 0.0]]), [1.0, 0.0]),
+            (np.array([[0.0, -0.2, -0.1], [0.2, 0.0, 0.3], [0.1, -0.3, 0.0]]),
+             [0.6, 0.4, 0.0]),
+        ]
+        for (full, p), c in itertools.product(cases, (0.0, 0.5, 5.0)):
+            cm, p = current_from_full(full), np.array(p)
+            bell, general = rate_matrix("bell", cm, p), rate_matrix("general", cm, p, c)
+            assert np.isfinite(general.matrix).all()
+            assert np.array_equal(general.pole_mask, bell.pole_mask)
+            # Out of the zero-probability state: Bell's rate plus c p_j.
+            assert np.array_equal(general.matrix[:-1, -1],
+                                  np.where(bell.pole_mask[:-1, -1], 0.0,
+                                           bell.matrix[:-1, -1] + c * p[:-1]))
+
+    def test_relabelling_moves_no_rate(self, rng):
+        # Relabelling the states permutes the rates.  Every off-diagonal entry
+        # is computed from its own pair alone, so it must match exactly; the
+        # diagonal sums a column in another order, so within rounding:
+        # 1e-14 (1 + the column's off-diagonal sum), fixed before the first
+        # run.
+        d = 6
+        full = np.triu(rng.normal(size=(5, d, d)), 1)
+        p = rng.dirichlet(np.ones(d), size=5)
+        p[1] = [0.3, 0.0, 0.2, 0.0, 0.4, 0.1]          # zero weights, and poles
+        full[1, :, 1] = np.abs(full[1, :, 1])
+        cm = current_from_full(full)
+        for c in (0.0, 1.0, 5.0):
+            rates = rate_matrix("general", cm, p, c)
+            for _ in range(4):
+                perm = rng.permutation(d)
+                moved = rate_matrix("general", CurrentMatrix(cm.matrix[:, perm][:, :, perm]),
+                                    p[:, perm], c)
+                want = rates.matrix[:, perm][:, :, perm]
+                off = ~np.eye(d, dtype=bool)
+                assert np.array_equal(moved.matrix[:, off], want[:, off])
+                assert np.array_equal(moved.pole_mask, rates.pole_mask[:, perm][:, :, perm])
+                diag = np.abs(np.diagonal(moved.matrix - want, axis1=1, axis2=2))
+                assert (diag <= 1e-14 * (1.0 - np.diagonal(want, axis1=1, axis2=2))).all()
+
+    def test_probabilities_checked_whatever_the_choice(self):
         cm = current_from_full(np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="p_j = 0"):
-            rate_matrix("general", cm, np.array([1.0, 0.0]), 0.0)
+        for choice in ("bell", "general"):
+            with pytest.raises(ValueError, match="summing to 1"):
+                rate_matrix(choice, cm, np.array([0.5, 0.4]), 1.0)
 
     def test_negative_offset_rejected(self):
         cm = current_from_full(np.zeros((2, 2)))
@@ -255,8 +307,9 @@ def intensity(rates, p):
 class TestFluxMinimality:
     """For a fixed current, Bell's rates have the least intensity any rates
     reproducing it can have: sum_(i<j) |j_ij|, the total flux (Bell,
-    "Beables for quantum field theory", 1984).  The general solution adds
-    2c p_b to the pair (a < b), so its expected jump count is never lower."""
+    "Beables for quantum field theory", 1984).  The family member c adds the
+    flux c p_i p_j each way between every two states, c (1 - sum_i p_i^2) in
+    all, whatever the labels, so its expected jump count is never lower."""
 
     # The builtins run their own current.  Under the minimal-flow current a
     # builtin routes up to 8e-10 through zero-probability states, below the
@@ -285,11 +338,75 @@ class TestFluxMinimality:
         p = family.probabilities
         bell = intensity(compute_rates(current, p, "bell"), p)
         general = intensity(compute_rates(current, p, "general", c), p)
-        # p_b of the higher state b of every pair a < b: b times over.
-        extra = 2.0 * c * (p * np.arange(p.shape[-1])).sum(axis=-1)
+        # c p_i p_j over every ordered pair i != j: no label order enters.
+        extra = c * (1.0 - (p * p).sum(axis=-1))
         flux = np.abs(current.matrix).sum(axis=(-2, -1)) / 2
         assert (np.abs(general - bell - extra) <= 1e-12 * np.maximum(1.0, flux + extra)).all()
         assert (general >= bell).all()
+
+
+class TestFamilyAtZeroIsBell:
+    """The family member c = 0 is Bell's rule bit for bit, on every builtin
+    and a (2, 2, 2, 2) draw, under each current.  It compares the program
+    with itself, so it holds on any BLAS kernel."""
+
+    @pytest.mark.parametrize("system", [*BUILTINS, "generic-2x2x2x2"])
+    def test_general_at_zero_equals_bell(self, system):
+        sc = BUILTINS[system]() if system in BUILTINS else generic_2222(1)
+        family = compute_joint_family(sc.validate())
+        p = family.probabilities
+        for kind in ("minimal_flow", "static_schrodinger", "generalized_schrodinger"):
+            current = compute_currents(family, kind)
+            bell = rate_matrix("bell", current, p)
+            general = rate_matrix("general", current, p, 0.0)
+            assert np.array_equal(general.matrix, bell.matrix), kind
+            assert np.array_equal(general.pole_mask, bell.pole_mask), kind
+
+
+class TestFamilyOnBuiltins:
+    """Every builtin runs under the family at c = 1 and c = 5, 20000 paths,
+    and passes every acceptance check at its unchanged thresholds.  The
+    symmetric flux cancels in the master balance, so master reads rounding:
+    at most 1e-13, fixed before the first run."""
+
+    @pytest.mark.parametrize("c", [1.0, 5.0])
+    @pytest.mark.parametrize("name", list(BUILTINS))
+    def test_every_check_passes(self, name, c):
+        sc = replace(BUILTINS[name](n_paths=20_000), rate_choice="general",
+                     general_rate_offset=c)
+        report = run(sc, report_only=True).report
+        assert report.failures(sc.thresholds) == [], report
+        assert report.master_residual <= 1e-13
+
+
+class TestTwoTimeLaw:
+    """Empirical equivalence on measured-possessed-property: c = 0 and c = 5
+    give the same law at each of the grid's 1/4 and 3/4 nodes, and different
+    joint laws of the pair.  Bands fixed before the first run, per cell of a
+    law, on the difference of two independent 20000-path frequencies over its
+    standard error: every single-time cell within 5, and some two-time cell
+    beyond 10."""
+
+    @staticmethod
+    def laws(c):
+        sc = replace(BUILTINS["measured-possessed-property"](n_paths=20_000),
+                     rate_choice="general", general_rate_offset=c)
+        result = run(sc, report_only=True)
+        grid, d = result.family.grid, len(result.family.states)
+        a, b = (result.paths.states_at(grid[k * (len(grid) - 1) // 4]) for k in (1, 3))
+        n = len(a)
+        return (np.bincount(a, minlength=d) / n, np.bincount(b, minlength=d) / n,
+                np.bincount(a * d + b, minlength=d * d) / n), n
+
+    def test_same_marginals_different_pair_law(self):
+        (bell, n), (loose, _) = self.laws(0.0), self.laws(5.0)
+
+        def z(f, g):
+            var = np.maximum(f * (1 - f) + g * (1 - g), 1.0 / n) / n
+            return np.abs(f - g) / np.sqrt(var)
+
+        assert z(bell[0], loose[0]).max() <= 5.0 and z(bell[1], loose[1]).max() <= 5.0
+        assert z(bell[2], loose[2]).max() > 10.0
 
 
 class TestRateLayerMutation:
@@ -301,13 +418,13 @@ class TestRateLayerMutation:
     def test_scaled_bell_rates_fail_the_master_check(self, monkeypatch, name):
         sc = BUILTINS[name](n_paths=200)
         honest = run(sc, report_only=True).report
-        bell = kinetics._bell
+        rule = kinetics._rates
 
-        def scaled(j, p):
-            matrix, pole_mask = bell(j, p)        # the diagonal is already set
+        def scaled(j, p, c):
+            matrix, pole_mask = rule(j, p, c)     # the diagonal is already set
             return 1.01 * matrix, pole_mask
 
-        monkeypatch.setattr(kinetics, "_bell", scaled)
+        monkeypatch.setattr(kinetics, "_rates", scaled)
         mutant = run(sc, report_only=True).report
         assert honest.master_residual <= 1e-5 < mutant.master_residual
         assert mutant.continuity_residual == honest.continuity_residual

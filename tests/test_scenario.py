@@ -567,11 +567,13 @@ def digests(out):
 # thresholds.crossing_gap, the manifest takes the new hash and version, and
 # the report gains the sampler's counters and a master residual measured
 # against the current's divergence (rounding, was the continuity value).
+# Both manifest.json digests were re-recorded for version 0.3.1, whose
+# "general" rates are another dynamics: only tool_version moved.
 GOLDEN_RUN_DIRS = {
     "easyexample": {
         "currents.csv": "f0fa1d38213ffe71733edc7f9472e2a1ff8347023bf13e4108cb0aa9e250577a",
         "kernel.json": "15dc2523d107758d4a58f734894819e657467979802f462ca4226f47d04399a4",
-        "manifest.json": "0850c71861ba1384b94047200eb7f541687a80360eb851de0c237102bdf30389",
+        "manifest.json": "c0a5332dec7601ee2e47cb834d42bd8c2f199ddf231d9d223ce81b8a7647ed06",
         "paths.jsonl": "e8d38de91da06c88b252d04c28589262b8acc108e1041a0566b7e60e11122fc9",
         "rates.csv": "559d89c790b0c398169e5de6f1982ab423e32651b8e30699852ee002db8234c0",
         "report.json": "ec79d95084420536e2c50dc2f039b8eb4b3ccb6cfc273dd2e86d2a4babfaf96a",
@@ -590,7 +592,7 @@ GOLDEN_RUN_DIRS = {
     "generic-2x2x2x2": {
         "currents.csv": "25f16c0f24f5cf02519f390be364990834f32249085c20f0efca541057979172",
         "kernel.json": "8c88a0d6283236d6b96e126185e99477d0c39dec7ce2ca996886347098a9d584",
-        "manifest.json": "f8653e7cafa59cf255f027d23231c524bea2bebc1b26bddf85baf01b5c99b833",
+        "manifest.json": "e79d6a3e3f05a282537f911fbea4d59e80ca737078f2d357378f8f1cbcf79cd9",
         "paths.jsonl": "6946d4badaf7cdb498598855321d89f2a102140b3abdb5729b4ca1730866259f",
         "rates.csv": "e489256007e17af380d7a0b8ec92d8d929af4c7eb716c7fba1d71b33bd1900e2",
         "report.json": "5b3f4f1c1854199a8aab32724d0b572b41f264ca8bfe51aa04bf508139940de2",
@@ -1003,16 +1005,17 @@ class TestCli:
         assert "stage error: [stage: spectral tracking] label" in err
         assert "t=0.1;" in err
 
-    def test_stage_error_exit_code_names_stage(self, tmp_path, capsys):
-        # General rates demand full support; bipartite pure scenarios
-        # always carry zero-probability joint states.
+    def test_general_rates_run_on_zero_probabilities(self, tmp_path, capsys):
+        # Bipartite pure scenarios always carry zero-probability joint
+        # states; the general rates divide by nothing, so the run ends in a
+        # report (exit 0, or 3 for a failed threshold), not a stage error.
         doc = {
             "hamiltonian": {"builder": "easyexample", "params": {}},
-            "name": "gen-on-zero", "rate_choice": "general",
+            "name": "gen-on-zero", "rate_choice": "general", "general_rate_offset": 1.0,
             "ensemble": {"n_paths": 50, "master_seed": 1, "query_times": [0.2]},
         }
         path = tmp_path / "gen.json"
         path.write_text(json.dumps(doc))
         code = cli_main(["run", str(path), "--report-only"])
-        assert code == 1
-        assert "stage: rates" in capsys.readouterr().err
+        assert code in (0, 3)
+        assert "stage" not in capsys.readouterr().err
