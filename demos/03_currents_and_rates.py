@@ -21,8 +21,10 @@ t = family.grid[node]
 print(f"scenario {scenario.name!r} at t = {t:.3f}")
 print(f"joint probabilities: {np.round(family.probabilities[node], 4)}")
 
-# Every current is checked against the one Born derivative of the grid.  Here
-# the tracked projectors barely move, so the static current passes too; where
+# Every current is checked against the one Born derivative of the grid, a
+# 3-point stencil.  The least-norm current spreads the exact derivative (the
+# generalized current's row sums), so both read the stencil's error.  Here the
+# tracked projectors barely move, so the static current passes too; where
 # they rotate (measured-possessed-property) its residual reaches 0.34.
 target = pdot_target(family)[node]
 for kind in ("minimal_flow", "static_schrodinger", "generalized_schrodinger"):

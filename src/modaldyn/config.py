@@ -22,7 +22,6 @@ class Tolerances:
     idempotency: float = 1e-8
     overlap_threshold: float = 0.5    # minimum continuation overlap per tracked label;
                                       # at most 1/2, which spectral.track's fast path needs
-    pdot_balance: float = 1e-10       # |sum_j pdot_j| for balanced derivative vectors
     probability_sum: float = 1e-9     # |sum_i p_i - 1|
     zero_probability: float = 1e-12   # below this a probability counts as exactly zero
     pole_current: float = 1e-8        # |j| below this never raises a pole at p = 0

@@ -4,7 +4,8 @@ One constructor, :func:`current_matrix`, builds each kind the scenario
 keys name (``scenario.CHOICES["current"]``):
 
 * "minimal_flow": j_ji = (pdot_j - pdot_i) / D, the least-norm solution of
-  the continuity system.
+  the continuity system, with pdot the exact Born derivative: the row sums
+  of the paired generalized current.
 * "static_schrodinger": j_ji = 2 Im <psi| P_j H P_i |psi> for a
   time-independent projector family.
 * "generalized_schrodinger": the same with an extra antisymmetric term
@@ -108,10 +109,9 @@ def joint_directions(factors) -> np.ndarray:
 
 
 def current_matrix(kind: str, psi=None, hamiltonian=None, factors=(), connections=(),
-                   pdot=None, extra_term: str = "paired") -> CurrentMatrix:
+                   extra_term: str = "paired") -> CurrentMatrix:
     """The current of kind ``kind``, one stacked record over the leading axes.
 
-    * "minimal_flow" reads only ``pdot``, balanced vectors ``(..., D)``.
     * "static_schrodinger" reads ``psi (..., dim)``, ``hamiltonian (dim, dim)``
       and ``factors``, one ``(..., d_k, d_k)`` stack of orthonormal direction
       rows per factor (a single factor is any basis), whose kron gives the
@@ -125,6 +125,10 @@ def current_matrix(kind: str, psi=None, hamiltonian=None, factors=(), connection
       vanishes exactly at zero amplitudes; "minimal_flow_like" spreads its
       row sums the way the least-norm current would.  Both restore
       continuity against the full time derivative of the Born weights.
+    * "minimal_flow" reads the same as "generalized_schrodinger" and forms
+      its paired current whatever ``extra_term``; that current's row sums
+      ``r`` are the exact derivative, and it returns their least-norm
+      spread ``(r_j - r_i) / D``.
 
     ``kind`` and ``extra_term`` are checked whatever the kind.  Every check
     on the inputs that kind reads runs once over all nodes; the record is
@@ -135,20 +139,10 @@ def current_matrix(kind: str, psi=None, hamiltonian=None, factors=(), connection
         raise ValueError(f"unknown current kind {kind!r}")
     if extra_term not in ("paired", "minimal_flow_like"):
         raise ValueError(f"unknown extra_term {extra_term!r}")
-    if kind == "minimal_flow":
-        pdot = np.asarray(pdot, dtype=float)
-        if pdot.ndim < 1 or pdot.shape[-1] < 1:
-            raise ValueError(f"pdot must be vectors of shape (..., D) with D >= 1 "
-                             f"(got shape {pdot.shape})")
-        bal, d = np.abs(pdot.sum(axis=-1)).max(), pdot.shape[-1]
-        if not bal <= DEFAULT.pdot_balance:
-            raise ValueError(f"pdot must sum to zero (got {bal:.3e})")
-        lead, pdot = pdot.shape[:-1], pdot.reshape(-1, d)
-        (matrix,) = _blockwise(lambda nodes: (_from_upper(
-            (pdot[nodes][:, :, None] - pdot[nodes][:, None, :]) / d),), len(pdot), d)
-        return CurrentMatrix(matrix.reshape(lead + (d, d)))
     if kind == "static_schrodinger":
         extra_term = None              # frozen projectors: no connections, no rotation term
+    elif kind == "minimal_flow":
+        extra_term = "paired"          # the exact Born derivative, spread below
     psi, h = check_ket(psi), check_hermitian(hamiltonian)
     factors = [np.asarray(f, dtype=complex) for f in factors]
     dims = [f.shape[-1] for f in factors]
@@ -191,6 +185,9 @@ def current_matrix(kind: str, psi=None, hamiltonian=None, factors=(), connection
         if extra_term == "minimal_flow_like":
             dexp = rotation.sum(axis=-1)
             f += (dexp[..., :, None] - dexp[..., None, :]) / amps.shape[-1]
+        if kind == "minimal_flow":
+            r = _from_upper(f).sum(axis=-1)
+            f = (r[..., :, None] - r[..., None, :]) / amps.shape[-1]
         return (_from_upper(f),)
 
     (matrix,) = _blockwise(block, len(psi), dim)

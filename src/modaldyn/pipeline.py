@@ -91,19 +91,16 @@ def compute_currents(family: JointFamily, kind: str | None = None,
                      extra_term: str | None = None) -> CurrentMatrix:
     """The currents at every grid node, one stacked record (``current_matrix``
     on the family's arrays, the scenario's kind and extra term by default)."""
-    kind = kind or family.scenario.current
-    pdot = pdot_target(family) if kind == "minimal_flow" else None
-    if pdot is not None:     # differences of clipped probabilities carry ~1e-13 imbalance
-        pdot -= pdot.mean(axis=1, keepdims=True)
-    return current_matrix(kind, family.psi, family.scenario.hamiltonian,
+    return current_matrix(kind or family.scenario.current, family.psi,
+                          family.scenario.hamiltonian,
                           [traj.vectors for traj in family.factor_trajectories],
-                          family.connections, pdot, extra_term or family.scenario.extra_term)
+                          family.connections, extra_term or family.scenario.extra_term)
 
 
 def pdot_target(family: JointFamily) -> np.ndarray:
     """The Born derivative ``(n, D)``, the finite difference of the joint
-    probabilities on the grid: the one target every current is checked
-    against, whatever its kind."""
+    probabilities on the grid: the continuity target every current is
+    checked against, whatever its kind, and from which none is built."""
     return derivative_family(family.probabilities, family.grid)
 
 

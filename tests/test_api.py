@@ -91,7 +91,9 @@ NAN_INPUTS = {
                                                  "series"),
     "bell_rates": lambda: rate_matrix("bell", ZERO_CURRENT, np.array([NAN, 1.0])),
     "general_rates": lambda: rate_matrix("general", ZERO_CURRENT, np.array([0.5, NAN])),
-    "minimal_flow_current": lambda: current_matrix("minimal_flow", pdot=np.array([NAN, 0.0])),
+    "minimal_flow_current": lambda: current_matrix("minimal_flow", np.array([NAN, 1.0]),
+                                                   np.zeros((2, 2)), [np.eye(2)],
+                                                   [np.zeros((2, 2))]),
     "JumpProcess p0": lambda: JumpProcess(STILL, np.array([NAN, 1.0]), [(0,), (1,)],
                                           CurrentMatrix(np.zeros((2, 2, 2)))),
     "feller_minimal s": lambda: feller_minimal(STILL, NAN, 1.0),
@@ -117,7 +119,6 @@ def test_nan_rejected(entry):
 # Grid, time and choice faults, NaN or not, each with the check that names it.
 UNKNOWN_EXTRA = "unknown extra_term 'bogus'"
 BAD_OFFSET = "free choice offset must be finite and nonnegative"
-BAD_PDOT = r"pdot must be vectors of shape \(\.\.\., D\) with D >= 1"
 NAMED_FAULTS = {
     "kernel window": (r"\[0\.0, nan\] does not start and end on grid nodes",
                       lambda: feller_minimal(STILL, 0.0, NAN)),
@@ -172,12 +173,6 @@ NAMED_FAULTS = {
         STILL_CURRENT, HALVES, "bell", -1.0)),
     "bell rates, infinite offset": (BAD_OFFSET, lambda: compute_rates(
         STILL_CURRENT, HALVES, "bell", np.inf)),
-    # The minimal-flow current reads pdot alone, so it names a pdot it cannot read.
-    "minimal-flow current, no pdot": (BAD_PDOT, lambda: current_matrix("minimal_flow")),
-    "minimal-flow current, scalar pdot": (BAD_PDOT, lambda: current_matrix(
-        "minimal_flow", pdot=1.0)),
-    "minimal-flow current, zero-width pdot": (BAD_PDOT, lambda: current_matrix(
-        "minimal_flow", pdot=np.zeros((3, 0)))),
 }
 
 

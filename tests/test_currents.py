@@ -17,11 +17,6 @@ from conftest import (five_point, joined_system, least_norm_current_oracle, rand
                       random_ket, random_system, traced_peak)
 
 
-def balanced_pdot(rng, d):
-    v = rng.normal(size=d)
-    return v - v.mean()
-
-
 def orthonormal_vectors(rng, dim):
     """Rows: an orthonormal basis, the directions of a rank-1 projector family."""
     q = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
@@ -36,7 +31,7 @@ class TestCurrentMatrix:
     def test_constructors_are_exactly_antisymmetric(self, rng):
         psi, h, vecs = random_ket(rng, 4), random_hermitian(rng, 4), orthonormal_vectors(rng, 4)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        for cm in (current_matrix("minimal_flow", pdot=balanced_pdot(rng, 4)),
+        for cm in (current_matrix("minimal_flow", psi, h, [vecs], [a - a.conj().T]),
                    current_matrix("static_schrodinger", psi, h, [vecs]),
                    current_matrix("generalized_schrodinger", psi, h, [vecs], [a - a.conj().T])):
             assert np.array_equal(cm.matrix, -cm.matrix.T)
@@ -74,31 +69,89 @@ class TestCurrentMatrix:
             CurrentMatrix(current)
 
 
+def builtin_family(name):
+    return compute_joint_family(BUILTINS[name]().validate())
+
+
+def exact_pdot(family):
+    """The family's exact Born derivative: the paired current's row sums."""
+    return compute_currents(family, "generalized_schrodinger", "paired").matrix.sum(axis=-1)
+
+
 class TestMinimalFlow:
+    """The least-norm current of the family's exact Born derivative."""
+
     def test_zero_pdot(self):
-        cm = current_matrix("minimal_flow", pdot=np.zeros(3))
-        assert np.all(cm.matrix == 0)
+        # The singlet under H = 0: nothing moves, so no current flows.
+        cm = compute_currents(builtin_family("singlet"), "minimal_flow")
+        assert not cm.matrix.any()
 
     def test_two_state_crossing_family(self):
-        # pdot = (-x, x) with x = theta sin(2 theta t) gives j_21 = x.
-        theta, t = 1.3, 0.4
-        x = theta * np.sin(2 * theta * t)
-        cm = current_matrix("minimal_flow", pdot=np.array([-x, x]))
-        assert abs(cm.matrix[1, 0] - x) < 1e-14
+        # easyexample rotates |00> into |11>: p = (cos^2 t, 0, 0, sin^2 t), so
+        # pdot = (-sin 2t, 0, 0, sin 2t) and j_ji = (pdot_j - pdot_i) / 4.
+        family = builtin_family("easyexample")
+        s = np.sin(2.0 * family.grid)
+        pdot = np.stack([-s, 0.0 * s, 0.0 * s, s], axis=1)
+        cm = compute_currents(family, "minimal_flow")
+        assert np.abs(cm.matrix - (pdot[:, :, None] - pdot[:, None, :]) / 4).max() <= 1e-12
 
-    def test_unbalanced_rejected(self):
-        with pytest.raises(ValueError, match="sum to zero"):
-            current_matrix("minimal_flow", pdot=np.array([0.5, 0.0]))
+    def test_matches_least_norm_oracle(self):
+        for family in (builtin_family("interacting-two-spin"),
+                       builtin_family("measured-possessed-property"),
+                       compute_joint_family(random_system(3, (2, 2, 2)))):
+            cm, pdot = compute_currents(family, "minimal_flow"), exact_pdot(family)
+            for k in (0, 1, 97, len(family.grid) // 2, len(family.grid) - 1):
+                assert np.abs(cm.matrix[k] - least_norm_current_oracle(pdot[k])).max() <= 1e-12
 
-    def test_matches_least_norm_oracle(self, rng):
-        for d in (2, 3, 4):
-            pdot = balanced_pdot(rng, d)
-            cm = current_matrix("minimal_flow", pdot=pdot)
-            assert np.abs(cm.matrix - least_norm_current_oracle(pdot)).max() <= 1e-8
+    def test_continuity_exact(self):
+        family = compute_joint_family(random_system(3, (2, 2, 2)))
+        cm = compute_currents(family, "minimal_flow")
+        assert continuity_residual(cm, exact_pdot(family)) <= 1e-12
 
-    def test_continuity_exact(self, rng):
-        pdot = balanced_pdot(rng, 5)
-        assert continuity_residual(current_matrix("minimal_flow", pdot=pdot), pdot) <= 1e-12
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_continuity_reads_the_generalized_currents_error(self, name):
+        # Both currents carry the exact derivative, so continuity measures the
+        # 3-point stencil alone, and master the rate layer's rounding.
+        sc = BUILTINS[name](n_paths=200)
+        minimal = run(sc, report_only=True, current="minimal_flow").report
+        generalized = run(sc, report_only=True, current="generalized_schrodinger").report
+        assert minimal.continuity_residual <= 2 * generalized.continuity_residual
+        assert generalized.continuity_residual <= 2 * minimal.continuity_residual
+        assert minimal.master_residual <= 1e-13
+
+
+class TestMinimalFlowFromPaired:
+    """The minimal-flow current is the spread of the paired current's row
+    sums bit for bit, whatever the node blocks: its one construction path
+    is the paired current's."""
+
+    @pytest.mark.parametrize("nodes_per_block", [None, 3])
+    @pytest.mark.parametrize("name", [*sorted(BUILTINS), "random-2x2x2"])
+    def test_spread_of_the_paired_row_sums(self, monkeypatch, nodes_per_block, name):
+        sc = random_system(3, (2, 2, 2)) if name == "random-2x2x2" else BUILTINS[name]()
+        family = compute_joint_family(sc.validate())
+        if nodes_per_block:
+            dim = sc.space.dim
+            monkeypatch.setattr(currents, "_BLOCK_BYTES", nodes_per_block * dim * dim * 16)
+        r = exact_pdot(family)
+        spread = (r[:, :, None] - r[:, None, :]) / r.shape[-1]
+        assert np.array_equal(compute_currents(family, "minimal_flow").matrix, spread)
+
+
+class TestBornDerivativeMutation:
+    """The stencil's Born derivative scaled by 1.5 (one defect, in the
+    continuity target alone) must fail the continuity check of a
+    minimal-flow run while its master check keeps every bit."""
+
+    def test_scaled_target_fails_continuity_alone(self, monkeypatch):
+        sc = BUILTINS["measured-possessed-property"](n_paths=2000)
+        honest = run(sc, report_only=True, current="minimal_flow").report
+        target = pipeline.pdot_target
+        monkeypatch.setattr(pipeline, "pdot_target", lambda family: 1.5 * target(family))
+        mutant = run(sc, report_only=True, current="minimal_flow").report
+        assert honest.continuity_residual <= 1e-5 < mutant.continuity_residual
+        assert mutant.master_residual == honest.master_residual
+        assert any(f.startswith("continuity residual") for f in mutant.failures(sc.thresholds))
 
 
 class TestStaticSchrodinger:
@@ -289,8 +342,8 @@ class TestDenseOracle:
 
     @staticmethod
     def dense_node(fam, k):
-        """Joint directions V (rows) and Pdot_a from Vdot = V Gamma, with
-        the joint connection Gamma = sum_k 1 (x) A_k (x) 1."""
+        """Joint directions V (rows), the joint connection Gamma = sum_k 1
+        (x) A_k (x) 1, and Pdot_a from Vdot = V Gamma."""
         vecs = [t.vectors[k] for t in fam.factor_trajectories]
         v = np.array([reduce(np.kron, rows) for rows in itertools.product(*vecs)])
         eyes = [np.eye(len(u)) for u in vecs]
@@ -298,7 +351,7 @@ class TestDenseOracle:
                     for j, c in enumerate(fam.connections))
         vdot = gamma.T @ v                       # row a: sum_b Gamma[b, a] v_b
         pdot = np.einsum("ax,ay->axy", vdot, v.conj())
-        return v, pdot + pdot.conj().swapaxes(1, 2)
+        return v, gamma, pdot + pdot.conj().swapaxes(1, 2)
 
     def test_currents_match_dense_projectors(self, rng):
         self.check(generic_two_by_three(rng), zero_states=4)
@@ -310,8 +363,6 @@ class TestDenseOracle:
         fam = compute_joint_family(sc)
         h = sc.hamiltonian
         d = len(fam.states)
-        pdot = pipeline.pdot_target(fam)
-        pdot = pdot - pdot.mean(axis=1, keepdims=True)
         zero = (fam.probabilities[self.NODES] <= 1e-12).sum(axis=1)
         assert zero.tolist() == [zero_states] * len(self.NODES)
 
@@ -325,10 +376,15 @@ class TestDenseOracle:
             got = compute_currents(fam, kind=kind, extra_term=extra_term).matrix
             for k in self.NODES:
                 psi = fam.psi[k]
-                v, pd = self.dense_node(fam, k)
+                v, gamma, pd = self.dense_node(fam, k)
                 p = np.einsum("ax,ay->axy", v, v.conj())
                 if kind == "minimal_flow":
-                    expect = antisymmetric((pdot[k][:, None] - pdot[k][None, :]) / d)
+                    # The chain rule: pdot_a = 2 Re(conj(c_a) cdot_a), with
+                    # cdot_a = <v_a|-i H psi> + sum_b conj(Gamma_ba) c_b.
+                    c = v.conj() @ psi
+                    cdot = v.conj() @ (-1j * (h @ psi)) + gamma.conj().T @ c
+                    pdot = 2.0 * (c.conj() * cdot).real
+                    expect = antisymmetric((pdot[:, None] - pdot[None, :]) / d)
                     assert np.abs(got[k] - expect).max() <= 1e-12
                     continue
                 g = np.einsum("x,axy,yz,bzw,w->ab", psi.conj(), p, h, p, psi)
@@ -723,8 +779,6 @@ class TestStackShapes:
         ("minimal_flow", "paired"), ("static_schrodinger", "paired"),
         ("generalized_schrodinger", "paired"), ("generalized_schrodinger", "minimal_flow_like")])
     def test_slices_of_the_stacked_record(self, family, kind, extra_term):
-        pdot = pipeline.pdot_target(family)
-        pdot -= pdot.mean(axis=1, keepdims=True)
         vectors = [traj.vectors for traj in family.factor_trajectories]
         edge = currents._BLOCK_BYTES // (16 * 16 * 16)          # the first block edge
         shapes = {"one node": lambda x: x[5],
@@ -733,8 +787,7 @@ class TestStackShapes:
         for name, pick in [("whole", lambda x: x), *shapes.items()]:
             current = current_matrix(kind, pick(family.psi), family.scenario.hamiltonian,
                                      [pick(v) for v in vectors],
-                                     [pick(c) for c in family.connections], pick(pdot),
-                                     extra_term)
+                                     [pick(c) for c in family.connections], extra_term)
             p = pick(family.probabilities)
             rates = [rate_matrix(choice, current, p, 0.5) for choice in ("bell", "general")]
             records[name] = [current.matrix] + [a for r in rates for a in (r.matrix, r.pole_mask)]
