@@ -27,7 +27,8 @@ print(f"joint probabilities: {np.round(family.probabilities[node], 4)}")
 # tracked projectors barely move, so the static current passes too; where
 # they rotate (measured-possessed-property) its residual reaches 0.34.
 target = pdot_target(family)[node]
-for kind in ("minimal_flow", "static_schrodinger", "generalized_schrodinger"):
+for kind in ("minimal_flow", "static_schrodinger", "generalized_schrodinger",
+             "minimal_flow_like"):
     cm = CurrentMatrix(compute_currents(family, kind=kind).matrix[node])
     res = continuity_residual(cm, target)
     flow = cm.matrix[3, 0]
@@ -38,7 +39,7 @@ print(f"exact flow for this family: sin(2t) = {np.sin(2 * t):+.5f}")
 
 cm = CurrentMatrix(compute_currents(family, kind="generalized_schrodinger").matrix[node])
 p = family.probabilities[node]
-rates = rate_matrix("bell", cm, p)
+rates = rate_matrix(cm, p)
 print(f"\none-directional rates at t = {t:.3f}:")
 print(f"  t[(1,1)<-(0,0)] = {rates.matrix[3, 0]:.5f} "
       f"(= j / p = {np.sin(2 * t) / np.cos(t) ** 2:.5f})")
@@ -59,7 +60,7 @@ print(f"  exit rate of (0,0): {exit_rate:.5f}; destination law {np.round(law, 3)
 # c (1 - sum_i p_i^2).
 
 for c in (0.0, 0.5, 2.0):
-    loose = rate_matrix("general", cm, p, free_choice=c)
+    loose = rate_matrix(cm, p, free_choice=c)
     flow = loose.matrix * p[None, :]
     recon = flow - flow.T
     intensity = (np.where(np.eye(len(p), dtype=bool), 0.0, loose.matrix) * p[None, :]).sum()
@@ -67,5 +68,5 @@ for c in (0.0, 0.5, 2.0):
           f"{np.abs(recon - cm.matrix).max():.1e}; intensity {intensity:.4f} "
           f"(Bell + c (1 - sum p^2) = "
           f"{np.abs(cm.matrix).sum() / 2 + c * (1 - (p * p).sum()):.4f})")
-print("different rate choices, identical single-time statistics: the")
+print("different offsets c, identical single-time statistics: the")
 print("dynamics is underdetermined by the quantum state alone.")

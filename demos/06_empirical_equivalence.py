@@ -21,8 +21,8 @@ N = 20_000   # single-time TVs of a few 1e-3: sampling noise alone
 base = load_scenario("measured-possessed-property")
 dynamics = {
     "Bell (c = 0)": base,
-    "family c = 1": replace(base, rate_choice="general", general_rate_offset=1.0),
-    "family c = 5": replace(base, rate_choice="general", general_rate_offset=5.0),
+    "family c = 1": replace(base, general_rate_offset=1.0),
+    "family c = 5": replace(base, general_rate_offset=5.0),
     "minimal flow": replace(base, current="minimal_flow"),
 }
 

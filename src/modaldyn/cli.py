@@ -70,7 +70,7 @@ def main(argv=None) -> int:
 
     report = result.report
     print(f"scenario            {report.scenario_name} "
-          f"[{report.current} / {report.rate_choice}]")
+          f"[{report.current} / c = {report.general_rate_offset}]")
     print(f"continuity residual {report.continuity_residual:.3e}")
     print(f"master residual     {report.master_residual:.3e} "
           f"(rows masked: {report.master_rows_masked})")

@@ -1,16 +1,17 @@
 """Antisymmetric probability currents satisfying a continuity equation.
 
-One constructor, :func:`current_matrix`, builds each kind the scenario
-keys name (``scenario.CHOICES["current"]``):
+One constructor, :func:`current_matrix`, builds each kind of ``KINDS``,
+the values of the scenario key ``current``:
 
+* "static_schrodinger": j_ji = 2 Im <psi| P_j H P_i |psi> for a
+  time-independent projector family.
+* "generalized_schrodinger": the same with the paired extra term
+  <psi| Pdot_j P_i - Pdot_i P_j |psi> accounting for rotating projectors.
+* "minimal_flow_like": the same with that term's row sums spread the way
+  the least-norm current would.
 * "minimal_flow": j_ji = (pdot_j - pdot_i) / D, the least-norm solution of
   the continuity system, with pdot the exact Born derivative: the row sums
   of the paired generalized current.
-* "static_schrodinger": j_ji = 2 Im <psi| P_j H P_i |psi> for a
-  time-independent projector family.
-* "generalized_schrodinger": the same with an extra antisymmetric term
-  accounting for rotating projectors, either the paired form
-  <psi| Pdot_j P_i - Pdot_i P_j |psi> or a least-norm-style alternative.
 
 Projectors enter as rank-1 directions per factor, whose kron gives the joint
 directions, and their motion as per-factor connections.  The constructor
@@ -37,6 +38,8 @@ __all__ = [
     "current_matrix",
 ]
 
+
+KINDS = ("static_schrodinger", "generalized_schrodinger", "minimal_flow_like", "minimal_flow")
 
 # Bytes of one complex (..., D, dim) stack over a node block of the per-node
 # stages: small enough that a block's temporaries stay in cache.
@@ -108,8 +111,8 @@ def joint_directions(factors) -> np.ndarray:
     return joint
 
 
-def current_matrix(kind: str, psi=None, hamiltonian=None, factors=(), connections=(),
-                   extra_term: str = "paired") -> CurrentMatrix:
+def current_matrix(kind: str, psi=None, hamiltonian=None, factors=(),
+                   connections=()) -> CurrentMatrix:
     """The current of kind ``kind``, one stacked record over the leading axes.
 
     * "static_schrodinger" reads ``psi (..., dim)``, ``hamiltonian (dim, dim)``
@@ -120,29 +123,23 @@ def current_matrix(kind: str, psi=None, hamiltonian=None, factors=(), connection
       anti-Hermitian ``(..., d_k, d_k)`` stack ``A_k[b, a] = <u_b|d/dt u_a>``
       per factor.  With ``c_a = <v_a|psi>`` and ``Gamma = sum_k 1 (x) A_k (x)
       1``, the rotation term ``-2 Re(conj(c_a) Gamma_ab c_b)`` lives on labels
-      that differ in one factor.  ``extra_term`` "paired" adds it pair by
-      pair, giving ``2 Im <psi| P_a (H - i V^dag Vdot) P_b |psi>``, which
-      vanishes exactly at zero amplitudes; "minimal_flow_like" spreads its
-      row sums the way the least-norm current would.  Both restore
-      continuity against the full time derivative of the Born weights.
-    * "minimal_flow" reads the same as "generalized_schrodinger" and forms
-      its paired current whatever ``extra_term``; that current's row sums
-      ``r`` are the exact derivative, and it returns their least-norm
-      spread ``(r_j - r_i) / D``.
+      that differ in one factor.  It adds that term pair by pair, giving
+      ``2 Im <psi| P_a (H - i V^dag Vdot) P_b |psi>``, which vanishes exactly
+      at zero amplitudes.
+    * "minimal_flow_like" reads the same and spreads the rotation term's row
+      sums the way the least-norm current would.  Both restore continuity
+      against the full time derivative of the Born weights.
+    * "minimal_flow" reads the same and forms the paired current; that
+      current's row sums ``r`` are the exact derivative, and it returns their
+      least-norm spread ``(r_j - r_i) / D``.
 
-    ``kind`` and ``extra_term`` are checked whatever the kind.  Every check
-    on the inputs that kind reads runs once over all nodes; the record is
-    then filled over node blocks (see ``_blockwise``) of the inputs with
-    their leading axes flattened, so no temporary spans the whole stack.
+    Every check on the inputs that kind reads runs once over all nodes; the
+    record is then filled over node blocks (see ``_blockwise``) of the inputs
+    with their leading axes flattened, so no temporary spans the whole stack.
     """
-    if kind not in ("minimal_flow", "static_schrodinger", "generalized_schrodinger"):
+    if kind not in KINDS:
         raise ValueError(f"unknown current kind {kind!r}")
-    if extra_term not in ("paired", "minimal_flow_like"):
-        raise ValueError(f"unknown extra_term {extra_term!r}")
-    if kind == "static_schrodinger":
-        extra_term = None              # frozen projectors: no connections, no rotation term
-    elif kind == "minimal_flow":
-        extra_term = "paired"          # the exact Born derivative, spread below
+    rotating = kind != "static_schrodinger"     # frozen projectors: no connections
     psi, h = check_ket(psi), check_hermitian(hamiltonian)
     factors = [np.asarray(f, dtype=complex) for f in factors]
     dims = [f.shape[-1] for f in factors]
@@ -156,8 +153,8 @@ def current_matrix(kind: str, psi=None, hamiltonian=None, factors=(), connection
         for f in factors for s in _pieces(f)), default=0.0)
     if worst > DEFAULT.projector_orthogonality:
         raise ValueError(f"projectors are not mutually orthogonal (max overlap {worst:.3e})")
-    conns = [np.asarray(c, dtype=complex) for c in connections] if extra_term else []
-    if extra_term and [c.shape for c in conns] != [psi.shape[:-1] + (d, d) for d in dims]:
+    conns = [np.asarray(c, dtype=complex) for c in connections] if rotating else []
+    if rotating and [c.shape for c in conns] != [psi.shape[:-1] + (d, d) for d in dims]:
         raise ValueError(f"connections of shapes {[c.shape for c in conns]} do not "
                          "match the factor directions")
     skew = max((np.abs(s + s.conj().swapaxes(1, 2)).max() / max(1.0, np.abs(s).max())
@@ -174,7 +171,7 @@ def current_matrix(kind: str, psi=None, hamiltonian=None, factors=(), connection
         a = v * amps[..., None]
         # 2 Im <psi| P_a H P_b |psi>, the static part of the current.
         f = 2.0 * (a.conj() @ h @ np.swapaxes(a, -1, -2)).imag
-        rotation = np.zeros_like(f) if extra_term == "minimal_flow_like" else f
+        rotation = np.zeros_like(f) if kind == "minimal_flow_like" else f
         for k, conn in enumerate(conns):
             c = amps.reshape(amps.shape[:-1] + (int(np.prod(dims[:k])), dims[k], -1))
             # The table's (..., L, R, d_k, d_k) view on label pairs that agree
@@ -182,7 +179,7 @@ def current_matrix(kind: str, psi=None, hamiltonian=None, factors=(), connection
             pairs = np.einsum("...larlbr->...lrab",
                               rotation.reshape(f.shape[:-2] + c.shape[-3:] * 2))
             pairs -= 2.0 * np.einsum("...lar,...ab,...lbr->...lrab", c.conj(), conn[nodes], c).real
-        if extra_term == "minimal_flow_like":
+        if kind == "minimal_flow_like":
             dexp = rotation.sum(axis=-1)
             f += (dexp[..., :, None] - dexp[..., None, :]) / amps.shape[-1]
         if kind == "minimal_flow":

@@ -1,14 +1,14 @@
 """Infinitesimal parameters (jump rates) built from currents and probabilities.
 
-One constructor, :func:`rate_matrix`, builds each rate solution the
-scenario key ``rate_choice`` names (``scenario.CHOICES["rate_choice"]``).
-The off-diagonal entry ``t[j, i]`` is the instantaneous rate of transitions
-from state ``i`` to state ``j``; diagonals are set so every column sums to
-zero.  Like the currents, it checks its inputs once and fills the record
-over node blocks (``currents._blockwise``).  Where a probability vanishes
-under a nonzero incoming current the rate diverges; such entries are stored
-as explicit pole flags rather than numbers, and downstream consumers decide
-how to handle them.
+One constructor, :func:`rate_matrix`, builds the rate solution of the
+family member the scenario key ``general_rate_offset`` names; its value 0
+is Bell's rates.  The off-diagonal entry ``t[j, i]`` is the instantaneous
+rate of transitions from state ``i`` to state ``j``; diagonals are set so
+every column sums to zero.  Like the currents, it checks its inputs once
+and fills the record over node blocks (``currents._blockwise``).  Where a
+probability vanishes under a nonzero incoming current the rate diverges;
+such entries are stored as explicit pole flags rather than numbers, and
+downstream consumers decide how to handle them.
 """
 
 from __future__ import annotations
@@ -89,16 +89,15 @@ def _rates(j: np.ndarray, p: np.ndarray, c: float):
     return _with_diagonal(off), pole
 
 
-def rate_matrix(choice: str, current: CurrentMatrix, p, free_choice=0.0) -> RateMatrix:
-    """The rates of choice ``choice`` for ``current`` and ``p (..., D)``, one
-    stacked record over the current's node axes.
+def rate_matrix(current: CurrentMatrix, p, free_choice=0.0) -> RateMatrix:
+    """The rates of family member ``free_choice`` for ``current`` and
+    ``p (..., D)``, one stacked record over the current's node axes.
 
     Every rate solution of j_ji = t_ji p_i - t_ij p_j is
     t_ji = (max{0, j_ji} + s_ji) / p_i for a symmetric, nonnegative flux s.
-    One rule takes s_ji = c p_i p_j, so t_ji = max{0, j_ji / p_i} + c p_j,
+    The family takes s_ji = c p_i p_j, so t_ji = max{0, j_ji / p_i} + c p_j,
     which divides by nothing new and does not depend on the label order.
-    "bell" is its member c = 0, the one-directional choice, and "general"
-    the member c = ``free_choice``.
+    Its member c = 0 is Bell's one-directional choice; ``free_choice`` is c.
 
     Probabilities at or below the zero-probability tolerance count as exactly
     zero in the division: entries whose current is at most the pole-current
@@ -106,11 +105,8 @@ def rate_matrix(choice: str, current: CurrentMatrix, p, free_choice=0.0) -> Rate
     larger incoming current are flagged as poles and store 0.  A negative
     current out of a zero-probability state still gives Bell's rate 0, which
     is the continuous limit of the max form.  ``p`` must be finite and sum to
-    1, and ``free_choice`` must be one finite nonnegative scalar, whatever the
-    choice.
+    1, and ``free_choice`` must be one finite nonnegative scalar.
     """
-    if choice not in ("bell", "general"):
-        raise ValueError(f"unknown rate choice {choice!r}")
     c = float(free_choice)
     if not 0 <= c < np.inf:
         raise ValueError(f"free choice offset must be finite and nonnegative, got {c}")
@@ -122,7 +118,6 @@ def rate_matrix(choice: str, current: CurrentMatrix, p, free_choice=0.0) -> Rate
     if not (p.min() >= -DEFAULT.probability_sum
             and np.abs(p.sum(axis=-1) - 1.0).max() <= DEFAULT.probability_sum):
         raise ValueError("p must be a probability vector summing to 1")
-    c = c if choice == "general" else 0.0
     shape, d = current.matrix.shape, current.size
     j, p = current.matrix.reshape(-1, d, d), p.reshape(-1, d)
     matrix, pole_mask = _blockwise(lambda nodes: _rates(j[nodes], p[nodes], c), len(p), d)

@@ -87,14 +87,13 @@ def compute_joint_family(scenario: Scenario) -> JointFamily:
     )
 
 
-def compute_currents(family: JointFamily, kind: str | None = None,
-                     extra_term: str | None = None) -> CurrentMatrix:
+def compute_currents(family: JointFamily, kind: str | None = None) -> CurrentMatrix:
     """The currents at every grid node, one stacked record (``current_matrix``
-    on the family's arrays, the scenario's kind and extra term by default)."""
+    on the family's arrays, of the scenario's kind by default)."""
     return current_matrix(kind or family.scenario.current, family.psi,
                           family.scenario.hamiltonian,
                           [traj.vectors for traj in family.factor_trajectories],
-                          family.connections, extra_term or family.scenario.extra_term)
+                          family.connections)
 
 
 def pdot_target(family: JointFamily) -> np.ndarray:
@@ -104,15 +103,15 @@ def pdot_target(family: JointFamily) -> np.ndarray:
     return derivative_family(family.probabilities, family.grid)
 
 
-def compute_rates(currents: CurrentMatrix, probabilities, choice: str,
+def compute_rates(currents: CurrentMatrix, probabilities,
                   general_offset: float = 0.0) -> RateMatrix:
     """The rates at every grid node of an ``(n, D, D)`` current, one stacked
-    record (``rate_matrix`` of choice ``choice``)."""
+    record (``rate_matrix`` of the family member c = ``general_offset``)."""
     p = np.asarray(probabilities, dtype=float)
     if currents.matrix.ndim != 3 or p.shape != currents.matrix.shape[:-1]:
         raise ValueError(f"expected an (n, D, D) current and (n, D) probabilities, "
                          f"got {currents.matrix.shape} and {p.shape}")
-    return rate_matrix(choice, currents, p, general_offset)
+    return rate_matrix(currents, p, general_offset)
 
 
 @dataclass
@@ -121,7 +120,7 @@ class RunReport:
 
     scenario_name: str
     current: str
-    rate_choice: str
+    general_rate_offset: float
     continuity_residual: float
     master_residual: float
     master_rows_masked: int
@@ -221,7 +220,6 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
 
     with _Stage("rates"):
         rate_matrices = compute_rates(currents, family.probabilities,
-                                      scenario.rate_choice,
                                       scenario.general_rate_offset)
     rate_traj = RateTrajectory(grid, rate_matrices)
     pole_nodes = int(rate_traj.pole_mask.any(axis=(1, 2)).sum())
@@ -234,7 +232,7 @@ def run(scenario: Scenario, out_dir=None, report_only: bool = False,
 
     report = RunReport(
         scenario_name=scenario.name, current=scenario.current,
-        rate_choice=scenario.rate_choice,
+        general_rate_offset=scenario.general_rate_offset,
         continuity_residual=float(cont_res), master_residual=float(master_res),
         master_rows_masked=masked, pole_nodes=pole_nodes,
     )

@@ -1,8 +1,9 @@
 """Scenario records, builtin families and JSON (de)serialization.
 
 A scenario pins everything a run needs: the factored Hilbert space, the
-Hamiltonian, the initial pure state, the time window and grid, the current
-constructor, the rate choice, the ensemble size and seed, and the
+Hamiltonian, the initial pure state, the time window and grid, the two free
+choices that fix the dynamics (the current and the rate family's offset c,
+whose value 0 is Bell's rates), the ensemble size and seed, and the
 residual bounds.  A scenario file is a JSON object keyed by the fields of
 :class:`Scenario`, with complex numbers as ``[re, im]`` pairs; one reader per
 key turns a value into its field.  A file either embeds the system
@@ -19,6 +20,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from .currents import KINDS
 from .errors import ScenarioValidationError
 from .hilbert import FactorSpace, check_hermitian, check_ket
 from . import io as mdio
@@ -35,12 +37,8 @@ __all__ = [
     "scenario_to_dict",
 ]
 
-# The allowed values of the three choice keys.
-CHOICES = {
-    "current": ("minimal_flow", "static_schrodinger", "generalized_schrodinger"),
-    "extra_term": ("paired", "minimal_flow_like"),
-    "rate_choice": ("bell", "general"),
-}
+# The allowed values of the choice key.
+CHOICES = {"current": KINDS}
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,6 @@ class Scenario:
     initial_state: np.ndarray
     time: TimeSpec
     current: str = "generalized_schrodinger"
-    extra_term: str = "paired"
-    rate_choice: str = "bell"
     general_rate_offset: float = 0.0
     ensemble: EnsembleSpec = EnsembleSpec(10_000, 0, ())
     thresholds: Thresholds = Thresholds()

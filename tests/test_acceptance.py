@@ -175,7 +175,7 @@ def test_criterion_06_continuity_and_master_residuals():
         target = pdot_target(fam)
         for kind in ("minimal_flow", "generalized_schrodinger"):
             currents = compute_currents(fam, kind=kind)
-            rates = compute_rates(currents, fam.probabilities, "bell")
+            rates = compute_rates(currents, fam.probabilities)
             divergence = currents.matrix.sum(axis=-1)
             worst_cont = max(worst_cont, np.abs(target - divergence).max())
             worst_master = max(worst_master, master_residual(
@@ -207,7 +207,8 @@ def test_criterion_07_current_structure():
     anti = True
     for cm in (current_matrix("minimal_flow", psi, h, vecs, conns),
                current_matrix("static_schrodinger", psi, h, vecs),
-               current_matrix("generalized_schrodinger", psi, h, vecs, conns)):
+               current_matrix("generalized_schrodinger", psi, h, vecs, conns),
+               current_matrix("minimal_flow_like", psi, h, vecs, conns)):
         full = cm.matrix
         anti = anti and np.array_equal(full, -full.T)
 
@@ -262,8 +263,7 @@ def test_criterion_08_minimal_flow_optimality():
     families = [cached_family(name) for name in builtin_scenarios()]
     for fam in families + [compute_joint_family(random_system(8, (2, 2, 2)))]:
         mine = compute_currents(fam, kind="minimal_flow").matrix
-        paired = compute_currents(fam, kind="generalized_schrodinger",
-                                  extra_term="paired").matrix
+        paired = compute_currents(fam, kind="generalized_schrodinger").matrix
         pdot = paired.sum(axis=-1)
         for k in range(0, len(fam.grid), 50):
             worst = max(worst, np.abs(mine[k] - least_norm_current_oracle(pdot[k])).max())

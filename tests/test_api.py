@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 import modaldyn
+from modaldyn.algebra import generate_faux_boolean
 from modaldyn.currents import CurrentMatrix, current_matrix
 from modaldyn.feller import TransitionKernel, feller_minimal, forward_ode_kernel
+from modaldyn.hilbert import FactorSpace, partial_trace, tensor_product
 from modaldyn.kinetics import RateMatrix, RateTrajectory, rate_matrix
 from modaldyn.pipeline import RunReport, compute_currents, compute_joint_family, compute_rates
 from modaldyn.sampler import (JumpProcess, PathEnsemble, ensemble_marginals,
@@ -65,6 +67,12 @@ STILL_CURRENT = CurrentMatrix(np.zeros((2, 2, 2)))
 HALVES = np.full((2, 2), 0.5)
 
 
+def constant_rates(generator, nodes=3):
+    """``generator`` at ``nodes`` equally spaced nodes of [0, 1], no poles."""
+    m = np.repeat(np.asarray(generator, dtype=float)[None], nodes, axis=0)
+    return RateTrajectory(np.linspace(0.0, 1.0, nodes), RateMatrix(m, np.zeros(m.shape, bool)))
+
+
 def one_event(t):
     return PathEnsemble(states=((0,), (1,)), initial=[0], offsets=[0, 1], times=[t], dest=[1])
 
@@ -89,8 +97,8 @@ NAN_INPUTS = {
     "CurrentMatrix": lambda: CurrentMatrix(np.array([[0.0, NAN], [-NAN, 0.0]])),
     "TransitionKernel": lambda: TransitionKernel(0.0, 1.0, np.array([[NAN, 0.0], [0.0, 1.0]]),
                                                  "series"),
-    "bell_rates": lambda: rate_matrix("bell", ZERO_CURRENT, np.array([NAN, 1.0])),
-    "general_rates": lambda: rate_matrix("general", ZERO_CURRENT, np.array([0.5, NAN])),
+    "bell_rates": lambda: rate_matrix(ZERO_CURRENT, np.array([NAN, 1.0])),
+    "general_rates": lambda: rate_matrix(ZERO_CURRENT, np.array([0.5, NAN]), 1.0),
     "minimal_flow_current": lambda: current_matrix("minimal_flow", np.array([NAN, 1.0]),
                                                    np.zeros((2, 2)), [np.eye(2)],
                                                    [np.zeros((2, 2))]),
@@ -116,8 +124,7 @@ def test_nan_rejected(entry):
         NAN_INPUTS[entry]()
 
 
-# Grid, time and choice faults, NaN or not, each with the check that names it.
-UNKNOWN_EXTRA = "unknown extra_term 'bogus'"
+# Grid, time, choice and shape faults, NaN or not, each with the check that names it.
 BAD_OFFSET = "free choice offset must be finite and nonnegative"
 NAMED_FAULTS = {
     "kernel window": (r"\[0\.0, nan\] does not start and end on grid nodes",
@@ -162,17 +169,39 @@ NAMED_FAULTS = {
                      lambda: two_states([True], [0, 2], [1, 0])),
     "bool dest": ("dest must be an integer column, got bool",
                   lambda: two_states([0], [0, 2], [True, False])),
-    # A choice argument is checked whatever the kind it comes with.
-    "static current, unknown extra term": (UNKNOWN_EXTRA, lambda: compute_currents(
-        easyexample(), "static_schrodinger", "bogus")),
-    "minimal-flow current, unknown extra term": (UNKNOWN_EXTRA, lambda: compute_currents(
-        easyexample(), "minimal_flow", "bogus")),
-    "bell rates, NaN offset": (BAD_OFFSET, lambda: compute_rates(
-        STILL_CURRENT, HALVES, "bell", NAN)),
+    # The two free choices: the current's kind and the rate offset c.
+    "unknown current kind": ("unknown current kind 'bogus'",
+                             lambda: compute_currents(easyexample(), "bogus")),
+    "bell rates, NaN offset": (BAD_OFFSET, lambda: compute_rates(STILL_CURRENT, HALVES, NAN)),
     "bell rates, negative offset": (BAD_OFFSET, lambda: compute_rates(
-        STILL_CURRENT, HALVES, "bell", -1.0)),
+        STILL_CURRENT, HALVES, -1.0)),
     "bell rates, infinite offset": (BAD_OFFSET, lambda: compute_rates(
-        STILL_CURRENT, HALVES, "bell", np.inf)),
+        STILL_CURRENT, HALVES, np.inf)),
+    # Kernel inputs: rates a generator cannot have, a hazard the series
+    # cannot sum, and a window that runs backwards.
+    "positive diagonal": ("negative exit rate encountered", lambda: feller_minimal(
+        constant_rates([[1.0, 0.0], [0.0, 0.0]]), 0.0, 1.0)),
+    "hazard past the series": ("cumulative hazard too large for stable series evaluation",
+                               lambda: feller_minimal(constant_rates(
+                                   [[-1000.0, 1000.0], [1000.0, -1000.0]]), 0.0, 1.0)),
+    "backward kernel window": ("need s <= t", lambda: feller_minimal(STILL, 1.0, 0.0)),
+    "backward ODE kernel window": ("need s <= t", lambda: forward_ode_kernel(STILL, 1.0, 0.0)),
+    # Records and operators of the wrong shape.
+    "p0 of another size": ("states/p0 size does not match the rate trajectory",
+                           lambda: JumpProcess(STILL, [1.0], [(0,)], STILL_CURRENT)),
+    "one rate node": ("need one rate matrix per node and at least two nodes",
+                      lambda: RateTrajectory([0.0], RateMatrix(np.zeros((1, 2, 2)),
+                                                               np.zeros((1, 2, 2), bool)))),
+    "non-square rates": ("rate matrix and pole mask must be square and congruent",
+                         lambda: RateMatrix(np.zeros((2, 3)), np.zeros((2, 3), bool))),
+    "non-square kernel": ("kernel matrix must be square",
+                          lambda: TransitionKernel(0.0, 1.0, np.zeros((2, 3)), "series")),
+    "kept factor out of range": ("keep index 2 out of range for 2 factors",
+                                 lambda: partial_trace(np.eye(4), FactorSpace((2, 2)), 2)),
+    "stacked tensor factor": (r"expected a square matrix, got shape \(2, 2, 2\)",
+                              lambda: tensor_product(np.zeros((2, 2, 2)))),
+    "non-idempotent generator": ("projector is not idempotent",
+                                 lambda: generate_faux_boolean([2.0 * np.eye(2)], 2)),
 }
 
 
@@ -195,7 +224,7 @@ CHECKED = {"continuity_residual": ("continuity residual", "continuity"),
 def test_nan_diagnostic_is_a_failure(field):
     values = {"continuity_residual": 0.0, "master_residual": 0.0, field: NAN}
     report = RunReport(scenario_name="s", current="generalized_schrodinger",
-                       rate_choice="bell", master_rows_masked=0, **values)
+                       general_rate_offset=0.0, master_rows_masked=0, **values)
     label, bound = CHECKED[field]
     assert report.failures(Thresholds()) == [f"{label} nan > {getattr(Thresholds(), bound)}"]
 

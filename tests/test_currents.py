@@ -33,7 +33,8 @@ class TestCurrentMatrix:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         for cm in (current_matrix("minimal_flow", psi, h, [vecs], [a - a.conj().T]),
                    current_matrix("static_schrodinger", psi, h, [vecs]),
-                   current_matrix("generalized_schrodinger", psi, h, [vecs], [a - a.conj().T])):
+                   current_matrix("generalized_schrodinger", psi, h, [vecs], [a - a.conj().T]),
+                   current_matrix("minimal_flow_like", psi, h, [vecs], [a - a.conj().T])):
             assert np.array_equal(cm.matrix, -cm.matrix.T)
             assert np.all(np.diag(cm.matrix) == 0)
 
@@ -75,7 +76,7 @@ def builtin_family(name):
 
 def exact_pdot(family):
     """The family's exact Born derivative: the paired current's row sums."""
-    return compute_currents(family, "generalized_schrodinger", "paired").matrix.sum(axis=-1)
+    return compute_currents(family, "generalized_schrodinger").matrix.sum(axis=-1)
 
 
 class TestMinimalFlow:
@@ -261,8 +262,7 @@ class TestGeneralizedSchrodinger:
         dim = 4
         psi = random_ket(rng, dim)
         h, vecs, conn, projs, derivs = analytic_rotation_setup(rng, dim)
-        gen = current_matrix("generalized_schrodinger", psi, h, [vecs], [conn],
-                             extra_term="minimal_flow_like")
+        gen = current_matrix("minimal_flow_like", psi, h, [vecs], [conn])
         pdot = np.array([
             2 * np.vdot(psi, projs[i] @ h @ psi).imag
             + np.vdot(psi, derivs[i] @ psi).real
@@ -303,12 +303,13 @@ class TestGeneralizedSchrodinger:
                            [np.eye(2), np.eye(2)], [np.zeros((2, 2))])
 
     def test_unknown_extra_term(self, rng):
+        # The 0.3 extra-term values are no kinds: "paired" is spelt
+        # "generalized_schrodinger" and the other term is its own kind.
         dim = 2
         psi = random_ket(rng, dim)
         vecs = orthonormal_vectors(rng, dim)
-        with pytest.raises(ValueError, match="extra_term"):
-            current_matrix("generalized_schrodinger", psi, np.zeros((2, 2)), [vecs],
-                           [np.zeros_like(vecs)], extra_term="bogus")
+        with pytest.raises(ValueError, match="unknown current kind 'paired'"):
+            current_matrix("paired", psi, np.zeros((2, 2)), [vecs], [np.zeros_like(vecs)])
 
 
 class TestContinuityResidual:
@@ -370,10 +371,9 @@ class TestDenseOracle:
             up = np.triu(f, 1)
             return up - up.T
 
-        cases = [("minimal_flow", "paired"), ("static_schrodinger", "paired")] + \
-            [("generalized_schrodinger", e) for e in ("paired", "minimal_flow_like")]
-        for kind, extra_term in cases:
-            got = compute_currents(fam, kind=kind, extra_term=extra_term).matrix
+        for kind in ("minimal_flow", "static_schrodinger", "generalized_schrodinger",
+                     "minimal_flow_like"):
+            got = compute_currents(fam, kind=kind).matrix
             for k in self.NODES:
                 psi = fam.psi[k]
                 v, gamma, pd = self.dense_node(fam, k)
@@ -389,13 +389,13 @@ class TestDenseOracle:
                     continue
                 g = np.einsum("x,axy,yz,bzw,w->ab", psi.conj(), p, h, p, psi)
                 f = 2.0 * g.imag
-                if kind == "generalized_schrodinger" and extra_term == "paired":
+                if kind == "generalized_schrodinger":
                     m = 2.0 * np.einsum("x,axy,byz,z->ab", psi.conj(), pd, p, psi).real
                     f = f + 0.5 * (m - m.T)
-                elif kind == "generalized_schrodinger":
+                elif kind == "minimal_flow_like":
                     dexp = np.einsum("x,axy,y->a", psi.conj(), pd, psi).real
                     f = f + (dexp[:, None] - dexp[None, :]) / d
-                assert np.abs(got[k] - antisymmetric(f)).max() <= 1e-12, (kind, extra_term, k)
+                assert np.abs(got[k] - antisymmetric(f)).max() <= 1e-12, (kind, k)
 
     def test_run_jump_count_identity(self, rng):
         # Mean jump count against its exact value, the integral of
@@ -429,17 +429,17 @@ class TestExactCurrent:
         fine = compute_joint_family(replace(sc, time=TimeSpec(0.0, 0.2, 1.25e-4)))
         born = five_point(fine.probabilities, 1.25e-4)[6::8]  # coarse nodes 1 .. n-2
         family = compute_joint_family(sc)
-        for extra_term in ("paired", "minimal_flow_like"):
-            current = compute_currents(family, "generalized_schrodinger", extra_term)
+        for kind in ("generalized_schrodinger", "minimal_flow_like"):
+            current = compute_currents(family, kind)
             divergence = current.matrix.sum(axis=-1)[1:-1]
-            assert np.abs(divergence - born).max() <= 1e-6, extra_term
+            assert np.abs(divergence - born).max() <= 1e-6, kind
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2, 2), (2, 2, 2, 2)])
     def test_rotation_term_only_on_one_factor_pairs(self, dims):
         # With two factors a pure state's rotation term vanishes on every
         # pair (Schmidt form), so only three or more factors can show it.
         family = compute_joint_family(random_system(2, dims))
-        extra = (compute_currents(family, "generalized_schrodinger", "paired").matrix
+        extra = (compute_currents(family, "generalized_schrodinger").matrix
                  - compute_currents(family, "static_schrodinger").matrix)
         apart = labels_apart(family.states)
         assert not extra[:, apart >= 2].any()
@@ -469,16 +469,14 @@ class TestIndependentParts:
         both = np.not_equal.outer(np.arange(d1), np.arange(d1))[:, None, :, None] \
             & np.not_equal.outer(np.arange(d2), np.arange(d2))[None, :, None, :]
         both = both.reshape(d1 * d2, d1 * d2)
-        for kind, extra_term in (("static_schrodinger", None),
-                                 ("generalized_schrodinger", "paired"),
-                                 ("generalized_schrodinger", "minimal_flow_like")):
-            full = compute_currents(whole, kind, extra_term).matrix
-            assert np.abs(full[:, both]).max() <= 1e-13, (kind, extra_term)
+        for kind in ("static_schrodinger", "generalized_schrodinger", "minimal_flow_like"):
+            full = compute_currents(whole, kind).matrix
+            assert np.abs(full[:, both]).max() <= 1e-13, kind
 
     def test_bell_rates_are_kron_sums(self, runs):
         whole, one, two = runs
-        rates = [compute_rates(compute_currents(fam, "generalized_schrodinger", "paired"),
-                               fam.probabilities, "bell").matrix for fam in runs]
+        rates = [compute_rates(compute_currents(fam, "generalized_schrodinger"),
+                               fam.probabilities).matrix for fam in runs]
         d1, d2 = len(one.states), len(two.states)
         predicted = (np.einsum("nij,kl->nikjl", rates[1], np.eye(d2))
                      + np.einsum("ij,nkl->nikjl", np.eye(d1), rates[2]))
@@ -583,11 +581,11 @@ class TestInteractionGraph:
         for kind in ("static_schrodinger", "generalized_schrodinger"):
             current = compute_currents(family, kind)
             assert np.abs(current.matrix[:, off]).max() <= 1e-13, kind
-            rates = compute_rates(current, p, "bell")
+            rates = compute_rates(current, p)
             assert not rates.pole_mask[:, off].any()
             assert (rates.matrix * p[:, None, :])[:, off].max() <= 1e-13, kind
         assert np.abs(compute_currents(family, "minimal_flow").matrix[:, off]).max() > 1e-6
-        general = compute_rates(compute_currents(family), p, "general", 1.0)
+        general = compute_rates(compute_currents(family), p, 1.0)
         assert general.matrix[:, off].max() > 1e-6
 
     @pytest.mark.parametrize("dynamics", [("static_schrodinger", 0.0),
@@ -598,8 +596,7 @@ class TestInteractionGraph:
     def test_path_events_stay_on_the_graph(self, system, dynamics):
         sc, bonds = system
         current, c = dynamics
-        sc = replace(sc, current=current, rate_choice="general" if c else "bell",
-                     general_rate_offset=c)
+        sc = replace(sc, current=current, general_rate_offset=c)
         result = run(sc, report_only=True)
         paths = result.paths
         moved = paths.jump_counts > 0
@@ -656,15 +653,14 @@ class TestMemory:
     def test_paired_current_holds_at_most_one_stack(self, rng, size):
         sc, stack = self.scenario(rng, size)
         family = compute_joint_family(sc)
-        _current, peak = traced_peak(compute_currents, family,
-                                     "generalized_schrodinger", "paired")
+        _current, peak = traced_peak(compute_currents, family, "generalized_schrodinger")
         assert peak <= 1.0 * stack, peak / stack
 
     def test_bell_rates_hold_at_most_one_stack(self, rng, size):
         sc, stack = self.scenario(rng, size)
         family = compute_joint_family(sc)
-        current = compute_currents(family, "generalized_schrodinger", "paired")
-        _rates, peak = traced_peak(compute_rates, current, family.probabilities, "bell")
+        current = compute_currents(family, "generalized_schrodinger")
+        _rates, peak = traced_peak(compute_rates, current, family.probabilities)
         assert peak <= 1.0 * stack, peak / stack
 
 
@@ -676,7 +672,7 @@ def test_single_factor_current_holds_at_most_one_stack(rng):
                   initial_state=random_ket(rng, 64), time=TimeSpec(0.0, 0.2, 1e-3),
                   ensemble=EnsembleSpec(10, 1, ())).validate()
     family = compute_joint_family(sc)
-    _current, peak = traced_peak(compute_currents, family, "generalized_schrodinger", "paired")
+    _current, peak = traced_peak(compute_currents, family, "generalized_schrodinger")
     assert peak <= 1.0 * 201 * 64 * 64 * np.dtype(complex).itemsize
 
 
@@ -688,12 +684,12 @@ class TestComputeRatesShapes:
     def test_single_node_current_is_rejected(self):
         current = CurrentMatrix(np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1))
         with pytest.raises(ValueError, match=self.EXPECTED):
-            compute_rates(current, np.full(3, 1.0 / 3), "bell")
+            compute_rates(current, np.full(3, 1.0 / 3))
 
     def test_mismatched_probabilities_are_rejected(self):
         current = CurrentMatrix(np.zeros((4, 3, 3)))
         with pytest.raises(ValueError, match=self.EXPECTED):
-            compute_rates(current, np.full((5, 3), 1.0 / 3), "bell")
+            compute_rates(current, np.full((5, 3), 1.0 / 3))
 
 
 class TestNodeBlocks:
@@ -707,13 +703,12 @@ class TestNodeBlocks:
     def outputs(sc):
         family = compute_joint_family(sc)
         out = [*family.connections, family.probabilities, pipeline.pdot_target(family)]
-        for kind, extra_term in (("minimal_flow", None), ("static_schrodinger", None),
-                                 ("generalized_schrodinger", "paired"),
-                                 ("generalized_schrodinger", "minimal_flow_like")):
-            current = compute_currents(family, kind, extra_term)
+        for kind in ("minimal_flow", "static_schrodinger", "generalized_schrodinger",
+                     "minimal_flow_like"):
+            current = compute_currents(family, kind)
             out.append(current.matrix)
-            for choice in ("bell", "general"):
-                rates = compute_rates(current, family.probabilities, choice, 0.5)
+            for c in (0.0, 0.5):
+                rates = compute_rates(current, family.probabilities, c)
                 out += [rates.matrix, rates.pole_mask]
         return out
 
@@ -775,10 +770,9 @@ class TestStackShapes:
         assert len(sc.grid()) * 16 * 16 * 16 > 2 * currents._BLOCK_BYTES   # several blocks
         return compute_joint_family(sc)
 
-    @pytest.mark.parametrize("kind, extra_term", [
-        ("minimal_flow", "paired"), ("static_schrodinger", "paired"),
-        ("generalized_schrodinger", "paired"), ("generalized_schrodinger", "minimal_flow_like")])
-    def test_slices_of_the_stacked_record(self, family, kind, extra_term):
+    @pytest.mark.parametrize("kind", ["minimal_flow", "static_schrodinger",
+                                      "generalized_schrodinger", "minimal_flow_like"])
+    def test_slices_of_the_stacked_record(self, family, kind):
         vectors = [traj.vectors for traj in family.factor_trajectories]
         edge = currents._BLOCK_BYTES // (16 * 16 * 16)          # the first block edge
         shapes = {"one node": lambda x: x[5],
@@ -787,9 +781,9 @@ class TestStackShapes:
         for name, pick in [("whole", lambda x: x), *shapes.items()]:
             current = current_matrix(kind, pick(family.psi), family.scenario.hamiltonian,
                                      [pick(v) for v in vectors],
-                                     [pick(c) for c in family.connections], extra_term)
+                                     [pick(c) for c in family.connections])
             p = pick(family.probabilities)
-            rates = [rate_matrix(choice, current, p, 0.5) for choice in ("bell", "general")]
+            rates = [rate_matrix(current, p, c) for c in (0.0, 0.5)]
             records[name] = [current.matrix] + [a for r in rates for a in (r.matrix, r.pole_mask)]
         for name, pick in shapes.items():
             for got, whole in zip(records[name], records["whole"], strict=True):
@@ -820,7 +814,7 @@ class TestInputChecksSeeEveryNode:
                 "generalized_schrodinger", family.psi, family.scenario.hamiltonian,
                 [traj.vectors for traj in family.factor_trajectories], family.connections)
         with pytest.raises(ValueError, match=message) as blocked:
-            compute_currents(family, "generalized_schrodinger", "paired")
+            compute_currents(family, "generalized_schrodinger")
         assert str(blocked.value) == str(public.value)
 
     def test_non_orthogonal_direction_at_last_node(self):

@@ -35,7 +35,7 @@ def crossing_rate_trajectory(theta=1.0, t0=0.0, t1=0.7, step=1e-3):
     full[:, 1, 0] = theta * np.sin(2 * theta * grid)
     full[:, 0, 1] = -full[:, 1, 0]
     p = np.column_stack([np.cos(theta * grid) ** 2, np.sin(theta * grid) ** 2])
-    return RateTrajectory(grid, rate_matrix("bell", CurrentMatrix(full), p))
+    return RateTrajectory(grid, rate_matrix(CurrentMatrix(full), p))
 
 
 def random_rate_trajectory(d=16, seed=3, step=1e-3):
@@ -243,7 +243,7 @@ def pipeline_rates(name):
     family = compute_joint_family(sc)
     current = compute_currents(family)
     return RateTrajectory(family.grid, compute_rates(
-        current, family.probabilities, sc.rate_choice, sc.general_rate_offset))
+        current, family.probabilities, sc.general_rate_offset))
 
 
 class TestChunkedKernels:

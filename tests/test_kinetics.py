@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import modaldyn
+from modaldyn.config import DEFAULT
 from modaldyn.currents import CurrentMatrix
 from modaldyn.kinetics import (RateMatrix, RateTrajectory, _median, classify_singularities,
                                master_residual, pole_free_rows, rate_matrix)
@@ -16,7 +17,7 @@ from modaldyn import kinetics, pipeline
 from modaldyn.pipeline import (_kernel_windows, compute_currents, compute_joint_family,
                                compute_rates, run)
 from modaldyn.sampler import _interp_rows
-from modaldyn.scenario import BUILTINS
+from modaldyn.scenario import BUILTINS, CHOICES
 
 from conftest import random_system
 
@@ -25,6 +26,22 @@ def current_from_full(full):
     """The current whose strict upper triangle is that of ``full``."""
     u = np.triu(full, 1)
     return CurrentMatrix(u - np.swapaxes(u, -1, -2))
+
+
+def bell_closed_form(j, p):
+    """Bell's rates max(0, j_ji / p_i) and their pole flags, entry by entry.
+
+    A probability at or below the zero-probability tolerance divides
+    nothing: its column gets rate 0, flagged as a pole where the incoming
+    current exceeds the pole-current tolerance.  Diagonals make every column
+    sum to zero.
+    """
+    zero = np.broadcast_to((p <= DEFAULT.zero_probability)[..., None, :], j.shape)
+    off = np.maximum(0.0, np.divide(j, p[..., None, :], out=np.zeros_like(j), where=~zero))
+    diagonal = np.eye(j.shape[-1], dtype=bool)
+    off[..., diagonal] = 0.0
+    off[..., diagonal] = -off.sum(axis=-2)
+    return off, zero & (j > DEFAULT.pole_current) & ~diagonal
 
 
 def crossing_current(theta, t):
@@ -64,7 +81,7 @@ class TestBellRates:
     def test_crossing_family_values(self):
         theta, t = 1.0, 0.4
         cm, p = crossing_current(theta, t)
-        rates = rate_matrix("bell", cm, p)
+        rates = rate_matrix(cm, p)
         expected = theta * np.sin(2 * theta * t) / np.cos(theta * t) ** 2
         assert abs(rates.matrix[1, 0] - expected) < 1e-12
         assert rates.matrix[0, 1] == 0.0
@@ -72,26 +89,26 @@ class TestBellRates:
 
     def test_zero_current(self):
         cm = current_from_full(np.zeros((3, 3)))
-        rates = rate_matrix("bell", cm, np.array([0.2, 0.3, 0.5]))
+        rates = rate_matrix(cm, np.array([0.2, 0.3, 0.5]))
         assert np.all(rates.matrix == 0)
 
     def test_zero_probability_zero_current_is_regular(self):
         cm = current_from_full(np.zeros((2, 2)))
-        rates = rate_matrix("bell", cm, np.array([1.0, 0.0]))
+        rates = rate_matrix(cm, np.array([1.0, 0.0]))
         assert not rates.pole_mask.any()
         assert np.all(rates.matrix == 0)
 
     def test_zero_probability_nonzero_current_is_pole(self):
         # Positive flow out of the zero-probability state 1 cannot be finite.
         full = np.array([[0.0, 0.3], [-0.3, 0.0]])
-        rates = rate_matrix("bell", current_from_full(full), np.array([1.0, 0.0]))
+        rates = rate_matrix(current_from_full(full), np.array([1.0, 0.0]))
         assert rates.pole_mask[0, 1]
         assert rates.matrix[0, 1] == 0.0
 
     def test_negative_current_at_zero_probability_is_zero(self):
         # max{0, j/p} -> 0 as p -> 0+ when j < 0: continuous, not a pole.
         full = np.array([[0.0, -0.3], [0.3, 0.0]])
-        rates = rate_matrix("bell", current_from_full(full), np.array([1.0, 0.0]))
+        rates = rate_matrix(current_from_full(full), np.array([1.0, 0.0]))
         assert not rates.pole_mask.any()
         assert rates.matrix[0, 1] == 0.0
         # Flow into the zero-probability state is a plain finite rate.
@@ -104,33 +121,33 @@ class TestBellRates:
         p = rng.dirichlet(np.ones(3), size=6)
         p[2] = [0.5, 0.0, 0.5]
         stack = current_from_full(full)
-        rates = rate_matrix("bell", stack, p)
+        rates = rate_matrix(stack, p)
         assert rates.matrix.shape[0] == 6 and rates[2].pole_mask.any()
         pdot = stack.matrix.sum(axis=-1)
         for k in range(6):
-            node = rate_matrix("bell", current_from_full(full[k]), p[k])
+            node = rate_matrix(current_from_full(full[k]), p[k])
             assert np.array_equal(rates[k].matrix, node.matrix)
             assert np.array_equal(rates[k].pole_mask, node.pole_mask)
             assert np.array_equal(pole_free_rows(rates)[k], pole_free_rows(node))
         worst = max(master_residual(rates[k], p[k], pdot[k], rows=pole_free_rows(rates[k]))
                     for k in range(6))
         assert master_residual(rates, p, pdot, rows=pole_free_rows(rates)) == worst
-        general = rate_matrix("general", stack, p, 0.3)
+        general = rate_matrix(stack, p, 0.3)
         for k in range(6):
-            node = rate_matrix("general", current_from_full(full[k]), p[k], 0.3)
+            node = rate_matrix(current_from_full(full[k]), p[k], 0.3)
             assert np.array_equal(general[k].matrix, node.matrix)
             assert np.array_equal(general[k].pole_mask, node.pole_mask)
 
     def test_one_directional_choice(self, rng):
         full = np.triu(rng.normal(size=(5, 5)), 1)
-        rates = rate_matrix("bell", current_from_full(full), rng.dirichlet(np.ones(5)))
+        rates = rate_matrix(current_from_full(full), rng.dirichlet(np.ones(5)))
         off = rates.matrix.copy()
         np.fill_diagonal(off, 0.0)
         assert np.all((off * off.T) == 0)    # at most one direction per pair
 
     def test_column_sums_zero(self, rng):
         full = np.triu(rng.normal(size=(4, 4)), 1)
-        rates = rate_matrix("bell", current_from_full(full), rng.dirichlet(np.ones(4)))
+        rates = rate_matrix(current_from_full(full), rng.dirichlet(np.ones(4)))
         assert np.abs(rates.matrix.sum(axis=0)).max() <= 1e-15
 
     def test_round_trip_reconstructs_current(self, rng):
@@ -138,7 +155,7 @@ class TestBellRates:
         cm = current_from_full(full)
         p = rng.dirichlet(np.ones(4)) + 0.05
         p /= p.sum()
-        t = rate_matrix("bell", cm, p).matrix
+        t = rate_matrix(cm, p).matrix
         recon = t * p[None, :] - (t * p[None, :]).T
         assert np.abs(recon - cm.matrix).max() <= 1e-10
 
@@ -149,20 +166,21 @@ class TestGeneralRates:
 
     def test_zero_offset_reduces_to_bell(self, rng):
         full = np.triu(rng.normal(size=(4, 4)), 1)
+        full[:, 2] = np.abs(full[:, 2])                 # inflow at p_2 = 0: poles
         cm = current_from_full(full)
         p = rng.dirichlet(np.ones(4))
         p[2] = 0.0
         p /= p.sum()
-        a = rate_matrix("general", cm, p, 0.0)
-        b = rate_matrix("bell", cm, p)
-        assert np.array_equal(a.matrix, b.matrix) and np.array_equal(a.pole_mask, b.pole_mask)
+        rates, (t, pole) = rate_matrix(cm, p, 0.0), bell_closed_form(cm.matrix, p)
+        assert pole.any()
+        assert np.array_equal(rates.matrix, t) and np.array_equal(rates.pole_mask, pole)
 
     def test_reconstruction_identity(self, rng):
         full = np.triu(rng.normal(size=(3, 3)), 1)
         cm = current_from_full(full)
         p = np.array([0.5, 0.3, 0.2])
         for c in (0.0, 0.7):
-            t = rate_matrix("general", cm, p, c).matrix
+            t = rate_matrix(cm, p, c).matrix
             recon = t * p[None, :] - (t * p[None, :]).T
             assert np.abs(recon - cm.matrix).max() <= 1e-10
 
@@ -170,7 +188,7 @@ class TestGeneralRates:
         d = 4
         cm = current_from_full(np.zeros((d, d)))
         p = np.full(d, 1.0 / d)
-        rates = rate_matrix("general", cm, p, 1.0)
+        rates = rate_matrix(cm, p, 1.0)
         off = rates.matrix - np.diag(np.diag(rates.matrix))
         assert np.allclose(off + np.eye(d) / d, np.full((d, d), 1.0 / d))
         assert np.allclose(np.diag(rates.matrix), -(d - 1) / d)
@@ -187,7 +205,7 @@ class TestGeneralRates:
         ]
         for (full, p), c in itertools.product(cases, (0.0, 0.5, 5.0)):
             cm, p = current_from_full(full), np.array(p)
-            bell, general = rate_matrix("bell", cm, p), rate_matrix("general", cm, p, c)
+            bell, general = rate_matrix(cm, p), rate_matrix(cm, p, c)
             assert np.isfinite(general.matrix).all()
             assert np.array_equal(general.pole_mask, bell.pole_mask)
             # Out of the zero-probability state: Bell's rate plus c p_j.
@@ -208,10 +226,10 @@ class TestGeneralRates:
         full[1, :, 1] = np.abs(full[1, :, 1])
         cm = current_from_full(full)
         for c in (0.0, 1.0, 5.0):
-            rates = rate_matrix("general", cm, p, c)
+            rates = rate_matrix(cm, p, c)
             for _ in range(4):
                 perm = rng.permutation(d)
-                moved = rate_matrix("general", CurrentMatrix(cm.matrix[:, perm][:, :, perm]),
+                moved = rate_matrix(CurrentMatrix(cm.matrix[:, perm][:, :, perm]),
                                     p[:, perm], c)
                 want = rates.matrix[:, perm][:, :, perm]
                 off = ~np.eye(d, dtype=bool)
@@ -222,21 +240,21 @@ class TestGeneralRates:
 
     def test_probabilities_checked_whatever_the_choice(self):
         cm = current_from_full(np.zeros((2, 2)))
-        for choice in ("bell", "general"):
+        for c in (0.0, 1.0):
             with pytest.raises(ValueError, match="summing to 1"):
-                rate_matrix(choice, cm, np.array([0.5, 0.4]), 1.0)
+                rate_matrix(cm, np.array([0.5, 0.4]), c)
 
     def test_negative_offset_rejected(self):
         cm = current_from_full(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="nonnegative"):
-            rate_matrix("general", cm, np.array([0.5, 0.5]), -1.0)
+            rate_matrix(cm, np.array([0.5, 0.5]), -1.0)
 
     @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
     def test_non_finite_offset_rejected(self, offset):
         # A NaN offset used to give an all-NaN rate matrix, inf one of +-inf rates.
         cm = current_from_full(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            rate_matrix("general", cm, np.array([0.5, 0.5]), offset)
+            rate_matrix(cm, np.array([0.5, 0.5]), offset)
 
 
 class TestMasterResidual:
@@ -246,12 +264,12 @@ class TestMasterResidual:
         p = rng.dirichlet(np.ones(4)) + 0.05
         p /= p.sum()
         pdot = cm.matrix.sum(axis=1)
-        rates = rate_matrix("bell", cm, p)
+        rates = rate_matrix(cm, p)
         assert master_residual(rates, p, pdot) <= 1e-9
 
     def test_zero_rates(self):
         cm = current_from_full(np.zeros((3, 3)))
-        rates = rate_matrix("bell", cm, np.array([0.2, 0.5, 0.3]))
+        rates = rate_matrix(cm, np.array([0.2, 0.5, 0.3]))
         pdot = np.array([0.1, -0.4, 0.3])
         assert master_residual(rates, np.array([0.2, 0.5, 0.3]), pdot) == 0.4
 
@@ -261,7 +279,7 @@ class TestMasterResidual:
         worst = 0.0
         for t in grid:
             cm, p = crossing_current(theta, t)
-            rates = rate_matrix("bell", cm, p)
+            rates = rate_matrix(cm, p)
             h = 1e-3
             pdot = np.array([
                 (np.cos(theta * (t + h)) ** 2 - np.cos(theta * (t - h)) ** 2),
@@ -279,7 +297,7 @@ class TestMasterResidual:
             [0.1, -0.3, 0.0],
         ])
         p = np.array([0.6, 0.4, 0.0])
-        rates = rate_matrix("bell", current_from_full(full), p)
+        rates = rate_matrix(current_from_full(full), p)
         assert rates.pole_mask[1, 2]
         rows = pole_free_rows(rates)
         assert rows.tolist() == [True, False, False]
@@ -323,7 +341,7 @@ class TestFluxMinimality:
         family = compute_joint_family(sc.validate())
         current = compute_currents(family, kind)
         p = family.probabilities
-        rates = compute_rates(current, p, "bell")
+        rates = compute_rates(current, p)
         flux = np.abs(current.matrix).sum(axis=(-2, -1)) / 2
         free = ~rates.pole_mask.any(axis=(-2, -1))
         assert free.any()
@@ -336,8 +354,8 @@ class TestFluxMinimality:
         family = compute_joint_family(generic_2222(seed))
         current = compute_currents(family)
         p = family.probabilities
-        bell = intensity(compute_rates(current, p, "bell"), p)
-        general = intensity(compute_rates(current, p, "general", c), p)
+        bell = intensity(compute_rates(current, p), p)
+        general = intensity(compute_rates(current, p, c), p)
         # c p_i p_j over every ordered pair i != j: no label order enters.
         extra = c * (1.0 - (p * p).sum(axis=-1))
         flux = np.abs(current.matrix).sum(axis=(-2, -1)) / 2
@@ -346,21 +364,21 @@ class TestFluxMinimality:
 
 
 class TestFamilyAtZeroIsBell:
-    """The family member c = 0 is Bell's rule bit for bit, on every builtin
-    and a (2, 2, 2, 2) draw, under each current.  It compares the program
-    with itself, so it holds on any BLAS kernel."""
+    """The family member c = 0 is Bell's closed form max(0, j_ji / p_i) with
+    Bell's pole flags, bit for bit, on every builtin and a (2, 2, 2, 2) draw,
+    under each current.  Both sides divide the same current entry by entry,
+    so it holds on any BLAS kernel."""
 
     @pytest.mark.parametrize("system", [*BUILTINS, "generic-2x2x2x2"])
     def test_general_at_zero_equals_bell(self, system):
         sc = BUILTINS[system]() if system in BUILTINS else generic_2222(1)
         family = compute_joint_family(sc.validate())
         p = family.probabilities
-        for kind in ("minimal_flow", "static_schrodinger", "generalized_schrodinger"):
+        for kind in CHOICES["current"]:
             current = compute_currents(family, kind)
-            bell = rate_matrix("bell", current, p)
-            general = rate_matrix("general", current, p, 0.0)
-            assert np.array_equal(general.matrix, bell.matrix), kind
-            assert np.array_equal(general.pole_mask, bell.pole_mask), kind
+            rates, (t, pole) = rate_matrix(current, p, 0.0), bell_closed_form(current.matrix, p)
+            assert np.array_equal(rates.matrix, t), kind
+            assert np.array_equal(rates.pole_mask, pole), kind
 
 
 class TestFamilyOnBuiltins:
@@ -372,8 +390,7 @@ class TestFamilyOnBuiltins:
     @pytest.mark.parametrize("c", [1.0, 5.0])
     @pytest.mark.parametrize("name", list(BUILTINS))
     def test_every_check_passes(self, name, c):
-        sc = replace(BUILTINS[name](n_paths=20_000), rate_choice="general",
-                     general_rate_offset=c)
+        sc = replace(BUILTINS[name](n_paths=20_000), general_rate_offset=c)
         report = run(sc, report_only=True).report
         assert report.failures(sc.thresholds) == [], report
         assert report.master_residual <= 1e-13
@@ -390,7 +407,7 @@ class TestTwoTimeLaw:
     @staticmethod
     def laws(c):
         sc = replace(BUILTINS["measured-possessed-property"](n_paths=20_000),
-                     rate_choice="general", general_rate_offset=c)
+                     general_rate_offset=c)
         result = run(sc, report_only=True)
         grid, d = result.family.grid, len(result.family.states)
         a, b = (result.paths.states_at(grid[k * (len(grid) - 1) // 4]) for k in (1, 3))
@@ -473,7 +490,7 @@ class TestClassifySingularities:
         full = np.zeros((len(grid), 2, 2))
         full[:, 1, 0] = theta * np.sin(2 * theta * grid)
         full[:, 0, 1] = -full[:, 1, 0]
-        rates = rate_matrix("bell", current_from_full(full), p / p.sum(axis=1, keepdims=True))
+        rates = rate_matrix(current_from_full(full), p / p.sum(axis=1, keepdims=True))
         events = classify_singularities(p, grid, rates)
         ev = [e for e in events if e.state == 0][0]
         assert ev.divergent is True
@@ -515,7 +532,7 @@ class TestRateTrajectory:
         full = np.zeros((11, 2, 2))
         full[:, 1, 0] = grid
         full[:, 0, 1] = -grid
-        return RateTrajectory(grid, rate_matrix("bell", current_from_full(full),
+        return RateTrajectory(grid, rate_matrix(current_from_full(full),
                                                 np.full((11, 2), 0.5)))
 
     def test_linear_interpolation(self):
@@ -584,3 +601,19 @@ class TestRateTrajectory:
         assert report.kernel_note is None and report.kernel_terms == 2
         assert abs(report.honesty_deficit_max) <= 1e-13
         assert report.kernel_cross_check <= 1e-6
+
+    def test_unconverged_series_skips_the_kernel_stage(self):
+        # At c = 6 the series on measured-possessed-property's window has not
+        # converged after its 25 terms: the run names why in its note, keeps
+        # the window, and leaves every kernel diagnostic unset, so no kernel
+        # check can fail.
+        sc = replace(BUILTINS["measured-possessed-property"](n_paths=2000),
+                     general_rate_offset=6.0)
+        report = run(sc, report_only=True).report
+        assert report.kernel_note == ("kernel stage skipped: series term 25 still has "
+                                      "max entry 3.915e-10 > 1e-10")
+        assert (report.kernel_terms, report.chapman_residual, report.honesty_deficit_max,
+                report.kernel_cross_check) == (None, None, None, None)
+        assert report.kernel_window is not None
+        assert not [f for f in report.failures(sc.thresholds)
+                    if f.startswith(("chapman", "honesty"))]

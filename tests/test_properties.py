@@ -55,7 +55,8 @@ def test_constant_rate_kernels_match_expm(gen):
 @st.composite
 def random_scenarios(draw):
     """2-4 factors of dimension 2, 3 or 4 (total at most 16), a random H and
-    psi, and every scenario choice, on [0, 0.2] at step 1e-3 with 100 paths."""
+    psi, every current and the rate offset c at 0 (Bell's rates) or 1, on
+    [0, 0.2] at step 1e-3 with 100 paths."""
     n_factors = draw(st.integers(2, 4))
     dims = []
     for k in range(n_factors):
@@ -65,6 +66,7 @@ def random_scenarios(draw):
     dim = int(np.prod(dims))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     choices = {key: draw(st.sampled_from(allowed)) for key, allowed in CHOICES.items()}
+    choices["general_rate_offset"] = draw(st.sampled_from([0.0, 1.0]))
     return Scenario(name="random", factor_dims=tuple(dims),
                     hamiltonian=random_hermitian(rng, dim),
                     initial_state=random_ket(rng, dim),
@@ -79,7 +81,7 @@ def random_scenarios(draw):
 @given(random_scenarios())
 @example(relay_scenario((2, 2)))
 @example(relay_scenario((4, 2)))
-@example(replace(relay_scenario((2, 2)), rate_choice="general", general_rate_offset=1.0))
+@example(replace(relay_scenario((2, 2)), general_rate_offset=1.0))
 def test_random_systems_report_or_name_their_failure(scenario):
     # A run ends in a report with finite diagnostics, a named ModalDynError,
     # or a numeric error that names the stage it came from; the same scenario

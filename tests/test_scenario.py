@@ -568,16 +568,20 @@ def digests(out):
 # the report gains the sampler's counters and a master residual measured
 # against the current's divergence (rounding, was the continuity value).
 # Both manifest.json digests were re-recorded for version 0.3.1, whose
-# "general" rates are another dynamics: only tool_version moved.
+# "general" rates are another dynamics: only tool_version moved.  Both
+# directories' scenario.json, manifest.json and report.json were re-recorded
+# for version 0.4.0, whose scenario names a dynamics by two keys: the
+# scenario drops extra_term and rate_choice, the manifest takes the new hash
+# and version, and the report's rate_choice becomes general_rate_offset.
 GOLDEN_RUN_DIRS = {
     "easyexample": {
         "currents.csv": "f0fa1d38213ffe71733edc7f9472e2a1ff8347023bf13e4108cb0aa9e250577a",
         "kernel.json": "15dc2523d107758d4a58f734894819e657467979802f462ca4226f47d04399a4",
-        "manifest.json": "c0a5332dec7601ee2e47cb834d42bd8c2f199ddf231d9d223ce81b8a7647ed06",
+        "manifest.json": "9740d911b9347e53b9c5dc59e6538f43ae81053c3aa4f2619951ccb28cb4e2f9",
         "paths.jsonl": "e8d38de91da06c88b252d04c28589262b8acc108e1041a0566b7e60e11122fc9",
         "rates.csv": "559d89c790b0c398169e5de6f1982ab423e32651b8e30699852ee002db8234c0",
-        "report.json": "ec79d95084420536e2c50dc2f039b8eb4b3ccb6cfc273dd2e86d2a4babfaf96a",
-        "scenario.json": "a6d8ce486a0469ab4d32d6a2cb76917c880d0433d6f96f9de8661546a3855ff4",
+        "report.json": "61301927f33525263c01cd465c2d0401ab358a084e1d798df575d98a475376ce",
+        "scenario.json": "783b48c3b90b16896f0f34256d8cf8c0f703d3b9fa5271d82004bdf366aba925",
         "state_space.json": "d2c091fb2f085f08bb7cee0dacd9528fc6da52f84c7127a5f12fb90aa2d6ba6d",
         "stats.csv": "5171153bf9d778e175fa831d2af5b1e2df8fdcbad91a7bfd28738f698c583fee",
         "trajectory_factor0.csv":
@@ -592,11 +596,11 @@ GOLDEN_RUN_DIRS = {
     "generic-2x2x2x2": {
         "currents.csv": "25f16c0f24f5cf02519f390be364990834f32249085c20f0efca541057979172",
         "kernel.json": "8c88a0d6283236d6b96e126185e99477d0c39dec7ce2ca996886347098a9d584",
-        "manifest.json": "e79d6a3e3f05a282537f911fbea4d59e80ca737078f2d357378f8f1cbcf79cd9",
+        "manifest.json": "17970059fa1172ff20dabc29a00adf0930c625d66fdc3524253615dbad2ab30f",
         "paths.jsonl": "6946d4badaf7cdb498598855321d89f2a102140b3abdb5729b4ca1730866259f",
         "rates.csv": "e489256007e17af380d7a0b8ec92d8d929af4c7eb716c7fba1d71b33bd1900e2",
-        "report.json": "5b3f4f1c1854199a8aab32724d0b572b41f264ca8bfe51aa04bf508139940de2",
-        "scenario.json": "494bbd811f3b6e3f5dadd9e9cf7b1740995f2fc308b7b75b75911fe4626cd91e",
+        "report.json": "1a11197796041de521b98aec396033f1e278d877debdf1150548500e104e008d",
+        "scenario.json": "f140b0e99e4244325cffe0a26f6f347d684ee9b297acaef648948f319833b4f2",
         "state_space.json": "63e6b3f6286029cb96c4fd91df6c34dba4d6d7de119c8a637600383b557c0e72",
         "stats.csv": "6a40353212366a05267fe6589460bb040dd4b39a08b463c4fcb2bac48cf2d783",
         "trajectory_factor0.csv":
@@ -671,11 +675,10 @@ def test_joint_family_and_current_digests(scenario):
     arrays = {"connections": np.concatenate([c.ravel() for c in family.connections]),
               "probabilities": family.probabilities}
     arrays["pdot"] = pipeline.pdot_target(family)
-    for extra in ("paired", "minimal_flow_like"):
-        arrays[extra] = np.triu(pipeline.compute_currents(
-            family, "generalized_schrodinger", extra).matrix, 1)
-    arrays["static_schrodinger"] = np.triu(pipeline.compute_currents(
-        family, "static_schrodinger").matrix, 1)
+    for name, kind in (("paired", "generalized_schrodinger"),
+                       ("minimal_flow_like", "minimal_flow_like"),
+                       ("static_schrodinger", "static_schrodinger")):
+        arrays[name] = np.triu(pipeline.compute_currents(family, kind).matrix, 1)
     got = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}
     assert got == GOLDEN_ARRAYS[family.scenario.name]
 
@@ -736,6 +739,21 @@ class TestCli:
         assert code == 0
         assert "minimal_flow" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("current, offset", [("minimal_flow_like", 0.0),
+                                                 ("generalized_schrodinger", 2.0)])
+    def test_report_names_the_dynamics(self, tmp_path, capsys, current, offset):
+        # The two free choices, the current and the rate offset c, are all a
+        # run's report needs to name its dynamics; c = 0 is Bell's rates.
+        path = Path(write_quick_scenario(tmp_path, builder="easyexample"))
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "general_rate_offset": offset}))
+        code = cli_main(["run", str(path), "--current", current, "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert f"[{current} / c = {offset}]" in capsys.readouterr().out
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert (report["current"], report["general_rate_offset"]) == (current, offset)
+        assert "rate_choice" not in report
+
     def test_diagnostic_failure_exit_code(self, tmp_path, capsys):
         # Tiny ensembles cannot meet the default Born-agreement bound.
         code = cli_main(["run", "easyexample", "--paths", "30", "--report-only"])
@@ -792,12 +810,16 @@ class TestCli:
         (True, {"seed": 5}, "unknown key 'seed'"),
         (True, {"hamiltonian": {"matrix": complex_to_json(np.eye(4)), "params": {}}},
          "hamiltonian: unknown key 'params'"),
-        (False, {"rate_choice": "bell_note9"}, "rate_choice: unknown kind 'bell_note9'"),
+        (False, {"rate_choice": "bell_note9"}, "unknown key 'rate_choice'"),
         (False, {"pole_policy": "resample"}, "unknown key 'pole_policy'"),
+        (False, {"extra_term": "paired"}, "unknown key 'extra_term'"),
+        (False, {"rate_choice": "general"}, "unknown key 'rate_choice'"),
+        (False, {"current": "paired"}, "current: unknown kind 'paired'"),
         (False, {"thresholds": {"crossing_gap": 1e-2}}, "thresholds: unknown key 'crossing_gap'"),
     ], ids=["misspelt-key", "builder-state", "builder-dims", "builder-matrix", "time-key",
             "ensemble-key", "thresholds-key", "explicit-key", "explicit-hamiltonian-key",
-            "retired-rate-alias", "removed-pole-policy", "removed-crossing-gap"])
+            "retired-rate-alias", "removed-pole-policy", "removed-extra-term",
+            "removed-rate-choice", "extra-term-as-current", "removed-crossing-gap"])
     def test_unread_keys_rejected(self, tmp_path, capsys, explicit, override, message):
         # Every choice reproduces the same Born statistics, so only the loader
         # can tell that a key was dropped.
@@ -1011,7 +1033,7 @@ class TestCli:
         # report (exit 0, or 3 for a failed threshold), not a stage error.
         doc = {
             "hamiltonian": {"builder": "easyexample", "params": {}},
-            "name": "gen-on-zero", "rate_choice": "general", "general_rate_offset": 1.0,
+            "name": "gen-on-zero", "general_rate_offset": 1.0,
             "ensemble": {"n_paths": 50, "master_seed": 1, "query_times": [0.2]},
         }
         path = tmp_path / "gen.json"
