@@ -29,4 +29,4 @@ from .scenario import (BUILTINS, Scenario, Thresholds, builtin_scenarios,
 from .pipeline import (JointFamily, PipelineResult, RunReport, compute_currents,
                        compute_joint_family, compute_rates, pdot_target, run)
 
-__version__ = "0.4.0"
+__version__ = "0.4.1"

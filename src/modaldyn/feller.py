@@ -23,13 +23,16 @@ the series needs at least two intervals.  The terms' integrals are
 evaluated as blocked matrix products: blocks of 16 nodes share one local
 weight matrix, each block starts from the running sum of the blocks before
 it, and every weight is read off the one rule applied to a small identity.
-A term runs over chunks of 64 nodes, so the series holds two window-sized
+A term runs over chunks of nodes, so the series holds two window-sized
 stacks, the weighted rates and the running term, and one chunk beside them.
 The fourth-order integration steps over the grid intervals; its midpoint
 rates (A_k + A_(k+1))/2 are the rates taken linear between nodes.  It
-forms the step matrices M_k = I + h/6 (A0 + 2 B2 + 2 B3 + B4) for 64
-intervals at a time and multiplies them pairwise, in a fixed order, into
+forms the step matrices M_k = I + h/6 (A0 + 2 B2 + 2 B3 + B4) one chunk
+of intervals at a time and multiplies them pairwise, in a fixed order, into
 p(t, s) = M_(m-1) ... M_0; chunk products join the same pairwise tree.
+Both kernels size a chunk by D (``_chunk``): the largest power of two, at
+least 64, whose (D, D) float stack fits the 256 KiB node-block budget, so
+2048 at D = 4, 512 at D = 8, 128 at D = 16 and 64 from D = 23 on.
 Chunks only regroup the same matrix products, so no bit depends on them.
 """
 
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import currents
 from .config import DEFAULT
 from .errors import PoleInInterval, TruncationNotConverged
 from .kinetics import RateTrajectory
@@ -161,8 +165,9 @@ def forward_ode_kernel(rates: RateTrajectory, s: float, t: float) -> TransitionK
         return TransitionKernel(s=s, t=t, matrix=np.eye(rates.size), method="ode")
 
     h = (t - s) / m
-    products = np.stack([_ordered_product(_rk4_steps(a[lo:lo + _CHUNK + 1], h))
-                         for lo in range(0, m, _CHUNK)])
+    c = _chunk(rates.size)
+    products = np.stack([_ordered_product(_rk4_steps(a[lo:lo + c + 1], h))
+                         for lo in range(0, m, c)])
     return TransitionKernel(s=s, t=t, matrix=_ordered_product(products), method="ode")
 
 
@@ -223,10 +228,19 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 # Nodes per block of the series term's integral; even, so every block
 # starts a pair.
 _BLOCK = 16
-# Intervals per chunk of either kernel: whole blocks of the series term, and
-# a power of two, so that a chunk of RK4 steps (aligned at a multiple of
-# ``_CHUNK``) is one subtree of ``_ordered_product``'s pairwise tree.
-_CHUNK = 64
+
+
+def _chunk(d: int) -> int:
+    """Intervals per chunk of either kernel at D = ``d``: the largest power
+    of two, at least 64, whose ``(D, D)`` float stack fits
+    ``currents._BLOCK_BYTES``.
+
+    A power of two of at least ``_BLOCK`` nodes makes a chunk whole blocks of
+    the series term, and a chunk of RK4 steps (aligned at a multiple of the
+    chunk) one subtree of ``_ordered_product``'s pairwise tree.
+    """
+    nodes = currents._BLOCK_BYTES // (d * d * np.dtype(float).itemsize)
+    return max(64, 1 << max(0, nodes.bit_length() - 1))
 
 
 def _series_term(weighted: np.ndarray, dx: float):
@@ -238,7 +252,7 @@ def _series_term(weighted: np.ndarray, dx: float):
     reads only the block's nodes and the next one, so one matmul applies a
     shared local weight matrix to every block's overlapping window; each
     block then adds the running sum of the blocks before it.  The blocks go
-    through in chunks of ``_CHUNK`` nodes, each chunk's integrand in one
+    through in chunks of ``_chunk(D)`` nodes, each chunk's integrand in one
     chunk-sized buffer, and the running sum is carried from chunk to chunk:
     the carry joins a chunk's first block increment before ``np.cumsum``
     adds the rest, so the sums are added in the order of one cumsum over
@@ -248,24 +262,24 @@ def _series_term(weighted: np.ndarray, dx: float):
     overwrite those nodes.  Every weight is read off ``_cumulative_simpson``
     of a small identity, and no ``(n, n)`` operator is formed.
     """
-    n = len(weighted)
+    n, size = len(weighted), _chunk(weighted.shape[-1])
     head = (n - 1) // _BLOCK * _BLOCK                # first row after the full blocks
     w = _cumulative_simpson(np.eye(_BLOCK + 1), dx)
     local, step = w[:_BLOCK], w[_BLOCK]
     c = max(head - 2, 0)
     wt = _cumulative_simpson(np.eye(n - c), dx)
     tail = wt[head - c:] - wt[head - c]              # integrals from node ``head``
-    chunk = np.empty((_CHUNK + 1,) + weighted.shape[1:])
+    chunk = np.empty((size + 1,) + weighted.shape[1:])
     # Block k of a chunk integrates the chunk's nodes 16 k .. 16 k + 16.
-    windows = sliding_window_view(chunk.reshape(_CHUNK + 1, -1), _BLOCK + 1,
+    windows = sliding_window_view(chunk.reshape(size + 1, -1), _BLOCK + 1,
                                   axis=0)[::_BLOCK].swapaxes(1, 2)
 
     def advance(acc: np.ndarray) -> None:
         sums = acc.reshape(n, -1)
         tail_term = np.matmul(weighted[c:], acc[c:]).reshape(n - c, -1)
         carry = None
-        for lo in range(0, head, _CHUNK):
-            hi = min(lo + _CHUNK, head)
+        for lo in range(0, head, size):
+            hi = min(lo + size, head)
             np.matmul(weighted[lo:hi + 1], acc[lo:hi + 1], out=chunk[:hi + 1 - lo])
             win = windows[:(hi - lo) // _BLOCK]
             blocks = sums[lo:hi].reshape(len(win), _BLOCK, -1)

@@ -154,15 +154,40 @@ def partial_trace(w, space: FactorSpace, keep: int) -> np.ndarray:
     return np.einsum("...lyrlzr->...yz", w.reshape(w.shape[:-2] + split * 2))
 
 
+# Complex multiply-adds per row block of psi(t): each block's product
+# (rows, dim) @ (dim, dim) stays well below OpenBLAS's threading threshold,
+# so it runs on the calling thread and its bits do not depend on the BLAS
+# thread count.  A constant of its own, not the node-block rule: psi's bits
+# depend on the block's row count, and the node blocks vary in the tests.
+_PSI_MACS = 2 ** 14
+
+
+def _psi_rows(dim: int) -> int:
+    """Rows per block of psi(t): the largest power of two with
+    rows * dim^2 <= 2^14, and at least two, so that no block is a
+    matrix-vector product."""
+    return max(2, 1 << max(0, (_PSI_MACS // (dim * dim)).bit_length() - 1))
+
+
 def evolve_on_grid(psi0, hamiltonian, times) -> np.ndarray:
     """States at each time of ``times``; one eigendecomposition, many phases.
 
-    Returns an array of shape ``(len(times), dim)``.
+    The states are formed over row blocks of ``_psi_rows(dim)`` times (1024
+    at dim 4, 256 at dim 8, 64 at dim 16, 4 at dim 64), one matrix product
+    each, small enough to stay on the calling BLAS thread, so the bits do
+    not depend on the thread count.  A lone last row joins the block before
+    it: numpy would take a one-row product as a matrix-vector product,
+    whose bits differ.  Returns an array of shape ``(len(times), dim)``.
     """
     h = _as_square(check_hermitian(hamiltonian))
     psi0 = check_ket(psi0)
-    times = np.asarray(times, dtype=float)
+    times = np.asarray(times, dtype=float).reshape(-1)
     vals, vecs = np.linalg.eigh(h)
     coeff = vecs.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(times, vals))
-    return (phases * coeff[None, :]) @ vecs.T
+    n = len(times)
+    out = np.empty((n, len(vals)), dtype=complex)
+    edges = list(range(0, max(n - 1, 1), _psi_rows(len(vals)))) + [n]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        phases = np.exp(-1j * np.outer(times[lo:hi], vals))
+        np.matmul(phases * coeff[None, :], vecs.T, out=out[lo:hi])
+    return out

@@ -110,13 +110,19 @@ class TestArrayKernels:
         assert out.shape == ref.shape
         assert np.abs(out - ref).max() <= 1e-15 * max(1.0, np.abs(ref).max())
 
-    # Blocks of 16 nodes in chunks of 64, so n in 3..80 covers no full
-    # block, one to four full blocks, and every tail length on both interval
-    # parities; the longer windows end in a partial chunk.
-    @pytest.mark.parametrize("n", list(range(3, 81)) + [501, 701, 1001, 1002, 1572])
-    def test_blocked_simpson_matches_rule(self, n):
+    # Blocks of 16 nodes, so n in 3..80 covers no full block, one to four
+    # full blocks, and every tail length on both interval parities.  Each d
+    # has its own chunk (32768 nodes at d = 1, 2048 at d = 3, 128 at d = 16):
+    # its lengths end one chunk exactly, just past it (a tail of one and of
+    # two intervals), one block into the next chunk, and in a third chunk.
+    @pytest.mark.parametrize("n, dims", [pytest.param(n, (1, 3, 16), id=str(n)) for n in
+                                         list(range(3, 81)) + [501, 701, 1001, 1002, 1572]]
+                             + [pytest.param(n, (d,), id=f"{n}-d{d}")
+                                for d in (1, 3, 16) for c in [feller._chunk(d)]
+                                for n in (c + 1, c + 2, c + 3, c + 17, 2 * c + 34)])
+    def test_blocked_simpson_matches_rule(self, n, dims):
         rng = np.random.default_rng(n)
-        for d in (1, 3, 16):
+        for d in dims:
             weighted = rng.normal(size=(n, d, d))
             acc = rng.normal(size=(n, d, d))
             ref = np.clip(_cumulative_simpson(weighted @ acc, 0.01), 0.0, None)
@@ -125,7 +131,8 @@ class TestArrayKernels:
 
     def test_blocked_simpson_forms_no_dense_operator(self):
         # A dense (n, n) operator on 200 001 nodes would take 320 GB; the
-        # term holds one chunk of 65 nodes and the tail's 18.
+        # term holds one chunk of 8193 nodes (256 KiB at d = 2) and the
+        # tail's 18.
         n = 200_001
         rng = np.random.default_rng(0)
         weighted = rng.normal(size=(n, 2, 2))
@@ -246,15 +253,25 @@ def pipeline_rates(name):
         current, family.probabilities, sc.general_rate_offset))
 
 
-class TestChunkedKernels:
-    """Both kernels run over chunks of 64 intervals, and the chunks change no
-    bit: windows shorter than one chunk, on either side of one and two chunk
-    edges, and a long window that ends in a partial chunk, each equal to the
-    kernel formed on whole-window stacks.  The series blocks of 16 nodes make
-    15, 16 and 17 intervals a block edge of their own."""
+# Each scenario's own chunk edges: one short of a chunk, one chunk, one
+# past it and one past two chunks (128 intervals at D = 16, 512 at D = 8).
+CHUNK_EDGES = sorted({(name, m) for name, d in [("generic-2x2x2x2", 16),
+                                                ("measured-possessed-property", 8)]
+                      for c in [feller._chunk(d)] for m in (c - 1, c, c + 1, 2 * c + 1)})
 
-    @pytest.mark.parametrize("m", [2, 15, 16, 17, 63, 64, 65, 127, 128, 129, 1000])
-    @pytest.mark.parametrize("name", ["generic-2x2x2x2", "measured-possessed-property"])
+
+class TestChunkedKernels:
+    """Both kernels run over chunks of ``feller._chunk(D)`` intervals, and
+    the chunks change no bit: short windows, windows on either side of the
+    chunk edges of both scenarios (D = 16 and D = 8) and of the old 64-node
+    chunks, and a long window that ends in a partial chunk, each equal to
+    the kernel formed on whole-window stacks.  The series blocks of 16 nodes
+    make 15, 16 and 17 intervals a block edge of their own."""
+
+    @pytest.mark.parametrize("name, m", [
+        (name, m) for name in ["generic-2x2x2x2", "measured-possessed-property"]
+        for m in [2, 15, 16, 17, 63, 64, 65, 127, 128, 129, 1000]
+        if (name, m) not in CHUNK_EDGES] + CHUNK_EDGES)
     def test_equal_to_whole_stacks(self, name, m):
         rates = pipeline_rates(name)
         a = len(rates.grid) - 1 - m if name == "generic-2x2x2x2" else 7
@@ -273,10 +290,11 @@ class TestKernelMemory:
     table, on random rates at dim 16 over 1001 nodes and at dim 64 over 201.
     The series holds two tables, the weighted rates and the running term,
     and the window's cumulative hazards, one (m + 1, D) vector.  A term
-    forms its integrand over one chunk of 65 nodes at a time; the tail's
-    integrand (at most 18 nodes), the chunk's block increments and the
-    weights take less than a second chunk.  The ODE kernel forms the
-    step matrices of one chunk of 64 intervals: the midpoint rates and
+    forms its integrand over one chunk of ``feller._chunk(D) + 1`` nodes
+    at a time (129 at dim 16, 65 at dim 64); the tail's integrand (at most
+    18 nodes), the chunk's block increments and the weights take less than
+    a second chunk.  The ODE kernel forms the step matrices of one chunk
+    of ``feller._chunk(D)`` intervals: the midpoint rates and
     three stage stacks, four chunks of step stacks, of which the pairwise
     product keeps one and its halves; the chunk products are one matrix per
     chunk, stacked once, and the kernel adds two matrices.  Both kernels
@@ -295,16 +313,17 @@ class TestKernelMemory:
     def test_series_holds_two_tables_beside_a_chunk(self, d, step):
         rates, table, node, buffer = self.units(d, step)
         hazards = table // d
-        chunk = (feller._CHUNK + 1) * node
+        chunk = (feller._chunk(d) + 1) * node
         kernel, peak = traced_peak(feller_minimal, rates, 0.0, 1.0, 25, False)
         assert kernel.n_terms >= 2
         assert peak <= 2 * table + hazards + 2 * chunk + buffer, peak / table
 
     def test_ode_holds_one_chunk_of_steps(self, d, step):
         rates, table, node, buffer = self.units(d, step)
-        n_chunks = -(-(len(rates.grid) - 1) // feller._CHUNK)
+        c = feller._chunk(d)
+        n_chunks = -(-(len(rates.grid) - 1) // c)
         _kernel, peak = traced_peak(forward_ode_kernel, rates, 0.0, 1.0)
-        assert peak <= (4 * feller._CHUNK + 2 * n_chunks + 2) * node + buffer, peak / table
+        assert peak <= (4 * c + 2 * n_chunks + 2) * node + buffer, peak / table
 
 
 class TestWindow:

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from modaldyn.hilbert import (FactorSpace, evolve_on_grid, partial_trace, projector_from_vector,
-                              tensor_product)
+import modaldyn
+from modaldyn.hilbert import (FactorSpace, _psi_rows, evolve_on_grid, partial_trace,
+                              projector_from_vector, tensor_product)
 
 from conftest import I2, SINGLET, SX, random_density, random_hermitian, random_ket
 
@@ -147,6 +153,45 @@ class TestEvolveState:
         batch = evolve_on_grid(psi, h, times)
         for k, t in enumerate(times):
             assert np.allclose(batch[k], expm(-1j * h * t) @ psi, atol=1e-12)
+
+
+# psi at dims 4 to 64 over 5001 times, and the seeded (2, 2, 2, 2) joint
+# family's psi and Born weights, as SHA-256 digests.
+DIGESTS = """
+import hashlib
+import numpy as np
+from conftest import random_hermitian, random_ket, random_system
+from modaldyn.hilbert import evolve_on_grid
+from modaldyn.pipeline import compute_joint_family
+rng = np.random.default_rng(5)
+arrays = [evolve_on_grid(random_ket(rng, dim), random_hermitian(rng, dim),
+                         np.linspace(0.0, 1.0, 5001)) for dim in (4, 8, 16, 32, 64)]
+family = compute_joint_family(random_system(2222, (2, 2, 2, 2), t1=1.0))
+arrays += [family.psi, family.probabilities]
+print(" ".join(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays))
+"""
+
+
+class TestBlasThreads:
+    """psi is formed in row blocks that stay on the calling BLAS thread, so
+    its bits, and the Born weights', do not depend on the thread count."""
+
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
+    def test_row_blocks_fit_the_budget(self, dim):
+        rows = _psi_rows(dim)
+        assert rows & (rows - 1) == 0 and rows * dim * dim <= 2 ** 14 < 2 * rows * dim * dim
+
+    def test_one_thread_and_two_give_the_same_bits(self):
+        src = str(Path(modaldyn.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent),
+                                             os.environ.get("PYTHONPATH")]))
+        runs = [subprocess.run([sys.executable, "-c", DIGESTS], capture_output=True, text=True,
+                               timeout=300, env={**os.environ, "PYTHONPATH": path,
+                                                 "OPENBLAS_NUM_THREADS": threads})
+                for threads in ("1", "2")]
+        for done in runs:
+            assert done.returncode == 0, done.stderr
+        assert runs[0].stdout == runs[1].stdout
 
 
 class TestFactorSpace:
