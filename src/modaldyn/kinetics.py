@@ -199,11 +199,13 @@ def classify_singularities(p_trajectory, grid, rates: RateMatrix
     A run of nodes with p_i at or below 1e-4 is an isolated zero when the
     probability genuinely lifts off within the run (an analytic
     touch-zero), and an interval zero when it stays at numerical zero
-    throughout.  Each event is flagged divergent if the exit rate blows up
-    approaching the zero (a pole flag in the run, or an exit rate near it
-    above 100 times its median), which makes the waiting-time integral
-    divergent there; ``rates`` is the stacked record of the grid.  Events
-    are ordered by state, then time.
+    throughout.  An isolated zero's time is the node of the run's least
+    probability; an interval zero's is the run's first node, since its
+    least probability is rounding noise.  Each event is flagged divergent
+    if the exit rate blows up approaching the zero (a pole flag in the
+    run, or an exit rate near it above 100 times its median), which makes
+    the waiting-time integral divergent there; ``rates`` is the stacked
+    record of the grid.  Events are ordered by state, then time.
     """
     p = np.asarray(p_trajectory, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -217,9 +219,10 @@ def classify_singularities(p_trajectory, grid, rates: RateMatrix
         for start, end in _runs(p[:, i] <= 1e-4):
             run = slice(start, end + 1)
             seg = p[run, i]
-            kind = "interval-zero" if seg.max() <= 10 * DEFAULT.zero_probability \
-                else "isolated-zero"
-            arg = start + int(np.argmin(seg))
+            if seg.max() <= 10 * DEFAULT.zero_probability:
+                kind, arg = "interval-zero", start
+            else:
+                kind, arg = "isolated-zero", start + int(np.argmin(seg))
             near = exits[max(0, start - 2):min(n, end + 3), i]
             divergent = bool(
                 rates.pole_mask[run, :, i].any()

@@ -37,10 +37,6 @@ __all__ = [
     "scenario_to_dict",
 ]
 
-# The allowed values of the choice key.
-CHOICES = {"current": KINDS}
-
-
 @dataclass(frozen=True)
 class TimeSpec:
     t0: float
@@ -132,9 +128,8 @@ class Scenario:
                 raise ScenarioValidationError(
                     f"ensemble: query time {q} outside [{self.time.t0}, {self.time.t1}]"
                 )
-        for key, allowed in CHOICES.items():
-            if getattr(self, key) not in allowed:
-                raise ScenarioValidationError(f"{key}: unknown kind {getattr(self, key)!r}")
+        if self.current not in KINDS:
+            raise ScenarioValidationError(f"current: unknown kind {self.current!r}")
         if not 0 <= self.general_rate_offset < np.inf:
             raise ScenarioValidationError("general_rate_offset: must be finite and "
                                           "nonnegative")
@@ -335,7 +330,7 @@ _READERS = {
                          query_times=lambda v: tuple(_number(q) for q in v)), False),
     "thresholds": (_record(Thresholds, _number), False),
     "general_rate_offset": (_number, False),
-    **{key: (_string, False) for key in CHOICES},
+    "current": (_string, False),
 }
 
 

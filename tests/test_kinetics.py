@@ -10,14 +10,14 @@ import pytest
 
 import modaldyn
 from modaldyn.config import DEFAULT
-from modaldyn.currents import CurrentMatrix
+from modaldyn.currents import KINDS, CurrentMatrix
 from modaldyn.kinetics import (RateMatrix, RateTrajectory, _median, classify_singularities,
                                master_residual, pole_free_rows, rate_matrix)
 from modaldyn import kinetics, pipeline
 from modaldyn.pipeline import (_kernel_windows, compute_currents, compute_joint_family,
                                compute_rates, run)
 from modaldyn.sampler import _interp_rows
-from modaldyn.scenario import BUILTINS, CHOICES
+from modaldyn.scenario import BUILTINS
 
 from conftest import random_system
 
@@ -374,7 +374,7 @@ class TestFamilyAtZeroIsBell:
         sc = BUILTINS[system]() if system in BUILTINS else generic_2222(1)
         family = compute_joint_family(sc.validate())
         p = family.probabilities
-        for kind in CHOICES["current"]:
+        for kind in KINDS:
             current = compute_currents(family, kind)
             rates, (t, pole) = rate_matrix(current, p, 0.0), bell_closed_form(current.matrix, p)
             assert np.array_equal(rates.matrix, t), kind
@@ -475,6 +475,18 @@ class TestClassifySingularities:
         p = np.column_stack([np.ones(200), np.zeros(200)])
         events = classify_singularities(p, grid, zero_rates(200, 2))
         assert [e for e in events if e.state == 1][0].kind == "interval-zero"
+
+    def test_interval_zero_time_is_its_first_node(self, rng):
+        # Rounding noise below 10 * zero_probability over nodes 50-149: the
+        # least value lies inside the run, and the time stays at its start.
+        grid = np.linspace(0, 1, 200)
+        zero = np.ones(200)
+        zero[50:150] = rng.uniform(0, 10 * DEFAULT.zero_probability, 100)
+        p = np.column_stack([1 - zero, zero])
+        event, = [e for e in classify_singularities(p, grid, zero_rates(200, 2))
+                  if e.state == 1]
+        assert event.kind == "interval-zero" and np.argmin(zero) > 50
+        assert event.time == event.t_start == grid[50]
 
     def test_rates_must_match_trajectory(self):
         grid = np.linspace(0, 1, 50)

@@ -11,10 +11,11 @@ from scipy.linalg import expm
 
 from modaldyn import cli
 from modaldyn import io as mdio
+from modaldyn.currents import KINDS
 from modaldyn.errors import ModalDynError, ScenarioValidationError
 from modaldyn.feller import feller_minimal, forward_ode_kernel
 from modaldyn.pipeline import run
-from modaldyn.scenario import CHOICES, EnsembleSpec, Scenario, TimeSpec, scenario_to_dict
+from modaldyn.scenario import EnsembleSpec, Scenario, TimeSpec, scenario_to_dict
 
 from conftest import constant_trajectory, random_hermitian, random_ket, relay_scenario
 
@@ -65,14 +66,14 @@ def random_scenarios(draw):
         dims.append(draw(st.sampled_from([d for d in (2, 3, 4) if d <= room])))
     dim = int(np.prod(dims))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    choices = {key: draw(st.sampled_from(allowed)) for key, allowed in CHOICES.items()}
-    choices["general_rate_offset"] = draw(st.sampled_from([0.0, 1.0]))
+    current = draw(st.sampled_from(KINDS))
+    offset = draw(st.sampled_from([0.0, 1.0]))
     return Scenario(name="random", factor_dims=tuple(dims),
                     hamiltonian=random_hermitian(rng, dim),
                     initial_state=random_ket(rng, dim),
                     time=TimeSpec(0.0, 0.2, 1e-3),
                     ensemble=EnsembleSpec(100, draw(st.integers(0, 2 ** 32 - 1)), (0.1, 0.2)),
-                    **choices)
+                    current=current, general_rate_offset=offset)
 
 
 # Systems besides the draws: two relay systems, and one of them under the

@@ -893,6 +893,7 @@ GOLDEN = {
 }
 
 
+@pytest.mark.golden
 class TestGoldenEnsembles:
     """Lockstep ensembles and errors against the path-by-path sampler."""
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from modaldyn.cli import main as cli_main
 from modaldyn.errors import ScenarioValidationError
-from modaldyn.currents import CurrentMatrix
+from modaldyn.currents import KINDS, CurrentMatrix
 from modaldyn.io import (complex_from_json, complex_to_json, write_currents_csv,
                          write_paths_jsonl, write_rates_csv, write_stats_csv,
                          write_trajectory_csv)
@@ -24,7 +24,7 @@ from modaldyn.kinetics import RateMatrix
 from modaldyn import pipeline
 from modaldyn.pipeline import run
 from modaldyn.sampler import EnsembleStats, PathEnsemble
-from modaldyn.scenario import (BUILTINS, CHOICES, EnsembleSpec, Scenario, Thresholds, TimeSpec,
+from modaldyn.scenario import (BUILTINS, EnsembleSpec, Scenario, Thresholds, TimeSpec,
                                builtin_scenarios, load_scenario, scenario_from_dict,
                                scenario_to_dict)
 from modaldyn.spectral import SpectralTrajectory
@@ -115,8 +115,7 @@ def overridable_fields(draw):
         "thresholds": Thresholds(**{f.name: draw(other_than(f.name, POSITIVE))
                                     for f in fields(Thresholds)}),
         "general_rate_offset": draw(other_than("general_rate_offset", st.floats(0.0, 1e6))),
-        **{key: draw(other_than(key, st.sampled_from(values)))
-           for key, values in CHOICES.items()},
+        "current": draw(other_than("current", st.sampled_from(KINDS))),
     }
 
 
@@ -626,6 +625,7 @@ GOLDEN_RUN_DIRS = {
 }
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("scenario", [
     lambda: BUILTINS["easyexample"](t1=0.2, n_paths=50), generic_2222_short],
     ids=list(GOLDEN_RUN_DIRS))
@@ -635,6 +635,7 @@ def test_run_directory_digests(scenario, tmp_path):
     assert digests(tmp_path) == GOLDEN_RUN_DIRS[sc.name]
 
 
+@pytest.mark.golden
 def test_run_directory_bytes_do_not_depend_on_the_os(tmp_path, monkeypatch):
     # Text mode writes "\n" as os.linesep, "\r\n" on Windows.  The pure-Python
     # io module reads os.linesep when a file is opened, so with it every file
@@ -671,6 +672,7 @@ GOLDEN_ARRAYS = {
 }
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("scenario", [generic_2222_short, BUILTINS["measured-possessed-property"]],
                          ids=list(GOLDEN_ARRAYS))
 def test_joint_family_and_current_digests(scenario):
@@ -888,7 +890,7 @@ class TestCli:
         assert f"validation error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [5, True], ids=["number", "boolean"])
-    @pytest.mark.parametrize("key", ["name", *CHOICES])
+    @pytest.mark.parametrize("key", ["name", "current"])
     def test_string_fields_take_strings(self, tmp_path, capsys, key, value):
         # str() would read 5 as '5' and true as 'True'.
         doc = {"hamiltonian": {"builder": "easyexample"}, key: value}

@@ -788,6 +788,7 @@ NODE0_GOLDEN = {
 }
 
 
+@pytest.mark.golden
 def test_node0_splits_are_pinned():
     got = {}
     for name, states, grid in node0_fixtures():
